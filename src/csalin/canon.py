@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy.interpolate import CubicSpline
 
 from .cubic import OdeSystem2
 from .expr import (
-    C, Expr, ExprError, NotPolynomial, Pow, Symbol, VarContext, ZERO, ONE,
+    C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, log,
     mul, neg, parse, pow_, simplify, substitute, rewrite_subterms, sym,
     to_string, zero_verdict,
@@ -502,48 +502,16 @@ class LinearForm:
         w1, w2 = self.rhs_exprs(ctx)
         return OdeSystem2(ctx, w1, w2)
 
-    def numeric_rhs(self):
-        """Second-order vector field f(t, [y, z, y', z']) -> derivatives."""
-        c = self.coeffs
-        if self.kind == "general":
-            def f(t, s):
-                return np.array([s[2], s[3],
-                                 c["d11"](t) * s[0] + c["d12"](t) * s[1],
-                                 c["d21"](t) * s[0] + c["d22"](t) * s[1]])
-        elif self.kind == "optimal":
-            def f(t, s):
-                return np.array([s[2], s[3],
-                                 c["dt11"](t) * s[0] + c["dt12"](t) * s[1],
-                                 c["dt21"](t) * s[0] - c["dt11"](t) * s[1]])
-        elif self.kind == "first_order":
-            def f(t, s):
-                return np.array([s[2], s[3],
-                                 c["a1"](t) * s[2] - c["a2"](t) * s[3],
-                                 c["a2"](t) * s[2] + c["a1"](t) * s[3]])
-        elif self.kind == "zero_order":
-            def f(t, s):
-                return np.array([s[2], s[3],
-                                 c["a3"](t) * s[0] - c["a4"](t) * s[1],
-                                 c["a4"](t) * s[0] + c["a3"](t) * s[1]])
-        else:
-            def f(t, s):
-                b = c["beta"](t)
-                return np.array([s[2], s[3], -b * s[1], b * s[0]])
-        return f
-
 
 # ---------------------------------------------------------------------------
 # reductions
 
 
-def _first_crossing(ts, vals, floor: float = 1e-9):
-    below = np.nonzero(vals <= floor)[0]
-    if below.size:
-        return int(below[0])
-    return None
-
-
 def _integrate_coeffs(rhs, t0, y0, t1, h):
+    """RK4 with step halving over a reduction interval, which must run
+    forwards: the tabulated outputs need an increasing grid."""
+    if t1 <= t0:
+        raise ValueError("t1 must exceed t0")
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
     except ExprError as exc:
@@ -551,7 +519,9 @@ def _integrate_coeffs(rhs, t0, y0, t1, h):
 
 
 @dataclass(eq=False)
-class OptimalReduction:
+class RescaledForm:
+    """A linear form rewritten in Y = y/rho and X = integral of rho^-2."""
+
     form: LinearForm
     rho: CoefficientFn
     new_var: CoefficientFn
@@ -561,8 +531,49 @@ class OptimalReduction:
         return iter((self.form, self.rho))
 
 
+def _identity_rescaling(form: LinearForm) -> RescaledForm:
+    return RescaledForm(form, CoefficientFn.constant(1),
+                        CoefficientFn.symbolic(sym("x")), 0.0)
+
+
+def _rescale(kind: str, a, a_label: str, coeffs: dict, interval: tuple,
+             h: float) -> RescaledForm:
+    """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
+    the new variable X = integral of rho^-2 pinned to agree with t at t0,
+    and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
+
+    With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
+    rho^2 rho'' y, so each coefficient of the rescaled system carries a
+    factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
+    """
+    t0, t1 = interval
+
+    def rhs(t, s):
+        rho, drho, _ = s
+        return np.array([drho, a(t) * rho,
+                         rho ** -2 if rho != 0 else np.inf])
+
+    ts, ys, err = _integrate_coeffs(rhs, t0, np.array([1.0, 0.0, t0]), t1, h)
+    rho = ys[:, 0]
+    below = np.nonzero(rho <= 1e-9)[0]
+    if below.size:
+        hit = int(below[0])
+        raise RhoVanishes(float(ts[hit]), (t0, float(ts[max(hit - 1, 0)])))
+    xs = ys[:, 2]
+    quart = rho ** 4
+    src = f"rho'' = {a_label} rho; coefficients times rho^4 on the " \
+        "integral of rho^-2"
+    form = LinearForm(kind, {
+        name: CoefficientFn.tabulated(xs, quart * c(ts), src, h, err)
+        for name, c in coeffs.items()})
+    rho_fn = CoefficientFn.tabulated(ts, rho, f"rho'' = {a_label} rho",
+                                     h, err)
+    new_var = CoefficientFn.tabulated(ts, xs, "integral of rho^-2", h, err)
+    return RescaledForm(form, rho_fn, new_var, err)
+
+
 def reduce_optimal(lf: LinearForm, interval: tuple,
-                   h: float = 1e-3) -> OptimalReduction:
+                   h: float = 1e-3) -> RescaledForm:
     """Rescale a general linear system to its trace-free optimal form.
 
     The rescaling function solves rho'' = ((d11+d22)/2) rho with
@@ -571,7 +582,6 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
     """
     if lf.kind != "general":
         raise ValueError("reduce_optimal expects a general-kind form")
-    t0, t1 = interval
     d11, d12 = lf["d11"], lf["d12"]
     d21, d22 = lf["d21"], lf["d22"]
 
@@ -579,91 +589,36 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
         zero_verdict(simplify(d11.expr + d22.expr)).is_zero
     if trace_free:
         half = C(Fraction(1, 2))
-        form = LinearForm("optimal", {
+        return _identity_rescaling(LinearForm("optimal", {
             "dt11": CoefficientFn.symbolic(
                 simplify(mul(half, d11.expr - d22.expr))),
             "dt12": CoefficientFn.symbolic(d12.expr),
             "dt21": CoefficientFn.symbolic(d21.expr),
-        })
-        one = CoefficientFn.constant(1)
-        ident = CoefficientFn.symbolic(sym("x"))
-        return OptimalReduction(form, one, ident, 0.0)
+        }))
 
-    def rhs(t, s):
-        rho, drho, _ = s
-        return np.array([drho,
-                         0.5 * (d11(t) + d22(t)) * rho,
-                         rho ** -2 if rho != 0 else np.inf])
-
-    ts, ys, err = _integrate_coeffs(rhs, t0, np.array([1.0, 0.0, t0]), t1, h)
-    rho = ys[:, 0]
-    hit = _first_crossing(ts, rho)
-    if hit is not None:
-        raise RhoVanishes(float(ts[hit]), (t0, float(ts[max(hit - 1, 0)])))
-    xs = ys[:, 2]
-    # with Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
-    # rho^2 rho'' y, so each coefficient of the rescaled system carries a
-    # factor rho^4 (rho^3 from the variable change times rho from y = rho Y)
-    quart = rho ** 4
-    src = "rho'' = ((d11+d22)/2) rho; new variable = integral of rho^-2"
-    form = LinearForm("optimal", {
-        "dt11": CoefficientFn.tabulated(
-            xs, 0.5 * quart * (d11(ts) - d22(ts)), src, h, err),
-        "dt12": CoefficientFn.tabulated(xs, quart * d12(ts), src, h, err),
-        "dt21": CoefficientFn.tabulated(xs, quart * d21(ts), src, h, err),
-    })
-    rho_fn = CoefficientFn.tabulated(ts, rho, "rho'' = ((d11+d22)/2) rho",
-                                     h, err)
-    new_var = CoefficientFn.tabulated(ts, xs, "integral of rho^-2", h, err)
-    return OptimalReduction(form, rho_fn, new_var, err)
-
-
-@dataclass(eq=False)
-class ReducedResult:
-    form: LinearForm
-    rho: CoefficientFn
-    new_var: CoefficientFn
-    error_estimate: float = 0.0
-
-    def __iter__(self):
-        return iter((self.form, self.rho))
+    return _rescale(
+        "optimal", lambda t: 0.5 * (d11(t) + d22(t)), "((d11+d22)/2)",
+        {"dt11": lambda t: 0.5 * (d11(t) - d22(t)), "dt12": d12,
+         "dt21": d21},
+        interval, h)
 
 
 def reduce_25_to_28(lf: LinearForm, interval: tuple,
-                    h: float = 1e-3) -> ReducedResult:
+                    h: float = 1e-3) -> RescaledForm:
     """Reduce the undifferentiated-coupling form to the single-coefficient
     reduced form: rho'' = a3 rho, beta = rho^4 a4 on the rescaled variable.
     """
     if lf.kind != "zero_order":
         raise ValueError("reduce_25_to_28 expects a zero_order-kind form")
-    t0, t1 = interval
     a3, a4 = lf["a3"], lf["a4"]
 
     if a3.kind == "symbolic" and zero_verdict(a3.expr).is_zero:
         # rho stays at 1 and the variable change is the identity
         beta = CoefficientFn.symbolic(a4.expr, var=a4.var) \
             if a4.kind == "symbolic" else a4
-        form = LinearForm("reduced", {"beta": beta})
-        return ReducedResult(form, CoefficientFn.constant(1),
-                             CoefficientFn.symbolic(sym("x")), 0.0)
+        return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    def rhs(t, s):
-        rho, drho, _ = s
-        return np.array([drho, a3(t) * rho,
-                         rho ** -2 if rho != 0 else np.inf])
-
-    ts, ys, err = _integrate_coeffs(rhs, t0, np.array([1.0, 0.0, t0]), t1, h)
-    rho = ys[:, 0]
-    hit = _first_crossing(ts, rho)
-    if hit is not None:
-        raise RhoVanishes(float(ts[hit]), (t0, float(ts[max(hit - 1, 0)])))
-    xs = ys[:, 2]
-    src = "rho'' = a3 rho; beta = rho^4 a4 on the rescaled variable"
-    beta = CoefficientFn.tabulated(xs, rho ** 4 * a4(ts), src, h, err)
-    form = LinearForm("reduced", {"beta": beta})
-    rho_fn = CoefficientFn.tabulated(ts, rho, "rho'' = a3 rho", h, err)
-    new_var = CoefficientFn.tabulated(ts, xs, "integral of rho^-2", h, err)
-    return ReducedResult(form, rho_fn, new_var, err)
+    return _rescale("reduced", a3, "a3", {"beta": a4}, interval, h)
 
 
 @dataclass(eq=False)
@@ -783,9 +738,6 @@ class EquivalenceVerdict:
         lines = [f"linear-map equivalence: {head} ({self.case})"]
         lines += [f"  {step}" for step in self.chain]
         return "\n".join(lines)
-
-
-Verdict = EquivalenceVerdict
 
 
 def attempt_linear_equivalence(opt: LinearForm, target: LinearForm,

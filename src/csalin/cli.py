@@ -18,8 +18,7 @@ from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import ExprError, ParseError, VarContext, parse, to_string
 from .symmetry import (
-    Classification, IntervalTooSmall, VectorField, check_symmetry,
-    classify_beta, serialize_generators,
+    IntervalTooSmall, VectorField, check_symmetry, classify_beta,
 )
 from .verify import run_example
 

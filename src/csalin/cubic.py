@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
-    Expr, VarContext, ZERO, ExprError, NotPolynomial, Pow, Symbol,
+    Expr, VarContext, ZERO, ExprError, Pow, Symbol,
     coefficients_in, free_symbols, mul, neg, add, simplify, zero_verdict,
     to_string, C,
 )

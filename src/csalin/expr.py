@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "parse", "to_string", "normalize", "simplify", "differentiate",
     "substitute", "rewrite_subterms", "eval_expr", "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
-    "poly_degree",
 ]
 
 FUNC_NAMES = ("exp", "log", "sin", "cos", "sqrt")
@@ -1387,13 +1386,6 @@ def coefficients_in(e: Expr, vars: Iterable[str]) -> dict:
         groups[sig] = _poly_add(groups.get(sig, {}), piece)
     return {sig: _poly_to_expr(poly, st) for sig, poly in groups.items()
             if poly}
-
-
-def poly_degree(e: Expr, vars: Iterable[str]) -> int:
-    coeffs = coefficients_in(e, vars)
-    if not coeffs:
-        return 0
-    return max(sum(sig) for sig in coeffs)
 
 
 def collect(e: Expr, monomials: Iterable[Expr], vars: Iterable[str]):

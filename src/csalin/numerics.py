@@ -1,8 +1,11 @@
 """Fixed-step numeric integration helpers.
 
-Explicit RK4 with a fixed nominal step and Richardson step-halving
-validation; coefficients on the working intervals are smooth, so
-simplicity wins over adaptivity.
+The one explicit RK4 loop of the package, with a fixed nominal step and
+Richardson step-halving validation; coefficients on the working intervals
+are smooth, so simplicity wins over adaptivity.  Callers: the trajectory
+verifier (`verify.integrate`), the rho / M rescalings of the reduction
+chain (`canon`), and the fundamental matrix behind the collocation
+classifier (`symmetry`).
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ import numpy as np
 def rk4(f, t0: float, y0, t1: float, h: float = 1e-3):
     """Integrate y' = f(t, y) from t0 to t1 with fixed-step RK4.
 
-    The step is shrunk slightly so the grid lands exactly on t1.
-    Returns (ts, ys) with ys[i] the state at ts[i].
+    The span may be negative (integration backwards in t).  The step is
+    shrunk slightly so the grid lands exactly on t1, and the last stage of
+    each step is evaluated at the next grid point ts[i + 1].  Returns
+    (ts, ys) with ys[i] the state at ts[i].
     """
     y0 = np.asarray(y0, dtype=float)
     span = t1 - t0
-    if span <= 0:
-        raise ValueError("t1 must exceed t0")
-    n = max(1, int(np.ceil(span / h)))
+    n = max(1, int(np.ceil(abs(span) / h)))
     h = span / n
     ts = t0 + h * np.arange(n + 1)
     ys = np.empty((n + 1,) + y0.shape)
@@ -31,7 +34,7 @@ def rk4(f, t0: float, y0, t1: float, h: float = 1e-3):
         k1 = f(t, y)
         k2 = f(t + h / 2, y + h / 2 * k1)
         k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(t + h, y + h * k3)
+        k4 = f(ts[i + 1], y + h * k3)
         y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         ys[i + 1] = y
     return ts, ys

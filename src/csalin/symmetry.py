@@ -15,11 +15,12 @@ import numpy as np
 from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
-    C, Constant, Expr, ExprError, EvalDomainError, Symbol, VarContext, ZERO,
+    C, Constant, Expr, ExprError, EvalDomainError, VarContext, ZERO,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, mul,
     neg, parse, pow_, simplify, sym, to_string, zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
+from .numerics import rk4
 from .reports import ConditionCheck, ConditionReport
 
 
@@ -166,9 +167,9 @@ def determining_system_reduced(beta, ansatz: str = "full"
     r1, r2 = prolong2_residuals(sysr, V)
     residuals = []
     for r in (r1, r2):
-        for sig in sorted(coefficients_in(r, split_vars)):
-            coeff = coefficients_in(r, split_vars)[sig]
-            residuals.append(simplify(coeff))
+        groups = coefficients_in(r, split_vars)
+        for sig in sorted(groups):
+            residuals.append(simplify(groups[sig]))
     return DeterminingSystem(ctx, tuple(residuals),
                              source="generated (prolongation)",
                              ansatz=ansatz, raw=(r1, r2))
@@ -338,18 +339,14 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
     if hi - lo < 1e-2:
         raise IntervalTooSmall(
             f"interval [{lo}, {hi}] is too short for collocation")
-    n = max(200, int(np.ceil((hi - lo) / h)))
-    step = (hi - lo) / n
-    xs = lo + step * np.arange(n + 1)
-    try:
-        bvals = np.array([beta_val(x) for x in xs])
-        dbvals = np.array([dbeta_val(x) for x in xs])
-        b_mid = np.array([beta_val(x + step / 2) for x in xs[:-1]])
-    except EvalDomainError as exc:
-        raise PoleInInterval(
-            f"coefficient not evaluable on the interval: {exc}") from exc
+    # k2/k3 share their stage time and each k4 is the next step's k1, so
+    # memoising on t evaluates beta once per grid point and midpoint
+    bvals = {}
 
-    def deriv(b, phi):
+    def deriv(t, phi):
+        b = bvals.get(t)
+        if b is None:
+            b = bvals[t] = beta_val(t)
         out = np.empty_like(phi)
         out[0] = phi[1]
         out[1] = phi[2]
@@ -362,22 +359,23 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
         out[6] = b * phi[3]
         return out
 
-    phi = np.zeros((7, 11))
-    phi[:, :7] = np.eye(7)
-    history = np.empty((n + 1, 7, 11))
-    history[0] = phi
-    for i in range(n):
-        k1 = deriv(bvals[i], phi)
-        k2 = deriv(b_mid[i], phi + step / 2 * k1)
-        k3 = deriv(b_mid[i], phi + step / 2 * k2)
-        k4 = deriv(bvals[i + 1], phi + step * k3)
-        phi = phi + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        history[i + 1] = phi
+    phi0 = np.zeros((7, 11))
+    phi0[:, :7] = np.eye(7)
+    # at least 200 steps; dividing by 200 itself can round
+    # ceil(span / h) up to 201
+    h = min(h, (hi - lo) / 199.5)
+    try:
+        xs, history = rk4(deriv, lo, phi0, hi, h)
+        idx = np.unique(np.round(
+            np.linspace(0, len(xs) - 1, m_points)).astype(int))
+        dbvals = [dbeta_val(xs[i]) for i in idx]
+    except EvalDomainError as exc:
+        raise PoleInInterval(
+            f"coefficient not evaluable on the interval: {exc}") from exc
 
-    idx = np.unique(np.round(np.linspace(0, n, m_points)).astype(int))
     rows = []
-    for i in idx:
-        b, db = bvals[i], dbvals[i]
+    for i, db in zip(idx, dbvals):
+        b = bvals[xs[i]]
         g3_row = history[i, 0]
         dg3_row = history[i, 1]
         r1 = 2.0 * b * dg3_row + db * g3_row
@@ -407,7 +405,7 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
                       collocation_points=len(idx))
 
 
-def _universal_witnesses(beta: Expr, ctx: VarContext) -> tuple:
+def _universal_witnesses(ctx: VarContext) -> tuple:
     """Scaling and rotation fields, symmetries for every beta."""
     y, z = (sym(n) for n in ctx.dependents)
     return (VectorField(ctx, ZERO, y, z),
@@ -450,7 +448,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                                   notes=notes)
         beta_val, dbeta_val = cf, cf.derivative
         sysr = reduced_system(b, ctx)
-        wit = tuple(w for w in _universal_witnesses(b, ctx)
+        wit = tuple(w for w in _universal_witnesses(ctx)
                     if check_symmetry(sysr, w, seed=seed)[0])
     else:
         if cf.is_constant(rtol=1e-6):

@@ -20,10 +20,11 @@ from .canon import (
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
-    C, Expr, ExprError, EvalDomainError, VarContext, ZERO, div, eval_expr,
-    mul, parse, simplify, substitute, sym, to_string, zero_verdict,
+    C, ExprError, EvalDomainError, VarContext, ZERO, div, eval_expr, parse,
+    simplify, to_string, zero_verdict,
 )
-from .reports import ConditionCheck
+from .numerics import rk4, rk4_checked
+from .reports import ConditionCheck, ConditionReport
 from .symmetry import classify_beta
 
 
@@ -53,63 +54,55 @@ class Trajectory:
     step: float
 
 
+def _check_state(x, s):
+    # plain floats: this runs at every RK4 stage; NaN fails the bound too
+    if not all(abs(v) <= 1e8 for v in s.tolist()):
+        raise Blowup(f"state escaped near x = {x:.6g}")
+
+
 def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
+    """First-order vector field of the system for RK4.
+
+    Raises Blowup when a state handed in is not finite or exceeds 1e8 in
+    max norm, and DomainError when the right-hand side is undefined there.
+    """
     ctx = sys.ctx
     names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives)
     extra = dict(params or {})
 
     def f(t, s):
+        _check_state(t, s)
         b = dict(zip(names, (t, s[0], s[1], s[2], s[3])))
         b.update(extra)
-        w1 = eval_expr(sys.omega1, b)
-        w2 = eval_expr(sys.omega2, b)
-        return np.array([s[2], s[3], w1, w2])
-
-    return f
-
-
-def _rk4_traj(f, x0, s0, x_end, h):
-    span = x_end - x0
-    n = max(1, int(np.ceil(abs(span) / h)))
-    step = span / n
-    xs = x0 + step * np.arange(n + 1)
-    states = np.empty((n + 1, 4))
-    states[0] = s0
-    s = np.asarray(s0, dtype=float)
-    for i in range(n):
-        t = xs[i]
         try:
-            k1 = f(t, s)
-            k2 = f(t + step / 2, s + step / 2 * k1)
-            k3 = f(t + step / 2, s + step / 2 * k2)
-            k4 = f(t + step, s + step * k3)
+            w1 = eval_expr(sys.omega1, b)
+            w2 = eval_expr(sys.omega2, b)
         except EvalDomainError as exc:
             raise DomainError(
                 f"right-hand side undefined near x = {t:.6g}: {exc}") from exc
-        s = s + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > 1e8:
-            raise Blowup(f"state escaped near x = {xs[i + 1]:.6g}")
-        states[i + 1] = s
-    return xs, states
+        return np.array([s[2], s[3], w1, w2])
+
+    return f
 
 
 def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    A re-integration at half step must agree to 1e-7 in max norm.
+    x_end may lie before x0.  A re-integration at half step must agree to
+    1e-7 in max norm.
     """
     x0, *state0 = init
     f = _numeric_rhs(sys, params)
-    xs, states = _rk4_traj(f, float(x0), np.array(state0, dtype=float),
-                           float(x_end), h)
+    args = (f, float(x0), np.array(state0, dtype=float), float(x_end), h)
     if sanity:
-        _, fine = _rk4_traj(f, float(x0), np.array(state0, dtype=float),
-                            float(x_end), h / 2)
-        err = float(np.max(np.abs(states - fine[::2])))
-        if err > 1e-7:
-            raise InaccurateIntegration(
-                f"step-halving disagreement {err:.3e} exceeds 1e-7")
+        xs, states, err = rk4_checked(*args)
+    else:
+        (xs, states), err = rk4(*args), 0.0
+    _check_state(xs[-1], states[-1])
+    if not err <= 1e-7:  # a NaN disagreement fails as well
+        raise InaccurateIntegration(
+            f"step-halving disagreement {err:.3e} exceeds 1e-7")
     return Trajectory(xs, states, sys, h)
 
 
@@ -245,58 +238,43 @@ def example_case(case_id: int) -> ExampleCase:
                        (0.0, 0.0, 0.0, 0.1, 0.1), values)
 
 
-@dataclass(eq=False)
-class CaseReport:
-    example_id: int
-    checks: tuple
-    dimension: int | None
-    expected_dimension: int | None
-    residual: float
-    notes: tuple = ()
+@dataclass(frozen=True)
+class CaseReport(ConditionReport):
+    """Verdicts of one worked example; the symmetry dimension is its last
+    check."""
 
-    @property
-    def passed(self) -> bool:
-        if not all(c.holds for c in self.checks):
-            return False
-        if self.expected_dimension is not None:
-            return self.dimension == self.expected_dimension
-        return True
+    example_id: int = 0
+    dimension: int | None = None
+    expected_dimension: int | None = None
+    residual: float = 0.0
+
+    passed = ConditionReport.overall
 
     def to_dict(self) -> dict:
         return {
+            **super().to_dict(),
             "example": self.example_id,
-            "passed": bool(self.passed),
-            "checks": [c.to_dict() for c in self.checks],
+            "passed": self.overall,
             "dimension": self.dimension,
             "expected_dimension": self.expected_dimension,
             "trajectory_residual": self.residual,
-            "notes": list(self.notes),
         }
 
-    def render(self) -> str:
-        head = "PASS" if self.passed else "FAIL"
-        lines = [f"example {self.example_id}: {head}"]
-        for c in self.checks:
-            mark = "ok " if c.holds else "FAIL"
-            line = f"  [{mark}] {c.name} ({c.method})"
-            if c.detail:
-                line += f": {c.detail}"
-            lines.append(line)
-        want = "" if self.expected_dimension is None \
-            else f" (expected {self.expected_dimension})"
-        lines.append(f"  symmetry dimension: {self.dimension}{want}")
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return "\n".join(lines)
+
+def _method(verdicts) -> str:
+    """Method of a check decided by several verdicts: numeric as soon as
+    any one of them fell back to sampling."""
+    return "numeric" if any(v.method == "numeric" for v in verdicts) \
+        else "symbolic"
 
 
 def _example_dimension(case: ExampleCase, seed: int):
     """Carry the example's linear target down to the reduced form and
-    classify.  Returns (dimension, notes)."""
+    classify.  Returns (dimension, method, notes)."""
     notes = []
     if case.id == 1:
         cls = classify_beta("0", seed=seed)
-        return cls.dimension, notes
+        return cls.dimension, "symbolic", notes
     c1, c2 = case.param_values["c1"], case.param_values["c2"]
     if case.id in (2, 3):
         scale = "1" if case.id == 2 else "1+x"
@@ -317,7 +295,8 @@ def _example_dimension(case: ExampleCase, seed: int):
     else:
         cls = classify_beta(beta, (0.5, 3.0), seed=seed)
     notes.append(f"reduced-form coefficient classified as: {cls.case_label}")
-    return cls.dimension, notes
+    exact = beta.kind == "symbolic" and cls.rank_report is None
+    return cls.dimension, "symbolic" if exact else "numeric", notes
 
 
 def run_example(case_id: int, seed: int = 0) -> CaseReport:
@@ -334,22 +313,22 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
     cr = check_cr(case.system, seed=seed)
     checks.append(ConditionCheck(
         "complex-correspondence (Cauchy-Riemann) conditions", cr.overall,
-        "symbolic", "" if cr.overall else cr.failing()[0].name))
+        _method(cr.checks), "" if cr.overall else cr.failing()[0].name))
 
     t2 = check_theorem2(extract_cubic(case.system), seed=seed)
     checks.append(ConditionCheck(
-        "cubic coefficient conditions", t2.overall, "symbolic",
+        "cubic coefficient conditions", t2.overall, _method(t2.checks),
         "" if t2.overall else t2.failing()[0].name))
 
     out = transform_system(case.system, case.transformation, seed=seed)
-    d1 = simplify(out.omega1 - case.expected_target.omega1)
-    d2 = simplify(out.omega2 - case.expected_target.omega2)
-    match = zero_verdict(d1, seed=seed).is_zero and \
-        zero_verdict(d2, seed=seed).is_zero
+    verdicts = [zero_verdict(simplify(got - want), seed=seed) for got, want in
+                ((out.omega1, case.expected_target.omega1),
+                 (out.omega2, case.expected_target.omega2))]
+    match = all(v.is_zero for v in verdicts)
     detail = "" if match else (
         f"got ({to_string(out.omega1)}, {to_string(out.omega2)})")
-    checks.append(ConditionCheck("symbolic target match", bool(match),
-                                 "symbolic", detail))
+    checks.append(ConditionCheck("symbolic target match", match,
+                                 _method(verdicts), detail))
 
     traj = integrate(case.system, case.init, case.interval[1],
                      params=case.param_values)
@@ -360,10 +339,16 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
                                  res <= 1e-5, "numeric",
                                  f"residual = {res:.3e}"))
 
-    dim, dim_notes = _example_dimension(case, seed)
+    dim, dim_method, dim_notes = _example_dimension(case, seed)
+    expected = case.expected_dimension
+    checks.append(ConditionCheck(
+        "symmetry dimension", expected is None or dim == expected,
+        dim_method,
+        f"{dim}" + ("" if expected is None else f" (expected {expected})")))
     notes.extend(dim_notes)
-    if case.expected_dimension is None:
+    if expected is None:
         notes.append("no dimension value is stated for this case; the "
                      "classifier output is recorded without assertion")
-    return CaseReport(case_id, tuple(checks), dim, case.expected_dimension,
-                      res, tuple(notes))
+    return CaseReport(title=f"example {case_id}", checks=tuple(checks),
+                      notes=tuple(notes), example_id=case_id, dimension=dim,
+                      expected_dimension=expected, residual=res)

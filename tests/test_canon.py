@@ -316,6 +316,20 @@ def test_richardson_validation_helper():
     assert err < 1e-11
 
 
+@pytest.mark.parametrize("reduce,lf,interval", [
+    (reduce_optimal,
+     LinearForm("general", {"d11": 1, "d22": 1, "d12": 0, "d21": 0}),
+     (1.0, 0.0)),
+    (reduce_24_to_25,
+     LinearForm("first_order", {"a1": "1+x", "a2": "2"}), (1.0, 0.0)),
+    (reduce_25_to_28,
+     LinearForm("zero_order", {"a3": "2/x^2", "a4": 1}), (2.0, 1.0)),
+], ids=["optimal", "24_to_25", "25_to_28"])
+def test_reductions_reject_reversed_interval(reduce, lf, interval):
+    with pytest.raises(ValueError):
+        reduce(lf, interval)
+
+
 # ---------------------------------------------------------------------------
 # constant-linear-map equivalence
 

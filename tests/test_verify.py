@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from csalin.canon import PointTransformation
-from csalin.csa import complexify
-from csalin.cubic import OdeSystem2
-from csalin.expr import VarContext, ZERO, parse
+from csalin.canon import PointTransformation, transform_system
+from csalin.csa import check_cr, complexify
+from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
+from csalin.expr import VarContext, ZERO, parse, simplify, zero_verdict
 from csalin.verify import (
-    Blowup, CaseReport, DomainError, example_case, integrate,
-    map_trajectory, residual_on_trajectory, run_example,
+    Blowup, CaseReport, DomainError, InaccurateIntegration, example_case,
+    integrate, map_trajectory, residual_on_trajectory, run_example,
 )
 
 CTX = VarContext()
@@ -40,6 +40,22 @@ def test_integrate_blowup():
         integrate(s, (0.0, 5.0, 0.0, 50.0, 0.0), 10.0)
 
 
+def test_integrate_backward():
+    # y = cos(x - 2) solves y'' = -y with y(2) = 1, y'(2) = 0
+    traj = integrate(_sys("-y", "0"), (2.0, 1.0, 0.0, 0.0, 0.0), 0.0)
+    assert traj.xs[-1] == 0.0 and np.all(np.diff(traj.xs) < 0)
+    assert abs(traj.states[-1][0] - np.cos(-2.0)) <= 1e-10
+
+
+def test_integrate_step_halving_check():
+    s = _sys("-y", "0")
+    with pytest.raises(InaccurateIntegration):
+        integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 10.0, h=0.1)
+    traj = integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 10.0, h=0.1,
+                     sanity=False)
+    assert traj.xs[-1] == 10.0
+
+
 def test_identity_transformation_residual_small():
     s = _sys("-dy^2 + dz^2 - (2/x)*dy", "-2*dy*dz - (2/x)*dz")
     traj = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0)
@@ -52,7 +68,6 @@ def test_residual_small_at_both_steps():
     T = PointTransformation(CTX, parse("1/x", CTX),
                             parse("exp(y)*cos(z)", CTX),
                             parse("exp(y)*sin(z)", CTX))
-    from csalin.canon import transform_system
     target = transform_system(s, T)
     coarse = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=4e-3)
     fine = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=2e-3)
@@ -132,6 +147,42 @@ def test_run_example_4_records_dimension_without_asserting():
     assert rep.expected_dimension is None
     assert rep.dimension in (6, 7, 15)
     assert any("without assertion" in n for n in rep.notes)
+
+
+def _method(verdicts):
+    return "numeric" if any(v.method == "numeric" for v in verdicts) \
+        else "symbolic"
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_run_example_methods_come_from_the_verdicts(case_id):
+    case = example_case(case_id)
+    out = transform_system(case.system, case.transformation)
+    target = [zero_verdict(simplify(got - want)) for got, want in
+              ((out.omega1, case.expected_target.omega1),
+               (out.omega2, case.expected_target.omega2))]
+    want = {
+        "complex-correspondence (Cauchy-Riemann) conditions":
+            _method(check_cr(case.system).checks),
+        "cubic coefficient conditions":
+            _method(check_theorem2(extract_cubic(case.system)).checks),
+        "symbolic target match": _method(target),
+    }
+    got = {c.name: c.method for c in run_example(case_id).checks}
+    assert {k: got[k] for k in want} == want
+
+
+def test_case_report_renders_dimension_as_a_check():
+    rep = run_example(1)
+    assert rep.checks[-1].name == "symmetry dimension"
+    assert rep.passed is rep.overall is True
+    d = rep.to_dict()
+    assert d["checks"][-1] == {"name": "symmetry dimension", "holds": True,
+                               "method": "symbolic",
+                               "detail": "15 (expected 15)"}
+    assert (d["example"], d["dimension"], d["expected_dimension"]) == \
+        (1, 15, 15)
+    assert "symmetry dimension (symbolic): 15 (expected 15)" in rep.render()
 
 
 def test_run_example_deterministic():
