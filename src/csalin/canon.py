@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
-    add, coefficients_in, differentiate, div, eval_expr, free_symbols, log,
-    mul, neg, parse, pow_, simplify, substitute, rewrite_subterms, sym,
-    to_string, zero_verdict,
+    add, coefficients_in, compile_numeric, differentiate, div, eval_expr,
+    free_symbols, log, mul, neg, parse, pow_, simplify, substitute,
+    rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import rk4_checked
 
@@ -307,7 +306,7 @@ class CoefficientFn:
             if extra:
                 raise ValueError(
                     f"coefficient depends on undeclared symbols {extra}")
-            self._dexpr = None
+            self._fn = self._dfn = None
         else:
             self.xs = np.asarray(self.xs, dtype=float)
             self.values = np.asarray(self.values, dtype=float)
@@ -315,6 +314,8 @@ class CoefficientFn:
                 raise ValueError("grid and values must be 1-d and aligned")
             if not np.all(np.diff(self.xs) > 0):
                 raise ValueError("grid must be strictly increasing")
+            from scipy.interpolate import CubicSpline
+
             self._spline = CubicSpline(self.xs, self.values)
 
     # -- constructors ------------------------------------------------------
@@ -340,23 +341,26 @@ class CoefficientFn:
     # -- evaluation --------------------------------------------------------
     def __call__(self, t):
         if self.kind == "symbolic":
-            if np.ndim(t) == 0:
-                return eval_expr(self.expr, {self.var: float(t)})
-            return np.array([eval_expr(self.expr, {self.var: float(ti)})
-                             for ti in np.asarray(t).ravel()])
+            if self._fn is None:
+                self._fn = compile_numeric(self.expr, (self.var,))
+            return self._sample(self._fn, t)
         out = self._spline(t)
         return float(out) if np.ndim(t) == 0 else out
 
     def derivative(self, t):
         if self.kind == "symbolic":
-            if self._dexpr is None:
-                self._dexpr = simplify(differentiate(self.expr, self.var))
-            if np.ndim(t) == 0:
-                return eval_expr(self._dexpr, {self.var: float(t)})
-            return np.array([eval_expr(self._dexpr, {self.var: float(ti)})
-                             for ti in np.asarray(t).ravel()])
+            if self._dfn is None:
+                self._dfn = compile_numeric(
+                    simplify(differentiate(self.expr, self.var)), (self.var,))
+            return self._sample(self._dfn, t)
         out = self._spline(t, 1)
         return float(out) if np.ndim(t) == 0 else out
+
+    @staticmethod
+    def _sample(fn, t):
+        if np.ndim(t) == 0:
+            return fn(float(t))
+        return np.array([fn(float(ti)) for ti in np.asarray(t).ravel()])
 
     @property
     def domain(self) -> tuple | None:

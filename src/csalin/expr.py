@@ -2,8 +2,10 @@
 
 Immutable expression trees over a declared variable set, with parsing,
 differentiation, substitution, canonical simplification, numeric evaluation
-and polynomial coefficient collection.  Constants are exact rationals during
-symbolic work; floats appear only at the eval boundary.
+(the tree-walking reference `eval_expr` and the compile-once
+`compile_numeric`) and polynomial coefficient collection.  Constants are
+exact rationals during symbolic work; floats appear only at the eval
+boundary.
 
 The simplifier expands products and integer powers and collects like
 monomials, which is enough to decide zero for expressions that are
@@ -30,7 +32,8 @@ __all__ = [
     "C", "sym", "add", "mul", "pow_", "neg", "div", "exp", "log", "sin",
     "cos", "sqrt",
     "parse", "to_string", "normalize", "simplify", "differentiate",
-    "substitute", "rewrite_subterms", "eval_expr", "free_symbols",
+    "substitute", "rewrite_subterms", "eval_expr", "compile_numeric",
+    "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
 ]
 
@@ -1324,6 +1327,75 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
                 raise EvalDomainError("sqrt of negative value", e)
             return math.sqrt(a)
     raise TypeError(f"unknown node {e!r}")
+
+
+def _fpow(base: float, q: float) -> float:
+    # float ** q gives a complex number for a negative base
+    if base < 0.0:
+        raise ValueError("fractional power of negative base")
+    return base ** q
+
+
+def _fallback(e: Expr, names: tuple, args: tuple) -> float:
+    return eval_expr(e, dict(zip(names, args)))
+
+
+def compile_numeric(e: Expr, arg_names: Iterable[str]):
+    """Compile e once into a function of positional floats, one per name in
+    arg_names (a later duplicate name wins, like a later dict binding).
+
+    The generated function returns exactly what ``eval_expr`` returns for
+    the same bindings: every node uses the same float operation (constants
+    are pre-converted with ``float``, a sum calls ``sum()``, a power raises
+    its base to ``float(q)``).  On any ArithmeticError or ValueError it
+    re-evaluates with ``eval_expr``, which returns the reference value
+    (``inf`` for an overflowing exp) or raises the same EvalDomainError
+    naming the same subterm.  Arguments must be Python floats.  A symbol
+    outside arg_names raises UnboundSymbol, and a constant beyond float
+    range raises OverflowError, here rather than at call time.
+    """
+    names = tuple(arg_names)
+    params = {name: f"a{i}" for i, name in enumerate(names)}
+    lines = []
+
+    def emit(node: Expr) -> str:
+        if isinstance(node, Constant):
+            return f"({float(node.value)!r})"
+        if isinstance(node, Symbol):
+            if node.name not in params:
+                raise UnboundSymbol(f"symbol {node.name!r} is not bound")
+            return params[node.name]
+        if isinstance(node, Add):
+            code = f"sum(({''.join(emit(t) + ', ' for t in node.terms)}))"
+        elif isinstance(node, Mul):
+            code = " * ".join(emit(f) for f in node.factors) or "1.0"
+        elif isinstance(node, Neg):
+            code = f"-{emit(node.arg)}"
+        elif isinstance(node, Div):
+            code = f"{emit(node.num)} / {emit(node.den)}"
+        elif isinstance(node, Pow):
+            base, q = emit(node.base), float(node.exponent)
+            code = f"{base} ** ({q!r})" if node.exponent.denominator == 1 \
+                else f"_fpow({base}, {q!r})"
+        elif isinstance(node, Func):
+            code = f"{node.kind}({emit(node.arg)})"
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        temp = f"t{len(lines)}"
+        lines.append(f"        {temp} = {code}")
+        return temp
+
+    result = emit(e)
+    arglist = "".join(f"a{i}, " for i in range(len(names)))
+    src = (f"def _compiled({arglist}):\n    try:\n" + "".join(
+        line + "\n" for line in lines) + f"        return {result}\n"
+        "    except (ArithmeticError, ValueError):\n"
+        f"        return _fallback(_e, _names, ({arglist}))\n")
+    ns = {"_e": e, "_names": names, "_fallback": _fallback, "_fpow": _fpow,
+          "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+          "sqrt": math.sqrt}
+    exec(src, ns)
+    return ns["_compiled"]
 
 
 def free_symbols(e: Expr) -> set:

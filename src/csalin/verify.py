@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .canon import (
     CoefficientFn, LinearForm, PointTransformation, reduce_24_to_25,
@@ -20,8 +19,8 @@ from .canon import (
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
-    C, ExprError, EvalDomainError, VarContext, ZERO, div, eval_expr, parse,
-    simplify, to_string, zero_verdict,
+    C, ExprError, EvalDomainError, VarContext, ZERO, compile_numeric, div,
+    mul, parse, simplify, to_string, zero_verdict,
 )
 from .numerics import rk4, rk4_checked
 from .reports import ConditionCheck, ConditionReport
@@ -60,27 +59,34 @@ def _check_state(x, s):
         raise Blowup(f"state escaped near x = {x:.6g}")
 
 
+def _arg_names(ctx: VarContext, params: dict | None):
+    """Argument names for compiling expressions over ctx's variables and
+    the parameters, with the parameter values as floats (the trailing
+    arguments)."""
+    extra = dict(params or {})
+    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives,
+             *extra)
+    return names, tuple(float(v) for v in extra.values())
+
+
 def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
     """First-order vector field of the system for RK4.
 
     Raises Blowup when a state handed in is not finite or exceeds 1e8 in
     max norm, and DomainError when the right-hand side is undefined there.
     """
-    ctx = sys.ctx
-    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives)
-    extra = dict(params or {})
+    names, pvals = _arg_names(sys.ctx, params)
+    w1 = compile_numeric(sys.omega1, names)
+    w2 = compile_numeric(sys.omega2, names)
 
     def f(t, s):
         _check_state(t, s)
-        b = dict(zip(names, (t, s[0], s[1], s[2], s[3])))
-        b.update(extra)
+        args = (float(t), *s.tolist(), *pvals)
         try:
-            w1 = eval_expr(sys.omega1, b)
-            w2 = eval_expr(sys.omega2, b)
+            return np.array([s[2], s[3], w1(*args), w2(*args)])
         except EvalDomainError as exc:
             raise DomainError(
                 f"right-hand side undefined near x = {t:.6g}: {exc}") from exc
-        return np.array([s[2], s[3], w1, w2])
 
     return f
 
@@ -113,26 +119,20 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
     Returns (X, Y, Z, Y', Z') arrays in the new variables.
     """
     sys = traj.generator
-    ctx = sys.ctx
-    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives)
+    names, pvals = _arg_names(sys.ctx, params)
     DX = total_derivative(T.X, sys)
     FY = simplify(div(total_derivative(T.Y, sys), DX))
     FZ = simplify(div(total_derivative(T.Z, sys), DX))
-    extra = dict(params or {})
-    cols = {k: [] for k in ("X", "Y", "Z", "Yp", "Zp")}
-    for x, s in zip(traj.xs, traj.states):
-        b = dict(zip(names, (x, *s)))
-        b.update(extra)
+    fns = [compile_numeric(e, names) for e in (T.X, T.Y, T.Z, FY, FZ)]
+    rows = []
+    for x, s in zip(traj.xs.tolist(), traj.states.tolist()):
+        args = (x, *s, *pvals)
         try:
-            cols["X"].append(eval_expr(T.X, b))
-            cols["Y"].append(eval_expr(T.Y, b))
-            cols["Z"].append(eval_expr(T.Z, b))
-            cols["Yp"].append(eval_expr(FY, b))
-            cols["Zp"].append(eval_expr(FZ, b))
+            rows.append([fn(*args) for fn in fns])
         except EvalDomainError as exc:
             raise DomainError(
                 f"transformation undefined near x = {x:.6g}: {exc}") from exc
-    return tuple(np.array(cols[k]) for k in ("X", "Y", "Z", "Yp", "Zp"))
+    return tuple(np.array(rows).T)
 
 
 def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
@@ -152,22 +152,21 @@ def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
     elif not np.all(d > 0):
         raise NonMonotone("transformed independent variable is not "
                           "strictly monotone along the trajectory")
+    from scipy.interpolate import make_interp_spline
+
     sy = make_interp_spline(X, Y, k=5)
     sz = make_interp_spline(X, Z, k=5)
     ypp = sy.derivative(2)(X)
     zpp = sz.derivative(2)(X)
-    nctx = target.ctx
-    names = (nctx.independent, *nctx.dependents, *nctx.first_derivatives)
-    extra = dict(params or {})
+    names, pvals = _arg_names(target.ctx, params)
+    w1 = compile_numeric(target.omega1, names)
+    w2 = compile_numeric(target.omega2, names)
     worst = 0.0
     sl = slice(trim, len(X) - trim if trim else None)
-    for xi, yi, zi, ypi, zpi, y2, z2 in zip(
-            X[sl], Y[sl], Z[sl], Yp[sl], Zp[sl], ypp[sl], zpp[sl]):
-        b = dict(zip(names, (xi, yi, zi, ypi, zpi)))
-        b.update(extra)
-        w1 = eval_expr(target.omega1, b)
-        w2 = eval_expr(target.omega2, b)
-        worst = max(worst, abs(y2 - w1) + abs(z2 - w2))
+    rows = np.column_stack((X, Y, Z, Yp, Zp))[sl].tolist()
+    for row, y2, z2 in zip(rows, ypp[sl], zpp[sl]):
+        args = (*row, *pvals)
+        worst = max(worst, abs(y2 - w1(*args)) + abs(z2 - w2(*args)))
     return worst
 
 
@@ -277,10 +276,10 @@ def _example_dimension(case: ExampleCase, seed: int):
         return cls.dimension, "symbolic", notes
     c1, c2 = case.param_values["c1"], case.param_values["c2"]
     if case.id in (2, 3):
-        scale = "1" if case.id == 2 else "1+x"
+        scale = parse("1" if case.id == 2 else "1+x", VarContext())
         lf = LinearForm("first_order", {
-            "a1": CoefficientFn.symbolic(f"({scale})*{c1:g}"),
-            "a2": CoefficientFn.symbolic(f"({scale})*{c2:g}"),
+            "a1": CoefficientFn.symbolic(mul(C(Fraction(c1)), scale)),
+            "a2": CoefficientFn.symbolic(mul(C(Fraction(c2)), scale)),
         })
         zo = reduce_24_to_25(lf, (0.0, 2.0)).form
     else:

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from csalin.expr import (
     AllSamplesFailed, C, EvalDomainError, NotPolynomial, ParseError, Pow,
     Symbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
-    collect, cos, differentiate, div, eval_expr, exp, free_symbols, log,
-    mul, parse, pow_, simplify, sin, sqrt, substitute, sym, to_string,
-    zero_verdict,
+    collect, compile_numeric, cos, differentiate, div, eval_expr, exp,
+    free_symbols, log, mul, neg, parse, pow_, simplify, sin, sqrt,
+    substitute, sym, to_string, zero_verdict,
 )
 
-from exprgen import CTX, corpus, random_expr, sample_point
+from exprgen import CTX, VARS, corpus, random_expr, sample_point
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,65 @@ def test_eval_domain_errors():
         eval_expr(parse("log(x)", ctx), {"x": -1.0})
     with pytest.raises(EvalDomainError):
         eval_expr(parse("1/x", ctx), {"x": 0.0})
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_compiled_matches_eval_expr_on_corpus():
+    rng = random.Random(31)
+    for e in corpus(200):
+        fn = compile_numeric(e, VARS)
+        for _ in range(3):
+            pt = sample_point(rng)
+            got, want = fn(*(pt[v] for v in VARS)), eval_expr(e, pt)
+            assert _same_float(got, want), to_string(e)
+
+
+def test_compiled_keeps_the_sign_of_a_zero_sum():
+    e = add(neg(sym("x")), neg(sym("y")))
+    got = compile_numeric(e, ("x", "y"))(0.0, 0.0)
+    want = eval_expr(e, {"x": 0.0, "y": 0.0})
+    assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
+
+
+@pytest.mark.parametrize("text,x", [
+    ("1/(x - 1)", 1.0),             # division by zero
+    ("(x - 1)^(-2)", 1.0),          # 0^(-q)
+    ("(x - 1)^(-1/2)", 1.0),
+    ("(x - 3)^(1/2)", 1.0),         # fractional power of a negative base
+    ("log(x - 1)", 1.0),            # log of a non-positive value
+    ("sqrt(x - 3)", 1.0),           # sqrt of a negative value
+    ("(10*x)^300", 10.0),           # pow overflow
+], ids=["div0", "zero-neg-pow", "zero-neg-frac-pow", "neg-frac-pow",
+        "log", "sqrt", "pow-overflow"])
+def test_compiled_reproduces_domain_errors(text, x):
+    e = parse(text, CTX)
+    with pytest.raises(EvalDomainError) as want:
+        eval_expr(e, {"x": x})
+    with pytest.raises(EvalDomainError) as got:
+        compile_numeric(e, ("x",))(x)
+    assert str(got.value) == str(want.value)
+    assert got.value.subterm == want.value.subterm
+
+
+def test_compiled_constant_beyond_float_range():
+    e = parse("10^400*x", CTX)
+    with pytest.raises(OverflowError):
+        eval_expr(e, {"x": 1.0})
+    with pytest.raises(OverflowError):
+        compile_numeric(e, ("x",))
+
+
+def test_compiled_exp_overflow_is_inf():
+    e = parse("exp(x)", CTX)
+    assert compile_numeric(e, ("x",))(1000.0) == math.inf
+    assert eval_expr(e, {"x": 1000.0}) == math.inf
 
 
 def test_coefficients_in_and_degree():

@@ -1,8 +1,12 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and importing the CLI does not pay for scipy."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,13 @@ def test_no_unused_imports(path):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where splines are built
+    path = os.pathsep.join(filter(None, (str(SRC.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import csalin.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, check=True)

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from csalin.canon import PointTransformation, transform_system
+from csalin import expr
 from csalin.csa import check_cr, complexify
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
 from csalin.expr import VarContext, ZERO, parse, simplify, zero_verdict
 from csalin.verify import (
-    Blowup, CaseReport, DomainError, InaccurateIntegration, example_case,
-    integrate, map_trajectory, residual_on_trajectory, run_example,
+    Blowup, CaseReport, DomainError, InaccurateIntegration,
+    _example_dimension, example_case, integrate, map_trajectory,
+    residual_on_trajectory, run_example,
 )
 
 CTX = VarContext()
@@ -32,6 +34,34 @@ def test_integrate_pole_raises_domain_error():
     s = _sys("y/x", "0")
     with pytest.raises(DomainError):
         integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 1.0)
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record every time a compiled expression falls back to eval_expr."""
+    calls = []
+    real = expr._fallback
+
+    def counting(e, names, args):
+        calls.append(e)
+        return real(e, names, args)
+
+    monkeypatch.setattr(expr, "_fallback", counting)
+    return calls
+
+
+def test_pole_domain_error_comes_through_the_fallback(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    s = _sys("y/x", "0")
+    with pytest.raises(DomainError, match="near x = 0: division by zero"):
+        integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 1.0)
+    assert calls
+
+
+def test_worked_examples_stay_on_the_compiled_path(monkeypatch):
+    calls = _count_fallbacks(monkeypatch)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    assert calls == []
 
 
 def test_integrate_blowup():
@@ -189,6 +219,13 @@ def test_run_example_deterministic():
     a = run_example(2, seed=0)
     b = run_example(2, seed=0)
     assert a.to_dict() == b.to_dict()
+
+
+def test_example_dimension_with_a_small_parameter():
+    # 1e-5 formats as "1e-05", which the expression grammar cannot parse
+    case = example_case(2)
+    case.param_values = {"c1": 1e-5, "c2": 1.0}
+    assert _example_dimension(case, seed=0)[0] == 7
 
 
 def test_example_case_metadata():
