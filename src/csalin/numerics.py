@@ -3,9 +3,8 @@
 The one explicit RK4 loop of the package, with a fixed nominal step and
 Richardson step-halving validation; coefficients on the working intervals
 are smooth, so simplicity wins over adaptivity.  Callers: the trajectory
-verifier (`verify.integrate`), the rho / M rescalings of the reduction
-chain (`canon`), and the fundamental matrix behind the collocation
-classifier (`symmetry`).
+verifier (`verify.integrate`) and the rho / M rescalings of the reduction
+chain (`canon`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .expr import (
     neg, parse, pow_, simplify, sym, to_string, zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
-from .numerics import rk4
 from .reports import ConditionCheck, ConditionReport
 
 
@@ -326,70 +325,48 @@ class Classification:
 
 
 def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
-                      svd_cut: float, h: float = 1e-3) -> RankReport:
+                      svd_cut: float) -> RankReport:
     """Count independent constraints on the 11 symmetry parameters.
 
-    State vector u = (g3, g3', g3'', g6, g6', g9, g9'); the parameter
-    vector p appends (c1, c2, c3, c4).  The fundamental matrix of the
-    linear constraint ODEs (g3''' = -2 beta (c1+c2), g6'' = -beta g9,
-    g9'' = beta g6) is propagated by RK4, and the algebraic constraints
-    are collected at evenly spaced collocation points.
+    The reduced determining equations leave g3, g6, g9 and c1..c4 with
+    g3''' = -2 beta (c1 + c2), g6'' = -beta g9, g9'' = beta g6 and the
+    algebraic rows r1, r2 = 2 beta g3' + beta' g3 -+ beta (c3 - c4) and
+    r3 = beta (c1 + c2).  Where beta is nonzero, r3 forces c1 + c2 = 0, so
+    g3''' = 0 and g3 = a0 + a1 s + a2 s^2 / 2 (s = x - lo) is a quadratic.
+    g6 and g9 enter no row, so their four initial values are free
+    parameters.  Each row is thus an exact linear form in
+    (a0, a1, a2, c1, c2, c3, c4), taken at evenly spaced collocation
+    points; no ODE is solved, and the rank counts the constraints on all
+    11 parameters.
+
+    beta is sampled at every point and midpoint of a grid of step at most
+    1e-3 and at least 200 steps, and the collocation points lie on that
+    grid.  These dense samples only check that beta is evaluable on the
+    interval: one that is not raises PoleInInterval.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if hi - lo < 1e-2:
+    span = hi - lo
+    if span < 1e-2:
         raise IntervalTooSmall(
             f"interval [{lo}, {hi}] is too short for collocation")
-    # k2/k3 share their stage time and each k4 is the next step's k1, so
-    # memoising on t evaluates beta once per grid point and midpoint
-    bvals = {}
-
-    def deriv(t, phi):
-        b = bvals.get(t)
-        if b is None:
-            b = bvals[t] = beta_val(t)
-        out = np.empty_like(phi)
-        out[0] = phi[1]
-        out[1] = phi[2]
-        out[2] = 0.0
-        out[2, 7] = -2.0 * b
-        out[2, 8] = -2.0 * b
-        out[3] = phi[4]
-        out[4] = -b * phi[5]
-        out[5] = phi[6]
-        out[6] = b * phi[3]
-        return out
-
-    phi0 = np.zeros((7, 11))
-    phi0[:, :7] = np.eye(7)
-    # at least 200 steps; dividing by 200 itself can round
-    # ceil(span / h) up to 201
-    h = min(h, (hi - lo) / 199.5)
+    n = int(np.ceil(span / min(1e-3, span / 199.5)))
+    h = span / n
+    xs = lo + h * np.arange(n + 1)
+    idx = np.unique(np.round(np.linspace(0, n, m_points)).astype(int))
     try:
-        xs, history = rk4(deriv, lo, phi0, hi, h)
-        idx = np.unique(np.round(
-            np.linspace(0, len(xs) - 1, m_points)).astype(int))
-        dbvals = [dbeta_val(xs[i]) for i in idx]
+        bvals = beta_val(xs)[idx]
+        beta_val(xs[:-1] + h / 2)
+        dbvals = dbeta_val(xs[idx])
     except EvalDomainError as exc:
         raise PoleInInterval(
             f"coefficient not evaluable on the interval: {exc}") from exc
 
     rows = []
-    for i, db in zip(idx, dbvals):
-        b = bvals[xs[i]]
-        g3_row = history[i, 0]
-        dg3_row = history[i, 1]
-        r1 = 2.0 * b * dg3_row + db * g3_row
-        r1 = r1.copy()
-        r1[9] += -b   # c3
-        r1[10] += b   # c4
-        r2 = 2.0 * b * dg3_row + db * g3_row
-        r2 = r2.copy()
-        r2[9] += b
-        r2[10] += -b
-        r3 = np.zeros(11)
-        r3[7] = b
-        r3[8] = b
-        rows.extend((r1, r2, r3))
+    for b, db, s in zip(bvals, dbvals, xs[idx] - lo):
+        g3 = [db, 2.0 * b + db * s, 2.0 * b * s + db * s * s / 2.0]
+        rows += [g3 + [0.0, 0.0, -b, b],            # r1
+                 g3 + [0.0, 0.0, b, -b],            # r2
+                 [0.0, 0.0, 0.0, b, b, 0.0, 0.0]]   # r3
     mat = np.array(rows)
     norms = np.linalg.norm(mat, axis=1)
     keep = norms > 0
@@ -418,8 +395,12 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     """Symmetry-dimension classification of y'' = -beta z, z'' = beta y.
 
     Zero and constant beta are decided symbolically (15 and 7 dimensions,
-    with explicit validated witnesses); variable beta goes through the
-    collocation rank count, which yields 7 or 6.
+    with explicit validated witnesses).  Variable beta goes through the
+    collocation rank count of `_collocation_rank`, which solves no ODE:
+    g3 is a quadratic there, its rows use beta and beta' at the
+    collocation points only, and the denser beta samples only check that
+    beta is evaluable.  It yields 7 when |beta|^(-1/2) is a polynomial of
+    degree <= 2 and 6 otherwise, so never 5 or 8.
     """
     ctx = VarContext()
     cf = beta if isinstance(beta, CoefficientFn) else (

@@ -27,6 +27,7 @@ from csalin.cubic import OdeSystem2
 from csalin.verify import run_example
 
 import exprgen
+from beta_corpus import CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS
 
 CTX = VarContext()
 
@@ -36,18 +37,6 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     suffix = f"  ({detail})" if detail else ""
     print(f"[{tag}] {name}{suffix}")
     assert ok, f"{name}{suffix}"
-
-
-CLASSIFICATION_TABLE = [
-    ("0", 15), ("1", 7), ("2", 7), ("x^(-2)", 7), ("x^(-4)", 7),
-    ("(x+1)^(-4)", 7), ("1/x", 6), ("x^2", 6), ("x^2 + 1", 6),
-    ("x^2 - 1", 6), ("exp(x)", 6),
-]
-
-RANDOM_RATIONAL_BETAS = [
-    "(x+2)/(x^2+1)", "(3*x^2+1)/(5+x)", "x/(x^2+4)",
-    "(x^2+x+1)/(x+10)", "(2*x+3)/(x^2+x+7)",
-]
 
 
 def test_1_classification_table():

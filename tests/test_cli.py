@@ -68,6 +68,8 @@ def test_classify_json_deterministic(capsys):
     doc = json.loads(first)
     assert doc["schema_version"] == 1
     assert doc["dimension"] == 7
+    assert doc["rank"] == 11 - doc["dimension"]
+    assert doc["svd_cutoff"] == 1e-8
 
 
 def test_json_output_round_trips_byte_stable(tmp_path, capsys):

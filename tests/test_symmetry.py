@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from csalin.symmetry import (
     free_particle_algebra, generator_rank, parse_generators,
     prolong2_residuals, reduced_system, serialize_generators,
 )
+
+from beta_corpus import CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS
 
 CTX = VarContext()
 HERE = pathlib.Path(__file__).parent
@@ -151,35 +154,11 @@ def test_full_ansatz_residuals_consistent_with_raw():
 # classification
 
 
-CLASSIFICATION_TABLE = [
-    ("0", 15),
-    ("1", 7),
-    ("2", 7),
-    ("x^(-2)", 7),
-    ("x^(-4)", 7),
-    ("(x+1)^(-4)", 7),
-    ("1/x", 6),
-    ("x^2", 6),
-    ("x^2 + 1", 6),
-    ("x^2 - 1", 6),
-    ("exp(x)", 6),
-]
-
-
 @pytest.mark.parametrize("beta,dim", CLASSIFICATION_TABLE)
 def test_classification_table(beta, dim):
     cls = classify_beta(beta)
     assert isinstance(cls, Classification)
     assert cls.dimension == dim
-
-
-RANDOM_RATIONAL_BETAS = [
-    "(x+2)/(x^2+1)",
-    "(3*x^2+1)/(5+x)",
-    "x/(x^2+4)",
-    "(x^2+x+1)/(x+10)",
-    "(2*x+3)/(x^2+x+7)",
-]
 
 
 def test_dimension_is_never_5_or_8():
@@ -201,6 +180,13 @@ def test_classification_interval_shift_invariance():
 def test_classification_scaling_robustness():
     assert classify_beta("1000*exp(x)").dimension == 6
     assert classify_beta("1000*x^(-2)").dimension == 7
+    assert classify_beta("1000000*exp(x)").dimension == 6
+
+
+def test_classification_raises_no_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_beta("1000000*x^(-2)").dimension == 7
 
 
 def test_classification_accepts_tabulated_coefficients():
