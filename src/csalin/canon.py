@@ -358,6 +358,8 @@ class CoefficientFn:
 
     @staticmethod
     def _sample(fn, t):
+        if type(t) is float:  # the RK4 stages: skip the numpy dispatch
+            return fn(t)
         if np.ndim(t) == 0:
             return fn(float(t))
         return np.array([fn(float(ti)) for ti in np.asarray(t).ravel()])
@@ -554,10 +556,13 @@ def _rescale(kind: str, a, a_label: str, coeffs: dict, interval: tuple,
 
     def rhs(t, s):
         rho, drho, _ = s
-        return np.array([drho, a(t) * rho,
-                         rho ** -2 if rho != 0 else np.inf])
+        try:
+            inv2 = rho ** -2
+        except ArithmeticError:  # rho is 0 or tiny: RhoVanishes follows
+            inv2 = np.inf
+        return drho, a(t) * rho, inv2
 
-    ts, ys, err = _integrate_coeffs(rhs, t0, np.array([1.0, 0.0, t0]), t1, h)
+    ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
     rho = ys[:, 0]
     below = np.nonzero(rho <= 1e-9)[0]
     if below.size:
@@ -655,10 +660,9 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     def rhs(t, s):
         m1, m2 = s
         v1, v2 = a1(t), a2(t)
-        return np.array([0.5 * (v1 * m1 - v2 * m2),
-                         0.5 * (v1 * m2 + v2 * m1)])
+        return 0.5 * (v1 * m1 - v2 * m2), 0.5 * (v1 * m2 + v2 * m1)
 
-    ts, ys, err = _integrate_coeffs(rhs, t0, np.array([1.0, 0.0]), t1, h)
+    ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
     m1, m2 = ys[:, 0], ys[:, 1]
     modulus = m1 ** 2 + m2 ** 2
     if float(np.min(modulus)) < 1e-12:

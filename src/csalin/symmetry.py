@@ -342,7 +342,8 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
     beta is sampled at every point and midpoint of a grid of step at most
     1e-3 and at least 200 steps, and the collocation points lie on that
     grid.  These dense samples only check that beta is evaluable on the
-    interval: one that is not raises PoleInInterval.
+    interval: one that is not, or whose beta or beta' samples are not
+    finite, raises PoleInInterval.
     """
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
@@ -353,13 +354,20 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
     h = span / n
     xs = lo + h * np.arange(n + 1)
     idx = np.unique(np.round(np.linspace(0, n, m_points)).astype(int))
+    mids = xs[:-1] + h / 2
     try:
-        bvals = beta_val(xs)[idx]
-        beta_val(xs[:-1] + h / 2)
+        bgrid = beta_val(xs)
+        bmids = beta_val(mids)
         dbvals = dbeta_val(xs[idx])
     except EvalDomainError as exc:
         raise PoleInInterval(
             f"coefficient not evaluable on the interval: {exc}") from exc
+    bad = ~np.isfinite(np.concatenate((bgrid, bmids, dbvals)))
+    if bad.any():  # an inf or NaN row would reach the SVD
+        where = np.concatenate((xs, mids, xs[idx]))[bad].min()
+        raise PoleInInterval(
+            f"coefficient not finite on the interval near x = {where:.6g}")
+    bvals = bgrid[idx]
 
     rows = []
     for b, db, s in zip(bvals, dbvals, xs[idx] - lo):

@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from .canon import (
-    CoefficientFn, LinearForm, PointTransformation, reduce_24_to_25,
-    reduce_25_to_28, total_derivative, transform_system,
+    CoefficientFn, LinearForm, PointTransformation, RhoVanishes,
+    reduce_24_to_25, reduce_25_to_28, total_derivative, transform_system,
 )
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
@@ -54,8 +54,8 @@ class Trajectory:
 
 
 def _check_state(x, s):
-    # plain floats: this runs at every RK4 stage; NaN fails the bound too
-    if not all(abs(v) <= 1e8 for v in s.tolist()):
+    # runs at every RK4 stage on the tuple of floats; NaN fails the bound
+    if not all(abs(v) <= 1e8 for v in s):
         raise Blowup(f"state escaped near x = {x:.6g}")
 
 
@@ -81,9 +81,9 @@ def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
 
     def f(t, s):
         _check_state(t, s)
-        args = (float(t), *s.tolist(), *pvals)
+        args = (t, *s, *pvals)
         try:
-            return np.array([s[2], s[3], w1(*args), w2(*args)])
+            return s[2], s[3], w1(*args), w2(*args)
         except EvalDomainError as exc:
             raise DomainError(
                 f"right-hand side undefined near x = {t:.6g}: {exc}") from exc
@@ -269,7 +269,9 @@ def _method(verdicts) -> str:
 
 def _example_dimension(case: ExampleCase, seed: int):
     """Carry the example's linear target down to the reduced form and
-    classify.  Returns (dimension, method, notes)."""
+    classify.  Returns (dimension, method, notes).  Where the rescaling
+    function vanishes before x = 2, the reduction reruns on its safe
+    sub-interval and a note names it."""
     notes = []
     if case.id == 1:
         cls = classify_beta("0", seed=seed)
@@ -285,7 +287,14 @@ def _example_dimension(case: ExampleCase, seed: int):
     else:
         zo = LinearForm("zero_order", {"a3": C(Fraction(c1)),
                                        "a4": C(Fraction(c2))})
-    red = reduce_25_to_28(zo, (0.0, 2.0))
+    try:
+        red = reduce_25_to_28(zo, (0.0, 2.0))
+    except RhoVanishes as exc:
+        lo, hi = exc.safe_interval
+        red = reduce_25_to_28(zo, exc.safe_interval)
+        notes.append(f"rescaling function crosses zero near x = "
+                     f"{exc.crossing:.6g}; reduced on the safe sub-interval "
+                     f"[{lo:.6g}, {hi:.6g})")
     beta = red.form["beta"]
     if beta.kind == "tabulated":
         lo, hi = beta.domain

@@ -55,6 +55,12 @@ def test_classify_inline_beta(capsys):
     assert "6" in capsys.readouterr().out
 
 
+def test_classify_overflowing_beta_exit_two(capsys):
+    assert main(["classify", "--beta", "exp(x^2)",
+                 "--interval", "0.5", "30"]) == 2
+    assert "not finite on the interval" in capsys.readouterr().err
+
+
 def test_classify_requires_beta():
     assert main(["classify"]) == 2
 

@@ -207,6 +207,20 @@ def test_classification_pole_in_interval():
         classify_beta("1/(x-1)", interval=(0.5, 3.0))
 
 
+def test_classification_rejects_a_coefficient_that_overflows():
+    # exp(x^2) overflows to inf beyond x ~ 26.6; inf rows would reach the SVD
+    with pytest.raises(PoleInInterval, match="not finite .* near x = 26"):
+        classify_beta("exp(x^2)", interval=(0.5, 30.0))
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="a pole between two sample points is not detected")
+@pytest.mark.parametrize("beta", ["1/(x-1.0001)", "1/(x-sqrt(2))"])
+def test_classification_pole_between_grid_points(beta):
+    with pytest.raises(PoleInInterval):
+        classify_beta(beta, interval=(0.5, 3.0))
+
+
 def test_classification_reports_witnesses_that_close():
     cls = classify_beta("2")
     assert cls.dimension == 7

@@ -228,6 +228,21 @@ def test_example_dimension_with_a_small_parameter():
     assert _example_dimension(case, seed=0)[0] == 7
 
 
+@pytest.mark.parametrize("c1", [1e-5, 0.1])
+def test_example_dimension_on_the_safe_sub_interval(c1):
+    # rho vanishes before x = 2 here, so the reduction reruns on the safe
+    # sub-interval and says so in a note
+    case = example_case(3)
+    case.param_values = {"c1": c1, "c2": 1.0}
+    dim, method, notes = _example_dimension(case, seed=0)
+    assert (dim, method) == (6, "numeric")
+    assert any("reduced on the safe sub-interval [0, 1." in n
+               for n in notes)
+    case = example_case(2)
+    case.param_values = {"c1": c1, "c2": 1.0}
+    assert _example_dimension(case, seed=0)[0] == 7
+
+
 def test_example_case_metadata():
     c = example_case(2)
     assert c.param_values == {"c1": 1.0, "c2": 1.0}
