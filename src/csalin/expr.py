@@ -801,6 +801,13 @@ def _sum_content(p: dict) -> tuple:
     return content, g, p0
 
 
+def _even_power(m: Fraction) -> bool:
+    """a^m is an even integer power, so (a^m)^q = |a|^(mq), not a^(mq), for
+    fractional q.  Any other merge is sign-safe: an odd m keeps a's sign,
+    and a fractional m already confines a to a >= 0."""
+    return m.denominator == 1 and m.numerator % 2 == 0
+
+
 def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
     if not p:
         if q <= 0:
@@ -821,23 +828,29 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
         return out
     if len(p) == 1:
         (mono, coeff), = p.items()
-        factors = {k: e * q for k, e in mono}
-        out_coeff = Fraction(1)
         if q.denominator == 1:
             out_coeff = coeff ** q.numerator if q > 0 \
                 else 1 / (coeff ** (-q.numerator))
-        else:
-            if coeff < 0:
-                raise EvalDomainError(
-                    "fractional power of a negative constant",
-                    Constant(coeff))
-            for prime, n in _prime_factors(coeff.numerator).items():
-                k = st.key_for(_CpowBase(prime))
-                factors[k] = factors.get(k, Fraction(0)) + n * q
-            for prime, n in _prime_factors(coeff.denominator).items():
-                k = st.key_for(_CpowBase(prime))
-                factors[k] = factors.get(k, Fraction(0)) - n * q
-        return _normalize_factors(factors, out_coeff, st)
+            return _normalize_factors({k: e * q for k, e in mono},
+                                      out_coeff, st)
+        if coeff < 0 and not mono:
+            raise EvalDomainError(
+                "fractional power of a negative constant", Constant(coeff))
+        # a negative sign, and every even power, stays in an opaque base
+        kept = tuple((k, e) for k, e in mono if coeff < 0 or _even_power(e))
+        factors = {k: e * q for k, e in mono if (k, e) not in kept}
+        if kept:
+            base_expr = _poly_to_expr({kept: Fraction(1 if coeff > 0 else -1)},
+                                      st)
+            factors[st.key_for(_SumBase(base_expr))] = q
+        coeff = abs(coeff)
+        for prime, n in _prime_factors(coeff.numerator).items():
+            k = st.key_for(_CpowBase(prime))
+            factors[k] = factors.get(k, Fraction(0)) + n * q
+        for prime, n in _prime_factors(coeff.denominator).items():
+            k = st.key_for(_CpowBase(prime))
+            factors[k] = factors.get(k, Fraction(0)) - n * q
+        return _normalize_factors(factors, Fraction(1), st)
     # multi-term base with negative-integer or fractional exponent
     content, g, p0 = _sum_content(p)
     # the min-exponent shift can expose positive integer sum powers inside
@@ -852,6 +865,14 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
         for k, qq in g2:
             gd[k] = gd.get(k, Fraction(0)) + qq
         g = tuple(sorted((k, v) for k, v in gd.items() if v != 0))
+    if q.denominator != 1:
+        # as for one monomial: the sign and the even powers stay in the base
+        kept = tuple((k, e) for k, e in g if _even_power(e))
+        if kept:
+            p0 = _poly_mul(p0, {kept: Fraction(1)}, st)
+            g = tuple(f for f in g if f not in kept)
+        if content < 0:
+            content, p0 = -content, _poly_scale(p0, Fraction(-1))
     base_expr = _poly_to_expr(p0, st)
     key = st.key_for(_SumBase(base_expr))
     factors = {key: q}

@@ -7,6 +7,7 @@ y'' = -beta z, z'' = beta y, explicit generator verification, and the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
-    C, Constant, Expr, ExprError, EvalDomainError, VarContext, ZERO,
+    C, Expr, ExprError, EvalDomainError, VarContext, ZERO, _rational_value,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, mul,
     neg, parse, pow_, simplify, sym, to_string, zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
@@ -208,15 +209,23 @@ def constant_beta_witnesses(k, ctx: VarContext | None = None) -> list:
 
     Besides the translation, scaling and rotation fields, four generators
     with x-dependent translations solve the fourth-order equation
-    g'''' = -k^2 g; their building block is a = sqrt(|k|/2).
+    g'''' = -k^2 g; their building block is a = sqrt(|k|/2).  They are the
+    instance a = sqrt(|k|/2) of the fields that `_constant_case_proof`
+    proves once per process, symbolically, for a parameter a and
+    k = +-2 a^2.
     """
     ctx = ctx or VarContext()
     k = Fraction(k)
     if k == 0:
         raise ValueError("the constant coefficient must be nonzero")
+    return _constant_beta_fields(ctx, pow_(C(abs(k) / 2), Fraction(1, 2)),
+                                 C(k))
+
+
+def _constant_beta_fields(ctx: VarContext, a: Expr, k: Expr) -> list:
+    """The seven constant-case fields for expressions a and k = +-2 a^2."""
     x = sym(ctx.independent)
     y, z = (sym(n) for n in ctx.dependents)
-    a = pow_(C(abs(k) / 2), Fraction(1, 2))
     fields = [
         VectorField(ctx, C(1), ZERO, ZERO),
         VectorField(ctx, ZERO, y, z),
@@ -227,7 +236,7 @@ def constant_beta_witnesses(k, ctx: VarContext | None = None) -> list:
         for trig in (e_sin, e_cos):
             g6 = mul(envelope, trig(mul(a, x)))
             g9 = simplify(div(neg(differentiate(
-                differentiate(g6, ctx.independent), ctx.independent)), C(k)))
+                differentiate(g6, ctx.independent), ctx.independent)), k))
             fields.append(VectorField(ctx, ZERO, simplify(g6), g9))
     return fields
 
@@ -397,13 +406,46 @@ def _universal_witnesses(ctx: VarContext) -> tuple:
             VectorField(ctx, ZERO, z, neg(y)))
 
 
+@functools.cache
+def _universal_proof() -> tuple:
+    """check_symmetry's (verdict, report) for each `_universal_witnesses`
+    field on y'' = -b z, z'' = b y with b an opaque function of x.
+
+    Every closed-form beta(x) is a substitution instance of b, so one
+    proof per process stands for all of them.
+    """
+    ctx = VarContext().with_functions(["b"])
+    sysr = reduced_system(sym("b"), ctx)
+    return tuple(check_symmetry(sysr, w) for w in _universal_witnesses(ctx))
+
+
+@functools.cache
+def _constant_case_proof(sign: int) -> tuple:
+    """check_symmetry's (verdict, report) for each constant-case field on
+    y'' = -k z, z'' = k y with k = 2 sign a^2 and a a parameter.
+
+    A rational constant k of that sign is the instance a = sqrt(|k|/2).
+    """
+    ctx = VarContext().with_parameters(["a"])
+    a = sym("a")
+    k = mul(C(2 * sign), pow_(a, 2))
+    sysr = reduced_system(k, ctx)
+    return tuple(check_symmetry(sysr, w)
+                 for w in _constant_beta_fields(ctx, a, k))
+
+
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                   m_points: int = 40, svd_cut: float = 1e-8
                   ) -> Classification:
     """Symmetry-dimension classification of y'' = -beta z, z'' = beta y.
 
     Zero and constant beta are decided symbolically (15 and 7 dimensions,
-    with explicit validated witnesses).  Variable beta goes through the
+    with explicit witnesses; a constant that is not rational gets a note
+    instead).  Witnesses are not proved per call: the scaling and rotation
+    fields are proved once per process, symbolically, for an opaque
+    beta = b(x), and the seven constant-case fields once per sign for a
+    parametric k = +-2 a^2; every beta that reaches those branches is an
+    instance of them.  Variable beta goes through the
     collocation rank count of `_collocation_rank`, which solves no ODE:
     g3 is a quadratic there, its rows use beta and beta' at the
     collocation points only, and the denser beta samples only check that
@@ -424,21 +466,21 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
             k = simplify(b)
             notes = ()
             wit = None
-            if isinstance(k, Constant):
-                candidates = constant_beta_witnesses(k.value, ctx)
-                sysr = reduced_system(b, ctx)
-                if all(check_symmetry(sysr, w, seed=seed)[0]
-                       for w in candidates):
-                    wit = tuple(candidates)
-                else:
-                    notes = ("closed-form constant-case witnesses failed "
-                             "verification and were dropped",)
+            value = _rational_value(k)
+            if value is None:
+                notes = (f"no witnesses built: the constant {to_string(k)} "
+                         "is not rational",)
+            elif all(ok for ok, _ in _constant_case_proof(
+                    1 if value > 0 else -1)):
+                wit = tuple(constant_beta_witnesses(value, ctx))
+            else:
+                notes = ("closed-form constant-case witnesses failed "
+                         "verification and were dropped",)
             return Classification(7, "nonzero constant coefficient", witness=wit,
                                   notes=notes)
         beta_val, dbeta_val = cf, cf.derivative
-        sysr = reduced_system(b, ctx)
-        wit = tuple(w for w in _universal_witnesses(ctx)
-                    if check_symmetry(sysr, w, seed=seed)[0])
+        wit = tuple(w for w, (ok, _) in zip(_universal_witnesses(ctx),
+                                            _universal_proof()) if ok)
     else:
         if cf.is_constant(rtol=1e-6):
             if abs(cf.constant_value()) <= 1e-12:

@@ -85,6 +85,25 @@ def test_simplify_is_projection():
         assert to_string(simplify(s1)) == to_string(s1)
 
 
+@pytest.mark.parametrize("text", ["sqrt(x^2) - x", "sqrt(x^2*y^2) - x*y"])
+def test_even_power_under_a_root_is_not_a_symbolic_zero(text):
+    # sqrt(x^2) = |x|: the first is 2 at x = -1, the second 4 at (-1, 2)
+    assert not zero_verdict(parse(text, CTX)).is_zero
+
+
+@pytest.mark.parametrize("text,x", [
+    ("sqrt(1-x^2)", 0.5), ("(1-x)^(1/2)", 0.5), ("(2-x)^(-1/2)", 0.5),
+    ("sqrt(4-x)", 0.5), ("(-x^(-2))^(-1/2)", None)])
+def test_fractional_power_of_a_negative_leading_sum(text, x):
+    # the sign stays in the base; (-x^(-2))^(-1/2) is real nowhere
+    e = parse(text, CTX)
+    s = simplify(e)
+    assert simplify(s) == s
+    if x is not None:
+        assert eval_expr(s, {"x": x}) == pytest.approx(
+            eval_expr(e, {"x": x}), rel=1e-14)
+
+
 def test_zero_verdict_symbolic_and_numeric():
     ctx = VarContext()
     assert zero_verdict(parse("(x+y)^2 - x^2 - 2*x*y - y^2", ctx)).is_zero

@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and importing the CLI does not pay for scipy."""
+and importing the CLI pays neither for scipy nor for the symmetry proofs."""
 
 from __future__ import annotations
 
@@ -76,4 +76,16 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run(
         [sys.executable, "-c",
          "import csalin.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_cli_import_runs_no_symmetry_proof():
+    # the witness proofs run on the first classification that needs them
+    path = os.pathsep.join(filter(None, (str(SRC.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import csalin.cli, csalin.symmetry as s; "
+         "assert s._universal_proof.cache_info().misses == 0; "
+         "assert s._constant_case_proof.cache_info().misses == 0"],
         env={**os.environ, "PYTHONPATH": path}, check=True)

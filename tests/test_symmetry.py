@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pathlib
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from csalin import symmetry
 from csalin.canon import CoefficientFn, PoleInInterval
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    VarContext, ZERO, eval_expr, parse, simplify, sym, zero_verdict,
+    C, VarContext, ZERO, eval_expr, parse, simplify, sym, zero_verdict,
 )
 from csalin.symmetry import (
     Classification, IntervalTooSmall, VectorField, check_symmetry,
@@ -88,11 +90,71 @@ def test_unit_beta_witnesses_close_and_rank_7():
 
 
 def test_general_constant_beta_witnesses_close():
-    for k in (3.0, -2.0, 0.5):
-        s = reduced_system(parse(repr(k), CTX), CTX)
+    # the per-beta route: each concrete field prolonged on its own system
+    for k in (3.0, -2.0, 0.5, 1, 2, Fraction(7, 3), 5, Fraction(-3, 2), -1):
+        s = reduced_system(C(k), CTX)
         for V in constant_beta_witnesses(k):
             ok, rep = check_symmetry(s, V)
             assert ok, rep.render()
+
+
+def test_general_proofs_are_symbolic():
+    proofs = (symmetry._universal_proof(),
+              symmetry._constant_case_proof(1),
+              symmetry._constant_case_proof(-1))
+    assert [len(p) for p in proofs] == [2, 7, 7]
+    for proof in proofs:
+        for ok, rep in proof:
+            assert ok, rep.render()
+            assert all(c.method == "symbolic" for c in rep.checks)
+
+
+@pytest.mark.parametrize("beta", ["x^(-2)", "exp(x)", "(x+2)/(x^2+1)",
+                                  "sin(x)"])
+def test_scaling_and_rotation_pass_the_per_beta_route(beta):
+    s = reduced_system(parse(beta, CTX), CTX)
+    wit = classify_beta(beta).witness
+    y, z = sym("y"), sym("z")
+    assert [w.components for w in wit] == [(ZERO, y, z), (ZERO, z, -y)]
+    for V in wit:
+        ok, rep = check_symmetry(s, V)
+        assert ok, rep.render()
+
+
+def test_classification_proves_witnesses_once_per_process(monkeypatch):
+    calls = []
+    real = symmetry.prolong2_residuals
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "prolong2_residuals", counting)
+    symmetry._universal_proof.cache_clear()
+    symmetry._constant_case_proof.cache_clear()
+    betas = ["0", "1", "-3/2", "7/3", "2^(1/2)", "x^(-2)", "-x^(-2)",
+             "exp(x)", "sin(x)", "(x+2)/(x^2+1)"]
+    for beta in betas:
+        classify_beta(beta)
+    assert len(calls) == 2 + 7 * 2
+    for beta in betas:
+        classify_beta(beta)
+    assert len(calls) == 2 + 7 * 2
+
+
+@pytest.mark.parametrize("beta", ["-3/2", "-1"])
+def test_negative_constants_get_witnesses(beta):
+    cls = classify_beta(beta)
+    assert cls.dimension == 7 and not cls.notes
+    assert len(cls.witness) == 7
+    assert generator_rank(list(cls.witness)) == 7
+
+
+def test_irrational_constant_notes_missing_witnesses():
+    cls = classify_beta("2^(1/2)")
+    assert cls.dimension == 7 and cls.witness is None
+    assert cls.notes == ("no witnesses built: the constant 2^(1/2) is not "
+                         "rational",)
 
 
 def test_duplicated_generator_contributes_no_rank():
