@@ -23,7 +23,7 @@ from .expr import (
     free_symbols, log, mul, neg, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
-from .numerics import rk4_checked
+from .numerics import ClosedForm, rk4_checked
 
 
 class DxXZero(ExprError):
@@ -543,10 +543,13 @@ def _identity_rescaling(form: LinearForm) -> RescaledForm:
 
 
 def _rescale(kind: str, a, a_label: str, coeffs: dict, interval: tuple,
-             h: float) -> RescaledForm:
+             h: float, closed: tuple | None = None) -> RescaledForm:
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
+    When a is closed-form, `closed` = (symbols, values, code) gives it as a
+    ClosedForm does: code computes a(t) from the values v0, v1, ... with
+    a's float operations.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
@@ -562,6 +565,10 @@ def _rescale(kind: str, a, a_label: str, coeffs: dict, interval: tuple,
             inv2 = np.inf
         return drho, a(t) * rho, inv2
 
+    if closed is not None:
+        symbols, values, code = closed
+        rhs = ClosedForm(rhs, symbols, values,
+                         ("s1", f"({code}) * s0", "s0 ** -2"))
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
     rho = ys[:, 0]
     below = np.nonzero(rho <= 1e-9)[0]
@@ -605,11 +612,15 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
             "dt21": CoefficientFn.symbolic(d21.expr),
         }))
 
+    closed = None
+    if d11.kind == d22.kind == "symbolic":
+        closed = ({d11.var: "t", d22.var: "t"}, (d11.expr, d22.expr),
+                  "0.5 * (v0 + v1)")
     return _rescale(
         "optimal", lambda t: 0.5 * (d11(t) + d22(t)), "((d11+d22)/2)",
         {"dt11": lambda t: 0.5 * (d11(t) - d22(t)), "dt12": d12,
          "dt21": d21},
-        interval, h)
+        interval, h, closed)
 
 
 def reduce_25_to_28(lf: LinearForm, interval: tuple,
@@ -627,7 +638,9 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple,
             if a4.kind == "symbolic" else a4
         return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    return _rescale("reduced", a3, "a3", {"beta": a4}, interval, h)
+    closed = ({a3.var: "t"}, (a3.expr,), "v0") \
+        if a3.kind == "symbolic" else None
+    return _rescale("reduced", a3, "a3", {"beta": a4}, interval, h, closed)
 
 
 @dataclass(eq=False)
@@ -662,6 +675,10 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
         v1, v2 = a1(t), a2(t)
         return 0.5 * (v1 * m1 - v2 * m2), 0.5 * (v1 * m2 + v2 * m1)
 
+    if a1.kind == a2.kind == "symbolic":
+        rhs = ClosedForm(rhs, {a1.var: "t", a2.var: "t"}, (a1.expr, a2.expr),
+                         ("0.5 * (v0 * s0 - v1 * s1)",
+                          "0.5 * (v0 * s1 + v1 * s0)"))
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
     m1, m2 = ys[:, 0], ys[:, 1]
     modulus = m1 ** 2 + m2 ** 2

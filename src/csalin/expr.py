@@ -33,6 +33,7 @@ __all__ = [
     "cos", "sqrt",
     "parse", "to_string", "normalize", "simplify", "differentiate",
     "substitute", "rewrite_subterms", "eval_expr", "compile_numeric",
+    "emit_code", "EMIT_NAMESPACE",
     "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
 ]
@@ -803,9 +804,14 @@ def _sum_content(p: dict) -> tuple:
 
 def _even_power(m: Fraction) -> bool:
     """a^m is an even integer power, so (a^m)^q = |a|^(mq), not a^(mq), for
-    fractional q.  Any other merge is sign-safe: an odd m keeps a's sign,
-    and a fractional m already confines a to a >= 0."""
+    fractional q.  A fractional m already confines a to a >= 0, so that
+    merge is sign-safe; an odd m is sign-safe only as the one factor that
+    carries a sign (see `_poly_pow`)."""
     return m.denominator == 1 and m.numerator % 2 == 0
+
+
+def _odd_power(m: Fraction) -> bool:
+    return m.denominator == 1 and m.numerator % 2 == 1
 
 
 def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
@@ -836,8 +842,12 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
         if coeff < 0 and not mono:
             raise EvalDomainError(
                 "fractional power of a negative constant", Constant(coeff))
-        # a negative sign, and every even power, stays in an opaque base
-        kept = tuple((k, e) for k, e in mono if coeff < 0 or _even_power(e))
+        # a negative sign, every even power, and odd powers where two of
+        # them carry signs (sqrt(x*y) is real at x = y = -1), stay in an
+        # opaque base: a fractional power needs its base >= 0
+        odd = sum(_odd_power(e) for _, e in mono) > 1
+        kept = tuple((k, e) for k, e in mono if coeff < 0 or _even_power(e)
+                     or odd and _odd_power(e))
         factors = {k: e * q for k, e in mono if (k, e) not in kept}
         if kept:
             base_expr = _poly_to_expr({kept: Fraction(1 if coeff > 0 else -1)},
@@ -866,8 +876,9 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
             gd[k] = gd.get(k, Fraction(0)) + qq
         g = tuple(sorted((k, v) for k, v in gd.items() if v != 0))
     if q.denominator != 1:
-        # as for one monomial: the sign and the even powers stay in the base
-        kept = tuple((k, e) for k, e in g if _even_power(e))
+        # as for one monomial: the sign and the even powers stay in the
+        # base, and so do the odd powers, since p0 may carry a sign
+        kept = tuple((k, e) for k, e in g if e.denominator == 1)
         if kept:
             p0 = _poly_mul(p0, {kept: Fraction(1)}, st)
             g = tuple(f for f in g if f not in kept)
@@ -1361,31 +1372,32 @@ def _fallback(e: Expr, names: tuple, args: tuple) -> float:
     return eval_expr(e, dict(zip(names, args)))
 
 
-def compile_numeric(e: Expr, arg_names: Iterable[str]):
-    """Compile e once into a function of positional floats, one per name in
-    arg_names (a later duplicate name wins, like a later dict binding).
+def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
+              lines: list) -> list:
+    """Append to `lines` Python statements that evaluate each of `exprs`
+    with ``eval_expr``'s float operations, and return the code of each
+    value: a temporary, a symbol's code or a float literal.
 
-    The generated function returns exactly what ``eval_expr`` returns for
-    the same bindings: every node uses the same float operation (constants
-    are pre-converted with ``float``, a sum calls ``sum()``, a power raises
-    its base to ``float(q)``).  On any ArithmeticError or ValueError it
-    re-evaluates with ``eval_expr``, which returns the reference value
-    (``inf`` for an overflowing exp) or raises the same EvalDomainError
-    naming the same subterm.  Arguments must be Python floats.  A symbol
-    outside arg_names raises UnboundSymbol, and a constant beyond float
-    range raises OverflowError, here rather than at call time.
+    `symbols` maps every bound symbol name to the code of its value.  A
+    subtree whose code repeats, in one expression or across several, is
+    evaluated once: a repeated subtree, or two that differ only in symbols
+    bound to one value.  Each statement is ``t<n> = <code>`` with n the
+    number of lines present before it, so temporaries stay distinct when
+    one list collects several calls.  The statements raise
+    ArithmeticError or ValueError, and nothing else, where ``eval_expr``
+    raises EvalDomainError or maps an overflow to inf; a symbol outside
+    `symbols` raises UnboundSymbol here.  The caller binds ``_fpow`` and
+    the math functions (see ``compile_numeric``).
     """
-    names = tuple(arg_names)
-    params = {name: f"a{i}" for i, name in enumerate(names)}
-    lines = []
+    temps = {}  # statement code -> its temporary
 
     def emit(node: Expr) -> str:
         if isinstance(node, Constant):
             return f"({float(node.value)!r})"
         if isinstance(node, Symbol):
-            if node.name not in params:
+            if node.name not in symbols:
                 raise UnboundSymbol(f"symbol {node.name!r} is not bound")
-            return params[node.name]
+            return symbols[node.name]
         if isinstance(node, Add):
             code = f"sum(({''.join(emit(t) + ', ' for t in node.terms)}))"
         elif isinstance(node, Mul):
@@ -1402,19 +1414,46 @@ def compile_numeric(e: Expr, arg_names: Iterable[str]):
             code = f"{node.kind}({emit(node.arg)})"
         else:
             raise TypeError(f"unknown node {node!r}")
-        temp = f"t{len(lines)}"
-        lines.append(f"        {temp} = {code}")
+        temp = temps.get(code)
+        if temp is None:
+            temp = temps[code] = f"t{len(lines)}"
+            lines.append(f"{temp} = {code}")
         return temp
 
-    result = emit(e)
+    return [emit(e) for e in exprs]
+
+
+# what the code of `emit_code` calls
+EMIT_NAMESPACE = {"_fpow": _fpow, "exp": math.exp, "log": math.log,
+                  "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+
+
+def compile_numeric(e: Expr, arg_names: Iterable[str]):
+    """Compile e once into a function of positional floats, one per name in
+    arg_names (a later duplicate name wins, like a later dict binding).
+
+    The generated function returns exactly what ``eval_expr`` returns for
+    the same bindings: every node uses the same float operation (constants
+    are pre-converted with ``float``, a sum calls ``sum()``, a power raises
+    its base to ``float(q)``), and a repeated subtree is evaluated once.
+    On any ArithmeticError or ValueError it re-evaluates with
+    ``eval_expr``, which returns the reference value (``inf`` for an
+    overflowing exp) or raises the same EvalDomainError naming the same
+    subterm.  Arguments must be Python floats.  A symbol outside arg_names
+    raises UnboundSymbol, and a constant beyond float range raises
+    OverflowError, here rather than at call time.
+    """
+    names = tuple(arg_names)
+    lines = []
+    result, = emit_code((e,), {name: f"a{i}" for i, name in
+                               enumerate(names)}, lines)
     arglist = "".join(f"a{i}, " for i in range(len(names)))
     src = (f"def _compiled({arglist}):\n    try:\n" + "".join(
-        line + "\n" for line in lines) + f"        return {result}\n"
+        f"        {line}\n" for line in lines) + f"        return {result}\n"
         "    except (ArithmeticError, ValueError):\n"
         f"        return _fallback(_e, _names, ({arglist}))\n")
-    ns = {"_e": e, "_names": names, "_fallback": _fallback, "_fpow": _fpow,
-          "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-          "sqrt": math.sqrt}
+    ns = {**EMIT_NAMESPACE, "_e": e, "_names": names,
+          "_fallback": _fallback}
     exec(src, ns)
     return ns["_compiled"]
 

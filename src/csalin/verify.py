@@ -22,7 +22,7 @@ from .expr import (
     C, ExprError, EvalDomainError, VarContext, ZERO, compile_numeric, div,
     mul, parse, simplify, to_string, zero_verdict,
 )
-from .numerics import rk4, rk4_checked
+from .numerics import ClosedForm, rk4, rk4_checked
 from .reports import ConditionCheck, ConditionReport
 from .symmetry import classify_beta
 
@@ -51,11 +51,15 @@ class Trajectory:
     states: np.ndarray  # columns: y, z, y', z'
     generator: OdeSystem2
     step: float
+    error: float | None = None  # h vs h/2 max-norm difference, if checked
+
+
+_BOUND = 1e8  # the trusted range of a state component
 
 
 def _check_state(x, s):
-    # runs at every RK4 stage on the tuple of floats; NaN fails the bound
-    if not all(abs(v) <= 1e8 for v in s):
+    # runs at every closure-loop stage on the tuple of floats; NaN fails
+    if not all(abs(v) <= _BOUND for v in s):
         raise Blowup(f"state escaped near x = {x:.6g}")
 
 
@@ -70,7 +74,8 @@ def _arg_names(ctx: VarContext, params: dict | None):
 
 
 def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
-    """First-order vector field of the system for RK4.
+    """First-order vector field of the system for RK4, a ClosedForm with
+    omega1, omega2 and the parameter values inlined into its loop.
 
     Raises Blowup when a state handed in is not finite or exceeds 1e8 in
     max norm, and DomainError when the right-hand side is undefined there.
@@ -88,15 +93,18 @@ def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
             raise DomainError(
                 f"right-hand side undefined near x = {t:.6g}: {exc}") from exc
 
-    return f
+    symbols = dict(zip(names, ("t", "s0", "s1", "s2", "s3", *pvals)))
+    return ClosedForm(f, symbols, (sys.omega1, sys.omega2),
+                      ("s2", "s3", "v0", "v1"), _BOUND)
 
 
 def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    x_end may lie before x0.  A re-integration at half step must agree to
-    1e-7 in max norm.
+    x_end may lie before x0.  With sanity, a re-integration at half step
+    must agree to 1e-7 in max norm, and the disagreement is kept as the
+    trajectory's error.
     """
     x0, *state0 = init
     f = _numeric_rhs(sys, params)
@@ -104,12 +112,12 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
     if sanity:
         xs, states, err = rk4_checked(*args)
     else:
-        (xs, states), err = rk4(*args), 0.0
+        (xs, states), err = rk4(*args), None
     _check_state(xs[-1], states[-1])
-    if not err <= 1e-7:  # a NaN disagreement fails as well
+    if err is not None and not err <= 1e-7:  # a NaN disagreement fails
         raise InaccurateIntegration(
             f"step-halving disagreement {err:.3e} exceeds 1e-7")
-    return Trajectory(xs, states, sys, h)
+    return Trajectory(xs, states, sys, h, err)
 
 
 def map_trajectory(traj: Trajectory, T: PointTransformation,
@@ -240,12 +248,14 @@ def example_case(case_id: int) -> ExampleCase:
 @dataclass(frozen=True)
 class CaseReport(ConditionReport):
     """Verdicts of one worked example; the symmetry dimension is its last
-    check."""
+    check.  `integration_error` is the trajectory's step-halving
+    (Richardson) error behind `residual`."""
 
     example_id: int = 0
     dimension: int | None = None
     expected_dimension: int | None = None
     residual: float = 0.0
+    integration_error: float = 0.0
 
     passed = ConditionReport.overall
 
@@ -257,7 +267,12 @@ class CaseReport(ConditionReport):
             "dimension": self.dimension,
             "expected_dimension": self.expected_dimension,
             "trajectory_residual": self.residual,
+            "integration_error": self.integration_error,
         }
+
+    def render(self) -> str:
+        return super().render() + "\n  trajectory step-halving error: " \
+            f"{self.integration_error:.3e}"
 
 
 def _method(verdicts) -> str:
@@ -359,4 +374,5 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
                      "classifier output is recorded without assertion")
     return CaseReport(title=f"example {case_id}", checks=tuple(checks),
                       notes=tuple(notes), example_id=case_id, dimension=dim,
-                      expected_dimension=expected, residual=res)
+                      expected_dimension=expected, residual=res,
+                      integration_error=traj.error)

@@ -141,5 +141,15 @@ def test_demo_one_passes(capsys):
     assert "15" in out
 
 
+def test_demo_json_reports_the_richardson_error(capsys):
+    assert main(["--json", "demo", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trajectory_residual"] <= 1e-5
+    assert 0.0 < doc["integration_error"] <= 1e-7
+    assert main(["demo", "1"]) == 0
+    assert "trajectory step-halving error: " \
+        f"{doc['integration_error']:.3e}" in capsys.readouterr().out
+
+
 def test_demo_bad_id(capsys):
     assert main(["demo", "9"]) == 2

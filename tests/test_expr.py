@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csalin.expr import (
-    AllSamplesFailed, C, EvalDomainError, NotPolynomial, ParseError, Pow,
-    Symbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
-    collect, compile_numeric, cos, differentiate, div, eval_expr, exp,
-    free_symbols, log, mul, neg, parse, pow_, simplify, sin, sqrt,
-    substitute, sym, to_string, zero_verdict,
+    EMIT_NAMESPACE, AllSamplesFailed, C, EvalDomainError, NotPolynomial,
+    ParseError, Pow, Symbol, UndeclaredSymbol, VarContext, ZERO, add,
+    coefficients_in, collect, compile_numeric, cos, differentiate, div,
+    emit_code, eval_expr, exp, free_symbols, log, mul, neg, parse, pow_,
+    simplify, sin, sqrt, substitute, sym, to_string, zero_verdict,
 )
 
 from exprgen import CTX, VARS, corpus, random_expr, sample_point
@@ -102,6 +102,19 @@ def test_fractional_power_of_a_negative_leading_sum(text, x):
     if x is not None:
         assert eval_expr(s, {"x": x}) == pytest.approx(
             eval_expr(e, {"x": x}), rel=1e-14)
+
+
+@pytest.mark.parametrize("text,point", [
+    ("sqrt(x*y)", {"x": -1.0, "y": -1.0}),
+    ("sqrt(-x^3-x^5)", {"x": -1.0}),
+], ids=["two-odd-factors", "odd-factor-of-a-sum"])
+def test_odd_powers_under_a_root_keep_the_real_domain(text, point):
+    # x^(1/2)*y^(1/2) or x^(3/2)*(...)^(1/2) would need x >= 0
+    e = parse(text, CTX)
+    s = simplify(e)
+    assert simplify(s) == s
+    assert eval_expr(s, point) == pytest.approx(eval_expr(e, point),
+                                                rel=1e-14)
 
 
 def test_zero_verdict_symbolic_and_numeric():
@@ -231,6 +244,58 @@ def test_compiled_reproduces_domain_errors(text, x):
         compile_numeric(e, ("x",))(x)
     assert str(got.value) == str(want.value)
     assert got.value.subterm == want.value.subterm
+
+
+def _outcome(fn, *args):
+    """A value keyed so that -0.0 differs from 0.0 and NaN equals NaN, or
+    the EvalDomainError raised, by message and subterm."""
+    try:
+        v = fn(*args)
+    except EvalDomainError as exc:
+        return ("error", str(exc), exc.subterm)
+    return ("nan",) if math.isnan(v) else (v, math.copysign(1.0, v))
+
+
+def _emitted(exprs):
+    """The shared emitter's code for several expressions in one scope, with
+    no fallback: a function of (x, y, z) returning every value."""
+    lines = []
+    codes = emit_code(exprs, {"x": "a0", "y": "a1", "z": "a2"}, lines)
+    ns = dict(EMIT_NAMESPACE)
+    exec("def f(a0, a1, a2):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return {''.join(c + ', ' for c in codes)}\n", ns)
+    return ns["f"]
+
+
+_MIXED = st.one_of(st.floats(-2.0, 2.0),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.booleans(),
+       st.tuples(_MIXED, _MIXED, _MIXED))
+def test_emitted_code_matches_eval_expr_bit_for_bit(seed, simplified, pt):
+    # the last two expressions repeat the first two, so subtrees are
+    # reused, and the last one raises wherever e1 is negative (or zero)
+    rng = random.Random(seed)
+    e1, e2 = random_expr(rng, depth=3), random_expr(rng, depth=2)
+    if simplified:
+        e1, e2 = simplify(e1), simplify(e2)
+    partial = rng.choice([sqrt, log, lambda e: div(e2, e),
+                          lambda e: pow_(e, Fraction(-1, 2)),
+                          lambda e: pow_(e, Fraction(1, 3))])
+    exprs = (e1, e2, add(mul(e1, e2), e1), partial(e1))
+    bindings = dict(zip(VARS, pt))
+    want = [_outcome(eval_expr, e, bindings) for e in exprs]
+    assert [_outcome(compile_numeric(e, VARS), *pt) for e in exprs] == want
+    try:
+        got = _emitted(exprs)(*pt)
+    except (ArithmeticError, ValueError):
+        # only where eval_expr raises or maps an overflow to inf
+        assert any(w[0] == "error" or w[0] in (math.inf, -math.inf)
+                   for w in want)
+    else:
+        assert [_outcome(lambda v: v, v) for v in got] == want
 
 
 def test_compiled_constant_beyond_float_range():

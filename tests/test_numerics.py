@@ -1,28 +1,31 @@
-"""The plain-float RK4 loop against the numpy-array loop it replaced.
+"""The plain-float RK4 loops against the numpy-array loop they replaced.
 
-`numerics.rk4` keeps its state as a tuple of Python floats.  Each stage
+`numerics.rk4` keeps its state as a tuple of Python floats, in the closure
+loop and in the loop it generates for a closed-form field.  Each stage
 update keeps the array loop's operation order, so trajectories, tabulated
-coefficients and Richardson errors must match the reference bit for bit.
+coefficients and Richardson errors must match the reference bit for bit,
+and the generated loop must match the closure loop, errors included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from csalin import canon
+from csalin import canon, numerics, verify
 from csalin.canon import (
-    CoefficientFn, LinearForm, reduce_24_to_25, reduce_25_to_28,
-    reduce_optimal,
+    CoefficientFn, LinearForm, RhoVanishes, reduce_24_to_25,
+    reduce_25_to_28, reduce_optimal,
 )
 from csalin.cubic import OdeSystem2
 from csalin.expr import VarContext, parse
-from csalin.numerics import rk4, rk4_checked
+from csalin.numerics import ClosedForm, rk4, rk4_checked
 from csalin.verify import (
-    Blowup, _numeric_rhs, example_case, integrate, run_example,
+    Blowup, DomainError, _numeric_rhs, example_case, integrate, run_example,
 )
 
 
@@ -53,6 +56,8 @@ def _array_rhs(f):
 
 
 def _assert_same_as_reference(f, t0, y0, t1, h=1e-3):
+    """rk4_checked on f equals the array loop and, for a closed-form f,
+    the closure loop on f's closure."""
     ts, ys, err = rk4_checked(f, t0, y0, t1, h)
     ref = _array_rhs(f)
     ts_ref, ys_ref = _rk4_reference(ref, t0, y0, t1, h)
@@ -61,6 +66,11 @@ def _assert_same_as_reference(f, t0, y0, t1, h=1e-3):
     assert ys.shape == ys_ref.shape
     assert np.array_equal(ys, ys_ref)
     assert err == float(np.max(np.abs(ys_ref - ys_half[::2])))
+    if isinstance(f, ClosedForm):
+        ts_c, ys_c, err_c = rk4_checked(f.closure, t0, y0, t1, h)
+        assert np.array_equal(ts_c, ts) and np.array_equal(ys_c, ys)
+        assert np.array_equal(np.signbit(ys_c), np.signbit(ys))
+        assert err_c == err
 
 
 class _Captured(Exception):
@@ -161,3 +171,121 @@ def test_worked_examples_raise_no_warning():
         warnings.simplefilter("error")
         for case_id in (1, 2, 3, 4):
             run_example(case_id)
+
+
+# ---------------------------------------------------------------------------
+# the loop generated for closed-form fields
+
+
+def _worked_example_fields(monkeypatch):
+    """Every (field, t0, y0, t1, h) that run_example(1..4) hands to RK4:
+    four integrates, the M pairs of examples 2 and 3 and the rho systems
+    of examples 3 and 4."""
+    seen = []
+    real = numerics.rk4_checked
+
+    def recording(f, t0, y0, t1, h=1e-3):
+        seen.append((f, t0, y0, t1, h))
+        return real(f, t0, y0, t1, h)
+
+    monkeypatch.setattr(verify, "rk4_checked", recording)
+    monkeypatch.setattr(canon, "rk4_checked", recording)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    monkeypatch.undo()
+    return seen
+
+
+def _optimal_field(monkeypatch):
+    lf = LinearForm("general", {"d11": "x", "d22": "sin(x)", "d12": "1+x",
+                                "d21": 2})
+    return _reduction_rhs(monkeypatch, reduce_optimal, lf, (1.0, 2.0))
+
+
+def _never_called(t, y):
+    raise AssertionError("the closed-form field ran its closure")
+
+
+def test_worked_example_fields_are_closed_form_and_bit_identical(
+        monkeypatch):
+    seen = _worked_example_fields(monkeypatch)
+    assert [len(c[2]) for c in seen] == [4, 4, 2, 4, 2, 3, 4, 3]
+    for f, t0, y0, t1, h in seen:
+        assert isinstance(f, ClosedForm)
+        _assert_same_as_reference(f, t0, y0, t1, h)
+    f, t0, y0, t1 = _optimal_field(monkeypatch)
+    assert isinstance(f, ClosedForm)
+    _assert_same_as_reference(f, t0, y0, t1)
+
+
+def test_closed_form_fields_never_call_their_closure(monkeypatch):
+    # a silent fallback to the closure loop would hide a generated loop
+    # that fails
+    seen = _worked_example_fields(monkeypatch)
+    seen.append((*_optimal_field(monkeypatch), 1e-3))
+    for f, t0, y0, t1, h in seen:
+        silent = dataclasses.replace(f, closure=_never_called)
+        got = rk4_checked(silent, t0, y0, t1, h)
+        want = rk4_checked(f.closure, t0, y0, t1, h)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_tabulated_coefficients_keep_the_closure(monkeypatch):
+    lf = LinearForm("first_order", {
+        "a1": CoefficientFn.tabulated(_XS, np.cos(_XS) + 1), "a2": "x"})
+    rhs = _reduction_rhs(monkeypatch, reduce_24_to_25, lf, (0.0, 2.0))[0]
+    assert not isinstance(rhs, ClosedForm)
+
+
+def _closure_loop_only(monkeypatch):
+    monkeypatch.setattr(numerics, "_fuse", lambda f: None)
+
+
+def _message(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("omega1,init,x_end,want", [
+    ("y^3", (0.0, 5.0, 0.0, 50.0, 0.0), 10.0,
+     (Blowup, "state escaped near x = 0.217")),
+    ("exp(1000*dy)", (0.0, 0.0, 0.0, 1.0, 0.0), 1.0,
+     (Blowup, "state escaped near x = 0.0005")),
+    ("y/x", (0.0, 1.0, 0.0, 0.0, 0.0), 1.0,
+     (DomainError, "right-hand side undefined near x = 0: division by zero "
+      "in subterm 'y/x'")),
+    ("sqrt(1-x)", (0.0, 0.0, 0.0, 1.0, 0.0), 2.0,
+     (DomainError, "right-hand side undefined near x = 1.0005: sqrt of "
+      "negative value in subterm 'sqrt(1 - x)'")),
+], ids=["blowup", "overflow", "pole", "sqrt"])
+def test_generated_loop_keeps_the_closure_loop_errors(monkeypatch, omega1,
+                                                       init, x_end, want):
+    sys = OdeSystem2(_CTX, parse(omega1, _CTX), parse("0", _CTX))
+    assert _message(lambda: integrate(sys, init, x_end)) == want
+    _closure_loop_only(monkeypatch)
+    assert _message(lambda: integrate(sys, init, x_end)) == want
+
+
+def test_generated_loop_keeps_the_rho_crossing(monkeypatch):
+    lf = LinearForm("zero_order", {"a3": -4, "a4": 1})
+    with pytest.raises(RhoVanishes) as fused:
+        reduce_25_to_28(lf, (0.0, 2.0))
+    _closure_loop_only(monkeypatch)
+    with pytest.raises(RhoVanishes) as closure:
+        reduce_25_to_28(lf, (0.0, 2.0))
+    assert str(fused.value) == str(closure.value)
+    assert fused.value.crossing == closure.value.crossing
+    assert fused.value.safe_interval == closure.value.safe_interval
+
+
+@pytest.mark.parametrize("rho", [1e-200, 0.0])
+def test_generated_loop_maps_rho_overflow_to_inf(monkeypatch, rho):
+    # rho^-2 raises in the generated loop; the closure loop's inf follows
+    lf = LinearForm("zero_order", {"a3": -4, "a4": 1})
+    rhs = _reduction_rhs(monkeypatch, reduce_25_to_28, lf, (0.0, 2.0))[0]
+    assert isinstance(rhs, ClosedForm)
+    ys = rk4(rhs, 0.0, (rho, 1.0, 0.0), 0.01)[1]
+    want = rk4(rhs.closure, 0.0, (rho, 1.0, 0.0), 0.01)[1]
+    assert ys[1, 2] == math.inf
+    assert np.array_equal(ys, want, equal_nan=True)
