@@ -5,7 +5,11 @@ differentiation, substitution, canonical simplification, numeric evaluation
 (the tree-walking reference `eval_expr` and the compile-once
 `compile_numeric`) and polynomial coefficient collection.  Constants are
 exact rationals during symbolic work; floats appear only at the eval
-boundary.
+boundary.  Every `Constant.value` and `Pow.exponent` is a Fraction.  Inside
+the canonical-polynomial kernel behind `simplify`, an integral exponent or
+coefficient is a plain int and only a non-integral one a Fraction: nearly
+all of them are integers, and int arithmetic and hashing are far cheaper.
+The kernel turns them back into Fractions where it builds an Expr.
 
 The simplifier expands products and integer powers and collects like
 monomials, which is enough to decide zero for expressions that are
@@ -646,8 +650,16 @@ def to_string(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # canonical polynomial form
 #
-# An expression is flattened to a sum of monomials: {monomial: Fraction}.
-# A monomial is a sorted tuple of (base key, exponent) pairs.  Base kinds:
+# An expression is flattened to a sum of monomials: {monomial: coefficient}.
+# A monomial is a sorted tuple of (base key, exponent) pairs.  Exponents and
+# coefficients are kernel numbers: an int when integral, a Fraction
+# otherwise (see `_num`).  Nearly all of them are integers, and monomials
+# are dict keys rehashed on every lookup, where a Fraction hash computes a
+# modular inverse and an int hash is free.  Since hash(Fraction(n)) ==
+# hash(n) and the two compare equal, every lookup, ordering and decision
+# comes out as with Fractions throughout.  Two ints divide through
+# Fraction, never with `/`, which gives a float.  Values leave the kernel
+# as Fractions (`_base_to_expr`, `_poly_to_expr`).  Base kinds:
 #   "sym"    a symbol
 #   "func"   exp/log/sin/cos applied to a canonical argument
 #   "cpow"   a prime integer raised to a fractional exponent in (0, 1)
@@ -705,51 +717,59 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
-def _poly_const(c: Fraction) -> dict:
+def _num(q):
+    """The kernel number of a rational: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+_HALF = Fraction(1, 2)
+
+
+def _poly_const(c) -> dict:
     return {(): c} if c != 0 else {}
 
 
 def _poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s == 0:
             out.pop(m, None)
         else:
-            out[m] = s
+            out[m] = _num(s)
     return out
 
 
-def _poly_scale(a: dict, c: Fraction) -> dict:
+def _poly_scale(a: dict, c: int) -> dict:
     if c == 0:
         return {}
     return {m: v * c for m, v in a.items()}
 
 
-def _normalize_factors(factors: dict, coeff: Fraction, st: _Canon) -> dict:
+def _normalize_factors(factors: dict, coeff, st: _Canon) -> dict:
     """Turn a raw factor->exponent map into a canonical polynomial,
-    folding constant powers and expanding positive integer sum powers."""
+    folding constant powers and expanding positive integer sum powers.
+
+    The exponents and coeff may be integral Fractions (sums and products
+    of Fractions stay Fractions); the result holds kernel numbers."""
     clean = {}
     expansions = []
     for key, q in factors.items():
         if q == 0:
             continue
+        q = _num(q)
         base = st.bases[key]
         if isinstance(base, _CpowBase):
             n, f = divmod(q, 1)
-            coeff *= Fraction(base.prime) ** int(n)
+            coeff *= Fraction(base.prime) ** n
             if f != 0:
-                clean[key] = clean.get(key, Fraction(0)) + f
-        elif isinstance(base, _SumBase):
-            if q.denominator == 1 and q > 0:
-                expansions.append((key, int(q)))
-            else:
-                clean[key] = q
+                clean[key] = f
+        elif isinstance(base, _SumBase) and type(q) is int and q > 0:
+            expansions.append((key, q))
         else:
             clean[key] = q
-    clean = {k: v for k, v in clean.items() if v != 0}
     mono = tuple(sorted(clean.items()))
-    out = {mono: coeff} if coeff != 0 else {}
+    out = {mono: _num(coeff)} if coeff != 0 else {}
     for key, n in expansions:
         base_poly = _canon(st.bases[key].expr, st)
         for _ in range(n):
@@ -763,7 +783,7 @@ def _poly_mul(a: dict, b: dict, st: _Canon) -> dict:
         for m2, c2 in b.items():
             factors = dict(m1)
             for k, q in m2:
-                factors[k] = factors.get(k, Fraction(0)) + q
+                factors[k] = factors.get(k, 0) + q
             piece = _normalize_factors(factors, c1 * c2, st)
             out = _poly_add(out, piece)
     return out
@@ -782,27 +802,26 @@ def _sum_content(p: dict) -> tuple:
         keys.update(k for k, _ in m)
     gmin = {}
     for k in keys:
-        exps = [dict(m).get(k, Fraction(0)) for m in p]
+        exps = [dict(m).get(k, 0) for m in p]
         gmin[k] = min(exps)
     g = tuple(sorted((k, q) for k, q in gmin.items() if q != 0))
     coeffs = list(p.values())
     num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
     den_lcm = math.lcm(*(c.denominator for c in coeffs))
-    content = Fraction(num_gcd, den_lcm)
-    lead = max(p, key=_mono_ordkey)
-    if p[lead] < 0:
-        content = -content
+    sign = -1 if p[max(p, key=_mono_ordkey)] < 0 else 1
+    content = _num(Fraction(sign * num_gcd, den_lcm))
     p0 = {}
     for m, c in p.items():
         fac = dict(m)
         for k, q in g:
-            fac[k] = fac.get(k, Fraction(0)) - q
-        mono = tuple(sorted((k, q) for k, q in fac.items() if q != 0))
-        p0[mono] = c / content
+            fac[k] = fac.get(k, 0) - q
+        mono = tuple(sorted((k, _num(q)) for k, q in fac.items() if q != 0))
+        # c / content, an integer
+        p0[mono] = sign * (c.numerator // num_gcd) * (den_lcm // c.denominator)
     return content, g, p0
 
 
-def _even_power(m: Fraction) -> bool:
+def _even_power(m) -> bool:
     """a^m is an even integer power, so (a^m)^q = |a|^(mq), not a^(mq), for
     fractional q.  A fractional m already confines a to a >= 0, so that
     merge is sign-safe; an odd m is sign-safe only as the one factor that
@@ -810,20 +829,20 @@ def _even_power(m: Fraction) -> bool:
     return m.denominator == 1 and m.numerator % 2 == 0
 
 
-def _odd_power(m: Fraction) -> bool:
+def _odd_power(m) -> bool:
     return m.denominator == 1 and m.numerator % 2 == 1
 
 
-def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
+def _poly_pow(p: dict, q, st: _Canon) -> dict:
     if not p:
         if q <= 0:
             raise EvalDomainError("zero raised to a non-positive power", ZERO)
         return {}
     if q == 0:
-        return _poly_const(Fraction(1))
-    if q.denominator == 1 and q > 0:
-        n = q.numerator
-        out = _poly_const(Fraction(1))
+        return _poly_const(1)
+    if type(q) is int and q > 0:
+        n = q
+        out = _poly_const(1)
         base = p
         while n:
             if n & 1:
@@ -834,14 +853,13 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
         return out
     if len(p) == 1:
         (mono, coeff), = p.items()
-        if q.denominator == 1:
-            out_coeff = coeff ** q.numerator if q > 0 \
-                else 1 / (coeff ** (-q.numerator))
+        if type(q) is int:
+            # q < 0 here; Fraction keeps 1 / int exact
             return _normalize_factors({k: e * q for k, e in mono},
-                                      out_coeff, st)
+                                      Fraction(1, coeff ** -q), st)
         if coeff < 0 and not mono:
-            raise EvalDomainError(
-                "fractional power of a negative constant", Constant(coeff))
+            raise EvalDomainError("fractional power of a negative constant",
+                                  Constant(Fraction(coeff)))
         # a negative sign, every even power, and odd powers where two of
         # them carry signs (sqrt(x*y) is real at x = y = -1), stay in an
         # opaque base: a fractional power needs its base >= 0
@@ -850,17 +868,16 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
                      or odd and _odd_power(e))
         factors = {k: e * q for k, e in mono if (k, e) not in kept}
         if kept:
-            base_expr = _poly_to_expr({kept: Fraction(1 if coeff > 0 else -1)},
-                                      st)
+            base_expr = _poly_to_expr({kept: 1 if coeff > 0 else -1}, st)
             factors[st.key_for(_SumBase(base_expr))] = q
         coeff = abs(coeff)
         for prime, n in _prime_factors(coeff.numerator).items():
             k = st.key_for(_CpowBase(prime))
-            factors[k] = factors.get(k, Fraction(0)) + n * q
+            factors[k] = factors.get(k, 0) + n * q
         for prime, n in _prime_factors(coeff.denominator).items():
             k = st.key_for(_CpowBase(prime))
-            factors[k] = factors.get(k, Fraction(0)) - n * q
-        return _normalize_factors(factors, Fraction(1), st)
+            factors[k] = factors.get(k, 0) - n * q
+        return _normalize_factors(factors, 1, st)
     # multi-term base with negative-integer or fractional exponent
     content, g, p0 = _sum_content(p)
     # the min-exponent shift can expose positive integer sum powers inside
@@ -873,72 +890,73 @@ def _poly_pow(p: dict, q: Fraction, st: _Canon) -> dict:
         content *= c2
         gd = dict(g)
         for k, qq in g2:
-            gd[k] = gd.get(k, Fraction(0)) + qq
-        g = tuple(sorted((k, v) for k, v in gd.items() if v != 0))
-    if q.denominator != 1:
+            gd[k] = gd.get(k, 0) + qq
+        g = tuple(sorted((k, _num(v)) for k, v in gd.items() if v != 0))
+    if type(q) is not int:
         # as for one monomial: the sign and the even powers stay in the
         # base, and so do the odd powers, since p0 may carry a sign
-        kept = tuple((k, e) for k, e in g if e.denominator == 1)
+        kept = tuple((k, e) for k, e in g if type(e) is int)
         if kept:
-            p0 = _poly_mul(p0, {kept: Fraction(1)}, st)
+            p0 = _poly_mul(p0, {kept: 1}, st)
             g = tuple(f for f in g if f not in kept)
         if content < 0:
-            content, p0 = -content, _poly_scale(p0, Fraction(-1))
+            content, p0 = -content, _poly_scale(p0, -1)
     base_expr = _poly_to_expr(p0, st)
     key = st.key_for(_SumBase(base_expr))
     factors = {key: q}
     for k, e in g:
-        factors[k] = factors.get(k, Fraction(0)) + e * q
+        factors[k] = factors.get(k, 0) + e * q
     inner = _poly_pow(_poly_const(content), q, st)
-    return _poly_mul(inner, _normalize_factors(factors, Fraction(1), st), st)
+    return _poly_mul(inner, _normalize_factors(factors, 1, st), st)
 
 
 def _canon(e: Expr, st: _Canon) -> dict:
+    """The canonical polynomial of e, in kernel numbers (see above)."""
     if isinstance(e, Constant):
-        return _poly_const(Fraction(e.value))
+        return _poly_const(_num(e.value))
     if isinstance(e, Symbol):
         key = st.key_for(_SymBase(e.name))
-        return {((key, Fraction(1)),): Fraction(1)}
+        return {((key, 1),): 1}
     if isinstance(e, Add):
         out = {}
         for t in e.terms:
             out = _poly_add(out, _canon(t, st))
         return out
     if isinstance(e, Mul):
-        out = _poly_const(Fraction(1))
+        out = _poly_const(1)
         for f in e.factors:
             out = _poly_mul(out, _canon(f, st), st)
         return out
     if isinstance(e, Neg):
-        return _poly_scale(_canon(e.arg, st), Fraction(-1))
+        return _poly_scale(_canon(e.arg, st), -1)
     if isinstance(e, Div):
         num = _canon(e.num, st)
         den = _canon(e.den, st)
-        return _poly_mul(num, _poly_pow(den, Fraction(-1), st), st)
+        return _poly_mul(num, _poly_pow(den, -1, st), st)
     if isinstance(e, Pow):
-        return _poly_pow(_canon(e.base, st), e.exponent, st)
+        return _poly_pow(_canon(e.base, st), _num(e.exponent), st)
     if isinstance(e, Func):
         argp = _canon(e.arg, st)
         if e.kind == "sqrt":
-            return _poly_pow(argp, Fraction(1, 2), st)
+            return _poly_pow(argp, _HALF, st)
         arg_expr = _poly_to_expr(argp, st)
         if arg_expr == ZERO:
             if e.kind == "exp":
-                return _poly_const(Fraction(1))
+                return _poly_const(1)
             if e.kind == "sin":
                 return {}
             if e.kind == "cos":
-                return _poly_const(Fraction(1))
+                return _poly_const(1)
             if e.kind == "log":
                 raise EvalDomainError("log of zero", e)
         if e.kind == "log" and arg_expr == ONE:
             return {}
         key = st.key_for(_FuncBase(e.kind, arg_expr))
-        return {((key, Fraction(1)),): Fraction(1)}
+        return {((key, 1),): 1}
     raise TypeError(f"unknown node {e!r}")
 
 
-def _base_to_expr(base, exponent: Fraction, st: _Canon) -> Expr:
+def _base_to_expr(base, exponent, st: _Canon) -> Expr:
     if isinstance(base, _SymBase):
         b = Symbol(base.name)
     elif isinstance(base, _FuncBase):
@@ -949,7 +967,7 @@ def _base_to_expr(base, exponent: Fraction, st: _Canon) -> Expr:
         b = base.expr
     if exponent == 1:
         return b
-    return Pow(b, exponent)
+    return Pow(b, Fraction(exponent))
 
 
 def _poly_to_expr(p: dict, st: _Canon) -> Expr:
@@ -962,11 +980,11 @@ def _poly_to_expr(p: dict, st: _Canon) -> Expr:
         negate = coeff < 0
         coeff = abs(coeff)
         if not factors:
-            term = Constant(coeff)
+            term = Constant(Fraction(coeff))
         elif coeff == 1:
             term = factors[0] if len(factors) == 1 else Mul(tuple(factors))
         else:
-            term = Mul((Constant(coeff), *factors))
+            term = Mul((Constant(Fraction(coeff)), *factors))
         terms.append(Neg(term) if negate else term)
     if len(terms) == 1:
         return terms[0]
@@ -993,7 +1011,7 @@ def _try_divide(n_poly: dict, b_poly: dict):
 
     def vec(m):
         d = dict(m)
-        return tuple(int(d.get(k, Fraction(0)) * scale[k]) for k in keys)
+        return tuple(int(d.get(k, 0) * scale[k]) for k in keys)
 
     def ordkey(v):
         return (sum(v), v)
@@ -1013,28 +1031,28 @@ def _try_divide(n_poly: dict, b_poly: dict):
         diff = tuple(a - b for a, b in zip(nlead, blead))
         if any(d < 0 for d in diff):
             return None
-        qc = nn[nlead] / bb[blead]
-        quot[diff] = quot.get(diff, Fraction(0)) + qc
+        qc = _num(Fraction(nn[nlead], bb[blead]))
+        quot[diff] = quot.get(diff, 0) + qc
         for v, c in bb.items():
             prod = tuple(a + b for a, b in zip(diff, v))
-            s = nn.get(prod, Fraction(0)) - qc * c
+            s = nn.get(prod, 0) - qc * c
             if s == 0:
                 nn.pop(prod, None)
             else:
-                nn[prod] = s
+                nn[prod] = _num(s)
     out = {}
     gdiff = {}
     for k, q in gn:
-        gdiff[k] = gdiff.get(k, Fraction(0)) + q
+        gdiff[k] = gdiff.get(k, 0) + q
     for k, q in gb:
-        gdiff[k] = gdiff.get(k, Fraction(0)) - q
+        gdiff[k] = gdiff.get(k, 0) - q
     for v, c in quot.items():
         fac = dict(gdiff)
         for k, n in zip(keys, v):
             if n:
-                fac[k] = fac.get(k, Fraction(0)) + Fraction(n, scale[k])
-        mono = tuple(sorted((k, q) for k, q in fac.items() if q != 0))
-        out[mono] = out.get(mono, Fraction(0)) + c * cn / cb
+                fac[k] = fac.get(k, 0) + Fraction(n, scale[k])
+        mono = tuple(sorted((k, _num(q)) for k, q in fac.items() if q != 0))
+        out[mono] = _num(out.get(mono, 0) + Fraction(c * cn, cb))
     return out
 
 
@@ -1045,9 +1063,9 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
         base_poly = _canon(st.bases[key].expr, st)
         classes: dict = {}
         for m, c in p.items():
-            e = dict(m).get(key, Fraction(0))
-            f = e - math.floor(e) if e.denominator != 1 else Fraction(0)
-            k_int = f - e
+            e = dict(m).get(key, 0)
+            k_int = -math.floor(e)
+            f = e + k_int
             rest = tuple(sorted((kk, qq) for kk, qq in m if kk != key))
             classes.setdefault(f, []).append((k_int, rest, c))
         newp = {}
@@ -1064,8 +1082,7 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
             numer = {}
             for k, rest, c in items:
                 piece = {rest: c}
-                extra = int(k_max - k)
-                for _ in range(extra):
+                for _ in range(k_max - k):
                     piece = _poly_mul(piece, base_poly, st)
                 numer = _poly_add(numer, piece)
             while k_max > 0:
@@ -1078,7 +1095,7 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
             for m, c in numer.items():
                 fac = dict(m)
                 if shift != 0:
-                    fac[key] = fac.get(key, Fraction(0)) + shift
+                    fac[key] = fac.get(key, 0) + shift
                 newp = _poly_add(newp, _normalize_factors(fac, c, st))
         p = newp
     return p
@@ -1114,8 +1131,8 @@ def _clear_denominators(p: dict, st: _Canon) -> dict:
             for k, q in m:
                 base = st.bases[k]
                 if isinstance(base, (_SumBase, _SymBase)) \
-                        and q.denominator == 1 and q < 0:
-                    mins[k] = min(mins.get(k, Fraction(0)), q)
+                        and type(q) is int and q < 0:
+                    mins[k] = min(mins.get(k, 0), q)
         if not mins:
             return p
         # shift exponents monomial-wise so inverse factors cancel exactly;
@@ -1124,7 +1141,7 @@ def _clear_denominators(p: dict, st: _Canon) -> dict:
         for m, c in p.items():
             fac = dict(m)
             for k, q in mins.items():
-                fac[k] = fac.get(k, Fraction(0)) - q
+                fac[k] = fac.get(k, 0) - q
             newp = _poly_add(newp, _normalize_factors(fac, c, st))
         p = newp
     return p
@@ -1299,7 +1316,7 @@ def rewrite_subterms(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
             elif isinstance(base, _SumBase):
                 rep = _canon(rewrite_subterms(base.expr, rules), st)
             else:
-                rep = {((key, Fraction(1)),): Fraction(1)}
+                rep = {((key, 1),): 1}
             piece = _poly_mul(piece, _poly_pow(rep, q, st), st)
         out = _poly_add(out, piece)
     out = _reduce_fractions(out, st)

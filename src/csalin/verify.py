@@ -79,16 +79,20 @@ def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
 
     Raises Blowup when a state handed in is not finite or exceeds 1e8 in
     max norm, and DomainError when the right-hand side is undefined there.
+    The closure compiles omega1 and omega2 on its first call.
     """
     names, pvals = _arg_names(sys.ctx, params)
-    w1 = compile_numeric(sys.omega1, names)
-    w2 = compile_numeric(sys.omega2, names)
+    w = None
 
     def f(t, s):
+        nonlocal w
         _check_state(t, s)
+        if w is None:  # the generated loop calls f only where it fails
+            w = (compile_numeric(sys.omega1, names),
+                 compile_numeric(sys.omega2, names))
         args = (t, *s, *pvals)
         try:
-            return s[2], s[3], w1(*args), w2(*args)
+            return s[2], s[3], w[0](*args), w[1](*args)
         except EvalDomainError as exc:
             raise DomainError(
                 f"right-hand side undefined near x = {t:.6g}: {exc}") from exc

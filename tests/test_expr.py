@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,13 +10,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csalin.canon import transform_system
 from csalin.expr import (
-    EMIT_NAMESPACE, AllSamplesFailed, C, EvalDomainError, NotPolynomial,
-    ParseError, Pow, Symbol, UndeclaredSymbol, VarContext, ZERO, add,
-    coefficients_in, collect, compile_numeric, cos, differentiate, div,
-    emit_code, eval_expr, exp, free_symbols, log, mul, neg, parse, pow_,
-    simplify, sin, sqrt, substitute, sym, to_string, zero_verdict,
+    EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, EvalDomainError,
+    Expr, Mul, NotPolynomial, ParseError, Pow, Symbol, UndeclaredSymbol,
+    VarContext, ZERO, add, coefficients_in, collect, compile_numeric, cos,
+    differentiate, div, emit_code, eval_expr, exp, free_symbols, log, mul,
+    neg, parse, pow_, rewrite_subterms, simplify, sin, sqrt, substitute, sym,
+    to_string, zero_verdict,
 )
+from csalin.verify import example_case
 
 from exprgen import CTX, VARS, corpus, random_expr, sample_point
 
@@ -117,12 +121,157 @@ def test_odd_powers_under_a_root_keep_the_real_domain(text, point):
                                                 rel=1e-14)
 
 
+# the differential oracle: the kernel against evaluation of its input at
+# points of either sign, 0.0 and -0.0 included
+
+_MIXED = st.one_of(st.floats(-2.0, 2.0),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+def _value(e, bindings):
+    """e at bindings, or None where it is undefined or not finite."""
+    try:
+        v = eval_expr(e, bindings)
+    except (EvalDomainError, OverflowError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _terms(e):
+    s = simplify(e)
+    return s.terms if isinstance(s, Add) else (s,)
+
+
+def _magnitude(e, terms, bindings):
+    """The largest of |e| and the |terms| of its canonical sum at bindings:
+    rounding in either form is relative to it, not to the value of e."""
+    vals = [_value(t, bindings) for t in (e, *terms)]
+    return max((abs(v) for v in vals if v is not None), default=0.0)
+
+
+def _differs(a, b, bindings, scale):
+    """True or False where both evaluate at bindings, else None."""
+    va, vb = _value(a, bindings), _value(b, bindings)
+    if va is None or vb is None:
+        return None
+    return abs(va - vb) > 1e-9 * (1.0 + scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.tuples(_MIXED, _MIXED, _MIXED))
+def test_simplify_equals_its_input_wherever_both_evaluate(seed, pt):
+    e = random_expr(random.Random(seed), depth=3)
+    s = simplify(e)
+    b = dict(zip(VARS, pt))
+    assert not _differs(s, e, b, _magnitude(e, _terms(s), b))
+
+
+def _identity_pair(rng):
+    """Two expressions and whether they are equal for all real x, y, z:
+    identities of the kernel's rules, the sign-losing roots it must not
+    merge, and unrelated trees."""
+    e1, e2 = random_expr(rng, depth=2), random_expr(rng, depth=2)
+    den = add(C(2), pow_(e2, 2))
+    dx = lambda e: differentiate(e, "x")  # noqa: E731
+    return rng.choice([
+        (e1, simplify(e1)),
+        (pow_(add(e1, e2), 2), add(pow_(e1, 2), mul(2, e1, e2), pow_(e2, 2))),
+        (dx(mul(e1, e2)), add(mul(dx(e1), e2), mul(e1, dx(e2)))),
+        (mul(div(e1, den), den), e1),
+        (div(e1, den), div(mul(e1, den), mul(den, den))),
+        (sqrt(pow_(e1, 2)), e1),
+        (sqrt(mul(pow_(e1, 2), pow_(e2, 2))), mul(e1, e2)),
+        (sqrt(mul(e1, e2)), mul(sqrt(e1), sqrt(e2))),
+        (pow_(pow_(e1, 3), Fraction(1, 3)), e1),
+        (e1, e2),
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.tuples(_MIXED, _MIXED, _MIXED))
+def test_symbolic_zero_verdicts_agree_with_sampling(seed, pt):
+    rng = random.Random(seed)
+    a, b = _identity_pair(rng)
+    try:
+        verdict = zero_verdict(a - b)
+    except (AllSamplesFailed, EvalDomainError):  # a - b is undefined
+        return
+    if verdict.method != "symbolic":
+        return
+    # the hypothesis point and one point in each of the eight orthants
+    mags = [rng.uniform(0.1, 2.0) for _ in VARS]
+    points = [dict(zip(VARS, pt))] + [
+        {v: m * (-1.0 if signs >> i & 1 else 1.0)
+         for i, (v, m) in enumerate(zip(VARS, mags))} for signs in range(8)]
+    ta, tb = _terms(a), _terms(b)
+    seen = [_differs(a, b, p, max(_magnitude(a, ta, p), _magnitude(b, tb, p)))
+            for p in points]
+    seen = [d for d in seen if d is not None]
+    if verdict.is_zero:
+        assert not any(seen), (to_string(a), to_string(b))
+    else:
+        assert any(seen) or not seen, (to_string(a), to_string(b))
+
+
 def test_zero_verdict_symbolic_and_numeric():
     ctx = VarContext()
     assert zero_verdict(parse("(x+y)^2 - x^2 - 2*x*y - y^2", ctx)).is_zero
     v = zero_verdict(parse("sin(x)^2 + cos(x)^2 - 1", ctx))
     assert v.is_zero and v.method == "numeric"
     assert not zero_verdict(parse("x + 1", ctx)).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the kernel's number types: ints inside, Fractions at the Expr boundary
+
+
+def _numbers(e):
+    """Every Constant value and Pow exponent in the tree e."""
+    if isinstance(e, Constant):
+        return [e.value]
+    out = [e.exponent] if isinstance(e, Pow) else []
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        for child in v if isinstance(v, tuple) else (v,):
+            if isinstance(child, Expr):
+                out += _numbers(child)
+    return out
+
+
+def test_kernel_outputs_hold_only_fractions():
+    rule = {sym("y"): sqrt(add(pow_(sym("z"), 2), C(1)))}
+    outs = []
+    for e in corpus(200, seed=3):
+        s = simplify(e)
+        outs += [s, differentiate(e, "x"), rewrite_subterms(e, rule)]
+        try:
+            outs += coefficients_in(s, ["y"]).values()
+        except NotPolynomial:
+            pass
+    for case_id in (1, 2, 3, 4):
+        case = example_case(case_id)
+        out = transform_system(case.system, case.transformation)
+        outs += [out.omega1, out.omega2]
+    numbers = [q for e in outs for q in _numbers(e)]
+    assert len(numbers) > 1000
+    assert {type(q) for q in numbers} == {Fraction}
+
+
+@pytest.mark.parametrize("e,want", [
+    (pow_(mul(2, sym("x")), -1),
+     Mul((Constant(Fraction(1, 2)), Pow(Symbol("x"), Fraction(-1))))),
+    (pow_(mul(3, pow_(sym("x"), 2)), -2),
+     Mul((Constant(Fraction(1, 9)), Pow(Symbol("x"), Fraction(-4))))),
+    (div(parse("x^2 + 2*x + 1", CTX), parse("x + 1", CTX)),
+     Add((Symbol("x"), Constant(Fraction(1))))),
+], ids=["one-over-2x", "one-over-9x4", "exact-division"])
+def test_integer_quotients_stay_exact(e, want):
+    # int / int is a float in Python; the kernel divides through Fraction
+    got = simplify(e)
+    assert got == want
+    assert {type(q) for q in _numbers(got)} == {Fraction}
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +414,6 @@ def _emitted(exprs):
     exec("def f(a0, a1, a2):\n" + "".join(f"    {line}\n" for line in lines)
          + f"    return {''.join(c + ', ' for c in codes)}\n", ns)
     return ns["f"]
-
-
-_MIXED = st.one_of(st.floats(-2.0, 2.0),
-                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -220,9 +220,16 @@ def test_worked_example_fields_are_closed_form_and_bit_identical(
 
 def test_closed_form_fields_never_call_their_closure(monkeypatch):
     # a silent fallback to the closure loop would hide a generated loop
-    # that fails
+    # that fails; and a closure that no loop calls compiles nothing
+    compiled = []
+    real = verify.compile_numeric
+    monkeypatch.setattr(verify, "compile_numeric",
+                        lambda e, names: compiled.append(e) or real(e, names))
     seen = _worked_example_fields(monkeypatch)
     seen.append((*_optimal_field(monkeypatch), 1e-3))
+    assert compiled  # map_trajectory and the residual still compile
+    assert not [v for f, *_ in seen for v in f.values
+                if any(v is e for e in compiled)]
     for f, t0, y0, t1, h in seen:
         silent = dataclasses.replace(f, closure=_never_called)
         got = rk4_checked(silent, t0, y0, t1, h)
