@@ -9,6 +9,7 @@ constant linear maps of the dependent variables.
 
 from __future__ import annotations
 
+import functools
 import io
 import warnings
 from dataclasses import dataclass
@@ -285,7 +286,12 @@ def transform_system(sys: OdeSystem2, T: PointTransformation,
 @dataclass(eq=False)
 class CoefficientFn:
     """A scalar coefficient, either a closed-form expression in the
-    independent variable or a tabulated grid with cubic interpolation."""
+    independent variable or a tabulated grid with cubic interpolation.
+
+    A tabulated coefficient copies its grid and values and checks them
+    here, but builds its cubic spline on first evaluation: code that
+    only reports the table never imports scipy.
+    """
 
     kind: str  # "symbolic" | "tabulated"
     expr: Expr | None = None
@@ -308,15 +314,25 @@ class CoefficientFn:
                     f"coefficient depends on undeclared symbols {extra}")
             self._fn = self._dfn = None
         else:
-            self.xs = np.asarray(self.xs, dtype=float)
-            self.values = np.asarray(self.values, dtype=float)
+            self.xs = np.array(self.xs, dtype=float)
+            self.values = np.array(self.values, dtype=float)
             if self.xs.ndim != 1 or self.xs.shape != self.values.shape:
                 raise ValueError("grid and values must be 1-d and aligned")
             if not np.all(np.diff(self.xs) > 0):
                 raise ValueError("grid must be strictly increasing")
-            from scipy.interpolate import CubicSpline
+            # the checks CubicSpline would make, with its messages
+            if self.xs.size < 2:
+                raise ValueError("`x` must contain at least 2 elements.")
+            if not np.all(np.isfinite(self.xs)):
+                raise ValueError("`x` must contain only finite values.")
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("`y` must contain only finite values.")
 
-            self._spline = CubicSpline(self.xs, self.values)
+    @functools.cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.xs, self.values)
 
     # -- constructors ------------------------------------------------------
     @classmethod

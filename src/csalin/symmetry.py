@@ -434,6 +434,16 @@ def _constant_case_proof(sign: int) -> tuple:
                  for w in _constant_beta_fields(ctx, a, k))
 
 
+@functools.lru_cache(maxsize=256)
+def _constant_witnesses(k: Fraction) -> tuple:
+    """`constant_beta_witnesses(k)` as a tuple, built once per rational k.
+
+    The fields are frozen, so callers may share the tuple; the bound keeps
+    a long run over many constants from growing the cache without limit.
+    """
+    return tuple(constant_beta_witnesses(k))
+
+
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                   m_points: int = 40, svd_cut: float = 1e-8
                   ) -> Classification:
@@ -445,7 +455,8 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     fields are proved once per process, symbolically, for an opaque
     beta = b(x), and the seven constant-case fields once per sign for a
     parametric k = +-2 a^2; every beta that reaches those branches is an
-    instance of them.  Variable beta goes through the
+    instance of them.  The seven fields of a rational constant are built
+    once per value.  Variable beta goes through the
     collocation rank count of `_collocation_rank`, which solves no ODE:
     g3 is a quadratic there, its rows use beta and beta' at the
     collocation points only, and the denser beta samples only check that
@@ -472,7 +483,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                          "is not rational",)
             elif all(ok for ok, _ in _constant_case_proof(
                     1 if value > 0 else -1)):
-                wit = tuple(constant_beta_witnesses(value, ctx))
+                wit = _constant_witnesses(value)
             else:
                 notes = ("closed-form constant-case witnesses failed "
                          "verification and were dropped",)

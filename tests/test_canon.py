@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
@@ -132,6 +135,43 @@ def test_coefficient_interpolation_accuracy():
     probe = np.linspace(0.05, 1.95, 57)
     assert np.max(np.abs(c(probe) - np.sin(probe))) < 1e-10
     assert np.max(np.abs(c.derivative(probe) - np.cos(probe))) < 1e-7
+
+
+@pytest.mark.parametrize("xs, values, message", [
+    ([1.0], [2.0], "`x` must contain at least 2 elements."),
+    ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0],
+     "`x` must contain only finite values."),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 3.0],
+     "`y` must contain only finite values."),
+], ids=["one-point", "infinite-grid", "nan-value"])
+def test_coefficient_table_checked_at_construction(xs, values, message):
+    # the spline is built later; its input errors are not
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CoefficientFn.tabulated(xs, values)
+
+
+def test_coefficient_copies_its_table():
+    xs = np.linspace(0.0, 2.0, 21)
+    values = np.sin(xs)
+    c = CoefficientFn.tabulated(xs, values)
+    xs[:] = np.linspace(5.0, 9.0, 21)
+    values[:] = 0.0
+    ref = CubicSpline(np.linspace(0.0, 2.0, 21),
+                      np.sin(np.linspace(0.0, 2.0, 21)))
+    assert c(0.73) == float(ref(0.73))
+    assert c.derivative(0.73) == float(ref(0.73, 1))
+
+
+def test_lazy_spline_matches_eager_spline_bit_for_bit():
+    xs = np.linspace(0.5, 2.0, 31)
+    values = np.exp(-xs) * np.cos(3.0 * xs)
+    c = CoefficientFn.tabulated(xs, values)
+    ref = CubicSpline(xs, values)
+    probe = np.linspace(0.5, 2.0, 97)
+    for t in (0.8137, np.float64(1.2251), probe):
+        assert np.array_equal(c(t), ref(t))
+        assert np.array_equal(c.derivative(t), ref(t, 1))
+    assert type(c(0.8137)) is float and type(c.derivative(probe[3])) is float
 
 
 def test_coefficient_serialization_roundtrip():

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and importing the CLI pays neither for scipy nor for the symmetry proofs."""
+importing the CLI pays neither for scipy nor for the symmetry proofs, and
+scipy loads only when a spline is evaluated."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -69,23 +71,47 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where splines are built
+def _run_fresh(code: str) -> None:
+    """Run `code` in a new interpreter that imports this source tree."""
     path = os.pathsep.join(filter(None, (str(SRC.parent),
                                          os.environ.get("PYTHONPATH"))))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import csalin.cli, sys; assert 'scipy' not in sys.modules"],
-        env={**os.environ, "PYTHONPATH": path}, check=True)
+    subprocess.run([sys.executable, "-c", code],
+                   env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where a spline is evaluated
+    _run_fresh("import csalin.cli, sys; assert 'scipy' not in sys.modules")
+
+
+@pytest.mark.parametrize("form", [
+    {"kind": "general", "d11": "2 + x", "d12": "3", "d21": "-1",
+     "d22": "1/3"},
+    {"kind": "zero_order", "a3": "3/2", "a4": "2"},
+], ids=["general", "zero_order"])
+def test_canonicalize_leaves_scipy_unloaded(tmp_path, form):
+    # the reductions tabulate their outputs; canonicalize never evaluates them
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"form": form, "interval": [0.5, 2.0]}))
+    _run_fresh("import contextlib, io, sys; from csalin.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main(['--json', 'canonicalize', {str(path)!r}]) "
+               "== 0\n"
+               "assert 'scipy' not in sys.modules")
+
+
+@pytest.mark.parametrize("evaluate", ["c(0.5)", "c.derivative(0.5)"])
+def test_first_evaluation_of_a_table_loads_scipy(evaluate):
+    _run_fresh("import sys; from csalin.canon import CoefficientFn\n"
+               "c = CoefficientFn.tabulated([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])\n"
+               "assert 'scipy' not in sys.modules\n"
+               f"{evaluate}\n"
+               "assert 'scipy.interpolate' in sys.modules")
 
 
 def test_cli_import_runs_no_symmetry_proof():
     # the witness proofs run on the first classification that needs them
-    path = os.pathsep.join(filter(None, (str(SRC.parent),
-                                         os.environ.get("PYTHONPATH"))))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import csalin.cli, csalin.symmetry as s; "
-         "assert s._universal_proof.cache_info().misses == 0; "
-         "assert s._constant_case_proof.cache_info().misses == 0"],
-        env={**os.environ, "PYTHONPATH": path}, check=True)
+    _run_fresh("import csalin.cli, csalin.symmetry as s; "
+               "assert s._universal_proof.cache_info().misses == 0; "
+               "assert s._constant_case_proof.cache_info().misses == 0; "
+               "assert s._constant_witnesses.cache_info().misses == 0")

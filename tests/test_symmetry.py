@@ -142,6 +142,26 @@ def test_classification_proves_witnesses_once_per_process(monkeypatch):
     assert len(calls) == 2 + 7 * 2
 
 
+def test_constant_witnesses_built_once_per_value(monkeypatch):
+    betas = ["1", "-3/2", "7/3", "2", "6/3"]
+    symmetry._constant_witnesses.cache_clear()
+    first = [classify_beta(b).witness for b in betas]
+    calls = []
+    real = symmetry._constant_beta_fields
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "_constant_beta_fields", counting)
+    second = [classify_beta(b).witness for b in betas]
+    assert calls == []
+    assert second == first
+    assert first[3] == first[4]  # 2 and 6/3 are one value
+    assert first == [tuple(constant_beta_witnesses(k))
+                     for k in (1, -1.5, Fraction(7, 3), 2, 2)]
+
+
 @pytest.mark.parametrize("beta", ["-3/2", "-1"])
 def test_negative_constants_get_witnesses(beta):
     cls = classify_beta(beta)
