@@ -21,7 +21,7 @@ from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
     add, coefficients_in, compile_numeric, differentiate, div, eval_expr,
-    free_symbols, log, mul, neg, parse, pow_, simplify, substitute,
+    free_symbols, log, mul, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import ClosedForm, rk4_checked
@@ -84,16 +84,17 @@ class PointTransformation:
             object.__setattr__(self, "new_ctx", _default_new_ctx(self.ctx))
         self._warn_if_singular()
 
-    def _warn_if_singular(self, n: int = 8, seed: int = 7):
+    def _warn_if_singular(self):
+        # warns when |det J| < 1e-12 at all of up to 8 evaluable points
         ctx = self.ctx
         names = (ctx.independent, *ctx.dependents)
         rows = [[differentiate(comp, v) for v in names]
                 for comp in (self.X, self.Y, self.Z)]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         best = 0.0
         tried = 0
-        for _ in range(4 * n):
-            if tried >= n:
+        for _ in range(32):
+            if tried >= 8:
                 break
             pt = {v: float(rng.uniform(0.2, 1.8)) for v in names}
             try:
@@ -336,16 +337,24 @@ class CoefficientFn:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def symbolic(cls, expr: Expr | str, var: str = "x",
-                 ctx: VarContext | None = None) -> "CoefficientFn":
+    def symbolic(cls, expr: Expr | str, var: str = "x") -> "CoefficientFn":
         if isinstance(expr, str):
-            ctx = ctx or VarContext()
-            expr = parse(expr, ctx)
+            expr = parse(expr, VarContext())
         return cls("symbolic", expr=simplify(expr), var=var)
 
     @classmethod
     def constant(cls, value) -> "CoefficientFn":
         return cls("symbolic", expr=C(value))
+
+    @classmethod
+    def of(cls, value) -> "CoefficientFn":
+        """A CoefficientFn as is, an Expr or string as `symbolic`, any
+        other value as `constant`."""
+        if isinstance(value, CoefficientFn):
+            return value
+        if isinstance(value, (Expr, str)):
+            return cls.symbolic(value)
+        return cls.constant(value)
 
     @classmethod
     def tabulated(cls, xs, values, source: str = "",
@@ -374,8 +383,6 @@ class CoefficientFn:
 
     @staticmethod
     def _sample(fn, t):
-        if type(t) is float:  # the RK4 stages: skip the numpy dispatch
-            return fn(t)
         if np.ndim(t) == 0:
             return fn(float(t))
         return np.array([fn(float(ti)) for ti in np.asarray(t).ravel()])
@@ -402,11 +409,6 @@ class CoefficientFn:
             return float(self(1.0))
         return float(np.mean(self.values))
 
-    def is_zero(self) -> bool:
-        if self.kind == "symbolic":
-            return bool(zero_verdict(self.expr).is_zero)
-        return bool(np.max(np.abs(self.values)) <= 1e-12)
-
     # -- serialization -----------------------------------------------------
     def serialize(self) -> str:
         if self.kind == "symbolic":
@@ -420,14 +422,11 @@ class CoefficientFn:
         return buf.getvalue()
 
     @classmethod
-    def deserialize(cls, text: str, ctx: VarContext | None = None
-                    ) -> "CoefficientFn":
+    def deserialize(cls, text: str) -> "CoefficientFn":
         lines = text.strip().splitlines()
         if lines and lines[0].startswith("# symbolic in "):
             var = lines[0][len("# symbolic in "):].strip()
-            ctx = ctx or VarContext()
-            return cls.symbolic("\n".join(lines[1:]).strip(), var=var,
-                                ctx=ctx)
+            return cls.symbolic("\n".join(lines[1:]).strip(), var=var)
         source, step, err = "", None, 0.0
         xs, vs = [], []
         for line in lines:
@@ -487,42 +486,10 @@ class LinearForm:
                 f"{self.kind} form needs coefficients {slots}, "
                 f"got {tuple(self.coeffs)}")
         for name, c in list(self.coeffs.items()):
-            if not isinstance(c, CoefficientFn):
-                self.coeffs[name] = CoefficientFn.symbolic(c) \
-                    if isinstance(c, (Expr, str)) else \
-                    CoefficientFn.constant(c)
+            self.coeffs[name] = CoefficientFn.of(c)
 
     def __getitem__(self, name: str) -> CoefficientFn:
         return self.coeffs[name]
-
-    def rhs_exprs(self, ctx: VarContext) -> tuple:
-        """Symbolic right-hand sides; requires symbolic coefficients."""
-        for name, c in self.coeffs.items():
-            if c.kind != "symbolic":
-                raise ValueError(f"coefficient {name} is tabulated")
-        y, z = (sym(n) for n in ctx.dependents)
-        yp, zp = (sym(n) for n in ctx.first_derivatives)
-        e = {name: c.expr for name, c in self.coeffs.items()}
-        if self.kind == "general":
-            pair = (e["d11"] * y + e["d12"] * z,
-                    e["d21"] * y + e["d22"] * z)
-        elif self.kind == "optimal":
-            pair = (e["dt11"] * y + e["dt12"] * z,
-                    e["dt21"] * y - e["dt11"] * z)
-        elif self.kind == "first_order":
-            pair = (e["a1"] * yp - e["a2"] * zp,
-                    e["a2"] * yp + e["a1"] * zp)
-        elif self.kind == "zero_order":
-            pair = (e["a3"] * y - e["a4"] * z,
-                    e["a4"] * y + e["a3"] * z)
-        else:
-            pair = (neg(e["beta"] * z), e["beta"] * y)
-        return tuple(simplify(p) for p in pair)
-
-    def as_system(self, ctx: VarContext | None = None) -> OdeSystem2:
-        ctx = ctx or VarContext()
-        w1, w2 = self.rhs_exprs(ctx)
-        return OdeSystem2(ctx, w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +515,6 @@ class RescaledForm:
     rho: CoefficientFn
     new_var: CoefficientFn
     error_estimate: float = 0.0
-
-    def __iter__(self):
-        return iter((self.form, self.rho))
 
 
 def _identity_rescaling(form: LinearForm) -> RescaledForm:
@@ -667,9 +631,6 @@ class FirstOrderReduction:
     cross_check_error: float | None = None
     error_estimate: float = 0.0
 
-    def __iter__(self):
-        return iter((self.form, self.m1, self.m2))
-
 
 def reduce_24_to_25(lf: LinearForm, interval: tuple,
                     h: float = 1e-3) -> FirstOrderReduction:
@@ -742,9 +703,7 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     return FirstOrderReduction(form, m1_fn, m2_fn, None, err)
 
 
-def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn,
-                             ctx: VarContext | None = None,
-                             new_ctx: VarContext | None = None):
+def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):
     """Numeric state map (t, y, z, y', z') -> new state implementing the
     dependent-variable rescaling with pair (M1, M2)."""
     def mapper(t, s):
@@ -774,15 +733,8 @@ class EquivalenceVerdict:
     chain: tuple
     solution: dict | None = None
 
-    def render(self) -> str:
-        head = "CONSISTENT" if self.consistent else "INCONSISTENT"
-        lines = [f"linear-map equivalence: {head} ({self.case})"]
-        lines += [f"  {step}" for step in self.chain]
-        return "\n".join(lines)
 
-
-def attempt_linear_equivalence(opt: LinearForm, target: LinearForm,
-                               source: str = "optimal"
+def attempt_linear_equivalence(opt: LinearForm, target: LinearForm
                                ) -> EquivalenceVerdict:
     """Test whether a constant-coefficient optimal form can be carried to
     the undifferentiated-coupling form by a constant linear map of the
@@ -794,8 +746,7 @@ def attempt_linear_equivalence(opt: LinearForm, target: LinearForm,
     therefore Inconsistent except in the degenerate corners (both systems
     free-particle, or the optimal coefficients satisfying the degeneracy
     dt11^2 + dt12*dt21 = 0, which belongs to a different equivalence
-    class altogether).  The verdict does not depend on which side is
-    treated as the source.
+    class altogether).
     """
     if opt.kind != "optimal":
         raise ValueError("first argument must be an optimal-kind form")

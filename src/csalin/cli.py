@@ -8,18 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .canon import (
-    CoefficientFn, LinearForm, PointTransformation, PoleInInterval,
+    CoefficientFn, LinearForm, PointTransformation,
     reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
 )
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
-from .expr import ExprError, ParseError, VarContext, parse, to_string
-from .symmetry import (
-    IntervalTooSmall, VectorField, check_symmetry, classify_beta,
-)
+from .expr import ExprError, VarContext, parse, to_string
+from .symmetry import VectorField, check_symmetry, classify_beta
 from .verify import run_example
 
 SCHEMA_VERSION = 1
@@ -29,15 +28,65 @@ class InputError(Exception):
     pass
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InputError(message)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _is_names(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(n, str) and n.isidentifier() for n in v)
+
+
+def _interval(iv, where: str) -> tuple:
+    """iv as (lo, hi): two finite numbers with lo < hi."""
+    _require(isinstance(iv, (list, tuple)) and len(iv) == 2
+             and all(map(_is_number, iv)) and iv[0] < iv[1],
+             f"{where} must be two finite numbers lo < hi, got {iv!r}")
+    return tuple(iv)
+
+
+def _coefficient(value, where: str):
+    _require(isinstance(value, str) or _is_number(value),
+             f"{where} must be an expression string or a finite number")
+    return value
+
+
+def _expressions(spec, where: str, keys: tuple, ctx: VarContext) -> list:
+    """spec[key] parsed in ctx for each key; spec must be a JSON object
+    with an expression string at each key."""
+    _require(isinstance(spec, dict), f"{where} must be a JSON object")
+    out = []
+    for key in keys:
+        _require(isinstance(spec.get(key), str),
+                 f"{where}.{key} must be an expression string")
+        try:
+            out.append(parse(spec[key], ctx))
+        except ExprError as exc:
+            raise InputError(f"bad {where}.{key}: {exc}")
+    return out
+
+
 def _context_from(doc: dict) -> VarContext:
     vars_ = doc.get("variables", {})
+    _require(isinstance(vars_, dict), "variables must be a JSON object")
     indep = vars_.get("independent", "x")
-    deps = tuple(vars_.get("dependent", ["y", "z"]))
-    if len(deps) != 2:
-        raise InputError("exactly two dependent variables are required")
-    params = frozenset(doc.get("parameters", []))
-    return VarContext(indep, deps, tuple(d + "'" for d in deps),
-                      tuple(d + "''" for d in deps), params)
+    deps = vars_.get("dependent", ["y", "z"])
+    params = doc.get("parameters", [])
+    _require(_is_names([indep]), "variables.independent must be a name")
+    _require(_is_names(deps) and len(deps) == 2,
+             "variables.dependent must be a list of two names")
+    _require(_is_names(params), "parameters must be a list of names")
+    try:
+        return VarContext(indep, tuple(deps), tuple(d + "'" for d in deps),
+                          tuple(d + "''" for d in deps), frozenset(params))
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _load_problem(path: str) -> dict:
@@ -48,36 +97,24 @@ def _load_problem(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise InputError("problem file must be a JSON object")
-    iv = doc.get("interval")
-    if iv is not None and not (len(iv) == 2 and iv[0] < iv[1]):
-        raise InputError("interval must be [lo, hi] with lo < hi")
+    _require(isinstance(doc, dict), "problem file must be a JSON object")
+    if "interval" in doc:
+        doc["interval"] = _interval(doc["interval"], "interval")
     return doc
 
 
 def _system_from(doc: dict, ctx: VarContext) -> OdeSystem2:
-    spec = doc.get("system")
-    if not spec:
-        raise InputError("problem file has no \"system\" entry")
+    w1, w2 = _expressions(doc.get("system"), "system", ("omega1", "omega2"),
+                          ctx)
     try:
-        w1 = parse(spec["omega1"], ctx)
-        w2 = parse(spec["omega2"], ctx)
-    except (KeyError, ParseError, ExprError) as exc:
-        raise InputError(f"bad system expressions: {exc}")
-    return OdeSystem2(ctx, w1, w2)
+        return OdeSystem2(ctx, w1, w2)
+    except ValueError as exc:
+        raise InputError(f"bad system: {exc}")
 
 
 def _transformation_from(doc: dict, ctx: VarContext) -> PointTransformation:
-    spec = doc.get("transformation")
-    if not spec:
-        raise InputError("problem file has no \"transformation\" entry")
-    try:
-        return PointTransformation(ctx, parse(spec["X"], ctx),
-                                   parse(spec["Y"], ctx),
-                                   parse(spec["Z"], ctx))
-    except (KeyError, ParseError, ExprError) as exc:
-        raise InputError(f"bad transformation expressions: {exc}")
+    return PointTransformation(ctx, *_expressions(
+        doc.get("transformation"), "transformation", ("X", "Y", "Z"), ctx))
 
 
 def _coefficient_summary(c: CoefficientFn) -> dict:
@@ -114,15 +151,15 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     if args.beta is None:
         doc = _load_problem(args.file) if args.file else {}
-        beta = doc.get("beta")
-        interval = tuple(doc.get("interval", (0.5, 3.0)))
-        if beta is None:
-            raise InputError("no beta given (use --beta or a problem file)")
+        _require(doc.get("beta") is not None,
+                 "no beta given (use --beta or a problem file)")
+        beta = _coefficient(doc["beta"], "beta")
+        interval = doc.get("interval", (0.5, 3.0))
     else:
         beta = args.beta
-        interval = tuple(args.interval) if args.interval else (0.5, 3.0)
-    cls = classify_beta(beta, interval, seed=args.seed,
-                        svd_cut=args.tol if args.tol else 1e-8)
+        interval = _interval(args.interval, "--interval") \
+            if args.interval else (0.5, 3.0)
+    cls = classify_beta(beta, interval, seed=args.seed, svd_cut=args.tol)
     payload = {
         "command": "classify",
         "beta": beta,
@@ -140,15 +177,15 @@ def cmd_classify(args) -> int:
 def cmd_canonicalize(args) -> int:
     doc = _load_problem(args.file)
     spec = doc.get("form")
-    if not spec:
-        raise InputError("problem file has no \"form\" entry")
-    kind = spec.get("kind")
-    coeffs = {k: v for k, v in spec.items() if k != "kind"}
+    _require(isinstance(spec, dict) and isinstance(spec.get("kind"), str),
+             "form must be a JSON object with a string kind")
+    coeffs = {k: _coefficient(v, f"form.{k}")
+              for k, v in spec.items() if k != "kind"}
     try:
-        lf = LinearForm(kind, coeffs)
+        lf = LinearForm(spec["kind"], coeffs)
     except (ValueError, ExprError) as exc:
         raise InputError(f"bad linear form: {exc}")
-    interval = tuple(doc.get("interval", (0.5, 2.0)))
+    interval = doc.get("interval", (0.5, 2.0))
     steps = []
     if lf.kind == "general":
         lf = reduce_optimal(lf, interval).form
@@ -196,14 +233,15 @@ def cmd_verify_symmetry(args) -> int:
     ctx = _context_from(doc)
     sysx = _system_from(doc, ctx)
     gens = doc.get("generators")
-    if not gens:
-        raise InputError("problem file has no \"generators\" entry")
+    _require(isinstance(gens, list) and len(gens) > 0,
+             "generators must be a non-empty list")
     results = []
     for i, g in enumerate(gens):
+        comps = _expressions(g, f"generators[{i}]", ("xi", "eta1", "eta2"),
+                             ctx)
         try:
-            V = VectorField(ctx, parse(g["xi"], ctx),
-                            parse(g["eta1"], ctx), parse(g["eta2"], ctx))
-        except (KeyError, ParseError, ExprError, ValueError) as exc:
+            V = VectorField(ctx, *comps)
+        except ValueError as exc:
             raise InputError(f"bad generator {i}: {exc}")
         ok, report = check_symmetry(sysx, V, seed=args.seed)
         results.append({"index": i, "holds": ok,
@@ -218,8 +256,7 @@ def cmd_verify_symmetry(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.id not in (1, 2, 3, 4):
-        raise InputError("demo id must be 1..4")
+    _require(args.id in (1, 2, 3, 4), "demo id must be 1..4")
     report = run_example(args.id, seed=args.seed)
     _emit(args, {"command": "demo", **report.to_dict()}, report.render())
     return 0 if report.passed else 1
@@ -234,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable JSON")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled verdicts")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the rank-cutoff tolerance")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative rank cutoff of classify, in (0, 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("check", help="complex-correspondence conditions")
@@ -267,17 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.tol < 1.0:
+            raise InputError(f"--tol must lie in (0, 1), got {args.tol}")
         return args.fn(args)
-    except (InputError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PoleInInterval, IntervalTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExprError as exc:
+    except (InputError, ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,10 +38,6 @@ class OdeSystem2:
                 raise ValueError(
                     f"right-hand side contains second derivatives: {hit}")
 
-    @property
-    def omegas(self):
-        return (self.omega1, self.omega2)
-
 
 # monomial exponent signatures (y' exponent, z' exponent) per slot of the
 # cubic form; the form carries the coefficients on the left-hand side, so a

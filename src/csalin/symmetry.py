@@ -115,12 +115,11 @@ class DeterminingSystem:
 
     ctx: VarContext
     residuals: tuple
-    source: str
     ansatz: str  # "full" | "reduced"
     raw: tuple = ()
 
 
-def _beta_expr(beta, var: str = "x") -> Expr:
+def _beta_expr(beta) -> Expr:
     if isinstance(beta, CoefficientFn):
         if beta.kind != "symbolic":
             raise ValueError("a closed-form coefficient is required here")
@@ -170,9 +169,8 @@ def determining_system_reduced(beta, ansatz: str = "full"
         groups = coefficients_in(r, split_vars)
         for sig in sorted(groups):
             residuals.append(simplify(groups[sig]))
-    return DeterminingSystem(ctx, tuple(residuals),
-                             source="generated (prolongation)",
-                             ansatz=ansatz, raw=(r1, r2))
+    return DeterminingSystem(ctx, tuple(residuals), ansatz=ansatz,
+                             raw=(r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def free_particle_algebra(ctx: VarContext | None = None) -> list:
     return [VectorField(ctx, *row) for row in rows]
 
 
-def constant_beta_witnesses(k, ctx: VarContext | None = None) -> list:
+def constant_beta_witnesses(k) -> list:
     """Seven point-symmetry generators of y'' = -k z, z'' = k y (k != 0).
 
     Besides the translation, scaling and rotation fields, four generators
@@ -214,12 +212,11 @@ def constant_beta_witnesses(k, ctx: VarContext | None = None) -> list:
     proves once per process, symbolically, for a parameter a and
     k = +-2 a^2.
     """
-    ctx = ctx or VarContext()
     k = Fraction(k)
     if k == 0:
         raise ValueError("the constant coefficient must be nonzero")
-    return _constant_beta_fields(ctx, pow_(C(abs(k) / 2), Fraction(1, 2)),
-                                 C(k))
+    a = pow_(C(abs(k) / 2), Fraction(1, 2))
+    return _constant_beta_fields(VarContext(), a, C(k))
 
 
 def _constant_beta_fields(ctx: VarContext, a: Expr, k: Expr) -> list:
@@ -333,7 +330,7 @@ class Classification:
         return "\n".join(lines)
 
 
-def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
+def _collocation_rank(beta_val, dbeta_val, interval,
                       svd_cut: float) -> RankReport:
     """Count independent constraints on the 11 symmetry parameters.
 
@@ -344,7 +341,7 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
     g3''' = 0 and g3 = a0 + a1 s + a2 s^2 / 2 (s = x - lo) is a quadratic.
     g6 and g9 enter no row, so their four initial values are free
     parameters.  Each row is thus an exact linear form in
-    (a0, a1, a2, c1, c2, c3, c4), taken at evenly spaced collocation
+    (a0, a1, a2, c1, c2, c3, c4), taken at 40 evenly spaced collocation
     points; no ODE is solved, and the rank counts the constraints on all
     11 parameters.
 
@@ -362,7 +359,7 @@ def _collocation_rank(beta_val, dbeta_val, interval, m_points: int,
     n = int(np.ceil(span / min(1e-3, span / 199.5)))
     h = span / n
     xs = lo + h * np.arange(n + 1)
-    idx = np.unique(np.round(np.linspace(0, n, m_points)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, n, 40)).astype(int))
     mids = xs[:-1] + h / 2
     try:
         bgrid = beta_val(xs)
@@ -445,8 +442,7 @@ def _constant_witnesses(k: Fraction) -> tuple:
 
 
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
-                  m_points: int = 40, svd_cut: float = 1e-8
-                  ) -> Classification:
+                  svd_cut: float = 1e-8) -> Classification:
     """Symmetry-dimension classification of y'' = -beta z, z'' = beta y.
 
     Zero and constant beta are decided symbolically (15 and 7 dimensions,
@@ -464,9 +460,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     degree <= 2 and 6 otherwise, so never 5 or 8.
     """
     ctx = VarContext()
-    cf = beta if isinstance(beta, CoefficientFn) else (
-        CoefficientFn.symbolic(beta) if isinstance(beta, (Expr, str))
-        else CoefficientFn.constant(beta))
+    cf = CoefficientFn.of(beta)
 
     if cf.kind == "symbolic":
         b = cf.expr
@@ -504,8 +498,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
         beta_val, dbeta_val = cf, cf.derivative
         wit = None
 
-    report = _collocation_rank(beta_val, dbeta_val, interval, m_points,
-                               svd_cut)
+    report = _collocation_rank(beta_val, dbeta_val, interval, svd_cut)
     dim = 11 - report.rank
     if dim == 7:
         label = "variable coefficient, 7-dimensional"

@@ -149,13 +149,12 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
 
 def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
                            T: PointTransformation,
-                           params: dict | None = None,
-                           trim: int = 3) -> float:
+                           params: dict | None = None) -> float:
     """Max defect of the mapped trajectory against the target system.
 
     Second derivatives come from a quintic spline in the new independent
-    variable; a few end points are trimmed to suppress spline edge
-    effects.
+    variable; three points at each end are trimmed to suppress spline
+    edge effects.
     """
     X, Y, Z, Yp, Zp = map_trajectory(traj, T, params)
     d = np.diff(X)
@@ -174,7 +173,7 @@ def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
     w1 = compile_numeric(target.omega1, names)
     w2 = compile_numeric(target.omega2, names)
     worst = 0.0
-    sl = slice(trim, len(X) - trim if trim else None)
+    sl = slice(3, len(X) - 3)
     rows = np.column_stack((X, Y, Z, Yp, Zp))[sl].tolist()
     for row, y2, z2 in zip(rows, ypp[sl], zpp[sl]):
         args = (*row, *pvals)

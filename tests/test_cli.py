@@ -153,3 +153,57 @@ def test_demo_json_reports_the_richardson_error(capsys):
 
 def test_demo_bad_id(capsys):
     assert main(["demo", "9"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1", "nan"])
+def test_tol_outside_the_unit_interval_exit_two(tol, capsys):
+    assert main(["--tol", tol, "classify", "--beta", "x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol must lie in (0, 1)" in captured.err
+
+
+def test_tol_reaches_the_svd_cutoff(capsys):
+    assert main(["--json", "--tol", "1e-6", "classify", "--beta", "x"]) == 0
+    assert json.loads(capsys.readouterr().out)["svd_cutoff"] == 1e-6
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0.5", "inf"),
+                                    ("3", "0.5")])
+def test_classify_bad_interval_exit_two(lo, hi, capsys):
+    assert main(["classify", "--beta", "x", "--interval", lo, hi]) == 2
+    assert "--interval must be two finite numbers lo < hi" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"beta": "x", "interval": ["a", "b"]}, "interval"),
+    ({"beta": "x", "interval": 5}, "interval"),
+    ({"beta": "x", "interval": [3, 0.5]}, "interval"),
+    ({"beta": [1]}, "beta"),
+    ({**CORRESPONDENT, "parameters": 5}, "parameters"),
+    ({**CORRESPONDENT, "parameters": "c1"}, "parameters"),
+    ({**CORRESPONDENT, "variables": {"independent": 1}},
+     "variables.independent"),
+    ({**CORRESPONDENT, "variables": {"dependent": ["y"]}},
+     "variables.dependent"),
+    ({"system": ["a"]}, "system"),
+    ({"system": {"omega1": 1, "omega2": "0"}}, "system.omega1"),
+    ({"system": {"omega1": "0", "omega2": "0"},
+      "generators": [{"xi": 1, "eta1": "0", "eta2": "0"}]},
+     "generators[0].xi"),
+    ({"form": {"kind": [1], "a3": "1", "a4": "1"}}, "form"),
+    ({"form": {"kind": "zero_order", "a3": [1], "a4": "1"}}, "form.a3"),
+], ids=["interval-strings", "interval-number", "interval-reversed",
+        "beta-list", "parameters-number", "parameters-string",
+        "independent-number", "dependent-one-name", "system-list",
+        "omega1-number", "generator-number", "form-kind-list",
+        "form-coefficient-list"])
+def test_malformed_problem_field_exit_two(doc, field, tmp_path, capsys):
+    path = _write(tmp_path, "p.json", doc)
+    command = {"beta": "classify", "form": "canonicalize",
+               "generators": "verify-symmetry"}
+    sub = next((c for k, c in command.items() if k in doc), "check")
+    assert main([sub, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be"), err

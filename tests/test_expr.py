@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from csalin.canon import transform_system
 from csalin.expr import (
-    EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, EvalDomainError,
-    Expr, Mul, NotPolynomial, ParseError, Pow, Symbol, UndeclaredSymbol,
-    VarContext, ZERO, add, coefficients_in, collect, compile_numeric, cos,
-    differentiate, div, emit_code, eval_expr, exp, free_symbols, log, mul,
-    neg, parse, pow_, rewrite_subterms, simplify, sin, sqrt, substitute, sym,
-    to_string, zero_verdict,
+    EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, Div, EvalDomainError,
+    Expr, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
+    UndeclaredSymbol, VarContext, ZERO, add, coefficients_in, collect,
+    compile_numeric, cos, differentiate, div, emit_code, eval_expr, exp,
+    free_symbols, log, mul, neg, parse, pow_, rewrite_subterms, simplify, sin,
+    sqrt, substitute, sym, to_string, zero_verdict,
 )
 from csalin.verify import example_case
 
@@ -52,6 +52,18 @@ def test_parse_power_right_associative():
     e = parse("x^2^3", VarContext())
     v = eval_expr(e, {"x": 2.0})
     assert v == 2.0 ** 8
+
+
+@pytest.mark.parametrize("node", [
+    Constant(Fraction(3, 2)), Symbol("x"), Add((Symbol("x"), C(1))),
+    Mul((C(2), Symbol("x"))), Pow(Symbol("x"), Fraction(1, 2)),
+    Neg(Symbol("x")), Div(Symbol("x"), Symbol("y")),
+    Func("sin", Symbol("x")),
+], ids=lambda node: type(node).__name__)
+def test_str_of_every_node_class_is_to_string(node):
+    # @dataclass adds no __str__, so each node class inherits Expr's
+    assert type(node).__str__ is Expr.__str__
+    assert str(node) == to_string(node)
 
 
 def test_roundtrip_corpus_200():

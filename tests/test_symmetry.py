@@ -236,6 +236,17 @@ def test_full_ansatz_residuals_consistent_with_raw():
 # classification
 
 
+@pytest.mark.parametrize("values", [
+    (2, "2", C(2), CoefficientFn.constant(2)),
+    ("x^(-2)", parse("x^(-2)", CTX), CoefficientFn.symbolic("x^(-2)")),
+], ids=["constant", "variable"])
+def test_classify_beta_coerces_through_coefficient_of(values):
+    # a number, a string, an Expr and a CoefficientFn classify alike
+    first, *rest = (classify_beta(v) for v in values)
+    assert all(c == first for c in rest)
+    assert first.dimension == 7
+
+
 @pytest.mark.parametrize("beta,dim", CLASSIFICATION_TABLE)
 def test_classification_table(beta, dim):
     cls = classify_beta(beta)
