@@ -52,6 +52,10 @@ class PoleInInterval(ExprError):
     """A coefficient could not be evaluated somewhere on the interval."""
 
 
+class IntervalTooLong(ExprError):
+    """A reduction interval needs more RK4 steps than `_MAX_STEPS`."""
+
+
 # ---------------------------------------------------------------------------
 # point transformations
 
@@ -372,11 +376,15 @@ class CoefficientFn:
         out = self._spline(t)
         return float(out) if np.ndim(t) == 0 else out
 
+    @functools.cached_property
+    def derivative_expr(self) -> Expr:
+        """The simplified derivative of a symbolic coefficient."""
+        return simplify(differentiate(self.expr, self.var))
+
     def derivative(self, t):
         if self.kind == "symbolic":
             if self._dfn is None:
-                self._dfn = compile_numeric(
-                    simplify(differentiate(self.expr, self.var)), (self.var,))
+                self._dfn = compile_numeric(self.derivative_expr, (self.var,))
             return self._sample(self._dfn, t)
         out = self._spline(t, 1)
         return float(out) if np.ndim(t) == 0 else out
@@ -397,8 +405,7 @@ class CoefficientFn:
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return True
-            return bool(zero_verdict(differentiate(self.expr,
-                                                   self.var)).is_zero)
+            return bool(zero_verdict(self.derivative_expr).is_zero)
         spread = float(np.max(self.values) - np.min(self.values))
         return spread <= rtol * (1.0 + float(np.max(np.abs(self.values))))
 
@@ -426,7 +433,9 @@ class CoefficientFn:
         lines = text.strip().splitlines()
         if lines and lines[0].startswith("# symbolic in "):
             var = lines[0][len("# symbolic in "):].strip()
-            return cls.symbolic("\n".join(lines[1:]).strip(), var=var)
+            body = "\n".join(lines[1:]).strip()
+            return cls.symbolic(parse(body, VarContext(independent=var)),
+                                var=var)
         source, step, err = "", None, 0.0
         xs, vs = [], []
         for line in lines:
@@ -496,11 +505,20 @@ class LinearForm:
 # reductions
 
 
+# the most RK4 steps of h a reduction takes (the step-halving run takes
+# twice as many); the worked examples take about 3,000
+_MAX_STEPS = 200_000
+
+
 def _integrate_coeffs(rhs, t0, y0, t1, h):
     """RK4 with step halving over a reduction interval, which must run
     forwards: the tabulated outputs need an increasing grid."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if (t1 - t0) / h > _MAX_STEPS:
+        raise IntervalTooLong(
+            f"interval [{t0:g}, {t1:g}] needs more than {_MAX_STEPS} "
+            f"RK4 steps of h = {h:g}")
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
     except ExprError as exc:

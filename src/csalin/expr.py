@@ -36,7 +36,8 @@ __all__ = [
     "C", "sym", "add", "mul", "pow_", "neg", "div", "exp", "log", "sin",
     "cos", "sqrt",
     "parse", "to_string", "normalize", "simplify", "differentiate",
-    "substitute", "rewrite_subterms", "eval_expr", "compile_numeric",
+    "substitute", "rewrite_subterms", "eval_expr", "enclose",
+    "compile_numeric",
     "emit_code", "EMIT_NAMESPACE",
     "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
@@ -1344,6 +1345,136 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
                 raise EvalDomainError("sqrt of negative value", e)
             return math.sqrt(a)
     raise TypeError(f"unknown node {e!r}")
+
+
+class _Uncertified(Exception):
+    """A subterm's enclosure is unbounded, NaN or possibly undefined."""
+
+
+def _out(lo: float, hi: float) -> tuple:
+    # one ulp outwards covers the rounding of the float operation (and of
+    # a libm function within one ulp) that produced lo and hi
+    lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    if not -math.inf < lo <= hi < math.inf:  # also false for a NaN
+        raise _Uncertified
+    return lo, hi
+
+
+def _trig(fn, peak: float, lo: float, hi: float) -> tuple:
+    """Enclosure of fn (sin or cos) on [lo, hi]; fn is 1 at peak + 2 k pi
+    and -1 half a period later, and monotone in between.  An extremum
+    within a relative 1e-9 of the interval counts as inside it."""
+    scale = max(-lo, hi)
+    if hi - lo > 6.0 or scale > 1e15:
+        return -1.0, 1.0
+    slack = 1e-9 * (1.0 + scale)
+
+    def reaches(x0):  # some x0 + 2 k pi lies in [lo - slack, hi + slack]
+        k = math.ceil((lo - slack - x0) / (2 * math.pi))
+        return x0 + 2 * math.pi * k <= hi + slack
+
+    fa, fb = fn(lo), fn(hi)
+    a, b = _out(min(fa, fb), max(fa, fb))
+    return (-1.0 if reaches(peak + math.pi) else max(a, -1.0),
+            1.0 if reaches(peak) else min(b, 1.0))
+
+
+def _enclose(e: Expr, box: Mapping[str, tuple]) -> tuple:
+    kind = type(e)
+    if kind is Add:
+        terms = iter(e.terms)
+        lo, hi = _enclose(next(terms), box)
+        for t in terms:
+            a, b = _enclose(t, box)
+            lo, hi = _out(lo + a, hi + b)
+        return lo, hi
+    if kind is Mul:
+        factors = iter(e.factors)
+        lo, hi = _enclose(next(factors), box)
+        for f in factors:
+            a, b = _enclose(f, box)
+            corners = (lo * a, lo * b, hi * a, hi * b)
+            lo, hi = _out(min(corners), max(corners))
+        return lo, hi
+    if kind is Symbol:
+        if e.name not in box:
+            raise UnboundSymbol(f"symbol {e.name!r} is not bound")
+        lo, hi = box[e.name]
+        return float(lo), float(hi)
+    if kind is Constant:
+        num, den = e.value.numerator, e.value.denominator
+        if den == 1 and -2 ** 53 <= num <= 2 ** 53:
+            return float(num), float(num)
+        v = float(e.value)
+        return _out(v, v)
+    if kind is Pow:
+        a, b = _enclose(e.base, box)
+        q = e.exponent
+        num, den, qf = q.numerator, q.denominator, float(q)
+        if den == 1:
+            if num < 0 and a <= 0.0 <= b:
+                raise _Uncertified
+            # x^n is monotone on any interval without 0 inside it
+            pa, pb = a ** qf, b ** qf
+            lo, hi = _out(min(pa, pb), max(pa, pb))
+            if num % 2 == 0:
+                lo = 0.0 if a < 0.0 < b else max(lo, 0.0)
+            return lo, hi
+        if a < 0.0 or (num < 0 and a == 0.0):
+            raise _Uncertified
+        # x^p is monotone in x and in p, so its extremes over [a, b] and
+        # p between float(q) and its neighbour past q lie at corners
+        qs = (qf,) if qf == q else \
+            (qf, math.nextafter(qf, math.inf if q > qf else -math.inf))
+        corners = [x ** p for x in (a, b) for p in qs]
+        lo, hi = _out(min(corners), max(corners))
+        return max(lo, 0.0), hi
+    if kind is Neg:
+        a, b = _enclose(e.arg, box)
+        return -b, -a
+    if kind is Div:
+        c, d = _enclose(e.den, box)
+        if c <= 0.0 <= d:
+            raise _Uncertified
+        a, b = _enclose(e.num, box)
+        corners = (a / c, a / d, b / c, b / d)
+        return _out(min(corners), max(corners))
+    if kind is Func:
+        a, b = _enclose(e.arg, box)
+        if e.kind == "exp":
+            lo, hi = _out(math.exp(a), math.exp(b))
+            return max(lo, 0.0), hi
+        if e.kind == "log":
+            if a <= 0.0:
+                raise _Uncertified
+            return _out(math.log(a), math.log(b))
+        if e.kind == "sqrt":
+            if a < 0.0:
+                raise _Uncertified
+            lo, hi = _out(math.sqrt(a), math.sqrt(b))
+            return max(lo, 0.0), hi
+        if e.kind == "sin":
+            return _trig(math.sin, math.pi / 2, a, b)
+        if e.kind == "cos":
+            return _trig(math.cos, 0.0, a, b)
+    raise TypeError(f"unknown node {e!r}")
+
+
+def enclose(e: Expr, box: Mapping[str, tuple]) -> tuple | None:
+    """Outward-rounded interval enclosure of e over a box, or None.
+
+    `box` maps each symbol of e to a pair of floats (lo, hi).  The result
+    (lo, hi) contains the exact value of e at every point of the box, and
+    every value ``eval_expr`` returns there.  None means "cannot certify",
+    never "holds": a divisor that may vanish, a fractional power of a
+    possibly negative base, log or sqrt possibly outside its domain, an
+    overflow or a NaN anywhere in the tree.  A symbol outside `box`
+    raises UnboundSymbol.
+    """
+    try:
+        return _enclose(e, box)
+    except (_Uncertified, ArithmeticError):
+        return None
 
 
 def _fpow(base: float, q: float) -> float:

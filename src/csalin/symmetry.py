@@ -8,6 +8,7 @@ y'' = -beta z, z'' = beta y, explicit generator verification, and the
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, EvalDomainError, VarContext, ZERO, _rational_value,
-    add, coefficients_in, differentiate, div, eval_expr, free_symbols, mul,
-    neg, parse, pow_, simplify, sym, to_string, zero_verdict,
+    add, coefficients_in, differentiate, div, enclose, eval_expr,
+    free_symbols, mul, neg, parse, pow_, simplify, sym, to_string,
+    zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
 from .reports import ConditionCheck, ConditionReport
@@ -330,7 +332,48 @@ class Classification:
         return "\n".join(lines)
 
 
-def _collocation_rank(beta_val, dbeta_val, interval,
+# Bisection certifies a closed-form beta and beta' finite: a failing piece
+# narrower than the floor ends it, and so does the piece budget.
+_WIDTH_FLOOR = 1e-6
+_PIECE_BUDGET = 4096
+
+
+def _refusal(cf: CoefficientFn, a: float, b: float) -> str:
+    """Why [a, b] was not certified: a sample of beta or beta' there that
+    is not finite, or else only that the enclosure was too wide."""
+    for x in (a, 0.5 * (a + b), b):
+        try:
+            finite = math.isfinite(cf(x)) and math.isfinite(cf.derivative(x))
+        except EvalDomainError as exc:
+            return (f"coefficient not evaluable on the interval near "
+                    f"x = {x:.6g}: {exc}")
+        if not finite:
+            return f"coefficient not finite on the interval near x = {x:.6g}"
+    return f"could not certify beta (or beta') finite on [{a:.9g}, {b:.9g}]"
+
+
+def _certify_finite(cf: CoefficientFn, lo: float, hi: float) -> None:
+    """Raise PoleInInterval unless every piece of a depth-first bisection
+    of [lo, hi] has finite enclosures (`expr.enclose`) of beta and beta'."""
+    exprs = (cf.expr, cf.derivative_expr)
+    pieces = [(lo, hi)]
+    for _ in range(_PIECE_BUDGET):
+        a, b = pieces.pop()
+        box = {cf.var: (a, b)}
+        if all(enclose(e, box) is not None for e in exprs):
+            if not pieces:
+                return
+            continue
+        mid = 0.5 * (a + b)
+        if b - a < _WIDTH_FLOOR or not a < mid < b:  # or no float between
+            raise PoleInInterval(_refusal(cf, a, b))
+        pieces += [(mid, b), (a, mid)]
+    raise PoleInInterval(
+        f"could not certify beta (or beta') finite on [{a:.9g}, {b:.9g}] "
+        f"within {_PIECE_BUDGET} pieces")
+
+
+def _collocation_rank(cf: CoefficientFn, interval,
                       svd_cut: float) -> RankReport:
     """Count independent constraints on the 11 symmetry parameters.
 
@@ -345,38 +388,38 @@ def _collocation_rank(beta_val, dbeta_val, interval,
     points; no ODE is solved, and the rank counts the constraints on all
     11 parameters.
 
-    beta is sampled at every point and midpoint of a grid of step at most
-    1e-3 and at least 200 steps, and the collocation points lie on that
-    grid.  These dense samples only check that beta is evaluable on the
-    interval: one that is not, or whose beta or beta' samples are not
-    finite, raises PoleInInterval.
+    The collocation points are those of a grid of step at most 1e-3 and
+    at least 200 steps, computed without building the grid, and they are
+    the only points where beta and beta' are sampled.  A closed-form beta
+    is first certified finite on the whole interval: interval enclosures
+    of beta and beta' must be finite on every piece of a bisection of it.
+    A failing piece narrower than `_WIDTH_FLOOR`, or a bisection longer
+    than `_PIECE_BUDGET` pieces, raises PoleInInterval.  It names a sample
+    of the piece that is not finite or, for a finite but steep beta, says
+    only that beta could not be certified.  A tabulated beta is a cubic
+    spline on finite data, finite on its domain.  A collocation sample
+    that is not finite raises PoleInInterval too.
     """
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     if span < 1e-2:
         raise IntervalTooSmall(
             f"interval [{lo}, {hi}] is too short for collocation")
+    if cf.kind == "symbolic":
+        _certify_finite(cf, lo, hi)
     n = int(np.ceil(span / min(1e-3, span / 199.5)))
-    h = span / n
-    xs = lo + h * np.arange(n + 1)
     idx = np.unique(np.round(np.linspace(0, n, 40)).astype(int))
-    mids = xs[:-1] + h / 2
-    try:
-        bgrid = beta_val(xs)
-        bmids = beta_val(mids)
-        dbvals = dbeta_val(xs[idx])
-    except EvalDomainError as exc:
-        raise PoleInInterval(
-            f"coefficient not evaluable on the interval: {exc}") from exc
-    bad = ~np.isfinite(np.concatenate((bgrid, bmids, dbvals)))
+    h = span / n
+    xs = lo + h * idx
+    bvals, dbvals = cf(xs), cf.derivative(xs)
+    bad = ~(np.isfinite(bvals) & np.isfinite(dbvals))
     if bad.any():  # an inf or NaN row would reach the SVD
-        where = np.concatenate((xs, mids, xs[idx]))[bad].min()
+        where = xs[bad].min()
         raise PoleInInterval(
             f"coefficient not finite on the interval near x = {where:.6g}")
-    bvals = bgrid[idx]
 
     rows = []
-    for b, db, s in zip(bvals, dbvals, xs[idx] - lo):
+    for b, db, s in zip(bvals, dbvals, xs - lo):
         g3 = [db, 2.0 * b + db * s, 2.0 * b * s + db * s * s / 2.0]
         rows += [g3 + [0.0, 0.0, -b, b],            # r1
                  g3 + [0.0, 0.0, b, -b],            # r2
@@ -454,10 +497,12 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     instance of them.  The seven fields of a rational constant are built
     once per value.  Variable beta goes through the
     collocation rank count of `_collocation_rank`, which solves no ODE:
-    g3 is a quadratic there, its rows use beta and beta' at the
-    collocation points only, and the denser beta samples only check that
-    beta is evaluable.  It yields 7 when |beta|^(-1/2) is a polynomial of
-    degree <= 2 and 6 otherwise, so never 5 or 8.
+    g3 is a quadratic there, and its rows use beta and beta' at the 40
+    collocation points, the only points where beta is sampled.  A
+    closed-form beta is first certified finite on the interval by interval
+    enclosures of beta and beta' on a bisection of it; one that cannot be
+    certified raises PoleInInterval.  It yields 7 when |beta|^(-1/2) is a
+    polynomial of degree <= 2 and 6 otherwise, so never 5 or 8.
     """
     ctx = VarContext()
     cf = CoefficientFn.of(beta)
@@ -483,7 +528,6 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                          "verification and were dropped",)
             return Classification(7, "nonzero constant coefficient", witness=wit,
                                   notes=notes)
-        beta_val, dbeta_val = cf, cf.derivative
         wit = tuple(w for w, (ok, _) in zip(_universal_witnesses(ctx),
                                             _universal_proof()) if ok)
     else:
@@ -495,10 +539,9 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                                          "from the tabulated grid",))
         lo, hi = cf.domain
         interval = (max(interval[0], lo), min(interval[1], hi))
-        beta_val, dbeta_val = cf, cf.derivative
         wit = None
 
-    report = _collocation_rank(beta_val, dbeta_val, interval, svd_cut)
+    report = _collocation_rank(cf, interval, svd_cut)
     dim = 11 - report.rank
     if dim == 7:
         label = "variable coefficient, 7-dimensional"

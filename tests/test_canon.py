@@ -206,6 +206,14 @@ def test_coefficient_serialization_roundtrip():
     assert back2(2.0) == pytest.approx(0.5)
 
 
+def test_symbolic_coefficient_in_another_variable_round_trips():
+    t = sym("t")
+    c = CoefficientFn("symbolic", expr=t ** 2, var="t")
+    back = CoefficientFn.deserialize(c.serialize())
+    assert back.var == "t" and back.expr == c.expr
+    assert back(3.0) == 9.0
+
+
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -61,6 +61,22 @@ def test_classify_overflowing_beta_exit_two(capsys):
     assert "not finite on the interval" in capsys.readouterr().err
 
 
+def test_classify_on_a_wide_interval(capsys):
+    assert main(["--json", "classify", "--beta", "x^(-2)",
+                 "--interval", "0.5", "1e9"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 7
+
+
+def test_canonicalize_on_a_too_wide_interval_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "zero_order", "a3": "1", "a4": "x"},
+                   "interval": [0.5, 1e9]})
+    assert main(["canonicalize", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: interval [0.5, 1e+09] needs more than")
+    assert err.count("\n") == 1
+
+
 def test_classify_requires_beta():
     assert main(["classify"]) == 2
 

@@ -15,9 +15,9 @@ from csalin.expr import (
     EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, Div, EvalDomainError,
     Expr, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
     UndeclaredSymbol, VarContext, ZERO, add, coefficients_in, collect,
-    compile_numeric, cos, differentiate, div, emit_code, eval_expr, exp,
-    free_symbols, log, mul, neg, parse, pow_, rewrite_subterms, simplify, sin,
-    sqrt, substitute, sym, to_string, zero_verdict,
+    compile_numeric, cos, differentiate, div, emit_code, enclose, eval_expr,
+    exp, free_symbols, log, mul, neg, parse, pow_, rewrite_subterms,
+    simplify, sin, sqrt, substitute, sym, to_string, zero_verdict,
 )
 from csalin.verify import example_case
 
@@ -467,6 +467,78 @@ def test_compiled_exp_overflow_is_inf():
     e = parse("exp(x)", CTX)
     assert compile_numeric(e, ("x",))(1000.0) == math.inf
     assert eval_expr(e, {"x": 1000.0}) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# interval enclosure
+
+_ENCLOSE_CORPUS = corpus(200)
+_BOX_END = st.floats(0.1, 2.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+def _value_or_error(e, bindings):
+    try:
+        return eval_expr(e, bindings)
+    except EvalDomainError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_ENCLOSE_CORPUS) - 1), st.booleans(),
+       st.tuples(*[st.tuples(_BOX_END, _BOX_END)] * 3),
+       st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=4))
+def test_enclosure_contains_every_sampled_value(i, simplified, ends, fracs):
+    e = _ENCLOSE_CORPUS[i]
+    if simplified:
+        e = simplify(e)
+    box = {v: (min(a, b), max(a, b)) for v, (a, b) in zip(VARS, ends)}
+    got = enclose(e, box)
+    points = [{v: min(hi, max(lo, lo + f * (hi - lo)))
+               for (v, (lo, hi)), f in zip(box.items(), fs)}
+              for fs in [(0.0,) * 3, (1.0,) * 3, *fracs]]
+    for p in points:
+        v = _value_or_error(e, p)
+        # a domain error or an inf anywhere in the box forbids an enclosure
+        assert got is None or (v is not None and got[0] <= v <= got[1]), \
+            (to_string(e), box, p, got, v)
+        at_p = enclose(e, {name: (x, x) for name, x in p.items()})
+        assert at_p is None or (v is not None and at_p[0] <= v <= at_p[1]), \
+            (to_string(e), p, at_p, v)
+
+
+def test_enclosure_certifies_the_corpus_on_its_sample_box():
+    # exprgen keeps every denominator, log and sqrt argument of the
+    # unsimplified trees away from zero on (0.1, 2)^3
+    box = {v: (0.1, 2.0) for v in VARS}
+    assert all(enclose(e, box) is not None for e in _ENCLOSE_CORPUS)
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("1/(x - 1)", 0.5, 1.5),        # a divisor that may vanish
+    ("x^(-2)", -1.0, 1.0),
+    ("x^(1/2)", -1.0, 1.0),         # fractional power of a negative base
+    ("x^(-1/2)", 0.0, 1.0),
+    ("log(x)", 0.0, 1.0),
+    ("sqrt(x - 1)", 0.5, 2.0),
+    ("exp(x)", 0.0, 1000.0),        # overflow
+    ("(10*x)^300", 1.0, 10.0),
+    ("10^400*x", 1.0, 2.0),         # a constant beyond float range
+])
+def test_enclosure_cannot_certify(text, lo, hi):
+    assert enclose(parse(text, CTX), {"x": (lo, hi)}) is None
+
+
+@pytest.mark.parametrize("text,lo,hi,want_lo,want_hi", [
+    ("x^2", -1.0, 2.0, 0.0, 4.0),   # an even power keeps its exact floor
+    ("sin(x)", 0.0, 3.0, 0.0, 1.0),  # the peak at pi/2 is inside
+    ("cos(x)", 1.0, 4.0, -1.0, 0.5403023058681398),
+    ("sqrt(x)", 0.0, 4.0, 0.0, 2.0),
+])
+def test_enclosure_is_tight_at_extremes(text, lo, hi, want_lo, want_hi):
+    a, b = enclose(parse(text, CTX), {"x": (lo, hi)})
+    assert a <= want_lo and b >= want_hi
+    assert want_lo - a <= 1e-15 and b - want_hi <= 1e-15
 
 
 def test_coefficients_in_and_degree():

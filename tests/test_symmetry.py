@@ -306,12 +306,35 @@ def test_classification_rejects_a_coefficient_that_overflows():
         classify_beta("exp(x^2)", interval=(0.5, 30.0))
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="a pole between two sample points is not detected")
 @pytest.mark.parametrize("beta", ["1/(x-1.0001)", "1/(x-sqrt(2))"])
 def test_classification_pole_between_grid_points(beta):
     with pytest.raises(PoleInInterval):
         classify_beta(beta, interval=(0.5, 3.0))
+
+
+@pytest.mark.parametrize("beta,interval", [
+    ("(-2)*(-2*x^2 + 5*x + 4)^(-2)", (0.5, 30.0)),   # root near 3.137
+    ("(x^2 + 2*x + 2)/(-x^2 + 4*x + 1)", (0.5, 30.0)),  # root 2 + sqrt(5)
+    ("1/(x^2-3)", (0.5, 3.0)),
+    ("1/sin(x)", (0.5, 30.0)),
+])
+def test_classification_pole_anywhere_in_the_interval(beta, interval):
+    with pytest.raises(PoleInInterval):
+        classify_beta(beta, interval=interval)
+
+
+def test_classification_refuses_a_steep_finite_beta_without_a_pole():
+    # no real root (the discriminant is -4e-7), but a peak of 1e7 at x = 1:
+    # the denominator's enclosure holds 0 on pieces near x = 1 until they
+    # are far narrower than the width floor, so the classifier refuses,
+    # and says it could not certify beta, not that beta has a pole
+    with pytest.raises(PoleInInterval, match="could not certify beta"):
+        classify_beta("1/(x^2-2*x+1.0000001)", interval=(0.5, 3.0))
+
+
+def test_classification_of_a_wide_interval_builds_no_grid():
+    # a grid of step 1e-3 on this interval would hold 1e12 points
+    assert classify_beta("x^(-2)", interval=(0.5, 1e9)).dimension == 7
 
 
 def test_classification_reports_witnesses_that_close():
