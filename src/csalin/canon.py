@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ from .expr import (
     free_symbols, log, mul, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
-from .numerics import ClosedForm, rk4_checked
+from .numerics import DomainError, Field, rk4_checked
 
 
 class DxXZero(ExprError):
@@ -50,10 +51,6 @@ class MDegenerate(ExprError):
 
 class PoleInInterval(ExprError):
     """A coefficient could not be evaluated somewhere on the interval."""
-
-
-class IntervalTooLong(ExprError):
-    """A reduction interval needs more RK4 steps than `_MAX_STEPS`."""
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +431,9 @@ class CoefficientFn:
         if lines and lines[0].startswith("# symbolic in "):
             var = lines[0][len("# symbolic in "):].strip()
             body = "\n".join(lines[1:]).strip()
-            return cls.symbolic(parse(body, VarContext(independent=var)),
-                                var=var)
+            # the coefficient's variable is the only one it may use
+            ctx = VarContext(var, (), (), ())
+            return cls.symbolic(parse(body, ctx), var=var)
         source, step, err = "", None, 0.0
         xs, vs = [], []
         for line in lines:
@@ -505,23 +503,44 @@ class LinearForm:
 # reductions
 
 
-# the most RK4 steps of h a reduction takes (the step-halving run takes
-# twice as many); the worked examples take about 3,000
-_MAX_STEPS = 200_000
+def _check_tables(lf: LinearForm, interval: tuple):
+    """Raise PoleInInterval where the interval leaves the table of a
+    tabulated coefficient, which a spline would silently extrapolate.  One
+    ulp of slack at each end admits a table built on an RK4 grid, whose
+    last point can miss the interval's end by an ulp."""
+    t0, t1 = interval
+    for name, c in lf.coeffs.items():
+        lo, hi = c.domain or (-math.inf, math.inf)
+        if t0 < math.nextafter(lo, -math.inf) or \
+                t1 > math.nextafter(hi, math.inf):
+            raise PoleInInterval(
+                f"coefficient {name} is tabulated on [{lo:.6g}, {hi:.6g}] "
+                f"only, not on [{t0:.6g}, {t1:.6g}]")
 
 
-def _integrate_coeffs(rhs, t0, y0, t1, h):
+def _field_inputs(*coeffs) -> tuple:
+    """(symbols, values) of a Field whose value v<i> is coeffs[i] at the
+    stage time: a symbolic coefficient's expression in its variable bound
+    to the stage time, or a symbol bound to a tabulated coefficient."""
+    symbols, values = {}, []
+    for i, c in enumerate(coeffs):
+        if c.kind == "symbolic":
+            symbols[c.var] = "t"
+            values.append(c.expr)
+        else:
+            symbols[f"table {i}"] = c
+            values.append(sym(f"table {i}"))
+    return symbols, tuple(values)
+
+
+def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
     """RK4 with step halving over a reduction interval, which must run
     forwards: the tabulated outputs need an increasing grid."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    if (t1 - t0) / h > _MAX_STEPS:
-        raise IntervalTooLong(
-            f"interval [{t0:g}, {t1:g}] needs more than {_MAX_STEPS} "
-            f"RK4 steps of h = {h:g}")
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
-    except ExprError as exc:
+    except DomainError as exc:
         raise PoleInInterval(str(exc)) from exc
 
 
@@ -540,33 +559,23 @@ def _identity_rescaling(form: LinearForm) -> RescaledForm:
                         CoefficientFn.symbolic(sym("x")), 0.0)
 
 
-def _rescale(kind: str, a, a_label: str, coeffs: dict, interval: tuple,
-             h: float, closed: tuple | None = None) -> RescaledForm:
+def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
+             coeffs: dict, interval: tuple, h: float) -> RescaledForm:
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
-    When a is closed-form, `closed` = (symbols, values, code) gives it as a
-    ClosedForm does: code computes a(t) from the values v0, v1, ... with
-    a's float operations.
+    a_code computes a(t) from the values v0, v1, ... of the coefficients
+    a_inputs.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
     factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
     """
     t0, t1 = interval
-
-    def rhs(t, s):
-        rho, drho, _ = s
-        try:
-            inv2 = rho ** -2
-        except ArithmeticError:  # rho is 0 or tiny: RhoVanishes follows
-            inv2 = np.inf
-        return drho, a(t) * rho, inv2
-
-    if closed is not None:
-        symbols, values, code = closed
-        rhs = ClosedForm(rhs, symbols, values,
-                         ("s1", f"({code}) * s0", "s0 ** -2"))
+    # s0 ** -2 raises below the least float whose ** -2 is finite: rho is
+    # then 0 or tiny, and RhoVanishes follows
+    rhs = Field(*_field_inputs(*a_inputs), ("s1", f"({a_code}) * s0",
+                "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
     rho = ys[:, 0]
     below = np.nonzero(rho <= 1e-9)[0]
@@ -596,6 +605,7 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
     """
     if lf.kind != "general":
         raise ValueError("reduce_optimal expects a general-kind form")
+    _check_tables(lf, interval)
     d11, d12 = lf["d11"], lf["d12"]
     d21, d22 = lf["d21"], lf["d22"]
 
@@ -610,15 +620,11 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
             "dt21": CoefficientFn.symbolic(d21.expr),
         }))
 
-    closed = None
-    if d11.kind == d22.kind == "symbolic":
-        closed = ({d11.var: "t", d22.var: "t"}, (d11.expr, d22.expr),
-                  "0.5 * (v0 + v1)")
     return _rescale(
-        "optimal", lambda t: 0.5 * (d11(t) + d22(t)), "((d11+d22)/2)",
+        "optimal", (d11, d22), "0.5 * (v0 + v1)", "((d11+d22)/2)",
         {"dt11": lambda t: 0.5 * (d11(t) - d22(t)), "dt12": d12,
          "dt21": d21},
-        interval, h, closed)
+        interval, h)
 
 
 def reduce_25_to_28(lf: LinearForm, interval: tuple,
@@ -628,6 +634,7 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple,
     """
     if lf.kind != "zero_order":
         raise ValueError("reduce_25_to_28 expects a zero_order-kind form")
+    _check_tables(lf, interval)
     a3, a4 = lf["a3"], lf["a4"]
 
     if a3.kind == "symbolic" and zero_verdict(a3.expr).is_zero:
@@ -636,9 +643,7 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple,
             if a4.kind == "symbolic" else a4
         return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    closed = ({a3.var: "t"}, (a3.expr,), "v0") \
-        if a3.kind == "symbolic" else None
-    return _rescale("reduced", a3, "a3", {"beta": a4}, interval, h, closed)
+    return _rescale("reduced", (a3,), "v0", "a3", {"beta": a4}, interval, h)
 
 
 @dataclass(eq=False)
@@ -662,18 +667,11 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
+    _check_tables(lf, interval)
     t0, t1 = interval
     a1, a2 = lf["a1"], lf["a2"]
-
-    def rhs(t, s):
-        m1, m2 = s
-        v1, v2 = a1(t), a2(t)
-        return 0.5 * (v1 * m1 - v2 * m2), 0.5 * (v1 * m2 + v2 * m1)
-
-    if a1.kind == a2.kind == "symbolic":
-        rhs = ClosedForm(rhs, {a1.var: "t", a2.var: "t"}, (a1.expr, a2.expr),
-                         ("0.5 * (v0 * s0 - v1 * s1)",
-                          "0.5 * (v0 * s1 + v1 * s0)"))
+    rhs = Field(*_field_inputs(a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
+                                         "0.5 * (v0 * s1 + v1 * s0)"))
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
     m1, m2 = ys[:, 0], ys[:, 1]
     modulus = m1 ** 2 + m2 ** 2

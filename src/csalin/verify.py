@@ -22,17 +22,9 @@ from .expr import (
     C, ExprError, EvalDomainError, VarContext, ZERO, compile_numeric, div,
     mul, parse, simplify, to_string, zero_verdict,
 )
-from .numerics import ClosedForm, rk4, rk4_checked
+from .numerics import Blowup, DomainError, Field, rk4, rk4_checked
 from .reports import ConditionCheck, ConditionReport
 from .symmetry import classify_beta
-
-
-class Blowup(ExprError):
-    """The integrated state left the trusted range."""
-
-
-class DomainError(ExprError):
-    """A right-hand side hit a pole or other undefined point."""
 
 
 class NonMonotone(ExprError):
@@ -57,12 +49,6 @@ class Trajectory:
 _BOUND = 1e8  # the trusted range of a state component
 
 
-def _check_state(x, s):
-    # runs at every closure-loop stage on the tuple of floats; NaN fails
-    if not all(abs(v) <= _BOUND for v in s):
-        raise Blowup(f"state escaped near x = {x:.6g}")
-
-
 def _arg_names(ctx: VarContext, params: dict | None):
     """Argument names for compiling expressions over ctx's variables and
     the parameters, with the parameter values as floats (the trailing
@@ -73,33 +59,17 @@ def _arg_names(ctx: VarContext, params: dict | None):
     return names, tuple(float(v) for v in extra.values())
 
 
-def _numeric_rhs(sys: OdeSystem2, params: dict | None = None):
-    """First-order vector field of the system for RK4, a ClosedForm with
-    omega1, omega2 and the parameter values inlined into its loop.
+def _numeric_rhs(sys: OdeSystem2, params: dict | None = None) -> Field:
+    """First-order vector field of the system for RK4, with omega1, omega2
+    and the parameter values inlined into its loop.
 
-    Raises Blowup when a state handed in is not finite or exceeds 1e8 in
+    The loop raises Blowup when a state is not finite or exceeds 1e8 in
     max norm, and DomainError when the right-hand side is undefined there.
-    The closure compiles omega1 and omega2 on its first call.
     """
     names, pvals = _arg_names(sys.ctx, params)
-    w = None
-
-    def f(t, s):
-        nonlocal w
-        _check_state(t, s)
-        if w is None:  # the generated loop calls f only where it fails
-            w = (compile_numeric(sys.omega1, names),
-                 compile_numeric(sys.omega2, names))
-        args = (t, *s, *pvals)
-        try:
-            return s[2], s[3], w[0](*args), w[1](*args)
-        except EvalDomainError as exc:
-            raise DomainError(
-                f"right-hand side undefined near x = {t:.6g}: {exc}") from exc
-
     symbols = dict(zip(names, ("t", "s0", "s1", "s2", "s3", *pvals)))
-    return ClosedForm(f, symbols, (sys.omega1, sys.omega2),
-                      ("s2", "s3", "v0", "v1"), _BOUND)
+    return Field(symbols, (sys.omega1, sys.omega2), ("s2", "s3", "v0", "v1"),
+                 _BOUND)
 
 
 def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
@@ -117,7 +87,8 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
         xs, states, err = rk4_checked(*args)
     else:
         (xs, states), err = rk4(*args), None
-    _check_state(xs[-1], states[-1])
+    if not np.all(np.abs(states[-1]) <= _BOUND):  # the loop checks stages
+        raise Blowup(f"state escaped near x = {xs[-1]:.6g}")
     if err is not None and not err <= 1e-7:  # a NaN disagreement fails
         raise InaccurateIntegration(
             f"step-halving disagreement {err:.3e} exceeds 1e-7")

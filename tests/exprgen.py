@@ -1,9 +1,12 @@
-"""Deterministic random expression trees for kernel tests."""
+"""Deterministic random expression trees for kernel tests, and the
+numpy-array RK4 loop that tests use as a reference integrator."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from csalin.expr import (
     C, Expr, VarContext, add, cos, div, exp, log, mul, neg, pow_, sin,
@@ -51,3 +54,24 @@ def corpus(n: int, seed: int = 2024, depth: int = 3):
 
 def sample_point(rng: random.Random) -> dict:
     return {v: rng.uniform(0.1, 2.0) for v in VARS}
+
+
+def rk4_reference(f, t0, y0, t1, h=1e-3):
+    """The numpy-array RK4 loop: f maps a float64 array to an array."""
+    y0 = np.asarray(y0, dtype=float)
+    span = t1 - t0
+    n = max(1, int(np.ceil(abs(span) / h)))
+    h = span / n
+    ts = t0 + h * np.arange(n + 1)
+    ys = np.empty((n + 1,) + y0.shape)
+    ys[0] = y0
+    y = y0
+    for i in range(n):
+        t = ts[i]
+        k1 = f(t, y)
+        k2 = f(t + h / 2, y + h / 2 * k1)
+        k3 = f(t + h / 2, y + h / 2 * k2)
+        k4 = f(ts[i + 1], y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys[i + 1] = y
+    return ts, ys

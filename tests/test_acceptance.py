@@ -18,7 +18,6 @@ from csalin.expr import (
     EvalDomainError, VarContext, ZERO, add, collect, differentiate,
     eval_expr, mul, parse, simplify, sym, to_string, zero_verdict,
 )
-from csalin.numerics import rk4
 from csalin.symmetry import (
     check_symmetry, constant_beta_witnesses, classify_beta,
     free_particle_algebra, generator_rank, reduced_system,
@@ -27,6 +26,7 @@ from csalin.cubic import OdeSystem2
 from csalin.verify import run_example
 
 import exprgen
+from exprgen import rk4_reference
 from beta_corpus import CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS
 
 CTX = VarContext()
@@ -116,7 +116,8 @@ def test_7_reduction_roundtrip():
     # rho against a half-step reference integration
     def rho_rhs(t, s):
         return np.array([s[1], (2.0 / t ** 2) * s[0]])
-    ts_ref, ys_ref = rk4(rho_rhs, 1.0, np.array([1.0, 0.0]), 2.0, 5e-4)
+    ts_ref, ys_ref = rk4_reference(rho_rhs, 1.0, np.array([1.0, 0.0]), 2.0,
+                                   5e-4)
     ref = make_interp_spline(ts_ref, ys_ref[:, 0], k=5)
     rho_err = float(np.max(np.abs(res.rho.values - ref(res.rho.xs))))
 
@@ -128,8 +129,8 @@ def test_7_reduction_roundtrip():
         b = beta(x)
         return np.array([s[2], s[3], -b * s[1], b * s[0]])
 
-    xs, ys = rk4(reduced_rhs, lo + 1e-6, np.array([0.3, -0.2, 0.1, 0.4]),
-                 hi - 1e-6, 1e-3)
+    xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
+                           np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
     sy = make_interp_spline(xs, ys[:, 0], k=5)
     sz = make_interp_spline(xs, ys[:, 1], k=5)
     ts = np.linspace(1.05, 1.95, 300)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.interpolate import CubicSpline
 
 from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
-    NonInvertible, PointTransformation, RhoVanishes,
+    NonInvertible, PointTransformation, PoleInInterval, RhoVanishes,
     attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
     reduce_optimal, rescaling_transformation, transform_system,
 )
@@ -18,8 +19,9 @@ from csalin.cubic import OdeSystem2
 from csalin.expr import (
     C, VarContext, ZERO, parse, simplify, sym, to_string, zero_verdict,
 )
-from csalin.numerics import rk4, rk4_checked
+from csalin.numerics import Field, rk4_checked
 from csalin.verify import integrate, residual_on_trajectory
+from exprgen import rk4_reference
 
 CTX = VarContext()
 
@@ -207,11 +209,12 @@ def test_coefficient_serialization_roundtrip():
 
 
 def test_symbolic_coefficient_in_another_variable_round_trips():
-    t = sym("t")
-    c = CoefficientFn("symbolic", expr=t ** 2, var="t")
-    back = CoefficientFn.deserialize(c.serialize())
-    assert back.var == "t" and back.expr == c.expr
-    assert back(3.0) == 9.0
+    # y and z are dependents in the default alphabet
+    for var in ("t", "y", "z"):
+        c = CoefficientFn("symbolic", expr=sym(var) ** 2, var=var)
+        back = CoefficientFn.deserialize(c.serialize())
+        assert back.var == var and back.expr == c.expr
+        assert back(3.0) == 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +295,8 @@ def test_reduce_25_to_28_roundtrip_residual():
         return np.array([s[2], s[3], -b * s[1], b * s[0]])
 
     lo, hi = beta.domain
-    xs, ys = rk4(reduced_rhs, lo + 1e-6, np.array([0.3, -0.2, 0.1, 0.4]),
-                 hi - 1e-6, 1e-3)
+    xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
+                           np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
     # back-map: y(t) = rho(t) * Y(x(t)); check the original system on a grid
     from scipy.interpolate import make_interp_spline
     sy = make_interp_spline(xs, ys[:, 0], k=5)
@@ -344,7 +347,8 @@ def test_reduce_24_to_25_constant_damping_trajectory_oracle():
     def rhs(t, s):
         return np.array([s[2], s[3], c * s[2], c * s[3]])
 
-    ts, ys = rk4(rhs, 0.0, np.array([0.5, -0.3, 0.2, 0.7]), 1.0, 1e-3)
+    ts, ys = rk4_reference(rhs, 0.0, np.array([0.5, -0.3, 0.2, 0.7]), 1.0,
+                           1e-3)
     mapped = np.array([mapper(t, s) for t, s in zip(ts, ys)])
     from scipy.interpolate import make_interp_spline
     sy = make_interp_spline(ts, mapped[:, 0], k=5)
@@ -376,8 +380,55 @@ def test_reduce_24_to_25_symbolic_closed_form():
     assert res.cross_check_error < 1e-8
 
 
+_TABLE = CoefficientFn.tabulated(np.linspace(1.0, 3.0, 201),
+                                 np.cos(np.linspace(1.0, 3.0, 201)))
+
+
+@pytest.mark.parametrize("reduce,lf,interval,name", [
+    (reduce_24_to_25, LinearForm("first_order", {"a1": _TABLE, "a2": "x"}),
+     (0.0, 5.0), "a1"),
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": _TABLE, "a4": 1}),
+     (0.0, 2.0), "a3"),
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": 0, "a4": _TABLE}),
+     (1.0, 3.5), "a4"),
+    (reduce_optimal, LinearForm("general", {
+        "d11": "x", "d22": 1, "d12": _TABLE, "d21": 2}), (1.5, 3.0001),
+     "d12"),
+], ids=["24_to_25", "25_to_28", "25_to_28-identity", "optimal"])
+def test_reductions_refuse_an_interval_beyond_a_table(reduce, lf, interval,
+                                                      name):
+    # a cubic spline would extrapolate silently
+    with pytest.raises(PoleInInterval, match=re.escape(
+            f"coefficient {name} is tabulated on [1, 3] only")):
+        reduce(lf, interval)
+
+
+def test_tabulated_reduction_chains_on_the_same_interval():
+    # the grid on (0.3, 1.9) ends at 1.9000000000000001: one ulp is allowed
+    xs = np.linspace(0.0, 2.0, 201)
+    lf = LinearForm("first_order", {
+        "a1": CoefficientFn.tabulated(xs, np.cos(xs) + 1), "a2": "x"})
+    zo = reduce_24_to_25(lf, (0.3, 1.9)).form
+    assert zo["a3"].domain == (0.3, 1.9000000000000001)
+    beta = reduce_25_to_28(zo, (0.3, 1.9)).form["beta"]
+    assert beta.kind == "tabulated" and beta.domain[0] == 0.3
+    hi = zo["a3"].domain[1]
+    reduce_25_to_28(zo, (0.3, math.nextafter(hi, 2.0)))
+    for end in (math.nextafter(math.nextafter(hi, 2.0), 2.0), 1.90001):
+        with pytest.raises(PoleInInterval, match="coefficient a3"):
+            reduce_25_to_28(zo, (0.3, end))
+
+
+def test_reduction_pole_is_located_by_the_loop():
+    lf = LinearForm("zero_order", {"a3": "1/(x-1)", "a4": 1})
+    with pytest.raises(PoleInInterval) as info:
+        reduce_25_to_28(lf, (0.5, 2.0))
+    assert str(info.value) == ("right-hand side undefined near x = 1: "
+                               "division by zero in subterm '(x - 1)^(-1)'")
+
+
 def test_richardson_validation_helper():
-    _, _, err = rk4_checked(lambda t, y: np.array([y[1], -y[0]]),
+    _, _, err = rk4_checked(Field({}, (), ("s1", "-s0")),
                             0.0, np.array([1.0, 0.0]), 3.0, 1e-3)
     assert err < 1e-11
 

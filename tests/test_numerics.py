@@ -1,10 +1,11 @@
-"""The plain-float RK4 loops against the numpy-array loop they replaced.
+"""The generated RK4 loop against the numpy-array loop it replaced.
 
-`numerics.rk4` keeps its state as a tuple of Python floats, in the closure
-loop and in the loop it generates for a closed-form field.  Each stage
-update keeps the array loop's operation order, so trajectories, tabulated
-coefficients and Richardson errors must match the reference bit for bit,
-and the generated loop must match the closure loop, errors included.
+`numerics.rk4` keeps its state as a tuple of Python floats, in a loop
+generated for each `Field`.  Each stage update keeps the array loop's
+operation order, so trajectories, tabulated coefficients and Richardson
+errors must match the reference bit for bit, sign bits included.  The
+reference right-hand sides are written here by hand, apart from the
+fields they check.
 """
 
 from __future__ import annotations
@@ -22,55 +23,67 @@ from csalin.canon import (
     reduce_25_to_28, reduce_optimal,
 )
 from csalin.cubic import OdeSystem2
-from csalin.expr import VarContext, parse
-from csalin.numerics import ClosedForm, rk4, rk4_checked
+from csalin.expr import VarContext, compile_numeric, parse
+from csalin.numerics import Field, IntervalTooLong, rk4, rk4_checked
 from csalin.verify import (
     Blowup, DomainError, _numeric_rhs, example_case, integrate, run_example,
 )
+from exprgen import rk4_reference
 
 
-def _rk4_reference(f, t0, y0, t1, h=1e-3):
-    """The numpy-array RK4 loop: f maps a float64 array to an array."""
-    y0 = np.asarray(y0, dtype=float)
-    span = t1 - t0
-    n = max(1, int(np.ceil(abs(span) / h)))
-    h = span / n
-    ts = t0 + h * np.arange(n + 1)
-    ys = np.empty((n + 1,) + y0.shape)
-    ys[0] = y0
-    y = y0
-    for i in range(n):
-        t = ts[i]
-        k1 = f(t, y)
-        k2 = f(t + h / 2, y + h / 2 * k1)
-        k3 = f(t + h / 2, y + h / 2 * k2)
-        k4 = f(ts[i + 1], y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ys[i + 1] = y
-    return ts, ys
+def _array(ref):
+    """ref, which maps a float t and the state as a tuple of floats to the
+    derivatives, as a right-hand side of the array loop."""
+    return lambda t, y: np.array(ref(float(t), tuple(y.tolist())))
 
 
-def _array_rhs(f):
-    """Hand f the plain floats the array loop's callers converted to."""
-    return lambda t, y: np.array(f(float(t), tuple(y.tolist())))
-
-
-def _assert_same_as_reference(f, t0, y0, t1, h=1e-3):
-    """rk4_checked on f equals the array loop and, for a closed-form f,
-    the closure loop on f's closure."""
+def _assert_same_as_reference(f, ref, t0, y0, t1, h=1e-3):
+    """rk4_checked on the Field f equals the array loop on ref."""
     ts, ys, err = rk4_checked(f, t0, y0, t1, h)
-    ref = _array_rhs(f)
-    ts_ref, ys_ref = _rk4_reference(ref, t0, y0, t1, h)
-    ys_half = _rk4_reference(ref, t0, y0, t1, h / 2)[1]
+    ts_ref, ys_ref = rk4_reference(_array(ref), t0, y0, t1, h)
+    ys_half = rk4_reference(_array(ref), t0, y0, t1, h / 2)[1]
     assert np.array_equal(ts, ts_ref)
     assert ys.shape == ys_ref.shape
     assert np.array_equal(ys, ys_ref)
+    assert np.array_equal(np.signbit(ys), np.signbit(ys_ref))
     assert err == float(np.max(np.abs(ys_ref - ys_half[::2])))
-    if isinstance(f, ClosedForm):
-        ts_c, ys_c, err_c = rk4_checked(f.closure, t0, y0, t1, h)
-        assert np.array_equal(ts_c, ts) and np.array_equal(ys_c, ys)
-        assert np.array_equal(np.signbit(ys_c), np.signbit(ys))
-        assert err_c == err
+
+
+def _trajectory_ref(sys: OdeSystem2, params: dict | None):
+    ctx, params = sys.ctx, params or {}
+    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives,
+             *params)
+    w1, w2 = (compile_numeric(w, names) for w in (sys.omega1, sys.omega2))
+    pvals = tuple(float(v) for v in params.values())
+
+    def ref(t, s):
+        return s[2], s[3], w1(t, *s, *pvals), w2(t, *s, *pvals)
+    return ref
+
+
+def _inv_square(rho):
+    try:
+        return rho ** -2
+    except ArithmeticError:  # rho is 0 or tiny
+        return math.inf
+
+
+def _reduction_ref(reduce, lf: LinearForm):
+    """The rho system of reduce_optimal / reduce_25_to_28, or the M pair
+    of reduce_24_to_25, on lf's coefficients."""
+    if reduce is reduce_24_to_25:
+        a1, a2 = lf["a1"], lf["a2"]
+
+        def m_pair(t, s):
+            v1, v2 = a1(t), a2(t)
+            return 0.5 * (v1 * s[0] - v2 * s[1]), 0.5 * (v1 * s[1] + v2 * s[0])
+        return m_pair
+    if reduce is reduce_optimal:
+        d11, d22 = lf["d11"], lf["d22"]
+        a = lambda t: 0.5 * (d11(t) + d22(t))
+    else:
+        a = lf["a3"]
+    return lambda t, s: (s[1], a(t) * s[0], _inv_square(s[0]))
 
 
 class _Captured(Exception):
@@ -85,9 +98,10 @@ def _reduction_rhs(monkeypatch, reduce, lf, interval):
         seen.append((rhs, t0, y0, t1))
         raise _Captured
 
-    monkeypatch.setattr(canon, "_integrate_coeffs", capture)
-    with pytest.raises(_Captured):
-        reduce(lf, interval)
+    with monkeypatch.context() as m:
+        m.setattr(canon, "_integrate_coeffs", capture)
+        with pytest.raises(_Captured):
+            reduce(lf, interval)
     return seen[0]
 
 
@@ -101,10 +115,13 @@ def test_four_state_trajectory_matches_reference(case_id, backwards):
     x1 = case.interval[1]
     if backwards:
         x0, x1 = x1, x0
-    _assert_same_as_reference(f, x0, state0, x1)
+    _assert_same_as_reference(
+        f, _trajectory_ref(case.system, case.param_values), x0, state0, x1)
 
 
 _XS = np.linspace(0.0, 2.0, 201)
+_OPTIMAL = LinearForm("general", {"d11": "x", "d22": "sin(x)", "d12": "1+x",
+                                  "d21": 2})
 
 
 @pytest.mark.parametrize("reduce,lf", [
@@ -112,13 +129,15 @@ _XS = np.linspace(0.0, 2.0, 201)
     (reduce_25_to_28, LinearForm("zero_order", {
         "a3": CoefficientFn.tabulated(_XS + 1.0, 0.5 + _XS ** 2),
         "a4": 1})),
+    (reduce_optimal, _OPTIMAL),
     (reduce_optimal, LinearForm("general", {
-        "d11": "x", "d22": "sin(x)", "d12": "1+x", "d21": 2})),
-], ids=["symbolic-a", "tabulated-a", "optimal"])
+        "d11": CoefficientFn.tabulated(_XS + 1.0, np.cos(_XS)), "d22": "x",
+        "d12": 1, "d21": 2})),
+], ids=["symbolic-a", "tabulated-a", "optimal", "optimal-tabulated"])
 def test_rho_system_matches_reference(monkeypatch, reduce, lf):
     rhs, t0, y0, t1 = _reduction_rhs(monkeypatch, reduce, lf, (1.0, 2.0))
     assert len(y0) == 3
-    _assert_same_as_reference(rhs, t0, y0, t1)
+    _assert_same_as_reference(rhs, _reduction_ref(reduce, lf), t0, y0, t1)
 
 
 @pytest.mark.parametrize("lf", [
@@ -130,21 +149,46 @@ def test_m_pair_matches_reference(monkeypatch, lf):
     rhs, t0, y0, t1 = _reduction_rhs(monkeypatch, reduce_24_to_25, lf,
                                      (0.0, 2.0))
     assert len(y0) == 2
-    _assert_same_as_reference(rhs, t0, y0, t1)
+    _assert_same_as_reference(rhs, _reduction_ref(reduce_24_to_25, lf), t0,
+                              y0, t1)
+
+
+_OSCILLATOR = Field({}, (), ("s1", "-s0"))
 
 
 def test_rk4_returns_float_rows_of_the_state_length():
-    ts, ys = rk4(lambda t, y: (y[1], -y[0]), 0.0, [1.0, 0.0], 1.0, 0.25)
+    ts, ys = rk4(_OSCILLATOR, 0.0, [1.0, 0.0], 1.0, 0.25)
     assert ts.shape == (5,) and ys.shape == (5, 2) and ys.dtype == float
     assert ys[0].tolist() == [1.0, 0.0]
 
 
 def test_rk4_rejects_a_state_that_is_not_1d():
     with pytest.raises(ValueError, match="1-d"):
-        rk4(lambda t, y: y, 0.0, np.eye(2), 1.0)
+        rk4(Field({}, (), ("s0",)), 0.0, np.eye(2), 1.0)
 
 
 _CTX = VarContext()
+
+
+@pytest.mark.parametrize("x_end", [1e9, -1e9])
+def test_integrate_caps_the_number_of_steps(x_end):
+    # checked before any grid is built: 1e12 points would not fit in memory
+    sys = OdeSystem2(_CTX, parse("0", _CTX), parse("0", _CTX))
+    with pytest.raises(IntervalTooLong) as info:
+        integrate(sys, (0.0, 0.0, 0.0, 1.0, 1.0), x_end)
+    assert str(info.value) == (f"interval [0, {x_end:g}] needs more than "
+                               "200000 RK4 steps of h = 0.001")
+    with pytest.raises(IntervalTooLong):
+        rk4(_OSCILLATOR, 0.0, [1.0, 0.0], x_end)
+
+
+@pytest.mark.parametrize("x_end", [1.3, 1.0125])
+def test_step_halving_on_a_span_that_is_no_multiple_of_h(x_end):
+    # ceil(span / (h/2)) is 2 ceil(span / h) - 1 here: the half-step run
+    # takes exactly twice the steps, so its grid holds the coarse one
+    traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
+                     (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
+    assert traj.xs[-1] == x_end and traj.error < 1e-12
 
 
 @pytest.mark.parametrize("omega1,init", [
@@ -158,12 +202,27 @@ def test_integrate_raises_blowup_on_a_non_finite_state(omega1, init):
         integrate(sys, init, 1.0)
 
 
+_RHO_CROSSES = LinearForm("zero_order", {"a3": -4, "a4": 1})
+
+
+def _rho_from(monkeypatch, rho, t0, t1):
+    """The rows of the rho field of reduce_25_to_28 run from (rho, 1, t0)
+    to t1, checked against the reference run."""
+    rhs = _reduction_rhs(monkeypatch, reduce_25_to_28, _RHO_CROSSES,
+                         (0.0, 2.0))[0]
+    ref = _reduction_ref(reduce_25_to_28, _RHO_CROSSES)
+    ys = rk4(rhs, t0, (rho, 1.0, t0), t1)[1]
+    want = rk4_reference(_array(ref), t0, (rho, 1.0, t0), t1)[1]
+    assert np.array_equal(ys, want, equal_nan=True)
+    assert np.array_equal(np.signbit(ys), np.signbit(want))
+    return ys
+
+
 @pytest.mark.parametrize("rho", [1e-200, 0.0, -0.0])
 def test_rho_rhs_is_inf_where_rho_to_the_minus_2_overflows(monkeypatch, rho):
-    lf = LinearForm("zero_order", {"a3": -4, "a4": 1})
-    rhs = _reduction_rhs(monkeypatch, reduce_25_to_28, lf, (0.0, 2.0))[0]
-    drho, d2rho, dx = rhs(0.5, (rho, 1.0, 0.5))
-    assert (drho, d2rho, dx) == (1.0, -4.0 * rho, math.inf)
+    # one step: the first stage's derivative of X = integral of rho^-2
+    ys = _rho_from(monkeypatch, rho, 0.5, 0.501)
+    assert ys[1, 2] == math.inf
 
 
 def test_worked_examples_raise_no_warning():
@@ -174,78 +233,87 @@ def test_worked_examples_raise_no_warning():
 
 
 # ---------------------------------------------------------------------------
-# the loop generated for closed-form fields
+# the fields of the worked examples and the loop's error paths
 
 
 def _worked_example_fields(monkeypatch):
-    """Every (field, t0, y0, t1, h) that run_example(1..4) hands to RK4:
-    four integrates, the M pairs of examples 2 and 3 and the rho systems
-    of examples 3 and 4."""
-    seen = []
-    real = numerics.rk4_checked
+    """Every (field, reference, t0, y0, t1, h) that run_example(1..4) hands
+    to RK4: four integrates, the M pairs of examples 2 and 3 and the rho
+    systems of examples 3 and 4, each with the reference of the integrate
+    or reduction that built it."""
+    seen, refs = [], []
+
+    def entering(module, name, make_ref):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            refs.append(make_ref(*args, **kwargs))
+            return real(*args, **kwargs)
+        m.setattr(module, name, call)
 
     def recording(f, t0, y0, t1, h=1e-3):
-        seen.append((f, t0, y0, t1, h))
-        return real(f, t0, y0, t1, h)
+        seen.append((f, refs[-1], t0, y0, t1, h))
+        return real_rk4(f, t0, y0, t1, h)
 
-    monkeypatch.setattr(verify, "rk4_checked", recording)
-    monkeypatch.setattr(canon, "rk4_checked", recording)
-    for case_id in (1, 2, 3, 4):
-        run_example(case_id)
-    monkeypatch.undo()
+    real_rk4 = numerics.rk4_checked
+    with monkeypatch.context() as m:
+        entering(verify, "integrate",
+                 lambda sys, init, x_end, params=None: _trajectory_ref(
+                     sys, params))
+        for reduce in (reduce_24_to_25, reduce_25_to_28):
+            entering(verify, reduce.__name__,
+                     lambda lf, interval, reduce=reduce: _reduction_ref(
+                         reduce, lf))
+        m.setattr(verify, "rk4_checked", recording)
+        m.setattr(canon, "rk4_checked", recording)
+        for case_id in (1, 2, 3, 4):
+            run_example(case_id)
     return seen
-
-
-def _optimal_field(monkeypatch):
-    lf = LinearForm("general", {"d11": "x", "d22": "sin(x)", "d12": "1+x",
-                                "d21": 2})
-    return _reduction_rhs(monkeypatch, reduce_optimal, lf, (1.0, 2.0))
-
-
-def _never_called(t, y):
-    raise AssertionError("the closed-form field ran its closure")
 
 
 def test_worked_example_fields_are_closed_form_and_bit_identical(
         monkeypatch):
     seen = _worked_example_fields(monkeypatch)
-    assert [len(c[2]) for c in seen] == [4, 4, 2, 4, 2, 3, 4, 3]
-    for f, t0, y0, t1, h in seen:
-        assert isinstance(f, ClosedForm)
-        _assert_same_as_reference(f, t0, y0, t1, h)
-    f, t0, y0, t1 = _optimal_field(monkeypatch)
-    assert isinstance(f, ClosedForm)
-    _assert_same_as_reference(f, t0, y0, t1)
+    assert [len(c[3]) for c in seen] == [4, 4, 2, 4, 2, 3, 4, 3]
+    for f, ref, t0, y0, t1, h in seen:
+        assert all(isinstance(code, (str, float))
+                   for code in f.symbols.values())
+        _assert_same_as_reference(f, ref, t0, y0, t1, h)
 
 
-def test_closed_form_fields_never_call_their_closure(monkeypatch):
-    # a silent fallback to the closure loop would hide a generated loop
-    # that fails; and a closure that no loop calls compiles nothing
-    compiled = []
-    real = verify.compile_numeric
-    monkeypatch.setattr(verify, "compile_numeric",
-                        lambda e, names: compiled.append(e) or real(e, names))
-    seen = _worked_example_fields(monkeypatch)
-    seen.append((*_optimal_field(monkeypatch), 1e-3))
-    assert compiled  # map_trajectory and the residual still compile
-    assert not [v for f, *_ in seen for v in f.values
-                if any(v is e for e in compiled)]
-    for f, t0, y0, t1, h in seen:
-        silent = dataclasses.replace(f, closure=_never_called)
-        got = rk4_checked(silent, t0, y0, t1, h)
-        want = rk4_checked(f.closure, t0, y0, t1, h)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+def _stage_fallbacks(monkeypatch) -> list:
+    """Record the time of every stage that falls back to eval_expr."""
+    calls = []
+    real = numerics._stage_values
+    monkeypatch.setattr(numerics, "_stage_values",
+                        lambda f, t, s: calls.append(t) or real(f, t, s))
+    return calls
 
 
-def test_tabulated_coefficients_keep_the_closure(monkeypatch):
-    lf = LinearForm("first_order", {
-        "a1": CoefficientFn.tabulated(_XS, np.cos(_XS) + 1), "a2": "x"})
+def test_closed_form_fields_never_take_the_stage_fallback(monkeypatch):
+    # a silent fallback would hide generated code that fails
+    calls = _stage_fallbacks(monkeypatch)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    reduce_optimal(_OPTIMAL, (1.0, 2.0))
+    assert calls == []
+    sys = OdeSystem2(_CTX, parse("exp(1000*dy)", _CTX), parse("0", _CTX))
+    with pytest.raises(Blowup):
+        integrate(sys, (0.0, 0.0, 0.0, 1.0, 0.0), 1.0)
+    assert calls == [0.0]  # the overflowing exp is inf, as in eval_expr
+
+
+def test_tabulated_coefficients_are_called_at_the_stage_time(monkeypatch):
+    table = CoefficientFn.tabulated(_XS, np.cos(_XS) + 1)
+    lf = LinearForm("first_order", {"a1": table, "a2": "x"})
     rhs = _reduction_rhs(monkeypatch, reduce_24_to_25, lf, (0.0, 2.0))[0]
-    assert not isinstance(rhs, ClosedForm)
-
-
-def _closure_loop_only(monkeypatch):
-    monkeypatch.setattr(numerics, "_fuse", lambda f: None)
+    times = []
+    symbols = {name: (lambda t: times.append(t) or table(t))
+               if code is table else code
+               for name, code in rhs.symbols.items()}
+    assert len(symbols) == 2 and times == []
+    rk4(dataclasses.replace(rhs, symbols=symbols), 0.0, (1.0, 0.0), 0.5, 0.25)
+    assert times == [0.0, 0.125, 0.125, 0.25, 0.25, 0.375, 0.375, 0.5]
 
 
 def _message(call):
@@ -266,33 +334,24 @@ def _message(call):
      (DomainError, "right-hand side undefined near x = 1.0005: sqrt of "
       "negative value in subterm 'sqrt(1 - x)'")),
 ], ids=["blowup", "overflow", "pole", "sqrt"])
-def test_generated_loop_keeps_the_closure_loop_errors(monkeypatch, omega1,
-                                                       init, x_end, want):
+def test_generated_loop_keeps_the_closure_loop_errors(omega1, init, x_end,
+                                                       want):
     sys = OdeSystem2(_CTX, parse(omega1, _CTX), parse("0", _CTX))
     assert _message(lambda: integrate(sys, init, x_end)) == want
-    _closure_loop_only(monkeypatch)
-    assert _message(lambda: integrate(sys, init, x_end)) == want
 
 
-def test_generated_loop_keeps_the_rho_crossing(monkeypatch):
-    lf = LinearForm("zero_order", {"a3": -4, "a4": 1})
-    with pytest.raises(RhoVanishes) as fused:
-        reduce_25_to_28(lf, (0.0, 2.0))
-    _closure_loop_only(monkeypatch)
-    with pytest.raises(RhoVanishes) as closure:
-        reduce_25_to_28(lf, (0.0, 2.0))
-    assert str(fused.value) == str(closure.value)
-    assert fused.value.crossing == closure.value.crossing
-    assert fused.value.safe_interval == closure.value.safe_interval
+def test_generated_loop_keeps_the_rho_crossing():
+    with pytest.raises(RhoVanishes) as info:
+        reduce_25_to_28(_RHO_CROSSES, (0.0, 2.0))
+    assert str(info.value) == ("rescaling function crosses zero near x = "
+                               "0.786; safe sub-interval is [0, 0.785)")
+    assert info.value.crossing == 0.786
+    assert info.value.safe_interval == (0.0, 0.785)
 
 
-@pytest.mark.parametrize("rho", [1e-200, 0.0])
+# the last float whose ** -2 overflows, and the first that does not
+@pytest.mark.parametrize("rho", [1e-200, 0.0, 7.458340731200207e-155,
+                                 7.458340731200208e-155])
 def test_generated_loop_maps_rho_overflow_to_inf(monkeypatch, rho):
-    # rho^-2 raises in the generated loop; the closure loop's inf follows
-    lf = LinearForm("zero_order", {"a3": -4, "a4": 1})
-    rhs = _reduction_rhs(monkeypatch, reduce_25_to_28, lf, (0.0, 2.0))[0]
-    assert isinstance(rhs, ClosedForm)
-    ys = rk4(rhs, 0.0, (rho, 1.0, 0.0), 0.01)[1]
-    want = rk4(rhs.closure, 0.0, (rho, 1.0, 0.0), 0.01)[1]
-    assert ys[1, 2] == math.inf
-    assert np.array_equal(ys, want, equal_nan=True)
+    ys = _rho_from(monkeypatch, rho, 0.0, 0.01)
+    assert (ys[1, 2] == math.inf) == (rho < 7.458340731200208e-155)

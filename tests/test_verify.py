@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csalin.canon import PointTransformation, transform_system
-from csalin import expr
+from csalin import expr, numerics
 from csalin.csa import check_cr, complexify
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
 from csalin.expr import VarContext, ZERO, parse, simplify, zero_verdict
@@ -37,15 +37,21 @@ def test_integrate_pole_raises_domain_error():
 
 
 def _count_fallbacks(monkeypatch) -> list:
-    """Record every time a compiled expression falls back to eval_expr."""
+    """Record every time a compiled expression falls back to eval_expr (as
+    the expression), and every RK4 stage that does (as its Field)."""
     calls = []
-    real = expr._fallback
+    real, real_stage = expr._fallback, numerics._stage_values
 
     def counting(e, names, args):
         calls.append(e)
         return real(e, names, args)
 
+    def stage(f, t, state):
+        calls.append(f)
+        return real_stage(f, t, state)
+
     monkeypatch.setattr(expr, "_fallback", counting)
+    monkeypatch.setattr(numerics, "_stage_values", stage)
     return calls
 
 
@@ -54,7 +60,7 @@ def test_pole_domain_error_comes_through_the_fallback(monkeypatch):
     s = _sys("y/x", "0")
     with pytest.raises(DomainError, match="near x = 0: division by zero"):
         integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 1.0)
-    assert calls
+    assert len(calls) == 1 and isinstance(calls[0], numerics.Field)
 
 
 def test_worked_examples_stay_on_the_compiled_path(monkeypatch):
