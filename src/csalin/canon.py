@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 import io
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cubic import OdeSystem2
 from .expr import (
@@ -25,7 +25,10 @@ from .expr import (
     free_symbols, log, mul, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
-from .numerics import DomainError, Field, rk4_checked
+from .numerics import DomainError, Field, require_accuracy, rk4_checked
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DxXZero(ExprError):
@@ -91,20 +94,19 @@ class PointTransformation:
         names = (ctx.independent, *ctx.dependents)
         rows = [[differentiate(comp, v) for v in names]
                 for comp in (self.X, self.Y, self.Z)]
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         best = 0.0
         tried = 0
         for _ in range(32):
             if tried >= 8:
                 break
-            pt = {v: float(rng.uniform(0.2, 1.8)) for v in names}
+            pt = {v: rng.uniform(0.2, 1.8) for v in names}
             try:
-                m = np.array([[eval_expr(e, pt) for e in row]
-                              for row in rows])
+                m = [[eval_expr(e, pt) for e in row] for row in rows]
             except ExprError:
                 continue
             tried += 1
-            best = max(best, abs(np.linalg.det(m)))
+            best = max(best, abs(_det3(m)))
         if tried and best < 1e-12:
             warnings.warn("transformation Jacobian appears singular at all "
                           "sampled points", stacklevel=3)
@@ -113,6 +115,12 @@ class PointTransformation:
     def identity(cls, ctx: VarContext) -> "PointTransformation":
         y, z = ctx.dependents
         return cls(ctx, sym(ctx.independent), sym(y), sym(z), new_ctx=ctx)
+
+
+def _det3(m) -> float:
+    """The determinant of the 3x3 matrix with rows m, by cofactors."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def total_derivative(e: Expr, sys: OdeSystem2) -> Expr:
@@ -316,6 +324,8 @@ class CoefficientFn:
                     f"coefficient depends on undeclared symbols {extra}")
             self._fn = self._dfn = None
         else:
+            import numpy as np
+
             self.xs = np.array(self.xs, dtype=float)
             self.values = np.array(self.values, dtype=float)
             if self.xs.ndim != 1 or self.xs.shape != self.values.shape:
@@ -371,7 +381,7 @@ class CoefficientFn:
                 self._fn = compile_numeric(self.expr, (self.var,))
             return self._sample(self._fn, t)
         out = self._spline(t)
-        return float(out) if np.ndim(t) == 0 else out
+        return float(out) if out.ndim == 0 else out
 
     @functools.cached_property
     def derivative_expr(self) -> Expr:
@@ -384,10 +394,12 @@ class CoefficientFn:
                 self._dfn = compile_numeric(self.derivative_expr, (self.var,))
             return self._sample(self._dfn, t)
         out = self._spline(t, 1)
-        return float(out) if np.ndim(t) == 0 else out
+        return float(out) if out.ndim == 0 else out
 
     @staticmethod
     def _sample(fn, t):
+        import numpy as np
+
         if np.ndim(t) == 0:
             return fn(float(t))
         return np.array([fn(float(ti)) for ti in np.asarray(t).ravel()])
@@ -403,15 +415,15 @@ class CoefficientFn:
             if not free_symbols(self.expr):
                 return True
             return bool(zero_verdict(self.derivative_expr).is_zero)
-        spread = float(np.max(self.values) - np.min(self.values))
-        return spread <= rtol * (1.0 + float(np.max(np.abs(self.values))))
+        spread = float(self.values.max() - self.values.min())
+        return spread <= rtol * (1.0 + float(abs(self.values).max()))
 
     def constant_value(self) -> float:
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return eval_expr(self.expr, {})
             return float(self(1.0))
-        return float(np.mean(self.values))
+        return float(self.values.mean())
 
     # -- serialization -----------------------------------------------------
     def serialize(self) -> str:
@@ -578,10 +590,11 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
                 "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
     rho = ys[:, 0]
-    below = np.nonzero(rho <= 1e-9)[0]
+    below = (rho <= 1e-9).nonzero()[0]
     if below.size:
         hit = int(below[0])
         raise RhoVanishes(float(ts[hit]), (t0, float(ts[max(hit - 1, 0)])))
+    require_accuracy(err)
     xs = ys[:, 2]
     quart = rho ** 4
     src = f"rho'' = {a_label} rho; coefficients times rho^4 on the " \
@@ -675,8 +688,9 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
     m1, m2 = ys[:, 0], ys[:, 1]
     modulus = m1 ** 2 + m2 ** 2
-    if float(np.min(modulus)) < 1e-12:
+    if float(modulus.min()) < 1e-12:
         raise MDegenerate("M1^2 + M2^2 vanished on the interval")
+    require_accuracy(err)
 
     v1, v2 = a1(ts), a2(ts)
     dv1 = a1.derivative(ts)
@@ -706,8 +720,8 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
                            - half * differentiate(e2, a2.var))
         a3_fn = CoefficientFn.symbolic(a3_expr, var=a1.var)
         a4_fn = CoefficientFn.symbolic(a4_expr, var=a2.var)
-        cross = float(max(np.max(np.abs(a3_fn(ts) - a3_vals)),
-                          np.max(np.abs(a4_fn(ts) - a4_vals))))
+        cross = float(max(abs(a3_fn(ts) - a3_vals).max(),
+                          abs(a4_fn(ts) - a4_vals).max()))
         form = LinearForm("zero_order", {"a3": a3_fn, "a4": a4_fn})
         return FirstOrderReduction(form, m1_fn, m2_fn, cross, err)
 
@@ -722,6 +736,8 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
 def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):
     """Numeric state map (t, y, z, y', z') -> new state implementing the
     dependent-variable rescaling with pair (M1, M2)."""
+    import numpy as np
+
     def mapper(t, s):
         y, z, yp, zp = s
         w1, w2 = m1(t), m2(t)

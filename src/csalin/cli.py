@@ -2,6 +2,8 @@
 
 Subcommands: check, classify, canonicalize, transform, verify-symmetry,
 demo.  Exit codes: 0 positive verdict, 1 negative verdict, 2 input error.
+Each subcommand imports the modules it needs when it runs, so a symbolic
+one (check, transform, verify-symmetry) never loads numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +13,9 @@ import json
 import math
 import sys
 
-from .canon import (
-    CoefficientFn, LinearForm, PointTransformation,
-    reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
-)
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import ExprError, VarContext, parse, to_string
-from .symmetry import VectorField, check_symmetry, classify_beta
-from .verify import run_example
 
 SCHEMA_VERSION = 1
 
@@ -112,12 +108,7 @@ def _system_from(doc: dict, ctx: VarContext) -> OdeSystem2:
         raise InputError(f"bad system: {exc}")
 
 
-def _transformation_from(doc: dict, ctx: VarContext) -> PointTransformation:
-    return PointTransformation(ctx, *_expressions(
-        doc.get("transformation"), "transformation", ("X", "Y", "Z"), ctx))
-
-
-def _coefficient_summary(c: CoefficientFn) -> dict:
+def _coefficient_summary(c) -> dict:
     if c.kind == "symbolic":
         return {"kind": "symbolic", "expr": to_string(c.expr)}
     return {"kind": "tabulated", "points": int(len(c.xs)),
@@ -149,6 +140,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .symmetry import classify_beta
+
     if args.beta is None:
         doc = _load_problem(args.file) if args.file else {}
         _require(doc.get("beta") is not None,
@@ -175,6 +168,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
+    from .canon import LinearForm, reduce_24_to_25, reduce_25_to_28, \
+        reduce_optimal
+
     doc = _load_problem(args.file)
     spec = doc.get("form")
     _require(isinstance(spec, dict) and isinstance(spec.get("kind"), str),
@@ -214,10 +210,13 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .canon import PointTransformation, transform_system
+
     doc = _load_problem(args.file)
     ctx = _context_from(doc)
     sysx = _system_from(doc, ctx)
-    T = _transformation_from(doc, ctx)
+    T = PointTransformation(ctx, *_expressions(
+        doc.get("transformation"), "transformation", ("X", "Y", "Z"), ctx))
     out = transform_system(sysx, T, seed=args.seed)
     o1, o2 = to_string(out.omega1), to_string(out.omega2)
     d1, d2 = out.ctx.dependents
@@ -229,6 +228,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify_symmetry(args) -> int:
+    from .symmetry import VectorField, check_symmetry
+
     doc = _load_problem(args.file)
     ctx = _context_from(doc)
     sysx = _system_from(doc, ctx)
@@ -256,6 +257,8 @@ def cmd_verify_symmetry(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .verify import run_example
+
     _require(args.id in (1, 2, 3, 4), "demo id must be 1..4")
     report = run_example(args.id, seed=args.seed)
     _emit(args, {"command": "demo", **report.to_dict()}, report.render())

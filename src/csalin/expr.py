@@ -21,12 +21,11 @@ sampled zero test (`is_zero_sampled`).
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-import numpy as np
 
 __all__ = [
     "Expr", "Constant", "Symbol", "Add", "Mul", "Pow", "Neg", "Div", "Func",
@@ -1149,13 +1148,11 @@ def is_zero_sampled(e: Expr, free: Iterable[str], seed: int = 0) -> bool:
     free = list(free)
     e = simplify(e)
     terms = list(e.terms) if isinstance(e, Add) else [e]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     usable = 0
     for _ in range(40):
-        mags = rng.uniform(0.1, 2.0, size=len(free))
-        signs = rng.choice([-1.0, 1.0], size=len(free))
-        binding = {name: float(m * s)
-                   for name, m, s in zip(free, mags, signs)}
+        binding = {name: rng.uniform(0.1, 2.0) * rng.choice((-1.0, 1.0))
+                   for name in free}
         try:
             vals = [eval_expr(t, binding) for t in terms]
         except EvalDomainError:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .expr import (
     EMIT_NAMESPACE, EvalDomainError, ExprError, emit_code, eval_expr,
 )
@@ -38,6 +36,10 @@ class DomainError(ExprError):
 
 class IntervalTooLong(ExprError):
     """An interval needs more RK4 steps than `MAX_STEPS`."""
+
+
+class InaccurateIntegration(ExprError):
+    """Step-halving disagreement exceeded the sanity tolerance."""
 
 
 # the most RK4 steps of h one run takes (the step-halving run takes twice
@@ -137,10 +139,12 @@ def _steps(t0: float, t1: float, h: float) -> int:
         raise IntervalTooLong(
             f"interval [{t0:g}, {t1:g}] needs more than {MAX_STEPS} "
             f"RK4 steps of h = {h:g}")
-    return max(1, int(np.ceil(steps)))
+    return max(1, math.ceil(steps))
 
 
 def _rk4(loop, t0: float, y0, t1: float, n: int):
+    import numpy as np
+
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError(f"rk4 needs a 1-d initial state, got shape "
@@ -168,10 +172,25 @@ def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
 
     Returns (ts, ys, err) where err is the max-norm difference between the
     solution of rk4 and the one of twice as many steps, on rk4's grid.
+    A state that is not finite in either run raises Blowup at the first
+    grid point where it appears.
     """
     n = _steps(t0, t1, h)
     loop = _fuse(f)
     ts, ys = _rk4(loop, t0, y0, t1, n)
-    ys2 = _rk4(loop, t0, y0, t1, 2 * n)[1]
-    err = float(np.max(np.abs(ys - ys2[::2])))
+    ts2, ys2 = _rk4(loop, t0, y0, t1, 2 * n)
+    for grid, rows in ((ts, ys), (ts2, ys2)):
+        finite = (abs(rows) < math.inf).all(axis=1)  # NaN fails
+        if not finite.all():
+            raise Blowup(
+                f"state escaped near x = {grid[finite.argmin()]:.6g}")
+    err = float(abs(ys - ys2[::2]).max())
     return ts, ys, err
+
+
+def require_accuracy(err: float) -> None:
+    """Raise InaccurateIntegration when a step-halving error exceeds 1e-7
+    (NaN included)."""
+    if not err <= 1e-7:
+        raise InaccurateIntegration(
+            f"step-halving disagreement {err:.3e} exceeds 1e-7")

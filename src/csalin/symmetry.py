@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
@@ -268,6 +266,8 @@ def generator_rank(fields, sample_seed: int = 0) -> int:
     Each field is evaluated at 12 random (x, y, z) points (36 columns);
     the rank uses a 1e-8 relative singular-value cutoff.
     """
+    import numpy as np
+
     if not fields:
         raise ValueError("need at least one field")
     ctx = fields[0].ctx
@@ -400,6 +400,8 @@ def _collocation_rank(cf: CoefficientFn, interval,
     spline on finite data, finite on its domain.  A collocation sample
     that is not finite raises PoleInInterval too.
     """
+    import numpy as np
+
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     if span < 1e-2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
     NonInvertible, PointTransformation, PoleInInterval, RhoVanishes,
     attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
-    reduce_optimal, rescaling_transformation, transform_system,
+    reduce_optimal, rescaling_transformation, transform_system, _det3,
 )
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
     C, VarContext, ZERO, parse, simplify, sym, to_string, zero_verdict,
 )
-from csalin.numerics import Field, rk4_checked
-from csalin.verify import integrate, residual_on_trajectory
+from csalin.numerics import (
+    Blowup, Field, InaccurateIntegration, rk4_checked,
+)
+from csalin.verify import example_case, integrate, residual_on_trajectory
 from exprgen import rk4_reference
 
 CTX = VarContext()
@@ -82,6 +85,28 @@ def test_transform_dxx_zero():
         T = PointTransformation(CTX, C(3), sym("y"), sym("z"))
     with pytest.raises(DxXZero):
         transform_system(s, T)
+
+
+def test_det3_matches_numpy():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m = rng.uniform(-2.0, 2.0, size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
+        want = np.linalg.det(m)
+        assert abs(_det3(m.tolist()) - want) <= 1e-12 * abs(want)
+
+
+def test_singular_map_warns():
+    # Y and Z are the same function of (y, z): det J = 0 everywhere
+    with pytest.warns(UserWarning, match="singular"):
+        PointTransformation(CTX, sym("x"), parse("y + z", CTX),
+                            parse("2*y + 2*z", CTX))
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_example_maps_do_not_warn(case_id):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        example_case(case_id)
 
 
 def test_transform_unsupported_family():
@@ -425,6 +450,43 @@ def test_reduction_pole_is_located_by_the_loop():
         reduce_25_to_28(lf, (0.5, 2.0))
     assert str(info.value) == ("right-hand side undefined near x = 1: "
                                "division by zero in subterm '(x - 1)^(-1)'")
+
+
+# exp(1000 x) is about 1e217 at x = 0.5, so the rescaling state overflows
+# in the first step; exp(x^3) grows too fast for RK4 at h = 1e-3
+@pytest.mark.parametrize("reduce,lf,error,message", [
+    (reduce_25_to_28,
+     LinearForm("zero_order", {"a3": "exp(1000*x)", "a4": 1}),
+     Blowup, "state escaped near x = 0.501"),
+    (reduce_optimal,
+     LinearForm("general", {"d11": "exp(1000*x)", "d22": "exp(1000*x)",
+                            "d12": 0, "d21": 1}),
+     Blowup, "state escaped near x = 0.501"),
+    (reduce_24_to_25,
+     LinearForm("first_order", {"a1": "exp(1000*x)", "a2": 1}),
+     Blowup, "state escaped near x = 0.501"),
+    (reduce_25_to_28,
+     LinearForm("zero_order", {"a3": "exp(x^3)", "a4": 1}),
+     InaccurateIntegration,
+     "step-halving disagreement 7.624e-02 exceeds 1e-7"),
+    (reduce_optimal,
+     LinearForm("general", {"d11": "exp(x^3)", "d22": "exp(x^3)",
+                            "d12": 0, "d21": 1}),
+     InaccurateIntegration,
+     "step-halving disagreement 7.624e-02 exceeds 1e-7"),
+    (reduce_24_to_25,
+     LinearForm("first_order", {"a1": "2*x^5", "a2": 1}),
+     InaccurateIntegration,
+     "step-halving disagreement 6.320e-04 exceeds 1e-7"),
+], ids=["overflow-25-28", "overflow-optimal", "overflow-24-25",
+        "inaccurate-25-28", "inaccurate-optimal", "inaccurate-24-25"])
+def test_reductions_refuse_an_overflow_or_an_inaccurate_run(reduce, lf,
+                                                            error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            reduce(lf, (0.5, 2.0))
+    assert str(info.value) == message
 
 
 def test_richardson_validation_helper():

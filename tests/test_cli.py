@@ -77,6 +77,20 @@ def test_canonicalize_on_a_too_wide_interval_exit_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("a3,message", [
+    ("exp(1000*x)", "error: state escaped near x = 0.501\n"),
+    ("exp(x^3)", "error: step-halving disagreement 7.624e-02 exceeds "
+                 "1e-7\n"),
+], ids=["overflow", "inaccurate"])
+def test_canonicalize_refuses_an_untrustworthy_reduction(tmp_path, capsys,
+                                                          a3, message):
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "zero_order", "a3": a3, "a4": "1"},
+                   "interval": [0.5, 2]})
+    assert main(["canonicalize", path]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_classify_requires_beta():
     assert main(["classify"]) == 2
 

@@ -235,6 +235,22 @@ def test_zero_verdict_symbolic_and_numeric():
     assert not zero_verdict(parse("x + 1", ctx)).is_zero
 
 
+# identities the kernel cannot decide, so the sampled test decides them
+_SAMPLED_ZEROS = ["sin(x)^2+cos(x)^2-1", "exp(2*x)-exp(x)^2",
+                  "sin(2*x)-2*sin(x)*cos(x)"]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("text,want", [
+    *((t, True) for t in _SAMPLED_ZEROS),
+    # a 1e-8 perturbation, just above the 1e-9 relative tolerance
+    (_SAMPLED_ZEROS[0] + "+x/100000000", False),
+])
+def test_sampled_zero_verdicts(text, want, seed):
+    v = zero_verdict(parse(text, CTX), seed=seed)
+    assert (v.is_zero, v.method) == (want, "numeric")
+
+
 # ---------------------------------------------------------------------------
 # the kernel's number types: ints inside, Fractions at the Expr boundary
 

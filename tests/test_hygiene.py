@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-importing the CLI pays neither for scipy nor for the symmetry proofs, and
-scipy loads only when a spline is evaluated."""
+"""Source hygiene: no module of the package imports a name it never uses;
+`import csalin` loads no submodule; importing the CLI pays neither for
+scipy nor for the symmetry proofs; the symbolic subcommands never load
+numpy; and scipy loads only when a spline is evaluated."""
 
 from __future__ import annotations
 
@@ -31,11 +32,14 @@ def _imported(tree: ast.Module) -> dict:
 
 def _used(tree: ast.Module) -> set:
     """Names loaded anywhere, including inside string annotations, plus
-    the entries of ``__all__``."""
+    the entries of ``__all__`` and the names re-exported explicitly by
+    ``from module import name as name``."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
+        if isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names if a.asname == a.name}
         for ann in (getattr(node, "annotation", None),
                     getattr(node, "returns", None)):
             if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
@@ -48,17 +52,18 @@ def _used(tree: ast.Module) -> set:
 
 
 def _reexported() -> dict:
-    """Module name -> names that ``__init__.py`` imports from it."""
+    """Module name -> names that ``__init__.py`` exports from it, read from
+    its lazy ``_EXPORTS`` table."""
     tree = ast.parse((SRC / "__init__.py").read_text())
-    out = {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            out.setdefault(node.module, set()).update(
-                a.asname or a.name for a in node.names)
-    return out
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS"
+                for t in node.targets):
+            return {module: set(names) for module, names
+                    in ast.literal_eval(node.value).items()}
+    raise AssertionError("__init__.py has no _EXPORTS table")
 
 
-# every import in __init__.py is a re-export
 @pytest.mark.parametrize(
     "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
     ids=lambda p: p.name)
@@ -77,6 +82,68 @@ def _run_fresh(code: str) -> None:
                                          os.environ.get("PYTHONPATH"))))
     subprocess.run([sys.executable, "-c", code],
                    env={**os.environ, "PYTHONPATH": path}, check=True)
+
+
+def test_package_import_loads_no_submodule():
+    _run_fresh("import csalin, sys\n"
+               "loaded = [m for m in sys.modules if m.startswith('csalin.')]\n"
+               "assert loaded == [], loaded\n"
+               "assert 'numpy' not in sys.modules")
+
+
+def test_every_export_resolves_from_its_module():
+    import importlib
+
+    import csalin
+
+    tables = _reexported()
+    assert sorted(csalin.__all__) == sorted(
+        name for names in tables.values() for name in names)
+    for module, names in tables.items():
+        mod = importlib.import_module(f"csalin.{module}")
+        for name in names:
+            ns = {}
+            exec(f"from csalin import {name}", ns)
+            assert ns[name] is getattr(mod, name), name
+    assert set(csalin.__all__) <= set(dir(csalin))
+    star = {}
+    exec("from csalin import *", star)
+    assert set(csalin.__all__) <= set(star)
+
+
+def test_unknown_package_attribute_raises():
+    import csalin
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        csalin.no_such_name
+    with pytest.raises(ImportError):
+        exec("from csalin import no_such_name", {})
+
+
+_GEODESIC = {"omega1": "-dy^2 + dz^2 - (2/x)*dy",
+             "omega2": "-2*dy*dz - (2/x)*dz"}
+
+
+# the symbolic verdicts build no array: numpy stays unloaded
+@pytest.mark.parametrize("args,doc", [
+    (["check"], {"system": _GEODESIC}),
+    (["transform"], {"system": _GEODESIC, "transformation": {
+        "X": "1/x", "Y": "exp(y)*cos(z)", "Z": "exp(y)*sin(z)"}}),
+    (["verify-symmetry"], {"system": {"omega1": "0", "omega2": "0"},
+                           "generators": [
+                               {"xi": "1", "eta1": "0", "eta2": "0"},
+                               {"xi": "x^2", "eta1": "x*y", "eta2": "x*z"}]}),
+    (["classify", "--beta", "2/3"], None),
+], ids=["check", "transform", "verify-symmetry", "classify-constant"])
+def test_symbolic_subcommands_leave_numpy_unloaded(tmp_path, args, doc):
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        args = args + [str(path)]
+    _run_fresh("import contextlib, io, sys; from csalin.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main(['--json', *{args!r}]) == 0\n"
+               "assert 'numpy' not in sys.modules")
 
 
 def test_cli_import_leaves_scipy_unloaded():
