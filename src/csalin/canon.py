@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
-    add, coefficients_in, compile_numeric, differentiate, div, eval_expr,
+    add, coefficients_in, compile_rows, differentiate, div, eval_expr,
     free_symbols, log, mul, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
@@ -322,7 +322,7 @@ class CoefficientFn:
             if extra:
                 raise ValueError(
                     f"coefficient depends on undeclared symbols {extra}")
-            self._fn = self._dfn = None
+            self._rows = {}  # derivative orders -> compiled rows
         else:
             import numpy as np
 
@@ -377,9 +377,7 @@ class CoefficientFn:
     # -- evaluation --------------------------------------------------------
     def __call__(self, t):
         if self.kind == "symbolic":
-            if self._fn is None:
-                self._fn = compile_numeric(self.expr, (self.var,))
-            return self._sample(self._fn, t)
+            return self._sample((0,), t)[0]
         out = self._spline(t)
         return float(out) if out.ndim == 0 else out
 
@@ -390,19 +388,31 @@ class CoefficientFn:
 
     def derivative(self, t):
         if self.kind == "symbolic":
-            if self._dfn is None:
-                self._dfn = compile_numeric(self.derivative_expr, (self.var,))
-            return self._sample(self._dfn, t)
+            return self._sample((1,), t)[0]
         out = self._spline(t, 1)
         return float(out) if out.ndim == 0 else out
 
-    @staticmethod
-    def _sample(fn, t):
-        import numpy as np
+    def with_derivative(self, t) -> tuple:
+        """(self(t), self.derivative(t)), of a symbolic coefficient from
+        one loop over t; a domain error is the first one in t's order."""
+        if self.kind == "symbolic":
+            return tuple(self._sample((0, 1), t))
+        return self(t), self.derivative(t)
 
-        if np.ndim(t) == 0:
-            return fn(float(t))
-        return np.array([fn(float(ti)) for ti in np.asarray(t).ravel()])
+    def _sample(self, orders: tuple, t) -> list:
+        """The coefficient (order 0) and its derivative (order 1) at t, in
+        the order of `orders`: floats at a scalar t, else 1-d arrays."""
+        rows = self._rows.get(orders)
+        if rows is None:
+            exprs = [self.derivative_expr if k else self.expr for k in orders]
+            rows = self._rows[orders] = compile_rows(exprs, (self.var,))
+        if not isinstance(t, (int, float)):
+            import numpy as np
+
+            if np.ndim(t):
+                cols = rows(np.asarray(t, dtype=float).ravel().tolist())
+                return [np.array(col) for col in cols]
+        return [col[0] for col in rows([float(t)])]
 
     @property
     def domain(self) -> tuple | None:
@@ -692,9 +702,8 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
         raise MDegenerate("M1^2 + M2^2 vanished on the interval")
     require_accuracy(err)
 
-    v1, v2 = a1(ts), a2(ts)
-    dv1 = a1.derivative(ts)
-    dv2 = a2.derivative(ts)
+    v1, dv1 = a1.with_derivative(ts)
+    v2, dv2 = a2.with_derivative(ts)
     dm1 = 0.5 * (v1 * m1 - v2 * m2)
     dm2 = 0.5 * (v1 * m2 + v2 * m1)
     ddm1 = 0.5 * (dv1 * m1 + v1 * dm1 - dv2 * m2 - v2 * dm2)

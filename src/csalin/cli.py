@@ -182,19 +182,26 @@ def cmd_canonicalize(args) -> int:
     except (ValueError, ExprError) as exc:
         raise InputError(f"bad linear form: {exc}")
     interval = doc.get("interval", (0.5, 2.0))
-    steps = []
+    steps, extra = [], {}
     if lf.kind == "general":
         lf = reduce_optimal(lf, interval).form
         steps.append("general -> optimal")
     if lf.kind == "first_order":
-        lf = reduce_24_to_25(lf, interval).form
+        red = reduce_24_to_25(lf, interval)
+        lf = red.form
         steps.append("first_order -> zero_order")
+        # the closed-form output against the RK4 route (the CLI reads
+        # closed-form coefficients only, so there always is one)
+        extra["cross_check_error"] = red.cross_check_error
     if lf.kind == "zero_order":
         lf = reduce_25_to_28(lf, interval).form
         steps.append("zero_order -> reduced")
     out = {name: _coefficient_summary(c) for name, c in lf.coeffs.items()}
     text_lines = [f"reduction chain: {' ; '.join(steps) or '(none)'}",
                   f"result kind: {lf.kind}"]
+    if extra:
+        text_lines.append("closed form vs RK4 cross-check: "
+                          f"{extra['cross_check_error']:.3e}")
     for name, summary in sorted(out.items()):
         if summary["kind"] == "symbolic":
             text_lines.append(f"  {name} = {summary['expr']}")
@@ -204,7 +211,7 @@ def cmd_canonicalize(args) -> int:
                 f"[{summary['domain'][0]:g}, {summary['domain'][1]:g}], "
                 f"error {summary['error_estimate']:.2e}")
     _emit(args, {"command": "canonicalize", "chain": steps,
-                 "kind": lf.kind, "coefficients": out},
+                 "kind": lf.kind, "coefficients": out, **extra},
           "\n".join(text_lines))
     return 0
 

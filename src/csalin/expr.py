@@ -2,8 +2,8 @@
 
 Immutable expression trees over a declared variable set, with parsing,
 differentiation, substitution, canonical simplification, numeric evaluation
-(the tree-walking reference `eval_expr` and the compile-once
-`compile_numeric`) and polynomial coefficient collection.  Constants are
+(the tree-walking reference `eval_expr` and the generated row loop
+`compile_rows`) and polynomial coefficient collection.  Constants are
 exact rationals during symbolic work; floats appear only at the eval
 boundary.  Every `Constant.value` and `Pow.exponent` is a Fraction.  Inside
 the canonical-polynomial kernel behind `simplify`, an integral exponent or
@@ -36,7 +36,7 @@ __all__ = [
     "cos", "sqrt",
     "parse", "to_string", "normalize", "simplify", "differentiate",
     "substitute", "rewrite_subterms", "eval_expr", "enclose",
-    "compile_numeric",
+    "compile_rows",
     "emit_code", "EMIT_NAMESPACE",
     "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
@@ -71,9 +71,13 @@ class NonRationalExponent(ExprError):
 
 
 class EvalDomainError(ExprError):
+    """`row` holds the column values of a `compile_rows` row it was
+    raised at, and is None elsewhere."""
+
     def __init__(self, message: str, subterm: "Expr"):
         super().__init__(f"{message} in subterm '{to_string(subterm)}'")
         self.subterm = subterm
+        self.row = None
 
 
 class UnboundSymbol(ExprError):
@@ -1481,10 +1485,6 @@ def _fpow(base: float, q: float) -> float:
     return base ** q
 
 
-def _fallback(e: Expr, names: tuple, args: tuple) -> float:
-    return eval_expr(e, dict(zip(names, args)))
-
-
 def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
               lines: list) -> list:
     """Append to `lines` Python statements that evaluate each of `exprs`
@@ -1500,7 +1500,7 @@ def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
     ArithmeticError or ValueError, and nothing else, where ``eval_expr``
     raises EvalDomainError or maps an overflow to inf; a symbol outside
     `symbols` raises UnboundSymbol here.  The caller binds ``_fpow`` and
-    the math functions (see ``compile_numeric``).
+    the math functions (see ``compile_rows``).
     """
     temps = {}  # statement code -> its temporary
 
@@ -1541,34 +1541,61 @@ EMIT_NAMESPACE = {"_fpow": _fpow, "exp": math.exp, "log": math.log,
                   "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
-def compile_numeric(e: Expr, arg_names: Iterable[str]):
-    """Compile e once into a function of positional floats, one per name in
-    arg_names (a later duplicate name wins, like a later dict binding).
+def _eval_row(exprs: tuple, names: tuple, params: dict, row: tuple) -> list:
+    """The values of exprs at one row by ``eval_expr``: what a row whose
+    generated code raised stands for.  An EvalDomainError it raises
+    carries the row as `row`."""
+    bindings = dict(zip(names, row))
+    bindings.update(params)
+    try:
+        return [eval_expr(e, bindings) for e in exprs]
+    except EvalDomainError as exc:
+        exc.row = row
+        raise
 
-    The generated function returns exactly what ``eval_expr`` returns for
-    the same bindings: every node uses the same float operation (constants
-    are pre-converted with ``float``, a sum calls ``sum()``, a power raises
-    its base to ``float(q)``), and a repeated subtree is evaluated once.
-    On any ArithmeticError or ValueError it re-evaluates with
-    ``eval_expr``, which returns the reference value (``inf`` for an
-    overflowing exp) or raises the same EvalDomainError naming the same
-    subterm.  Arguments must be Python floats.  A symbol outside arg_names
-    raises UnboundSymbol, and a constant beyond float range raises
+
+def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
+                 params: Mapping[str, float] | None = None):
+    """Compile a tuple of expressions once into one function of columns.
+
+    The function takes one list of floats per name in `names` (at least
+    one; a later duplicate name wins), all of one length, and returns one
+    list per expression with its value on each row.  Each of `params` is
+    bound to its float value, which is inlined as a constant.  The values
+    are exactly those of ``eval_expr`` for the same bindings: every node
+    uses the same float operation (see ``emit_code``), and a subtree
+    shared across the tuple is evaluated once per row.  A row whose code
+    raises ArithmeticError or ValueError is evaluated again with
+    ``eval_expr``, which returns the reference values (inf for an
+    overflowing exp) or raises its EvalDomainError, naming the same
+    subterm and carrying the row as `row`.  A symbol outside names and
+    params raises UnboundSymbol, and a constant beyond float range raises
     OverflowError, here rather than at call time.
     """
-    names = tuple(arg_names)
+    exprs, names = tuple(exprs), tuple(names)
+    params = {name: float(v) for name, v in (params or {}).items()}
+    symbols = {name: f"a{i}" for i, name in enumerate(names)}
+    symbols.update((name, f"({v!r})") for name, v in params.items())
     lines = []
-    result, = emit_code((e,), {name: f"a{i}" for i, name in
-                               enumerate(names)}, lines)
-    arglist = "".join(f"a{i}, " for i in range(len(names)))
-    src = (f"def _compiled({arglist}):\n    try:\n" + "".join(
-        f"        {line}\n" for line in lines) + f"        return {result}\n"
-        "    except (ArithmeticError, ValueError):\n"
-        f"        return _fallback(_e, _names, ({arglist}))\n")
-    ns = {**EMIT_NAMESPACE, "_e": e, "_names": names,
-          "_fallback": _fallback}
-    exec(src, ns)
-    return ns["_compiled"]
+    codes = emit_code(exprs, symbols, lines)
+    row = "".join(f"a{i}, " for i in range(len(names)))
+    cols = "".join(f"c{i}, " for i in range(len(names)))
+    outs = range(len(exprs))
+    src = [f"def _rows({cols}):",
+           *(f"    o{j} = []; p{j} = o{j}.append" for j in outs),
+           f"    for {row}in zip({cols}):",
+           "        try:",
+           *(f"            {line}" for line in lines),
+           *(f"            p{j}({code})" for j, code in enumerate(codes)),
+           "        except (ArithmeticError, ValueError):",
+           f"            r = _eval_row(_exprs, _names, _params, ({row}))",
+           *(f"            p{j}(r[{j}])" for j in outs),
+           f"    return ({''.join(f'o{j}, ' for j in outs)})"]
+    ns = {**EMIT_NAMESPACE, "inf": math.inf, "nan": math.nan,
+          "_eval_row": _eval_row, "_exprs": exprs, "_names": names,
+          "_params": params}
+    exec("\n".join(src) + "\n", ns)
+    return ns["_rows"]
 
 
 def free_symbols(e: Expr) -> set:

@@ -59,8 +59,8 @@ class Field:
       ...``; a subtree they share is evaluated once;
     * `derivs` holds, per state component, the Python expression of its
       derivative over ``t``, ``s<i>`` and ``v<j>`` (``inf`` is bound);
-    * with `bound` set, each stage state must satisfy ``abs(s<i>) <=
-      bound`` (NaN fails), or the loop raises Blowup.
+    * with `bound` set, each stage state must satisfy ``-bound <= s<i>
+      <= bound`` (NaN fails), or the loop raises Blowup.
     """
 
     symbols: dict
@@ -103,7 +103,7 @@ def _fuse(f: Field):
             symbols[name] = f"({code!r})"
     check = [] if f.bound is None else [
         "if not (" + " and ".join(
-            f"abs(s{i}) <= {f.bound!r}" for i in range(d)) + "):",
+            f"{-f.bound!r} <= s{i} <= {f.bound!r}" for i in range(d)) + "):",
         "    raise Blowup(f'state escaped near x = {t:.6g}')"]
     lines = [f"{''.join(f'y{i}, ' for i in range(d))}= y", "rows = [y]",
              "for x, x_next in zip(grid, grid[1:]):"]
@@ -124,8 +124,8 @@ def _fuse(f: Field):
                      f"= _values(t, ({state}))"]
         body += [f"k{n}_{i} = {code}" for i, code in enumerate(f.derivs)]
         lines += ["    " + line for line in body]
-    lines += [f"    y{i} = y{i} + h6 * (((k1_{i} + 2 * k2_{i}) + "
-              f"2 * k3_{i}) + k4_{i})" for i in range(d)]
+    lines += [f"    y{i} = y{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + "
+              f"2.0 * k3_{i}) + k4_{i})" for i in range(d)]
     lines += [f"    rows.append(({''.join(f'y{i}, ' for i in range(d))}))"]
     exec("def _loop(grid, y, h, h2, h6):\n" + "".join(
         f"    {line}\n" for line in lines) + "    return rows\n", ns)

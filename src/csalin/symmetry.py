@@ -413,7 +413,7 @@ def _collocation_rank(cf: CoefficientFn, interval,
     idx = np.unique(np.round(np.linspace(0, n, 40)).astype(int))
     h = span / n
     xs = lo + h * idx
-    bvals, dbvals = cf(xs), cf.derivative(xs)
+    bvals, dbvals = cf.with_derivative(xs)
     bad = ~(np.isfinite(bvals) & np.isfinite(dbvals))
     if bad.any():  # an inf or NaN row would reach the SVD
         where = xs[bad].min()

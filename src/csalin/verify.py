@@ -19,8 +19,8 @@ from .canon import (
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
-    C, ExprError, EvalDomainError, VarContext, ZERO, compile_numeric, div,
-    mul, parse, simplify, to_string, zero_verdict,
+    C, ExprError, EvalDomainError, VarContext, ZERO, compile_rows, div, mul,
+    parse, simplify, to_string, zero_verdict,
 )
 from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
     rk4_checked
@@ -48,14 +48,10 @@ class Trajectory:
 _BOUND = 1e8  # the trusted range of a state component
 
 
-def _arg_names(ctx: VarContext, params: dict | None):
-    """Argument names for compiling expressions over ctx's variables and
-    the parameters, with the parameter values as floats (the trailing
-    arguments)."""
-    extra = dict(params or {})
-    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives,
-             *extra)
-    return names, tuple(float(v) for v in extra.values())
+def _names(ctx: VarContext) -> tuple:
+    """ctx's variables in the order of a trajectory row: the independent
+    variable, the dependents, then their first derivatives."""
+    return (ctx.independent, *ctx.dependents, *ctx.first_derivatives)
 
 
 def _numeric_rhs(sys: OdeSystem2, params: dict | None = None) -> Field:
@@ -65,8 +61,8 @@ def _numeric_rhs(sys: OdeSystem2, params: dict | None = None) -> Field:
     The loop raises Blowup when a state is not finite or exceeds 1e8 in
     max norm, and DomainError when the right-hand side is undefined there.
     """
-    names, pvals = _arg_names(sys.ctx, params)
-    symbols = dict(zip(names, ("t", "s0", "s1", "s2", "s3", *pvals)))
+    symbols = dict(zip(_names(sys.ctx), ("t", "s0", "s1", "s2", "s3")))
+    symbols.update((name, float(v)) for name, v in (params or {}).items())
     return Field(symbols, (sys.omega1, sys.omega2), ("s2", "s3", "v0", "v1"),
                  _BOUND)
 
@@ -100,20 +96,16 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
     Returns (X, Y, Z, Y', Z') arrays in the new variables.
     """
     sys = traj.generator
-    names, pvals = _arg_names(sys.ctx, params)
     DX = total_derivative(T.X, sys)
     FY = simplify(div(total_derivative(T.Y, sys), DX))
     FZ = simplify(div(total_derivative(T.Z, sys), DX))
-    fns = [compile_numeric(e, names) for e in (T.X, T.Y, T.Z, FY, FZ)]
-    rows = []
-    for x, s in zip(traj.xs.tolist(), traj.states.tolist()):
-        args = (x, *s, *pvals)
-        try:
-            rows.append([fn(*args) for fn in fns])
-        except EvalDomainError as exc:
-            raise DomainError(
-                f"transformation undefined near x = {x:.6g}: {exc}") from exc
-    return tuple(np.array(rows).T)
+    rows = compile_rows((T.X, T.Y, T.Z, FY, FZ), _names(sys.ctx), params)
+    try:
+        cols = rows(traj.xs.tolist(), *traj.states.T.tolist())
+    except EvalDomainError as exc:
+        raise DomainError(f"transformation undefined near x = "
+                          f"{exc.row[0]:.6g}: {exc}") from exc
+    return tuple(np.array(cols))
 
 
 def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
@@ -138,16 +130,13 @@ def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
     sz = make_interp_spline(X, Z, k=5)
     ypp = sy.derivative(2)(X)
     zpp = sz.derivative(2)(X)
-    names, pvals = _arg_names(target.ctx, params)
-    w1 = compile_numeric(target.omega1, names)
-    w2 = compile_numeric(target.omega2, names)
-    worst = 0.0
     sl = slice(3, len(X) - 3)
-    rows = np.column_stack((X, Y, Z, Yp, Zp))[sl].tolist()
-    for row, y2, z2 in zip(rows, ypp[sl], zpp[sl]):
-        args = (*row, *pvals)
-        worst = max(worst, abs(y2 - w1(*args)) + abs(z2 - w2(*args)))
-    return worst
+    rows = compile_rows((target.omega1, target.omega2), _names(target.ctx),
+                        params)
+    w1, w2 = rows(*(c[sl].tolist() for c in (X, Y, Z, Yp, Zp)))
+    # a NaN defect makes the residual NaN, which fails every bound
+    defects = np.abs(ypp[sl] - w1) + np.abs(zpp[sl] - w2)
+    return float(defects.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,27 @@ def test_canonicalize_full_chain_from_first_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first_order -> zero_order" in out
     assert "zero_order -> reduced" in out
+    assert "closed form vs RK4 cross-check: " in out
+
+
+def test_canonicalize_reports_the_first_order_cross_check(tmp_path, capsys):
+    # the closed-form zero-order coefficients against the RK4 route
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "first_order", "a1": "1+x", "a2": "x"},
+                   "interval": [0.5, 2.0]})
+    assert main(["--json", "canonicalize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 <= doc["cross_check_error"] < 1e-9
+    assert main(["canonicalize", path]) == 0
+    line = "closed form vs RK4 cross-check: " \
+        f"{doc['cross_check_error']:.3e}"
+    assert line in capsys.readouterr().out.splitlines()
+    # a chain without the first-order step has no cross-check to report
+    path = _write(tmp_path, "z.json",
+                  {"form": {"kind": "zero_order", "a3": "0", "a4": "1/x"},
+                   "interval": [1.0, 2.0]})
+    assert main(["--json", "canonicalize", path]) == 0
+    assert "cross_check_error" not in json.loads(capsys.readouterr().out)
 
 
 def test_transform_reports_new_system(tmp_path, capsys):

@@ -14,10 +14,11 @@ from csalin.canon import transform_system
 from csalin.expr import (
     EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, Div, EvalDomainError,
     Expr, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
-    UndeclaredSymbol, VarContext, ZERO, add, coefficients_in, collect,
-    compile_numeric, cos, differentiate, div, emit_code, enclose, eval_expr,
-    exp, free_symbols, log, mul, neg, parse, pow_, rewrite_subterms,
-    simplify, sin, sqrt, substitute, sym, to_string, zero_verdict,
+    UnboundSymbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
+    collect, compile_rows, cos, differentiate, div, emit_code, enclose,
+    eval_expr, exp, free_symbols, log, mul, neg, parse, pow_,
+    rewrite_subterms, simplify, sin, sqrt, substitute, sym, to_string,
+    zero_verdict,
 )
 from csalin.verify import example_case
 
@@ -386,41 +387,55 @@ def _same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
+def _at(exprs, names, *args):
+    """The values of exprs compiled by compile_rows, at the one row args."""
+    cols = compile_rows(exprs, names)(*([a] for a in args))
+    return [col[0] for col in cols]
+
+
 def test_compiled_matches_eval_expr_on_corpus():
     rng = random.Random(31)
-    for e in corpus(200):
-        fn = compile_numeric(e, VARS)
-        for _ in range(3):
-            pt = sample_point(rng)
-            got, want = fn(*(pt[v] for v in VARS)), eval_expr(e, pt)
-            assert _same_float(got, want), to_string(e)
+    exprs = corpus(200)
+    points = [sample_point(rng) for _ in range(3)]
+    cols = [[pt[v] for pt in points] for v in VARS]
+    for e in exprs:
+        got, = compile_rows((e,), VARS)(*cols)
+        for g, pt in zip(got, points):
+            assert _same_float(g, eval_expr(e, pt)), to_string(e)
+    # all of them in one tuple, so that subtrees are shared across it
+    for got, e in zip(compile_rows(exprs, VARS)(*cols), exprs):
+        for g, pt in zip(got, points):
+            assert _same_float(g, eval_expr(e, pt)), to_string(e)
 
 
 def test_compiled_keeps_the_sign_of_a_zero_sum():
     e = add(neg(sym("x")), neg(sym("y")))
-    got = compile_numeric(e, ("x", "y"))(0.0, 0.0)
+    got, = _at((e,), ("x", "y"), 0.0, 0.0)
     want = eval_expr(e, {"x": 0.0, "y": 0.0})
     assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
 
 
-@pytest.mark.parametrize("text,x", [
-    ("1/(x - 1)", 1.0),             # division by zero
-    ("(x - 1)^(-2)", 1.0),          # 0^(-q)
-    ("(x - 1)^(-1/2)", 1.0),
-    ("(x - 3)^(1/2)", 1.0),         # fractional power of a negative base
-    ("log(x - 1)", 1.0),            # log of a non-positive value
-    ("sqrt(x - 3)", 1.0),           # sqrt of a negative value
-    ("(10*x)^300", 10.0),           # pow overflow
+@pytest.mark.parametrize("text,x,ok", [
+    ("1/(x - 1)", 1.0, 2.0),        # division by zero
+    ("(x - 1)^(-2)", 1.0, 2.0),     # 0^(-q)
+    ("(x - 1)^(-1/2)", 1.0, 2.0),
+    ("(x - 3)^(1/2)", 1.0, 4.0),    # fractional power of a negative base
+    ("log(x - 1)", 1.0, 2.0),       # log of a non-positive value
+    ("sqrt(x - 3)", 1.0, 4.0),      # sqrt of a negative value
+    ("(10*x)^300", 10.0, 1.0),      # pow overflow
 ], ids=["div0", "zero-neg-pow", "zero-neg-frac-pow", "neg-frac-pow",
         "log", "sqrt", "pow-overflow"])
-def test_compiled_reproduces_domain_errors(text, x):
+def test_compiled_reproduces_domain_errors(text, x, ok):
     e = parse(text, CTX)
     with pytest.raises(EvalDomainError) as want:
         eval_expr(e, {"x": x})
+    assert want.value.row is None
+    # the failing row lies between two that evaluate
     with pytest.raises(EvalDomainError) as got:
-        compile_numeric(e, ("x",))(x)
+        compile_rows((e,), ("x",))([ok, x, ok])
     assert str(got.value) == str(want.value)
     assert got.value.subterm == want.value.subterm
+    assert got.value.row == (x,)
 
 
 def _outcome(fn, *args):
@@ -460,7 +475,14 @@ def test_emitted_code_matches_eval_expr_bit_for_bit(seed, simplified, pt):
     exprs = (e1, e2, add(mul(e1, e2), e1), partial(e1))
     bindings = dict(zip(VARS, pt))
     want = [_outcome(eval_expr, e, bindings) for e in exprs]
-    assert [_outcome(compile_numeric(e, VARS), *pt) for e in exprs] == want
+    assert [_outcome(lambda: _at((e,), VARS, *pt)[0]) for e in exprs] == want
+    # the whole tuple in one row: every value, or the first error
+    errors = [w for w in want if w[0] == "error"]
+    try:
+        got = [_outcome(lambda v: v, v) for v in _at(exprs, VARS, *pt)]
+    except EvalDomainError as exc:
+        got = [("error", str(exc), exc.subterm)]
+    assert got == (errors[:1] or want)
     try:
         got = _emitted(exprs)(*pt)
     except (ArithmeticError, ValueError):
@@ -476,13 +498,27 @@ def test_compiled_constant_beyond_float_range():
     with pytest.raises(OverflowError):
         eval_expr(e, {"x": 1.0})
     with pytest.raises(OverflowError):
-        compile_numeric(e, ("x",))
+        compile_rows((e,), ("x",))
 
 
 def test_compiled_exp_overflow_is_inf():
     e = parse("exp(x)", CTX)
-    assert compile_numeric(e, ("x",))(1000.0) == math.inf
+    # the overflowing row falls back to eval_expr, its neighbours do not
+    assert compile_rows((e,), ("x",))([0.0, 1000.0, 0.0]) == \
+        ([1.0, math.inf, 1.0],)
     assert eval_expr(e, {"x": 1000.0}) == math.inf
+
+
+def test_compiled_rows_inline_parameters():
+    ctx = VarContext(parameters=frozenset({"c1"}))
+    exprs = (parse("c1*x", ctx), parse("x/c1 + c1", ctx))
+    rows = compile_rows(exprs, ("x",), {"c1": Fraction(-3, 2)})
+    got = rows([0.5, -2.0, 7.0])
+    assert got == tuple([eval_expr(e, {"x": x, "c1": -1.5})
+                         for x in (0.5, -2.0, 7.0)] for e in exprs)
+    assert rows([]) == ([], [])
+    with pytest.raises(UnboundSymbol):
+        compile_rows(exprs, ("x",))
 
 
 # ---------------------------------------------------------------------------

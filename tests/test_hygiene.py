@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses;
-`import csalin` loads no submodule; importing the CLI pays neither for
-scipy nor for the symmetry proofs; the symbolic subcommands never load
-numpy; and scipy loads only when a spline is evaluated."""
+generated code is run in two places only; `import csalin` loads no
+submodule; importing the CLI pays neither for scipy nor for the symmetry
+proofs; the symbolic subcommands never load numpy; and scipy loads only
+when a spline is evaluated."""
 
 from __future__ import annotations
 
@@ -74,6 +75,31 @@ def test_no_unused_imports(path):
                     for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def _exec_sites() -> list:
+    """(module, function) of every call of ``exec`` in the package."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            sites += [(path.stem, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "exec"]
+    return sites
+
+
+def test_generated_code_runs_in_two_places_only():
+    # the generated RK4 loop and the generated row loop; a third code
+    # path would be a second copy of what emit_code already describes
+    assert _exec_sites() == [("expr", "compile_rows"),
+                             ("numerics", "_fuse")]
+    calls = sum(path.read_text().count("exec(")
+                for path in SRC.glob("*.py"))
+    assert calls == 2  # no exec hidden outside a function
 
 
 def _run_fresh(code: str) -> None:

@@ -23,7 +23,7 @@ from csalin.canon import (
     reduce_25_to_28, reduce_optimal,
 )
 from csalin.cubic import OdeSystem2
-from csalin.expr import VarContext, compile_numeric, parse
+from csalin.expr import VarContext, compile_rows, parse
 from csalin.numerics import Field, IntervalTooLong, rk4, rk4_checked
 from csalin.verify import (
     Blowup, DomainError, _numeric_rhs, example_case, integrate, run_example,
@@ -50,14 +50,13 @@ def _assert_same_as_reference(f, ref, t0, y0, t1, h=1e-3):
 
 
 def _trajectory_ref(sys: OdeSystem2, params: dict | None):
-    ctx, params = sys.ctx, params or {}
-    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives,
-             *params)
-    w1, w2 = (compile_numeric(w, names) for w in (sys.omega1, sys.omega2))
-    pvals = tuple(float(v) for v in params.values())
+    ctx = sys.ctx
+    names = (ctx.independent, *ctx.dependents, *ctx.first_derivatives)
+    rows = compile_rows((sys.omega1, sys.omega2), names, params)
 
     def ref(t, s):
-        return s[2], s[3], w1(t, *s, *pvals), w2(t, *s, *pvals)
+        (w1,), (w2,) = rows([t], *([v] for v in s))
+        return s[2], s[3], w1, w2
     return ref
 
 

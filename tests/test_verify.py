@@ -9,7 +9,7 @@ from csalin.canon import PointTransformation, transform_system
 from csalin import expr, numerics
 from csalin.csa import check_cr, complexify
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
-from csalin.expr import VarContext, ZERO, parse, simplify, zero_verdict
+from csalin.expr import VarContext, ZERO, parse, simplify, sym, zero_verdict
 from csalin.verify import (
     Blowup, CaseReport, DomainError, InaccurateIntegration,
     _example_dimension, example_case, integrate, map_trajectory,
@@ -37,20 +37,21 @@ def test_integrate_pole_raises_domain_error():
 
 
 def _count_fallbacks(monkeypatch) -> list:
-    """Record every time a compiled expression falls back to eval_expr (as
-    the expression), and every RK4 stage that does (as its Field)."""
+    """Record every row of compiled expressions that falls back to
+    eval_expr (as the expressions), and every RK4 stage that does (as its
+    Field)."""
     calls = []
-    real, real_stage = expr._fallback, numerics._stage_values
+    real, real_stage = expr._eval_row, numerics._stage_values
 
-    def counting(e, names, args):
-        calls.append(e)
-        return real(e, names, args)
+    def counting(exprs, names, params, row):
+        calls.append(exprs)
+        return real(exprs, names, params, row)
 
     def stage(f, t, state):
         calls.append(f)
         return real_stage(f, t, state)
 
-    monkeypatch.setattr(expr, "_fallback", counting)
+    monkeypatch.setattr(expr, "_eval_row", counting)
     monkeypatch.setattr(numerics, "_stage_values", stage)
     return calls
 
@@ -124,6 +125,34 @@ def test_map_trajectory_shapes_and_values():
     assert np.allclose(Z, 3 * traj.states[:, 1])
     assert np.allclose(dY, 2 * traj.states[:, 2])
     assert np.allclose(dZ, 3 * traj.states[:, 3])
+
+
+def test_map_trajectory_names_the_row_where_the_map_is_undefined(
+        monkeypatch):
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1])
+    assert 1.25 in traj.xs.tolist()  # a grid point inside [1, 2]
+    T = PointTransformation(CTX, sym("x"), parse("y + 1/(x - 1.25)", CTX),
+                            sym("z"))
+    calls = _count_fallbacks(monkeypatch)
+    with pytest.raises(DomainError) as err:
+        map_trajectory(traj, T)
+    assert str(err.value) == ("transformation undefined near x = 1.25: "
+                              "division by zero in subterm '1/(x + -5/4)'")
+    assert err.value.__cause__.row[0] == 1.25
+    assert len(calls) == 1 and calls[0][:3] == (T.X, T.Y, T.Z)
+
+
+def test_residual_is_nan_on_a_nan_defect():
+    # inf - inf on every row: the defect is NaN, which must not read as 0
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1])
+    nctx = case.transformation.new_ctx
+    w = parse("exp(exp(X+1000)) - exp(exp(X+1001))", nctx)
+    res = residual_on_trajectory(traj, OdeSystem2(nctx, w, w),
+                                 case.transformation)
+    assert np.isnan(res)
+    assert not res <= 1e-5
 
 
 def test_complex_route_agrees_with_system_route():
