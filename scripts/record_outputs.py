@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Print the pipeline's numeric outputs, one record per line, for a
+bit-identity check between two checkouts.
+
+Floats print as ``float.hex`` (so -0.0 differs from 0.0), arrays as their
+shape and the sha256 of their float64 bytes, and a raised error as its
+type and message.  A ``diff`` of the output of two checkouts, each run
+with its own source tree, is then the identity check:
+
+    PYTHONPATH=src python scripts/record_outputs.py > outputs.txt
+
+The records are run_example(1..4).to_dict(); the trajectories of the four
+worked examples (``integrate`` and ``map_trajectory``); the tables and
+cross-check errors of reduce_24_to_25 and reduce_25_to_28 along the
+examples' reduction chains, of reduce_optimal on a general form, and of
+two reductions that fail; and classify_beta over `tests/beta_corpus.py`.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from csalin.canon import (
+    CoefficientFn, LinearForm, RhoVanishes, reduce_24_to_25,
+    reduce_25_to_28, reduce_optimal,
+)
+from csalin.expr import ExprError, to_string
+from csalin.symmetry import classify_beta
+from csalin.verify import example_case, integrate, map_trajectory, run_example
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from beta_corpus import BETA_CORPUS  # noqa: E402
+
+
+def fmt(v) -> str:
+    """v with every float bit-exact and every array hashed."""
+    if isinstance(v, (bool, int, str)) or v is None:
+        return repr(v)
+    if isinstance(v, float):  # numpy's float64 included
+        return v.hex()
+    if isinstance(v, np.ndarray):
+        data = np.ascontiguousarray(v, dtype=float).tobytes()
+        return f"array{v.shape}:{hashlib.sha256(data).hexdigest()[:16]}"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k}: {fmt(x)}" for k, x in v.items()) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(fmt(x) for x in v) + "]"
+    raise TypeError(f"no record format for {type(v).__name__}")
+
+
+def record(label: str, fn) -> None:
+    """Print label and fn()'s record, or the ExprError or numeric error
+    that fn raised."""
+    try:
+        out = fmt(fn())
+    except (ExprError, ArithmeticError, ValueError) as exc:
+        out = f"raises {type(exc).__name__}: {exc}"
+    print(f"{label}: {out}")
+
+
+def coefficient(c: CoefficientFn) -> dict:
+    if c.kind == "symbolic":
+        return {"expr": to_string(c.expr), "var": c.var}
+    return {"xs": c.xs, "values": c.values, "step": c.step,
+            "error": c.error_estimate}
+
+
+def form(lf: LinearForm) -> dict:
+    return {"kind": lf.kind, **{name: coefficient(c)
+                                for name, c in lf.coeffs.items()}}
+
+
+def rescaled(red) -> dict:
+    return {"form": form(red.form), "rho": coefficient(red.rho),
+            "new_var": coefficient(red.new_var),
+            "error": red.error_estimate}
+
+
+def first_order(red) -> dict:
+    return {"form": form(red.form), "m1": coefficient(red.m1),
+            "m2": coefficient(red.m2), "cross": red.cross_check_error,
+            "error": red.error_estimate}
+
+
+def to_reduced(lf: LinearForm, interval: tuple) -> dict:
+    """reduce_25_to_28 on interval, and where rho vanishes also on the
+    first 95% of its safe sub-interval, as run_example does."""
+    try:
+        return {"full": rescaled(reduce_25_to_28(lf, interval))}
+    except RhoVanishes as exc:
+        lo, hi = exc.safe_interval
+        return {"crossing": exc.crossing, "safe": exc.safe_interval,
+                "shortened": rescaled(
+                    reduce_25_to_28(lf, (lo, lo + 0.95 * (hi - lo))))}
+
+
+def zero_order(a3, a4) -> LinearForm:
+    return LinearForm("zero_order", {"a3": a3, "a4": a4})
+
+
+def classification(beta: str) -> dict:
+    cls = classify_beta(beta)
+    out = {"dimension": cls.dimension, "label": cls.case_label,
+           "notes": cls.notes}
+    r = cls.rank_report
+    if r is not None:
+        out.update(shape=r.shape, singular_values=r.singular_values,
+                   rank=r.rank, cutoff=r.cutoff)
+    return out
+
+
+def main() -> int:
+    for i in (1, 2, 3, 4):
+        record(f"run_example {i}", lambda: run_example(i).to_dict())
+    for i in (1, 2, 3, 4):
+        case = example_case(i)
+        traj = integrate(case.system, case.init, case.interval[1],
+                         params=case.param_values)
+        record(f"integrate {i}",
+               lambda: {"xs": traj.xs, "states": traj.states,
+                        "error": traj.error})
+        record(f"map_trajectory {i}", lambda: map_trajectory(
+            traj, case.transformation, case.param_values))
+
+    # the reduction chains of run_example: examples 2 and 3 start from a
+    # first-order form with c1 = c2 = 1, example 4 from a3 = a4 = 1
+    for i, scale in ((2, "1"), (3, "1+x")):
+        lf = LinearForm("first_order", {"a1": scale, "a2": scale})
+        red = reduce_24_to_25(lf, (0.0, 2.0))
+        record(f"reduce_24_to_25 {i}", lambda: first_order(red))
+        record(f"reduce_25_to_28 {i}",
+               lambda: to_reduced(red.form, (0.0, 2.0)))
+    record("reduce_25_to_28 4", lambda: to_reduced(
+        zero_order(1, 1), (0.0, 2.0)))
+    general = LinearForm("general", {"d11": "2 + x", "d12": "3",
+                                     "d21": "-1", "d22": "1/3"})
+    record("reduce_optimal general",
+           lambda: rescaled(reduce_optimal(general, (0.5, 2.0))))
+    for a3 in ("1/(x-1)", "exp(x^3)"):  # a pole; an inaccurate rho
+        record(f"reduce_25_to_28 a3 = {a3}", lambda: to_reduced(
+            zero_order(a3, "1"), (0.5, 2.0)))
+
+    for beta, _ in BETA_CORPUS:
+        record(f"classify_beta {beta}", lambda: classification(beta))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1294,7 +1294,9 @@ def rewrite_subterms(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
-    """IEEE double evaluation; domain errors report the offending subterm."""
+    """IEEE double evaluation; domain errors report the offending subterm.
+    A sum is the left fold ((0.0 + t1) + t2) + ... on every Python, so -0.0
+    terms sum to +0.0 (builtin ``sum`` compensates rounding since 3.12)."""
     if isinstance(e, Constant):
         return float(e.value)
     if isinstance(e, Symbol):
@@ -1302,7 +1304,10 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
             raise UnboundSymbol(f"symbol {e.name!r} is not bound")
         return float(bindings[e.name])
     if isinstance(e, Add):
-        return sum(eval_expr(t, bindings) for t in e.terms)
+        out = 0.0
+        for t in e.terms:
+            out += eval_expr(t, bindings)
+        return out
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -1489,7 +1494,9 @@ def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
               lines: list) -> list:
     """Append to `lines` Python statements that evaluate each of `exprs`
     with ``eval_expr``'s float operations, and return the code of each
-    value: a temporary, a symbol's code or a float literal.
+    value: a temporary, a symbol's code or a float literal.  A sum is
+    written as plain additions, ``0.0 + t1 + t2 + ...``: the left fold
+    from 0.0 of ``eval_expr``, with no call.
 
     `symbols` maps every bound symbol name to the code of its value.  A
     subtree whose code repeats, in one expression or across several, is
@@ -1512,7 +1519,7 @@ def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
                 raise UnboundSymbol(f"symbol {node.name!r} is not bound")
             return symbols[node.name]
         if isinstance(node, Add):
-            code = f"sum(({''.join(emit(t) + ', ' for t in node.terms)}))"
+            code = "0.0" + "".join(f" + {emit(t)}" for t in node.terms)
         elif isinstance(node, Mul):
             code = " * ".join(emit(f) for f in node.factors) or "1.0"
         elif isinstance(node, Neg):

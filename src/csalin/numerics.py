@@ -10,16 +10,19 @@ outweighs the arithmetic.
 
 Every right-hand side is a `Field`, and `rk4` runs it in a loop generated
 as Python source for the call, with its expressions (through
-`expr.emit_code`) and the stage arithmetic inlined.  A stage whose
-expressions raise is evaluated again with `eval_expr`, which returns the
-reference value (inf for an overflowing exp) or names the undefined
-subterm in a `DomainError`.
+`expr.emit_code`, whose sums are plain float additions) and the stage
+arithmetic inlined.  A stage whose expressions raise is evaluated again
+with `eval_expr`, which returns the reference value (inf for an
+overflowing exp) or names the undefined subterm in a `DomainError`.  The
+loop returns one tuple per grid point, and their floats reach numpy in
+one pass into a preallocated (n + 1) x d float64 block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .expr import (
     EMIT_NAMESPACE, EvalDomainError, ExprError, emit_code, eval_expr,
@@ -152,7 +155,10 @@ def _rk4(loop, t0: float, y0, t1: float, n: int):
     h = (t1 - t0) / n
     ts = t0 + h * np.arange(n + 1)
     rows = loop(ts.tolist(), tuple(y0.tolist()), h, h / 2, h / 6)
-    return ts, np.array(rows, dtype=float)
+    # np.array(rows) scans each tuple as a sequence into a temporary;
+    # fromiter fills the preallocated block in one pass
+    ys = np.fromiter(chain.from_iterable(rows), float, (n + 1) * y0.size)
+    return ts, ys.reshape(n + 1, y0.size)
 
 
 def rk4(f: Field, t0: float, y0, t1: float, h: float = 1e-3):

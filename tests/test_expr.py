@@ -20,6 +20,7 @@ from csalin.expr import (
     rewrite_subterms, simplify, sin, sqrt, substitute, sym, to_string,
     zero_verdict,
 )
+from csalin.numerics import Field, rk4
 from csalin.verify import example_case
 
 from exprgen import CTX, VARS, corpus, random_expr, sample_point
@@ -413,6 +414,22 @@ def test_compiled_keeps_the_sign_of_a_zero_sum():
     got, = _at((e,), ("x", "y"), 0.0, 0.0)
     want = eval_expr(e, {"x": 0.0, "y": 0.0})
     assert math.copysign(1.0, got) == math.copysign(1.0, want) == 1.0
+
+
+def test_a_sum_is_a_left_fold_on_every_evaluation_path():
+    # ((0.0 + 0.1) + 0.2) + 0.3 rounds up; a compensated sum (builtin
+    # sum since Python 3.12) gives 0.6
+    e = parse("x + y + z", CTX)
+    want = ((0.0 + 0.1) + 0.2) + 0.3
+    assert want == 0.6000000000000001
+    assert eval_expr(e, {"x": 0.1, "y": 0.2, "z": 0.3}) == want
+    assert _at((e,), VARS, 0.1, 0.2, 0.3) == [want]
+    # one RK4 step of h = 1 whose stages all see the state (0.1, 0.2, 0.3)
+    f = Field({"x": "s0", "y": "s1", "z": "s2"}, (e,),
+              ("0.0", "0.0", "0.0", "v0"))
+    ys = rk4(f, 0.0, (0.1, 0.2, 0.3, 0.0), 1.0, 1.0)[1]
+    assert ys[1].tolist() == [
+        0.1, 0.2, 0.3, (1.0 / 6) * (((want + 2.0 * want) + 2.0 * want) + want)]
 
 
 @pytest.mark.parametrize("text,x,ok", [

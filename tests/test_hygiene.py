@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses;
-generated code is run in two places only; `import csalin` loads no
-submodule; importing the CLI pays neither for scipy nor for the symmetry
-proofs; the symbolic subcommands never load numpy; and scipy loads only
-when a spline is evaluated."""
+generated code is run in two places only, writes sums without a call,
+and is compiled a pinned number of times per worked example; `import
+csalin` loads no submodule; importing the CLI pays neither for scipy nor
+for the symmetry proofs; the symbolic subcommands never load numpy; and
+scipy loads only when a spline is evaluated."""
 
 from __future__ import annotations
 
@@ -100,6 +101,52 @@ def test_generated_code_runs_in_two_places_only():
     calls = sum(path.read_text().count("exec(")
                 for path in SRC.glob("*.py"))
     assert calls == 2  # no exec hidden outside a function
+
+
+def test_emitted_sums_are_plain_additions():
+    # a sum is the left fold 0.0 + a + b + ..., with no call of builtin sum
+    from csalin.expr import VarContext, emit_code, parse
+
+    ctx = VarContext()
+    lines = []
+    emit_code([parse("x + y*(z + 1) + sin(x + z + 2) - (y + 3)^2", ctx),
+               parse("(x + y)/(z + x + 1) + x*y + z", ctx)],
+              {"x": "a0", "y": "a1", "z": "a2"}, lines)
+    assert sum(" + " in line for line in lines) >= 5
+    assert not any("sum(" in line for line in lines), lines
+
+
+@pytest.mark.parametrize("case_id,compiles", [
+    (1, {"_fuse": 1, "compile_rows": 2}),
+    (2, {"_fuse": 2, "compile_rows": 6}),
+    (3, {"_fuse": 3, "compile_rows": 6}),
+    (4, {"_fuse": 2, "compile_rows": 3}),
+])
+def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
+                                                    compiles):
+    # every run: the trajectory's RK4 loop, then map_trajectory's and the
+    # residual's row loops.  reduce_24_to_25 (examples 2 and 3) adds its
+    # RK4 loop and four coefficient row loops: a1 and a2 with their
+    # derivatives, then the closed-form a3 and a4 for the cross-check.
+    # reduce_25_to_28 adds an RK4 loop where a3 is not zero (examples 3
+    # and 4); it samples a4 with a4's own row loop, which example 3 has
+    # compiled already and example 4 compiles here.
+    import builtins
+    from collections import Counter
+
+    from csalin.verify import run_example
+
+    real, seen = builtins.exec, Counter()
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_globals.get("__name__", "").startswith("csalin."):
+            seen[caller.f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "exec", counting)
+    run_example(case_id)
+    assert seen == compiles
 
 
 def _run_fresh(code: str) -> None:

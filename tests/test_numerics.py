@@ -161,6 +161,22 @@ def test_rk4_returns_float_rows_of_the_state_length():
     assert ys[0].tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("run", [rk4, rk4_checked])
+@pytest.mark.parametrize("f,ref,y0", [
+    (Field({}, (), ("-s0",)), lambda t, s: (-s[0],), (1.0,)),
+    (_OSCILLATOR, lambda t, s: (s[1], -s[0]), (1.0, -0.0)),
+    (Field({}, (), ("s1", "-s0", "t * s0")),
+     lambda t, s: (s[1], -s[0], t * s[0]), (1.0, 0.0, -2.0)),
+], ids=["d1", "d2", "d3"])
+def test_rk4_states_are_one_c_contiguous_float64_block(run, f, ref, y0):
+    # the rows of the generated loop reach numpy as one flat buffer
+    ts, ys = run(f, 0.0, y0, 1.3, 0.1)[:2]
+    assert ys.shape == (len(ts), len(y0)) == (14, len(y0))
+    assert ys.dtype == np.float64 and ys.flags.c_contiguous
+    assert np.array_equal(ys, rk4_reference(_array(ref), 0.0, y0, 1.3,
+                                            0.1)[1])
+
+
 def test_rk4_rejects_a_state_that_is_not_1d():
     with pytest.raises(ValueError, match="1-d"):
         rk4(Field({}, (), ("s0",)), 0.0, np.eye(2), 1.0)
