@@ -556,7 +556,7 @@ def _field_inputs(*coeffs) -> tuple:
 
 
 def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
-    """RK4 with step halving over a reduction interval, which must run
+    """RK4 with step doubling over a reduction interval, which must run
     forwards: the tabulated outputs need an increasing grid."""
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")

@@ -42,7 +42,7 @@ class Trajectory:
     states: np.ndarray  # columns: y, z, y', z'
     generator: OdeSystem2
     step: float
-    error: float | None = None  # h vs h/2 max-norm difference, if checked
+    error: float | None = None  # h vs 2h max-norm difference, if checked
 
 
 _BOUND = 1e8  # the trusted range of a state component
@@ -71,9 +71,9 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    x_end may lie before x0.  With sanity, a re-integration at half step
-    must agree to 1e-7 in max norm, and the disagreement is kept as the
-    trajectory's error.
+    x_end may lie before x0.  With sanity, a re-integration at twice the
+    step must agree to 1e-7 in max norm on the shared grid points, and the
+    disagreement is kept as the trajectory's error.
     """
     x0, *state0 = init
     f = _numeric_rhs(sys, params)
@@ -209,7 +209,7 @@ def example_case(case_id: int) -> ExampleCase:
 @dataclass(frozen=True)
 class CaseReport(ConditionReport):
     """Verdicts of one worked example; the symmetry dimension is its last
-    check.  `integration_error` is the trajectory's step-halving
+    check.  `integration_error` is the trajectory's step-doubling
     (Richardson) error behind `residual`."""
 
     example_id: int = 0
@@ -232,7 +232,7 @@ class CaseReport(ConditionReport):
         }
 
     def render(self) -> str:
-        return super().render() + "\n  trajectory step-halving error: " \
+        return super().render() + "\n  trajectory step-doubling error: " \
             f"{self.integration_error:.3e}"
 
 

@@ -468,16 +468,16 @@ def test_reduction_pole_is_located_by_the_loop():
     (reduce_25_to_28,
      LinearForm("zero_order", {"a3": "exp(x^3)", "a4": 1}),
      InaccurateIntegration,
-     "step-halving disagreement 7.624e-02 exceeds 1e-7"),
+     "step-doubling disagreement 1.170e+00 exceeds 1e-7"),
     (reduce_optimal,
      LinearForm("general", {"d11": "exp(x^3)", "d22": "exp(x^3)",
                             "d12": 0, "d21": 1}),
      InaccurateIntegration,
-     "step-halving disagreement 7.624e-02 exceeds 1e-7"),
+     "step-doubling disagreement 1.170e+00 exceeds 1e-7"),
     (reduce_24_to_25,
      LinearForm("first_order", {"a1": "2*x^5", "a2": 1}),
      InaccurateIntegration,
-     "step-halving disagreement 6.320e-04 exceeds 1e-7"),
+     "step-doubling disagreement 9.881e-03 exceeds 1e-7"),
 ], ids=["overflow-25-28", "overflow-optimal", "overflow-24-25",
         "inaccurate-25-28", "inaccurate-optimal", "inaccurate-24-25"])
 def test_reductions_refuse_an_overflow_or_an_inaccurate_run(reduce, lf,
@@ -541,6 +541,15 @@ def test_equivalence_degenerate_family_flagged():
     assert not v.consistent
     assert v.case == "degenerate-family"
     assert any("8-dimensional" in step for step in v.chain)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the verdict recites a chain, not the matrices")
+def test_equivalence_of_one_system_written_in_both_forms():
+    # both forms are y'' = -z, z'' = y; u'' = A u and v'' = B v are
+    # equivalent under a constant map iff A and B are similar
+    v = attempt_linear_equivalence(_opt(0, -1, 1), _zero_order(0, 1))
+    assert v.consistent and v.solution is not None
 
 
 def test_equivalence_accepts_reduced_targets():

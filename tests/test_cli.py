@@ -79,7 +79,7 @@ def test_canonicalize_on_a_too_wide_interval_exit_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("a3,message", [
     ("exp(1000*x)", "error: state escaped near x = 0.501\n"),
-    ("exp(x^3)", "error: step-halving disagreement 7.624e-02 exceeds "
+    ("exp(x^3)", "error: step-doubling disagreement 1.170e+00 exceeds "
                  "1e-7\n"),
 ], ids=["overflow", "inaccurate"])
 def test_canonicalize_refuses_an_untrustworthy_reduction(tmp_path, capsys,
@@ -198,7 +198,7 @@ def test_demo_json_reports_the_richardson_error(capsys):
     assert doc["trajectory_residual"] <= 1e-5
     assert 0.0 < doc["integration_error"] <= 1e-7
     assert main(["demo", "1"]) == 0
-    assert "trajectory step-halving error: " \
+    assert "trajectory step-doubling error: " \
         f"{doc['integration_error']:.3e}" in capsys.readouterr().out
 
 

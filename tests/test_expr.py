@@ -135,6 +135,15 @@ def test_odd_powers_under_a_root_keep_the_real_domain(text, point):
                                                 rel=1e-14)
 
 
+@pytest.mark.xfail(strict=True, raises=EvalDomainError,
+                   reason="simplify splits the root into (y^2)^(1/2)*x^(1/2)")
+def test_an_even_power_under_a_root_keeps_the_real_domain():
+    # sqrt(x*y^2) is -0.0 at (-1, 0), where x^(1/2) is undefined
+    e = parse("sqrt(x*y^2)", CTX)
+    point = {"x": -1.0, "y": 0.0}
+    assert eval_expr(simplify(e), point) == eval_expr(e, point)
+
+
 # the differential oracle: the kernel against evaluation of its input at
 # points of either sign, 0.0 and -0.0 included
 

@@ -2,10 +2,10 @@
 
 `numerics.rk4` keeps its state as a tuple of Python floats, in a loop
 generated for each `Field`.  Each stage update keeps the array loop's
-operation order, so trajectories, tabulated coefficients and Richardson
-errors must match the reference bit for bit, sign bits included.  The
-reference right-hand sides are written here by hand, apart from the
-fields they check.
+operation order, so trajectories, tabulated coefficients and step-doubling
+(Richardson) errors must match the reference bit for bit, sign bits
+included.  The reference right-hand sides are written here by hand, apart
+from the fields they check.
 """
 
 from __future__ import annotations
@@ -38,15 +38,17 @@ def _array(ref):
 
 
 def _assert_same_as_reference(f, ref, t0, y0, t1, h=1e-3):
-    """rk4_checked on the Field f equals the array loop on ref."""
+    """rk4_checked on the Field f equals the array loop on ref, at h and,
+    for the error, at 2h on every second grid point."""
     ts, ys, err = rk4_checked(f, t0, y0, t1, h)
     ts_ref, ys_ref = rk4_reference(_array(ref), t0, y0, t1, h)
-    ys_half = rk4_reference(_array(ref), t0, y0, t1, h / 2)[1]
+    ts_2h, ys_2h = rk4_reference(_array(ref), t0, y0, t1, 2 * h)
     assert np.array_equal(ts, ts_ref)
     assert ys.shape == ys_ref.shape
     assert np.array_equal(ys, ys_ref)
     assert np.array_equal(np.signbit(ys), np.signbit(ys_ref))
-    assert err == float(np.max(np.abs(ys_ref - ys_half[::2])))
+    assert np.array_equal(ts_ref[::2], ts_2h)
+    assert err == float(np.max(np.abs(ys_ref[::2] - ys_2h)))
 
 
 def _trajectory_ref(sys: OdeSystem2, params: dict | None):
@@ -161,20 +163,23 @@ def test_rk4_returns_float_rows_of_the_state_length():
     assert ys[0].tolist() == [1.0, 0.0]
 
 
-@pytest.mark.parametrize("run", [rk4, rk4_checked])
+# rk4_checked rounds the 13 steps of 0.1 up to an even 14
+@pytest.mark.parametrize("run,steps", [(rk4, 13), (rk4_checked, 14)],
+                         ids=["rk4", "rk4_checked"])
 @pytest.mark.parametrize("f,ref,y0", [
     (Field({}, (), ("-s0",)), lambda t, s: (-s[0],), (1.0,)),
     (_OSCILLATOR, lambda t, s: (s[1], -s[0]), (1.0, -0.0)),
     (Field({}, (), ("s1", "-s0", "t * s0")),
      lambda t, s: (s[1], -s[0], t * s[0]), (1.0, 0.0, -2.0)),
 ], ids=["d1", "d2", "d3"])
-def test_rk4_states_are_one_c_contiguous_float64_block(run, f, ref, y0):
+def test_rk4_states_are_one_c_contiguous_float64_block(run, steps, f, ref,
+                                                       y0):
     # the rows of the generated loop reach numpy as one flat buffer
     ts, ys = run(f, 0.0, y0, 1.3, 0.1)[:2]
-    assert ys.shape == (len(ts), len(y0)) == (14, len(y0))
+    assert ys.shape == (len(ts), len(y0)) == (steps + 1, len(y0))
     assert ys.dtype == np.float64 and ys.flags.c_contiguous
     assert np.array_equal(ys, rk4_reference(_array(ref), 0.0, y0, 1.3,
-                                            0.1)[1])
+                                            1.3 / steps)[1])
 
 
 def test_rk4_rejects_a_state_that_is_not_1d():
@@ -197,12 +202,15 @@ def test_integrate_caps_the_number_of_steps(x_end):
         rk4(_OSCILLATOR, 0.0, [1.0, 0.0], x_end)
 
 
-@pytest.mark.parametrize("x_end", [1.3, 1.0125])
-def test_step_halving_on_a_span_that_is_no_multiple_of_h(x_end):
-    # ceil(span / (h/2)) is 2 ceil(span / h) - 1 here: the half-step run
-    # takes exactly twice the steps, so its grid holds the coarse one
+@pytest.mark.parametrize("x_end,steps", [(1.3, 302), (1.0125, 14)],
+                         ids=["1.3", "1.0125"])
+def test_step_halving_on_a_span_that_is_no_multiple_of_h(x_end, steps):
+    # spans of 0.3 and 0.0125 take 301 and 13 steps of 1e-3, rounded up to
+    # even so the step-doubling run's grid is every second point of the h
+    # grid, which still ends exactly on x_end
     traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
                      (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
+    assert len(traj.xs) == steps + 1
     assert traj.xs[-1] == x_end and traj.error < 1e-12
 
 
@@ -370,3 +378,53 @@ def test_generated_loop_keeps_the_rho_crossing():
 def test_generated_loop_maps_rho_overflow_to_inf(monkeypatch, rho):
     ys = _rho_from(monkeypatch, rho, 0.0, 0.01)
     assert (ys[1, 2] == math.inf) == (rho < 7.458340731200208e-155)
+
+
+# ---------------------------------------------------------------------------
+# the step-doubling check: how many steps it takes, and which run raises
+
+
+def _rk4_steps(monkeypatch) -> list:
+    """Record the step count of every RK4 run."""
+    steps = []
+    real = numerics._rk4
+    monkeypatch.setattr(numerics, "_rk4", lambda loop, t0, y0, t1, n:
+                        steps.append(n) or real(loop, t0, y0, t1, n))
+    return steps
+
+
+def test_worked_examples_take_one_and_a_half_runs_of_rk4(monkeypatch):
+    # four trajectories of 1,000 steps and four reductions of 2,000, each
+    # run once at h and once at 2h
+    steps = _rk4_steps(monkeypatch)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    assert sorted(steps[::2]) == [1000] * 4 + [2000] * 4
+    assert steps[1::2] == [n // 2 for n in steps[::2]]
+    assert sum(steps) == 18_000
+
+
+# y' = -12 y with |y| <= 1.1: at h = 0.1 every stage state stays in
+# [0, 1], while at 2h the third stage state of the first step is 1.24
+_STIFF = Field({}, (), ("-12.0 * s0",), bound=1.1)
+
+
+def test_a_failing_step_doubling_run_raises_its_own_blowup(monkeypatch):
+    ys = rk4(_STIFF, 0.0, (1.0,), 1.0, 0.1)[1]
+    assert ys.shape == (11, 1) and np.all(np.abs(ys) <= 1.0)
+    want = _message(lambda: rk4(_STIFF, 0.0, (1.0,), 1.0, 0.2))
+    assert want == (Blowup, "state escaped near x = 0.1")
+    steps = _rk4_steps(monkeypatch)
+    assert _message(lambda: rk4_checked(_STIFF, 0.0, (1.0,), 1.0,
+                                        0.1)) == want
+    assert steps == [10, 5]  # no run at h/2
+
+
+def test_a_failing_run_at_h_raises_before_the_step_doubling_run(
+        monkeypatch):
+    want = _message(lambda: rk4(_STIFF, 0.0, (1.0,), 1.0, 0.25))
+    assert want == (Blowup, "state escaped near x = 0.125")
+    steps = _rk4_steps(monkeypatch)
+    assert _message(lambda: rk4_checked(_STIFF, 0.0, (1.0,), 1.0,
+                                        0.25)) == want
+    assert steps == [4]
