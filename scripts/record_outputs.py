@@ -102,9 +102,10 @@ def zero_order(a3, a4) -> LinearForm:
 
 def classification(beta: str) -> dict:
     cls = classify_beta(beta)
-    out = {"dimension": cls.dimension, "label": cls.case_label,
-           "notes": cls.notes}
     r = cls.rank_report
+    out = {"dimension": cls.dimension, "label": cls.case_label,
+           "notes": cls.notes, "witness_count": len(cls.witness or ()),
+           "collocation": r is not None}
     if r is not None:
         out.update(shape=r.shape, singular_values=r.singular_values,
                    rank=r.rank, cutoff=r.cutoff)

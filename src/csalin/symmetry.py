@@ -15,7 +15,8 @@ from fractions import Fraction
 from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
-    C, Expr, ExprError, EvalDomainError, VarContext, ZERO, _rational_value,
+    Add, C, Constant, Div, Expr, ExprError, EvalDomainError, Mul, Neg, Pow,
+    Symbol, VarContext, ZERO, _rational_value,
     add, coefficients_in, differentiate, div, enclose, eval_expr,
     free_symbols, mul, neg, parse, pow_, simplify, sym, to_string,
     zero_verdict,
@@ -404,9 +405,7 @@ def _collocation_rank(cf: CoefficientFn, interval,
 
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
-    if span < 1e-2:
-        raise IntervalTooSmall(
-            f"interval [{lo}, {hi}] is too short for collocation")
+    _require_span(lo, hi)
     if cf.kind == "symbolic":
         _certify_finite(cf, lo, hi)
     n = int(np.ceil(span / min(1e-3, span / 199.5)))
@@ -461,6 +460,11 @@ def _universal_proof() -> tuple:
     return tuple(check_symmetry(sysr, w) for w in _universal_witnesses(ctx))
 
 
+def _proved_universal_witnesses(ctx: VarContext) -> tuple:
+    return tuple(w for w, (ok, _) in zip(_universal_witnesses(ctx),
+                                         _universal_proof()) if ok)
+
+
 @functools.cache
 def _constant_case_proof(sign: int) -> tuple:
     """check_symmetry's (verdict, report) for each constant-case field on
@@ -486,52 +490,380 @@ def _constant_witnesses(k: Fraction) -> tuple:
     return tuple(constant_beta_witnesses(k))
 
 
+# ---------------------------------------------------------------------------
+# the exact route: a rational beta as N/D over Z[x]
+#
+# Polynomials are lists of int coefficients, constant term first, with no
+# trailing zero; [] is the zero polynomial.  A rational number enters as
+# its numerator over its denominator, so N/D needs no Fraction.
+
+# The highest degree the N/D conversion builds; a beta whose conversion
+# would go above it keeps the collocation route.
+_MAX_DEGREE = 16
+
+
+class _NotRational(Exception):
+    """The tree is not a ratio of polynomials in x of bounded degree."""
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _padd(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
+
+
+def _pmul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    if len(a) + len(b) - 2 > _MAX_DEGREE:
+        raise _NotRational
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _ratio(e, var: str) -> tuple:
+    """(N, D) with e = N/D where e is an Expr built from rational
+    constants and var by +, -, *, / and integer powers; else
+    _NotRational."""
+    if isinstance(e, Constant):
+        v = e.value
+        return ([v.numerator] if v else []), [v.denominator]
+    if isinstance(e, Symbol) and e.name == var:
+        return [0, 1], [1]
+    if isinstance(e, Neg):
+        n, d = _ratio(e.arg, var)
+        return [-c for c in n], d
+    if isinstance(e, Add):
+        n, d = _ratio(e.terms[0], var)
+        for t in e.terms[1:]:
+            n2, d2 = _ratio(t, var)
+            if d2 == d:
+                n = _padd(n, n2)
+            else:
+                n, d = _padd(_pmul(n, d2), _pmul(n2, d)), _pmul(d, d2)
+        return n, d
+    if isinstance(e, Mul):
+        n, d = _ratio(e.factors[0], var)
+        for f in e.factors[1:]:
+            n2, d2 = _ratio(f, var)
+            n, d = _pmul(n, n2), _pmul(d, d2)
+        return n, d
+    if isinstance(e, Div):
+        n, d = _ratio(e.num, var)
+        n2, d2 = _ratio(e.den, var)
+        if not n2:
+            raise _NotRational
+        return _pmul(n, d2), _pmul(d, n2)
+    if isinstance(e, Pow) and e.exponent.denominator == 1:
+        n, d = _ratio(e.base, var)
+        k = e.exponent.numerator
+        if k < 0:
+            if not n:
+                raise _NotRational
+            n, d, k = d, n, -k
+        if k * (max(len(n), len(d)) - 1) > _MAX_DEGREE:
+            raise _NotRational
+        out_n, out_d = [1], [1]
+        for _ in range(k):
+            out_n, out_d = _pmul(out_n, n), _pmul(out_d, d)
+        return out_n, out_d
+    raise _NotRational
+
+
+def _prem(a: list, b: list) -> list:
+    """The remainder of a by b times a positive integer (|lc(b)| to the
+    number of division steps), so its sign pattern is the remainder's."""
+    a = list(a)
+    lb = b[-1]
+    sign, lb = (1, lb) if lb > 0 else (-1, -lb)
+    while len(a) >= len(b):
+        la = sign * a[-1]
+        shift = len(a) - len(b)
+        a = [c * lb for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= la * c
+        _trim(a)
+    return a
+
+
+def _primitive(p: list) -> list:
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _pquo(a: list, b: list) -> list:
+    """a / b for a primitive b that divides a; the quotient is in Z[x]
+    (Gauss's lemma), so every step divides exactly."""
+    a = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = a[k + len(b) - 1] // b[-1]
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    return q
+
+
+def _pgcd(a: list, b: list) -> list:
+    """A primitive gcd of two nonzero polynomials (primitive PRS)."""
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
+def _lowest_terms(e, var: str):
+    """(N, D) with e = N/D, gcd(N, D) = 1, no common integer factor and
+    lc(D) > 0; None where e is not rational in var or too high a degree
+    would be built."""
+    try:
+        n, d = _ratio(e, var)
+    except _NotRational:
+        return None
+    if not n:
+        return [], [1]
+    if len(n) > 1 and len(d) > 1:
+        g = _pgcd(n, d)
+        if len(g) > 1:
+            n, d = _pquo(n, g), _pquo(d, g)
+    c = math.gcd(*n, *d) * (1 if d[-1] > 0 else -1)
+    return [v // c for v in n], [v // c for v in d]
+
+
+def _sign_at(p: list, t: Fraction) -> int:
+    """The sign of p(t), from the homogenized value at t = u/v (v > 0)."""
+    u, v = t.numerator, t.denominator
+    acc, w = p[-1], 1
+    for c in reversed(p[:-1]):
+        w *= v
+        acc = acc * u + c * w
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm(p: list) -> list:
+    """The Sturm sequence of p's squarefree part: p, p', then negated
+    remainders, each divided by gcd(p, p') so that a multiple root
+    counts like a simple one."""
+    seq = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while True:
+        r = _prem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in _primitive(r)])
+    if len(seq[-1]) > 1:
+        seq = [_pquo(q, seq[-1]) for q in seq]
+    return seq
+
+
+def _variations(seq: list, t: Fraction) -> int:
+    signs = [s for s in (_sign_at(q, t) for q in seq) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _first_pole(den: list, lo: Fraction, hi: Fraction):
+    """None when den has no real root in [lo, hi] (a Sturm count of 0),
+    else a point within 1e-9 of the smallest root there."""
+    if _sign_at(den, lo) == 0:
+        return float(lo)
+    seq = _sturm(den)
+    vlo = _variations(seq, lo)
+    if vlo == _variations(seq, hi):  # no root in (lo, hi]
+        return None
+    a, b = lo, hi  # the smallest root lies in (a, b]
+    while b - a > Fraction(1, 10 ** 9):
+        m = (a + b) / 2
+        vm = _variations(seq, m)
+        if vlo > vm:
+            b = m
+        else:
+            a, vlo = m, vm
+    return float(b)
+
+
+def _square_root(den: list):
+    """P in Z[x] with lc(P) > 0 and P^2 = den / content(den), for lc(den)
+    > 0 and deg den <= 4; else None.  den = c p^2 with p in Q[x] exactly
+    when P exists (Gauss's lemma), and then p is P up to a constant."""
+    m, odd = divmod(len(den) - 1, 2)
+    if odd or m > 2:
+        return None
+    q = _primitive(den)
+    s = math.isqrt(q[-1])
+    root = [0] * m + [s]
+    for k in range(m - 1, -1, -1):  # x^(m+k): 2 s P_k + known products
+        r = q[m + k] - sum(root[i] * root[m + k - i]
+                           for i in range(k + 1, m))
+        root[k], rest = divmod(r, 2 * s)
+        if rest:
+            return None
+    return root if _pmul(root, root) == q else None
+
+
+def _poly_expr(coeffs, x: Expr) -> Expr:
+    """sum(c_i x^i), highest power first; a negative c_i enters as a Neg."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            mono = x if i == 1 else pow_(x, i)
+            term = C(abs(c)) if i == 0 else mono if abs(c) == 1 \
+                else mul(C(abs(c)), mono)
+            terms.append(term if c > 0 else neg(term))
+    return add(*terms) if terms else ZERO
+
+
+def _inverse_square_field(ctx: VarContext, p: Expr,
+                          half_dp: Expr) -> VectorField:
+    """X = p d/dx + (p'/2)(y d/dy + z d/dz), given p and p'/2."""
+    y, z = (sym(n) for n in ctx.dependents)
+    return VectorField(ctx, p, mul(half_dp, y), mul(half_dp, z))
+
+
+@functools.cache
+def _inverse_square_proof() -> tuple:
+    """check_symmetry's (verdict, report) for `_inverse_square_field` on
+    y'' = -b z, z'' = b y with b = k/p^2, p = a0 + a1 x + a2 x^2 and k,
+    a0, a1, a2 parameters.
+
+    A rational beta = k/p^2 with p in Z[x] of degree <= 2 is the instance
+    of rational k and integer a_i.
+    """
+    ctx = VarContext().with_parameters(["k", "a0", "a1", "a2"])
+    x = sym(ctx.independent)
+    a0, a1, a2 = sym("a0"), sym("a1"), sym("a2")
+    p = add(a0, mul(a1, x), mul(a2, pow_(x, 2)))
+    half_dp = add(mul(C(Fraction(1, 2)), a1), mul(a2, x))
+    sysr = reduced_system(div(sym("k"), pow_(p, 2)), ctx)
+    return check_symmetry(sysr, _inverse_square_field(ctx, p, half_dp))
+
+
+def _zero_case(ctx: VarContext) -> Classification:
+    return Classification(15, "coefficient identically zero",
+                          witness=tuple(free_particle_algebra(ctx)))
+
+
+def _constant_case(k: Expr) -> Classification:
+    """The 7 of a nonzero constant k, with the seven constant-case fields
+    when k is rational and their parametric proof holds."""
+    notes = ()
+    wit = None
+    value = _rational_value(k)
+    if value is None:
+        notes = (f"no witnesses built: the constant {to_string(k)} "
+                 "is not rational",)
+    elif all(ok for ok, _ in _constant_case_proof(1 if value > 0 else -1)):
+        wit = _constant_witnesses(value)
+    else:
+        notes = ("closed-form constant-case witnesses failed "
+                 "verification and were dropped",)
+    return Classification(7, "nonzero constant coefficient", witness=wit,
+                          notes=notes)
+
+
+def _require_span(lo: float, hi: float) -> None:
+    """Collocation's shortest interval, which the exact route keeps, so a
+    beta classifies on the same intervals whichever route decides it."""
+    if hi - lo < 1e-2:
+        raise IntervalTooSmall(
+            f"interval [{lo}, {hi}] is too short for collocation")
+
+
+def _classify_rational(num: list, den: list, interval,
+                       ctx: VarContext) -> Classification:
+    """The exact route for beta = num/den in lowest terms."""
+    if not num:
+        return _zero_case(ctx)
+    if len(num) == len(den) == 1:
+        return _constant_case(C(Fraction(num[0], den[0])))
+    lo, hi = float(interval[0]), float(interval[1])
+    _require_span(lo, hi)
+    if len(den) > 1:
+        pole = _first_pole(den, Fraction(lo), Fraction(hi))
+        if pole is not None:
+            raise PoleInInterval(f"coefficient not finite on the interval "
+                                 f"near x = {pole:.10g}")
+    wit = _proved_universal_witnesses(ctx)
+    x = sym(ctx.independent)
+    p = _square_root(den) if len(num) == 1 else None
+    if p is None:
+        dim = 6
+    else:
+        dim = 7
+        if _inverse_square_proof()[0]:
+            half_dp = [Fraction(i * c, 2) for i, c in enumerate(p)][1:]
+            wit += (_inverse_square_field(ctx, _poly_expr(p, x),
+                                          _poly_expr(half_dp, x)),)
+    note = (f"decided exactly over Q[x]: beta = N/D in lowest terms with "
+            f"N = {to_string(_poly_expr(num, x))} and "
+            f"D = {to_string(_poly_expr(den, x))}; Sturm count of the real "
+            f"roots of D on [{lo:g}, {hi:g}]: 0")
+    return Classification(dim, f"variable coefficient, {dim}-dimensional",
+                          witness=wit or None, notes=(note,))
+
+
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                   svd_cut: float = 1e-8) -> Classification:
     """Symmetry-dimension classification of y'' = -beta z, z'' = beta y.
 
-    Zero and constant beta are decided symbolically (15 and 7 dimensions,
-    with explicit witnesses; a constant that is not rational gets a note
-    instead).  Witnesses are not proved per call: the scaling and rotation
-    fields are proved once per process, symbolically, for an opaque
-    beta = b(x), and the seven constant-case fields once per sign for a
-    parametric k = +-2 a^2; every beta that reaches those branches is an
-    instance of them.  The seven fields of a rational constant are built
-    once per value.  Variable beta goes through the
-    collocation rank count of `_collocation_rank`, which solves no ODE:
-    g3 is a quadratic there, and its rows use beta and beta' at the 40
-    collocation points, the only points where beta is sampled.  A
-    closed-form beta is first certified finite on the interval by interval
-    enclosures of beta and beta' on a bisection of it; one that cannot be
-    certified raises PoleInInterval.  It yields 7 when |beta|^(-1/2) is a
-    polynomial of degree <= 2 and 6 otherwise, so never 5 or 8.
+    It yields 15 for beta = 0, 7 when |beta|^(-1/2) is a polynomial of
+    degree <= 2 (constants included) and 6 otherwise, so never 5 or 8.
+
+    A rational beta, built from rational constants and x by +, -, *, /
+    and integer powers, is decided exactly: it is written N/D over Z[x]
+    in lowest terms, with no numpy and no sampling.  N = 0 gives 15 and
+    a constant N/D the constant case.  Otherwise a Sturm count certifies
+    that D has no real root on the interval, or PoleInInterval names the
+    smallest one; then beta has 7 dimensions iff N is a constant and D is
+    a constant times the square of a polynomial p of degree <= 2, and the
+    seventh witness is X = p d/dx + (p'/2)(y d/dy + z d/dz).  A tree
+    whose N or D would exceed degree `_MAX_DEGREE` takes the next route.
+
+    Any other closed-form beta is decided symbolically when it is zero or
+    constant (a constant that is not rational gets a note instead of
+    witnesses), and otherwise by the collocation rank count of
+    `_collocation_rank`, after interval enclosures of beta and beta' on a
+    bisection of the interval certify it finite; one that cannot be
+    certified raises PoleInInterval.  A tabulated beta goes through
+    collocation too.
+
+    Witnesses are not proved per call.  The scaling and rotation fields
+    are proved once per process, symbolically, for an opaque beta = b(x);
+    the seven constant-case fields once per sign for a parametric
+    k = +-2 a^2; and X once for beta = k/(a0 + a1 x + a2 x^2)^2 with
+    parameters k, a0, a1, a2.  Every beta that gets witnesses is an
+    instance of these.  The seven fields of a rational constant are built
+    once per value.
     """
     ctx = VarContext()
+    if isinstance(beta, str):
+        beta = parse(beta, ctx)
+    tree, var = beta, ctx.independent
+    if isinstance(beta, CoefficientFn):
+        tree, var = beta.expr, beta.var
+    ratio = _lowest_terms(tree, var)
+    if ratio is not None:
+        return _classify_rational(*ratio, interval, ctx)
     cf = CoefficientFn.of(beta)
 
     if cf.kind == "symbolic":
         b = cf.expr
         if zero_verdict(b, seed=seed).is_zero:
-            wit = tuple(free_particle_algebra(ctx))
-            return Classification(15, "coefficient identically zero", witness=wit)
+            return _zero_case(ctx)
         if cf.is_constant():
-            k = simplify(b)
-            notes = ()
-            wit = None
-            value = _rational_value(k)
-            if value is None:
-                notes = (f"no witnesses built: the constant {to_string(k)} "
-                         "is not rational",)
-            elif all(ok for ok, _ in _constant_case_proof(
-                    1 if value > 0 else -1)):
-                wit = _constant_witnesses(value)
-            else:
-                notes = ("closed-form constant-case witnesses failed "
-                         "verification and were dropped",)
-            return Classification(7, "nonzero constant coefficient", witness=wit,
-                                  notes=notes)
-        wit = tuple(w for w, (ok, _) in zip(_universal_witnesses(ctx),
-                                            _universal_proof()) if ok)
+            return _constant_case(simplify(b))
+        wit = _proved_universal_witnesses(ctx)
     else:
         if cf.is_constant(rtol=1e-6):
             if abs(cf.constant_value()) <= 1e-12:

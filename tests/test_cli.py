@@ -96,16 +96,29 @@ def test_classify_requires_beta():
 
 
 def test_classify_json_deterministic(capsys):
-    assert main(["--json", "classify", "--beta", "x^(-2)"]) == 0
+    # exp(x) is not rational, so collocation decides it
+    assert main(["--json", "classify", "--beta", "exp(x)"]) == 0
     first = capsys.readouterr().out
-    assert main(["--json", "classify", "--beta", "x^(-2)"]) == 0
+    assert main(["--json", "classify", "--beta", "exp(x)"]) == 0
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
     assert doc["schema_version"] == 1
-    assert doc["dimension"] == 7
+    assert doc["dimension"] == 6
     assert doc["rank"] == 11 - doc["dimension"]
     assert doc["svd_cutoff"] == 1e-8
+
+
+def test_classify_json_of_a_rational_beta_is_exact(capsys):
+    # decided over Q[x]: three witnesses, and no collocation rank
+    assert main(["--json", "classify", "--beta", "x^(-2)"]) == 0
+    first = capsys.readouterr().out
+    assert main(["--json", "classify", "--beta", "x^(-2)"]) == 0
+    assert capsys.readouterr().out == first
+    doc = json.loads(first)
+    assert doc["dimension"] == 7
+    assert doc["witness_count"] == 3
+    assert "rank" not in doc and "svd_cutoff" not in doc
 
 
 def test_json_output_round_trips_byte_stable(tmp_path, capsys):
@@ -215,7 +228,8 @@ def test_tol_outside_the_unit_interval_exit_two(tol, capsys):
 
 
 def test_tol_reaches_the_svd_cutoff(capsys):
-    assert main(["--json", "--tol", "1e-6", "classify", "--beta", "x"]) == 0
+    assert main(["--json", "--tol", "1e-6", "classify", "--beta",
+                 "exp(x)"]) == 0
     assert json.loads(capsys.readouterr().out)["svd_cutoff"] == 1e-6
 
 

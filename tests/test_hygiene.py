@@ -2,8 +2,9 @@
 generated code is run in two places only, writes sums without a call,
 and is compiled a pinned number of times per worked example; `import
 csalin` loads no submodule; importing the CLI pays neither for scipy nor
-for the symmetry proofs; the symbolic subcommands never load numpy; and
-scipy loads only when a spline is evaluated."""
+for the symmetry proofs; the symbolic subcommands, classify of a rational
+beta included, never load numpy; and scipy loads only when a spline is
+evaluated."""
 
 from __future__ import annotations
 
@@ -207,7 +208,10 @@ _GEODESIC = {"omega1": "-dy^2 + dz^2 - (2/x)*dy",
                                {"xi": "1", "eta1": "0", "eta2": "0"},
                                {"xi": "x^2", "eta1": "x*y", "eta2": "x*z"}]}),
     (["classify", "--beta", "2/3"], None),
-], ids=["check", "transform", "verify-symmetry", "classify-constant"])
+    (["classify", "--beta", "3*x^(-2)"], None),
+    (["classify", "--beta", "(x+2)/(x^2+1)"], None),
+], ids=["check", "transform", "verify-symmetry", "classify-constant",
+        "classify-inverse-square", "classify-rational"])
 def test_symbolic_subcommands_leave_numpy_unloaded(tmp_path, args, doc):
     if doc is not None:
         path = tmp_path / "problem.json"
@@ -254,4 +258,5 @@ def test_cli_import_runs_no_symmetry_proof():
     _run_fresh("import csalin.cli, csalin.symmetry as s; "
                "assert s._universal_proof.cache_info().misses == 0; "
                "assert s._constant_case_proof.cache_info().misses == 0; "
+               "assert s._inverse_square_proof.cache_info().misses == 0; "
                "assert s._constant_witnesses.cache_info().misses == 0")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pathlib
+import re
 import warnings
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from csalin.symmetry import (
     prolong2_residuals, reduced_system, serialize_generators,
 )
 
-from beta_corpus import CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS
+from beta_corpus import (
+    BETA_CORPUS, CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS, seeded_betas,
+)
 
 CTX = VarContext()
 HERE = pathlib.Path(__file__).parent
@@ -101,8 +104,9 @@ def test_general_constant_beta_witnesses_close():
 def test_general_proofs_are_symbolic():
     proofs = (symmetry._universal_proof(),
               symmetry._constant_case_proof(1),
-              symmetry._constant_case_proof(-1))
-    assert [len(p) for p in proofs] == [2, 7, 7]
+              symmetry._constant_case_proof(-1),
+              (symmetry._inverse_square_proof(),))
+    assert [len(p) for p in proofs] == [2, 7, 7, 1]
     for proof in proofs:
         for ok, rep in proof:
             assert ok, rep.render()
@@ -113,7 +117,7 @@ def test_general_proofs_are_symbolic():
                                   "sin(x)"])
 def test_scaling_and_rotation_pass_the_per_beta_route(beta):
     s = reduced_system(parse(beta, CTX), CTX)
-    wit = classify_beta(beta).witness
+    wit = classify_beta(beta).witness[:2]
     y, z = sym("y"), sym("z")
     assert [w.components for w in wit] == [(ZERO, y, z), (ZERO, z, -y)]
     for V in wit:
@@ -132,14 +136,15 @@ def test_classification_proves_witnesses_once_per_process(monkeypatch):
     monkeypatch.setattr(symmetry, "prolong2_residuals", counting)
     symmetry._universal_proof.cache_clear()
     symmetry._constant_case_proof.cache_clear()
+    symmetry._inverse_square_proof.cache_clear()
     betas = ["0", "1", "-3/2", "7/3", "2^(1/2)", "x^(-2)", "-x^(-2)",
              "exp(x)", "sin(x)", "(x+2)/(x^2+1)"]
     for beta in betas:
         classify_beta(beta)
-    assert len(calls) == 2 + 7 * 2
+    assert len(calls) == 2 + 7 * 2 + 1
     for beta in betas:
         classify_beta(beta)
-    assert len(calls) == 2 + 7 * 2
+    assert len(calls) == 2 + 7 * 2 + 1
 
 
 def test_constant_witnesses_built_once_per_value(monkeypatch):
@@ -306,10 +311,27 @@ def test_classification_rejects_a_coefficient_that_overflows():
         classify_beta("exp(x^2)", interval=(0.5, 30.0))
 
 
+# the smallest root of a rational beta's denominator in its interval
+_POLES = {"1/(x-1.0001)": 1.0001,
+          "(-2)*(-2*x^2 + 5*x + 4)^(-2)": (5 + 57 ** 0.5) / 4,
+          "(x^2 + 2*x + 2)/(-x^2 + 4*x + 1)": 2 + 5 ** 0.5,
+          "1/(x^2-3)": 3 ** 0.5,
+          "1/(x-1/2)": 0.5,
+          "1/((x-1)^2*(x-2))": 1.0}
+
+
+def _raises_pole_near(beta, interval):
+    """PoleInInterval, naming a rational beta's pole within 1e-6."""
+    with pytest.raises(PoleInInterval) as info:
+        classify_beta(beta, interval=interval)
+    if beta in _POLES:
+        named = float(re.search(r"near x = (\S+)", str(info.value))[1])
+        assert abs(named - _POLES[beta]) <= 1e-6, str(info.value)
+
+
 @pytest.mark.parametrize("beta", ["1/(x-1.0001)", "1/(x-sqrt(2))"])
 def test_classification_pole_between_grid_points(beta):
-    with pytest.raises(PoleInInterval):
-        classify_beta(beta, interval=(0.5, 3.0))
+    _raises_pole_near(beta, (0.5, 3.0))
 
 
 @pytest.mark.parametrize("beta,interval", [
@@ -317,19 +339,76 @@ def test_classification_pole_between_grid_points(beta):
     ("(x^2 + 2*x + 2)/(-x^2 + 4*x + 1)", (0.5, 30.0)),  # root 2 + sqrt(5)
     ("1/(x^2-3)", (0.5, 3.0)),
     ("1/sin(x)", (0.5, 30.0)),
+    ("1/(x-1/2)", (0.5, 3.0)),              # at the endpoint
+    ("1/((x-1)^2*(x-2))", (0.5, 3.0)),      # the smallest root, a double
 ])
 def test_classification_pole_anywhere_in_the_interval(beta, interval):
-    with pytest.raises(PoleInInterval):
-        classify_beta(beta, interval=interval)
+    _raises_pole_near(beta, interval)
 
 
-def test_classification_refuses_a_steep_finite_beta_without_a_pole():
-    # no real root (the discriminant is -4e-7), but a peak of 1e7 at x = 1:
-    # the denominator's enclosure holds 0 on pieces near x = 1 until they
-    # are far narrower than the width floor, so the classifier refuses,
-    # and says it could not certify beta, not that beta has a pole
+def test_classification_decides_a_steep_finite_rational_beta():
+    # no real root (discriminants -4e-5 and -4e-7), but peaks of 1e5 and
+    # 1e7 at x = 1: interval enclosures cannot certify them finite, while
+    # a Sturm count of the denominator's roots is exact
+    for beta in ("1/(x^2-2*x+1.00001)", "1/(x^2-2*x+1.0000001)"):
+        cls = classify_beta(beta, interval=(0.5, 3.0))
+        assert cls.dimension == 6 and cls.rank_report is None
+
+
+def test_classification_refuses_a_steep_finite_beta_it_cannot_certify():
+    # not rational: exp(-16) ~ 1.1e-7 keeps the denominator off zero, yet
+    # its enclosure holds 0 on pieces near x = 1 until they are far
+    # narrower than the width floor, so the classifier refuses, and says
+    # it could not certify beta, not that beta has a pole
     with pytest.raises(PoleInInterval, match="could not certify beta"):
-        classify_beta("1/(x^2-2*x+1.0000001)", interval=(0.5, 3.0))
+        classify_beta("1/(x^2-2*x+1+exp(-16))", interval=(0.5, 3.0))
+
+
+def _rational(beta):
+    return symmetry._lowest_terms(parse(beta, CTX), "x") is not None
+
+
+_SEEDED = [b for seed in range(20) for b in seeded_betas(seed)]
+
+
+@pytest.mark.parametrize("beta,dim", [
+    (b, d) for b, d in BETA_CORPUS + _SEEDED if d != 15 and _rational(b)])
+def test_the_exact_route_agrees_with_collocation(beta, dim):
+    # collocation is the oracle of the exact route, on every rational beta
+    # of the corpus and of seeds 0-19: a disagreement fails here
+    cls = classify_beta(beta)
+    assert cls.rank_report is None
+    oracle = symmetry._collocation_rank(CoefficientFn.of(beta), (0.5, 3.0),
+                                        1e-8)
+    assert cls.dimension == 11 - oracle.rank == dim
+
+
+@pytest.mark.parametrize("beta", [
+    b for b, d in BETA_CORPUS if d == 7 and _rational(b) and "x" in b])
+def test_a_rational_seven_has_three_symbolic_witnesses(beta):
+    cls = classify_beta(beta)
+    assert len(cls.witness) == 3
+    s = reduced_system(parse(beta, CTX), CTX)
+    for V in cls.witness:
+        ok, rep = check_symmetry(s, V)
+        assert ok, rep.render()
+        assert all(c.method == "symbolic" for c in rep.checks)
+
+
+def test_a_high_degree_rational_beta_keeps_collocation(monkeypatch):
+    # (x+1)^(-400) would build a degree-400 denominator: the exact route
+    # refuses it before any polynomial product, and collocation decides
+    products = []
+    real = symmetry._pmul
+
+    def counting(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symmetry, "_pmul", counting)
+    cls = classify_beta("(x+1)^(-400)")
+    assert products == []
+    assert cls.dimension == 6 and cls.rank_report is not None
 
 
 def test_classification_of_a_wide_interval_builds_no_grid():
