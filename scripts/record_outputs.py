@@ -12,8 +12,10 @@ with its own source tree, is then the identity check:
 The records are run_example(1..4).to_dict(); the trajectories of the four
 worked examples (``integrate`` and ``map_trajectory``); the tables and
 cross-check errors of reduce_24_to_25 and reduce_25_to_28 along the
-examples' reduction chains, of reduce_optimal on a general form, and of
-two reductions that fail; and classify_beta over `tests/beta_corpus.py`.
+examples' reduction chains, of reduce_optimal on a general form, of two
+reductions that fail and of three that take a closed form (a constant a3,
+one crossing zero, a polynomial a1); and classify_beta over
+`tests/beta_corpus.py`.
 """
 
 import hashlib
@@ -139,9 +141,15 @@ def main() -> int:
                                      "d21": "-1", "d22": "1/3"})
     record("reduce_optimal general",
            lambda: rescaled(reduce_optimal(general, (0.5, 2.0))))
-    for a3 in ("1/(x-1)", "exp(x^3)"):  # a pole; an inaccurate rho
+    # a pole; an inaccurate rho; then closed forms: a constant a3 that
+    # RK4 refused, a constant a3 whose rho crosses zero, and a polynomial
+    # a1 that RK4 refused
+    for a3 in ("1/(x-1)", "exp(x^3)", "25", "-4"):
         record(f"reduce_25_to_28 a3 = {a3}", lambda: to_reduced(
             zero_order(a3, "1"), (0.5, 2.0)))
+    lf = LinearForm("first_order", {"a1": "2*x^5", "a2": "1"})
+    record("reduce_24_to_25 a1 = 2*x^5",
+           lambda: first_order(reduce_24_to_25(lf, (0.5, 2.0))))
 
     for beta, _ in BETA_CORPUS:
         record(f"classify_beta {beta}", lambda: classification(beta))

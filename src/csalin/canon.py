@@ -25,7 +25,9 @@ from .expr import (
     free_symbols, log, mul, parse, pow_, simplify, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
-from .numerics import DomainError, Field, require_accuracy, rk4_checked
+from .numerics import (
+    Blowup, DomainError, Field, checked_grid, require_accuracy, rk4_checked,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -555,15 +557,69 @@ def _field_inputs(*coeffs) -> tuple:
     return symbols, tuple(values)
 
 
-def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
-    """RK4 with step doubling over a reduction interval, which must run
-    forwards: the tabulated outputs need an increasing grid."""
-    if t1 <= t0:
+def _forwards(interval: tuple) -> None:
+    """A reduction interval must run forwards: the tabulated outputs need
+    an increasing grid."""
+    if interval[1] <= interval[0]:
         raise ValueError("t1 must exceed t0")
+
+
+def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
+    """RK4 with step doubling over a forwards reduction interval."""
+    _forwards((t0, t1))
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
     except DomainError as exc:
         raise PoleInInterval(str(exc)) from exc
+
+
+def _closed_form_grid(interval: tuple, h: float):
+    """The grid rk4_checked would integrate a forwards reduction interval
+    on, for a rescaling that has a closed form."""
+    _forwards(interval)
+    return checked_grid(*interval, h)
+
+
+def _finite_constant(e: Expr) -> float | None:
+    """The value of e where e has no symbol and a finite value, else
+    None."""
+    if free_symbols(e):
+        return None
+    try:
+        v = eval_expr(e, {})
+    except ExprError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _escaped(ts, finite) -> None:
+    """Raise Blowup at the first grid point where `finite` is False."""
+    if not finite.all():
+        raise Blowup(f"state escaped near x = {ts[finite.argmin()]:.6g}")
+
+
+def _constant_rho(k: float, label: str, ts) -> tuple:
+    """rho and X = t0 + integral of rho^-2 from t0 = ts[0] on ts for
+    rho'' = k rho with rho(t0) = 1, rho'(t0) = 0 and constant k != 0, in
+    closed form, with the sources of the two tables.  With w = sqrt(|k|)
+    they are cosh(w (t - t0)) and tanh(w (t - t0)) / w for k > 0, cos and
+    tan for k < 0."""
+    import numpy as np
+
+    w = math.sqrt(abs(k))
+    wt = w * (ts - ts[0])
+    if k > 0:
+        names, root = ("cosh", "tanh"), label
+        with np.errstate(over="ignore"):
+            rho = np.cosh(wt)
+        _escaped(ts, np.isfinite(rho))
+        xs = ts[0] + np.tanh(wt) / w
+    else:
+        names, root = ("cos", "tan"), f"-{label}"
+        rho, xs = np.cos(wt), ts[0] + np.tan(wt) / w
+    return rho, xs, (
+        f"rho = {names[0]}(w (t - t0)), w = sqrt({root}) = {w:.6g}",
+        f"X = t0 + {names[1]}(w (t - t0)) / w")
 
 
 @dataclass(eq=False)
@@ -574,6 +630,8 @@ class RescaledForm:
     rho: CoefficientFn
     new_var: CoefficientFn
     error_estimate: float = 0.0
+    # "rk4" where rho came from checked RK4, else "closed-form"
+    rescaling: str = "closed-form"
 
 
 def _identity_rescaling(form: LinearForm) -> RescaledForm:
@@ -582,40 +640,52 @@ def _identity_rescaling(form: LinearForm) -> RescaledForm:
 
 
 def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
-             coeffs: dict, interval: tuple, h: float) -> RescaledForm:
+             k: float | None, coeffs: dict, interval: tuple,
+             h: float) -> RescaledForm:
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
-    a_code computes a(t) from the values v0, v1, ... of the coefficients
-    a_inputs.
+    Where a is a constant k != 0, rho and X take their closed form on
+    rk4_checked's grid; else RK4 integrates them, with a_code computing
+    a(t) from the values v0, v1, ... of the coefficients a_inputs.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
     factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
     """
     t0, t1 = interval
-    # s0 ** -2 raises below the least float whose ** -2 is finite: rho is
-    # then 0 or tiny, and RhoVanishes follows
-    rhs = Field(*_field_inputs(*a_inputs), ("s1", f"({a_code}) * s0",
-                "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
-    ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
-    rho = ys[:, 0]
+    if k:
+        ts = _closed_form_grid(interval, h)
+        rho, xs, (rho_src, x_src) = _constant_rho(k, a_label, ts)
+        err, route = 0.0, "closed-form"
+    else:
+        # s0 ** -2 raises below the least float whose ** -2 is finite: rho
+        # is then 0 or tiny, and RhoVanishes follows
+        rhs = Field(*_field_inputs(*a_inputs), ("s1", f"({a_code}) * s0",
+                    "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
+        ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
+        rho, xs = ys[:, 0], ys[:, 2]
+        rho_src, x_src = f"rho'' = {a_label} rho", "integral of rho^-2"
+        route = "rk4"
     below = (rho <= 1e-9).nonzero()[0]
     if below.size:
         hit = int(below[0])
         raise RhoVanishes(float(ts[hit]), (t0, float(ts[max(hit - 1, 0)])))
     require_accuracy(err)
-    xs = ys[:, 2]
+    # X' = rho^-2 > 0, but X stops increasing in float where rho^-2 is
+    # below X's ulp (tanh saturates near w (t - t0) = 19)
+    stalled = xs[1:] <= xs[:-1]
+    if stalled.any():
+        raise Blowup(f"integral of rho^-2 stops increasing near x = "
+                     f"{ts[stalled.argmax() + 1]:.6g}")
     quart = rho ** 4
-    src = f"rho'' = {a_label} rho; coefficients times rho^4 on the " \
-        "integral of rho^-2"
+    src = f"{rho_src}; coefficients times rho^4 on {x_src}"
     form = LinearForm(kind, {
         name: CoefficientFn.tabulated(xs, quart * c(ts), src, h, err)
         for name, c in coeffs.items()})
-    rho_fn = CoefficientFn.tabulated(ts, rho, f"rho'' = {a_label} rho",
-                                     h, err)
-    new_var = CoefficientFn.tabulated(ts, xs, "integral of rho^-2", h, err)
-    return RescaledForm(form, rho_fn, new_var, err)
+    rho_fn = CoefficientFn.tabulated(ts, rho, rho_src, h, err)
+    new_var = CoefficientFn.tabulated(ts, xs, x_src, h, err)
+    return RescaledForm(form, rho_fn, new_var, err, route)
 
 
 def reduce_optimal(lf: LinearForm, interval: tuple,
@@ -632,10 +702,13 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
     d11, d12 = lf["d11"], lf["d12"]
     d21, d22 = lf["d21"], lf["d22"]
 
-    trace_free = all(c.kind == "symbolic" for c in lf.coeffs.values()) and \
-        zero_verdict(simplify(d11.expr + d22.expr)).is_zero
+    half = C(Fraction(1, 2))
+    # the coefficient a = (d11 + d22)/2 of rho'' = a rho
+    a = simplify(mul(half, d11.expr + d22.expr)) \
+        if d11.kind == d22.kind == "symbolic" else None
+    trace_free = a is not None and d12.kind == d21.kind == "symbolic" \
+        and zero_verdict(a).is_zero
     if trace_free:
-        half = C(Fraction(1, 2))
         return _identity_rescaling(LinearForm("optimal", {
             "dt11": CoefficientFn.symbolic(
                 simplify(mul(half, d11.expr - d22.expr))),
@@ -645,6 +718,7 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
 
     return _rescale(
         "optimal", (d11, d22), "0.5 * (v0 + v1)", "((d11+d22)/2)",
+        None if a is None else _finite_constant(a),
         {"dt11": lambda t: 0.5 * (d11(t) - d22(t)), "dt12": d12,
          "dt21": d21},
         interval, h)
@@ -666,7 +740,9 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple,
             if a4.kind == "symbolic" else a4
         return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    return _rescale("reduced", (a3,), "v0", "a3", {"beta": a4}, interval, h)
+    k = _finite_constant(a3.expr) if a3.kind == "symbolic" else None
+    return _rescale("reduced", (a3,), "v0", "a3", k, {"beta": a4},
+                    interval, h)
 
 
 @dataclass(eq=False)
@@ -676,6 +752,49 @@ class FirstOrderReduction:
     m2: CoefficientFn
     cross_check_error: float | None = None
     error_estimate: float = 0.0
+    # "rk4" where (M1, M2) came from checked RK4, else "closed-form"
+    rescaling: str = "closed-form"
+
+
+def _polynomial(c: CoefficientFn) -> list | None:
+    """[c0, c1, ...] of a symbolic coefficient c0 + c1 x + ... with finite
+    numeric c_k, else None."""
+    if c.kind != "symbolic":
+        return None
+    try:
+        groups = coefficients_in(c.expr, [c.var])
+    except NotPolynomial:
+        return None
+    out = [0.0] * (max(groups, default=(0,))[0] + 1)
+    for (k,), e in groups.items():
+        out[k] = _finite_constant(e)
+        if out[k] is None:
+            return None
+    return out
+
+
+def _integral(coeffs: list, ts):
+    """The integral from ts[0] to ts of the polynomial sum of coeffs[k]
+    t^k, from its exact antiderivative (by Horner's rule)."""
+    def antiderivative(t):
+        out = 0.0
+        for k in range(len(coeffs) - 1, -1, -1):
+            out = out * t + coeffs[k] / (k + 1)
+        return out * t
+    return antiderivative(ts) - antiderivative(ts[0])
+
+
+def _exp_half_integral(c1: list, c2: list, ts) -> tuple:
+    """(M1, M2) = exp((A + i B)/2) on ts, with A and B the integrals from
+    ts[0] of the polynomials c1 and c2: M' = (a1 + i a2) M / 2, M(ts[0]) =
+    1 in closed form."""
+    import numpy as np
+
+    # an overflow leaves inf or NaN, which the modulus check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_a, half_b = 0.5 * _integral(c1, ts), 0.5 * _integral(c2, ts)
+        scale = np.exp(half_a)
+        return scale * np.cos(half_b), scale * np.sin(half_b)
 
 
 def reduce_24_to_25(lf: LinearForm, interval: tuple,
@@ -684,20 +803,36 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
 
     The rescaling pair solves 2 M1' = a1 M1 - a2 M2, 2 M2' = a1 M2 + a2 M1
     with (M1, M2)(x0) = (1, 0); the output coefficients follow from the
-    quotient rule for the rescaled dependent variables.  When both inputs
-    are closed-form, the output is closed-form as well and the numeric
-    route serves as a cross-check.
+    quotient rule for the rescaled dependent variables.  Where a1 and a2
+    are polynomials with numeric coefficients, M1 + i M2 = exp((A + i B)/2)
+    with A, B their exact integrals from x0, on rk4_checked's grid; else
+    RK4 integrates the pair.  When both inputs are closed-form, the output
+    is closed-form as well and the quotient rule serves as a cross-check.
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
     _check_tables(lf, interval)
     t0, t1 = interval
     a1, a2 = lf["a1"], lf["a2"]
-    rhs = Field(*_field_inputs(a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
-                                         "0.5 * (v0 * s1 + v1 * s0)"))
-    ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
-    m1, m2 = ys[:, 0], ys[:, 1]
-    modulus = m1 ** 2 + m2 ** 2
+    c1, c2 = _polynomial(a1), _polynomial(a2)
+    if c1 is not None and c2 is not None:
+        ts = _closed_form_grid(interval, h)
+        m1, m2 = _exp_half_integral(c1, c2, ts)
+        err, route = 0.0, "closed-form"
+        src = "M1 + i M2 = exp((A + i B)/2), A and B the integrals of a1 " \
+            "and a2 from t0"
+    else:
+        rhs = Field(*_field_inputs(a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
+                                             "0.5 * (v0 * s1 + v1 * s0)"))
+        ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
+        m1, m2 = ys[:, 0], ys[:, 1]
+        route = "rk4"
+        src = "2M1' = a1 M1 - a2 M2, 2M2' = a1 M2 + a2 M1"
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = m1 ** 2 + m2 ** 2
+    _escaped(ts, np.isfinite(modulus))
     if float(modulus.min()) < 1e-12:
         raise MDegenerate("M1^2 + M2^2 vanished on the interval")
     require_accuracy(err)
@@ -713,7 +848,6 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     a3_vals = (m1 * p + m2 * q) / modulus
     a4_vals = (m1 * q - m2 * p) / modulus
 
-    src = "2M1' = a1 M1 - a2 M2, 2M2' = a1 M2 + a2 M1"
     m1_fn = CoefficientFn.tabulated(ts, m1, src, h, err)
     m2_fn = CoefficientFn.tabulated(ts, m2, src, h, err)
 
@@ -732,14 +866,14 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
         cross = float(max(abs(a3_fn(ts) - a3_vals).max(),
                           abs(a4_fn(ts) - a4_vals).max()))
         form = LinearForm("zero_order", {"a3": a3_fn, "a4": a4_fn})
-        return FirstOrderReduction(form, m1_fn, m2_fn, cross, err)
+        return FirstOrderReduction(form, m1_fn, m2_fn, cross, err, route)
 
     src31 = "quotient coefficients from the rescaling pair M1, M2"
     form = LinearForm("zero_order", {
         "a3": CoefficientFn.tabulated(ts, a3_vals, src31, h, err),
         "a4": CoefficientFn.tabulated(ts, a4_vals, src31, h, err),
     })
-    return FirstOrderReduction(form, m1_fn, m2_fn, None, err)
+    return FirstOrderReduction(form, m1_fn, m2_fn, None, err, route)
 
 
 def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):

@@ -182,25 +182,28 @@ def cmd_canonicalize(args) -> int:
     except (ValueError, ExprError) as exc:
         raise InputError(f"bad linear form: {exc}")
     interval = doc.get("interval", (0.5, 2.0))
-    steps, extra = [], {}
-    if lf.kind == "general":
-        lf = reduce_optimal(lf, interval).form
-        steps.append("general -> optimal")
-    if lf.kind == "first_order":
-        red = reduce_24_to_25(lf, interval)
+    steps, routes, extra = [], [], {}
+    for kind, reduce in (("general", reduce_optimal),
+                         ("first_order", reduce_24_to_25),
+                         ("zero_order", reduce_25_to_28)):
+        if lf.kind != kind:
+            continue
+        red = reduce(lf, interval)
+        steps.append(f"{kind} -> {red.form.kind}")
+        routes.append(red.rescaling)
         lf = red.form
-        steps.append("first_order -> zero_order")
-        # the closed-form output against the RK4 route (the CLI reads
-        # closed-form coefficients only, so there always is one)
-        extra["cross_check_error"] = red.cross_check_error
-    if lf.kind == "zero_order":
-        lf = reduce_25_to_28(lf, interval).form
-        steps.append("zero_order -> reduced")
+        if kind == "first_order":
+            # the quotient-rule a3, a4 from (M1, M2) against zeta^2/4 -
+            # zeta'/2 (the CLI reads closed-form coefficients only, so
+            # there always is one); M cancels out of the quotient
+            extra["cross_check_error"] = red.cross_check_error
+    # "rk4" where any step of the chain integrated its rescaling with RK4
+    rescaling = "rk4" if "rk4" in routes else "closed-form"
     out = {name: _coefficient_summary(c) for name, c in lf.coeffs.items()}
     text_lines = [f"reduction chain: {' ; '.join(steps) or '(none)'}",
-                  f"result kind: {lf.kind}"]
+                  f"result kind: {lf.kind}", f"rescaling: {rescaling}"]
     if extra:
-        text_lines.append("closed form vs RK4 cross-check: "
+        text_lines.append("quotient rule vs zeta^2/4 - zeta'/2 cross-check: "
                           f"{extra['cross_check_error']:.3e}")
     for name, summary in sorted(out.items()):
         if summary["kind"] == "symbolic":
@@ -211,7 +214,8 @@ def cmd_canonicalize(args) -> int:
                 f"[{summary['domain'][0]:g}, {summary['domain'][1]:g}], "
                 f"error {summary['error_estimate']:.2e}")
     _emit(args, {"command": "canonicalize", "chain": steps,
-                 "kind": lf.kind, "coefficients": out, **extra},
+                 "kind": lf.kind, "coefficients": out,
+                 "rescaling": rescaling, **extra},
           "\n".join(text_lines))
     return 0
 

@@ -4,9 +4,11 @@ Fixed-step RK4 with a fixed nominal step and Richardson step-doubling
 validation; coefficients on the working intervals are smooth, so
 simplicity wins over adaptivity.  Callers: the trajectory verifier
 (`verify.integrate`) and the rho / M rescalings of the reduction chain
-(`canon`).  Their states have two to four components, so the state is a
-tuple of plain Python floats: numpy's per-call cost on arrays that small
-outweighs the arithmetic.
+(`canon`) that have no closed form; a constant or polynomial coefficient
+is tabulated in closed form on `checked_grid`, rk4_checked's grid.
+States have two to four components, so the state is a tuple of plain
+Python floats: numpy's per-call cost on arrays that small outweighs the
+arithmetic.
 
 Every right-hand side is a `Field`, and `rk4` runs it in a loop generated
 as Python source for the call, with its expressions (through
@@ -146,20 +148,35 @@ def _steps(t0: float, t1: float, h: float) -> int:
     return max(1, math.ceil(steps))
 
 
-def _rk4(loop, t0: float, y0, t1: float, n: int):
+def _grid(t0: float, t1: float, n: int):
+    """The n + 1 points t0 + i h, h = (t1 - t0) / n, as a float array."""
+    import numpy as np
+
+    return t0 + (t1 - t0) / n * np.arange(n + 1)
+
+
+def checked_grid(t0: float, t1: float, h: float = 1e-3):
+    """The grid rk4_checked integrates on: n steps of at most h, n rounded
+    up to even, so the step-doubling run lands on every second point.  A
+    table that tabulates a closed form on it matches an RK4 table in
+    length and abscissae bit for bit."""
+    n = _steps(t0, t1, h)
+    return _grid(t0, t1, n + n % 2)
+
+
+def _rk4(loop, t0: float, y0, t1: float, ts):
     import numpy as np
 
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError(f"rk4 needs a 1-d initial state, got shape "
                          f"{y0.shape}")
-    h = (t1 - t0) / n
-    ts = t0 + h * np.arange(n + 1)
+    h = (t1 - t0) / (ts.size - 1)
     rows = loop(ts.tolist(), tuple(y0.tolist()), h, h / 2, h / 6)
     # np.array(rows) scans each tuple as a sequence into a temporary;
     # fromiter fills the preallocated block in one pass
-    ys = np.fromiter(chain.from_iterable(rows), float, (n + 1) * y0.size)
-    return ts, ys.reshape(n + 1, y0.size)
+    ys = np.fromiter(chain.from_iterable(rows), float, ts.size * y0.size)
+    return ys.reshape(ts.size, y0.size)
 
 
 def rk4(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
@@ -171,32 +188,33 @@ def rk4(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
     last stage of each step is evaluated at the next grid point ts[i + 1].
     Returns (ts, ys) with ys[i] the state at ts[i], ys of shape (n + 1, d).
     """
-    return _rk4(_fuse(f), t0, y0, t1, _steps(t0, t1, h))
+    ts = _grid(t0, t1, _steps(t0, t1, h))
+    return ts, _rk4(_fuse(f), t0, y0, t1, ts)
 
 
 def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
     """RK4 plus a step-doubling Richardson error estimate.
 
-    The number of steps of h is rounded up to even, so a run of half as
-    many steps of twice the size lands on rk4's grid ts[::2].  Returns
+    The number of steps of h is rounded up to even (`checked_grid`), so a
+    run of half as many steps of twice the size lands on ts[::2].  Returns
     (ts, ys, err) where err is the max-norm difference between the two
     runs there, for RK4 about 15 times the error of ys.  The run at h goes
     first, so an error it raises comes before any of the 2h run; a state
     that is not finite in either run raises Blowup at the first grid point
     where it appears.
     """
-    n = _steps(t0, t1, h)
-    n += n % 2
+    ts = checked_grid(t0, t1, h)
     loop = _fuse(f)
     runs = []
-    for steps in (n, n // 2):
-        grid, rows = _rk4(loop, t0, y0, t1, steps)
+    # (t1 - t0) / (n / 2) is 2 h exactly, so ts[::2] is the 2h run's grid
+    for grid in (ts, ts[::2]):
+        rows = _rk4(loop, t0, y0, t1, grid)
         finite = (abs(rows) < math.inf).all(axis=1)  # NaN fails
         if not finite.all():
             raise Blowup(
                 f"state escaped near x = {grid[finite.argmin()]:.6g}")
-        runs.append((grid, rows))
-    (ts, ys), (_, ys2) = runs
+        runs.append(rows)
+    ys, ys2 = runs
     return ts, ys, float(abs(ys[::2] - ys2).max())
 
 

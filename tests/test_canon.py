@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from csalin import canon
 from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
     NonInvertible, PointTransformation, PoleInInterval, RhoVanishes,
@@ -453,7 +454,8 @@ def test_reduction_pole_is_located_by_the_loop():
 
 
 # exp(1000 x) is about 1e217 at x = 0.5, so the rescaling state overflows
-# in the first step; exp(x^3) grows too fast for RK4 at h = 1e-3
+# in the first step; exp(x^3) and 2 x^5 + sin(x) grow too fast for RK4 at
+# h = 1e-3 (2 x^5 alone is a polynomial, which takes the closed form)
 @pytest.mark.parametrize("reduce,lf,error,message", [
     (reduce_25_to_28,
      LinearForm("zero_order", {"a3": "exp(1000*x)", "a4": 1}),
@@ -465,6 +467,10 @@ def test_reduction_pole_is_located_by_the_loop():
     (reduce_24_to_25,
      LinearForm("first_order", {"a1": "exp(1000*x)", "a2": 1}),
      Blowup, "state escaped near x = 0.501"),
+    # M ~ exp(350 x) stays finite in RK4, but M1^2 + M2^2 overflows
+    (reduce_24_to_25,
+     LinearForm("first_order", {"a1": "700 + sin(x)/1000", "a2": 1}),
+     Blowup, "state escaped near x = 1.515"),
     (reduce_25_to_28,
      LinearForm("zero_order", {"a3": "exp(x^3)", "a4": 1}),
      InaccurateIntegration,
@@ -475,16 +481,139 @@ def test_reduction_pole_is_located_by_the_loop():
      InaccurateIntegration,
      "step-doubling disagreement 1.170e+00 exceeds 1e-7"),
     (reduce_24_to_25,
-     LinearForm("first_order", {"a1": "2*x^5", "a2": 1}),
+     LinearForm("first_order", {"a1": "2*x^5 + sin(x)", "a2": 1}),
      InaccurateIntegration,
-     "step-doubling disagreement 9.881e-03 exceeds 1e-7"),
+     "step-doubling disagreement 2.061e-02 exceeds 1e-7"),
 ], ids=["overflow-25-28", "overflow-optimal", "overflow-24-25",
-        "inaccurate-25-28", "inaccurate-optimal", "inaccurate-24-25"])
+        "modulus-overflow-24-25", "inaccurate-25-28", "inaccurate-optimal", "inaccurate-24-25"])
 def test_reductions_refuse_an_overflow_or_an_inaccurate_run(reduce, lf,
                                                             error, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as info:
+            reduce(lf, (0.5, 2.0))
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# closed-form rescalings against the RK4 route
+
+
+def _rk4_route(monkeypatch, reduce, lf, interval):
+    """reduce(lf, interval) with the closed forms switched off, and the
+    arguments (field, t0, y0, t1, h) it handed to rk4_checked."""
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return rk4_checked(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(canon, "_finite_constant", lambda e: None)
+        m.setattr(canon, "_polynomial", lambda c: None)
+        m.setattr(canon, "rk4_checked", recording)
+        return reduce(lf, interval), seen[0]
+
+
+def _close(got, want, rtol=1e-8):
+    """got equals want within rtol of want's max norm."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("reduce,lf", [
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": 1, "a4": "x"})),
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": "-1/2", "a4": 1})),
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": "5/2", "a4": 2})),
+    (reduce_optimal, LinearForm("general", {
+        "d11": "x + 1", "d22": "3 - x", "d12": "x", "d21": 1})),
+], ids=["1", "-1/2", "5/2", "optimal"])
+def test_constant_rho_matches_the_rk4_route(monkeypatch, reduce, lf):
+    closed = reduce(lf, (0.5, 2.0))
+    assert closed.rescaling == "closed-form"
+    assert closed.error_estimate == 0.0
+    oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce, lf,
+                                                (0.5, 2.0))
+    assert oracle.rescaling == "rk4" and oracle.error_estimate > 0.0
+    ts, ys, _ = rk4_checked(field, t0, y0, t1, h)
+    assert np.array_equal(closed.rho.xs, ts)
+    _close(closed.rho.values, ys[:, 0])
+    _close(closed.new_var.values, ys[:, 2])
+    for name, c in closed.form.coeffs.items():
+        want = oracle.form[name]
+        assert c.error_estimate == 0.0 and c.step == want.step
+        _close(c.xs, want.xs)
+        _close(c.values, want.values)
+
+
+@pytest.mark.parametrize("a1,a2", [(1, 1), ("1+x", "1+x"), ("1+x", 2)],
+                         ids=["1,1", "1+x,1+x", "1+x,2"])
+def test_polynomial_m_pair_matches_the_rk4_route(monkeypatch, a1, a2):
+    lf = LinearForm("first_order", {"a1": a1, "a2": a2})
+    closed = reduce_24_to_25(lf, (0.0, 2.0))
+    assert closed.rescaling == "closed-form"
+    assert closed.error_estimate == 0.0
+    oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce_24_to_25,
+                                                lf, (0.0, 2.0))
+    assert oracle.rescaling == "rk4"
+    ts, ys, _ = rk4_checked(field, t0, y0, t1, h)
+    assert np.array_equal(closed.m1.xs, ts)
+    _close(closed.m1.values, ys[:, 0])
+    _close(closed.m2.values, ys[:, 1])
+    for name in ("a3", "a4"):
+        assert closed.form[name].expr == oracle.form[name].expr
+    assert closed.cross_check_error < 1e-12
+
+
+def test_constant_a3_that_rk4_refused_is_decided_in_closed_form(
+        monkeypatch):
+    lf = LinearForm("zero_order", {"a3": 25, "a4": 1})
+    with pytest.raises(InaccurateIntegration,
+                       match="disagreement 2.626e-06 exceeds"):
+        _rk4_route(monkeypatch, reduce_25_to_28, lf, (0.5, 2.0))
+    res = reduce_25_to_28(lf, (0.5, 2.0))
+    ts = res.rho.xs
+    _close(res.rho.values, np.cosh(5.0 * (ts - 0.5)), 1e-12)
+    _close(res.new_var.values, 0.5 + np.tanh(5.0 * (ts - 0.5)) / 5.0, 1e-12)
+    _close(res.form["beta"].values, np.cosh(5.0 * (ts - 0.5)) ** 4, 1e-12)
+    assert res.rho.source.startswith("rho = cosh(w (t - t0)), w = sqrt(a3)")
+    assert res.new_var.source == "X = t0 + tanh(w (t - t0)) / w"
+
+
+def test_polynomial_a1_that_rk4_refused_is_decided_in_closed_form(
+        monkeypatch):
+    lf = LinearForm("first_order", {"a1": "2*x^5", "a2": 1})
+    with pytest.raises(InaccurateIntegration,
+                       match="disagreement 9.881e-03 exceeds"):
+        _rk4_route(monkeypatch, reduce_24_to_25, lf, (0.5, 2.0))
+    res = reduce_24_to_25(lf, (0.5, 2.0))
+    ts = res.m1.xs
+    # A = x^6/3 and B = x from 0.5, so M = exp((A + i B)/2)
+    scale = np.exp((ts ** 6 - 0.5 ** 6) / 6.0)
+    _close(res.m1.values, scale * np.cos((ts - 0.5) / 2.0), 1e-12)
+    _close(res.m2.values, scale * np.sin((ts - 0.5) / 2.0), 1e-12)
+    assert res.cross_check_error < 1e-9
+
+
+# a3 = 400: tanh(20 (t - t0)) is 1.0 in float from about t0 + 0.93 on;
+# a3 = 1e6: cosh(1000 (t - t0)) overflows beyond t0 + 0.71;
+# a1 = 1000 x: exp(A) = exp(500 (x^2 - 0.25)) overflows beyond x = 1.29
+@pytest.mark.parametrize("reduce,lf,message", [
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": 400, "a4": 1}),
+     "integral of rho^-2 stops increasing near x = 1.287"),
+    (reduce_optimal, LinearForm("general", {
+        "d11": 400, "d22": 400, "d12": 0, "d21": 1}),
+     "integral of rho^-2 stops increasing near x = 1.287"),
+    (reduce_25_to_28, LinearForm("zero_order", {"a3": 1e6, "a4": 1}),
+     "state escaped near x = 1.211"),
+    (reduce_24_to_25, LinearForm("first_order", {"a1": "1000*x", "a2": 1}),
+     "state escaped near x = 1.293"),
+], ids=["tanh-saturates", "optimal-tanh-saturates", "cosh-overflows",
+        "exp-overflows"])
+def test_closed_forms_refuse_an_overflow_with_a_blowup(reduce, lf, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Blowup) as info:
             reduce(lf, (0.5, 2.0))
     assert str(info.value) == message
 

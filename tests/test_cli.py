@@ -150,11 +150,12 @@ def test_canonicalize_full_chain_from_first_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first_order -> zero_order" in out
     assert "zero_order -> reduced" in out
-    assert "closed form vs RK4 cross-check: " in out
+    assert "quotient rule vs zeta^2/4 - zeta'/2 cross-check: " in out
 
 
 def test_canonicalize_reports_the_first_order_cross_check(tmp_path, capsys):
-    # the closed-form zero-order coefficients against the RK4 route
+    # the quotient-rule zero-order coefficients from (M1, M2) against the
+    # closed form zeta^2/4 - zeta'/2
     path = _write(tmp_path, "f.json",
                   {"form": {"kind": "first_order", "a1": "1+x", "a2": "x"},
                    "interval": [0.5, 2.0]})
@@ -162,7 +163,7 @@ def test_canonicalize_reports_the_first_order_cross_check(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert 0.0 <= doc["cross_check_error"] < 1e-9
     assert main(["canonicalize", path]) == 0
-    line = "closed form vs RK4 cross-check: " \
+    line = "quotient rule vs zeta^2/4 - zeta'/2 cross-check: " \
         f"{doc['cross_check_error']:.3e}"
     assert line in capsys.readouterr().out.splitlines()
     # a chain without the first-order step has no cross-check to report
@@ -171,6 +172,35 @@ def test_canonicalize_reports_the_first_order_cross_check(tmp_path, capsys):
                    "interval": [1.0, 2.0]})
     assert main(["--json", "canonicalize", path]) == 0
     assert "cross_check_error" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("form,rescaling", [
+    ({"kind": "zero_order", "a3": "25", "a4": "1"}, "closed-form"),
+    ({"kind": "first_order", "a1": "1+x", "a2": "1+x"}, "closed-form"),
+    ({"kind": "zero_order", "a3": "0", "a4": "1/x"}, "closed-form"),
+    ({"kind": "zero_order", "a3": "2/x^2", "a4": "1"}, "rk4"),
+    # M takes the closed form, rho'' = ((x^2 - 1)/4 - 1/2) rho takes RK4
+    ({"kind": "first_order", "a1": "x", "a2": "1"}, "rk4"),
+], ids=["constant-a3", "polynomial-a1-a2", "identity", "variable-a3",
+        "mixed"])
+def test_canonicalize_names_the_rescaling_route(tmp_path, capsys, form,
+                                                rescaling):
+    path = _write(tmp_path, "f.json", {"form": form, "interval": [1.0, 2.0]})
+    assert main(["--json", "canonicalize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "reduced" and doc["rescaling"] == rescaling
+    assert main(["canonicalize", path]) == 0
+    assert f"rescaling: {rescaling}" in capsys.readouterr().out.splitlines()
+
+
+def test_canonicalize_refuses_a_saturating_closed_form(tmp_path, capsys):
+    # tanh(20 (x - 0.5)) is 1.0 in float beyond x = 1.28: X stops moving
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "zero_order", "a3": "400", "a4": "1"},
+                   "interval": [0.5, 2]})
+    assert main(["canonicalize", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: integral of rho^-2 stops increasing near x = 1.287\n")
 
 
 def test_transform_reports_new_system(tmp_path, capsys):

@@ -141,8 +141,9 @@ def test_rho_system_matches_reference(monkeypatch, reduce, lf):
     _assert_same_as_reference(rhs, _reduction_ref(reduce, lf), t0, y0, t1)
 
 
+# a polynomial a1 and a2 take their closed form, not RK4
 @pytest.mark.parametrize("lf", [
-    LinearForm("first_order", {"a1": "1+x", "a2": "2"}),
+    LinearForm("first_order", {"a1": "1+sin(x)", "a2": "2"}),
     LinearForm("first_order", {
         "a1": CoefficientFn.tabulated(_XS, np.cos(_XS) + 1), "a2": "x"}),
 ], ids=["symbolic", "tabulated"])
@@ -225,7 +226,8 @@ def test_integrate_raises_blowup_on_a_non_finite_state(omega1, init):
         integrate(sys, init, 1.0)
 
 
-_RHO_CROSSES = LinearForm("zero_order", {"a3": -4, "a4": 1})
+# a3 is not constant, so rho takes RK4, not cos
+_RHO_CROSSES = LinearForm("zero_order", {"a3": "-4-x", "a4": 1})
 
 
 def _rho_from(monkeypatch, rho, t0, t1):
@@ -261,9 +263,9 @@ def test_worked_examples_raise_no_warning():
 
 def _worked_example_fields(monkeypatch):
     """Every (field, reference, t0, y0, t1, h) that run_example(1..4) hands
-    to RK4: four integrates, the M pairs of examples 2 and 3 and the rho
-    systems of examples 3 and 4, each with the reference of the integrate
-    or reduction that built it."""
+    to RK4, each with the reference of the integrate or reduction that
+    built it: the four integrates.  The examples' M pairs (polynomial a1,
+    a2) and rho systems (constant a3) take their closed forms."""
     seen, refs = [], []
 
     def entering(module, name, make_ref):
@@ -297,7 +299,7 @@ def _worked_example_fields(monkeypatch):
 def test_worked_example_fields_are_closed_form_and_bit_identical(
         monkeypatch):
     seen = _worked_example_fields(monkeypatch)
-    assert [len(c[3]) for c in seen] == [4, 4, 2, 4, 2, 3, 4, 3]
+    assert [len(c[3]) for c in seen] == [4, 4, 4, 4]
     for f, ref, t0, y0, t1, h in seen:
         assert all(isinstance(code, (str, float))
                    for code in f.symbols.values())
@@ -367,9 +369,9 @@ def test_generated_loop_keeps_the_rho_crossing():
     with pytest.raises(RhoVanishes) as info:
         reduce_25_to_28(_RHO_CROSSES, (0.0, 2.0))
     assert str(info.value) == ("rescaling function crosses zero near x = "
-                               "0.786; safe sub-interval is [0, 0.785)")
-    assert info.value.crossing == 0.786
-    assert info.value.safe_interval == (0.0, 0.785)
+                               "0.764; safe sub-interval is [0, 0.763)")
+    assert info.value.crossing == 0.764
+    assert info.value.safe_interval == (0.0, 0.763)
 
 
 # the last float whose ** -2 overflows, and the first that does not
@@ -388,20 +390,20 @@ def _rk4_steps(monkeypatch) -> list:
     """Record the step count of every RK4 run."""
     steps = []
     real = numerics._rk4
-    monkeypatch.setattr(numerics, "_rk4", lambda loop, t0, y0, t1, n:
-                        steps.append(n) or real(loop, t0, y0, t1, n))
+    monkeypatch.setattr(numerics, "_rk4", lambda loop, t0, y0, t1, ts:
+                        steps.append(ts.size - 1)
+                        or real(loop, t0, y0, t1, ts))
     return steps
 
 
 def test_worked_examples_take_one_and_a_half_runs_of_rk4(monkeypatch):
-    # four trajectories of 1,000 steps and four reductions of 2,000, each
-    # run once at h and once at 2h
+    # four trajectories of 1,000 steps, each run once at h and once at 2h;
+    # the reductions (polynomial a1, a2 and constant a3) take closed forms
     steps = _rk4_steps(monkeypatch)
     for case_id in (1, 2, 3, 4):
         run_example(case_id)
-    assert sorted(steps[::2]) == [1000] * 4 + [2000] * 4
-    assert steps[1::2] == [n // 2 for n in steps[::2]]
-    assert sum(steps) == 18_000
+    assert steps == [1000, 500] * 4
+    assert sum(steps) == 6_000
 
 
 # y' = -12 y with |y| <= 1.1: at h = 0.1 every stage state stays in
