@@ -14,7 +14,7 @@ import io
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -84,11 +84,31 @@ class PointTransformation:
     Z: Expr
     new_ctx: VarContext = None
     inverse: dict | None = None
+    # (system, result) of the last first_derivatives_along call
+    _first: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.new_ctx is None:
             object.__setattr__(self, "new_ctx", _default_new_ctx(self.ctx))
         self._warn_if_singular()
+
+    def first_derivatives_along(self, sys: OdeSystem2, seed: int) -> tuple:
+        """(D_x X, Y', Z') along the solutions of sys, with Y' = D_x(Y) /
+        D_x(X) and Z' = D_x(Z) / D_x(X) simplified.  Raises DxXZero where
+        D_x X vanishes, before anything divides by it.  The result for the
+        last system is kept, so that `transform_system` and
+        `map_trajectory` derive it once for one system; `seed` picks the
+        sample points of a numeric zero test of D_x X."""
+        if self._first is not None and self._first[0] is sys:
+            return self._first[1]
+        DX = total_derivative(self.X, sys)
+        if zero_verdict(DX, seed=seed).is_zero:
+            raise DxXZero("the new independent variable is constant along "
+                          "solutions")
+        out = (DX, simplify(div(total_derivative(self.Y, sys), DX)),
+               simplify(div(total_derivative(self.Z, sys), DX)))
+        object.__setattr__(self, "_first", (sys, out))
+        return out
 
     def _warn_if_singular(self):
         # warns when |det J| < 1e-12 at all of up to 8 evaluable points
@@ -218,12 +238,7 @@ def transform_system(sys: OdeSystem2, T: PointTransformation,
     """
     ctx = sys.ctx
     new = T.new_ctx
-    DX = total_derivative(T.X, sys)
-    if zero_verdict(DX, seed=seed).is_zero:
-        raise DxXZero("the new independent variable is constant along "
-                      "solutions")
-    F1 = simplify(div(total_derivative(T.Y, sys), DX))
-    F2 = simplify(div(total_derivative(T.Z, sys), DX))
+    DX, F1, F2 = T.first_derivatives_along(sys, seed)
     W1 = simplify(div(total_derivative(F1, sys), DX))
     W2 = simplify(div(total_derivative(F2, sys), DX))
 
@@ -706,14 +721,13 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
     # the coefficient a = (d11 + d22)/2 of rho'' = a rho
     a = simplify(mul(half, d11.expr + d22.expr)) \
         if d11.kind == d22.kind == "symbolic" else None
-    trace_free = a is not None and d12.kind == d21.kind == "symbolic" \
-        and zero_verdict(a).is_zero
-    if trace_free:
+    if a is not None and zero_verdict(a).is_zero:
+        # rho stays at 1 and the off-diagonal coefficients pass through,
+        # tabulated or not
         return _identity_rescaling(LinearForm("optimal", {
             "dt11": CoefficientFn.symbolic(
                 simplify(mul(half, d11.expr - d22.expr))),
-            "dt12": CoefficientFn.symbolic(d12.expr),
-            "dt21": CoefficientFn.symbolic(d21.expr),
+            "dt12": d12, "dt21": d21,
         }))
 
     return _rescale(

@@ -20,6 +20,7 @@ sampled zero test (`is_zero_sampled`).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -37,7 +38,7 @@ __all__ = [
     "parse", "to_string", "normalize", "simplify", "differentiate",
     "substitute", "rewrite_subterms", "eval_expr", "enclose",
     "compile_rows",
-    "emit_code", "EMIT_NAMESPACE",
+    "emit_code", "EMIT_NAMESPACE", "compile_source",
     "free_symbols",
     "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
 ]
@@ -1192,13 +1193,18 @@ def differentiate(e: Expr, v: str, ctx: VarContext | None = None) -> Expr:
 
     Distinct symbols are independent.  When ctx declares opaque functions of
     the independent variable and v is that variable, f differentiates to f',
-    f' to f'' and so on.
+    f' to f'' and so on.  A branch whose derivative ``normalize`` folds to 0
+    is pruned before it is built, so the result is the normalized
+    derivative of the full product and chain rules, node for node.
     """
-    d = _diff(e, v, ctx)
-    return normalize(d)
+    return normalize(_diff(e, v, ctx))
 
 
 def _diff(e: Expr, v: str, ctx: VarContext | None) -> Expr:
+    """The derivative of e before ``normalize``: ZERO itself wherever
+    normalize would fold the full rule's result to 0, so a sum drops the
+    terms of such parts.  A quotient, log or sqrt keeps its rule even then,
+    because normalize keeps 0/d^2 as it stands."""
     if isinstance(e, Constant):
         return ZERO
     if isinstance(e, Symbol):
@@ -1210,25 +1216,34 @@ def _diff(e: Expr, v: str, ctx: VarContext | None) -> Expr:
                 return Symbol(der)
         return ZERO
     if isinstance(e, Add):
-        return Add(tuple(_diff(t, v, ctx) for t in e.terms))
+        terms = tuple(d for d in (_diff(t, v, ctx) for t in e.terms)
+                      if d is not ZERO)
+        return Add(terms) if terms else ZERO
     if isinstance(e, Mul):
         terms = []
-        for i in range(len(e.factors)):
-            parts = list(e.factors)
-            parts[i] = _diff(parts[i], v, ctx)
-            terms.append(Mul(tuple(parts)))
-        return Add(tuple(terms))
+        for i, f in enumerate(e.factors):
+            d = _diff(f, v, ctx)
+            if d is not ZERO:
+                parts = list(e.factors)
+                parts[i] = d
+                terms.append(Mul(tuple(parts)))
+        return Add(tuple(terms)) if terms else ZERO
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, v, ctx))
+        d = _diff(e.arg, v, ctx)
+        return ZERO if d is ZERO else Neg(d)
     if isinstance(e, Div):
         da, db = _diff(e.num, v, ctx), _diff(e.den, v, ctx)
         return Div(Add((Mul((da, e.den)), Neg(Mul((e.num, db))))),
                    Pow(e.den, Fraction(2)))
     if isinstance(e, Pow):
         db = _diff(e.base, v, ctx)
+        if db is ZERO:
+            return ZERO
         return Mul((Constant(e.exponent), Pow(e.base, e.exponent - 1), db))
     if isinstance(e, Func):
         da = _diff(e.arg, v, ctx)
+        if da is ZERO and e.kind in ("exp", "sin", "cos"):
+            return ZERO
         if e.kind == "exp":
             return Mul((e, da))
         if e.kind == "log":
@@ -1548,6 +1563,14 @@ EMIT_NAMESPACE = {"_fpow": _fpow, "exp": math.exp, "log": math.log,
                   "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
+@functools.lru_cache(maxsize=128)
+def compile_source(src: str):
+    """The code object of a generated module source, compiled once per
+    distinct source and kept for the 128 most recent.  The code binds only
+    names, so each run in a fresh namespace keeps its own objects."""
+    return compile(src, "<generated>", "exec")
+
+
 def _eval_row(exprs: tuple, names: tuple, params: dict, row: tuple) -> list:
     """The values of exprs at one row by ``eval_expr``: what a row whose
     generated code raised stands for.  An EvalDomainError it raises
@@ -1577,7 +1600,9 @@ def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
     overflowing exp) or raises its EvalDomainError, naming the same
     subterm and carrying the row as `row`.  A symbol outside names and
     params raises UnboundSymbol, and a constant beyond float range raises
-    OverflowError, here rather than at call time.
+    OverflowError, here rather than at call time.  The source is
+    compiled once per process (``compile_source``); each call runs it in
+    a namespace of its own, which binds this call's exprs and params.
     """
     exprs, names = tuple(exprs), tuple(names)
     params = {name: float(v) for name, v in (params or {}).items()}
@@ -1601,7 +1626,7 @@ def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
     ns = {**EMIT_NAMESPACE, "inf": math.inf, "nan": math.nan,
           "_eval_row": _eval_row, "_exprs": exprs, "_names": names,
           "_params": params}
-    exec("\n".join(src) + "\n", ns)
+    exec(compile_source("\n".join(src) + "\n"), ns)
     return ns["_rows"]
 
 

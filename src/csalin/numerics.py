@@ -13,8 +13,11 @@ arithmetic.
 Every right-hand side is a `Field`, and `rk4` runs it in a loop generated
 as Python source for the call, with its expressions (through
 `expr.emit_code`, whose sums are plain float additions) and the stage
-arithmetic inlined.  A stage whose expressions raise is evaluated again
-with `eval_expr`, which returns the reference value (inf for an
+arithmetic inlined.  The source is compiled once per process
+(`expr.compile_source`): integrating the same system again, from another
+initial state say, runs the compiled loop in a fresh namespace that
+binds this call's tables.  A stage whose expressions raise is evaluated
+again with `eval_expr`, which returns the reference value (inf for an
 overflowing exp) or names the undefined subterm in a `DomainError`.  The
 loop returns one tuple per grid point, and their floats reach numpy in
 one pass into a preallocated (n + 1) x d float64 block.
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .expr import (
-    EMIT_NAMESPACE, EvalDomainError, ExprError, emit_code, eval_expr,
+    EMIT_NAMESPACE, EvalDomainError, ExprError, compile_source, emit_code,
+    eval_expr,
 )
 
 
@@ -133,8 +137,8 @@ def _fuse(f: Field):
     lines += [f"    y{i} = y{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + "
               f"2.0 * k3_{i}) + k4_{i})" for i in range(d)]
     lines += [f"    rows.append(({''.join(f'y{i}, ' for i in range(d))}))"]
-    exec("def _loop(grid, y, h, h2, h6):\n" + "".join(
-        f"    {line}\n" for line in lines) + "    return rows\n", ns)
+    exec(compile_source("def _loop(grid, y, h, h2, h6):\n" + "".join(
+        f"    {line}\n" for line in lines) + "    return rows\n"), ns)
     return ns["_loop"]
 
 

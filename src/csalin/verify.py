@@ -14,12 +14,12 @@ import numpy as np
 
 from .canon import (
     CoefficientFn, LinearForm, PointTransformation, RhoVanishes,
-    reduce_24_to_25, reduce_25_to_28, total_derivative, transform_system,
+    reduce_24_to_25, reduce_25_to_28, transform_system,
 )
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
-    C, ExprError, EvalDomainError, VarContext, ZERO, compile_rows, div, mul,
+    C, ExprError, EvalDomainError, VarContext, ZERO, compile_rows, mul,
     parse, simplify, to_string, zero_verdict,
 )
 from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
@@ -93,12 +93,12 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
                    params: dict | None = None):
     """Push trajectory samples through T, including first derivatives.
 
-    Returns (X, Y, Z, Y', Z') arrays in the new variables.
+    Returns (X, Y, Z, Y', Z') arrays in the new variables.  Y' and Z' are
+    those `transform_system` derived for the trajectory's system, if it
+    did; DxXZero is raised where X is constant along that system.
     """
     sys = traj.generator
-    DX = total_derivative(T.X, sys)
-    FY = simplify(div(total_derivative(T.Y, sys), DX))
-    FZ = simplify(div(total_derivative(T.Z, sys), DX))
+    _, FY, FZ = T.first_derivatives_along(sys, seed=0)
     rows = compile_rows((T.X, T.Y, T.Z, FY, FZ), _names(sys.ctx), params)
     try:
         cols = rows(traj.xs.tolist(), *traj.states.T.tolist())
@@ -126,10 +126,8 @@ def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
                           "strictly monotone along the trajectory")
     from scipy.interpolate import make_interp_spline
 
-    sy = make_interp_spline(X, Y, k=5)
-    sz = make_interp_spline(X, Z, k=5)
-    ypp = sy.derivative(2)(X)
-    zpp = sz.derivative(2)(X)
+    ypp, zpp = make_interp_spline(X, np.column_stack((Y, Z)), k=5) \
+        .derivative(2)(X).T
     sl = slice(3, len(X) - 3)
     rows = compile_rows((target.omega1, target.omega2), _names(target.ctx),
                         params)

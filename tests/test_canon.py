@@ -88,6 +88,19 @@ def test_transform_dxx_zero():
         transform_system(s, T)
 
 
+def test_one_transformation_carries_each_system_it_is_given():
+    # a transformation keeps the first derivatives of the last system
+    # only: reused on a system that names y' and z' otherwise, it derives
+    # that system's afresh
+    pq = VarContext(first_derivatives=("p", "q"))
+    a = _sys("-y'^2 + z'^2 - (2/x)*y'", "-2*y'*z' - (2/x)*z'")
+    b = _sys("-p^2 + q^2 - (2/x)*p", "-2*p*q - (2/x)*q", pq)
+    T = _exp_polar(CTX, "1/x")
+    for s in (a, b, a, b):
+        got = transform_system(s, T)
+        assert got.omega1 == got.omega2 == ZERO
+
+
 def test_det3_matches_numpy():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -260,6 +273,26 @@ def test_reduce_optimal_traceless_nondiagonal_unchanged():
     res = reduce_optimal(lf, (0.0, 1.0))
     assert to_string(res.form["dt11"].expr) == "1"
     assert to_string(res.rho.expr) == "1"
+
+
+def test_reduce_optimal_trace_free_with_a_table_off_the_diagonal(
+        monkeypatch):
+    # (d11 + d22)/2 = 0 decides the identity rescaling; the tabulated d12
+    # passes through, and no rho'' = 0 rho is integrated
+    def refuse(*args, **kwargs):
+        raise AssertionError("rk4_checked called")
+
+    monkeypatch.setattr(canon, "rk4_checked", refuse)
+    xs = np.linspace(0.4, 2.1, 50)
+    d12 = CoefficientFn.tabulated(xs, np.cos(xs))
+    lf = LinearForm("general", {"d11": 1, "d22": -1, "d12": d12, "d21": 2})
+    res = reduce_optimal(lf, (0.5, 2.0))
+    assert res.rescaling == "closed-form"
+    assert to_string(res.rho.expr) == "1"
+    assert to_string(res.new_var.expr) == "x"
+    assert to_string(res.form["dt11"].expr) == "1"
+    assert res.form["dt12"] is d12
+    assert to_string(res.form["dt21"].expr) == "2"
 
 
 def test_reduce_optimal_cosh_oracle():

@@ -10,19 +10,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csalin import canon, csa, symmetry
 from csalin.canon import transform_system
 from csalin.expr import (
     EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, Div, EvalDomainError,
-    Expr, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
+    Expr, ExprError, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
     UnboundSymbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
     collect, compile_rows, cos, differentiate, div, emit_code, enclose,
-    eval_expr, exp, free_symbols, log, mul, neg, parse, pow_,
+    eval_expr, exp, free_symbols, log, mul, neg, normalize, parse, pow_,
     rewrite_subterms, simplify, sin, sqrt, substitute, sym, to_string,
     zero_verdict,
 )
 from csalin.numerics import Field, rk4
-from csalin.verify import example_case
+from csalin.verify import example_case, run_example
 
+from beta_corpus import BETA_CORPUS
 from exprgen import CTX, VARS, corpus, random_expr, sample_point
 
 
@@ -358,6 +360,98 @@ def test_derivative_vs_finite_difference_hypothesis(seed, which):
         return
     scale = max(1.0, abs(want))
     assert abs(got - want) <= 1e-6 * scale
+
+
+def _diff_unpruned(e, v, ctx):
+    """The product and chain rules in full, building every zero branch:
+    the derivative tree that ``differentiate`` must equal after
+    ``normalize``."""
+    if isinstance(e, Constant):
+        return ZERO
+    if isinstance(e, Symbol):
+        if e.name == v:
+            return C(1)
+        if ctx is not None and v == ctx.independent:
+            der = ctx.function_derivative(e.name)
+            if der is not None:
+                return Symbol(der)
+        return ZERO
+    if isinstance(e, Add):
+        return Add(tuple(_diff_unpruned(t, v, ctx) for t in e.terms))
+    if isinstance(e, Mul):
+        terms = []
+        for i in range(len(e.factors)):
+            parts = list(e.factors)
+            parts[i] = _diff_unpruned(parts[i], v, ctx)
+            terms.append(Mul(tuple(parts)))
+        return Add(tuple(terms))
+    if isinstance(e, Neg):
+        return Neg(_diff_unpruned(e.arg, v, ctx))
+    if isinstance(e, Div):
+        da, db = _diff_unpruned(e.num, v, ctx), _diff_unpruned(e.den, v, ctx)
+        return Div(Add((Mul((da, e.den)), Neg(Mul((e.num, db))))),
+                   Pow(e.den, Fraction(2)))
+    if isinstance(e, Pow):
+        db = _diff_unpruned(e.base, v, ctx)
+        return Mul((Constant(e.exponent), Pow(e.base, e.exponent - 1), db))
+    da = _diff_unpruned(e.arg, v, ctx)
+    if e.kind == "exp":
+        return Mul((e, da))
+    if e.kind == "log":
+        return Div(da, e.arg)
+    if e.kind == "sin":
+        return Mul((Func("cos", e.arg), da))
+    if e.kind == "cos":
+        return Neg(Mul((Func("sin", e.arg), da)))
+    return Div(da, Mul((C(2), e)))  # sqrt
+
+
+def _assert_unpruned_equal(e, v, ctx=None):
+    assert differentiate(e, v, ctx) == normalize(_diff_unpruned(e, v, ctx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 4))
+def test_pruned_derivative_equals_the_full_rules(seed, depth):
+    # zero branches are never built, and the tree is the same node for
+    # node; "w" does not occur, so every branch of it is pruned
+    e = random_expr(random.Random(seed), depth)
+    for v in (*VARS, "w"):
+        _assert_unpruned_equal(e, v)
+
+
+@pytest.mark.parametrize("text", [
+    "g*x + exp(g') - sin(3*y)*cos(g)", "log(1 + g^2)/sqrt(2 + x) - y",
+    "(x - x)*(y + 1) + (0*z)^2 - exp(0*y)", "1/(y^2 + 2) + 0/(x + 1)"])
+def test_pruned_derivative_equals_the_full_rules_on_functions(text):
+    ctx = VarContext().with_functions(["g"])
+    for e in (parse(text, ctx), simplify(parse(text, ctx))):
+        for v in ("x", "y", "z", "g", "g'"):
+            _assert_unpruned_equal(e, v, ctx)
+
+
+def test_pruned_derivative_equals_the_full_rules_on_the_pipeline(
+        monkeypatch):
+    # every derivative that the four worked examples and the beta corpus
+    # take, recorded where the pipeline calls differentiate
+    calls = []
+
+    def recording(e, v, ctx=None):
+        calls.append((e, v, ctx))
+        return differentiate(e, v, ctx)
+
+    for module in (canon, csa, symmetry):
+        monkeypatch.setattr(module, "differentiate", recording)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    for beta, _ in BETA_CORPUS:
+        try:
+            symmetry.classify_beta(beta)
+        except ExprError:
+            pass
+    assert len(calls) > 100
+    for e, v, ctx in calls:
+        _assert_unpruned_equal(e, v, ctx)
 
 
 def test_opaque_function_chain():

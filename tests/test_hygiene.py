@@ -1,10 +1,10 @@
 """Source hygiene: no module of the package imports a name it never uses;
-generated code is run in two places only, writes sums without a call,
-and is compiled a pinned number of times per worked example; `import
-csalin` loads no submodule; importing the CLI pays neither for scipy nor
-for the symmetry proofs; the symbolic subcommands, classify of a rational
-beta included, never load numpy; and scipy loads only when a spline is
-evaluated."""
+generated code is run in two places only, writes sums without a call, is
+generated a pinned number of times per worked example and compiled once
+per source; `import csalin` loads no submodule; importing the CLI pays
+neither for scipy nor for the symmetry proofs; the symbolic subcommands,
+classify of a rational beta included, never load numpy; and scipy loads
+only when a spline is evaluated."""
 
 from __future__ import annotations
 
@@ -148,6 +148,32 @@ def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
     monkeypatch.setattr(builtins, "exec", counting)
     run_example(case_id)
     assert seen == compiles
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_a_repeated_worked_example_compiles_nothing(monkeypatch, case_id):
+    # generated code is compiled once per source, so the second run of an
+    # example in one process runs only code objects compiled by the first
+    import builtins
+
+    from csalin.expr import compile_source
+    from csalin.verify import run_example
+
+    run_example(case_id)
+    real, run = builtins.exec, []
+
+    def recording(code, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__", "").startswith(
+                "csalin."):
+            run.append(code)
+        return real(code, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "exec", recording)
+    misses = compile_source.cache_info().misses
+    run_example(case_id)
+    assert compile_source.cache_info().misses == misses
+    # a source string would be compiled again
+    assert run and not any(isinstance(code, str) for code in run)
 
 
 def _run_fresh(code: str) -> None:

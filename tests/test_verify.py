@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from csalin.canon import PointTransformation, transform_system
+from csalin.canon import DxXZero, PointTransformation, transform_system
 from csalin import expr, numerics
 from csalin.csa import check_cr, complexify
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
@@ -143,6 +143,15 @@ def test_map_trajectory_names_the_row_where_the_map_is_undefined(
     assert len(calls) == 1 and calls[0][:3] == (T.X, T.Y, T.Z)
 
 
+def test_map_trajectory_refuses_a_constant_new_variable():
+    # D_x X = 0 is refused before Y' = D_x(Y)/D_x(X) divides by it
+    with pytest.warns(UserWarning, match="singular"):
+        T = PointTransformation(CTX, parse("3", CTX), sym("y"), sym("z"))
+    traj = integrate(_sys("0", "0"), (0.0, 0.0, 0.0, 1.0, 1.0), 0.1)
+    with pytest.raises(DxXZero):
+        map_trajectory(traj, T)
+
+
 def test_residual_is_nan_on_a_nan_defect():
     # inf - inf on every row: the defect is NaN, which must not read as 0
     case = example_case(1)
@@ -248,6 +257,53 @@ def test_case_report_renders_dimension_as_a_check():
     assert (d["example"], d["dimension"], d["expected_dimension"]) == \
         (1, 15, 15)
     assert "symmetry dimension (symbolic): 15 (expected 15)" in rep.render()
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_run_example_derives_the_first_derivatives_once(monkeypatch,
+                                                         case_id):
+    # transform_system takes D_x X, Y' and Z' along the system (three
+    # total derivatives) and then Y'' and Z'' (two more); map_trajectory
+    # reuses the first three
+    from csalin import canon, symmetry, verify
+
+    calls = []
+    real = canon.total_derivative
+
+    def counting(e, sys):
+        calls.append(e)
+        return real(e, sys)
+
+    for module in (canon, symmetry, verify):
+        if hasattr(module, "total_derivative"):
+            monkeypatch.setattr(module, "total_derivative", counting)
+    run_example(case_id)
+    assert len(calls) == 5
+
+
+def _worked_example_outputs() -> tuple:
+    """run_example(1..4) as dicts, and the four trajectories' arrays and
+    errors."""
+    trajectories = []
+    for i in (1, 2, 3, 4):
+        case = example_case(i)
+        traj = integrate(case.system, case.init, case.interval[1],
+                         params=case.param_values)
+        trajectories.append((traj.xs, traj.states, traj.error))
+    return [run_example(i).to_dict() for i in (1, 2, 3, 4)], trajectories
+
+
+def test_worked_examples_do_not_depend_on_a_warm_code_cache():
+    # generated code is compiled once per source and kept; a run that
+    # compiles everything afresh and one that finds it compiled agree
+    expr.compile_source.cache_clear()
+    cold, cold_trajs = _worked_example_outputs()
+    warm, warm_trajs = _worked_example_outputs()
+    assert cold == warm
+    for (xs, states, err), (xs2, states2, err2) in zip(cold_trajs,
+                                                       warm_trajs):
+        assert np.array_equal(xs, xs2) and np.array_equal(states, states2)
+        assert err == err2
 
 
 def test_run_example_deterministic():
