@@ -14,8 +14,10 @@ worked examples (``integrate`` and ``map_trajectory``); the tables and
 cross-check errors of reduce_24_to_25 and reduce_25_to_28 along the
 examples' reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
-one crossing zero, a polynomial a1); and classify_beta over
-`tests/beta_corpus.py`.
+one crossing zero, a polynomial a1); classify_beta over
+`tests/beta_corpus.py`; the transform_system right-hand sides of the four
+examples; and simplify of a few sin and cos powers, so that a change of the
+kernel's normal form shows in the diff.
 """
 
 import hashlib
@@ -26,9 +28,9 @@ import numpy as np
 
 from csalin.canon import (
     CoefficientFn, LinearForm, RhoVanishes, reduce_24_to_25,
-    reduce_25_to_28, reduce_optimal,
+    reduce_25_to_28, reduce_optimal, transform_system,
 )
-from csalin.expr import ExprError, to_string
+from csalin.expr import ExprError, VarContext, parse, simplify, to_string
 from csalin.symmetry import classify_beta
 from csalin.verify import example_case, integrate, map_trajectory, run_example
 
@@ -114,6 +116,11 @@ def classification(beta: str) -> dict:
     return out
 
 
+TRIG_POWERS = ("sin(x)^2 + cos(x)^2", "sin(x)^3", "sin(x)^4 - cos(x)^4",
+               "sin(x+y)^2*cos(x+y)", "1/(sin(z)^2 + cos(z)^2)",
+               "(sin(x) + x)^2/(sin(x) + x)", "sin(x)^(-2)")
+
+
 def main() -> int:
     for i in (1, 2, 3, 4):
         record(f"run_example {i}", lambda: run_example(i).to_dict())
@@ -153,6 +160,15 @@ def main() -> int:
 
     for beta, _ in BETA_CORPUS:
         record(f"classify_beta {beta}", lambda: classification(beta))
+
+    for i in (1, 2, 3, 4):
+        case = example_case(i)
+        out = transform_system(case.system, case.transformation)
+        record(f"transform_system {i}", lambda: {
+            "omega1": to_string(out.omega1), "omega2": to_string(out.omega2)})
+    for text in TRIG_POWERS:
+        record(f"simplify {text}",
+               lambda: to_string(simplify(parse(text, VarContext()))))
     return 0
 
 

@@ -726,7 +726,7 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
         # tabulated or not
         return _identity_rescaling(LinearForm("optimal", {
             "dt11": CoefficientFn.symbolic(
-                simplify(mul(half, d11.expr - d22.expr))),
+                simplify(mul(half, d11.expr - d22.expr)), var=d11.var),
             "dt12": d12, "dt21": d21,
         }))
 

@@ -14,8 +14,12 @@ The kernel turns them back into Fractions where it builds an Expr.
 The simplifier expands products and integer powers and collects like
 monomials, which is enough to decide zero for expressions that are
 polynomial in the dependent variables and their derivatives with
-rational-function coefficients.  Transcendental mixtures fall back to the
-sampled zero test (`is_zero_sampled`).
+rational-function coefficients.  It also reduces every power n >= 2 of
+sin(u) by sin(u)^2 = 1 - cos(u)^2, so polynomials in sin and cos of one
+argument are decided modulo sin^2 + cos^2 = 1.  Other transcendental
+identities (exp(2x) = exp(x)^2, sin(2x) = 2 sin(x) cos(x), a negative or
+fractional power of sin) fall back to the sampled zero test
+(`is_zero_sampled`).
 """
 
 from __future__ import annotations
@@ -639,7 +643,13 @@ def to_string(e: Expr) -> str:
 # Fraction, never with `/`, which gives a float.  Values leave the kernel
 # as Fractions (`_base_to_expr`, `_poly_to_expr`).  Base kinds:
 #   "sym"    a symbol
-#   "func"   exp/log/sin/cos applied to a canonical argument
+#   "func"   exp/log/sin/cos applied to a canonical argument; a positive
+#            integer power of sin is at most 1, since sin(u)^n for n >= 2
+#            expands as sin(u)^(n mod 2) * (1 - cos(u)^2)^(n div 2), which
+#            holds for every real u.  Negative and fractional powers of sin
+#            stay, and arguments are not related (sin(2u), sin(-u) and
+#            sin(u) are three bases), so that part is a normal form only
+#            for polynomials in sin(u) and cos(u)
 #   "cpow"   a prime integer raised to a fractional exponent in (0, 1)
 #   "sumpow" a canonical multi-term sum with negative-integer or fractional
 #            exponent (positive integer powers of sums are expanded)
@@ -707,15 +717,14 @@ def _poly_const(c) -> dict:
     return {(): c} if c != 0 else {}
 
 
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
+def _poly_iadd(acc: dict, b: dict) -> None:
+    """acc += b, in place: acc is always a dict its caller owns."""
     for m, c in b.items():
-        s = out.get(m, 0) + c
+        s = acc.get(m, 0) + c
         if s == 0:
-            out.pop(m, None)
+            acc.pop(m, None)
         else:
-            out[m] = _num(s)
-    return out
+            acc[m] = _num(s)
 
 
 def _poly_scale(a: dict, c: int) -> dict:
@@ -726,7 +735,8 @@ def _poly_scale(a: dict, c: int) -> dict:
 
 def _normalize_factors(factors: dict, coeff, st: _Canon) -> dict:
     """Turn a raw factor->exponent map into a canonical polynomial,
-    folding constant powers and expanding positive integer sum powers.
+    folding constant powers and expanding positive integer sum powers and
+    sin powers of degree 2 and up.
 
     The exponents and coeff may be integral Fractions (sums and products
     of Fractions stay Fractions); the result holds kernel numbers."""
@@ -737,19 +747,27 @@ def _normalize_factors(factors: dict, coeff, st: _Canon) -> dict:
             continue
         q = _num(q)
         base = st.bases[key]
-        if isinstance(base, _CpowBase):
+        kind = type(base)
+        if kind is _CpowBase:
             n, f = divmod(q, 1)
             coeff *= Fraction(base.prime) ** n
             if f != 0:
                 clean[key] = f
-        elif isinstance(base, _SumBase) and type(q) is int and q > 0:
-            expansions.append((key, q))
+        elif kind is _SymBase or type(q) is not int or q < 1:
+            clean[key] = q
+        elif kind is _SumBase:
+            expansions.append((_canon(base.expr, st), q))
+        elif q > 1 and base.kind == "sin":
+            # sin(u)^q = sin(u)^(q mod 2) * (1 - cos(u)^2)^(q div 2)
+            if q & 1:
+                clean[key] = 1
+            cos2 = (st.key_for(_FuncBase("cos", base.arg)), 2)
+            expansions.append(({(): 1, (cos2,): -1}, q >> 1))
         else:
             clean[key] = q
     mono = tuple(sorted(clean.items()))
     out = {mono: _num(coeff)} if coeff != 0 else {}
-    for key, n in expansions:
-        base_poly = _canon(st.bases[key].expr, st)
+    for base_poly, n in expansions:
         for _ in range(n):
             out = _poly_mul(out, base_poly, st)
     return out
@@ -762,8 +780,7 @@ def _poly_mul(a: dict, b: dict, st: _Canon) -> dict:
             factors = dict(m1)
             for k, q in m2:
                 factors[k] = factors.get(k, 0) + q
-            piece = _normalize_factors(factors, c1 * c2, st)
-            out = _poly_add(out, piece)
+            _poly_iadd(out, _normalize_factors(factors, c1 * c2, st))
     return out
 
 
@@ -862,7 +879,7 @@ def _poly_pow(p: dict, q, st: _Canon) -> dict:
     # the residual polynomial; expand them so the base is in normal form
     expanded = {}
     for m, c in p0.items():
-        expanded = _poly_add(expanded, _normalize_factors(dict(m), c, st))
+        _poly_iadd(expanded, _normalize_factors(dict(m), c, st))
     if expanded != p0:
         c2, g2, p0 = _sum_content(expanded)
         content *= c2
@@ -898,7 +915,7 @@ def _canon(e: Expr, st: _Canon) -> dict:
     if isinstance(e, Add):
         out = {}
         for t in e.terms:
-            out = _poly_add(out, _canon(t, st))
+            _poly_iadd(out, _canon(t, st))
         return out
     if isinstance(e, Mul):
         out = _poly_const(1)
@@ -972,7 +989,34 @@ def _poly_to_expr(p: dict, st: _Canon) -> Expr:
 # ---------------------------------------------------------------------------
 # fraction reduction (cosmetic cancellation of sum denominators)
 
-def _try_divide(n_poly: dict, b_poly: dict):
+def _try_divide(n_poly: dict, b_poly: dict, st: _Canon):
+    """Exact division n/b modulo sin(u)^2 + cos(u)^2 = 1; None on failure.
+
+    For b = b0 + b1*sin(u), where neither b0 nor b1 holds sin(u),
+    n/b = n*b'/(b*b') with b' = b0 - b1*sin(u), and the normal form of
+    b*b' = b0^2 - b1^2*(1 - cos(u)^2) is free of sin(u)."""
+    q = _free_divide(n_poly, b_poly)
+    if q is not None:
+        return q
+    for key in sorted({k for m in b_poly for k, _ in m}):
+        base = st.bases[key]
+        if isinstance(base, _FuncBase) and base.kind == "sin" and \
+                all(dict(m).get(key, 0) in (0, 1) for m in b_poly):
+            conj = {m: -c if (key, 1) in m else c for m, c in b_poly.items()}
+            q = _try_divide(_poly_mul(n_poly, conj, st),
+                            _poly_mul(b_poly, conj, st), st)
+            # refuse a power of a factor that n/b does not divide by: for
+            # b = 1 + sin(u), b*b' = cos(u)^2 vanishes where b does not
+            gn = dict(_sum_content(n_poly)[1])
+            gb = dict(_sum_content(b_poly)[1])
+            if q is None or any(e < min(0, gn.get(k, 0) - gb.get(k, 0))
+                                for m in q for k, e in m):
+                return None
+            return q
+    return None
+
+
+def _free_divide(n_poly: dict, b_poly: dict):
     """Exact multivariate division n/b over factor keys; None on failure."""
     if not n_poly:
         return {}
@@ -1055,16 +1099,16 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
                     fac = dict(rest)
                     if e != 0:
                         fac[key] = e
-                    newp = _poly_add(newp, _normalize_factors(fac, c, st))
+                    _poly_iadd(newp, _normalize_factors(fac, c, st))
                 continue
             numer = {}
             for k, rest, c in items:
                 piece = {rest: c}
                 for _ in range(k_max - k):
                     piece = _poly_mul(piece, base_poly, st)
-                numer = _poly_add(numer, piece)
+                _poly_iadd(numer, piece)
             while k_max > 0:
-                q = _try_divide(numer, base_poly)
+                q = _try_divide(numer, base_poly, st)
                 if q is None:
                     break
                 numer = q
@@ -1074,7 +1118,7 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
                 fac = dict(m)
                 if shift != 0:
                     fac[key] = fac.get(key, 0) + shift
-                newp = _poly_add(newp, _normalize_factors(fac, c, st))
+                _poly_iadd(newp, _normalize_factors(fac, c, st))
         p = newp
     return p
 
@@ -1120,7 +1164,7 @@ def _clear_denominators(p: dict, st: _Canon) -> dict:
             fac = dict(m)
             for k, q in mins.items():
                 fac[k] = fac.get(k, 0) - q
-            newp = _poly_add(newp, _normalize_factors(fac, c, st))
+            _poly_iadd(newp, _normalize_factors(fac, c, st))
         p = newp
     return p
 
@@ -1303,7 +1347,7 @@ def rewrite_subterms(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
             else:
                 rep = {((key, 1),): 1}
             piece = _poly_mul(piece, _poly_pow(rep, q, st), st)
-        out = _poly_add(out, piece)
+        _poly_iadd(out, piece)
     out = _reduce_fractions(out, st)
     return _poly_to_expr(out, st)
 
@@ -1687,7 +1731,7 @@ def coefficients_in(e: Expr, vars: Iterable[str]) -> dict:
             rest[key] = q
         sig = tuple(sig)
         piece = _normalize_factors(rest, coeff, st)
-        groups[sig] = _poly_add(groups.get(sig, {}), piece)
+        _poly_iadd(groups.setdefault(sig, {}), piece)
     return {sig: _poly_to_expr(poly, st) for sig, poly in groups.items()
             if poly}
 

@@ -19,7 +19,7 @@ from csalin.canon import (
 )
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    C, VarContext, ZERO, parse, simplify, sym, to_string, zero_verdict,
+    C, VarContext, ZERO, neg, parse, simplify, sym, to_string, zero_verdict,
 )
 from csalin.numerics import (
     Blowup, Field, InaccurateIntegration, rk4_checked,
@@ -293,6 +293,19 @@ def test_reduce_optimal_trace_free_with_a_table_off_the_diagonal(
     assert to_string(res.form["dt11"].expr) == "1"
     assert res.form["dt12"] is d12
     assert to_string(res.form["dt21"].expr) == "2"
+
+
+def test_reduce_optimal_trace_free_in_another_variable():
+    # dt11 is built on d11's variable, not on the default x
+    t = sym("t")
+    lf = LinearForm("general", {
+        "d11": CoefficientFn.symbolic(t, var="t"),
+        "d22": CoefficientFn.symbolic(neg(t), var="t"), "d12": 1, "d21": 2})
+    res = reduce_optimal(lf, (0.5, 2.0))
+    assert res.rescaling == "closed-form"
+    dt11 = res.form["dt11"]
+    assert (to_string(dt11.expr), dt11.var) == ("t", "t")
+    assert dt11(1.5) == 1.5
 
 
 def test_reduce_optimal_cosh_oracle():

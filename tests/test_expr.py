@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -243,25 +244,127 @@ def test_symbolic_zero_verdicts_agree_with_sampling(seed, pt):
 def test_zero_verdict_symbolic_and_numeric():
     ctx = VarContext()
     assert zero_verdict(parse("(x+y)^2 - x^2 - 2*x*y - y^2", ctx)).is_zero
-    v = zero_verdict(parse("sin(x)^2 + cos(x)^2 - 1", ctx))
+    v = zero_verdict(parse("exp(2*x) - exp(x)^2", ctx))
     assert v.is_zero and v.method == "numeric"
     assert not zero_verdict(parse("x + 1", ctx)).is_zero
 
 
 # identities the kernel cannot decide, so the sampled test decides them
-_SAMPLED_ZEROS = ["sin(x)^2+cos(x)^2-1", "exp(2*x)-exp(x)^2",
-                  "sin(2*x)-2*sin(x)*cos(x)"]
+_SAMPLED_ZEROS = ["exp(2*x)-exp(x)^2", "sin(2*x)-2*sin(x)*cos(x)"]
+# an identity of the kernel's normal form, decided without sampling
+_PYTHAGORAS = "sin(x)^2+cos(x)^2-1"
+
+
+def _verdict_case(text, want, method):
+    return pytest.param(text, want, method, id=f"{text}-{want}")
 
 
 @pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("text,want", [
-    *((t, True) for t in _SAMPLED_ZEROS),
-    # a 1e-8 perturbation, just above the 1e-9 relative tolerance
-    (_SAMPLED_ZEROS[0] + "+x/100000000", False),
+@pytest.mark.parametrize("text,want,method", [
+    *(_verdict_case(t, True, "numeric") for t in _SAMPLED_ZEROS),
+    # a 1e-8 perturbation, just above the 1e-9 relative tolerance, and a
+    # 1e-10 one below it
+    _verdict_case(_SAMPLED_ZEROS[1] + "+x/100000000", False, "numeric"),
+    _verdict_case(_SAMPLED_ZEROS[1] + "+x/10000000000", True, "numeric"),
+    # the normal form leaves x/10^8 of the perturbed identity
+    _verdict_case(_PYTHAGORAS, True, "symbolic"),
+    _verdict_case(_PYTHAGORAS + "+x/100000000", False, "symbolic"),
 ])
-def test_sampled_zero_verdicts(text, want, seed):
+def test_sampled_zero_verdicts(text, want, method, seed):
     v = zero_verdict(parse(text, CTX), seed=seed)
-    assert (v.is_zero, v.method) == (want, "numeric")
+    assert (v.is_zero, v.method) == (want, method)
+
+
+# ---------------------------------------------------------------------------
+# the Pythagorean normal form: sin(u)^n for n >= 2 becomes
+# sin(u)^(n mod 2) * (1 - cos(u)^2)^(n div 2)
+
+
+@pytest.mark.parametrize("text", [
+    "sin(x+y)^2 + cos(x+y)^2 - 1",
+    "sin(x)^4 - cos(x)^4 - sin(x)^2 + cos(x)^2",
+    "1/(sin(z)^2 + cos(z)^2) - 1",
+    "(sin(x) + x)^2/(sin(x) + x) - sin(x) - x",
+])
+def test_pythagorean_identities_are_symbolic_zeros(text):
+    v = zero_verdict(parse(text, CTX))
+    assert (v.is_zero, v.method) == (True, "symbolic")
+
+
+def test_exp_polar_jacobian_determinant_is_exp_2y():
+    Y = mul(exp(sym("y")), cos(sym("z")))
+    Z = mul(exp(sym("y")), sin(sym("z")))
+    d = differentiate
+    det = d(Y, "y") * d(Z, "z") - d(Y, "z") * d(Z, "y")
+    assert to_string(simplify(det)) == "exp(y)^2"
+
+
+@pytest.mark.parametrize("text,want", [
+    ("sin(x)^3", "-cos(x)^2*sin(x) + sin(x)"),
+    # negative and fractional powers of sin are left as they are
+    ("sin(x)^(-2)", "sin(x)^(-2)"),
+    ("sin(x)^(1/2)", "sin(x)^(1/2)"),
+    # dividing by 1 + sin(x) through cos(x)^2 would add poles at
+    # x = pi/2 + 2 k pi, so the fraction stays
+    ("x/(1 + sin(x))", "(sin(x) + 1)^(-1)*x"),
+    ("(sin(x)^2 - 1)/(sin(x) - 1)", "sin(x) + 1"),
+])
+def test_pythagorean_normal_form(text, want):
+    assert to_string(simplify(parse(text, CTX))) == want
+
+
+_TRIG_ARGS = (sym("x"), sym("y"), add(sym("x"), sym("z")))
+# a positive integer power of sin; negative ones print as sin(u)^(-n)
+_SIN_POWER = re.compile(r"sin\([^()]*\)\^\d")
+
+
+def _trig_expr(rng):
+    """A sum of up to four rational multiples of sin(u)^a*cos(u)^b with
+    a + b <= 5, each times sin(v)^c with c <= 2, sometimes over, or times
+    and over, sin(w) + 2 or sin(w) + 3."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        u = rng.choice(_TRIG_ARGS)
+        a = rng.randint(0, 5)
+        b = rng.randint(0, 5 - a)
+        v = rng.choice(_TRIG_ARGS)
+        terms.append(mul(C(Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+                         pow_(sin(u), a), pow_(cos(u), b),
+                         pow_(sin(v), rng.randint(0, 2))))
+    e = add(*terms)
+    s = add(sin(rng.choice(_TRIG_ARGS)), C(rng.choice((2, 3))))
+    return rng.choice([e, div(e, s), mul(div(e, s), s), div(mul(e, s), s)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.tuples(_MIXED, _MIXED, _MIXED))
+def test_trig_simplify_is_a_projection_equal_to_its_input(seed, pt):
+    e = _trig_expr(random.Random(seed))
+    s = simplify(e)
+    assert simplify(s) == s
+    assert not _SIN_POWER.search(to_string(s))
+    b = dict(zip(VARS, pt))
+    assert not _differs(s, e, b, _magnitude(e, _terms(s), b))
+
+
+def test_example_2_derivatives_carry_no_sin_squared(monkeypatch):
+    # Y' along the system, and the old first derivatives solved from the
+    # new ones, which the Jacobian determinant exp(y)^2 divides
+    case = example_case(2)
+    bound = []
+    real = canon.substitute
+
+    def spy(e, bindings):
+        bound.extend(to_string(v) for v in bindings.values())
+        return real(e, bindings)
+
+    monkeypatch.setattr(canon, "substitute", spy)
+    _, Yp, _ = case.transformation.first_derivatives_along(case.system, 0)
+    transform_system(case.system, case.transformation)
+    assert len(bound) >= 2
+    for text in (to_string(Yp), *bound):
+        assert not _SIN_POWER.search(text)
 
 
 # ---------------------------------------------------------------------------
