@@ -16,19 +16,21 @@ examples' reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
 one crossing zero, a polynomial a1); classify_beta over
 `tests/beta_corpus.py`; the transform_system right-hand sides of the four
-examples; and simplify of a few sin and cos powers, so that a change of the
-kernel's normal form shows in the diff.
+examples; simplify of a few sin and cos powers, so that a change of the
+kernel's normal form shows in the diff; and attempt_linear_equivalence over
+a fixed list of constant optimal / zero_order or reduced pairs.
 """
 
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from csalin.canon import (
-    CoefficientFn, LinearForm, RhoVanishes, reduce_24_to_25,
-    reduce_25_to_28, reduce_optimal, transform_system,
+    CoefficientFn, LinearForm, RhoVanishes, attempt_linear_equivalence,
+    reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
 )
 from csalin.expr import ExprError, VarContext, parse, simplify, to_string
 from csalin.symmetry import classify_beta
@@ -44,6 +46,8 @@ def fmt(v) -> str:
         return repr(v)
     if isinstance(v, float):  # numpy's float64 included
         return v.hex()
+    if isinstance(v, Fraction):
+        return str(v)
     if isinstance(v, np.ndarray):
         data = np.ascontiguousarray(v, dtype=float).tobytes()
         return f"array{v.shape}:{hashlib.sha256(data).hexdigest()[:16]}"
@@ -120,6 +124,24 @@ TRIG_POWERS = ("sin(x)^2 + cos(x)^2", "sin(x)^3", "sin(x)^4 - cos(x)^4",
                "sin(x+y)^2*cos(x+y)", "1/(sin(z)^2 + cos(z)^2)",
                "(sin(x) + x)^2/(sin(x) + x)", "sin(x)^(-2)")
 
+# (dt11, dt12, dt21) against (a3, a4), or against beta when one value; the
+# first two are one system written in both forms
+EQUIVALENCE_PAIRS = (
+    ((0, -1, 1), (0, 1)), ((1, -2, 1), (1,)), ((1, 2, 3), (0, 1)),
+    ((1, 2, 3), (2, 3)), ((1, 2, 3), (1, 0)), ((1, 2, 3), (0, 0)),
+    ((0, 0, 0), (0, 0)), ((0, 0, 0), (0, 1)), ((1, 1, -1), (0, 1)),
+    (("1/2", "-5/4", 1), (1,)), ((3, -5, 2), (0, -1)),
+    ((0, -2, 1), (0, "sqrt(2)")))
+
+
+def equivalence(dt: tuple, tgt: tuple) -> dict:
+    opt = LinearForm("optimal", dict(zip(("dt11", "dt12", "dt21"), dt)))
+    target = (LinearForm("reduced", {"beta": tgt[0]}) if len(tgt) == 1
+              else zero_order(*tgt))
+    v = attempt_linear_equivalence(opt, target)
+    return {"consistent": v.consistent, "case": v.case,
+            "method": v.method, "solution": v.solution}
+
 
 def main() -> int:
     for i in (1, 2, 3, 4):
@@ -169,6 +191,9 @@ def main() -> int:
     for text in TRIG_POWERS:
         record(f"simplify {text}",
                lambda: to_string(simplify(parse(text, VarContext()))))
+    for dt, tgt in EQUIVALENCE_PAIRS:
+        record(f"attempt_linear_equivalence {dt} {tgt}",
+               lambda: equivalence(dt, tgt))
     return 0
 
 

@@ -3,8 +3,8 @@
 Carries systems through point transformations, reduces linear systems to
 the trace-free optimal form, reduces the two special linear forms (first
 derivative coupled / undifferentiated coupled) to the single-coefficient
-reduced form Y'' = -beta Z, Z'' = beta Y, and tests equivalence under
-constant linear maps of the dependent variables.
+reduced form Y'' = -beta Z, Z'' = beta Y, and decides equivalence of two
+constant forms u'' = A u, v'' = B v under u = P v as similarity of A, B.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
     add, coefficients_in, compile_rows, differentiate, div, eval_expr,
-    free_symbols, log, mul, parse, pow_, simplify, substitute,
-    rewrite_subterms, sym, to_string, zero_verdict,
+    _rational_value, free_symbols, log, mul, parse, pow_, simplify,
+    substitute, rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import (
     Blowup, DomainError, Field, checked_grid, require_accuracy, rk4_checked,
@@ -918,25 +918,21 @@ def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     consistent: bool
-    case: str  # "both-free-particle" | "inconsistent" | "degenerate-family"
+    case: str  # equivalent, inconsistent, or one of the two corners
     chain: tuple
-    solution: dict | None = None
+    solution: dict | None = None  # P = [[a, b], [c, d]] with u = P v
+    method: str = "symbolic"  # "numeric" when a constant is not rational
 
 
 def attempt_linear_equivalence(opt: LinearForm, target: LinearForm
                                ) -> EquivalenceVerdict:
-    """Test whether a constant-coefficient optimal form can be carried to
-    the undifferentiated-coupling form by a constant linear map of the
-    dependent variables.
-
-    Treating the optimal coefficients as linearly independent, matching
-    the mapped system against the target forces an algebraic system on
-    the map entries whose only solution is the zero map; the verdict is
-    therefore Inconsistent except in the degenerate corners (both systems
-    free-particle, or the optimal coefficients satisfying the degeneracy
-    dt11^2 + dt12*dt21 = 0, which belongs to a different equivalence
-    class altogether).
-    """
+    """Decide whether a constant map u = P v carries an optimal form
+    u'' = A u to a zero_order (or reduced) form v'' = B v, all constant:
+    iff A = [[dt11, dt12], [dt21, -dt11]] and B = [[a3, -a4], [a4, a3]] are
+    similar, i.e. a3 = 0 and a4^2 = -(dt11^2 + dt12*dt21) != 0, or A = B = 0.
+    Then P = [[1, dt11/a4], [0, dt21/a4]], checked against AP = PB.  The
+    tests are exact when every constant is rational (method "symbolic"),
+    else to a relative 1e-12 of the largest one ("numeric")."""
     if opt.kind != "optimal":
         raise ValueError("first argument must be an optimal-kind form")
     if target.kind not in ("zero_order", "reduced"):
@@ -946,42 +942,47 @@ def attempt_linear_equivalence(opt: LinearForm, target: LinearForm
             raise ValueError(
                 f"coefficient {name} is not constant; a variable-"
                 "coefficient map forces constant entries anyway")
-    a0 = opt["dt11"].constant_value()
-    b0 = opt["dt12"].constant_value()
-    c0 = opt["dt21"].constant_value()
-    if target.kind == "zero_order":
-        t3 = target["a3"].constant_value()
-        t4 = target["a4"].constant_value()
+    cfns = (opt["dt11"], opt["dt12"], opt["dt21"],
+            *((target["a3"], target["a4"]) if target.kind == "zero_order"
+              else (CoefficientFn.constant(0), target["beta"])))
+    values = [_rational_value(f.expr) if f.kind == "symbolic" else None
+              for f in cfns]
+    exact = None not in values
+    a, b, c, s, t = values if exact else [f.constant_value() for f in cfns]
+    rtol, num = (0, Fraction) if exact else (1e-12, float)
+    scale = max(map(abs, (a, b, c, s, t)))
+    def same(u, v, degree=1) -> bool:  # u, v of that degree in A and B
+        return abs(u - v) <= rtol * scale ** degree
+    det_a, det_b = -(a * a + b * c), s * s + t * t
+    a_zero = all(same(v, 0) for v in (a, b, c))
+    chain = [f"A = [[{a}, {b}], [{c}, {-a}]], trace 0, determinant {det_a}",
+             f"B = [[{s}, {-t}], [{t}, {s}]], trace {2 * s}, determinant "
+             f"{det_b}"] + ([] if exact else [
+                 "a constant is not rational: equalities hold to a "
+                 "relative 1e-12 of the largest constant"])
+    P = None
+    if a_zero and same(s, 0) and same(t, 0):
+        case, reason, P = "both-free-particle", "A = B = 0: both are the " \
+            "free particle; the identity map suffices", ((1, 0), (0, 1))
+    elif not a_zero and same(det_a, 0, 2):
+        case, reason = "degenerate-family", "A != 0 is nilpotent and no B " \
+            "is: the degenerate family, with an 8-dimensional symmetry algebra"
+    elif not same(s, 0):  # a scalar A or B left differs in trace or det
+        case, reason = "inconsistent", f"trace 0 of A != trace {2 * s} of B"
+    elif not same(det_a, det_b, 2):
+        case, reason = "inconsistent", \
+            f"determinant {det_a} of A != determinant {det_b} of B"
     else:
-        t3, t4 = 0.0, target["beta"].constant_value()
-
-    chain = ["a variable-coefficient dependent map must have vanishing "
-             "coefficient derivatives, reducing to the constant case"]
-
-    opt_zero = abs(a0) < 1e-12 and abs(b0) < 1e-12 and abs(c0) < 1e-12
-    tgt_zero = abs(t3) < 1e-12 and abs(t4) < 1e-12
-    if opt_zero and tgt_zero:
-        chain.append("both systems are already the free-particle system; "
-                     "the identity map suffices")
-        return EquivalenceVerdict(True, "both-free-particle", tuple(chain),
-                                  solution={"a": 1.0, "b": 0.0,
-                                            "c": 0.0, "d": 1.0})
-
-    disc = a0 * a0 + b0 * c0
-    if abs(disc) < 1e-12:
-        chain.append(
-            "the optimal coefficients satisfy dt11^2 + dt12*dt21 = 0; this "
-            "is the degenerate family whose symmetry algebra is "
-            "8-dimensional and which is not reachable from the reduced "
-            "single-coefficient form")
-        return EquivalenceVerdict(False, "degenerate-family", tuple(chain))
-
-    chain += [
-        "matching the mapped system term by term (coefficients treated as "
-        "independent) requires: a*b = c*d = 0",
-        "matching also requires a^2 - b^2 = c^2 - d^2 = 0",
-        "and a*d + b*c = a*c - b*d = 0",
-        "a*b = 0 with a^2 = b^2 forces a = b = 0; likewise c = d = 0",
-        "but the map must be invertible: a*d - b*c != 0 -- contradiction",
-    ]
-    return EquivalenceVerdict(False, "inconsistent", tuple(chain))
+        A, B = ((a, b), (c, -a)), ((s, -t), (t, s))
+        P = ((1, a / t), (0, c / t))
+        case, reason = "equivalent", "equal traces and determinants: A and " \
+            f"B are similar, AP = PB for P = [[1, {P[0][1]}], [0, {P[1][1]}]]"
+        if not all(same(t * sum(A[i][k] * P[k][j] for k in (0, 1)),
+                        t * sum(P[i][k] * B[k][j] for k in (0, 1)), 2)
+                   for i in (0, 1) for j in (0, 1)):
+            case, reason, P = "inconsistent", "P fails AP = PB", None
+    if case == "inconsistent":
+        reason += " -- contradiction"
+    sol = P and dict(zip("abcd", map(num, (*P[0], *P[1]))))
+    return EquivalenceVerdict(P is not None, case, (*chain, reason), sol,
+                              "symbolic" if exact else "numeric")

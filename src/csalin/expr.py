@@ -925,9 +925,18 @@ def _canon(e: Expr, st: _Canon) -> dict:
     if isinstance(e, Neg):
         return _poly_scale(_canon(e.arg, st), -1)
     if isinstance(e, Div):
-        num = _canon(e.num, st)
-        den = _canon(e.den, st)
-        return _poly_mul(num, _poly_pow(den, -1, st), st)
+        out = _canon(e.num, st)
+        den = _poly_const(1)
+        for f in e.den.factors if isinstance(e.den, Mul) else (e.den,):
+            if isinstance(f, Pow) and isinstance(f.base, Add) and \
+                    f.exponent.denominator == 1 and f.exponent > 0:
+                # the sum to the negative power, not its expansion inverted,
+                # so that _reduce_fractions can cancel it
+                out = _poly_mul(out, _poly_pow(
+                    _canon(f.base, st), -f.exponent.numerator, st), st)
+            else:
+                den = _poly_mul(den, _canon(f, st), st)
+        return _poly_mul(out, _poly_pow(den, -1, st), st)
     if isinstance(e, Pow):
         return _poly_pow(_canon(e.base, st), _num(e.exponent), st)
     if isinstance(e, Func):

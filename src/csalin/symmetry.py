@@ -499,7 +499,7 @@ def _constant_witnesses(k: Fraction) -> tuple:
 
 # The highest degree the N/D conversion builds; a beta whose conversion
 # would go above it keeps the collocation route.
-_MAX_DEGREE = 16
+_MAX_DEGREE = 32
 
 
 class _NotRational(Exception):

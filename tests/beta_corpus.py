@@ -38,6 +38,7 @@ RANDOM_RATIONAL_BETAS = [
     "x/(x^2+4)",
     "(x^2+x+1)/(x+10)",
     "(2*x+3)/(x^2+x+7)",
+    "(3*x^2-x+7)^8/(5*x^2+x+3)^7+1/(x+4)^2",  # N, D of degree 18
 ]
 
 # every random rational beta above is 6-dimensional

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -718,13 +720,73 @@ def test_equivalence_degenerate_family_flagged():
     assert any("8-dimensional" in step for step in v.chain)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the verdict recites a chain, not the matrices")
 def test_equivalence_of_one_system_written_in_both_forms():
     # both forms are y'' = -z, z'' = y; u'' = A u and v'' = B v are
     # equivalent under a constant map iff A and B are similar
     v = attempt_linear_equivalence(_opt(0, -1, 1), _zero_order(0, 1))
     assert v.consistent and v.solution is not None
+
+
+def test_equivalence_to_a_reduced_target_gives_the_map():
+    # (Y, Z) = (y - z, z) carries y'' = y - 2z, z'' = y - z to
+    # Y'' = -Z, Z'' = Y, so u = P v with P = [[1, 1], [0, 1]]
+    v = attempt_linear_equivalence(_opt(1, -2, 1),
+                                   LinearForm("reduced", {"beta": 1}))
+    assert v.consistent and v.case == "equivalent"
+    assert v.method == "symbolic"
+    assert v.solution == {"a": 1, "b": 1, "c": 0, "d": 1}
+    assert all(isinstance(x, Fraction) for x in v.solution.values())
+
+
+def test_equivalence_with_an_irrational_constant_is_numeric():
+    v = attempt_linear_equivalence(_opt(0, -2, 1), _zero_order(0, "sqrt(2)"))
+    assert v.consistent and v.case == "equivalent"
+    assert v.method == "numeric"
+    assert any("relative 1e-12" in step for step in v.chain)
+    assert v.solution["d"] == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+
+
+def _mapped(dt: tuple, P: dict) -> OdeSystem2:
+    """The optimal system of dt = (dt11, dt12, dt21) in P^-1 (y, z)."""
+    a, b, c = (C(q) for q in dt)
+    y, z = sym("y"), sym("z")
+    sys = OdeSystem2(CTX, a * y + b * z, c * y - a * z)
+    det = P["a"] * P["d"] - P["b"] * P["c"]
+    T = PointTransformation(
+        CTX, sym("x"), C(P["d"] / det) * y - C(P["b"] / det) * z,
+        C(P["a"] / det) * z - C(P["c"] / det) * y)
+    return transform_system(sys, T)
+
+
+def test_every_equivalence_verdict_agrees_with_transform_system():
+    # A = [[a, b], [c, -a]] is similar to B = [[0, -t], [t, 0]] iff
+    # t^2 = -(a^2 + bc): draw b from a, c, t for the similar pairs
+    rng = random.Random(2101)
+    small = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+    nonzero = [q for q in small if q]
+    for _ in range(12):
+        a, c, t = rng.choice(small), rng.choice(nonzero), rng.choice(nonzero)
+        dt = (a, -(t * t + a * a) / c, c)
+        target = (_zero_order(0, t) if rng.random() < 0.5
+                  else LinearForm("reduced", {"beta": t}))
+        v = attempt_linear_equivalence(_opt(*dt), target)
+        assert v.consistent and v.case == "equivalent", (dt, t)
+        assert v.method == "symbolic"
+        out = _mapped(dt, v.solution)
+        Y, Z = sym("Y"), sym("Z")
+        for got, want in ((out.omega1, -C(t) * Z), (out.omega2, C(t) * Y)):
+            verdict = zero_verdict(simplify(got - want))
+            assert verdict.is_zero and verdict.method == "symbolic"
+    dissimilar = 0
+    while dissimilar < 12:
+        a, b, c, s, t = (rng.choice(small) for _ in range(5))
+        s *= dissimilar % 2  # half with a3 = 0: B's trace matches A's
+        if a * a + b * c == 0 or s == 0 and t * t == -(a * a + b * c):
+            continue  # nilpotent or zero A, or similar to B
+        dissimilar += 1
+        v = attempt_linear_equivalence(_opt(a, b, c), _zero_order(s, t))
+        assert not v.consistent and v.case == "inconsistent", (a, b, c, s, t)
+        assert v.solution is None and v.chain[-1].endswith("contradiction")
 
 
 def test_equivalence_accepts_reduced_targets():

@@ -95,6 +95,21 @@ def test_simplify_cancellation():
     assert to_string(simplify(e)) == "0"
 
 
+@pytest.mark.parametrize("text,want", [
+    ("(x+y)^3/(x+y)^5", "(y + x)^(-2)"),
+    ("(sin(x)+x)^3/(sin(x)+x)^5", "(x + sin(x))^(-2)"),
+    ("(x+y)^3/(2*(x+y)^5)", "1/2*(y + x)^(-2)"),
+])
+def test_a_power_of_a_sum_in_a_denominator_cancels(text, want):
+    # the denominator's power is not expanded before it is inverted, so
+    # this reduces as (x+y)^(-5)*(x+y)^3 does
+    e = parse(text, CTX)
+    assert to_string(simplify(e)) == want
+    assert to_string(simplify(parse(want, CTX))) == want
+    pt = {"x": 0.7, "y": 1.3}
+    assert eval_expr(simplify(e), pt) == pytest.approx(eval_expr(e, pt))
+
+
 def test_simplify_radicals():
     e = simplify(mul(sqrt(C(2)), sqrt(C(3))) - sqrt(C(6)))
     assert to_string(e) == "0"
