@@ -10,9 +10,9 @@ with its own source tree, is then the identity check:
     PYTHONPATH=src python scripts/record_outputs.py > outputs.txt
 
 The records are run_example(1..4).to_dict(); the trajectories of the four
-worked examples (``integrate`` and ``map_trajectory``); the tables and
-cross-check errors of reduce_24_to_25 and reduce_25_to_28 along the
-examples' reduction chains, of reduce_optimal on a general form, of two
+worked examples (``integrate`` and ``map_trajectory``); the forms and
+tables of reduce_24_to_25 and reduce_25_to_28 along the examples'
+reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
 one crossing zero, a polynomial a1); classify_beta over
 `tests/beta_corpus.py`; the transform_system right-hand sides of the four
@@ -88,8 +88,7 @@ def rescaled(red) -> dict:
 
 def first_order(red) -> dict:
     return {"form": form(red.form), "m1": coefficient(red.m1),
-            "m2": coefficient(red.m2), "cross": red.cross_check_error,
-            "error": red.error_estimate}
+            "m2": coefficient(red.m2), "error": red.error_estimate}
 
 
 def to_reduced(lf: LinearForm, interval: tuple) -> dict:

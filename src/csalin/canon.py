@@ -764,7 +764,6 @@ class FirstOrderReduction:
     form: LinearForm
     m1: CoefficientFn
     m2: CoefficientFn
-    cross_check_error: float | None = None
     error_estimate: float = 0.0
     # "rk4" where (M1, M2) came from checked RK4, else "closed-form"
     rescaling: str = "closed-form"
@@ -815,13 +814,14 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
                     h: float = 1e-3) -> FirstOrderReduction:
     """Trade first-derivative coupling for undifferentiated coupling.
 
-    The rescaling pair solves 2 M1' = a1 M1 - a2 M2, 2 M2' = a1 M2 + a2 M1
-    with (M1, M2)(x0) = (1, 0); the output coefficients follow from the
-    quotient rule for the rescaled dependent variables.  Where a1 and a2
-    are polynomials with numeric coefficients, M1 + i M2 = exp((A + i B)/2)
-    with A, B their exact integrals from x0, on rk4_checked's grid; else
-    RK4 integrates the pair.  When both inputs are closed-form, the output
-    is closed-form as well and the quotient rule serves as a cross-check.
+    The rescaling u = M v with M' = zeta M / 2, zeta = a1 + i a2 and
+    M(x0) = 1, turns u'' = zeta u' into v'' = (zeta^2/4 - zeta'/2) v
+    whatever M is, so a3 + i a4 is computed once from a1 and a2: in
+    closed form when both are closed-form, else on M's grid from their
+    values and derivatives, with the larger of their error estimates.
+    Where a1 and a2 are polynomials with numeric coefficients,
+    M1 + i M2 = exp((A + i B)/2) with A, B their exact integrals from x0,
+    on rk4_checked's grid; else RK4 integrates the pair.
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
@@ -850,44 +850,33 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     if float(modulus.min()) < 1e-12:
         raise MDegenerate("M1^2 + M2^2 vanished on the interval")
     require_accuracy(err)
-
-    v1, dv1 = a1.with_derivative(ts)
-    v2, dv2 = a2.with_derivative(ts)
-    dm1 = 0.5 * (v1 * m1 - v2 * m2)
-    dm2 = 0.5 * (v1 * m2 + v2 * m1)
-    ddm1 = 0.5 * (dv1 * m1 + v1 * dm1 - dv2 * m2 - v2 * dm2)
-    ddm2 = 0.5 * (dv1 * m2 + v1 * dm2 + dv2 * m1 + v2 * dm1)
-    p = v1 * dm1 - v2 * dm2 - ddm1
-    q = v1 * dm2 + v2 * dm1 - ddm2
-    a3_vals = (m1 * p + m2 * q) / modulus
-    a4_vals = (m1 * q - m2 * p) / modulus
-
     m1_fn = CoefficientFn.tabulated(ts, m1, src, h, err)
     m2_fn = CoefficientFn.tabulated(ts, m2, src, h, err)
 
     if a1.kind == "symbolic" and a2.kind == "symbolic":
-        # closed form: the rescaled equation has coefficient
-        # zeta^2/4 - zeta'/2 with zeta = a1 + i a2
         e1, e2 = a1.expr, a2.expr
-        quarter = C(Fraction(1, 4))
-        half = C(Fraction(1, 2))
-        a3_expr = simplify(quarter * (e1 * e1 - e2 * e2)
-                           - half * differentiate(e1, a1.var))
-        a4_expr = simplify(half * e1 * e2
-                           - half * differentiate(e2, a2.var))
-        a3_fn = CoefficientFn.symbolic(a3_expr, var=a1.var)
-        a4_fn = CoefficientFn.symbolic(a4_expr, var=a2.var)
-        cross = float(max(abs(a3_fn(ts) - a3_vals).max(),
-                          abs(a4_fn(ts) - a4_vals).max()))
-        form = LinearForm("zero_order", {"a3": a3_fn, "a4": a4_fn})
-        return FirstOrderReduction(form, m1_fn, m2_fn, cross, err, route)
-
-    src31 = "quotient coefficients from the rescaling pair M1, M2"
-    form = LinearForm("zero_order", {
-        "a3": CoefficientFn.tabulated(ts, a3_vals, src31, h, err),
-        "a4": CoefficientFn.tabulated(ts, a4_vals, src31, h, err),
-    })
-    return FirstOrderReduction(form, m1_fn, m2_fn, None, err, route)
+        quarter, half = C(Fraction(1, 4)), C(Fraction(1, 2))
+        coeffs = {
+            "a3": CoefficientFn.symbolic(
+                quarter * (e1 * e1 - e2 * e2)
+                - half * differentiate(e1, a1.var), var=a1.var),
+            "a4": CoefficientFn.symbolic(
+                half * e1 * e2 - half * differentiate(e2, a2.var),
+                var=a2.var),
+        }
+    else:
+        v1, dv1 = a1.with_derivative(ts)
+        v2, dv2 = a2.with_derivative(ts)
+        how = "zeta^2/4 - zeta'/2 with zeta = a1 + i a2, on M's grid"
+        error = max(a1.error_estimate, a2.error_estimate)
+        coeffs = {
+            "a3": CoefficientFn.tabulated(
+                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h, error),
+            "a4": CoefficientFn.tabulated(
+                ts, 0.5 * (v1 * v2 - dv2), how, h, error),
+        }
+    return FirstOrderReduction(LinearForm("zero_order", coeffs), m1_fn,
+                               m2_fn, err, route)
 
 
 def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):

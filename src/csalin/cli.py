@@ -17,7 +17,7 @@ from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import ExprError, VarContext, parse, to_string
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class InputError(Exception):
@@ -182,7 +182,7 @@ def cmd_canonicalize(args) -> int:
     except (ValueError, ExprError) as exc:
         raise InputError(f"bad linear form: {exc}")
     interval = doc.get("interval", (0.5, 2.0))
-    steps, routes, extra = [], [], {}
+    steps, routes = [], []
     for kind, reduce in (("general", reduce_optimal),
                          ("first_order", reduce_24_to_25),
                          ("zero_order", reduce_25_to_28)):
@@ -192,19 +192,11 @@ def cmd_canonicalize(args) -> int:
         steps.append(f"{kind} -> {red.form.kind}")
         routes.append(red.rescaling)
         lf = red.form
-        if kind == "first_order":
-            # the quotient-rule a3, a4 from (M1, M2) against zeta^2/4 -
-            # zeta'/2 (the CLI reads closed-form coefficients only, so
-            # there always is one); M cancels out of the quotient
-            extra["cross_check_error"] = red.cross_check_error
     # "rk4" where any step of the chain integrated its rescaling with RK4
     rescaling = "rk4" if "rk4" in routes else "closed-form"
     out = {name: _coefficient_summary(c) for name, c in lf.coeffs.items()}
     text_lines = [f"reduction chain: {' ; '.join(steps) or '(none)'}",
                   f"result kind: {lf.kind}", f"rescaling: {rescaling}"]
-    if extra:
-        text_lines.append("quotient rule vs zeta^2/4 - zeta'/2 cross-check: "
-                          f"{extra['cross_check_error']:.3e}")
     for name, summary in sorted(out.items()):
         if summary["kind"] == "symbolic":
             text_lines.append(f"  {name} = {summary['expr']}")
@@ -215,7 +207,7 @@ def cmd_canonicalize(args) -> int:
                 f"error {summary['error_estimate']:.2e}")
     _emit(args, {"command": "canonicalize", "chain": steps,
                  "kind": lf.kind, "coefficients": out,
-                 "rescaling": rescaling, **extra},
+                 "rescaling": rescaling},
           "\n".join(text_lines))
     return 0
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .expr import (
     Expr, VarContext, ExprError, add, differentiate, mul, neg, simplify,
-    to_string, zero_verdict, C, Symbol, Pow,
+    to_string, zero_verdict, C, Symbol,
 )
 from .cubic import OdeSystem2
 from .reports import ConditionCheck, ConditionReport
@@ -94,25 +94,10 @@ def realify(E3, E2, E1, E0, ctx: VarContext | None = None,
         ctx = VarContext()
     for name, pair in (("E3", E3), ("E2", E2), ("E1", E1), ("E0", E0)):
         _check_pair_cr(name, pair[0], pair[1], ctx, seed)
-    a11, a12 = E3
-    b11, b12 = E2
-    g11, g12 = E1
-    d11, d12 = E0
     yp, zp = (Symbol(n) for n in ctx.first_derivatives)
-
-    def p(base, n):
-        return Pow(base, n) if n != 1 else base
-
-    lhs1 = add(
-        mul(a11, p(yp, 3)), mul(C(-3), a12, p(yp, 2), zp),
-        mul(C(-3), a11, yp, p(zp, 2)), mul(a12, p(zp, 3)),
-        mul(b11, p(yp, 2)), mul(C(-2), b12, yp, zp), neg(mul(b11, p(zp, 2))),
-        mul(g11, yp), neg(mul(g12, zp)), d11,
-    )
-    lhs2 = add(
-        mul(a12, p(yp, 3)), mul(C(3), a11, p(yp, 2), zp),
-        mul(C(-3), a12, yp, p(zp, 2)), neg(mul(a11, p(zp, 3))),
-        mul(b12, p(yp, 2)), mul(C(2), b11, yp, zp), neg(mul(b12, p(zp, 2))),
-        mul(g12, yp), mul(g11, zp), d12,
-    )
-    return OdeSystem2(ctx, simplify(neg(lhs1)), simplify(neg(lhs2)))
+    # E3 p^3 + E2 p^2 + E1 p + E0 with p = y' + i z', by Horner's rule
+    re, im = E3
+    for c_re, c_im in (E2, E1, E0):
+        re, im = (add(mul(re, yp), neg(mul(im, zp)), c_re),
+                  add(mul(re, zp), mul(im, yp), c_im))
+    return OdeSystem2(ctx, simplify(neg(re)), simplify(neg(im)))

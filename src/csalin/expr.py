@@ -432,40 +432,8 @@ def _make_pow(base: Expr, exponent: Expr) -> Expr:
 
 def _rational_value(e: Expr) -> Fraction | None:
     """Exact rational value of a constant subtree, else None."""
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Neg):
-        v = _rational_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, Add):
-        vals = [_rational_value(t) for t in e.terms]
-        if any(v is None for v in vals):
-            return None
-        return sum(vals, Fraction(0))
-    if isinstance(e, Mul):
-        vals = [_rational_value(f) for f in e.factors]
-        if any(v is None for v in vals):
-            return None
-        out = Fraction(1)
-        for v in vals:
-            out *= v
-        return out
-    if isinstance(e, Div):
-        a, b = _rational_value(e.num), _rational_value(e.den)
-        if a is None or b is None or b == 0:
-            return None
-        return a / b
-    if isinstance(e, Pow):
-        b = _rational_value(e.base)
-        if b is None:
-            return None
-        q = e.exponent
-        if q.denominator == 1:
-            if b == 0 and q < 0:
-                return None
-            return b ** q.numerator if q >= 0 else 1 / (b ** (-q.numerator))
-        return None
-    return None
+    v = normalize(e)
+    return v.value if isinstance(v, Constant) else None
 
 
 def parse(text: str, ctx: VarContext) -> Expr:
@@ -818,14 +786,9 @@ def _sum_content(p: dict) -> tuple:
 
 def _even_power(m) -> bool:
     """a^m is an even integer power, so (a^m)^q = |a|^(mq), not a^(mq), for
-    fractional q.  A fractional m already confines a to a >= 0, so that
-    merge is sign-safe; an odd m is sign-safe only as the one factor that
-    carries a sign (see `_poly_pow`)."""
+    fractional q: a lone even power stays under the root (see
+    `_poly_pow`)."""
     return m.denominator == 1 and m.numerator % 2 == 0
-
-
-def _odd_power(m) -> bool:
-    return m.denominator == 1 and m.numerator % 2 == 1
 
 
 def _poly_pow(p: dict, q, st: _Canon) -> dict:
@@ -855,16 +818,18 @@ def _poly_pow(p: dict, q, st: _Canon) -> dict:
         if coeff < 0 and not mono:
             raise EvalDomainError("fractional power of a negative constant",
                                   Constant(Fraction(coeff)))
-        # a negative sign, every even power, and odd powers where two of
-        # them carry signs (sqrt(x*y) is real at x = y = -1), stay in an
-        # opaque base: a fractional power needs its base >= 0
-        odd = sum(_odd_power(e) for _, e in mono) > 1
-        kept = tuple((k, e) for k, e in mono if coeff < 0 or _even_power(e)
-                     or odd and _odd_power(e))
-        factors = {k: e * q for k, e in mono if (k, e) not in kept}
-        if kept:
-            base_expr = _poly_to_expr({kept: 1 if coeff > 0 else -1}, st)
-            factors[st.key_for(_SumBase(base_expr))] = q
+        # a fractional power needs its base >= 0, so the monomial splits
+        # only where every factor is >= 0 wherever the product is defined:
+        # one factor of odd or fractional power, or fractional powers
+        # only.  Else the sign and all factors stay in one opaque base
+        # (sqrt(x*y^2) is real at x = -1, y = 0; sqrt(x*y) at x = y = -1)
+        exps = [e for _, e in mono]
+        if coeff > 0 and (len(exps) == 1 and not _even_power(exps[0])
+                          or all(e.denominator != 1 for e in exps)):
+            factors = {k: e * q for k, e in mono}
+        else:
+            base_expr = _poly_to_expr({mono: 1 if coeff > 0 else -1}, st)
+            factors = {st.key_for(_SumBase(base_expr)): q}
         coeff = abs(coeff)
         for prime, n in _prime_factors(coeff.numerator).items():
             k = st.key_for(_CpowBase(prime))
@@ -888,12 +853,10 @@ def _poly_pow(p: dict, q, st: _Canon) -> dict:
             gd[k] = gd.get(k, 0) + qq
         g = tuple(sorted((k, _num(v)) for k, v in gd.items() if v != 0))
     if type(q) is not int:
-        # as for one monomial: the sign and the even powers stay in the
-        # base, and so do the odd powers, since p0 may carry a sign
-        kept = tuple((k, e) for k, e in g if type(e) is int)
-        if kept:
-            p0 = _poly_mul(p0, {kept: 1}, st)
-            g = tuple(f for f in g if f not in kept)
+        # p0 may carry a sign, so the sign and the whole content g stay in
+        # the base (sqrt(x^(1/2) + x^(1/2)*y) is real at x = 0, y = -2)
+        if g:
+            p0, g = _poly_mul(p0, {g: 1}, st), ()
         if content < 0:
             content, p0 = -content, _poly_scale(p0, -1)
     base_expr = _poly_to_expr(p0, st)

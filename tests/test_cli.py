@@ -103,7 +103,7 @@ def test_classify_json_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["dimension"] == 6
     assert doc["rank"] == 11 - doc["dimension"]
     assert doc["svd_cutoff"] == 1e-8
@@ -150,28 +150,21 @@ def test_canonicalize_full_chain_from_first_order(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "first_order -> zero_order" in out
     assert "zero_order -> reduced" in out
-    assert "quotient rule vs zeta^2/4 - zeta'/2 cross-check: " in out
+    assert "cross-check" not in out
 
 
-def test_canonicalize_reports_the_first_order_cross_check(tmp_path, capsys):
-    # the quotient-rule zero-order coefficients from (M1, M2) against the
-    # closed form zeta^2/4 - zeta'/2
+def test_canonicalize_first_order_reports_no_cross_check(tmp_path, capsys):
+    # a3 + i a4 = zeta^2/4 - zeta'/2 is computed once, so there is no
+    # second route to report (schema_version 2 dropped cross_check_error)
     path = _write(tmp_path, "f.json",
                   {"form": {"kind": "first_order", "a1": "1+x", "a2": "x"},
                    "interval": [0.5, 2.0]})
     assert main(["--json", "canonicalize", path]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert 0.0 <= doc["cross_check_error"] < 1e-9
+    assert doc["schema_version"] == 2 and doc["kind"] == "reduced"
+    assert "cross_check_error" not in doc
     assert main(["canonicalize", path]) == 0
-    line = "quotient rule vs zeta^2/4 - zeta'/2 cross-check: " \
-        f"{doc['cross_check_error']:.3e}"
-    assert line in capsys.readouterr().out.splitlines()
-    # a chain without the first-order step has no cross-check to report
-    path = _write(tmp_path, "z.json",
-                  {"form": {"kind": "zero_order", "a3": "0", "a4": "1/x"},
-                   "interval": [1.0, 2.0]})
-    assert main(["--json", "canonicalize", path]) == 0
-    assert "cross_check_error" not in json.loads(capsys.readouterr().out)
+    assert "cross-check" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("form,rescaling", [

@@ -59,6 +59,16 @@ def test_parse_power_right_associative():
     assert v == 2.0 ** 8
 
 
+def test_parse_exponent_is_folded_like_any_constant():
+    # the exponent folds as normalize folds it: a zero factor makes 0, a
+    # symbol left over is not a rational constant
+    ctx = VarContext()
+    assert parse("x^(0*y)", ctx) == parse("x^0", ctx) == Pow(sym("x"), 0)
+    assert parse("x^((1/2)*(4 - 2))", ctx) == parse("x", ctx)
+    with pytest.raises(ExprError, match="is not a rational constant"):
+        parse("x^(1*y)", ctx)
+
+
 @pytest.mark.parametrize("node", [
     Constant(Fraction(3, 2)), Symbol("x"), Add((Symbol("x"), C(1))),
     Mul((C(2), Symbol("x"))), Pow(Symbol("x"), Fraction(1, 2)),
@@ -153,13 +163,23 @@ def test_odd_powers_under_a_root_keep_the_real_domain(text, point):
                                                 rel=1e-14)
 
 
-@pytest.mark.xfail(strict=True, raises=EvalDomainError,
-                   reason="simplify splits the root into (y^2)^(1/2)*x^(1/2)")
 def test_an_even_power_under_a_root_keeps_the_real_domain():
     # sqrt(x*y^2) is -0.0 at (-1, 0), where x^(1/2) is undefined
     e = parse("sqrt(x*y^2)", CTX)
     point = {"x": -1.0, "y": 0.0}
     assert eval_expr(simplify(e), point) == eval_expr(e, point)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(x^(1/2)*(1+y))", "sqrt(x^(1/2)+x^(1/2)*y)",
+], ids=["product", "sum"])
+def test_a_fractional_factor_under_a_root_keeps_the_real_domain(text):
+    # both are 0 at (0, -2), where (y + 1)^(1/2) is undefined
+    e = parse(text, CTX)
+    s = simplify(e)
+    assert simplify(s) == s
+    point = {"x": 0.0, "y": -2.0}
+    assert eval_expr(s, point) == eval_expr(e, point) == 0.0
 
 
 # the differential oracle: the kernel against evaluation of its input at

@@ -119,19 +119,18 @@ def test_emitted_sums_are_plain_additions():
 
 @pytest.mark.parametrize("case_id,compiles", [
     (1, {"_fuse": 1, "compile_rows": 2}),
-    (2, {"_fuse": 1, "compile_rows": 6}),
-    (3, {"_fuse": 1, "compile_rows": 6}),
+    (2, {"_fuse": 1, "compile_rows": 2}),
+    (3, {"_fuse": 1, "compile_rows": 3}),
     (4, {"_fuse": 1, "compile_rows": 3}),
 ])
 def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
                                                     compiles):
     # every run: the trajectory's RK4 loop, then map_trajectory's and the
-    # residual's row loops.  reduce_24_to_25 (examples 2 and 3) adds four
-    # coefficient row loops: a1 and a2 with their derivatives, then the
-    # closed-form a3 and a4 for the cross-check.  Its polynomial a1, a2
-    # and the constant a3 of reduce_25_to_28 take closed forms, no RK4
-    # loop.  reduce_25_to_28 samples a4 with a4's own row loop, which
-    # example 3 has compiled already and example 4 compiles here.
+    # residual's row loops.  reduce_24_to_25 (examples 2 and 3) compiles
+    # nothing: its polynomial a1, a2 take the closed-form M, and a3, a4
+    # are closed-form expressions.  The constant a3 of reduce_25_to_28
+    # takes a closed form too, no RK4 loop; reduce_25_to_28 samples a4
+    # with a4's own row loop (examples 3 and 4).
     import builtins
     from collections import Counter
 
