@@ -10,7 +10,8 @@ with its own source tree, is then the identity check:
     PYTHONPATH=src python scripts/record_outputs.py > outputs.txt
 
 The records are run_example(1..4).to_dict(); the trajectories of the four
-worked examples (``integrate`` and ``map_trajectory``); the forms and
+worked examples (``integrate`` and ``map_trajectory`` at the step from the
+error budget, and ``integrate`` at a fixed h = 1e-3); the forms and
 tables of reduce_24_to_25 and reduce_25_to_28 along the examples'
 reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
@@ -151,9 +152,14 @@ def main() -> int:
                          params=case.param_values)
         record(f"integrate {i}",
                lambda: {"xs": traj.xs, "states": traj.states,
-                        "error": traj.error})
+                        "error": traj.error, "step": traj.step})
         record(f"map_trajectory {i}", lambda: map_trajectory(
             traj, case.transformation, case.param_values))
+        fixed = integrate(case.system, case.init, case.interval[1], h=1e-3,
+                          params=case.param_values)
+        record(f"integrate {i} at h = 1e-3",
+               lambda: {"xs": fixed.xs, "states": fixed.states,
+                        "error": fixed.error})
 
     # the reduction chains of run_example: examples 2 and 3 start from a
     # first-order form with c1 = c2 = 1, example 4 from a3 = a4 = 1

@@ -580,7 +580,8 @@ def _forwards(interval: tuple) -> None:
 
 
 def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
-    """RK4 with step doubling over a forwards reduction interval."""
+    """RK4 with step doubling over a forwards reduction interval, at a step
+    of at most h: (ts, ys, err, step), as `rk4_checked` returns them."""
     _forwards((t0, t1))
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
@@ -661,8 +662,9 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
     Where a is a constant k != 0, rho and X take their closed form on
-    rk4_checked's grid; else RK4 integrates them, with a_code computing
-    a(t) from the values v0, v1, ... of the coefficients a_inputs.
+    rk4_checked's grid of h; else RK4 integrates them at a step of at most
+    h, with a_code computing a(t) from the values v0, v1, ... of the
+    coefficients a_inputs.  The tables carry the step of the run kept.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
@@ -678,7 +680,7 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
         # is then 0 or tiny, and RhoVanishes follows
         rhs = Field(*_field_inputs(*a_inputs), ("s1", f"({a_code}) * s0",
                     "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
-        ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
+        ts, ys, err, h = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
         rho, xs = ys[:, 0], ys[:, 2]
         rho_src, x_src = f"rho'' = {a_label} rho", "integral of rho^-2"
         route = "rk4"
@@ -810,6 +812,22 @@ def _exp_half_integral(c1: list, c2: list, ts) -> tuple:
         return scale * np.cos(half_b), scale * np.sin(half_b)
 
 
+def _slope_error(c: CoefficientFn, ts, slope) -> float:
+    """A step-doubling estimate of the error of `slope`, a tabulated c's
+    spline slope on ts: its max difference from the slope of the spline
+    through every second table point (the last point kept); 0.0 for a
+    closed form."""
+    if c.kind == "symbolic":
+        return 0.0
+    import numpy as np
+    from scipy.interpolate import CubicSpline
+
+    n = len(c.xs)
+    keep = np.r_[0:n - 1:2, n - 1]
+    coarse = CubicSpline(c.xs[keep], c.values[keep])
+    return float(np.abs(slope - coarse(ts, 1)).max())
+
+
 def reduce_24_to_25(lf: LinearForm, interval: tuple,
                     h: float = 1e-3) -> FirstOrderReduction:
     """Trade first-derivative coupling for undifferentiated coupling.
@@ -818,10 +836,12 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     M(x0) = 1, turns u'' = zeta u' into v'' = (zeta^2/4 - zeta'/2) v
     whatever M is, so a3 + i a4 is computed once from a1 and a2: in
     closed form when both are closed-form, else on M's grid from their
-    values and derivatives, with the larger of their error estimates.
-    Where a1 and a2 are polynomials with numeric coefficients,
-    M1 + i M2 = exp((A + i B)/2) with A, B their exact integrals from x0,
-    on rk4_checked's grid; else RK4 integrates the pair.
+    values and derivatives.  A table's error estimate is the larger of
+    a1's and a2's, plus half the `_slope_error` of the input whose slope
+    it holds (a3 holds -a1'/2, a4 -a2'/2).  Where a1 and a2 are
+    polynomials with numeric coefficients, M1 + i M2 = exp((A + i B)/2)
+    with A, B their exact integrals from x0, on rk4_checked's grid of h;
+    else RK4 integrates the pair at a step of at most h.
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
@@ -838,7 +858,7 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     else:
         rhs = Field(*_field_inputs(a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
                                              "0.5 * (v0 * s1 + v1 * s0)"))
-        ts, ys, err = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
+        ts, ys, err, h = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
         m1, m2 = ys[:, 0], ys[:, 1]
         route = "rk4"
         src = "2M1' = a1 M1 - a2 M2, 2M2' = a1 M2 + a2 M1"
@@ -871,9 +891,11 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
         error = max(a1.error_estimate, a2.error_estimate)
         coeffs = {
             "a3": CoefficientFn.tabulated(
-                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h, error),
+                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h,
+                error + 0.5 * _slope_error(a1, ts, dv1)),
             "a4": CoefficientFn.tabulated(
-                ts, 0.5 * (v1 * v2 - dv2), how, h, error),
+                ts, 0.5 * (v1 * v2 - dv2), how, h,
+                error + 0.5 * _slope_error(a2, ts, dv2)),
         }
     return FirstOrderReduction(LinearForm("zero_order", coeffs), m1_fn,
                                m2_fn, err, route)

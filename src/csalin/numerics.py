@@ -1,14 +1,16 @@
-"""Fixed-step numeric integration helpers.
+"""Numeric integration helpers.
 
-Fixed-step RK4 with a fixed nominal step and Richardson step-doubling
-validation; coefficients on the working intervals are smooth, so
-simplicity wins over adaptivity.  Callers: the trajectory verifier
-(`verify.integrate`) and the rho / M rescalings of the reduction chain
-(`canon`) that have no closed form; a constant or polynomial coefficient
-is tabulated in closed form on `checked_grid`, rk4_checked's grid.
-States have two to four components, so the state is a tuple of plain
-Python floats: numpy's per-call cost on arrays that small outweighs the
-arithmetic.
+RK4 with Richardson step-doubling validation, on a uniform grid whose step
+comes from the error budget: the caller's h is the largest step accepted,
+and a run whose step-doubling error misses `ERROR_BUDGET` is rerun once
+at the step the RK4 error law (error ~ h^4) predicts.  Coefficients on
+the working intervals are smooth, so one uniform grid per run is enough.
+Callers: the trajectory verifier (`verify.integrate`) and the rho / M
+rescalings of the reduction chain (`canon`) that have no closed form; a
+constant or polynomial coefficient is tabulated in closed form on
+`checked_grid`, rk4_checked's grid.  States have two to four components,
+so the state is a tuple of plain Python floats: numpy's per-call cost on
+arrays that small outweighs the arithmetic.
 
 Every right-hand side is a `Field`, and `rk4` runs it in a loop generated
 as Python source for the call, with its expressions (through
@@ -52,9 +54,16 @@ class InaccurateIntegration(ExprError):
 
 
 # the most RK4 steps of h one run takes (rk4_checked rounds an odd count up
-# to even, and its step-doubling run takes half as many); the worked
-# examples' runs take 1,000 or 2,000
+# to even, and its step-doubling run takes half as many)
 MAX_STEPS = 200_000
+
+# the step-doubling error rk4_checked aims at, 100 times under the 1e-7
+# that require_accuracy allows
+ERROR_BUDGET = 1e-9
+
+# a refined step aims at SAFETY^4 (about 2/3) of the budget, since the h^4
+# law only predicts the error
+SAFETY = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,19 +205,10 @@ def rk4(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
     return ts, _rk4(_fuse(f), t0, y0, t1, ts)
 
 
-def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
-    """RK4 plus a step-doubling Richardson error estimate.
-
-    The number of steps of h is rounded up to even (`checked_grid`), so a
-    run of half as many steps of twice the size lands on ts[::2].  Returns
-    (ts, ys, err) where err is the max-norm difference between the two
-    runs there, for RK4 about 15 times the error of ys.  The run at h goes
-    first, so an error it raises comes before any of the 2h run; a state
-    that is not finite in either run raises Blowup at the first grid point
-    where it appears.
-    """
+def _checked_run(loop, t0: float, y0, t1: float, h: float) -> tuple:
+    """(ts, ys, err): a run on checked_grid(t0, t1, h) and its step-doubling
+    error against the run of twice the step on ts[::2]."""
     ts = checked_grid(t0, t1, h)
-    loop = _fuse(f)
     runs = []
     # (t1 - t0) / (n / 2) is 2 h exactly, so ts[::2] is the 2h run's grid
     for grid in (ts, ts[::2]):
@@ -220,6 +220,35 @@ def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
         runs.append(rows)
     ys, ys2 = runs
     return ts, ys, float(abs(ys[::2] - ys2).max())
+
+
+def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
+    """RK4 plus a step-doubling Richardson error estimate, at a step of at
+    most h chosen from the error budget.
+
+    The number of steps of h is rounded up to even (`checked_grid`), so a
+    run of half as many steps of twice the size lands on ts[::2]; err is
+    the max-norm difference between the two runs there, for RK4 about 15
+    times the error of ys.  Where err exceeds ERROR_BUDGET, the run at h
+    is the pilot of one rerun at SAFETY * h * (ERROR_BUDGET / err)^(1/4),
+    the step the h^4 law puts at SAFETY^4 of the budget; the pilot is kept
+    where that step would take more than MAX_STEPS steps, so no larger
+    grid is ever built.  The caller applies `require_accuracy` to the
+    returned err.  Returns (ts, ys, err, step) with step the h of the run
+    kept.
+
+    The run at h goes first, so an error it raises comes before any of
+    the 2h run; a state that is not finite in either run raises Blowup at
+    the first grid point where it appears.
+    """
+    loop = _fuse(f)
+    ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+    if err > ERROR_BUDGET:
+        fine = SAFETY * h * (ERROR_BUDGET / err) ** 0.25
+        if abs(t1 - t0) / fine <= MAX_STEPS:
+            h = fine
+            ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+    return ts, ys, err, h
 
 
 def require_accuracy(err: float) -> None:

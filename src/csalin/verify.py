@@ -3,6 +3,8 @@
 Integrates systems, pushes trajectories through point transformations,
 measures how well the transformed trajectory satisfies a target system,
 and reproduces the four nonlinear geodesic-type applications end to end.
+A trajectory's step comes from the error budget of `rk4_checked`, at most
+the step that leaves `SPLINE_STEPS` steps for the residual's spline.
 """
 
 from __future__ import annotations
@@ -41,11 +43,19 @@ class Trajectory:
     xs: np.ndarray
     states: np.ndarray  # columns: y, z, y', z'
     generator: OdeSystem2
-    step: float
+    step: float  # the h of the run kept
     error: float | None = None  # h vs 2h max-norm difference, if checked
 
 
 _BOUND = 1e8  # the trusted range of a state component
+
+# integrate's default step leaves a trajectory at least SPLINE_STEPS steps,
+# a grid for the quintic spline of residual_on_trajectory, and is at most
+# MAX_DEFAULT_STEP: a step of span/200 on a long span can leave RK4's
+# stability region, so that the run escapes where a finer one does not.
+# Both give h = 5e-3 on the worked examples' unit intervals
+SPLINE_STEPS = 200
+MAX_DEFAULT_STEP = 5e-3
 
 
 def _names(ctx: VarContext) -> tuple:
@@ -67,19 +77,24 @@ def _numeric_rhs(sys: OdeSystem2, params: dict | None = None) -> Field:
                  _BOUND)
 
 
-def integrate(sys: OdeSystem2, init, x_end: float, h: float = 1e-3,
+def integrate(sys: OdeSystem2, init, x_end: float, h: float | None = None,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    x_end may lie before x0.  With sanity, a re-integration at twice the
-    step must agree to 1e-7 in max norm on the shared grid points, and the
-    disagreement is kept as the trajectory's error.
+    x_end may lie before x0.  h defaults to the span over SPLINE_STEPS, at
+    most MAX_DEFAULT_STEP.  With sanity, h is the largest step that
+    `rk4_checked` takes, a re-integration at twice the step must agree to
+    1e-7 in max norm on the shared grid points, and the disagreement is
+    kept as the trajectory's error; without, RK4 runs at h unchecked.
     """
     x0, *state0 = init
+    if h is None:
+        h = min(abs(x_end - x0) / SPLINE_STEPS, MAX_DEFAULT_STEP) \
+            or MAX_DEFAULT_STEP
     f = _numeric_rhs(sys, params)
     args = (f, float(x0), np.array(state0, dtype=float), float(x_end), h)
     if sanity:
-        xs, states, err = rk4_checked(*args)
+        xs, states, err, h = rk4_checked(*args)
     else:
         (xs, states), err = rk4(*args), None
     if not np.all(np.abs(states[-1]) <= _BOUND):  # the loop checks stages
@@ -208,13 +223,14 @@ def example_case(case_id: int) -> ExampleCase:
 class CaseReport(ConditionReport):
     """Verdicts of one worked example; the symmetry dimension is its last
     check.  `integration_error` is the trajectory's step-doubling
-    (Richardson) error behind `residual`."""
+    (Richardson) error behind `residual`, at the step `trajectory_step`."""
 
     example_id: int = 0
     dimension: int | None = None
     expected_dimension: int | None = None
     residual: float = 0.0
     integration_error: float = 0.0
+    trajectory_step: float = 0.0
 
     passed = ConditionReport.overall
 
@@ -227,11 +243,12 @@ class CaseReport(ConditionReport):
             "expected_dimension": self.expected_dimension,
             "trajectory_residual": self.residual,
             "integration_error": self.integration_error,
+            "trajectory_step": self.trajectory_step,
         }
 
     def render(self) -> str:
         return super().render() + "\n  trajectory step-doubling error: " \
-            f"{self.integration_error:.3e}"
+            f"{self.integration_error:.3e} at step {self.trajectory_step:.3g}"
 
 
 def _method(verdicts) -> str:
@@ -337,4 +354,5 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
     return CaseReport(title=f"example {case_id}", checks=tuple(checks),
                       notes=tuple(notes), example_id=case_id, dimension=dim,
                       expected_dimension=expected, residual=res,
-                      integration_error=traj.error)
+                      integration_error=traj.error,
+                      trajectory_step=traj.step)

@@ -25,10 +25,12 @@ from csalin.expr import (
     zero_verdict,
 )
 from csalin.numerics import (
-    Blowup, Field, InaccurateIntegration, rk4_checked,
+    ERROR_BUDGET, Blowup, Field, InaccurateIntegration, checked_grid,
+    rk4_checked,
 )
+from csalin.symmetry import classify_beta
 from csalin.verify import example_case, integrate, residual_on_trajectory
-from exprgen import rk4_reference
+from exprgen import fixed_step_error, rk4_reference
 
 CTX = VarContext()
 
@@ -534,7 +536,24 @@ def test_tabulated_first_order_coefficients_follow_zeta():
     assert np.max(np.abs(a3.values - want3)) <= bound3 + 1e-15
     assert np.max(np.abs(a4.values - want4)) <= \
         np.max(ts) * value_err / 2 + 1e-15
-    assert a3.error_estimate == a4.error_estimate == 1e-9
+    # a3 holds -a1'/2 from the spline, a4 no slope of a table
+    assert a3.error_estimate > 1e-9 + np.max(np.abs(a3.values - want3))
+    assert a4.error_estimate == 1e-9
+
+
+def test_tabulated_a3_error_estimate_counts_the_spline_slope():
+    # a3's error against zeta^2/4 - zeta'/2 is 3.8e-9, all of it from the
+    # spline's slope; the doubling estimate must cover it, not by 100x more
+    xs = np.linspace(0.0, 2.0, 201)
+    table = CoefficientFn.tabulated(xs, np.cos(xs) + 1)
+    a3 = reduce_24_to_25(LinearForm("first_order", {"a1": table, "a2": "x"}),
+                         (0.3, 1.9)).form["a3"]
+    ts = a3.xs
+    f = np.cos(ts) + 1
+    true = np.max(np.abs(a3.values - ((f * f - ts * ts) / 4
+                                      + np.sin(ts) / 2)))
+    assert 3.7e-9 < true < 3.9e-9
+    assert true <= a3.error_estimate <= 100 * true
 
 
 _TABLE = CoefficientFn.tabulated(np.linspace(1.0, 3.0, 201),
@@ -585,8 +604,10 @@ def test_reduction_pole_is_located_by_the_loop():
 
 
 # exp(1000 x) is about 1e217 at x = 0.5, so the rescaling state overflows
-# in the first step; exp(x^3) and 2 x^5 + sin(x) grow too fast for RK4 at
-# h = 1e-3 (2 x^5 alone is a polynomial, which takes the closed form)
+# in the first step; exp(x^3) and 2 x^6 + sin(x) grow so fast that the step
+# their 1e-3 run predicts would take more than MAX_STEPS steps, so the
+# 1e-3 run is kept and refused (2 x^6 alone is a polynomial, which takes
+# the closed form)
 @pytest.mark.parametrize("reduce,lf,error,message", [
     (reduce_25_to_28,
      LinearForm("zero_order", {"a3": "exp(1000*x)", "a4": 1}),
@@ -612,9 +633,9 @@ def test_reduction_pole_is_located_by_the_loop():
      InaccurateIntegration,
      "step-doubling disagreement 1.170e+00 exceeds 1e-7"),
     (reduce_24_to_25,
-     LinearForm("first_order", {"a1": "2*x^5 + sin(x)", "a2": 1}),
+     LinearForm("first_order", {"a1": "2*x^6 + sin(x)", "a2": 1}),
      InaccurateIntegration,
-     "step-doubling disagreement 2.061e-02 exceeds 1e-7"),
+     "step-doubling disagreement 9.851e+02 exceeds 1e-7"),
 ], ids=["overflow-25-28", "overflow-optimal", "overflow-24-25",
         "modulus-overflow-24-25", "inaccurate-25-28", "inaccurate-optimal", "inaccurate-24-25"])
 def test_reductions_refuse_an_overflow_or_an_inaccurate_run(reduce, lf,
@@ -666,7 +687,7 @@ def test_constant_rho_matches_the_rk4_route(monkeypatch, reduce, lf):
     oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce, lf,
                                                 (0.5, 2.0))
     assert oracle.rescaling == "rk4" and oracle.error_estimate > 0.0
-    ts, ys, _ = rk4_checked(field, t0, y0, t1, h)
+    ts, ys = rk4_checked(field, t0, y0, t1, h)[:2]
     assert np.array_equal(closed.rho.xs, ts)
     _close(closed.rho.values, ys[:, 0])
     _close(closed.new_var.values, ys[:, 2])
@@ -687,7 +708,7 @@ def test_polynomial_m_pair_matches_the_rk4_route(monkeypatch, a1, a2):
     oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce_24_to_25,
                                                 lf, (0.0, 2.0))
     assert oracle.rescaling == "rk4"
-    ts, ys, _ = rk4_checked(field, t0, y0, t1, h)
+    ts, ys = rk4_checked(field, t0, y0, t1, h)[:2]
     assert np.array_equal(closed.m1.xs, ts)
     _close(closed.m1.values, ys[:, 0])
     _close(closed.m2.values, ys[:, 1])
@@ -698,9 +719,6 @@ def test_polynomial_m_pair_matches_the_rk4_route(monkeypatch, a1, a2):
 def test_constant_a3_that_rk4_refused_is_decided_in_closed_form(
         monkeypatch):
     lf = LinearForm("zero_order", {"a3": 25, "a4": 1})
-    with pytest.raises(InaccurateIntegration,
-                       match="disagreement 2.626e-06 exceeds"):
-        _rk4_route(monkeypatch, reduce_25_to_28, lf, (0.5, 2.0))
     res = reduce_25_to_28(lf, (0.5, 2.0))
     ts = res.rho.xs
     _close(res.rho.values, np.cosh(5.0 * (ts - 0.5)), 1e-12)
@@ -708,20 +726,85 @@ def test_constant_a3_that_rk4_refused_is_decided_in_closed_form(
     _close(res.form["beta"].values, np.cosh(5.0 * (ts - 0.5)) ** 4, 1e-12)
     assert res.rho.source.startswith("rho = cosh(w (t - t0)), w = sqrt(a3)")
     assert res.new_var.source == "X = t0 + tanh(w (t - t0)) / w"
+    # RK4 at a fixed 1e-3 misses the gate; the RK4 route refines its step
+    # and agrees with the closed form
+    oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce_25_to_28,
+                                                lf, (0.5, 2.0))
+    assert h == 1e-3
+    assert f"{fixed_step_error(field, t0, y0, t1, h):.3e}" == "2.626e-06"
+    assert oracle.rho.step < 1e-3 and oracle.error_estimate <= 1e-7
+    ts = oracle.rho.xs
+    _close(oracle.rho.values, np.cosh(5.0 * (ts - 0.5)), 1e-8)
 
 
 def test_polynomial_a1_that_rk4_refused_is_decided_in_closed_form(
         monkeypatch):
     lf = LinearForm("first_order", {"a1": "2*x^5", "a2": 1})
-    with pytest.raises(InaccurateIntegration,
-                       match="disagreement 9.881e-03 exceeds"):
-        _rk4_route(monkeypatch, reduce_24_to_25, lf, (0.5, 2.0))
     res = reduce_24_to_25(lf, (0.5, 2.0))
+
+    def m_pair(ts):
+        # A = x^6/3 and B = x from 0.5, so M = exp((A + i B)/2)
+        scale = np.exp((ts ** 6 - 0.5 ** 6) / 6.0)
+        return scale * np.cos((ts - 0.5) / 2.0), \
+            scale * np.sin((ts - 0.5) / 2.0)
+    m1, m2 = m_pair(res.m1.xs)
+    _close(res.m1.values, m1, 1e-12)
+    _close(res.m2.values, m2, 1e-12)
+    # RK4 at a fixed 1e-3 misses the gate; the RK4 route refines its step
+    # and agrees with the closed form
+    oracle, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce_24_to_25,
+                                                lf, (0.5, 2.0))
+    assert f"{fixed_step_error(field, t0, y0, t1, h):.3e}" == "9.881e-03"
+    assert oracle.m1.step < 1e-3 and oracle.error_estimate <= 1e-7
+    m1, m2 = m_pair(oracle.m1.xs)
+    _close(oracle.m1.values, m1, 1e-8)
+    _close(oracle.m2.values, m2, 1e-8)
+
+
+def test_sin_term_keeps_a1_on_the_refined_rk4_route():
+    # 2 x^5 + sin(x) is no polynomial, so M takes RK4, whose 1e-3 run
+    # misses the gate (2.061e-02); the refined run matches exp((A + i B)/2)
+    res = reduce_24_to_25(LinearForm("first_order", {
+        "a1": "2*x^5 + sin(x)", "a2": 1}), (0.5, 2.0))
+    assert res.rescaling == "rk4" and res.error_estimate <= 1e-7
     ts = res.m1.xs
-    # A = x^6/3 and B = x from 0.5, so M = exp((A + i B)/2)
-    scale = np.exp((ts ** 6 - 0.5 ** 6) / 6.0)
-    _close(res.m1.values, scale * np.cos((ts - 0.5) / 2.0), 1e-12)
-    _close(res.m2.values, scale * np.sin((ts - 0.5) / 2.0), 1e-12)
+    assert res.m1.step < 1e-3 and len(ts) <= 200_001
+    scale = np.exp((ts ** 6 - 0.5 ** 6) / 6.0
+                   - (np.cos(ts) - np.cos(0.5)) / 2.0)
+    _close(res.m1.values, scale * np.cos((ts - 0.5) / 2.0), 1e-8)
+    _close(res.m2.values, scale * np.sin((ts - 0.5) / 2.0), 1e-8)
+
+
+# example 3 with c2 = 1 and c1 = 4 or 5 in zero_order form: a3 is not
+# constant, and rho's 1e-3 run misses the gate
+@pytest.mark.parametrize("c1,error_at_1e_3", [(4, "6.656e-07"),
+                                              (5, "2.302e-05")])
+def test_reduction_refines_its_step_where_1e_3_misses_the_gate(
+        monkeypatch, c1, error_at_1e_3):
+    lf = reduce_24_to_25(LinearForm("first_order", {
+        "a1": f"{c1}*(1+x)", "a2": "1+x"}), (0.0, 2.0)).form
+    _, (field, t0, y0, t1, h) = _rk4_route(monkeypatch, reduce_25_to_28, lf,
+                                           (0.0, 2.0))
+    assert f"{fixed_step_error(field, t0, y0, t1, h):.3e}" == error_at_1e_3
+
+    def dimension(red):
+        beta = red.form["beta"]
+        lo, hi = beta.domain
+        pad = 0.02 * (hi - lo)
+        return classify_beta(beta, (lo + pad, hi - pad)).dimension
+    red = reduce_25_to_28(lf, (0.0, 2.0))
+    assert red.rescaling == "rk4" and red.error_estimate <= ERROR_BUDGET
+    step = red.rho.step
+    assert step < 1e-3
+    # every table carries the refined step and lies on its grid
+    for table in (red.rho, red.new_var, red.form["beta"]):
+        assert table.step == step and table.error_estimate == \
+            red.error_estimate
+        assert len(table.xs) == len(checked_grid(0.0, 2.0, step))
+    # an independent grid: the explicit 1.25e-4 runs on another step
+    fine = reduce_25_to_28(lf, (0.0, 2.0), h=1.25e-4)
+    assert fine.rho.step != step
+    assert dimension(red) == dimension(fine) == 6
 
 
 # a3 = 400: tanh(20 (t - t0)) is 1.0 in float from about t0 + 0.93 on;
@@ -748,8 +831,8 @@ def test_closed_forms_refuse_an_overflow_with_a_blowup(reduce, lf, message):
 
 
 def test_richardson_validation_helper():
-    _, _, err = rk4_checked(Field({}, (), ("s1", "-s0")),
-                            0.0, np.array([1.0, 0.0]), 3.0, 1e-3)
+    err = rk4_checked(Field({}, (), ("s1", "-s0")),
+                      0.0, np.array([1.0, 0.0]), 3.0, 1e-3)[2]
     assert err < 1e-11
 
 

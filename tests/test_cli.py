@@ -186,6 +186,20 @@ def test_canonicalize_names_the_rescaling_route(tmp_path, capsys, form,
     assert f"rescaling: {rescaling}" in capsys.readouterr().out.splitlines()
 
 
+def test_canonicalize_refines_the_step_where_1e_3_misses_the_gate(
+        tmp_path, capsys):
+    # example 3 with c1 = 5, c2 = 1 in zero_order form: rho's run at 1e-3
+    # reads 2.302e-05, so the reduction reruns at a finer step
+    path = _write(tmp_path, "f.json", {
+        "form": {"kind": "zero_order", "a3": "6*x^2 + 12*x + 7/2",
+                 "a4": "5/2*x^2 + 5*x + 2"}, "interval": [0, 2]})
+    assert main(["--json", "canonicalize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "reduced" and doc["rescaling"] == "rk4"
+    beta = doc["coefficients"]["beta"]
+    assert beta["points"] > 2001 and beta["error_estimate"] <= 1e-9
+
+
 def test_canonicalize_refuses_a_saturating_closed_form(tmp_path, capsys):
     # tanh(20 (x - 0.5)) is 1.0 in float beyond x = 1.28: X stops moving
     path = _write(tmp_path, "f.json",
@@ -236,6 +250,18 @@ def test_demo_json_reports_the_richardson_error(capsys):
     assert main(["demo", "1"]) == 0
     assert "trajectory step-doubling error: " \
         f"{doc['integration_error']:.3e}" in capsys.readouterr().out
+
+
+def test_demo_json_reports_the_trajectory_step(capsys):
+    # example 3's run at 5e-3 misses the error budget and reruns finer
+    assert main(["--json", "demo", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert 1e-3 < doc["trajectory_step"] < 5e-3
+    assert doc["integration_error"] <= 1e-9
+    assert main(["demo", "3"]) == 0
+    assert f"{doc['integration_error']:.3e} at step " \
+        f"{doc['trajectory_step']:.3g}" in capsys.readouterr().out
 
 
 def test_demo_bad_id(capsys):

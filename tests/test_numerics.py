@@ -11,6 +11,7 @@ from the fields they check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -28,7 +29,7 @@ from csalin.numerics import Field, IntervalTooLong, rk4, rk4_checked
 from csalin.verify import (
     Blowup, DomainError, _numeric_rhs, example_case, integrate, run_example,
 )
-from exprgen import rk4_reference
+from exprgen import fixed_step_error, rk4_reference
 
 
 def _array(ref):
@@ -38,9 +39,12 @@ def _array(ref):
 
 
 def _assert_same_as_reference(f, ref, t0, y0, t1, h=1e-3):
-    """rk4_checked on the Field f equals the array loop on ref, at h and,
-    for the error, at 2h on every second grid point."""
-    ts, ys, err = rk4_checked(f, t0, y0, t1, h)
+    """rk4_checked on the Field f, at a step of at most h, equals the array
+    loop on ref at the grid's step and, for the error, at twice that step
+    on every second grid point."""
+    ts, ys, err, step = rk4_checked(f, t0, y0, t1, h)
+    assert step <= h
+    h = abs(t1 - t0) / (len(ts) - 1)
     ts_ref, ys_ref = rk4_reference(_array(ref), t0, y0, t1, h)
     ts_2h, ys_2h = rk4_reference(_array(ref), t0, y0, t1, 2 * h)
     assert np.array_equal(ts, ts_ref)
@@ -164,7 +168,8 @@ def test_rk4_returns_float_rows_of_the_state_length():
     assert ys[0].tolist() == [1.0, 0.0]
 
 
-# rk4_checked rounds the 13 steps of 0.1 up to an even 14
+# rk4_checked rounds the 13 steps of 0.1 up to an even 14, and takes more
+# where their step-doubling error misses the budget
 @pytest.mark.parametrize("run,steps", [(rk4, 13), (rk4_checked, 14)],
                          ids=["rk4", "rk4_checked"])
 @pytest.mark.parametrize("f,ref,y0", [
@@ -177,10 +182,12 @@ def test_rk4_states_are_one_c_contiguous_float64_block(run, steps, f, ref,
                                                        y0):
     # the rows of the generated loop reach numpy as one flat buffer
     ts, ys = run(f, 0.0, y0, 1.3, 0.1)[:2]
-    assert ys.shape == (len(ts), len(y0)) == (steps + 1, len(y0))
+    n = len(ts) - 1
+    assert n == steps if run is rk4 else n >= steps and n % 2 == 0
+    assert ys.shape == (n + 1, len(y0))
     assert ys.dtype == np.float64 and ys.flags.c_contiguous
     assert np.array_equal(ys, rk4_reference(_array(ref), 0.0, y0, 1.3,
-                                            1.3 / steps)[1])
+                                            1.3 / n)[1])
 
 
 def test_rk4_rejects_a_state_that_is_not_1d():
@@ -196,11 +203,25 @@ def test_integrate_caps_the_number_of_steps(x_end):
     # checked before any grid is built: 1e12 points would not fit in memory
     sys = OdeSystem2(_CTX, parse("0", _CTX), parse("0", _CTX))
     with pytest.raises(IntervalTooLong) as info:
-        integrate(sys, (0.0, 0.0, 0.0, 1.0, 1.0), x_end)
+        integrate(sys, (0.0, 0.0, 0.0, 1.0, 1.0), x_end, h=1e-3)
     assert str(info.value) == (f"interval [0, {x_end:g}] needs more than "
                                "200000 RK4 steps of h = 0.001")
     with pytest.raises(IntervalTooLong):
         rk4(_OSCILLATOR, 0.0, [1.0, 0.0], x_end)
+
+
+@pytest.mark.parametrize("x_end", [1e9, -1e9])
+def test_integrate_default_step_builds_no_grid_over_max_steps(monkeypatch,
+                                                              x_end):
+    # the default step is at most MAX_DEFAULT_STEP, so this span is refused
+    # before any grid is built
+    sys = OdeSystem2(_CTX, parse("0", _CTX), parse("0", _CTX))
+    steps = _rk4_steps(monkeypatch)
+    with pytest.raises(IntervalTooLong) as info:
+        integrate(sys, (0.0, 0.0, 0.0, 1.0, 1.0), x_end)
+    assert str(info.value) == (f"interval [0, {x_end:g}] needs more than "
+                               "200000 RK4 steps of h = 0.005")
+    assert steps == []
 
 
 @pytest.mark.parametrize("x_end,steps", [(1.3, 302), (1.0125, 14)],
@@ -210,9 +231,19 @@ def test_step_halving_on_a_span_that_is_no_multiple_of_h(x_end, steps):
     # even so the step-doubling run's grid is every second point of the h
     # grid, which still ends exactly on x_end
     traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
-                     (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
-    assert len(traj.xs) == steps + 1
+                     (1.0, 1.0, 0.0, 0.0, 0.0), x_end, h=1e-3)
+    assert len(traj.xs) == steps + 1 and traj.step == 1e-3
     assert traj.xs[-1] == x_end and traj.error < 1e-12
+
+
+@pytest.mark.parametrize("x_end", [1.3, 1.0125], ids=["1.3", "1.0125"])
+def test_default_step_on_a_span_that_is_no_multiple_of_h(x_end):
+    # the default step is 1/200 of the span, within the budget here
+    traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
+                     (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
+    assert len(traj.xs) == verify.SPLINE_STEPS + 1
+    assert traj.step == (x_end - 1.0) / verify.SPLINE_STEPS
+    assert traj.xs[-1] == x_end and traj.error <= numerics.ERROR_BUDGET
 
 
 @pytest.mark.parametrize("omega1,init", [
@@ -361,8 +392,9 @@ def _message(call):
 ], ids=["blowup", "overflow", "pole", "sqrt"])
 def test_generated_loop_keeps_the_closure_loop_errors(omega1, init, x_end,
                                                        want):
+    # the locations are those of the grid of 1e-3
     sys = OdeSystem2(_CTX, parse(omega1, _CTX), parse("0", _CTX))
-    assert _message(lambda: integrate(sys, init, x_end)) == want
+    assert _message(lambda: integrate(sys, init, x_end, h=1e-3)) == want
 
 
 def test_generated_loop_keeps_the_rho_crossing():
@@ -397,13 +429,26 @@ def _rk4_steps(monkeypatch) -> list:
 
 
 def test_worked_examples_take_one_and_a_half_runs_of_rk4(monkeypatch):
-    # four trajectories of 1,000 steps, each run once at h and once at 2h;
-    # the reductions (polynomial a1, a2 and constant a3) take closed forms
+    # four trajectories of 1,000 steps of 1e-3, each run once at h and once
+    # at 2h; the reductions (polynomial a1, a2 and constant a3) take closed
+    # forms
+    monkeypatch.setattr(verify, "integrate",
+                        functools.partial(verify.integrate, h=1e-3))
     steps = _rk4_steps(monkeypatch)
     for case_id in (1, 2, 3, 4):
         run_example(case_id)
     assert steps == [1000, 500] * 4
     assert sum(steps) == 6_000
+
+
+def test_worked_examples_take_their_step_from_the_error_budget(monkeypatch):
+    # each trajectory's pilot takes 200 steps of 5e-3 and 100 of 1e-2;
+    # example 3's misses the budget and reruns once at the predicted step
+    steps = _rk4_steps(monkeypatch)
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    assert steps == [200, 100] * 3 + [256, 128, 200, 100]
+    assert sum(steps) == 1_584
 
 
 # y' = -12 y with |y| <= 1.1: at h = 0.1 every stage state stays in
@@ -430,3 +475,39 @@ def test_a_failing_run_at_h_raises_before_the_step_doubling_run(
     assert _message(lambda: rk4_checked(_STIFF, 0.0, (1.0,), 1.0,
                                         0.25)) == want
     assert steps == [4]
+
+
+# ---------------------------------------------------------------------------
+# the step from the error budget
+
+
+def test_a_run_within_the_budget_is_kept(monkeypatch):
+    steps = _rk4_steps(monkeypatch)
+    ts, ys, err, step = rk4_checked(_OSCILLATOR, 0.0, (1.0, 0.0), 3.0, 1e-3)
+    assert steps == [3000, 1500] and step == 1e-3
+    assert err == fixed_step_error(_OSCILLATOR, 0.0, (1.0, 0.0), 3.0, 1e-3)
+    assert err <= numerics.ERROR_BUDGET
+
+
+def test_a_run_over_the_budget_reruns_once_at_the_predicted_step(
+        monkeypatch):
+    pilot = fixed_step_error(_OSCILLATOR, 0.0, (1.0, 0.0), 10.0, 0.1)
+    assert pilot > 1e-7
+    steps = _rk4_steps(monkeypatch)
+    ts, ys, err, step = rk4_checked(_OSCILLATOR, 0.0, (1.0, 0.0), 10.0, 0.1)
+    assert step == numerics.SAFETY * 0.1 * (
+        numerics.ERROR_BUDGET / pilot) ** 0.25
+    n = math.ceil(10.0 / step)
+    assert steps == [100, 50, n + n % 2, (n + n % 2) // 2]
+    assert len(ts) == n + n % 2 + 1 and ts[-1] == 10.0
+    assert err <= numerics.ERROR_BUDGET
+    # the kept run's y is cos within its step-doubling error
+    assert np.max(np.abs(ys[:, 0] - np.cos(ts))) <= err
+
+
+def test_a_pilot_whose_step_would_need_over_max_steps_is_kept(monkeypatch):
+    # y'' = -y over 3,000 at h = 1: the h^4 law asks for about 0.0053, or
+    # 566,000 steps, so no finer grid is built and the pilot is kept
+    steps = _rk4_steps(monkeypatch)
+    err, step = rk4_checked(_OSCILLATOR, 0.0, (1.0, 0.0), 3000.0, 1.0)[2:]
+    assert steps == [3000, 1500] and step == 1.0 and err > 1e-7

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -86,11 +89,18 @@ def test_integrate_backward():
 
 def test_integrate_step_halving_check():
     s = _sys("-y", "0")
+    # at most 0.1 over a span of 10: the run at 0.1 misses the budget and
+    # the rerun at the predicted step passes the check
+    traj = integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 10.0, h=0.1)
+    assert traj.step < 0.1 and traj.error <= 1e-7
+    # at most 1 over 3,000: the predicted step would take more than
+    # MAX_STEPS steps, so the run at 1 is checked and refused
     with pytest.raises(InaccurateIntegration):
-        integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 10.0, h=0.1)
+        integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 3000.0, h=1.0)
     traj = integrate(s, (0.0, 1.0, 0.0, 0.0, 0.0), 10.0, h=0.1,
                      sanity=False)
     assert traj.xs[-1] == 10.0
+    assert traj.step == 0.1 and traj.error is None and len(traj.xs) == 101
 
 
 def test_identity_transformation_residual_small():
@@ -169,7 +179,7 @@ def test_complex_route_agrees_with_system_route():
     # equation u'' = f(x, u, u'); the real/imaginary parts must agree
     s = _sys("-dy^2 + dz^2 - (2/x)*dy", "-2*dy*dz - (2/x)*dz")
     complexify(s)  # validates the correspondence exists
-    traj = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0)
+    traj = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=1e-3)
 
     def complex_rhs(x, u, du):
         # u'' = -u'^2 - (2/x) u'
@@ -200,6 +210,69 @@ def test_complex_route_agrees_with_system_route():
     us = np.array(us)
     assert np.max(np.abs(us.real - traj.states[:, 0])) <= 1e-7
     assert np.max(np.abs(us.imag - traj.states[:, 1])) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the trajectory step from the error budget
+
+
+# sha256 prefix of the float64 bytes of the states, and the step-doubling
+# error, of each worked example's trajectory at the fixed step of 1e-3
+_AT_1E_3 = {1: ("2567f8c160df6f9a", "0x1.50e8000000000p-44"),
+            2: ("62a99bf1c860508a", "0x1.ad40000000000p-44"),
+            3: ("87d049918f94425b", "0x1.8e30000000000p-39"),
+            4: ("69d746bc158789da", "0x1.6230000000000p-41")}
+
+
+def _example_trajectory(case_id: int, h=None):
+    case = example_case(case_id)
+    return integrate(case.system, case.init, case.interval[1], h=h,
+                     params=case.param_values)
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_an_explicit_step_of_1e_3_is_bit_identical(case_id):
+    # within the budget at 1e-3, so no rerun moves a bit
+    traj = _example_trajectory(case_id, 1e-3)
+    states = np.ascontiguousarray(traj.states, dtype=float).tobytes()
+    assert (hashlib.sha256(states).hexdigest()[:16], traj.error.hex()) == \
+        _AT_1E_3[case_id]
+    assert traj.step == 1e-3 and len(traj.xs) == 1001
+
+
+@pytest.mark.parametrize("case_id,step", [
+    (1, 5e-3), (2, 5e-3), (3, 0.0039137382711572286), (4, 5e-3)])
+def test_chosen_step_agrees_with_1e_3_at_the_end(case_id, step):
+    # two routes to x_end: the step from the budget and a fixed 1e-3
+    chosen = _example_trajectory(case_id)
+    fixed = _example_trajectory(case_id, 1e-3)
+    assert chosen.step == step and chosen.error <= numerics.ERROR_BUDGET
+    assert chosen.xs[-1] == fixed.xs[-1]
+    assert np.max(np.abs(chosen.states[-1] - fixed.states[-1])) <= \
+        numerics.ERROR_BUDGET
+
+
+def test_geodesic_type_trajectories_end_within_the_budget_or_raise():
+    # the worked examples' shapes with seeded constants, starts and spans
+    rng = random.Random(2301)
+    shapes = (("{a}*dy - {b}*dz", "{b}*dy + {a}*dz"),
+              ("(1+x)*({a}*dy - {b}*dz)", "(1+x)*({b}*dy + {a}*dz)"),
+              ("{a}", "{b}"), ("-({a}/x)*dy", "-({a}/x)*dz"))
+    kept = 0
+    for _ in range(32):
+        a, b = (round(rng.uniform(-5.0, 5.0), 2) for _ in range(2))
+        om1, om2 = rng.choice(shapes)
+        sys = _sys(f"-dy^2 + dz^2 + {om1.format(a=a, b=b)}",
+                   f"-2*dy*dz + {om2.format(a=a, b=b)}")
+        init = (1.0, *(round(rng.uniform(-1.0, 1.0), 2) for _ in range(4)))
+        try:
+            traj = integrate(sys, init, 1.0 + rng.choice((0.5, 1.0, 2.0)))
+        except expr.ExprError:
+            continue
+        assert traj.error <= numerics.ERROR_BUDGET, (sys, init)
+        assert traj.step <= 5e-3
+        kept += 1
+    assert kept >= 24
 
 
 # ---------------------------------------------------------------------------
