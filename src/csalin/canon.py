@@ -12,9 +12,8 @@ from __future__ import annotations
 import functools
 import io
 import math
-import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -69,13 +68,19 @@ def _default_new_ctx(ctx: VarContext) -> VarContext:
 
 @dataclass(frozen=True, eq=False)
 class PointTransformation:
-    """An invertible change of variables (x,y,z) -> (X,Y,Z).
+    """An invertible change of variables (x, y, z) -> (X, Y, Z) with
+    X = chi(x).
 
-    X, Y, Z are expressions in the old variables.  An explicit inverse
-    (mapping each old variable name to an expression in the new names) may
-    be supplied; otherwise inverses are derived for the supported families
-    (affine in the dependents, and the exponential-polar pair
-    Y = e^y cos z, Z = e^y sin z).
+    X, Y, Z are expressions in the old variables: X in x and the
+    parameters only, Y and Z in no derivative (NonInvertible otherwise).
+    Building the map computes, once, chi' = dX/dx (`chi_prime`), the
+    Jacobian J = d(Y, Z)/d(y, z) (`jacobian`, rows (Y_y, Y_z) and
+    (Z_y, Z_z)), its determinant `det` and (Y_x, Z_x) (`x_partials`),
+    and warns when chi' det J, the Jacobian determinant of the whole map,
+    is zero.  An explicit inverse (mapping each old variable name to an
+    expression in the new names) may be supplied; otherwise inverses are
+    derived for the supported families (J free of y and z, and the
+    exponential-polar pair Y = e^y cos z, Z = e^y sin z).
     """
 
     ctx: VarContext
@@ -84,65 +89,50 @@ class PointTransformation:
     Z: Expr
     new_ctx: VarContext = None
     inverse: dict | None = None
-    # (system, result) of the last first_derivatives_along call
-    _first: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        ctx = self.ctx
         if self.new_ctx is None:
-            object.__setattr__(self, "new_ctx", _default_new_ctx(self.ctx))
-        self._warn_if_singular()
+            object.__setattr__(self, "new_ctx", _default_new_ctx(ctx))
+        x, (y, z) = ctx.independent, ctx.dependents
+        if free_symbols(self.X) - {x, *ctx.parameters}:
+            raise NonInvertible("the new independent variable must depend on "
+                                "the old independent variable only")
+        if (free_symbols(self.Y) | free_symbols(self.Z)) & {
+                *ctx.first_derivatives, *ctx.second_derivatives}:
+            raise NonInvertible("the new dependent variables must not depend "
+                                "on the old derivatives")
+        jacobian = tuple(tuple(simplify(differentiate(e, v)) for v in (y, z))
+                         for e in (self.Y, self.Z))
+        (a, b), (c, d) = jacobian
+        chi_prime = simplify(differentiate(self.X, x, ctx))
+        det = simplify(a * d - b * c)
+        # the dataclass is frozen: set the derived fields past __setattr__
+        self.__dict__.update(
+            chi_prime=chi_prime, jacobian=jacobian, det=det,
+            x_partials=tuple(simplify(differentiate(e, x, ctx))
+                             for e in (self.Y, self.Z)))
+        if zero_verdict(simplify(mul(chi_prime, det))).is_zero:
+            warnings.warn("transformation Jacobian is singular",
+                          stacklevel=3)
 
-    def first_derivatives_along(self, sys: OdeSystem2, seed: int) -> tuple:
-        """(D_x X, Y', Z') along the solutions of sys, with Y' = D_x(Y) /
-        D_x(X) and Z' = D_x(Z) / D_x(X) simplified.  Raises DxXZero where
-        D_x X vanishes, before anything divides by it.  The result for the
-        last system is kept, so that `transform_system` and
-        `map_trajectory` derive it once for one system; `seed` picks the
-        sample points of a numeric zero test of D_x X."""
-        if self._first is not None and self._first[0] is sys:
-            return self._first[1]
-        DX = total_derivative(self.X, sys)
-        if zero_verdict(DX, seed=seed).is_zero:
+    def first_derivatives(self, yp: str, zp: str) -> tuple:
+        """(Y', Z') = ((Y_x, Z_x) + J (y', z')) / chi', simplified, with the
+        old first derivatives named yp and zp: Y and Z hold no derivative,
+        so this is Y' along any system.  Raises DxXZero where chi'
+        vanishes, before anything divides by it."""
+        if zero_verdict(self.chi_prime).is_zero:
             raise DxXZero("the new independent variable is constant along "
                           "solutions")
-        out = (DX, simplify(div(total_derivative(self.Y, sys), DX)),
-               simplify(div(total_derivative(self.Z, sys), DX)))
-        object.__setattr__(self, "_first", (sys, out))
-        return out
-
-    def _warn_if_singular(self):
-        # warns when |det J| < 1e-12 at all of up to 8 evaluable points
-        ctx = self.ctx
-        names = (ctx.independent, *ctx.dependents)
-        rows = [[differentiate(comp, v) for v in names]
-                for comp in (self.X, self.Y, self.Z)]
-        rng = random.Random(7)
-        best = 0.0
-        tried = 0
-        for _ in range(32):
-            if tried >= 8:
-                break
-            pt = {v: rng.uniform(0.2, 1.8) for v in names}
-            try:
-                m = [[eval_expr(e, pt) for e in row] for row in rows]
-            except ExprError:
-                continue
-            tried += 1
-            best = max(best, abs(_det3(m)))
-        if tried and best < 1e-12:
-            warnings.warn("transformation Jacobian appears singular at all "
-                          "sampled points", stacklevel=3)
+        return tuple(
+            simplify(div(add(e, mul(sym(yp), a), mul(sym(zp), b)),
+                         self.chi_prime))
+            for e, (a, b) in zip(self.x_partials, self.jacobian))
 
     @classmethod
     def identity(cls, ctx: VarContext) -> "PointTransformation":
         y, z = ctx.dependents
         return cls(ctx, sym(ctx.independent), sym(y), sym(z), new_ctx=ctx)
-
-
-def _det3(m) -> float:
-    """The determinant of the 3x3 matrix with rows m, by cofactors."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def total_derivative(e: Expr, sys: OdeSystem2) -> Expr:
@@ -190,29 +180,18 @@ def _invert_chi(chi: Expr, old_x: str, new_x: str) -> Expr:
 
 
 def _affine_inverse(T: PointTransformation, inv_x: Expr) -> dict | None:
-    """Inverse bindings when Y, Z are degree-one in the dependents."""
+    """Inverse bindings when J is free of the dependents, i.e. Y, Z are
+    affine in them: (y, z) = J^-1 ((Y, Z) - (Y, Z) at y = z = 0), with
+    x = inv_x.  det J is the caller's to check."""
     ctx = T.ctx
     y, z = ctx.dependents
-    try:
-        gy = coefficients_in(T.Y, [y, z])
-        gz = coefficients_in(T.Z, [y, z])
-    except NotPolynomial:
+    (a, b), (c, d) = T.jacobian
+    if any({y, z} & free_symbols(e) for e in (a, b, c, d)):
         return None
-    if any(sum(sig) > 1 for sig in list(gy) + list(gz)):
-        return None
-    a = gy.get((1, 0), ZERO)
-    b = gy.get((0, 1), ZERO)
-    f = gy.get((0, 0), ZERO)
-    c = gz.get((1, 0), ZERO)
-    d = gz.get((0, 1), ZERO)
-    g = gz.get((0, 0), ZERO)
-    det = simplify(a * d - b * c)
-    if zero_verdict(det).is_zero:
-        raise NonInvertible("dependent-variable map has zero determinant")
-    ny, nz = T.new_ctx.dependents
-    Ys, Zs = sym(ny), sym(nz)
-    ydef = simplify(div(d * (Ys - f) - b * (Zs - g), det))
-    zdef = simplify(div(a * (Zs - g) - c * (Ys - f), det))
+    f, g = (simplify(substitute(e, {y: ZERO, z: ZERO})) for e in (T.Y, T.Z))
+    Ys, Zs = (sym(n) for n in T.new_ctx.dependents)
+    ydef = simplify(div(d * (Ys - f) - b * (Zs - g), T.det))
+    zdef = simplify(div(a * (Zs - g) - c * (Ys - f), T.det))
     xb = {ctx.independent: inv_x}
     return {ctx.independent: inv_x,
             y: substitute(ydef, xb),
@@ -232,78 +211,67 @@ def transform_system(sys: OdeSystem2, T: PointTransformation,
                      seed: int = 0) -> OdeSystem2:
     """Rewrite a system in the image variables of a point transformation.
 
-    The new right-hand sides are obtained from Y' = D_x(Y)/D_x(X) and
-    Y'' = D_x(Y')/D_x(X) with the old variables eliminated through the
-    inverse map; raises NonInvertible when no inverse is available.
+    Y' and Z' are T's `first_derivatives` in the system's derivative
+    names, and Y'' = D_x(Y')/chi' and Z'' = D_x(Z')/chi' are the two total
+    derivatives along the system.  The old first derivatives are solved
+    from chi' (Y', Z') - (Y_x, Z_x) = J (y', z'), and the old base
+    variables are eliminated through the inverse map; raises NonInvertible
+    where det J vanishes or no inverse is available.
     """
     ctx = sys.ctx
     new = T.new_ctx
-    DX, F1, F2 = T.first_derivatives_along(sys, seed)
-    W1 = simplify(div(total_derivative(F1, sys), DX))
-    W2 = simplify(div(total_derivative(F2, sys), DX))
+    yp, zp = ctx.first_derivatives
+    W = [simplify(div(total_derivative(F, sys), T.chi_prime))
+         for F in T.first_derivatives(yp, zp)]
 
     # solve the first-derivative relations for the old derivatives
-    x = ctx.independent
-    y, z = ctx.dependents
-    yp, zp = ctx.first_derivatives
-    nyp, nzp = new.first_derivatives
-    Yp, Zp = sym(nyp), sym(nzp)
-    a11 = simplify(differentiate(T.Y, y) - Yp * differentiate(T.X, y))
-    a12 = simplify(differentiate(T.Y, z) - Yp * differentiate(T.X, z))
-    a21 = simplify(differentiate(T.Z, y) - Zp * differentiate(T.X, y))
-    a22 = simplify(differentiate(T.Z, z) - Zp * differentiate(T.X, z))
-    b1 = simplify(Yp * differentiate(T.X, x) - differentiate(T.Y, x))
-    b2 = simplify(Zp * differentiate(T.X, x) - differentiate(T.Z, x))
-    det = simplify(a11 * a22 - a12 * a21)
-    if zero_verdict(det, seed=seed).is_zero:
+    if zero_verdict(T.det, seed=seed).is_zero:
         raise NonInvertible("first-derivative map is singular")
-    yp_new = simplify(div(b1 * a22 - a12 * b2, det))
-    zp_new = simplify(div(a11 * b2 - a21 * b1, det))
-    W1 = simplify(substitute(W1, {yp: yp_new, zp: zp_new}))
-    W2 = simplify(substitute(W2, {yp: yp_new, zp: zp_new}))
+    (a, b), (c, d) = T.jacobian
+    b1, b2 = (simplify(sym(n) * T.chi_prime - e)
+              for n, e in zip(new.first_derivatives, T.x_partials))
+    old = {yp: simplify(div(b1 * d - b * b2, T.det)),
+           zp: simplify(div(a * b2 - c * b1, T.det))}
+    W = [simplify(substitute(w, old)) for w in W]
 
     # eliminate the old base variables
-    if free_symbols(T.X) - {x} - set(ctx.parameters):
-        raise NonInvertible("the new independent variable must depend on "
-                            "the old independent variable only")
+    x = ctx.independent
+    y, z = ctx.dependents
     if T.inverse is not None:
-        W1 = simplify(substitute(W1, T.inverse))
-        W2 = simplify(substitute(W2, T.inverse))
+        bindings = T.inverse
     else:
         inv_x = _invert_chi(T.X, x, new.independent)
         bindings = _affine_inverse(T, inv_x)
-        if bindings is not None:
-            W1 = simplify(substitute(W1, bindings))
-            W2 = simplify(substitute(W2, bindings))
-        elif _is_exp_polar(T):
-            from .expr import exp as _exp, cos as _cos, sin as _sin
-            Ys, Zs = (sym(n) for n in new.dependents)
-            S = add(pow_(Ys, 2), pow_(Zs, 2))
-            half = Fraction(1, 2)
-            rules = {
-                sym(x): inv_x,
-                _exp(sym(y)): pow_(S, half),
-                _sin(sym(z)): mul(Zs, pow_(S, -half)),
-                _cos(sym(z)): mul(Ys, pow_(S, -half)),
-                sym(y): mul(C(half), log(S)),
-            }
-            W1 = simplify(rewrite_subterms(W1, rules))
-            W2 = simplify(rewrite_subterms(W2, rules))
-        else:
-            raise NonInvertible(
-                "transformation is outside the supported family (affine in "
-                "the dependents, or exponential-polar) and no explicit "
-                "inverse was given")
+    if bindings is not None:
+        W = [simplify(substitute(w, bindings)) for w in W]
+    elif _is_exp_polar(T):
+        from .expr import exp as _exp, cos as _cos, sin as _sin
+        Ys, Zs = (sym(n) for n in new.dependents)
+        S = add(pow_(Ys, 2), pow_(Zs, 2))
+        half = Fraction(1, 2)
+        rules = {
+            sym(x): inv_x,
+            _exp(sym(y)): pow_(S, half),
+            _sin(sym(z)): mul(Zs, pow_(S, -half)),
+            _cos(sym(z)): mul(Ys, pow_(S, -half)),
+            sym(y): mul(C(half), log(S)),
+        }
+        W = [simplify(rewrite_subterms(w, rules)) for w in W]
+    else:
+        raise NonInvertible(
+            "transformation is outside the supported family (affine in "
+            "the dependents, or exponential-polar) and no explicit "
+            "inverse was given")
 
     allowed = {new.independent, *new.dependents, *new.first_derivatives,
                *new.parameters, *ctx.parameters}
-    for w in (W1, W2):
+    for w in W:
         leftover = free_symbols(w) - allowed
         if leftover:
             raise NonInvertible(
                 f"old variables {sorted(leftover)} survive the rewrite; "
                 "supply an explicit inverse")
-    return OdeSystem2(new, W1, W2)
+    return OdeSystem2(new, *W)
 
 
 # ---------------------------------------------------------------------------
@@ -812,20 +780,20 @@ def _exp_half_integral(c1: list, c2: list, ts) -> tuple:
         return scale * np.cos(half_b), scale * np.sin(half_b)
 
 
-def _slope_error(c: CoefficientFn, ts, slope) -> float:
-    """A step-doubling estimate of the error of `slope`, a tabulated c's
-    spline slope on ts: its max difference from the slope of the spline
-    through every second table point (the last point kept); 0.0 for a
-    closed form."""
+def _spline_errors(c: CoefficientFn, ts, values, slopes) -> tuple:
+    """Step-doubling estimates of the errors of `values` and `slopes`, a
+    tabulated c's spline values and slopes on ts: their pointwise
+    differences from those of the spline through every second table point
+    (the last point kept); (0.0, 0.0) for a closed form."""
     if c.kind == "symbolic":
-        return 0.0
+        return 0.0, 0.0
     import numpy as np
     from scipy.interpolate import CubicSpline
 
     n = len(c.xs)
     keep = np.r_[0:n - 1:2, n - 1]
     coarse = CubicSpline(c.xs[keep], c.values[keep])
-    return float(np.abs(slope - coarse(ts, 1)).max())
+    return np.abs(values - coarse(ts)), np.abs(slopes - coarse(ts, 1))
 
 
 def reduce_24_to_25(lf: LinearForm, interval: tuple,
@@ -837,11 +805,12 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     whatever M is, so a3 + i a4 is computed once from a1 and a2: in
     closed form when both are closed-form, else on M's grid from their
     values and derivatives.  A table's error estimate is the larger of
-    a1's and a2's, plus half the `_slope_error` of the input whose slope
-    it holds (a3 holds -a1'/2, a4 -a2'/2).  Where a1 and a2 are
-    polynomials with numeric coefficients, M1 + i M2 = exp((A + i B)/2)
-    with A, B their exact integrals from x0, on rk4_checked's grid of h;
-    else RK4 integrates the pair at a step of at most h.
+    a1's and a2's, plus the `_spline_errors` of their values and slopes
+    carried through zeta^2/4 - zeta'/2 to first order.  Where a1 and a2
+    are polynomials with numeric coefficients, M1 + i M2 =
+    exp((A + i B)/2) with A, B their exact integrals from x0, on
+    rk4_checked's grid of h; else RK4 integrates the pair at a step of at
+    most h.
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
@@ -887,39 +856,21 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     else:
         v1, dv1 = a1.with_derivative(ts)
         v2, dv2 = a2.with_derivative(ts)
+        e1, s1 = _spline_errors(a1, ts, v1, dv1)
+        e2, s2 = _spline_errors(a2, ts, v2, dv2)
         how = "zeta^2/4 - zeta'/2 with zeta = a1 + i a2, on M's grid"
         error = max(a1.error_estimate, a2.error_estimate)
+        # to first order, zeta^2/4 - zeta'/2 moves by zeta dzeta/2 - dzeta'/2
         coeffs = {
             "a3": CoefficientFn.tabulated(
-                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h,
-                error + 0.5 * _slope_error(a1, ts, dv1)),
+                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h, error
+                + 0.5 * float(np.max(np.abs(v1) * e1 + np.abs(v2) * e2 + s1))),
             "a4": CoefficientFn.tabulated(
-                ts, 0.5 * (v1 * v2 - dv2), how, h,
-                error + 0.5 * _slope_error(a2, ts, dv2)),
+                ts, 0.5 * (v1 * v2 - dv2), how, h, error
+                + 0.5 * float(np.max(np.abs(v2) * e1 + np.abs(v1) * e2 + s2))),
         }
     return FirstOrderReduction(LinearForm("zero_order", coeffs), m1_fn,
                                m2_fn, err, route)
-
-
-def rescaling_transformation(m1: CoefficientFn, m2: CoefficientFn):
-    """Numeric state map (t, y, z, y', z') -> new state implementing the
-    dependent-variable rescaling with pair (M1, M2)."""
-    import numpy as np
-
-    def mapper(t, s):
-        y, z, yp, zp = s
-        w1, w2 = m1(t), m2(t)
-        dw1, dw2 = m1.derivative(t), m2.derivative(t)
-        d = w1 ** 2 + w2 ** 2
-        ny = (w1 * y + w2 * z) / d
-        nz = (w1 * z - w2 * y) / d
-        # derivative of the quotient (conjugate(M)/|M|^2) * (y + i z)
-        nyp = (w1 * yp + w2 * zp + dw1 * y + dw2 * z) / d \
-            - (ny * (2 * (w1 * dw1 + w2 * dw2))) / d
-        nzp = (w1 * zp - w2 * yp + dw1 * z - dw2 * y) / d \
-            - (nz * (2 * (w1 * dw1 + w2 * dw2))) / d
-        return np.array([ny, nz, nyp, nzp])
-    return mapper
 
 
 # ---------------------------------------------------------------------------

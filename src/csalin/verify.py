@@ -42,7 +42,6 @@ class Trajectory:
 
     xs: np.ndarray
     states: np.ndarray  # columns: y, z, y', z'
-    generator: OdeSystem2
     step: float  # the h of the run kept
     error: float | None = None  # h vs 2h max-norm difference, if checked
 
@@ -101,7 +100,7 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float | None = None,
         raise Blowup(f"state escaped near x = {xs[-1]:.6g}")
     if err is not None:
         require_accuracy(err)
-    return Trajectory(xs, states, sys, h, err)
+    return Trajectory(xs, states, h, err)
 
 
 def map_trajectory(traj: Trajectory, T: PointTransformation,
@@ -109,12 +108,12 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
     """Push trajectory samples through T, including first derivatives.
 
     Returns (X, Y, Z, Y', Z') arrays in the new variables.  Y' and Z' are
-    those `transform_system` derived for the trajectory's system, if it
-    did; DxXZero is raised where X is constant along that system.
+    T's `first_derivatives` in T's own names, which bind the trajectory's
+    columns (x, y, z, y', z'); DxXZero is raised where chi' = dX/dx
+    vanishes.
     """
-    sys = traj.generator
-    _, FY, FZ = T.first_derivatives_along(sys, seed=0)
-    rows = compile_rows((T.X, T.Y, T.Z, FY, FZ), _names(sys.ctx), params)
+    FY, FZ = T.first_derivatives(*T.ctx.first_derivatives)
+    rows = compile_rows((T.X, T.Y, T.Z, FY, FZ), _names(T.ctx), params)
     try:
         cols = rows(traj.xs.tolist(), *traj.states.T.tolist())
     except EvalDomainError as exc:

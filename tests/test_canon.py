@@ -17,8 +17,9 @@ from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
     NonInvertible, PointTransformation, PoleInInterval, RhoVanishes,
     attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
-    reduce_optimal, rescaling_transformation, transform_system, _det3,
+    reduce_optimal, transform_system,
 )
+from csalin.csa import check_cr
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
     C, VarContext, ZERO, neg, parse, simplify, substitute, sym, to_string,
@@ -106,19 +107,92 @@ def test_one_transformation_carries_each_system_it_is_given():
         assert got.omega1 == got.omega2 == ZERO
 
 
-def test_det3_matches_numpy():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        m = rng.uniform(-2.0, 2.0, size=(3, 3)) * 10.0 ** rng.integers(-3, 4)
-        want = np.linalg.det(m)
-        assert abs(_det3(m.tolist()) - want) <= 1e-12 * abs(want)
-
-
 def test_singular_map_warns():
     # Y and Z are the same function of (y, z): det J = 0 everywhere
     with pytest.warns(UserWarning, match="singular"):
         PointTransformation(CTX, sym("x"), parse("y + z", CTX),
                             parse("2*y + 2*z", CTX))
+
+
+def test_singular_map_warning_names_the_callers_file():
+    with pytest.warns(UserWarning, match="singular") as record:
+        PointTransformation(CTX, sym("x"), parse("y + z", CTX),
+                            parse("2*y + 2*z", CTX))
+    assert record[0].filename == __file__
+
+
+def test_a_tiny_but_nonzero_jacobian_does_not_warn():
+    # det J = 1e-13 is not zero: the map is invertible, if badly scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T = PointTransformation(CTX, sym("x"), sym("y"),
+                                C(Fraction(1, 10 ** 13)) * sym("z"))
+    assert T.det == C(Fraction(1, 10 ** 13))
+
+
+@pytest.mark.parametrize("X,Y,Z", [("x + y", "y", "z"), ("x*z", "y", "z"),
+                                   ("x", "y + y'", "z"), ("x", "y", "dz")])
+def test_a_map_that_is_no_point_transformation_is_refused(X, Y, Z):
+    # X = chi(x), and Y, Z hold no derivative: refused where it is built
+    with pytest.raises(NonInvertible, match="old (independent variable "
+                       "only|derivatives)"):
+        PointTransformation(CTX, *(parse(e, CTX) for e in (X, Y, Z)))
+
+
+def test_jacobian_is_computed_once_where_the_map_is_built():
+    T = PointTransformation(CTX, parse("1/x", CTX),
+                            parse("exp(x)*y + x*z + x^2", CTX),
+                            parse("z - y", CTX))
+    (a, b), (c, d) = T.jacobian
+    for got, want in ((T.chi_prime, "-1/x^2"), (a, "exp(x)"), (b, "x"),
+                      (c, "-1"), (d, "1"), (T.det, "exp(x) + x"),
+                      (T.x_partials[0], "exp(x)*y + z + 2*x"),
+                      (T.x_partials[1], "0")):
+        assert zero_verdict(simplify(got - parse(want, CTX))).is_zero
+    Yp, Zp = T.first_derivatives("p", "q")
+    want = parse("-x^2*(exp(x)*y + z + 2*x + exp(x)*p + x*q)",
+                 VarContext(first_derivatives=("p", "q")))
+    assert zero_verdict(simplify(Yp - want)).is_zero
+
+
+_COEFFS = ("x", "1 + x^2/2", "exp(-x/2)", "cos(x)", "x^2 - x")
+
+
+def _random_affine_map(rng: random.Random) -> PointTransformation:
+    """Y = a y + b z + f, Z = c y + d z + g with a, d, f, g functions of x
+    and b, c constants, |ad - bc| > 0.1 on [1, 1.5], and X = p x + q or the
+    Moebius X = p + q/x."""
+    def draw(pool):
+        k = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+        return f"({k})*({rng.choice(pool)})"
+
+    ts = np.linspace(1.0, 1.5, 11)
+    while True:
+        a, d, f, g = (draw(_COEFFS) for _ in range(4))
+        b, c = (draw(("0", "1")) for _ in range(2))
+        det = CoefficientFn.symbolic(f"{a}*{d} - {b}*{c}")(ts)
+        if np.min(np.abs(det)) > 0.1:
+            break
+    p, q = (Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+            for _ in range(2))
+    X = f"({p})*x + ({q})" if rng.random() < 0.5 else f"({p}) + ({q})/x"
+    return PointTransformation(CTX, parse(X, CTX),
+                               parse(f"{a}*y + {b}*z + {f}", CTX),
+                               parse(f"{c}*y + {d}*z + {g}", CTX))
+
+
+def test_seeded_affine_maps_carry_a_non_cr_system():
+    # the transformed system is checked on a trajectory of the original,
+    # pushed through the map: no step of transform_system is trusted
+    s = _sys("y*dz - x*z + dy^2/4", "x*dy + y^2 - z")
+    assert not check_cr(s).overall
+    traj = integrate(s, (1.0, 0.2, -0.1, 0.3, 0.1), 1.5)
+    rng = random.Random(2401)
+    for _ in range(8):
+        T = _random_affine_map(rng)
+        target = transform_system(s, T)
+        assert residual_on_trajectory(traj, target, T) <= 1e-6, \
+            (T.X, T.Y, T.Z)
 
 
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
@@ -413,26 +487,27 @@ def test_reduce_24_to_25_constant_damping():
 
 
 def test_reduce_24_to_25_constant_damping_trajectory_oracle():
-    # independent check of the +c^2/4 sign: integrate y'' = c y', rescale
-    # the trajectory with (M1, M2), and verify it solves y'' = (c^2/4) y
-    c = 3.0
+    # independent check of the +c^2/4 sign: integrate y'' = c y', map the
+    # trajectory by (Y, Z) = e^(-cx/2) (y, z), the rescaling by the M it
+    # returns, and check it solves Y'' = a3 Y - a4 Z, Z'' = a4 Y + a3 Z
     res = reduce_24_to_25(LinearForm("first_order", {"a1": 3, "a2": 0}),
                           (0.0, 1.0))
-    mapper = rescaling_transformation(res.m1, res.m2)
+    assert np.max(np.abs(res.m2.values)) == 0.0
+    T = PointTransformation(CTX, sym("x"), parse("exp(-3*x/2)*y", CTX),
+                            parse("exp(-3*x/2)*z", CTX))
+    traj = integrate(_sys("3*dy", "3*dz"), (0.0, 0.5, -0.3, 0.2, 0.7), 1.0,
+                     h=1e-3)
+    Y, Z = (sym(n) for n in T.new_ctx.dependents)
+    a3, a4 = (res.form[name].expr for name in ("a3", "a4"))
+    assert to_string(a3) == "9/4" and to_string(a4) == "0"
 
-    def rhs(t, s):
-        return np.array([s[2], s[3], c * s[2], c * s[3]])
+    def residual(a3):
+        target = OdeSystem2(T.new_ctx, a3 * Y - a4 * Z, a4 * Y + a3 * Z)
+        return residual_on_trajectory(traj, target, T)
 
-    ts, ys = rk4_reference(rhs, 0.0, np.array([0.5, -0.3, 0.2, 0.7]), 1.0,
-                           1e-3)
-    mapped = np.array([mapper(t, s) for t, s in zip(ts, ys)])
-    from scipy.interpolate import make_interp_spline
-    sy = make_interp_spline(ts, mapped[:, 0], k=5)
-    resid = sy.derivative(2)(ts) - (c * c / 4.0) * mapped[:, 0]
-    assert np.max(np.abs(resid[3:-3])) <= 1e-6
+    assert residual(a3) <= 1e-6
     # and with the opposite sign the residual is far from zero
-    bad = sy.derivative(2)(ts) + (c * c / 4.0) * mapped[:, 0]
-    assert np.max(np.abs(bad[3:-3])) > 1e-2
+    assert residual(neg(a3)) > 1e-2
 
 
 def test_reduce_24_to_25_rotation():
@@ -536,9 +611,11 @@ def test_tabulated_first_order_coefficients_follow_zeta():
     assert np.max(np.abs(a3.values - want3)) <= bound3 + 1e-15
     assert np.max(np.abs(a4.values - want4)) <= \
         np.max(ts) * value_err / 2 + 1e-15
-    # a3 holds -a1'/2 from the spline, a4 no slope of a table
+    # each carries the table's estimate and its own spline error: a3 from
+    # -a1'/2 and a1^2/4, a4 from a1 x/2 only
     assert a3.error_estimate > 1e-9 + np.max(np.abs(a3.values - want3))
-    assert a4.error_estimate == 1e-9
+    assert 1e-9 + np.max(np.abs(a4.values - want4)) <= a4.error_estimate \
+        < 1.2e-9
 
 
 def test_tabulated_a3_error_estimate_counts_the_spline_slope():
@@ -554,6 +631,28 @@ def test_tabulated_a3_error_estimate_counts_the_spline_slope():
                                       + np.sin(ts) / 2)))
     assert 3.7e-9 < true < 3.9e-9
     assert true <= a3.error_estimate <= 100 * true
+
+
+@pytest.mark.parametrize("table_slot,name,bounds", [
+    ("a1", "a4", (7.8e-12, 7.9e-12)), ("a2", "a3", (2.4e-11, 2.5e-11))])
+def test_tabulated_error_estimate_counts_the_spline_values(table_slot, name,
+                                                          bounds):
+    # with the table cos(x) + 1 in one slot and x in the other, a4 = (a1 x
+    # - 1)/2 and a3 = (x^2 - a2^2)/4 - 1/2 hold no slope of the table, only
+    # its values: their error is a multiple of the spline's value error,
+    # and the doubling estimate of those values must cover it, not by 100x
+    # more
+    xs = np.linspace(0.0, 2.0, 201)
+    table = CoefficientFn.tabulated(xs, np.cos(xs) + 1)
+    slots = {"a1": "x", "a2": "x", table_slot: table}
+    got = reduce_24_to_25(LinearForm("first_order", slots),
+                          (0.3, 1.9)).form[name]
+    ts = got.xs
+    f = np.cos(ts) + 1
+    want = (f * ts - 1) / 2 if name == "a4" else (ts * ts - f * f) / 4 - 0.5
+    true = np.max(np.abs(got.values - want))
+    assert bounds[0] < true < bounds[1]
+    assert true <= got.error_estimate <= 100 * true
 
 
 _TABLE = CoefficientFn.tabulated(np.linspace(1.0, 3.0, 201),

@@ -335,9 +335,9 @@ def test_case_report_renders_dimension_as_a_check():
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_run_example_derives_the_first_derivatives_once(monkeypatch,
                                                          case_id):
-    # transform_system takes D_x X, Y' and Z' along the system (three
-    # total derivatives) and then Y'' and Z'' (two more); map_trajectory
-    # reuses the first three
+    # Y' and Z' come from the map's Jacobian, the same along every system:
+    # transform_system takes only Y'' and Z'' along the system, and
+    # map_trajectory none
     from csalin import canon, symmetry, verify
 
     calls = []
@@ -351,7 +351,7 @@ def test_run_example_derives_the_first_derivatives_once(monkeypatch,
         if hasattr(module, "total_derivative"):
             monkeypatch.setattr(module, "total_derivative", counting)
     run_example(case_id)
-    assert len(calls) == 5
+    assert len(calls) == 2
 
 
 def _worked_example_outputs() -> tuple:
