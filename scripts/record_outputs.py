@@ -17,7 +17,7 @@ reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
 one crossing zero, a polynomial a1); classify_beta over
 `tests/beta_corpus.py`; the transform_system right-hand sides of the four
-examples, and of four systems (one not CR) under the ten maps of
+examples, and of four systems (one not CR) under the twelve maps of
 TRANSFORM_MAPS, four of which are refused; simplify of a few sin and cos
 powers, so that a change of the kernel's normal form shows in the diff;
 and attempt_linear_equivalence over a fixed list of constant optimal /
@@ -134,8 +134,12 @@ TRANSFORM_SYSTEMS = (
 
 # (X, Y, Z) and an explicit inverse or None: the identity, maps affine in
 # y and z with x-dependent and parametric coefficients under an affine or
-# a Moebius X, then the refusals: outside the supported family, a constant
-# X, and y^3 without and with its inverse
+# a Moebius X, the exp-polar map Y + i Z = e^(y + i z) under X = x and
+# X = 1/x (the scalar complex route for the first two systems; the real
+# route for the free particle, whose U'' = U'^2/U puts i in a
+# denominator, and for the last system, which is not CR and is refused
+# for its bare z), then the refusals: outside the supported family, a
+# constant X, and y^3 without and with its inverse
 TRANSFORM_MAPS = (
     (("x", "y", "z"), None),
     (("x", "exp(-x)*y", "exp(-x)*z"), None),
@@ -143,6 +147,8 @@ TRANSFORM_MAPS = (
     (("x", "c1*y - c2*z", "c2*y + c1*z + x"), None),
     (("1/x", "x*y + z", "y + 2*z"), None),
     (("3 - 2/x", "cos(x)*y", "z + sin(x)"), None),
+    (("x", "exp(y)*cos(z)", "exp(y)*sin(z)"), None),
+    (("1/x", "exp(y)*cos(z)", "exp(y)*sin(z)"), None),
     (("x", "sin(y)", "cos(z)"), None),
     (("3", "y", "z"), None),
     (("x", "y^3", "z"), None),

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .csa import check_cr
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
-    add, coefficients_in, compile_rows, differentiate, div, eval_expr,
-    _rational_value, free_symbols, log, mul, parse, pow_, simplify,
-    substitute, rewrite_subterms, sym, to_string, zero_verdict,
+    add, coefficients_in, compile_rows, cos, differentiate, div, eval_expr,
+    exp, _rational_value, free_symbols, log, mul, neg, parse, pow_, sin,
+    simplify, substitute, rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import (
     Blowup, DomainError, Field, checked_grid, require_accuracy, rk4_checked,
@@ -200,16 +201,89 @@ def _affine_inverse(T: PointTransformation, inv_x: Expr) -> dict | None:
 
 def _is_exp_polar(T: PointTransformation) -> bool:
     y, z = T.ctx.dependents
-    from .expr import exp as _exp, cos as _cos, sin as _sin
-    want_y = mul(_exp(sym(y)), _cos(sym(z)))
-    want_z = mul(_exp(sym(y)), _sin(sym(z)))
+    want_y = mul(exp(sym(y)), cos(sym(z)))
+    want_z = mul(exp(sym(y)), sin(sym(z)))
     return zero_verdict(simplify(T.Y - want_y)).is_zero is True and \
         zero_verdict(simplify(T.Z - want_z)).is_zero is True
+
+
+# the imaginary unit and the complex dependent variable u = y + i z with its
+# derivative: names the parser cannot produce, so no user symbol is one
+_I, _U, _UP = "%i", "%u", "%u'"
+
+
+def _complex_route(sys: OdeSystem2, T: PointTransformation,
+                   seed: int) -> OdeSystem2 | None:
+    """The image of a CR system under the exp-polar map U = Y + i Z = e^u,
+    X = chi(x), through its scalar equation u'' = omega(x, u, u'), with
+    u = y + i z; None where this route does not apply.
+
+    omega is omega1 + i omega2 at z = z' = 0 with y, y' read as u, u':
+    the four symbolic CR verdicts make it analytic in (u, u').  Then
+    U' = e^u u'/chi' and U'' = D_x(U')/chi' along u'' = omega, one total
+    derivative; u' = chi' U' e^(-u), e^u = Y + i Z and x = chi^-1(X) are
+    put in, and the real and imaginary parts are read off the powers of
+    i, with i^4 = 1.  None where T has an explicit inverse, is not
+    exp-polar or has chi' = 0, where a CR verdict is not a symbolic hold,
+    where u or another old symbol survives the rewrite, or where i ends
+    in a denominator (a u'^3 term leaves (Y + i Z)^-2).
+    """
+    if T.inverse is not None or not _is_exp_polar(T) \
+            or zero_verdict(T.chi_prime, seed=seed).is_zero:
+        return None
+    if not all(c.holds and c.method == "symbolic"
+               for c in check_cr(sys, seed=seed).checks):
+        return None
+    ctx, new = sys.ctx, T.new_ctx
+    x = ctx.independent
+    (y, z), (yp, zp) = ctx.dependents, ctx.first_derivatives
+    i, u, up = sym(_I), sym(_U), sym(_UP)
+    at = {y: u, z: ZERO, yp: up, zp: ZERO}
+    omega = add(substitute(sys.omega1, at), mul(i, substitute(sys.omega2, at)))
+    # the pair (omega, 0) in u and a dependent that nothing uses
+    scalar = OdeSystem2(
+        VarContext(x, (_U, "%v"), (_UP, "%v'"), ("%u''", "%v''"),
+                   ctx.parameters, ctx.functions_of_x), omega, ZERO)
+    eu = exp(u)
+    Upp = div(total_derivative(div(mul(eu, up), T.chi_prime), scalar),
+              T.chi_prime)
+    Yp, Zp = (sym(n) for n in new.first_derivatives)
+    Upp = substitute(Upp, {_UP: mul(T.chi_prime, add(Yp, mul(i, Zp)),
+                                    pow_(eu, -1))})
+    Ys, Zs = (sym(n) for n in new.dependents)
+    Upp = rewrite_subterms(Upp, {eu: add(Ys, mul(i, Zs)),
+                                 sym(x): _invert_chi(T.X, x, new.independent)})
+    if free_symbols(Upp) - {_I, new.independent, *new.dependents,
+                            *new.first_derivatives, *new.parameters,
+                            *ctx.parameters}:
+        return None
+    try:
+        groups = coefficients_in(Upp, [_I])
+    except NotPolynomial:
+        return None
+    parts = ([], [])  # i^k c is (-1)^(k div 2) c, real for even k
+    for (k,), c in groups.items():
+        parts[k % 2].append(neg(c) if k % 4 > 1 else c)
+    return OdeSystem2(new, *(simplify(add(*p)) if p else ZERO for p in parts))
 
 
 def transform_system(sys: OdeSystem2, T: PointTransformation,
                      seed: int = 0) -> OdeSystem2:
     """Rewrite a system in the image variables of a point transformation.
+
+    A system whose four Cauchy-Riemann verdicts are symbolic holds goes
+    through its scalar complex equation (`_complex_route`) under the
+    exp-polar map Y + i Z = e^(y + i z) with X = chi(x), chi' != 0 and no
+    explicit inverse, unless an old symbol such as u survives there or i
+    ends in a denominator.
+    Every other system and map takes the real route (`_real_route`).
+    """
+    return _complex_route(sys, T, seed) or _real_route(sys, T, seed)
+
+
+def _real_route(sys: OdeSystem2, T: PointTransformation,
+                seed: int) -> OdeSystem2:
+    """`transform_system` through the real pair.
 
     Y' and Z' are T's `first_derivatives` in the system's derivative
     names, and Y'' = D_x(Y')/chi' and Z'' = D_x(Z')/chi' are the two total
@@ -245,15 +319,14 @@ def transform_system(sys: OdeSystem2, T: PointTransformation,
     if bindings is not None:
         W = [simplify(substitute(w, bindings)) for w in W]
     elif _is_exp_polar(T):
-        from .expr import exp as _exp, cos as _cos, sin as _sin
         Ys, Zs = (sym(n) for n in new.dependents)
         S = add(pow_(Ys, 2), pow_(Zs, 2))
         half = Fraction(1, 2)
         rules = {
             sym(x): inv_x,
-            _exp(sym(y)): pow_(S, half),
-            _sin(sym(z)): mul(Zs, pow_(S, -half)),
-            _cos(sym(z)): mul(Ys, pow_(S, -half)),
+            exp(sym(y)): pow_(S, half),
+            sin(sym(z)): mul(Zs, pow_(S, -half)),
+            cos(sym(z)): mul(Ys, pow_(S, -half)),
             sym(y): mul(C(half), log(S)),
         }
         W = [simplify(rewrite_subterms(w, rules)) for w in W]

@@ -36,7 +36,7 @@ __all__ = [
     "Expr", "Constant", "Symbol", "Add", "Mul", "Pow", "Neg", "Div", "Func",
     "VarContext", "ExprError", "ParseError", "UndeclaredSymbol",
     "ArityMismatch", "NonRationalExponent", "EvalDomainError", "UnboundSymbol",
-    "NotPolynomial", "AllSamplesFailed", "ZeroVerdict",
+    "NotPolynomial", "AllSamplesFailed", "TooDeep", "ZeroVerdict",
     "C", "sym", "add", "mul", "pow_", "neg", "div", "exp", "log", "sin",
     "cos", "sqrt",
     "parse", "to_string", "normalize", "simplify", "differentiate",
@@ -95,6 +95,11 @@ class NotPolynomial(ExprError):
 
 class AllSamplesFailed(ExprError):
     pass
+
+
+class TooDeep(ExprError):
+    """An expression nests deeper than Python's recursion limit lets the
+    parser or the code generator walk it."""
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +446,14 @@ def parse(text: str, ctx: VarContext) -> Expr:
 
     Derivative symbols are written y', z' (dy, dz are accepted aliases).
     The result is lightly normalized: nested sums/products are flattened and
-    constant subtrees are folded to exact rationals.
+    constant subtrees are folded to exact rationals.  Text nested too
+    deeply for the recursive parser raises TooDeep.
     """
     tokens = _tokenize(text)
-    tree = _Parser(tokens, ctx).parse()
-    return normalize(tree)
+    try:
+        return normalize(_Parser(tokens, ctx).parse())
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to parse") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1615,8 +1623,9 @@ def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
     ``eval_expr``, which returns the reference values (inf for an
     overflowing exp) or raises its EvalDomainError, naming the same
     subterm and carrying the row as `row`.  A symbol outside names and
-    params raises UnboundSymbol, and a constant beyond float range raises
-    OverflowError, here rather than at call time.  The source is
+    params raises UnboundSymbol, a constant beyond float range raises
+    OverflowError, and a tree too deep to walk raises TooDeep, here
+    rather than at call time.  The source is
     compiled once per process (``compile_source``); each call runs it in
     a namespace of its own, which binds this call's exprs and params.
     """
@@ -1625,7 +1634,10 @@ def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
     symbols = {name: f"a{i}" for i, name in enumerate(names)}
     symbols.update((name, f"({v!r})") for name, v in params.items())
     lines = []
-    codes = emit_code(exprs, symbols, lines)
+    try:
+        codes = emit_code(exprs, symbols, lines)
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to compile") from None
     row = "".join(f"a{i}, " for i in range(len(names)))
     cols = "".join(f"c{i}, " for i in range(len(names)))
     outs = range(len(exprs))
@@ -1647,23 +1659,29 @@ def compile_rows(exprs: Iterable[Expr], names: Iterable[str],
 
 
 def free_symbols(e: Expr) -> set:
-    if isinstance(e, Constant):
-        return set()
-    if isinstance(e, Symbol):
-        return {e.name}
-    if isinstance(e, Add):
-        return set().union(*(free_symbols(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return set().union(*(free_symbols(f) for f in e.factors))
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, Div):
-        return free_symbols(e.num) | free_symbols(e.den)
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, Func):
-        return free_symbols(e.arg)
-    raise TypeError(f"unknown node {e!r}")
+    """The names of the symbols in e, found without recursion, so that a
+    tree of any depth can be checked before it is refused elsewhere."""
+    names, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        # the commonest nodes first
+        if isinstance(node, Symbol):
+            names.add(node.name)
+        elif isinstance(node, Constant):
+            pass
+        elif isinstance(node, Mul):
+            todo.extend(node.factors)
+        elif isinstance(node, Pow):
+            todo.append(node.base)
+        elif isinstance(node, Add):
+            todo.extend(node.terms)
+        elif isinstance(node, (Neg, Func)):
+            todo.append(node.arg)
+        elif isinstance(node, Div):
+            todo += (node.num, node.den)
+        else:
+            raise TypeError(f"unknown node {node!r}")
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from csalin.canon import (
     attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
     reduce_optimal, transform_system,
 )
-from csalin.csa import check_cr
+from csalin.csa import check_cr, realify
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    C, VarContext, ZERO, neg, parse, simplify, substitute, sym, to_string,
-    zero_verdict,
+    C, VarContext, ZERO, free_symbols, neg, parse, simplify, substitute, sym,
+    to_string, zero_verdict,
 )
 from csalin.numerics import (
     ERROR_BUDGET, Blowup, Field, InaccurateIntegration, checked_grid,
@@ -233,6 +233,134 @@ def test_transform_roundtrip_on_trajectory():
     target = transform_system(s, T)
     traj = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0)
     assert residual_on_trajectory(traj, target, T) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the scalar complex route of transform_system
+
+
+def _same_system(got: OdeSystem2, want: OdeSystem2) -> bool:
+    return (to_string(got.omega1), to_string(got.omega2)) == \
+        (to_string(want.omega1), to_string(want.omega2))
+
+
+def _complex_poly(rng: random.Random) -> tuple:
+    """A complex polynomial in x of degree <= 2 with small integer
+    coefficients, as (real, imaginary) parts."""
+    return tuple(parse(" + ".join(f"({rng.randint(-3, 3)})*x^{k}"
+                                  for k in range(3)), CTX)
+                 for _ in range(2))
+
+
+@pytest.mark.parametrize("chi", ["x", "1/x", "2*x + 1"])
+def test_complex_route_agrees_with_the_real_route(chi):
+    # u'' = -u'^2 + a(x) u' + b(x): under U = e^u the scalar route and
+    # the real pair must give the same system, decided symbolically
+    rng = random.Random(2501)
+    T = _exp_polar(CTX, chi)
+    for _ in range(5):
+        a, b = _complex_poly(rng), _complex_poly(rng)
+        s = realify((ZERO, ZERO), (C(1), ZERO),
+                    tuple(neg(e) for e in a), tuple(neg(e) for e in b))
+        got = canon._complex_route(s, T, 0)
+        assert got is not None
+        assert _same_system(transform_system(s, T), got)
+        want = canon._real_route(s, T, 0)
+        for g, w in ((got.omega1, want.omega1), (got.omega2, want.omega2)):
+            v = zero_verdict(simplify(g - w))
+            assert (v.is_zero, v.method) == (True, "symbolic"), \
+                (to_string(g), to_string(w))
+
+
+def test_complex_route_names_collide_with_no_parameter():
+    # parameters named i and u are real constants to the scalar route
+    ctx = VarContext(parameters=frozenset({"i", "u"}))
+    s = _sys("-dy^2 + dz^2 + i*dy - u*dz", "-2*dy*dz + u*dy + i*dz", ctx)
+    T = _exp_polar(ctx, "x")
+    out = canon._complex_route(s, T, 0)
+    assert out is not None
+    nctx = out.ctx
+    for got, want in ((out.omega1, "i*Y' - u*Z'"),
+                      (out.omega2, "u*Y' + i*Z'")):
+        assert zero_verdict(simplify(got - parse(want, nctx))).is_zero
+
+
+@pytest.mark.parametrize("omega", [
+    # a u'^3 term leaves i in the denominator (Y + i Z)^-2
+    ("dy^3 - 3*dy*dz^2 - dy^2 + dz^2", "3*dy^2*dz - dz^3 - 2*dy*dz"),
+    # not CR
+    ("dy^2", "dz"),
+])
+def test_complex_route_falls_back_to_the_real_route(omega):
+    s = _sys(*omega)
+    T = _exp_polar(CTX, "x")
+    assert canon._complex_route(s, T, 0) is None
+    out = transform_system(s, T)
+    assert _same_system(out, canon._real_route(s, T, 0))
+    for w in (out.omega1, out.omega2):
+        assert not {"x", "y", "z", "y'", "z'"} & free_symbols(w)
+
+
+@pytest.mark.parametrize("omega,ctx,left", [
+    # u'' = -u'^2 + u keeps u = log(Y + i Z), and the real route has no
+    # rule for z = arg(Y + i Z)
+    (("-dy^2 + dz^2 + y", "-2*dy*dz + z"), CTX, "z"),
+    # an opaque function f of x has no rule on either route
+    (("-dy^2 + dz^2 + f*dy", "-2*dy*dz + f*dz"),
+     VarContext(functions_of_x=frozenset({"f"})), "f"),
+])
+def test_a_surviving_old_symbol_falls_back_to_the_real_refusal(omega, ctx,
+                                                                left):
+    s = _sys(*omega, ctx)
+    T = _exp_polar(ctx, "x")
+    assert canon._complex_route(s, T, 0) is None
+    with pytest.raises(NonInvertible) as err:
+        transform_system(s, T)
+    assert str(err.value) == (f"old variables ['{left}'] survive the "
+                              "rewrite; supply an explicit inverse")
+
+
+def test_a_sampled_cr_verdict_keeps_the_real_route():
+    # d(omega1)/dy' = d(omega2)/dz' reads exp(2x) = exp(x)^2, decided by
+    # sampling only; with exp(2x) written alike on both sides every CR
+    # verdict is symbolic, and the system takes the scalar route
+    numeric = _sys("-dy^2 + dz^2 + exp(2*x)*dy", "-2*dy*dz + exp(x)^2*dz")
+    methods = {c.method for c in check_cr(numeric).checks}
+    assert check_cr(numeric).overall and "numeric" in methods
+    symbolic = _sys("-dy^2 + dz^2 + exp(2*x)*dy", "-2*dy*dz + exp(2*x)*dz")
+    T = _exp_polar(CTX, "x")
+    assert canon._complex_route(numeric, T, 0) is None
+    out = canon._complex_route(symbolic, T, 0)
+    assert out is not None
+    for got in (out, transform_system(numeric, T)):
+        w = parse("exp(2*X)*Y'", got.ctx)
+        assert zero_verdict(simplify(got.omega1 - w)).is_zero
+
+
+def test_the_real_route_carries_a_non_cr_system_under_exp_polar():
+    s = _sys("dy^2", "dz")
+    assert not check_cr(s).overall
+    T = _exp_polar(CTX, "x")
+    out = transform_system(s, T)
+    # Y'' along y'' = y'^2, z'' = z' checked on a trajectory of the
+    # original pushed through the map
+    traj = integrate(s, (0.0, 0.1, 0.2, 0.3, 0.4), 1.0)
+    assert residual_on_trajectory(traj, out, T) <= 1e-6
+
+
+@pytest.mark.parametrize("chi,error,message", [
+    ("3", DxXZero, "the new independent variable is constant along "
+     "solutions"),
+    ("x^2", NonInvertible, "cannot invert x^2 for x"),
+])
+def test_exp_polar_refusals_keep_their_messages(chi, error, message):
+    s = _sys("-dy^2 + dz^2 - (2/x)*dy", "-2*dy*dz - (2/x)*dz")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # X = 3 warns: chi' = 0
+        T = _exp_polar(CTX, chi)
+    with pytest.raises(error) as err:
+        transform_system(s, T)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,13 @@ def test_malformed_input_exit_two(tmp_path, capsys):
     assert main(["check", bad_expr]) == 2
 
 
+def test_an_expression_too_deep_to_parse_exit_two(capsys):
+    beta = "(" * 2000 + "x" + ")" * 2000
+    assert main(["classify", "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expression nests too deeply to parse\n"
+
+
 def test_classify_inline_beta(capsys):
     assert main(["classify", "--beta", "0"]) == 0
     assert "15" in capsys.readouterr().out

@@ -19,7 +19,8 @@ from csalin.expr import (
     UnboundSymbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
     collect, compile_rows, cos, differentiate, div, emit_code, enclose,
     eval_expr, exp, free_symbols, log, mul, neg, normalize, parse, pow_,
-    rewrite_subterms, simplify, sin, sqrt, substitute, sym, to_string,
+    TooDeep, rewrite_subterms, simplify, sin, sqrt, substitute, sym,
+    to_string,
     zero_verdict,
 )
 from csalin.numerics import Field, rk4
@@ -384,8 +385,8 @@ def test_trig_simplify_is_a_projection_equal_to_its_input(seed, pt):
 
 
 def test_example_2_derivatives_carry_no_sin_squared(monkeypatch):
-    # Y' along the system, and the old first derivatives solved from the
-    # new ones, which the Jacobian determinant exp(y)^2 divides
+    # Y' from the map's Jacobian, and what the scalar complex route binds:
+    # (y, z, y', z') to (u, 0, u', 0), then u' to chi' U' exp(u)^(-1)
     case = example_case(2)
     bound = []
     real = canon.substitute
@@ -778,6 +779,27 @@ def test_compiled_rows_inline_parameters():
     assert rows([]) == ([], [])
     with pytest.raises(UnboundSymbol):
         compile_rows(exprs, ("x",))
+
+
+def _deep_sum(depth: int) -> Expr:
+    """x + x + ... + x as a chain of depth nested binary sums."""
+    e = sym("x")
+    for _ in range(depth):
+        e = Add((e, sym("x")))
+    return e
+
+
+def test_a_tree_too_deep_to_compile_raises_a_typed_error():
+    with pytest.raises(TooDeep, match="too deeply to compile"):
+        compile_rows((_deep_sum(3000),), ("x",))
+    assert issubclass(TooDeep, ExprError)
+    # a chain well within the limit compiles as before
+    assert compile_rows((_deep_sum(100),), ("x",))([2.0]) == ([202.0],)
+
+
+def test_text_too_deep_to_parse_raises_a_typed_error():
+    with pytest.raises(TooDeep, match="too deeply to parse"):
+        parse("(" * 2000 + "x" + ")" * 2000, CTX)
 
 
 # ---------------------------------------------------------------------------

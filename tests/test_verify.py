@@ -12,7 +12,9 @@ from csalin.canon import DxXZero, PointTransformation, transform_system
 from csalin import expr, numerics
 from csalin.csa import check_cr, complexify
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
-from csalin.expr import VarContext, ZERO, parse, simplify, sym, zero_verdict
+from csalin.expr import (
+    Add, TooDeep, VarContext, ZERO, parse, simplify, sym, zero_verdict,
+)
 from csalin.verify import (
     Blowup, CaseReport, DomainError, InaccurateIntegration,
     _example_dimension, example_case, integrate, map_trajectory,
@@ -172,6 +174,20 @@ def test_residual_is_nan_on_a_nan_defect():
                                  case.transformation)
     assert np.isnan(res)
     assert not res <= 1e-5
+
+
+def test_residual_surfaces_a_target_too_deep_to_compile():
+    # a 3,000-deep sum: the row loop refuses it with an ExprError, which
+    # the CLI reports with exit 2, not a bare RecursionError
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1])
+    nctx = case.transformation.new_ctx
+    w = sym("X")
+    for _ in range(3000):
+        w = Add((w, sym("Y")))
+    with pytest.raises(TooDeep):
+        residual_on_trajectory(traj, OdeSystem2(nctx, w, ZERO),
+                               case.transformation)
 
 
 def test_complex_route_agrees_with_system_route():
@@ -335,9 +351,10 @@ def test_case_report_renders_dimension_as_a_check():
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_run_example_derives_the_first_derivatives_once(monkeypatch,
                                                          case_id):
-    # Y' and Z' come from the map's Jacobian, the same along every system:
-    # transform_system takes only Y'' and Z'' along the system, and
-    # map_trajectory none
+    # the worked examples are CR systems under the exp-polar map, so
+    # transform_system takes the one total derivative U'' of the scalar
+    # equation, and map_trajectory none: Y' and Z' come from the map's
+    # Jacobian, the same along every system
     from csalin import canon, symmetry, verify
 
     calls = []
@@ -351,7 +368,7 @@ def test_run_example_derives_the_first_derivatives_once(monkeypatch,
         if hasattr(module, "total_derivative"):
             monkeypatch.setattr(module, "total_derivative", counting)
     run_example(case_id)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _worked_example_outputs() -> tuple:
