@@ -17,8 +17,8 @@ reduction chains, of reduce_optimal on a general form, of two
 reductions that fail and of three that take a closed form (a constant a3,
 one crossing zero, a polynomial a1); classify_beta over
 `tests/beta_corpus.py`; the transform_system right-hand sides of the four
-examples, and of four systems (one not CR) under the twelve maps of
-TRANSFORM_MAPS, four of which are refused; simplify of a few sin and cos
+examples, and of the four systems (one not CR) under the twelve maps of
+`tests/transform_corpus.py`, four of which are refused; simplify of a few sin and cos
 powers, so that a change of the kernel's normal form shows in the diff;
 and attempt_linear_equivalence over a fixed list of constant optimal /
 zero_order or reduced pairs.
@@ -33,17 +33,18 @@ from pathlib import Path
 import numpy as np
 
 from csalin.canon import (
-    CoefficientFn, LinearForm, PointTransformation, RhoVanishes,
-    attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
-    reduce_optimal, transform_system,
+    CoefficientFn, LinearForm, RhoVanishes, attempt_linear_equivalence,
+    reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
 )
-from csalin.cubic import OdeSystem2
 from csalin.expr import ExprError, VarContext, parse, simplify, to_string
 from csalin.symmetry import classify_beta
 from csalin.verify import example_case, integrate, map_trajectory, run_example
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from beta_corpus import BETA_CORPUS  # noqa: E402
+from transform_corpus import (  # noqa: E402
+    TRANSFORM_MAPS, TRANSFORM_SYSTEMS, build,
+)
 
 
 def fmt(v) -> str:
@@ -125,50 +126,13 @@ def classification(beta: str) -> dict:
     return out
 
 
-# (omega1, omega2) in x, y, z, y', z' and the parameters c1, c2; the last
-# system is not CR
-TRANSFORM_SYSTEMS = (
-    ("-dy^2 + dz^2 - (2/x)*dy", "-2*dy*dz - (2/x)*dz"),
-    ("-dy^2 + dz^2 + c1*dy - c2*dz", "-2*dy*dz + c2*dy + c1*dz"),
-    ("0", "0"), ("y*dz - x*z + dy^2/4", "x*dy + y^2 - z"))
-
-# (X, Y, Z) and an explicit inverse or None: the identity, maps affine in
-# y and z with x-dependent and parametric coefficients under an affine or
-# a Moebius X, the exp-polar map Y + i Z = e^(y + i z) under X = x and
-# X = 1/x (the scalar complex route for the first two systems; the real
-# route for the free particle, whose U'' = U'^2/U puts i in a
-# denominator, and for the last system, which is not CR and is refused
-# for its bare z), then the refusals: outside the supported family, a
-# constant X, and y^3 without and with its inverse
-TRANSFORM_MAPS = (
-    (("x", "y", "z"), None),
-    (("x", "exp(-x)*y", "exp(-x)*z"), None),
-    (("2*x + 1", "x*y + z + x^2", "y - z"), None),
-    (("x", "c1*y - c2*z", "c2*y + c1*z + x"), None),
-    (("1/x", "x*y + z", "y + 2*z"), None),
-    (("3 - 2/x", "cos(x)*y", "z + sin(x)"), None),
-    (("x", "exp(y)*cos(z)", "exp(y)*sin(z)"), None),
-    (("1/x", "exp(y)*cos(z)", "exp(y)*sin(z)"), None),
-    (("x", "sin(y)", "cos(z)"), None),
-    (("3", "y", "z"), None),
-    (("x", "y^3", "z"), None),
-    (("x", "y^3", "z"), {"x": "X", "y": "Y^(1/3)", "z": "Z"}),
-)
-
-
 def transformed(system: tuple, xyz: tuple, inverse: dict | None) -> dict:
     """transform_system of system under the map, and whether building the
     map warned."""
-    params = frozenset({"c1", "c2"})
-    ctx = VarContext(parameters=params)
-    new = VarContext("X", ("Y", "Z"), ("Y'", "Z'"), ("Y''", "Z''"), params)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        T = PointTransformation(
-            ctx, *(parse(e, ctx) for e in xyz), inverse=inverse and {
-                k: parse(v, new) for k, v in inverse.items()})
-    out = transform_system(OdeSystem2(ctx, *(parse(e, ctx) for e in system)),
-                           T)
+        sysx, T = build(system, xyz, inverse)
+    out = transform_system(sysx, T)
     return {"omega1": to_string(out.omega1), "omega2": to_string(out.omega2),
             "warns": bool(caught)}
 

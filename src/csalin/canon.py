@@ -21,9 +21,10 @@ from .csa import check_cr
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
-    add, coefficients_in, compile_rows, cos, differentiate, div, eval_expr,
-    exp, _rational_value, free_symbols, log, mul, neg, parse, pow_, sin,
-    simplify, substitute, rewrite_subterms, sym, to_string, zero_verdict,
+    add, coefficients_in, complex_parts, compile_rows, cos, differentiate,
+    div, eval_expr, exp, _rational_value, free_symbols, log, mul, parse,
+    pow_, sin, simplify, simplify_verdict, substitute, rewrite_subterms, sym,
+    to_string, zero_verdict,
 )
 from .numerics import (
     Blowup, DomainError, Field, checked_grid, require_accuracy, rk4_checked,
@@ -113,7 +114,7 @@ class PointTransformation:
             chi_prime=chi_prime, jacobian=jacobian, det=det,
             x_partials=tuple(simplify(differentiate(e, x, ctx))
                              for e in (self.Y, self.Z)))
-        if zero_verdict(simplify(mul(chi_prime, det))).is_zero:
+        if simplify_verdict(mul(chi_prime, det))[1].is_zero:
             warnings.warn("transformation Jacobian is singular",
                           stacklevel=3)
 
@@ -203,8 +204,8 @@ def _is_exp_polar(T: PointTransformation) -> bool:
     y, z = T.ctx.dependents
     want_y = mul(exp(sym(y)), cos(sym(z)))
     want_z = mul(exp(sym(y)), sin(sym(z)))
-    return zero_verdict(simplify(T.Y - want_y)).is_zero is True and \
-        zero_verdict(simplify(T.Z - want_z)).is_zero is True
+    return simplify_verdict(T.Y - want_y)[1].is_zero is True and \
+        simplify_verdict(T.Z - want_z)[1].is_zero is True
 
 
 # the imaginary unit and the complex dependent variable u = y + i z with its
@@ -223,10 +224,15 @@ def _complex_route(sys: OdeSystem2, T: PointTransformation,
     U' = e^u u'/chi' and U'' = D_x(U')/chi' along u'' = omega, one total
     derivative; u' = chi' U' e^(-u), e^u = Y + i Z and x = chi^-1(X) are
     put in, and the real and imaginary parts are read off the powers of
-    i, with i^4 = 1.  None where T has an explicit inverse, is not
-    exp-polar or has chi' = 0, where a CR verdict is not a symbolic hold,
-    where u or another old symbol survives the rewrite, or where i ends
-    in a denominator (a u'^3 term leaves (Y + i Z)^-2).
+    i, with i^4 = 1.  The rewrite and the split work on one canonical
+    polynomial of U'' (`expr.complex_parts`), which emits the two parts
+    with no expression round trip between.  The CR verdicts are the
+    system's one report (`csa.check_cr` keeps it on the system).
+
+    None where T has an explicit inverse, is not exp-polar or has
+    chi' = 0, where a CR verdict is not a symbolic hold, where u or
+    another old symbol survives the rewrite, or where i ends in a
+    denominator (a u'^3 term leaves (Y + i Z)^-2).
     """
     if T.inverse is not None or not _is_exp_polar(T) \
             or zero_verdict(T.chi_prime, seed=seed).is_zero:
@@ -251,20 +257,16 @@ def _complex_route(sys: OdeSystem2, T: PointTransformation,
     Upp = substitute(Upp, {_UP: mul(T.chi_prime, add(Yp, mul(i, Zp)),
                                     pow_(eu, -1))})
     Ys, Zs = (sym(n) for n in new.dependents)
-    Upp = rewrite_subterms(Upp, {eu: add(Ys, mul(i, Zs)),
-                                 sym(x): _invert_chi(T.X, x, new.independent)})
-    if free_symbols(Upp) - {_I, new.independent, *new.dependents,
-                            *new.first_derivatives, *new.parameters,
-                            *ctx.parameters}:
-        return None
+    rules = {eu: add(Ys, mul(i, Zs)),
+             sym(x): _invert_chi(T.X, x, new.independent)}
     try:
-        groups = coefficients_in(Upp, [_I])
+        re, im, names = complex_parts(Upp, rules, _I)
     except NotPolynomial:
         return None
-    parts = ([], [])  # i^k c is (-1)^(k div 2) c, real for even k
-    for (k,), c in groups.items():
-        parts[k % 2].append(neg(c) if k % 4 > 1 else c)
-    return OdeSystem2(new, *(simplify(add(*p)) if p else ZERO for p in parts))
+    if names - {_I, new.independent, *new.dependents, *new.first_derivatives,
+                *new.parameters, *ctx.parameters}:
+        return None
+    return OdeSystem2(new, re, im)
 
 
 def transform_system(sys: OdeSystem2, T: PointTransformation,
@@ -329,7 +331,7 @@ def _real_route(sys: OdeSystem2, T: PointTransformation,
             cos(sym(z)): mul(Ys, pow_(S, -half)),
             sym(y): mul(C(half), log(S)),
         }
-        W = [simplify(rewrite_subterms(w, rules)) for w in W]
+        W = [rewrite_subterms(w, rules) for w in W]
     else:
         raise NonInvertible(
             "transformation is outside the supported family (affine in "

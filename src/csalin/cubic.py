@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .expr import (
     Expr, VarContext, ZERO, ExprError, Pow, Symbol,
-    coefficients_in, free_symbols, mul, neg, add, simplify, zero_verdict,
-    to_string, C,
+    coefficients_in, free_symbols, mul, neg, add, simplify,
+    simplify_verdict, to_string, C,
 )
 from .reports import ConditionCheck, ConditionReport
 
@@ -176,8 +176,7 @@ def check_theorem2(cf: CubicForm, seed: int = 0) -> CubicConditionReport:
     for label, (fa, ra, ja), (fb, rb, jb), scale in _CONDITIONS:
         lhs = cf.slot(fa, ra, ja)
         rhs = cf.slot(fb, rb, jb)
-        diff = simplify(lhs - mul(C(scale), rhs))
-        v = zero_verdict(diff, seed=seed)
+        diff, v = simplify_verdict(lhs - mul(C(scale), rhs), seed=seed)
         detail = "" if v.is_zero else f"difference = {to_string(diff)}"
         checks.append(ConditionCheck(label, v.is_zero, v.method, detail))
     report_checks = tuple(checks)

@@ -44,7 +44,8 @@ __all__ = [
     "compile_rows",
     "emit_code", "EMIT_NAMESPACE", "compile_source",
     "free_symbols",
-    "zero_verdict", "is_zero_sampled", "collect", "coefficients_in",
+    "zero_verdict", "simplify_verdict", "is_zero_sampled", "collect",
+    "coefficients_in", "complex_parts",
 ]
 
 FUNC_NAMES = ("exp", "log", "sin", "cos", "sqrt")
@@ -601,8 +602,11 @@ def _print(e: Expr) -> tuple:
 
 
 def to_string(e: Expr) -> str:
-    text, prec = _print(e)
-    return text
+    """The infix text of e; a tree too deep to walk raises TooDeep."""
+    try:
+        return _print(e)[0]
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to print") from None
 
 
 # ---------------------------------------------------------------------------
@@ -878,26 +882,33 @@ def _poly_pow(p: dict, q, st: _Canon) -> dict:
 
 def _canon(e: Expr, st: _Canon) -> dict:
     """The canonical polynomial of e, in kernel numbers (see above)."""
-    if isinstance(e, Constant):
-        return _poly_const(_num(e.value))
-    if isinstance(e, Symbol):
-        key = st.key_for(_SymBase(e.name))
+    kind = type(e)
+    if kind is Symbol:
+        key = e.name
+        if key not in st.bases:
+            st.bases[key] = _SymBase(key)
         return {((key, 1),): 1}
-    if isinstance(e, Add):
+    if kind is Constant:
+        return _poly_const(_num(e.value))
+    if kind is Add:
         out = {}
         for t in e.terms:
             _poly_iadd(out, _canon(t, st))
         return out
-    if isinstance(e, Mul):
-        out = _poly_const(1)
-        for f in e.factors:
+    if kind is Mul:
+        # a canonical polynomial times the constant 1 is itself, so the
+        # product starts from its first factor
+        if not e.factors:
+            return _poly_const(1)
+        out = _canon(e.factors[0], st)
+        for f in e.factors[1:]:
             out = _poly_mul(out, _canon(f, st), st)
         return out
-    if isinstance(e, Neg):
+    if kind is Neg:
         return _poly_scale(_canon(e.arg, st), -1)
-    if isinstance(e, Div):
+    if kind is Div:
         out = _canon(e.num, st)
-        den = _poly_const(1)
+        den = None  # the product of the factors below, None for 1
         for f in e.den.factors if isinstance(e.den, Mul) else (e.den,):
             if isinstance(f, Pow) and isinstance(f.base, Add) and \
                     f.exponent.denominator == 1 and f.exponent > 0:
@@ -905,12 +916,16 @@ def _canon(e: Expr, st: _Canon) -> dict:
                 # so that _reduce_fractions can cancel it
                 out = _poly_mul(out, _poly_pow(
                     _canon(f.base, st), -f.exponent.numerator, st), st)
+            elif den is None:
+                den = _canon(f, st)
             else:
                 den = _poly_mul(den, _canon(f, st), st)
+        if den is None or den == {(): 1}:
+            return out
         return _poly_mul(out, _poly_pow(den, -1, st), st)
-    if isinstance(e, Pow):
+    if kind is Pow:
         return _poly_pow(_canon(e.base, st), _num(e.exponent), st)
-    if isinstance(e, Func):
+    if kind is Func:
         argp = _canon(e.arg, st)
         if e.kind == "sqrt":
             return _poly_pow(argp, _HALF, st)
@@ -1103,15 +1118,28 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
     return p
 
 
+def _reduced(e: Expr, st: _Canon) -> dict:
+    """The canonical polynomial of e, keyed in st, with its sum
+    denominators cancelled where they divide: the one pass behind
+    `simplify`, `simplify_verdict`, `coefficients_in` and
+    `rewrite_subterms`.  It is exactly the canonical polynomial of
+    simplify(e), so none of them canonicalises a `simplify` result again.
+    A tree too deep to walk raises TooDeep."""
+    try:
+        return _reduce_fractions(_canon(e, st), st)
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to simplify") from None
+
+
 def simplify(e: Expr) -> Expr:
     """Canonical normal form: expand, collect like monomials, cancel.
 
-    A projection: simplify(simplify(e)) is structurally simplify(e).
+    The printed form of e's canonical polynomial after fraction reduction
+    (`_reduced`), built in one pass.  A projection: simplify(simplify(e))
+    is structurally simplify(e).  A tree too deep to walk raises TooDeep.
     """
     st = _Canon()
-    p = _canon(e, st)
-    p = _reduce_fractions(p, st)
-    return _poly_to_expr(p, st)
+    return _poly_to_expr(_reduced(e, st), st)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,10 +1177,9 @@ def _clear_denominators(p: dict, st: _Canon) -> dict:
     return p
 
 
-def _exact_zero(e: Expr) -> bool | None:
-    """True/False when decidable symbolically, None when inconclusive."""
-    st = _Canon()
-    p = _canon(e, st)
+def _exact_zero(p: dict, st: _Canon) -> bool | None:
+    """Whether the canonical polynomial p is 0: True/False when decidable
+    symbolically, None when inconclusive."""
     if not p:
         return True
     p = _clear_denominators(p, st)
@@ -1171,11 +1198,8 @@ def _exact_zero(e: Expr) -> bool | None:
     return False
 
 
-def is_zero_sampled(e: Expr, free: Iterable[str], seed: int = 0) -> bool:
-    """Sampled zero test at 40 pseudo-random points, each coordinate drawn
-    from [-2,-0.1] U [0.1,2]; deterministic given the seed."""
-    free = list(free)
-    e = simplify(e)
+def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
+    """`is_zero_sampled` of an expression that `simplify` returned."""
     terms = list(e.terms) if isinstance(e, Add) else [e]
     rng = random.Random(seed)
     usable = 0
@@ -1200,13 +1224,52 @@ def is_zero_sampled(e: Expr, free: Iterable[str], seed: int = 0) -> bool:
     return True
 
 
+def is_zero_sampled(e: Expr, free: Iterable[str], seed: int = 0) -> bool:
+    """Sampled zero test at 40 pseudo-random points, each coordinate drawn
+    from [-2,-0.1] U [0.1,2]; deterministic given the seed.  The terms
+    summed at each point are those of simplify(e), read off e's reduced
+    canonical polynomial (`_reduced`)."""
+    return _sampled_zero(simplify(e), list(free), seed)
+
+
 def zero_verdict(e: Expr, seed: int = 0) -> ZeroVerdict:
-    """Symbolic-first zero test with sampled fallback."""
-    exact = _exact_zero(e)
+    """Symbolic-first zero test with sampled fallback.
+
+    One canonical polynomial of e serves both: the symbolic test reads it
+    as it stands, and the sampled test (on the free symbols of e) reads it
+    after fraction reduction, which is simplify(e)'s.  To test a
+    difference that the caller also wants simplified, `simplify_verdict`
+    gives both from one pass.  A tree too deep to walk raises TooDeep.
+    """
+    st = _Canon()
+    try:
+        p = _canon(e, st)
+        exact = _exact_zero(p, st)
+        if exact is not None:
+            return ZeroVerdict(exact, "symbolic")
+        reduced = _poly_to_expr(_reduce_fractions(p, st), st)
+        return ZeroVerdict(
+            _sampled_zero(reduced, sorted(free_symbols(e)), seed), "numeric")
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to decide") from None
+
+
+def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
+    """(simplify(e), zero_verdict(simplify(e), seed)) from one canonical
+    pass: the reduced polynomial behind simplify(e) (`_reduced`) is
+    exactly the canonical polynomial of simplify(e), which the symbolic
+    test reads."""
+    st = _Canon()
+    p = _reduced(e, st)
+    s = _poly_to_expr(p, st)
+    exact = _exact_zero(p, st)
     if exact is not None:
-        return ZeroVerdict(exact, "symbolic")
-    return ZeroVerdict(is_zero_sampled(e, sorted(free_symbols(e)), seed=seed),
-                       "numeric")
+        return s, ZeroVerdict(exact, "symbolic")
+    try:
+        sampled = _sampled_zero(s, sorted(free_symbols(s)), seed)
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to decide") from None
+    return s, ZeroVerdict(sampled, "numeric")
 
 
 # ---------------------------------------------------------------------------
@@ -1219,9 +1282,14 @@ def differentiate(e: Expr, v: str, ctx: VarContext | None = None) -> Expr:
     the independent variable and v is that variable, f differentiates to f',
     f' to f'' and so on.  A branch whose derivative ``normalize`` folds to 0
     is pruned before it is built, so the result is the normalized
-    derivative of the full product and chain rules, node for node.
+    derivative of the full product and chain rules, node for node.  A
+    tree too deep to walk raises TooDeep.
     """
-    return normalize(_diff(e, v, ctx))
+    try:
+        return normalize(_diff(e, v, ctx))
+    except RecursionError:
+        raise TooDeep("expression nests too deeply to differentiate") \
+            from None
 
 
 def _diff(e: Expr, v: str, ctx: VarContext | None) -> Expr:
@@ -1307,11 +1375,23 @@ def rewrite_subterms(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
     powers) by replacement expressions, e.g. {exp(y): sqrt(Y^2+Z^2)}.
 
     Matching is up to canonical form; rules are applied once, outermost
-    factors first, then inside function arguments.
+    factors first, then inside function arguments.  The bases are read
+    off e's reduced canonical polynomial (`_reduced`), and the result is
+    that of the rewritten polynomial, with no `simplify` between.
     """
-    table = {to_string(simplify(k)): v for k, v in rules.items()}
     st = _Canon()
-    p = _canon(simplify(e), st)
+    return _poly_to_expr(_rewritten(e, _rule_table(rules), st), st)
+
+
+def _rule_table(rules: Mapping[Expr, Expr]) -> dict:
+    """`rules` keyed by the canonical base key of each pattern."""
+    return {to_string(simplify(k)): v for k, v in rules.items()}
+
+
+def _rewritten(e: Expr, table: dict, st: _Canon) -> dict:
+    """The polynomial of rewrite_subterms(e, rules), rules as `table`
+    (`_rule_table`), fraction-reduced and keyed in st."""
+    p = _reduced(e, st)
     out = {}
     for mono, coeff in p.items():
         piece = _poly_const(coeff)
@@ -1320,16 +1400,16 @@ def rewrite_subterms(e: Expr, rules: Mapping[Expr, Expr]) -> Expr:
             if key in table:
                 rep = _canon(table[key], st)
             elif isinstance(base, _FuncBase):
-                new_arg = rewrite_subterms(base.arg, rules)
+                new_arg = _poly_to_expr(_rewritten(base.arg, table, st), st)
                 rep = _canon(Func(base.kind, new_arg), st)
             elif isinstance(base, _SumBase):
-                rep = _canon(rewrite_subterms(base.expr, rules), st)
+                rep = _canon(_poly_to_expr(
+                    _rewritten(base.expr, table, st), st), st)
             else:
                 rep = {((key, 1),): 1}
             piece = _poly_mul(piece, _poly_pow(rep, q, st), st)
         _poly_iadd(out, piece)
-    out = _reduce_fractions(out, st)
-    return _poly_to_expr(out, st)
+    return _reduce_fractions(out, st)
 
 
 def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
@@ -1691,14 +1771,21 @@ def coefficients_in(e: Expr, vars: Iterable[str]) -> dict:
     """Coefficients of e as a polynomial in the given symbols.
 
     Returns {exponent tuple: coefficient Expr}, exponents ordered like vars.
-    Raises NotPolynomial if any var occurs inside a function argument, a sum
-    denominator, or with a negative/fractional exponent.
+    The monomials are read off e's reduced canonical polynomial
+    (`_reduced`), the one simplify(e) prints, with no simplify between.
+    Raises NotPolynomial if any var occurs inside a function argument, a
+    sum denominator, or with a negative/fractional exponent.
     """
-    vars = list(vars)
-    vset = set(vars)
     st = _Canon()
-    p = _canon(simplify(e), st)
-    p = _reduce_fractions(p, st)
+    groups = _groups(_reduced(e, st), st, list(vars))
+    return {sig: _poly_to_expr(poly, st) for sig, poly in groups.items()
+            if poly}
+
+
+def _groups(p: dict, st: _Canon, vars: list) -> dict:
+    """The canonical polynomial p as {exponent tuple: coefficient
+    polynomial}, as `coefficients_in` returns it."""
+    vset = set(vars)
     groups: dict = {}
     for mono, coeff in p.items():
         sig = [0] * len(vars)
@@ -1722,8 +1809,37 @@ def coefficients_in(e: Expr, vars: Iterable[str]) -> dict:
         sig = tuple(sig)
         piece = _normalize_factors(rest, coeff, st)
         _poly_iadd(groups.setdefault(sig, {}), piece)
-    return {sig: _poly_to_expr(poly, st) for sig, poly in groups.items()
-            if poly}
+    return groups
+
+
+def complex_parts(e: Expr, rules: Mapping[Expr, Expr], unit: str) -> tuple:
+    """(re, im, names): e rewritten by `rules` as in `rewrite_subterms`,
+    then read as a polynomial in the symbol `unit` with unit^2 = -1.
+
+    re sums the coefficients of the even powers unit^k and im those of
+    the odd powers, each with the sign (-1)^(k div 2), and both are
+    simplified; names holds the symbols of the rewritten e.  The rewrite
+    and the split work on one canonical polynomial, with no expression
+    built in between.  Raises NotPolynomial where `coefficients_in` would
+    for the variable unit.
+    """
+    st = _Canon()
+    p = _rewritten(e, _rule_table(rules), st)
+    parts = ({}, {})
+    for (k,), poly in _groups(p, st, [unit]).items():
+        # unit^k c is (-1)^(k div 2) c, real for even k
+        _poly_iadd(parts[k % 2], _poly_scale(poly, -1) if k % 4 > 1
+                   else poly)
+    names = set()
+    for key in {key for mono in p for key, _ in mono}:
+        base = st.bases[key]
+        if isinstance(base, _SymBase):
+            names.add(base.name)
+        elif isinstance(base, (_FuncBase, _SumBase)):
+            names |= free_symbols(base.arg if isinstance(base, _FuncBase)
+                                  else base.expr)
+    return (*(_poly_to_expr(_reduce_fractions(part, st), st)
+              for part in parts), names)
 
 
 def collect(e: Expr, monomials: Iterable[Expr], vars: Iterable[str]):

@@ -2,8 +2,9 @@
 
 RK4 with Richardson step-doubling validation, on a uniform grid whose step
 comes from the error budget: the caller's h is the largest step accepted,
-and a run whose step-doubling error misses `ERROR_BUDGET` is rerun once
-at the step the RK4 error law (error ~ h^4) predicts.  Coefficients on
+a run whose state escapes is rerun once at a quarter of the step, and
+a run whose step-doubling error misses `ERROR_BUDGET` is rerun once at
+the step the RK4 error law (error ~ h^4) predicts.  Coefficients on
 the working intervals are smooth, so one uniform grid per run is enough.
 Callers: the trajectory verifier (`verify.integrate`) and the rho / M
 rescalings of the reduction chain (`canon`) that have no closed form; a
@@ -64,6 +65,9 @@ ERROR_BUDGET = 1e-9
 # a refined step aims at SAFETY^4 (about 2/3) of the budget, since the h^4
 # law only predicts the error
 SAFETY = 0.9
+
+# a pilot whose state escapes reruns once at a step this many times finer
+ESCAPE_REFINE = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +243,24 @@ def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
 
     The run at h goes first, so an error it raises comes before any of
     the 2h run; a state that is not finite in either run raises Blowup at
-    the first grid point where it appears.
+    the first grid point where it appears.  A pilot that raises Blowup
+    is run once more at h / ESCAPE_REFINE, which then takes its place,
+    unless that takes more than MAX_STEPS steps: a step of h can leave
+    RK4's stability region where the solution stays bounded.  Where the
+    finer pilot escapes too, the pilot's Blowup is raised.
     """
     loop = _fuse(f)
-    ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+    try:
+        ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+    except Blowup as escaped:
+        fine = h / ESCAPE_REFINE
+        if abs(t1 - t0) / fine > MAX_STEPS:
+            raise
+        try:
+            ts, ys, err = _checked_run(loop, t0, y0, t1, fine)
+        except Blowup:
+            raise escaped from None
+        h = fine
     if err > ERROR_BUDGET:
         fine = SAFETY * h * (ERROR_BUDGET / err) ** 0.25
         if abs(t1 - t0) / fine <= MAX_STEPS:

@@ -6,12 +6,13 @@ import dataclasses
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csalin import canon, csa, symmetry
+from csalin import canon, csa, expr, symmetry
 from csalin.canon import transform_system
 from csalin.expr import (
     EMIT_NAMESPACE, Add, AllSamplesFailed, C, Constant, Div, EvalDomainError,
@@ -19,15 +20,37 @@ from csalin.expr import (
     UnboundSymbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
     collect, compile_rows, cos, differentiate, div, emit_code, enclose,
     eval_expr, exp, free_symbols, log, mul, neg, normalize, parse, pow_,
-    TooDeep, rewrite_subterms, simplify, sin, sqrt, substitute, sym,
-    to_string,
-    zero_verdict,
+    TooDeep, complex_parts, rewrite_subterms, simplify, simplify_verdict,
+    sin, sqrt, substitute, sym, to_string, zero_verdict,
 )
 from csalin.numerics import Field, rk4
 from csalin.verify import example_case, run_example
 
 from beta_corpus import BETA_CORPUS
 from exprgen import CTX, VARS, corpus, random_expr, sample_point
+from transform_corpus import TRANSFORM_MAPS, TRANSFORM_SYSTEMS, build
+
+
+def _run_pipeline(transforms: bool = False) -> None:
+    """The four worked examples and the beta corpus, and with transforms
+    transform_system over every system and map of transform_corpus."""
+    for case_id in (1, 2, 3, 4):
+        run_example(case_id)
+    for beta, _ in BETA_CORPUS:
+        try:
+            symmetry.classify_beta(beta)
+        except ExprError:
+            pass
+    if not transforms:
+        return
+    for system in TRANSFORM_SYSTEMS:
+        for xyz, inverse in TRANSFORM_MAPS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    transform_system(*build(system, xyz, inverse))
+                except ExprError:
+                    pass
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +153,74 @@ def test_simplify_is_projection():
     for e in corpus(40, seed=5):
         s1 = simplify(e)
         assert to_string(simplify(s1)) == to_string(s1)
+
+
+def _assert_one_pass(e):
+    # the reduced canonical polynomial of e is that of simplify(e), so a
+    # reader of the first never rebuilds it from the second; and reducing
+    # it again changes nothing
+    st = expr._Canon()
+    p = expr._reduce_fractions(expr._canon(e, st), st)
+    assert expr._canon(simplify(e), expr._Canon()) == p
+    assert expr._reduce_fractions(p, st) == p
+
+
+@pytest.mark.parametrize("depth,seed", [(2, 11), (3, 12), (4, 13)])
+def test_one_canonical_pass_is_that_of_the_simplified_form(depth, seed):
+    for e in corpus(150 if depth < 4 else 60, seed=seed, depth=depth):
+        _assert_one_pass(e)
+
+
+def test_one_canonical_pass_on_the_pipeline(monkeypatch):
+    # every expression that the worked examples, the beta corpus and
+    # transform_system over the recorded maps canonicalise through
+    # simplify, simplify_verdict, coefficients_in or rewrite_subterms
+    seen = []
+    real = expr._reduced
+
+    def recording(e, st):
+        seen.append(e)
+        return real(e, st)
+
+    with monkeypatch.context() as m:
+        m.setattr(expr, "_reduced", recording)
+        _run_pipeline(transforms=True)
+    assert len(seen) > 500
+    for e in seen:
+        _assert_one_pass(e)
+
+
+@pytest.mark.parametrize("text", [
+    "x^2/(x+1) - x + x/(x+1)", "sqrt(x^2) - x", "exp(x)*exp(-x) - 1",
+    "(x+y)^3/(2*(x+y)^5) - 1/2*(x+y)^(-2)", "sin(x)^2 + cos(x)^2 - 1",
+    "1/(1 + sin(y)) - 1"])
+def test_simplify_verdict_is_simplify_then_zero_verdict(text):
+    e = parse(text, CTX)
+    s, v = simplify_verdict(e, seed=3)
+    assert s == simplify(e)
+    assert v == zero_verdict(simplify(e), seed=3)
+
+
+def test_complex_parts_split_by_powers_of_the_unit():
+    ctx = VarContext(parameters=frozenset({"i"}))
+    e = parse("i^3*x + i^2*y + i*z - 2 + exp(y)*i^4", ctx)
+    re_, im_, names = complex_parts(e, {exp(sym("y")): sym("z")}, "i")
+    assert (to_string(re_), to_string(im_)) == ("z - y - 2", "z - x")
+    assert names == {"i", "x", "y", "z"}
+    for bad in ("i^(-1)*x", "sin(i*x)", "(x + i)^(-1)"):
+        with pytest.raises(NotPolynomial):
+            complex_parts(parse(bad, ctx), {}, "i")
+
+
+def test_rewrite_subterms_returns_a_simplified_form():
+    # transform_system's real route keeps rewrite_subterms' result as it
+    # stands, with no simplify after it
+    rules = {exp(sym("y")): sqrt(add(pow_(sym("z"), 2), C(1))),
+             sym("x"): div(C(1), add(sym("z"), C(2))),
+             sin(sym("z")): mul(sym("y"), pow_(sym("z"), Fraction(-1, 2)))}
+    for e in corpus(150, seed=14):
+        r = rewrite_subterms(e, rules)
+        assert simplify(r) == r
 
 
 @pytest.mark.parametrize("text", ["sqrt(x^2) - x", "sqrt(x^2*y^2) - x*y"])
@@ -572,8 +663,9 @@ def test_pruned_derivative_equals_the_full_rules_on_functions(text):
 
 def test_pruned_derivative_equals_the_full_rules_on_the_pipeline(
         monkeypatch):
-    # every derivative that the four worked examples and the beta corpus
-    # take, recorded where the pipeline calls differentiate
+    # every derivative that the four worked examples, the beta corpus and
+    # transform_system over the recorded maps take, recorded where the
+    # pipeline calls differentiate
     calls = []
 
     def recording(e, v, ctx=None):
@@ -582,13 +674,7 @@ def test_pruned_derivative_equals_the_full_rules_on_the_pipeline(
 
     for module in (canon, csa, symmetry):
         monkeypatch.setattr(module, "differentiate", recording)
-    for case_id in (1, 2, 3, 4):
-        run_example(case_id)
-    for beta, _ in BETA_CORPUS:
-        try:
-            symmetry.classify_beta(beta)
-        except ExprError:
-            pass
+    _run_pipeline(transforms=True)
     assert len(calls) > 100
     for e, v, ctx in calls:
         _assert_unpruned_equal(e, v, ctx)
@@ -795,6 +881,19 @@ def test_a_tree_too_deep_to_compile_raises_a_typed_error():
     assert issubclass(TooDeep, ExprError)
     # a chain well within the limit compiles as before
     assert compile_rows((_deep_sum(100),), ("x",))([2.0]) == ([202.0],)
+
+
+@pytest.mark.parametrize("call,what", [
+    (simplify, "simplify"), (to_string, "print"),
+    (lambda e: differentiate(e, "x"), "differentiate"),
+    (zero_verdict, "decide"), (simplify_verdict, "simplify"),
+    (lambda e: coefficients_in(e, ["x"]), "simplify"),
+    (lambda e: rewrite_subterms(e, {sym("x"): sym("y")}), "simplify")])
+def test_a_tree_too_deep_to_walk_raises_a_typed_error(call, what):
+    with pytest.raises(TooDeep, match=f"too deeply to {what}"):
+        call(_deep_sum(3000))
+    # a chain well within the limit goes through as before
+    call(_deep_sum(100))
 
 
 def test_text_too_deep_to_parse_raises_a_typed_error():

@@ -356,7 +356,9 @@ def test_closed_form_fields_never_take_the_stage_fallback(monkeypatch):
     sys = OdeSystem2(_CTX, parse("exp(1000*dy)", _CTX), parse("0", _CTX))
     with pytest.raises(Blowup):
         integrate(sys, (0.0, 0.0, 0.0, 1.0, 0.0), 1.0)
-    assert calls == [0.0]  # the overflowing exp is inf, as in eval_expr
+    # the overflowing exp is inf, as in eval_expr, in the pilot and in its
+    # rerun at a finer step
+    assert calls == [0.0, 0.0]
 
 
 def test_tabulated_coefficients_are_called_at_the_stage_time(monkeypatch):
@@ -456,25 +458,46 @@ def test_worked_examples_take_their_step_from_the_error_budget(monkeypatch):
 _STIFF = Field({}, (), ("-12.0 * s0",), bound=1.1)
 
 
-def test_a_failing_step_doubling_run_raises_its_own_blowup(monkeypatch):
+def test_a_pilot_whose_step_doubling_run_escapes_reruns_at_a_finer_step(
+        monkeypatch):
     ys = rk4(_STIFF, 0.0, (1.0,), 1.0, 0.1)[1]
     assert ys.shape == (11, 1) and np.all(np.abs(ys) <= 1.0)
     want = _message(lambda: rk4(_STIFF, 0.0, (1.0,), 1.0, 0.2))
     assert want == (Blowup, "state escaped near x = 0.1")
     steps = _rk4_steps(monkeypatch)
-    assert _message(lambda: rk4_checked(_STIFF, 0.0, (1.0,), 1.0,
-                                        0.1)) == want
-    assert steps == [10, 5]  # no run at h/2
+    ts, ys, err, step = rk4_checked(_STIFF, 0.0, (1.0,), 1.0, 0.1)
+    # the pilot at 0.1 and its 2h run, which escapes; the pilot at 0.025,
+    # which misses the budget, and one rerun at the predicted step
+    assert steps[:4] == [10, 5, 40, 20] and len(steps) == 6
+    assert step < 0.025 and err <= numerics.ERROR_BUDGET
+    assert np.all(np.abs(ys) <= 1.0)
+    assert np.allclose(ys[:, 0], np.exp(-12.0 * ts), atol=1e-7)
+
+
+# y' = y^2 from y(0) = 1 is 1 / (1 - t), which blows up at t = 1
+_BLOWUP = Field({}, (), ("s0 * s0",), bound=1e8)
 
 
 def test_a_failing_run_at_h_raises_before_the_step_doubling_run(
         monkeypatch):
-    want = _message(lambda: rk4(_STIFF, 0.0, (1.0,), 1.0, 0.25))
-    assert want == (Blowup, "state escaped near x = 0.125")
+    # in the pilot at h and in its rerun at h / 4 alike; the pilot's
+    # Blowup is the one raised
+    want = _message(lambda: rk4(_BLOWUP, 0.0, (1.0,), 2.0, 0.25))
+    assert want == (Blowup, "state escaped near x = 1.25")
     steps = _rk4_steps(monkeypatch)
-    assert _message(lambda: rk4_checked(_STIFF, 0.0, (1.0,), 1.0,
+    assert _message(lambda: rk4_checked(_BLOWUP, 0.0, (1.0,), 2.0,
                                         0.25)) == want
-    assert steps == [4]
+    assert steps == [8, 32]
+
+
+def test_an_escaped_pilot_is_not_rerun_over_max_steps(monkeypatch):
+    # the pilot takes MAX_STEPS / 2 steps, and a rerun at h / 4 would take
+    # twice MAX_STEPS
+    steps = _rk4_steps(monkeypatch)
+    with pytest.raises(Blowup, match="near x = 1.001"):
+        rk4_checked(_BLOWUP, 0.0, (1.0,), numerics.MAX_STEPS * 1e-3 / 2,
+                    1e-3)
+    assert steps == [numerics.MAX_STEPS // 2]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,22 @@ def test_geodesic_type_trajectories_end_within_the_budget_or_raise():
     assert kept >= 24
 
 
+def test_a_pilot_that_escapes_at_the_callers_step_is_rerun_finer():
+    # at h = 1e-2 the pilot's run of 2h leaves RK4's stability region
+    # near x = 2.23; the rerun at 2.5e-3 stays bounded, misses the budget
+    # and predicts the step kept, as the pilot at 5e-3 does
+    sys = _sys("-dy^2 + dz^2 + (1+x)*(0.78*dy + 3.65*dz)",
+               "-2*dy*dz + (1+x)*(-3.65*dy + 0.78*dz)")
+    init = (1.0, 0.17, -0.75, 0.92, 0.35)
+    traj = integrate(sys, init, 3.0, h=1e-2)
+    other = integrate(sys, init, 3.0, h=5e-3)
+    assert traj.error <= numerics.ERROR_BUDGET and traj.step < 2.5e-3
+    assert traj.xs[-1] == 3.0
+    assert np.max(np.abs(traj.states[-1] - other.states[-1])) <= 1e-7
+    with pytest.raises(Blowup, match="near x = 2.23"):
+        integrate(sys, init, 3.0, h=2e-2, sanity=False)
+
+
 # ---------------------------------------------------------------------------
 # worked cases
 
@@ -369,6 +385,24 @@ def test_run_example_derives_the_first_derivatives_once(monkeypatch,
             monkeypatch.setattr(module, "total_derivative", counting)
     run_example(case_id)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_run_example_checks_cr_once(monkeypatch, case_id):
+    # run_example's own check and the complex route's guard in
+    # transform_system read one report, kept on the system
+    from csalin import csa
+
+    calls = []
+    real = csa._cr_report
+
+    def counting(sys, seed):
+        calls.append(seed)
+        return real(sys, seed)
+
+    monkeypatch.setattr(csa, "_cr_report", counting)
+    run_example(case_id, seed=5)
+    assert calls == [5]
 
 
 def _worked_example_outputs() -> tuple:
