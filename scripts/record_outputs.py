@@ -12,10 +12,12 @@ with its own source tree, is then the identity check:
 The records are run_example(1..4).to_dict(); the trajectories of the four
 worked examples (``integrate`` and ``map_trajectory`` at the step from the
 error budget, and ``integrate`` at a fixed h = 1e-3); the forms and
-tables of reduce_24_to_25 and reduce_25_to_28 along the examples'
-reduction chains, of reduce_optimal on a general form, of two
-reductions that fail and of three that take a closed form (a constant a3,
-one crossing zero, a polynomial a1); classify_beta over
+tables of reduce_24_to_25 and reduce_25_to_28 along hand-written chains
+from the examples' linear forms, a reference independent of run_example,
+which reads its forms off the transformed targets; of reduce_optimal on
+a general form, of two reductions that fail and of three that take a
+closed form (a constant a3, one crossing zero, a polynomial a1);
+classify_beta over
 `tests/beta_corpus.py`; the transform_system right-hand sides of the four
 examples, and of the four systems (one not CR) under the twelve maps of
 `tests/transform_corpus.py`, four of which are refused; simplify of a few sin and cos
@@ -178,8 +180,9 @@ def main() -> int:
                lambda: {"xs": fixed.xs, "states": fixed.states,
                         "error": fixed.error})
 
-    # the reduction chains of run_example: examples 2 and 3 start from a
-    # first-order form with c1 = c2 = 1, example 4 from a3 = a4 = 1
+    # reference chains written by hand, independent of run_example, which
+    # reads its forms off the transformed targets: examples 2 and 3 start
+    # from a first-order form with c1 = c2 = 1, example 4 from a3 = a4 = 1
     for i, scale in ((2, "1"), (3, "1+x")):
         lf = LinearForm("first_order", {"a1": scale, "a2": scale})
         red = reduce_24_to_25(lf, (0.0, 2.0))

@@ -13,10 +13,11 @@ _EXPORTS = {
              "coefficients_in", "collect", "zero_verdict"),
     "cubic": ("OdeSystem2", "CubicForm", "extract_cubic", "reassemble",
               "check_theorem2"),
-    "csa": ("ComplexOde", "check_cr", "complexify", "realify"),
+    "csa": ("check_cr", "realify"),
     "canon": ("CoefficientFn", "LinearForm", "PointTransformation",
               "attempt_linear_equivalence", "reduce_24_to_25",
-              "reduce_25_to_28", "reduce_optimal", "transform_system"),
+              "reduce_25_to_28", "reduce_chain", "reduce_optimal",
+              "transform_system"),
     "symmetry": ("Classification", "VectorField", "check_symmetry",
                  "classify_beta", "constant_beta_witnesses",
                  "determining_system_reduced", "free_particle_algebra",

@@ -10,7 +10,6 @@ constant forms u'' = A u, v'' = B v under u = P v as similarity of A, B.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -495,48 +494,6 @@ class CoefficientFn:
             return float(self(1.0))
         return float(self.values.mean())
 
-    # -- serialization -----------------------------------------------------
-    def serialize(self) -> str:
-        if self.kind == "symbolic":
-            return f"# symbolic in {self.var}\n{to_string(self.expr)}\n"
-        buf = io.StringIO()
-        buf.write(f"# source: {self.source or 'unspecified'}\n")
-        step = "" if self.step is None else f"{self.step:g}"
-        buf.write(f"# step: {step}  error: {self.error_estimate:.3e}\n")
-        for xi, vi in zip(self.xs, self.values):
-            buf.write(f"{float(xi)!r} {float(vi)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def deserialize(cls, text: str) -> "CoefficientFn":
-        lines = text.strip().splitlines()
-        if lines and lines[0].startswith("# symbolic in "):
-            var = lines[0][len("# symbolic in "):].strip()
-            body = "\n".join(lines[1:]).strip()
-            # the coefficient's variable is the only one it may use
-            ctx = VarContext(var, (), (), ())
-            return cls.symbolic(parse(body, ctx), var=var)
-        source, step, err = "", None, 0.0
-        xs, vs = [], []
-        for line in lines:
-            if line.startswith("# source:"):
-                source = line[len("# source:"):].strip()
-            elif line.startswith("# step:"):
-                body = line[len("# step:"):]
-                parts = body.replace("error:", "|").split("|")
-                head = parts[0].strip()
-                step = float(head) if head else None
-                if len(parts) > 1:
-                    err = float(parts[1])
-            elif line.startswith("#") or not line.strip():
-                continue
-            else:
-                a, b = line.split()
-                xs.append(float(a))
-                vs.append(float(b))
-        return cls.tabulated(xs, vs, source=source, step=step,
-                             error_estimate=err)
-
 
 # ---------------------------------------------------------------------------
 # linear forms
@@ -946,6 +903,22 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
         }
     return FirstOrderReduction(LinearForm("zero_order", coeffs), m1_fn,
                                m2_fn, err, route)
+
+
+def reduce_chain(lf: LinearForm, interval: tuple) -> list:
+    """The reductions that carry lf down its chain on interval, in order:
+    general -> optimal, or first_order -> zero_order -> reduced.  Each is
+    the RescaledForm or FirstOrderReduction whose form the next one
+    reduces; the list is empty for an optimal or reduced form."""
+    # looked up per call: a tracer that rebinds the steps in this module
+    # times each of them
+    step = {"general": reduce_optimal, "first_order": reduce_24_to_25,
+            "zero_order": reduce_25_to_28}
+    chain = []
+    while lf.kind in step:
+        chain.append(step[lf.kind](lf, interval))
+        lf = chain[-1].form
+    return chain
 
 
 # ---------------------------------------------------------------------------

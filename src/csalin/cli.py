@@ -168,8 +168,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    from .canon import LinearForm, reduce_24_to_25, reduce_25_to_28, \
-        reduce_optimal
+    from .canon import LinearForm, reduce_chain
 
     doc = _load_problem(args.file)
     spec = doc.get("form")
@@ -181,19 +180,13 @@ def cmd_canonicalize(args) -> int:
         lf = LinearForm(spec["kind"], coeffs)
     except (ValueError, ExprError) as exc:
         raise InputError(f"bad linear form: {exc}")
-    interval = doc.get("interval", (0.5, 2.0))
-    steps, routes = [], []
-    for kind, reduce in (("general", reduce_optimal),
-                         ("first_order", reduce_24_to_25),
-                         ("zero_order", reduce_25_to_28)):
-        if lf.kind != kind:
-            continue
-        red = reduce(lf, interval)
-        steps.append(f"{kind} -> {red.form.kind}")
-        routes.append(red.rescaling)
-        lf = red.form
+    chain = reduce_chain(lf, doc.get("interval", (0.5, 2.0)))
+    forms = [lf] + [red.form for red in chain]
+    steps = [f"{a.kind} -> {b.kind}" for a, b in zip(forms, forms[1:])]
+    lf = forms[-1]
     # "rk4" where any step of the chain integrated its rescaling with RK4
-    rescaling = "rk4" if "rk4" in routes else "closed-form"
+    rescaling = "rk4" if any(red.rescaling == "rk4" for red in chain) \
+        else "closed-form"
     out = {name: _coefficient_summary(c) for name, c in lf.coeffs.items()}
     text_lines = [f"reduction chain: {' ; '.join(steps) or '(none)'}",
                   f"result kind: {lf.kind}", f"rescaling: {rescaling}"]

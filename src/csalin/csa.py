@@ -1,13 +1,12 @@
 """Correspondence between real systems of two second-order ODEs and scalar
-complex ODEs: Cauchy-Riemann checks and the conversions in both directions.
+complex ODEs: the Cauchy-Riemann checks, and the split of a complex cubic
+equation into its real pair.
 
 Complex quantities are carried as (real, imaginary) Expr pairs throughout;
 there is no complex scalar type in the kernel.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .expr import (
     Expr, VarContext, ExprError, add, differentiate, mul, neg, simplify,
@@ -21,19 +20,6 @@ class CrViolated(ExprError):
     def __init__(self, condition: str):
         super().__init__(f"Cauchy-Riemann condition failed: {condition}")
         self.condition = condition
-
-
-@dataclass(frozen=True)
-class ComplexOde:
-    """u'' = omega(x, u, u') with u = y + i z, represented by the real and
-    imaginary parts of omega expressed in (x, y, z, y', z').
-
-    Constructed through `complexify`, which enforces the CR conditions.
-    """
-
-    ctx: VarContext
-    re_omega: Expr
-    im_omega: Expr
 
 
 def check_cr(sys: OdeSystem2, seed: int = 0) -> ConditionReport:
@@ -74,14 +60,6 @@ def _cr_report(sys: OdeSystem2, seed: int) -> ConditionReport:
         checks.append(ConditionCheck(label, v.is_zero, v.method, detail))
     return ConditionReport(title="Cauchy-Riemann conditions",
                            checks=tuple(checks))
-
-
-def complexify(sys: OdeSystem2, seed: int = 0) -> ComplexOde:
-    """View a CR-satisfying system as a single scalar complex equation."""
-    report = check_cr(sys, seed=seed)
-    if not report.overall:
-        raise CrViolated(report.failing()[0].name)
-    return ComplexOde(sys.ctx, sys.omega1, sys.omega2)
 
 
 def _check_pair_cr(name: str, re_part: Expr, im_part: Expr,

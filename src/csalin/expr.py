@@ -18,8 +18,8 @@ rational-function coefficients.  It also reduces every power n >= 2 of
 sin(u) by sin(u)^2 = 1 - cos(u)^2, so polynomials in sin and cos of one
 argument are decided modulo sin^2 + cos^2 = 1.  Other transcendental
 identities (exp(2x) = exp(x)^2, sin(2x) = 2 sin(x) cos(x), a negative or
-fractional power of sin) fall back to the sampled zero test
-(`is_zero_sampled`).
+fractional power of sin) fall back to the sampled zero test of
+`zero_verdict`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "compile_rows",
     "emit_code", "EMIT_NAMESPACE", "compile_source",
     "free_symbols",
-    "zero_verdict", "simplify_verdict", "is_zero_sampled", "collect",
+    "zero_verdict", "simplify_verdict", "collect",
     "coefficients_in", "complex_parts",
 ]
 
@@ -1199,7 +1199,9 @@ def _exact_zero(p: dict, st: _Canon) -> bool | None:
 
 
 def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
-    """`is_zero_sampled` of an expression that `simplify` returned."""
+    """Sampled zero test of an expression that `simplify` returned, at 40
+    pseudo-random points, each coordinate drawn from [-2,-0.1] U [0.1,2];
+    deterministic given the seed."""
     terms = list(e.terms) if isinstance(e, Add) else [e]
     rng = random.Random(seed)
     usable = 0
@@ -1222,14 +1224,6 @@ def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
             "all 40 sample points hit domain errors for "
             f"'{to_string(e)}'")
     return True
-
-
-def is_zero_sampled(e: Expr, free: Iterable[str], seed: int = 0) -> bool:
-    """Sampled zero test at 40 pseudo-random points, each coordinate drawn
-    from [-2,-0.1] U [0.1,2]; deterministic given the seed.  The terms
-    summed at each point are those of simplify(e), read off e's reduced
-    canonical polynomial (`_reduced`)."""
-    return _sampled_zero(simplify(e), list(free), seed)
 
 
 def zero_verdict(e: Expr, seed: int = 0) -> ZeroVerdict:

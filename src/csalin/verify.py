@@ -16,13 +16,14 @@ import numpy as np
 
 from .canon import (
     CoefficientFn, LinearForm, PointTransformation, RhoVanishes,
-    reduce_24_to_25, reduce_25_to_28, transform_system,
+    reduce_chain, transform_system,
 )
 from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
-    C, ExprError, EvalDomainError, VarContext, ZERO, compile_rows, mul,
-    parse, simplify, simplify_verdict, to_string,
+    C, ExprError, EvalDomainError, NotPolynomial, VarContext, ZERO,
+    coefficients_in, compile_rows, parse, simplify, simplify_verdict,
+    substitute, to_string, zero_verdict,
 )
 from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
     rk4_checked
@@ -257,38 +258,82 @@ def _method(verdicts) -> str:
         else "symbolic"
 
 
-def _example_dimension(case: ExampleCase, seed: int):
-    """Carry the example's linear target down to the reduced form and
-    classify.  Returns (dimension, method, notes).  Where the rescaling
-    function vanishes before x = 2, the reduction reruns on the first 95%
-    of its safe sub-interval and a note names it."""
-    notes = []
-    if case.id == 1:
-        cls = classify_beta("0", seed=seed)
-        return cls.dimension, "symbolic", notes
-    c1, c2 = case.param_values["c1"], case.param_values["c2"]
-    if case.id in (2, 3):
-        scale = parse("1" if case.id == 2 else "1+x", VarContext())
-        lf = LinearForm("first_order", {
-            "a1": CoefficientFn.symbolic(mul(C(Fraction(c1)), scale)),
-            "a2": CoefficientFn.symbolic(mul(C(Fraction(c2)), scale)),
-        })
-        zo = reduce_24_to_25(lf, (0.0, 2.0)).form
+class _NoLinearForm(ExprError):
+    """A transformed target that is no linear form the chain reduces."""
+
+
+def _target_form(out: OdeSystem2, values: dict, seed: int,
+                 verdicts: list) -> LinearForm:
+    """Read U'' = zeta U' + eta U off the transformed target `out`, with
+    its parameters bound to values, as the zero_order form (a3, a4) = eta
+    where zeta = 0, else as the first_order form (a1, a2) = zeta where
+    eta = 0.  a1 and a2 are the Y' coefficients of omega1 and omega2, a3
+    and a4 their Y coefficients; the CR conditions, which must hold, give
+    the Z and Z' ones.  Appends the verdicts it decides by to `verdicts`
+    and raises _NoLinearForm, naming the failed condition or the
+    offending monomial, where out is no such form."""
+    cr = check_cr(out, seed=seed)
+    verdicts.extend(cr.checks)
+    if not cr.overall:
+        raise _NoLinearForm(f"target fails {cr.failing()[0].name}")
+    names = (*out.ctx.dependents, *out.ctx.first_derivatives)
+    bound = {name: C(Fraction(v)) for name, v in values.items()}
+    # the coefficients of Y and Y' in omega1 and in omega2
+    eta, zeta = [], []
+    for i, w in enumerate((out.omega1, out.omega2), 1):
+        try:
+            groups = coefficients_in(substitute(w, bound), names)
+        except NotPolynomial as exc:
+            raise _NoLinearForm(f"target omega{i} is not polynomial in "
+                                f"{', '.join(names)}: {exc}") from None
+        for sig in groups:
+            if sum(sig) != 1:
+                mono = "*".join(n if k == 1 else f"{n}^{k}"
+                                for n, k in zip(names, sig) if k) or "1"
+                raise _NoLinearForm(
+                    f"target omega{i} is not linear in {', '.join(names)}: "
+                    f"it holds the monomial {mono}")
+        eta.append(groups.get((1, 0, 0, 0), ZERO))
+        zeta.append(groups.get((0, 0, 1, 0), ZERO))
+    zero = [zero_verdict(e, seed=seed) for e in (*zeta, *eta)]
+    verdicts.extend(zero)
+    if all(zero[:2]):
+        kind, slots, read = "zero_order", ("a3", "a4"), eta
+    elif all(zero[2:]):
+        kind, slots, read = "first_order", ("a1", "a2"), zeta
     else:
-        zo = LinearForm("zero_order", {"a3": C(Fraction(c1)),
-                                       "a4": C(Fraction(c2))})
+        raise _NoLinearForm("target has both zeta = a1 + i a2 and eta = "
+                            "a3 + i a4 nonzero, which no reduction takes")
+    return LinearForm(kind, {
+        slot: CoefficientFn.symbolic(e, var=out.ctx.independent)
+        for slot, e in zip(slots, read)})
+
+
+def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
+    """The symmetry dimension of `out`, the example's transformed target:
+    its linear form carried down the reduction chain and classified.
+    Returns (dimension, check, notes); a target that is no linear form
+    fails the check, with dimension None.  Where the rescaling function
+    vanishes before x = 2, the chain reruns on the first 95% of its safe
+    sub-interval and a note names it."""
+    verdicts = []
     try:
-        red = reduce_25_to_28(zo, (0.0, 2.0))
+        lf = _target_form(out, case.param_values, seed, verdicts)
+    except _NoLinearForm as exc:
+        return None, ConditionCheck("symmetry dimension", False,
+                                    _method(verdicts), str(exc)), []
+    notes = []
+    try:
+        beta = reduce_chain(lf, (0.0, 2.0))[-1].form["beta"]
     except RhoVanishes as exc:
         lo, hi = exc.safe_interval
         # the new variable, the integral of rho^-2, diverges at the
         # crossing: stopping 5% short keeps its RK4 error within 1e-7
         hi = lo + 0.95 * (hi - lo)
-        red = reduce_25_to_28(zo, (lo, hi))
+        beta = reduce_chain(lf, (lo, hi))[-1].form["beta"]
         notes.append(f"rescaling function crosses zero near x = "
                      f"{exc.crossing:.6g}; reduced on the safe sub-interval "
                      f"[{lo:.6g}, {hi:.6g}]")
-    beta = red.form["beta"]
     if beta.kind == "tabulated":
         lo, hi = beta.domain
         pad = 0.02 * (hi - lo)
@@ -296,8 +341,14 @@ def _example_dimension(case: ExampleCase, seed: int):
     else:
         cls = classify_beta(beta, (0.5, 3.0), seed=seed)
     notes.append(f"reduced-form coefficient classified as: {cls.case_label}")
-    exact = beta.kind == "symbolic" and cls.rank_report is None
-    return cls.dimension, "symbolic" if exact else "numeric", notes
+    exact = beta.kind == "symbolic" and cls.rank_report is None \
+        and _method(verdicts) == "symbolic"
+    dim, expected = cls.dimension, case.expected_dimension
+    return dim, ConditionCheck(
+        "symmetry dimension", expected is None or dim == expected,
+        "symbolic" if exact else "numeric",
+        f"{dim}" + ("" if expected is None else f" (expected {expected})")
+    ), notes
 
 
 def run_example(case_id: int, seed: int = 0) -> CaseReport:
@@ -340,13 +391,10 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
                                  res <= 1e-5, "numeric",
                                  f"residual = {res:.3e}"))
 
-    dim, dim_method, dim_notes = _example_dimension(case, seed)
-    expected = case.expected_dimension
-    checks.append(ConditionCheck(
-        "symmetry dimension", expected is None or dim == expected,
-        dim_method,
-        f"{dim}" + ("" if expected is None else f" (expected {expected})")))
+    dim, dim_check, dim_notes = _example_dimension(case, out, seed)
+    checks.append(dim_check)
     notes.extend(dim_notes)
+    expected = case.expected_dimension
     if expected is None:
         notes.append("no dimension value is stated for this case; the "
                      "classifier output is recorded without assertion")

@@ -17,7 +17,7 @@ from csalin.canon import (
     CoefficientFn, DxXZero, EquivalenceVerdict, LinearForm, MDegenerate,
     NonInvertible, PointTransformation, PoleInInterval, RhoVanishes,
     attempt_linear_equivalence, reduce_24_to_25, reduce_25_to_28,
-    reduce_optimal, transform_system,
+    reduce_chain, reduce_optimal, transform_system,
 )
 from csalin.csa import check_cr, realify
 from csalin.cubic import OdeSystem2
@@ -440,27 +440,12 @@ def test_lazy_spline_matches_eager_spline_bit_for_bit():
     assert type(c(0.8137)) is float and type(c.derivative(probe[3])) is float
 
 
-def test_coefficient_serialization_roundtrip():
-    xs = np.linspace(1.0, 2.0, 11)
-    c = CoefficientFn.tabulated(xs, 1.0 / xs, source="inverse law",
-                                step=0.1, error_estimate=1e-9)
-    back = CoefficientFn.deserialize(c.serialize())
-    assert np.array_equal(back.xs, c.xs)
-    assert np.array_equal(back.values, c.values)
-    assert back.source == "inverse law"
-    assert back.step == 0.1 and back.error_estimate == 1e-9
-    s = CoefficientFn.symbolic("2/x^2")
-    back2 = CoefficientFn.deserialize(s.serialize())
-    assert back2(2.0) == pytest.approx(0.5)
-
-
-def test_symbolic_coefficient_in_another_variable_round_trips():
-    # y and z are dependents in the default alphabet
-    for var in ("t", "y", "z"):
+def test_symbolic_coefficient_in_another_variable():
+    # y and z are dependents in the default alphabet; a transformed
+    # target's coefficients are in X
+    for var in ("t", "y", "z", "X"):
         c = CoefficientFn("symbolic", expr=sym(var) ** 2, var=var)
-        back = CoefficientFn.deserialize(c.serialize())
-        assert back.var == var and back.expr == c.expr
-        assert back(3.0) == 9.0
+        assert c(3.0) == 9.0 and c.derivative(3.0) == 6.0
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +857,40 @@ def test_reductions_refuse_an_overflow_or_an_inaccurate_run(reduce, lf,
         with pytest.raises(error) as info:
             reduce(lf, (0.5, 2.0))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("form,kinds", [
+    ({"kind": "general", "d11": "1 + x", "d12": "3", "d21": "-1",
+      "d22": "1/3"}, ["optimal"]),
+    ({"kind": "first_order", "a1": "1+x", "a2": "1+x"},
+     ["zero_order", "reduced"]),
+    ({"kind": "zero_order", "a3": "1", "a4": "1"}, ["reduced"]),
+    ({"kind": "optimal", "dt11": "x", "dt12": "1", "dt21": "2"}, []),
+    ({"kind": "reduced", "beta": "x"}, []),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else "")
+def test_reduce_chain_carries_each_kind_to_its_end(form, kinds):
+    lf = LinearForm(form["kind"], {k: v for k, v in form.items()
+                                   if k != "kind"})
+    chain = reduce_chain(lf, (0.5, 2.0))
+    assert [red.form.kind for red in chain] == kinds
+    # each step reduces the form of the one before it
+    if kinds == ["zero_order", "reduced"]:
+        alone = reduce_25_to_28(chain[0].form, (0.5, 2.0)).form["beta"]
+        assert np.array_equal(alone.values, chain[1].form["beta"].values)
+
+
+def test_reduce_chain_calls_each_step_through_the_module(monkeypatch):
+    # a step rebound in canon's namespace (as a tracer does) is the one
+    # the chain runs
+    calls = []
+    for name in ("reduce_24_to_25", "reduce_25_to_28"):
+        def step(lf, interval, _fn=getattr(canon, name), _name=name):
+            calls.append(_name)
+            return _fn(lf, interval)
+        monkeypatch.setattr(canon, name, step)
+    lf = LinearForm("first_order", {"a1": "1+x", "a2": "1+x"})
+    assert reduce_chain(lf, (0.5, 2.0))[-1].form.kind == "reduced"
+    assert calls == ["reduce_24_to_25", "reduce_25_to_28"]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,16 @@ def test_canonicalize_full_chain_from_first_order(tmp_path, capsys):
     assert "cross-check" not in out
 
 
+def test_canonicalize_json_names_each_step_of_the_chain(tmp_path, capsys):
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "first_order", "a1": "1+x",
+                            "a2": "1+x"}, "interval": [0.5, 2.0]})
+    assert main(["--json", "canonicalize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chain"] == ["first_order -> zero_order",
+                            "zero_order -> reduced"]
+
+
 def test_canonicalize_first_order_reports_no_cross_check(tmp_path, capsys):
     # a3 + i a4 = zeta^2/4 - zeta'/2 is computed once, so there is no
     # second route to report (schema_version 2 dropped cross_check_error)
@@ -247,6 +257,16 @@ def test_demo_one_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "15" in out
+
+
+def test_demo_one_reads_its_dimension_off_the_target(capsys):
+    # the free particle Y'' = Z'' = 0 is read as the zero_order form
+    # a3 = a4 = 0, whose reduced coefficient is 0
+    assert main(["--json", "demo", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 15
+    assert doc["notes"] == ["reduced-form coefficient classified as: "
+                            "coefficient identically zero"]
 
 
 def test_demo_json_reports_the_richardson_error(capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from csalin.csa import CrViolated, check_cr, complexify, realify
+from csalin.csa import CrViolated, check_cr, realify
 from csalin.cubic import OdeSystem2, extract_cubic, check_theorem2
 from csalin.expr import (
     C, VarContext, ZERO, mul, parse, simplify, sym, to_string, zero_verdict,
@@ -35,13 +35,6 @@ def test_cr_fails_and_names_condition():
     assert "d(omega1)/dy' = d(omega2)/dz'" in names
 
 
-def test_complexify_requires_cr():
-    with pytest.raises(CrViolated):
-        complexify(_sys("y^2", "0"))
-    ce = complexify(WORKED)
-    assert zero_verdict(simplify(ce.re_omega - WORKED.omega1)).is_zero
-
-
 def _analytic_pair(rng: random.Random):
     """(Re, Im) of f(x) + c*(y + i z) — analytic in the dependent pair."""
     a = parse(rng.choice(["x", "1/x", "3", "x^2", "0"]), CTX)
@@ -49,12 +42,12 @@ def _analytic_pair(rng: random.Random):
     return (simplify(a + mul(c, sym("y"))), simplify(mul(c, sym("z"))))
 
 
-def test_realify_complexify_identity_random():
+def test_realify_extract_identity_random():
     rng = random.Random(1234)
     for _ in range(30):
         pairs = [_analytic_pair(rng) for _ in range(4)]
         s = realify(*pairs, CTX)
-        ce = complexify(s)
+        assert check_cr(s).overall
         # re-extract the complex coefficients and compare with the inputs
         rep = check_theorem2(extract_cubic(s))
         assert rep.overall
@@ -63,7 +56,6 @@ def test_realify_complexify_identity_random():
             got_re, got_im = cc[key]
             assert zero_verdict(simplify(got_re - want_re)).is_zero, key
             assert zero_verdict(simplify(got_im - want_im)).is_zero, key
-        assert zero_verdict(simplify(ce.re_omega - s.omega1)).is_zero
 
 
 def test_realify_rejects_non_analytic_coefficients():

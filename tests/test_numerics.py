@@ -316,8 +316,9 @@ def _worked_example_fields(monkeypatch):
         entering(verify, "integrate",
                  lambda sys, init, x_end, params=None: _trajectory_ref(
                      sys, params))
+        # run_example's reduction chain calls them through canon
         for reduce in (reduce_24_to_25, reduce_25_to_28):
-            entering(verify, reduce.__name__,
+            entering(canon, reduce.__name__,
                      lambda lf, interval, reduce=reduce: _reduction_ref(
                          reduce, lf))
         m.setattr(verify, "rk4_checked", recording)

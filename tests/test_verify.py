@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from csalin.canon import DxXZero, PointTransformation, transform_system
 from csalin import expr, numerics
-from csalin.csa import check_cr, complexify
+from csalin.csa import check_cr
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
 from csalin.expr import (
-    Add, TooDeep, VarContext, ZERO, parse, simplify, sym, zero_verdict,
+    Add, C, TooDeep, VarContext, ZERO, ZeroVerdict, parse, simplify,
+    substitute, sym, zero_verdict,
 )
 from csalin.verify import (
     Blowup, CaseReport, DomainError, InaccurateIntegration,
-    _example_dimension, example_case, integrate, map_trajectory,
-    residual_on_trajectory, run_example,
+    _example_dimension, _geodesic_system, _target_form, example_case,
+    integrate, map_trajectory, residual_on_trajectory, run_example,
 )
 
 CTX = VarContext()
@@ -194,7 +196,7 @@ def test_complex_route_agrees_with_system_route():
     # integrate the real pair directly, and integrate the scalar complex
     # equation u'' = f(x, u, u'); the real/imaginary parts must agree
     s = _sys("-dy^2 + dz^2 - (2/x)*dy", "-2*dy*dz - (2/x)*dz")
-    complexify(s)  # validates the correspondence exists
+    assert check_cr(s).overall  # the correspondence exists
     traj = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=1e-3)
 
     def complex_rhs(x, u, du):
@@ -390,19 +392,20 @@ def test_run_example_derives_the_first_derivatives_once(monkeypatch,
 @pytest.mark.parametrize("case_id", [1, 2, 3, 4])
 def test_run_example_checks_cr_once(monkeypatch, case_id):
     # run_example's own check and the complex route's guard in
-    # transform_system read one report, kept on the system
+    # transform_system read one report, kept on the system; the target's
+    # report, which the symmetry dimension reads, is the one other
     from csalin import csa
 
     calls = []
     real = csa._cr_report
 
     def counting(sys, seed):
-        calls.append(seed)
+        calls.append((sys.ctx.independent, seed))
         return real(sys, seed)
 
     monkeypatch.setattr(csa, "_cr_report", counting)
     run_example(case_id, seed=5)
-    assert calls == [5]
+    assert calls == [("x", 5), ("X", 5)]
 
 
 def _worked_example_outputs() -> tuple:
@@ -436,11 +439,17 @@ def test_run_example_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
+def _dimension(case, seed: int = 0) -> tuple:
+    """_example_dimension of the case's own transformed target."""
+    out = transform_system(case.system, case.transformation, seed=seed)
+    return _example_dimension(case, out, seed)
+
+
 def test_example_dimension_with_a_small_parameter():
     # 1e-5 formats as "1e-05", which the expression grammar cannot parse
     case = example_case(2)
     case.param_values = {"c1": 1e-5, "c2": 1.0}
-    assert _example_dimension(case, seed=0)[0] == 7
+    assert _dimension(case)[0] == 7
 
 
 @pytest.mark.parametrize("c1", [1e-5, 0.1])
@@ -449,13 +458,91 @@ def test_example_dimension_on_the_safe_sub_interval(c1):
     # sub-interval and says so in a note
     case = example_case(3)
     case.param_values = {"c1": c1, "c2": 1.0}
-    dim, method, notes = _example_dimension(case, seed=0)
-    assert (dim, method) == (6, "numeric")
+    dim, check, notes = _dimension(case)
+    assert (dim, check.method, check.holds) == (6, "numeric", True)
     assert any("reduced on the safe sub-interval [0, 1." in n
                for n in notes)
     case = example_case(2)
     case.param_values = {"c1": c1, "c2": 1.0}
-    assert _example_dimension(case, seed=0)[0] == 7
+    assert _dimension(case)[0] == 7
+
+
+# the linear forms of the worked examples as they were written by hand,
+# (kind, first coefficient, second) in x, c1 and c2; example 1 went
+# straight to beta = 0, which a3 = a4 = 0 reduces to
+HAND_BUILT = {
+    1: ("zero_order", "0", "0"),
+    2: ("first_order", "c1", "c2"),
+    3: ("first_order", "c1*(1+x)", "c2*(1+x)"),
+    4: ("zero_order", "c1", "c2"),
+}
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+@pytest.mark.parametrize("values", [
+    {"c1": 1.0, "c2": 1.0}, {"c1": 2.0, "c2": 3.0}, {"c1": 1e-5, "c2": 0.1},
+], ids=["unit", "2-3", "small"])
+def test_the_form_read_off_the_target_is_the_hand_built_one(case_id,
+                                                            values):
+    case = example_case(case_id)
+    out = transform_system(case.system, case.transformation)
+    verdicts = []
+    lf = _target_form(out, values, 0, verdicts)
+    kind, *want = HAND_BUILT[case_id]
+    assert lf.kind == kind
+    ctx = VarContext(parameters=frozenset(values))
+    bound = {name: C(Fraction(v)) for name, v in values.items()}
+    for got, text in zip(lf.coeffs.values(), want):
+        assert got.kind == "symbolic" and got.var == "X"
+        diff = substitute(got.expr, {"X": sym("x")}) \
+            - substitute(parse(text, ctx), bound)
+        assert zero_verdict(diff) == ZeroVerdict(True, "symbolic")
+    assert all(v.method == "symbolic" for v in verdicts)
+
+
+def test_the_dimension_follows_the_transformed_target():
+    # example 4 with its constant forcing dropped: the bare geodesic system
+    # maps to Y'' = Z'' = 0, the free particle, with 15 symmetries (the
+    # hand-built form of example 4 said 7 whatever the target was)
+    case = example_case(4)
+    case.system = _geodesic_system(case.system.ctx, "0", "0")
+    out = transform_system(case.system, case.transformation)
+    assert out.omega1 == ZERO and out.omega2 == ZERO
+    dim, check, notes = _example_dimension(case, out, 0)
+    assert (dim, check.holds, check.method) == (15, True, "symbolic")
+    assert notes == ["reduced-form coefficient classified as: coefficient "
+                     "identically zero"]
+
+
+def _target(case, omega1: str, omega2: str) -> OdeSystem2:
+    nctx = case.transformation.new_ctx
+    return OdeSystem2(nctx, parse(omega1, nctx), parse(omega2, nctx))
+
+
+@pytest.mark.parametrize("target,detail", [
+    # the free particle under e^u: (Y^2 + Z^2)^-1 in every term
+    (None, "target omega1 is not polynomial in Y, Z, Y', Z': variable "
+           "inside (Z^2 + Y^2)^-1"),
+    (("Y'", "0"), "target fails d(omega1)/dY' = d(omega2)/dZ'"),
+    (("-Y'^2 + Z'^2", "-2*Y'*Z'"), "target omega1 is not linear in Y, Z, "
+     "Y', Z': it holds the monomial Y'^2"),
+    (("c1*Y - c2*Z + 1", "c2*Y + c1*Z"), "target omega1 is not linear in "
+     "Y, Z, Y', Z': it holds the monomial 1"),
+    (("Y' + Y", "Z' + Z"), "target has both zeta = a1 + i a2 and eta = "
+     "a3 + i a4 nonzero, which no reduction takes"),
+], ids=["not-polynomial", "not-cr", "quadratic", "forced", "zeta-and-eta"])
+def test_a_target_that_is_no_linear_form_fails_the_dimension_check(target,
+                                                                    detail):
+    case = example_case(4)
+    if target is None:
+        free = OdeSystem2(case.system.ctx, ZERO, ZERO)
+        out = transform_system(free, case.transformation)
+    else:
+        out = _target(case, *target)
+    dim, check, notes = _example_dimension(case, out, 0)
+    assert dim is None and notes == []
+    assert (check.name, check.holds, check.detail) == (
+        "symmetry dimension", False, detail)
 
 
 def test_example_case_metadata():
