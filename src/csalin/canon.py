@@ -20,10 +20,10 @@ from .csa import check_cr
 from .cubic import OdeSystem2
 from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
-    add, coefficients_in, complex_parts, compile_rows, cos, differentiate,
-    div, eval_expr, exp, _rational_value, free_symbols, log, mul, parse,
-    pow_, sin, simplify, simplify_verdict, substitute, rewrite_subterms, sym,
-    to_string, zero_verdict,
+    add, atan, coefficients_in, complex_parts, compile_rows, cos,
+    differentiate, div, eval_expr, exp, _rational_value, free_symbols, log,
+    mul, parse, pow_, sin, simplify, simplify_verdict, sqrt, substitute,
+    rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import (
     Blowup, DomainError, Field, checked_grid, require_accuracy, rk4_checked,
@@ -441,9 +441,15 @@ class CoefficientFn:
         return float(out) if out.ndim == 0 else out
 
     @functools.cached_property
+    def _derivative(self) -> tuple:
+        """(the simplified derivative of a symbolic coefficient, its zero
+        verdict), from one canonical pass."""
+        return simplify_verdict(differentiate(self.expr, self.var))
+
+    @property
     def derivative_expr(self) -> Expr:
         """The simplified derivative of a symbolic coefficient."""
-        return simplify(differentiate(self.expr, self.var))
+        return self._derivative[0]
 
     def derivative(self, t):
         if self.kind == "symbolic":
@@ -483,7 +489,7 @@ class CoefficientFn:
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return True
-            return bool(zero_verdict(self.derivative_expr).is_zero)
+            return bool(self._derivative[1].is_zero)
         spread = float(self.values.max() - self.values.min())
         return spread <= rtol * (1.0 + float(abs(self.values).max()))
 
@@ -655,22 +661,56 @@ def _identity_rescaling(form: LinearForm) -> RescaledForm:
                         CoefficientFn.symbolic(sym("x")), 0.0)
 
 
+# sqrt of a rational below this height is a product of prime powers in
+# the kernel; a larger numerator or denominator (a float such as 0.3 is
+# 5404319552844595/2^54) would be factored by trial division on every
+# simplify, so its w is the double instead
+_EXACT_ROOT_HEIGHT = 2 ** 20
+
+
+def _closed_form_coefficient(c: CoefficientFn, a: Expr, k: float,
+                             t0: float) -> CoefficientFn:
+    """rho^4 c(t) in closed form in X, for the rho and X of `_constant_rho`
+    with a = k != 0.  With S = X - t0 and w = sqrt(|k|), rho^4 = (1 - a
+    S^2)^-2, and t = t0 + log((1 + w S)/(1 - w S))/(2 w) for k > 0, t0 +
+    atan(w S)/w for k < 0; a constant c needs no t.  w is exact where a
+    is a rational of height below `_EXACT_ROOT_HEIGHT`, else the double
+    `_constant_rho` takes.  X keeps c's variable name."""
+    s = sym(c.var) - C(Fraction(t0))
+    c_of_t = c.expr
+    if free_symbols(c_of_t):
+        q = _rational_value(a)
+        if q is not None and max(abs(q.numerator), q.denominator) \
+                < _EXACT_ROOT_HEIGHT:
+            w = sqrt(C(abs(q)))
+        else:
+            w = C(Fraction(math.sqrt(abs(k))))
+        ws = w * s
+        turn = atan(ws) if k < 0 else log((1 + ws) / (1 - ws)) / 2
+        c_of_t = substitute(c_of_t, {c.var: C(Fraction(t0)) + turn / w})
+    return CoefficientFn.symbolic(pow_(1 - a * s * s, -2) * c_of_t,
+                                  var=c.var)
+
+
 def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
-             k: float | None, coeffs: dict, interval: tuple,
+             a: Expr | None, coeffs: dict, interval: tuple,
              h: float) -> RescaledForm:
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
-    and tabulate each rho^4 * coeffs[name](t) over X as a `kind` form.
+    and rewrite each rho^4 * coeffs[name](t) over X as a `kind` form.
     Where a is a constant k != 0, rho and X take their closed form on
-    rk4_checked's grid of h; else RK4 integrates them at a step of at most
-    h, with a_code computing a(t) from the values v0, v1, ... of the
-    coefficients a_inputs.  The tables carry the step of the run kept.
+    rk4_checked's grid of h, and so does each symbolic coefficient (see
+    `_closed_form_coefficient`); else RK4 integrates them at a step of at
+    most h, with a_code computing a(t) from the values v0, v1, ... of the
+    coefficients a_inputs.  Every other coefficient is tabulated over X,
+    and the tables carry the step of the run kept.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
     factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
     """
     t0, t1 = interval
+    k = None if a is None else _finite_constant(a)
     if k:
         ts = _closed_form_grid(interval, h)
         rho, xs, (rho_src, x_src) = _constant_rho(k, a_label, ts)
@@ -698,7 +738,9 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     quart = rho ** 4
     src = f"{rho_src}; coefficients times rho^4 on {x_src}"
     form = LinearForm(kind, {
-        name: CoefficientFn.tabulated(xs, quart * c(ts), src, h, err)
+        name: _closed_form_coefficient(c, a, k, t0)
+        if k and c.kind == "symbolic" else
+        CoefficientFn.tabulated(xs, quart * c(ts), src, h, err)
         for name, c in coeffs.items()})
     rho_fn = CoefficientFn.tabulated(ts, rho, rho_src, h, err)
     new_var = CoefficientFn.tabulated(ts, xs, x_src, h, err)
@@ -721,23 +763,21 @@ def reduce_optimal(lf: LinearForm, interval: tuple,
 
     half = C(Fraction(1, 2))
     # the coefficient a = (d11 + d22)/2 of rho'' = a rho
-    a = simplify(mul(half, d11.expr + d22.expr)) \
-        if d11.kind == d22.kind == "symbolic" else None
+    a = dt11 = None
+    if d11.kind == d22.kind == "symbolic":
+        a = simplify(mul(half, d11.expr + d22.expr))
+        dt11 = CoefficientFn.symbolic(
+            simplify(mul(half, d11.expr - d22.expr)), var=d11.var)
+    coeffs = {"dt11": dt11, "dt12": d12, "dt21": d21}
     if a is not None and zero_verdict(a).is_zero:
         # rho stays at 1 and the off-diagonal coefficients pass through,
         # tabulated or not
-        return _identity_rescaling(LinearForm("optimal", {
-            "dt11": CoefficientFn.symbolic(
-                simplify(mul(half, d11.expr - d22.expr)), var=d11.var),
-            "dt12": d12, "dt21": d21,
-        }))
-
-    return _rescale(
-        "optimal", (d11, d22), "0.5 * (v0 + v1)", "((d11+d22)/2)",
-        None if a is None else _finite_constant(a),
-        {"dt11": lambda t: 0.5 * (d11(t) - d22(t)), "dt12": d12,
-         "dt21": d21},
-        interval, h)
+        return _identity_rescaling(LinearForm("optimal", coeffs))
+    if a is None or not _finite_constant(a):
+        # RK4's table of dt11 comes from the values of d11 and d22
+        coeffs["dt11"] = lambda t: 0.5 * (d11(t) - d22(t))
+    return _rescale("optimal", (d11, d22), "0.5 * (v0 + v1)",
+                    "((d11+d22)/2)", a, coeffs, interval, h)
 
 
 def reduce_25_to_28(lf: LinearForm, interval: tuple,
@@ -756,9 +796,9 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple,
             if a4.kind == "symbolic" else a4
         return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    k = _finite_constant(a3.expr) if a3.kind == "symbolic" else None
-    return _rescale("reduced", (a3,), "v0", "a3", k, {"beta": a4},
-                    interval, h)
+    return _rescale("reduced", (a3,), "v0", "a3",
+                    a3.expr if a3.kind == "symbolic" else None,
+                    {"beta": a4}, interval, h)
 
 
 @dataclass(eq=False)

@@ -38,7 +38,7 @@ __all__ = [
     "ArityMismatch", "NonRationalExponent", "EvalDomainError", "UnboundSymbol",
     "NotPolynomial", "AllSamplesFailed", "TooDeep", "ZeroVerdict",
     "C", "sym", "add", "mul", "pow_", "neg", "div", "exp", "log", "sin",
-    "cos", "sqrt",
+    "cos", "sqrt", "atan",
     "parse", "to_string", "normalize", "simplify", "differentiate",
     "substitute", "rewrite_subterms", "eval_expr", "enclose",
     "compile_rows",
@@ -48,7 +48,7 @@ __all__ = [
     "coefficients_in", "complex_parts",
 ]
 
-FUNC_NAMES = ("exp", "log", "sin", "cos", "sqrt")
+FUNC_NAMES = ("exp", "log", "sin", "cos", "sqrt", "atan")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,10 @@ def cos(arg) -> Expr:
 
 def sqrt(arg) -> Expr:
     return Func("sqrt", _as_expr(arg))
+
+
+def atan(arg) -> Expr:
+    return Func("atan", _as_expr(arg))
 
 
 ZERO = Constant(Fraction(0))
@@ -623,7 +627,7 @@ def to_string(e: Expr) -> str:
 # Fraction, never with `/`, which gives a float.  Values leave the kernel
 # as Fractions (`_base_to_expr`, `_poly_to_expr`).  Base kinds:
 #   "sym"    a symbol
-#   "func"   exp/log/sin/cos applied to a canonical argument; a positive
+#   "func"   exp/log/sin/cos/atan applied to a canonical argument; a positive
 #            integer power of sin is at most 1, since sin(u)^n for n >= 2
 #            expands as sin(u)^(n mod 2) * (1 - cos(u)^2)^(n div 2), which
 #            holds for every real u.  Negative and fractional powers of sin
@@ -933,7 +937,7 @@ def _canon(e: Expr, st: _Canon) -> dict:
         if arg_expr == ZERO:
             if e.kind == "exp":
                 return _poly_const(1)
-            if e.kind == "sin":
+            if e.kind in ("sin", "atan"):
                 return {}
             if e.kind == "cos":
                 return _poly_const(1)
@@ -1289,8 +1293,8 @@ def differentiate(e: Expr, v: str, ctx: VarContext | None = None) -> Expr:
 def _diff(e: Expr, v: str, ctx: VarContext | None) -> Expr:
     """The derivative of e before ``normalize``: ZERO itself wherever
     normalize would fold the full rule's result to 0, so a sum drops the
-    terms of such parts.  A quotient, log or sqrt keeps its rule even then,
-    because normalize keeps 0/d^2 as it stands."""
+    terms of such parts.  A quotient, log, sqrt or atan keeps its rule even
+    then, because normalize keeps 0/d^2 as it stands."""
     if isinstance(e, Constant):
         return ZERO
     if isinstance(e, Symbol):
@@ -1340,6 +1344,8 @@ def _diff(e: Expr, v: str, ctx: VarContext | None) -> Expr:
             return Neg(Mul((Func("sin", e.arg), da)))
         if e.kind == "sqrt":
             return Div(da, Mul((Constant(Fraction(2)), e)))
+        if e.kind == "atan":
+            return Div(da, Add((ONE, Pow(e.arg, Fraction(2)))))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1463,6 +1469,8 @@ def eval_expr(e: Expr, bindings: Mapping[str, float]) -> float:
             if a < 0.0:
                 raise EvalDomainError("sqrt of negative value", e)
             return math.sqrt(a)
+        if e.kind == "atan":
+            return math.atan(a)
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1576,6 +1584,8 @@ def _enclose(e: Expr, box: Mapping[str, tuple]) -> tuple:
             return _trig(math.sin, math.pi / 2, a, b)
         if e.kind == "cos":
             return _trig(math.cos, 0.0, a, b)
+        if e.kind == "atan":  # increasing
+            return _out(math.atan(a), math.atan(b))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -1658,7 +1668,8 @@ def emit_code(exprs: Iterable[Expr], symbols: Mapping[str, str],
 
 # what the code of `emit_code` calls
 EMIT_NAMESPACE = {"_fpow": _fpow, "exp": math.exp, "log": math.log,
-                  "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+                  "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+                  "atan": math.atan}
 
 
 @functools.lru_cache(maxsize=128)

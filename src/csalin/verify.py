@@ -4,7 +4,9 @@ Integrates systems, pushes trajectories through point transformations,
 measures how well the transformed trajectory satisfies a target system,
 and reproduces the four nonlinear geodesic-type applications end to end.
 A trajectory's step comes from the error budget of `rk4_checked`, at most
-the step that leaves `SPLINE_STEPS` steps for the residual's spline.
+the step that leaves `DEFAULT_STEPS` steps.  The residual differentiates
+along the trajectory's rows with a finite-difference stencil, so the
+worked examples build no spline.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class NonMonotone(ExprError):
     """The transformed independent variable is not monotone."""
 
 
+class ShortTrajectory(ExprError):
+    """A trajectory with fewer rows than the residual's stencil spans."""
+
+
 @dataclass(eq=False)
 class Trajectory:
     """A sampled numeric solution of a system of two second-order ODEs."""
@@ -49,12 +55,11 @@ class Trajectory:
 
 _BOUND = 1e8  # the trusted range of a state component
 
-# integrate's default step leaves a trajectory at least SPLINE_STEPS steps,
-# a grid for the quintic spline of residual_on_trajectory, and is at most
+# integrate's default step is the span over DEFAULT_STEPS, and at most
 # MAX_DEFAULT_STEP: a step of span/200 on a long span can leave RK4's
 # stability region, so that the run escapes where a finer one does not.
 # Both give h = 5e-3 on the worked examples' unit intervals
-SPLINE_STEPS = 200
+DEFAULT_STEPS = 200
 MAX_DEFAULT_STEP = 5e-3
 
 
@@ -81,7 +86,7 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float | None = None,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    x_end may lie before x0.  h defaults to the span over SPLINE_STEPS, at
+    x_end may lie before x0.  h defaults to the span over DEFAULT_STEPS, at
     most MAX_DEFAULT_STEP.  With sanity, h is the largest step that
     `rk4_checked` takes, a re-integration at twice the step must agree to
     1e-7 in max norm on the shared grid points, and the disagreement is
@@ -89,7 +94,7 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float | None = None,
     """
     x0, *state0 = init
     if h is None:
-        h = min(abs(x_end - x0) / SPLINE_STEPS, MAX_DEFAULT_STEP) \
+        h = min(abs(x_end - x0) / DEFAULT_STEPS, MAX_DEFAULT_STEP) \
             or MAX_DEFAULT_STEP
     f = _numeric_rhs(sys, params)
     args = (f, float(x0), np.array(state0, dtype=float), float(x_end), h)
@@ -123,33 +128,43 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
     return tuple(np.array(cols))
 
 
+def _row_derivative(f):
+    """The derivative of f over its row index, from the 7-point sixth-order
+    central difference, on rows 3 to len(f) - 4."""
+    def step(k):  # f[i + k] - f[i - k]
+        return f[3 + k:len(f) - 3 + k] - f[3 - k:len(f) - 3 - k]
+    return (45.0 * step(1) - 9.0 * step(2) + step(3)) / 60.0
+
+
 def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
                            T: PointTransformation,
                            params: dict | None = None) -> float:
     """Max defect of the mapped trajectory against the target system.
 
-    Second derivatives come from a quintic spline in the new independent
-    variable; three points at each end are trimmed to suppress spline
-    edge effects.
+    Second derivatives are Y'' = D(Y')/D(X) and Z'' = D(Z')/D(X), with D
+    the 7-point sixth-order central difference over the trajectory's row
+    index: the ratio is the derivative in X, so no step size enters.  The
+    stencil leaves out three rows at each end, and a trajectory of fewer
+    than 7 rows raises ShortTrajectory.
     """
+    if len(traj.xs) < 7:
+        raise ShortTrajectory(
+            f"the residual needs a trajectory of at least 7 rows, got "
+            f"{len(traj.xs)}")
     X, Y, Z, Yp, Zp = map_trajectory(traj, T, params)
     d = np.diff(X)
-    if np.all(d < 0):
-        X, Y, Z, Yp, Zp = X[::-1], Y[::-1], Z[::-1], Yp[::-1], Zp[::-1]
-    elif not np.all(d > 0):
+    if not (np.all(d > 0) or np.all(d < 0)):
         raise NonMonotone("transformed independent variable is not "
                           "strictly monotone along the trajectory")
-    from scipy.interpolate import make_interp_spline
-
-    ypp, zpp = make_interp_spline(X, np.column_stack((Y, Z)), k=5) \
-        .derivative(2)(X).T
+    dX = _row_derivative(X)
+    ypp, zpp = _row_derivative(Yp) / dX, _row_derivative(Zp) / dX
     sl = slice(3, len(X) - 3)
     rows = compile_rows((target.omega1, target.omega2), _names(target.ctx),
                         params)
     w1, w2 = rows(*(c[sl].tolist() for c in (X, Y, Z, Yp, Zp)))
     # a NaN defect makes the residual NaN, which fails every bound
-    defects = np.abs(ypp[sl] - w1) + np.abs(zpp[sl] - w2)
-    return float(defects.max(initial=0.0))
+    defects = np.abs(ypp - w1) + np.abs(zpp - w2)
+    return float(defects.max())
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +330,9 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     Returns (dimension, check, notes); a target that is no linear form
     fails the check, with dimension None.  Where the rescaling function
     vanishes before x = 2, the chain reruns on the first 95% of its safe
-    sub-interval and a note names it."""
+    sub-interval and a note names it.  beta is classified on the image of
+    the reduction interval under the last rescaling, 2% in from each end:
+    the interval itself where the rescaling is the identity."""
     verdicts = []
     try:
         lf = _target_form(out, case.param_values, seed, verdicts)
@@ -323,23 +340,23 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
         return None, ConditionCheck("symmetry dimension", False,
                                     _method(verdicts), str(exc)), []
     notes = []
+    lo, hi = 0.0, 2.0
     try:
-        beta = reduce_chain(lf, (0.0, 2.0))[-1].form["beta"]
+        last = reduce_chain(lf, (lo, hi))[-1]
     except RhoVanishes as exc:
         lo, hi = exc.safe_interval
         # the new variable, the integral of rho^-2, diverges at the
         # crossing: stopping 5% short keeps its RK4 error within 1e-7
         hi = lo + 0.95 * (hi - lo)
-        beta = reduce_chain(lf, (lo, hi))[-1].form["beta"]
+        last = reduce_chain(lf, (lo, hi))[-1]
         notes.append(f"rescaling function crosses zero near x = "
                      f"{exc.crossing:.6g}; reduced on the safe sub-interval "
                      f"[{lo:.6g}, {hi:.6g}]")
-    if beta.kind == "tabulated":
-        lo, hi = beta.domain
-        pad = 0.02 * (hi - lo)
-        cls = classify_beta(beta, (lo + pad, hi - pad), seed=seed)
-    else:
-        cls = classify_beta(beta, (0.5, 3.0), seed=seed)
+    beta, new_var = last.form["beta"], last.new_var
+    if new_var.kind == "tabulated":
+        lo, hi = new_var.values[0], new_var.values[-1]
+    pad = 0.02 * (hi - lo)
+    cls = classify_beta(beta, (lo + pad, hi - pad), seed=seed)
     notes.append(f"reduced-form coefficient classified as: {cls.case_label}")
     exact = beta.kind == "symbolic" and cls.rank_report is None \
         and _method(verdicts) == "symbolic"

@@ -504,8 +504,9 @@ def test_reduce_optimal_cosh_oracle():
     lf = LinearForm("general", {"d11": 1, "d22": 1, "d12": 0, "d21": 0})
     res = reduce_optimal(lf, (0.0, 1.0))
     assert np.max(np.abs(res.rho.values - np.cosh(res.rho.xs))) < 1e-8
+    # the constant trace gives closed forms, read at the points of X
     for slot in ("dt11", "dt12", "dt21"):
-        assert np.max(np.abs(res.form[slot].values)) == 0.0
+        assert np.max(np.abs(res.form[slot](res.new_var.values))) == 0.0
     # the new variable is tanh(t), pinned to agree at t0 = 0
     assert np.max(np.abs(res.new_var.values - np.tanh(res.new_var.xs))) < 1e-8
 
@@ -873,10 +874,12 @@ def test_reduce_chain_carries_each_kind_to_its_end(form, kinds):
                                    if k != "kind"})
     chain = reduce_chain(lf, (0.5, 2.0))
     assert [red.form.kind for red in chain] == kinds
-    # each step reduces the form of the one before it
+    # each step reduces the form of the one before it; a3 = -1/2 here,
+    # so beta is a closed form
     if kinds == ["zero_order", "reduced"]:
         alone = reduce_25_to_28(chain[0].form, (0.5, 2.0)).form["beta"]
-        assert np.array_equal(alone.values, chain[1].form["beta"].values)
+        assert alone.kind == "symbolic"
+        assert alone.expr == chain[1].form["beta"].expr
 
 
 def test_reduce_chain_calls_each_step_through_the_module(monkeypatch):
@@ -937,11 +940,88 @@ def test_constant_rho_matches_the_rk4_route(monkeypatch, reduce, lf):
     assert np.array_equal(closed.rho.xs, ts)
     _close(closed.rho.values, ys[:, 0])
     _close(closed.new_var.values, ys[:, 2])
+    assert closed.rho.step == oracle.rho.step
+    # every coefficient is symbolic, a closed form in X: read it at the
+    # points of the RK4 route's table
     for name, c in closed.form.coeffs.items():
         want = oracle.form[name]
-        assert c.error_estimate == 0.0 and c.step == want.step
-        _close(c.xs, want.xs)
-        _close(c.values, want.values)
+        assert c.kind == "symbolic" and c.error_estimate == 0.0
+        _close(c(want.xs), want.values)
+
+
+def _seeded_constant(rng: random.Random, sign: int) -> Fraction:
+    """A rational of the sign with 1/8 <= |k| <= 2: on a unit interval
+    cos(sqrt(|k|) s) keeps away from zero and tanh from saturating."""
+    return Fraction(sign * rng.randint(1, 8), rng.randint(4, 8))
+
+
+def _seeded_polynomial(rng: random.Random) -> str:
+    return " + ".join(f"({rng.randint(-5, 5)})*x^{n}" for n in range(3))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closed_form_beta_matches_its_table(seed):
+    # a constant and a polynomial a4 under a seeded rational a3 of either
+    # sign: beta in closed form, read at the points of X, against the
+    # table rho^4 a4(t) on rho's grid
+    rng = random.Random(seed)
+    k = _seeded_constant(rng, (-1, 1)[seed % 2])
+    t0 = rng.choice((0.0, 0.5))
+    for a4 in (str(rng.randint(1, 5)), _seeded_polynomial(rng)):
+        res = reduce_25_to_28(LinearForm("zero_order", {"a3": str(k),
+                                                        "a4": a4}),
+                              (t0, t0 + 1.0))
+        beta = res.form["beta"]
+        assert beta.kind == "symbolic" and res.rescaling == "closed-form"
+        if a4.isdigit():  # rational: |beta|^-1/2 = |1 - k S^2|/sqrt(a4)
+            assert classify_beta(beta, (t0 + 0.1, t0 + 0.5)).dimension == 7
+        want = res.rho.values ** 4 * CoefficientFn.symbolic(a4)(res.rho.xs)
+        _close(beta(res.new_var.values), want, 1e-12)
+
+
+@pytest.mark.parametrize("value", [-0.15, 0.3])
+def test_a_float_a3_takes_the_double_root(value):
+    # Fraction(0.3) = 5404319552844595/2^54: an exact sqrt would factor the
+    # numerator on every simplify, so w is the double of the rho table
+    a3 = Fraction(value)
+    res = reduce_25_to_28(LinearForm("zero_order", {
+        "a3": CoefficientFn.constant(a3), "a4": "x"}), (0.0, 1.0))
+    beta = res.form["beta"]
+    text = to_string(beta.expr)
+    assert "^(1/2)" not in text
+    assert str(Fraction(math.sqrt(abs(value))).numerator) in text
+    want = res.rho.values ** 4 * res.rho.xs
+    _close(beta(res.new_var.values), want, 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_constant_trace_gives_closed_form_optimal_coefficients(seed):
+    rng = random.Random(100 + seed)
+    k = _seeded_constant(rng, (-1, 1)[seed % 2])
+    q, d12, d21 = (_seeded_polynomial(rng) for _ in range(3))
+    lf = LinearForm("general", {"d11": f"{k} + {q}", "d22": f"{k} - ({q})",
+                                "d12": d12, "d21": d21})
+    res = reduce_optimal(lf, (0.5, 1.5))
+    assert res.rescaling == "closed-form"
+    quart = res.rho.values ** 4
+    for name, text in (("dt11", q), ("dt12", d12), ("dt21", d21)):
+        c = res.form[name]
+        assert c.kind == "symbolic"
+        want = quart * CoefficientFn.symbolic(text)(res.rho.xs)
+        _close(c(res.new_var.values), want, 1e-12)
+
+
+def test_a_tabulated_coefficient_stays_tabulated_under_a_constant_trace():
+    ts = np.linspace(0.0, 2.0, 41)
+    lf = LinearForm("general", {
+        "d11": 1, "d22": 1, "d21": "x",
+        "d12": CoefficientFn.tabulated(ts, 1.0 + ts ** 2)})
+    res = reduce_optimal(lf, (0.5, 1.5))
+    assert res.form["dt21"].kind == "symbolic"
+    dt12 = res.form["dt12"]
+    assert dt12.kind == "tabulated"
+    assert np.array_equal(dt12.xs, res.new_var.values)
+    _close(dt12.values, res.rho.values ** 4 * lf["d12"](res.rho.xs), 1e-15)
 
 
 @pytest.mark.parametrize("a1,a2", [(1, 1), ("1+x", "1+x"), ("1+x", 2)],
@@ -969,7 +1049,12 @@ def test_constant_a3_that_rk4_refused_is_decided_in_closed_form(
     ts = res.rho.xs
     _close(res.rho.values, np.cosh(5.0 * (ts - 0.5)), 1e-12)
     _close(res.new_var.values, 0.5 + np.tanh(5.0 * (ts - 0.5)) / 5.0, 1e-12)
-    _close(res.form["beta"].values, np.cosh(5.0 * (ts - 0.5)) ** 4, 1e-12)
+    # beta = rho^4 is (1 - 25 (X - 1/2)^2)^-2 = cosh(5 (t - 1/2))^4
+    # exactly.  Read in floats at the points of X it would be no check at
+    # 1e-12: X = 0.7 - 1.2e-7 at the end carries its rounding, which the
+    # pole of beta at 0.7 amplifies to 1e-9 relative
+    assert res.form["beta"].expr == simplify(
+        parse("(1 - 25*(x - 1/2)^2)^(-2)", CTX))
     assert res.rho.source.startswith("rho = cosh(w (t - t0)), w = sqrt(a3)")
     assert res.new_var.source == "X = t0 + tanh(w (t - t0)) / w"
     # RK4 at a fixed 1e-3 misses the gate; the RK4 route refines its step

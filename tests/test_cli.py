@@ -149,6 +149,20 @@ def test_canonicalize_symbolic_chain(tmp_path, capsys):
                                           "expr": "x^(-1)"}
 
 
+def test_canonicalize_a_constant_a3_prints_a_closed_form_beta(tmp_path,
+                                                               capsys):
+    # rho = cosh(w (x - 1/2)) with w^2 = 3/2 gives beta = 2 rho^4 =
+    # 2 (1 - 3/2 (X - 1/2)^2)^-2
+    path = _write(tmp_path, "f.json",
+                  {"form": {"kind": "zero_order", "a3": "3/2", "a4": "2"},
+                   "interval": [0.5, 2.0]})
+    assert main(["--json", "canonicalize", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind"], doc["rescaling"]) == ("reduced", "closed-form")
+    assert doc["coefficients"]["beta"] == {
+        "kind": "symbolic", "expr": "128*(12*x^2 - 12*x - 5)^(-2)"}
+
+
 def test_canonicalize_full_chain_from_first_order(tmp_path, capsys):
     path = _write(tmp_path, "f.json",
                   {"form": {"kind": "first_order", "a1": "3", "a2": "0"},

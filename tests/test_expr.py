@@ -21,7 +21,7 @@ from csalin.expr import (
     collect, compile_rows, cos, differentiate, div, emit_code, enclose,
     eval_expr, exp, free_symbols, log, mul, neg, normalize, parse, pow_,
     TooDeep, complex_parts, rewrite_subterms, simplify, simplify_verdict,
-    sin, sqrt, substitute, sym, to_string, zero_verdict,
+    atan, sin, sqrt, substitute, sym, to_string, zero_verdict,
 )
 from csalin.numerics import Field, rk4
 from csalin.verify import example_case, run_example
@@ -634,6 +634,8 @@ def _diff_unpruned(e, v, ctx):
         return Mul((Func("cos", e.arg), da))
     if e.kind == "cos":
         return Neg(Mul((Func("sin", e.arg), da)))
+    if e.kind == "atan":
+        return Div(da, Add((C(1), Pow(e.arg, Fraction(2)))))
     return Div(da, Mul((C(2), e)))  # sqrt
 
 
@@ -653,7 +655,8 @@ def test_pruned_derivative_equals_the_full_rules(seed, depth):
 
 @pytest.mark.parametrize("text", [
     "g*x + exp(g') - sin(3*y)*cos(g)", "log(1 + g^2)/sqrt(2 + x) - y",
-    "(x - x)*(y + 1) + (0*z)^2 - exp(0*y)", "1/(y^2 + 2) + 0/(x + 1)"])
+    "(x - x)*(y + 1) + (0*z)^2 - exp(0*y)", "1/(y^2 + 2) + 0/(x + 1)",
+    "atan(g*x) - atan(2)*y + atan(0*z)"])
 def test_pruned_derivative_equals_the_full_rules_on_functions(text):
     ctx = VarContext().with_functions(["g"])
     for e in (parse(text, ctx), simplify(parse(text, ctx))):
@@ -971,6 +974,81 @@ def test_enclosure_is_tight_at_extremes(text, lo, hi, want_lo, want_hi):
     a, b = enclose(parse(text, CTX), {"x": (lo, hi)})
     assert a <= want_lo and b >= want_hi
     assert want_lo - a <= 1e-15 and b - want_hi <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# atan, which the closed-form rescaling of a negative constant a3 writes
+
+_ATAN_TEXTS = ("atan(x)", "atan(x^2 - 3*y)*z", "1/(1 + atan(x/y))",
+               "atan(2*x)^2/2 + atan(2*x)", "exp(atan(x)) - atan(sin(y))")
+
+
+@pytest.mark.parametrize("text", _ATAN_TEXTS)
+def test_atan_round_trips_through_its_printed_form(text):
+    e = parse(text, CTX)
+    assert parse(to_string(e), CTX) == e
+    s = simplify(e)
+    assert parse(to_string(s), CTX) == s
+    assert "atan(" in to_string(s)
+
+
+def test_atan_of_zero_is_zero_and_atan_is_a_kernel_function():
+    assert simplify(parse("atan(0*x) + atan(x - x)", CTX)) == ZERO
+    assert atan(sym("x")) == Func("atan", sym("x")) == parse("atan(x)", CTX)
+    assert zero_verdict(parse("atan(x)^2 - atan(x)*atan(x)", CTX)).is_zero
+    assert EMIT_NAMESPACE["atan"] is math.atan
+
+
+@pytest.mark.parametrize("text", _ATAN_TEXTS)
+def test_atan_derivative_matches_a_central_difference(text):
+    e = parse(text, CTX)
+    rng = random.Random(7)
+    for v in VARS:
+        de = differentiate(e, v)
+        for _ in range(10):
+            pt = {name: rng.uniform(0.3, 2.0) for name in VARS}
+            up, dn = dict(pt), dict(pt)
+            up[v] += 1e-6
+            dn[v] -= 1e-6
+            want = (eval_expr(e, up) - eval_expr(e, dn)) / 2e-6
+            assert abs(eval_expr(de, pt) - want) <= 1e-6 * max(1.0,
+                                                               abs(want))
+    assert to_string(differentiate(parse("atan(x)", CTX), "x")) == \
+        "1/(1 + x^2)"
+
+
+@pytest.mark.parametrize("text", _ATAN_TEXTS)
+def test_atan_evaluates_as_math_atan_in_both_evaluators(text):
+    e = parse(text, CTX)
+    rng = random.Random(11)
+    for _ in range(20):
+        pt = {name: rng.uniform(-3.0, 3.0) for name in VARS}
+        if text == "1/(1 + atan(x/y))" and abs(pt["y"]) < 1e-3:
+            continue
+        got = eval_expr(e, pt)
+        assert _at((e,), VARS, *(pt[v] for v in VARS)) == [got]
+    assert eval_expr(parse("atan(x)", CTX), {"x": 0.75}) == math.atan(0.75)
+    assert eval_expr(parse("atan(x)", CTX), {"x": -1e300}) == \
+        math.atan(-1e300)
+
+
+@pytest.mark.parametrize("lo,hi", [(-2.0, 3.0), (0.25, 0.5), (-1e300, 1e300),
+                                   (1.0, 1.0)])
+def test_atan_enclosure_contains_the_samples(lo, hi):
+    e = parse("atan(x)", CTX)
+    a, b = enclose(e, {"x": (lo, hi)})
+    for k in range(101):
+        x = lo + (hi - lo) * k / 100
+        assert a <= math.atan(x) <= b
+    assert b - a <= math.atan(hi) - math.atan(lo) + 1e-15
+    # a composite: the enclosure of atan's argument carries through
+    e = parse("atan(x^2 - 3*y)*z", CTX)
+    box = {"x": (0.5, 1.5), "y": (-1.0, 0.25), "z": (0.1, 2.0)}
+    a, b = enclose(e, box)
+    rng = random.Random(3)
+    for _ in range(200):
+        pt = {v: rng.uniform(*box[v]) for v in VARS}
+        assert a <= eval_expr(e, pt) <= b
 
 
 def test_coefficients_in_and_degree():

@@ -3,8 +3,9 @@ generated code is run in two places only, writes sums without a call, is
 generated a pinned number of times per worked example and compiled once
 per source; `import csalin` loads no submodule; importing the CLI pays
 neither for scipy nor for the symmetry proofs; the symbolic subcommands,
-classify of a rational beta included, never load numpy; and scipy loads
-only when a spline is evaluated."""
+classify of a rational beta included, never load numpy; and scipy is
+imported only by the table splines and loads only when one is evaluated,
+which no worked example does."""
 
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ def test_emitted_sums_are_plain_additions():
     (1, {"_fuse": 1, "compile_rows": 2}),
     (2, {"_fuse": 1, "compile_rows": 2}),
     (3, {"_fuse": 1, "compile_rows": 3}),
-    (4, {"_fuse": 1, "compile_rows": 3}),
+    (4, {"_fuse": 1, "compile_rows": 2}),
 ])
 def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
                                                     compiles):
@@ -129,8 +130,9 @@ def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
     # residual's row loops.  reduce_24_to_25 (examples 2 and 3) compiles
     # nothing: its polynomial a1, a2 take the closed-form M, and a3, a4
     # are closed-form expressions.  The constant a3 of reduce_25_to_28
-    # takes a closed form too, no RK4 loop; reduce_25_to_28 samples a4
-    # with a4's own row loop (examples 3 and 4).
+    # takes a closed form too, no RK4 loop, and so does beta: example 4's
+    # is rational and decided exactly, and only example 3's collocation
+    # samples its beta, with one row loop.
     import builtins
     from collections import Counter
 
@@ -267,6 +269,30 @@ def test_canonicalize_leaves_scipy_unloaded(tmp_path, form):
                f"    assert main(['--json', 'canonicalize', {str(path)!r}]) "
                "== 0\n"
                "assert 'scipy' not in sys.modules")
+
+
+def test_worked_examples_leave_scipy_unloaded():
+    # the residual differentiates along the trajectory and each worked
+    # example's beta is a closed form: nothing builds a spline
+    _run_fresh("import sys; from csalin.verify import run_example\n"
+               "for i in (1, 2, 3, 4):\n"
+               "    assert run_example(i).passed\n"
+               "assert 'scipy' not in sys.modules")
+
+
+def test_scipy_is_imported_only_by_the_table_splines():
+    # the cubic spline of a tabulated coefficient, and the coarse one of
+    # its step-doubling error estimate
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [(path.stem, fn.name) for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom)
+                          and (node.module or "").split(".")[0] == "scipy"]
+        assert "import scipy" not in path.read_text()
+    assert sorted(sites) == [("canon", "_spline"), ("canon", "_spline_errors")]
 
 
 @pytest.mark.parametrize("evaluate", ["c(0.5)", "c.derivative(0.5)"])

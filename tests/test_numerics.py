@@ -241,8 +241,8 @@ def test_default_step_on_a_span_that_is_no_multiple_of_h(x_end):
     # the default step is 1/200 of the span, within the budget here
     traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
                      (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
-    assert len(traj.xs) == verify.SPLINE_STEPS + 1
-    assert traj.step == (x_end - 1.0) / verify.SPLINE_STEPS
+    assert len(traj.xs) == verify.DEFAULT_STEPS + 1
+    assert traj.step == (x_end - 1.0) / verify.DEFAULT_STEPS
     assert traj.xs[-1] == x_end and traj.error <= numerics.ERROR_BUDGET
 
 

@@ -18,9 +18,10 @@ from csalin.expr import (
     substitute, sym, zero_verdict,
 )
 from csalin.verify import (
-    Blowup, CaseReport, DomainError, InaccurateIntegration,
-    _example_dimension, _geodesic_system, _target_form, example_case,
-    integrate, map_trajectory, residual_on_trajectory, run_example,
+    Blowup, CaseReport, DomainError, InaccurateIntegration, NonMonotone,
+    ShortTrajectory, _example_dimension, _geodesic_system, _target_form,
+    example_case, integrate, map_trajectory, residual_on_trajectory,
+    run_example,
 )
 
 CTX = VarContext()
@@ -122,8 +123,8 @@ def test_residual_small_at_both_steps():
     target = transform_system(s, T)
     coarse = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=4e-3)
     fine = integrate(s, (1.0, 0.0, 0.0, 0.1, 0.1), 2.0, h=2e-3)
-    # both step sizes sit at the interpolation noise floor, far under
-    # the acceptance tolerance
+    # the stencil's truncation error at both step sizes is far under the
+    # acceptance tolerance
     assert residual_on_trajectory(coarse, target, T) <= 1e-6
     assert residual_on_trajectory(fine, target, T) <= 1e-6
 
@@ -190,6 +191,74 @@ def test_residual_surfaces_a_target_too_deep_to_compile():
     with pytest.raises(TooDeep):
         residual_on_trajectory(traj, OdeSystem2(nctx, w, ZERO),
                                case.transformation)
+
+
+@pytest.mark.parametrize("h,rows", [(0.2, 6), (0.25, 5)])
+def test_a_trajectory_shorter_than_the_stencil_is_refused(h, rows):
+    # the stencil needs three rows on each side of the row it checks, so
+    # 6 rows would check none
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1], h=h,
+                     sanity=False)
+    assert len(traj.xs) == rows
+    with pytest.raises(ShortTrajectory, match=f"at least 7 rows, got {rows}"):
+        residual_on_trajectory(traj, case.expected_target,
+                               case.transformation)
+    assert issubclass(ShortTrajectory, expr.ExprError)
+
+
+def test_seven_rows_give_one_checked_row():
+    case = example_case(1)
+    traj = integrate(case.system, case.init, 1.75, h=0.125, sanity=False)
+    assert len(traj.xs) == 7
+    nctx = case.transformation.new_ctx
+    wrong = OdeSystem2(nctx, parse("100*Y", nctx), parse("100*Z", nctx))
+    assert residual_on_trajectory(traj, wrong, case.transformation) >= 1.0
+
+
+# the six param_values variants of the worked examples' tests
+VARIANTS = [{"c1": 1e-5, "c2": 1.0}, {"c1": 0.1, "c2": 1.0},
+            {"c1": 4.0, "c2": 1.0}, {"c1": 2.0, "c2": 3.0},
+            {"c1": 1.0, "c2": 1.0}, {"c1": -0.5, "c2": 0.25}]
+VARIANT_IDS = ["1e-5", "0.1", "4", "2-3", "unit", "-0.5-0.25"]
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+@pytest.mark.parametrize("values", VARIANTS, ids=VARIANT_IDS)
+def test_stencil_residual_tells_the_target_from_a_wrong_one(case_id, values):
+    case = example_case(case_id)
+    if case_id == 1:
+        values = {}  # example 1 has no parameter
+    traj = integrate(case.system, case.init, case.interval[1], params=values)
+    T = case.transformation
+    assert residual_on_trajectory(traj, case.expected_target, T,
+                                  params=values) <= 1e-8
+    nctx = T.new_ctx
+    wrong = OdeSystem2(nctx, parse("100*Y", nctx), parse("100*Z", nctx))
+    assert residual_on_trajectory(traj, wrong, T, params=values) >= 1.0
+
+
+def test_residual_reads_a_decreasing_new_variable_as_it_stands():
+    # X = 1/x decreases along example 1's trajectory and X = -1/x
+    # increases: the stencil's ratio D(Y')/D(X) reads either as it stands
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1])
+    T = case.transformation
+    flipped = PointTransformation(CTX, parse("-1/x", CTX), T.Y, T.Z)
+    assert np.all(np.diff(map_trajectory(traj, T)[0]) < 0)
+    assert np.all(np.diff(map_trajectory(traj, flipped)[0]) > 0)
+    assert residual_on_trajectory(traj, case.expected_target, T) <= 1e-8
+    assert residual_on_trajectory(
+        traj, OdeSystem2(flipped.new_ctx, ZERO, ZERO), flipped) <= 1e-8
+
+
+def test_residual_refuses_a_new_variable_that_turns():
+    case = example_case(1)
+    traj = integrate(case.system, case.init, case.interval[1])
+    # X' = 4 cos(4x) changes sign at x = 3 pi/8, between grid points
+    T = PointTransformation(CTX, parse("sin(4*x)", CTX), sym("y"), sym("z"))
+    with pytest.raises(NonMonotone):
+        residual_on_trajectory(traj, OdeSystem2(T.new_ctx, ZERO, ZERO), T)
 
 
 def test_complex_route_agrees_with_system_route():
@@ -465,6 +534,50 @@ def test_example_dimension_on_the_safe_sub_interval(c1):
     case = example_case(2)
     case.param_values = {"c1": c1, "c2": 1.0}
     assert _dimension(case)[0] == 7
+
+
+_CLASSIFIED = "reduced-form coefficient classified as: variable coefficient, "
+_RETRIES = {
+    (2, "2-3"): "rescaling function crosses zero near x = 1.405; reduced on "
+                "the safe sub-interval [0, 1.3338]",
+    (3, "1e-5"): "rescaling function crosses zero near x = 1.912; reduced "
+                 "on the safe sub-interval [0, 1.81545]",
+    (3, "0.1"): "rescaling function crosses zero near x = 1.871; reduced on "
+                "the safe sub-interval [0, 1.7765]",
+    (3, "2-3"): "rescaling function crosses zero near x = 0.898; reduced on "
+                "the safe sub-interval [0, 0.85215]",
+}
+
+
+@pytest.mark.parametrize("case_id", [2, 3, 4])
+@pytest.mark.parametrize("values,label", list(zip(VARIANTS, VARIANT_IDS)),
+                         ids=VARIANT_IDS)
+def test_example_dimension_under_each_variant(case_id, values, label):
+    # a constant a3 (examples 2 and 4, and 3 at unit values) ends in a
+    # closed-form beta, classified on the image of the reduction interval:
+    # 2 and 4 are rational and decided exactly (with c1 = c2, example 2's
+    # a3 is 0 and beta the constant c1^2/2); example 3's beta holds atan or
+    # is a table, and takes collocation.  A retry note names where rho
+    # crosses zero and the safe sub-interval the chain reran on
+    case = example_case(case_id)
+    case.param_values = values
+    dim, check, notes = _dimension(case)
+    want = 6 if case_id == 3 else 7
+    assert (dim, check.holds) == (want, True)
+    assert check.method == ("numeric" if case_id == 3 else "symbolic")
+    retry = _RETRIES.get((case_id, label))
+    classified = "reduced-form coefficient classified as: nonzero " \
+        "constant coefficient" if (case_id, label) == (2, "unit") \
+        else f"{_CLASSIFIED}{want}-dimensional"
+    assert notes == [retry] * (retry is not None) + [classified]
+
+
+def test_example_4_is_decided_exactly():
+    # beta = 1/(1 - X^2)^2 on the image [0, tanh 2] of [0, 2]: |beta|^-1/2
+    # = 1 - X^2, a polynomial of degree 2
+    rep = run_example(4)
+    assert rep.dimension == 7
+    assert rep.checks[-1].method == "symbolic"
 
 
 # the linear forms of the worked examples as they were written by hand,
