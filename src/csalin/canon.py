@@ -22,7 +22,7 @@ from .expr import (
     C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
     add, atan, coefficients_in, complex_parts, compile_rows, cos,
     differentiate, div, eval_expr, exp, _rational_value, free_symbols, log,
-    mul, parse, pow_, sin, simplify, simplify_verdict, sqrt, substitute,
+    mul, parse, pow_, sin, simplify, simplify_verdict, substitute,
     rewrite_subterms, sym, to_string, zero_verdict,
 )
 from .numerics import (
@@ -441,15 +441,9 @@ class CoefficientFn:
         return float(out) if out.ndim == 0 else out
 
     @functools.cached_property
-    def _derivative(self) -> tuple:
-        """(the simplified derivative of a symbolic coefficient, its zero
-        verdict), from one canonical pass."""
-        return simplify_verdict(differentiate(self.expr, self.var))
-
-    @property
     def derivative_expr(self) -> Expr:
         """The simplified derivative of a symbolic coefficient."""
-        return self._derivative[0]
+        return simplify(differentiate(self.expr, self.var))
 
     def derivative(self, t):
         if self.kind == "symbolic":
@@ -489,7 +483,12 @@ class CoefficientFn:
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return True
-            return bool(self._derivative[1].is_zero)
+            if "derivative_expr" in self.__dict__:
+                return bool(zero_verdict(self.derivative_expr).is_zero)
+            # one canonical pass gives the derivative and its verdict
+            d, verdict = simplify_verdict(differentiate(self.expr, self.var))
+            self.__dict__["derivative_expr"] = d
+            return bool(verdict.is_zero)
         spread = float(self.values.max() - self.values.min())
         return spread <= rtol * (1.0 + float(abs(self.values).max()))
 
@@ -661,30 +660,17 @@ def _identity_rescaling(form: LinearForm) -> RescaledForm:
                         CoefficientFn.symbolic(sym("x")), 0.0)
 
 
-# sqrt of a rational below this height is a product of prime powers in
-# the kernel; a larger numerator or denominator (a float such as 0.3 is
-# 5404319552844595/2^54) would be factored by trial division on every
-# simplify, so its w is the double instead
-_EXACT_ROOT_HEIGHT = 2 ** 20
-
-
 def _closed_form_coefficient(c: CoefficientFn, a: Expr, k: float,
                              t0: float) -> CoefficientFn:
     """rho^4 c(t) in closed form in X, for the rho and X of `_constant_rho`
     with a = k != 0.  With S = X - t0 and w = sqrt(|k|), rho^4 = (1 - a
     S^2)^-2, and t = t0 + log((1 + w S)/(1 - w S))/(2 w) for k > 0, t0 +
-    atan(w S)/w for k < 0; a constant c needs no t.  w is exact where a
-    is a rational of height below `_EXACT_ROOT_HEIGHT`, else the double
+    atan(w S)/w for k < 0; a constant c needs no t.  w is the double that
     `_constant_rho` takes.  X keeps c's variable name."""
     s = sym(c.var) - C(Fraction(t0))
     c_of_t = c.expr
     if free_symbols(c_of_t):
-        q = _rational_value(a)
-        if q is not None and max(abs(q.numerator), q.denominator) \
-                < _EXACT_ROOT_HEIGHT:
-            w = sqrt(C(abs(q)))
-        else:
-            w = C(Fraction(math.sqrt(abs(k))))
+        w = C(Fraction(math.sqrt(abs(k))))
         ws = w * s
         turn = atan(ws) if k < 0 else log((1 + ws) / (1 - ws)) / 2
         c_of_t = substitute(c_of_t, {c.var: C(Fraction(t0)) + turn / w})

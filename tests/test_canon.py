@@ -979,10 +979,11 @@ def test_closed_form_beta_matches_its_table(seed):
         _close(beta(res.new_var.values), want, 1e-12)
 
 
-@pytest.mark.parametrize("value", [-0.15, 0.3])
-def test_a_float_a3_takes_the_double_root(value):
-    # Fraction(0.3) = 5404319552844595/2^54: an exact sqrt would factor the
-    # numerator on every simplify, so w is the double of the rho table
+@pytest.mark.parametrize("value", [-0.15, 0.3, 2.0, -0.5])
+def test_closed_form_beta_takes_the_double_root(value):
+    # w = sqrt(|a3|) is the double of the rho table, for a rational a3
+    # too: the log or atan that w enters keeps such a beta off the exact
+    # route, so an exact radical would decide nothing
     a3 = Fraction(value)
     res = reduce_25_to_28(LinearForm("zero_order", {
         "a3": CoefficientFn.constant(a3), "a4": "x"}), (0.0, 1.0))
@@ -992,6 +993,39 @@ def test_a_float_a3_takes_the_double_root(value):
     assert str(Fraction(math.sqrt(abs(value))).numerator) in text
     want = res.rho.values ** 4 * res.rho.xs
     _close(beta(res.new_var.values), want, 1e-12)
+
+
+def _exact_beta(k: Fraction, x0: Fraction, x: float, c_of_t) -> tuple:
+    """beta(X) = (1 - k S^2)^-2 c(t(X)) and its X-derivative at the float
+    x, S = x - x0, for a4 = c(t) with c(t) = 1 or t and w = sqrt(k) = 5:
+    the rational parts exact, t(X) = x0 + atanh(5 S)/5 through logs of
+    exact integers."""
+    s = Fraction(x) - x0
+    q = 1 - k * s * s
+    if c_of_t == "1":
+        return float(q ** -2), float(4 * k * s * q ** -3)
+    r = (1 + 5 * s) / (1 - 5 * s)
+    t = float(x0) + (math.log(r.numerator) - math.log(r.denominator)) / 10
+    # t'(X) = 1/(1 - k S^2)
+    return float(q ** -2) * t, float(4 * k * s * q ** -3) * t + float(q ** -3)
+
+
+@pytest.mark.parametrize("a4", ["1", "x"])
+def test_closed_form_beta_is_accurate_where_collocation_reads_it(a4):
+    # beta and beta' at the collocation points of the image of [0.5, 2]
+    # (2 % in from each end), against their exact values at the same
+    # floats.  The cubic spline of the table the closed form replaced read
+    # them only to 3e-9 and 4e-7 there
+    k, x0 = Fraction(25), Fraction(1, 2)
+    res = reduce_25_to_28(LinearForm("zero_order", {"a3": 25, "a4": a4}),
+                          (0.5, 2.0))
+    lo, hi = res.new_var.values[[0, -1]]
+    pad = 0.02 * (hi - lo)
+    xs = np.linspace(lo + pad, hi - pad, 40)
+    got = res.form["beta"].with_derivative(xs)
+    want = np.array([_exact_beta(k, x0, x, a4) for x in xs]).T
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g / w - 1.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1050,11 +1084,18 @@ def test_constant_a3_that_rk4_refused_is_decided_in_closed_form(
     _close(res.rho.values, np.cosh(5.0 * (ts - 0.5)), 1e-12)
     _close(res.new_var.values, 0.5 + np.tanh(5.0 * (ts - 0.5)) / 5.0, 1e-12)
     # beta = rho^4 is (1 - 25 (X - 1/2)^2)^-2 = cosh(5 (t - 1/2))^4
-    # exactly.  Read in floats at the points of X it would be no check at
-    # 1e-12: X = 0.7 - 1.2e-7 at the end carries its rounding, which the
-    # pole of beta at 0.7 amplifies to 1e-9 relative
-    assert res.form["beta"].expr == simplify(
-        parse("(1 - 25*(x - 1/2)^2)^(-2)", CTX))
+    # exactly.  At X = 0.7 - 1.2e-7 near the end, its pole at 0.7 makes
+    # the condition number kappa = |X beta'/beta| about 1e6 even in exact
+    # arithmetic, so the floats at the points of X are held to their
+    # exact values at the same floats within 16 ulps times kappa
+    beta = res.form["beta"]
+    assert beta.expr == simplify(parse("(1 - 25*(x - 1/2)^2)^(-2)", CTX))
+    for x, got in zip(res.new_var.values, beta(res.new_var.values)):
+        s = Fraction(x) - Fraction(1, 2)
+        q = 1 - 25 * s * s
+        kappa = abs(Fraction(x) * 100 * s / q)
+        assert abs(got / float(q ** -2) - 1.0) <= \
+            16 * 2.0 ** -52 * (1 + float(kappa))
     assert res.rho.source.startswith("rho = cosh(w (t - t0)), w = sqrt(a3)")
     assert res.new_var.source == "X = t0 + tanh(w (t - t0)) / w"
     # RK4 at a fixed 1e-3 misses the gate; the RK4 route refines its step
