@@ -352,14 +352,62 @@ def _real_route(sys: OdeSystem2, T: PointTransformation,
 # coefficient functions
 
 
+def _knot_slopes(xs, ys) -> np.ndarray:
+    """The knot slopes of the not-a-knot cubic spline through (xs, ys),
+    xs increasing, by one elimination of its tridiagonal system (de Boor,
+    A Practical Guide to Splines, rev. ed., Springer 2001, ch. IV).  Two
+    points give the line and three the parabola through them."""
+    import numpy as np
+
+    dx, n = np.diff(xs), len(xs)
+    dx, m = dx.tolist(), (np.diff(ys) / dx).tolist()
+    if n < 4:  # q is the second divided difference, 0 for a line
+        q = (m[-1] - m[0]) / (xs[-1] - xs[0])
+        return np.array([m[0] - q * dx[0], m[0] + q * dx[0],
+                         m[-1] + q * dx[-1]][:n])
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]; the end
+    # rows make the third derivative continuous at knots 1 and n - 2
+    d0, d1 = dx[0] + dx[1], dx[-1] + dx[-2]
+    sub, sup = [0.0, *dx[1:], d1], [d0, *dx[:-1]]
+    diag = [dx[1], *(2.0 * (a + b) for a, b in zip(dx, dx[1:])), dx[-2]]
+    rhs = [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
+           *(3.0 * (b * p + a * q)
+             for a, b, p, q in zip(dx, dx[1:], m, m[1:])),
+           (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
+    for i in range(1, n):
+        w = sub[i] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = [0.0] * (n - 1) + [rhs[-1] / diag[-1]]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - sup[i] * s[i + 1]) / diag[i]
+    return np.array(s)
+
+
+def _spline(xs, ys, slopes, t) -> tuple:
+    """(value, slope) at t of the cubic with knots xs, values ys and knot
+    slopes `slopes`: floats at a scalar t, else arrays of t's shape.
+    Beyond the grid the end pieces continue."""
+    import numpy as np
+
+    i = np.searchsorted(xs[1:-1], t, side="right")  # the piece holding t
+    h, y0, s0 = xs[i + 1] - xs[i], ys[i], slopes[i]
+    m = (ys[i + 1] - y0) / h
+    bend = (s0 + slopes[i + 1] - 2.0 * m) / h
+    c3, c2, d = bend / h, (m - s0) / h - bend, np.asarray(t, float) - xs[i]
+    value = ((c3 * d + c2) * d + s0) * d + y0
+    slope = (3.0 * c3 * d + 2.0 * c2) * d + s0
+    return (value, slope) if np.ndim(t) else (float(value), float(slope))
+
+
 @dataclass(eq=False)
 class CoefficientFn:
     """A scalar coefficient, either a closed-form expression in the
     independent variable or a tabulated grid with cubic interpolation.
 
     A tabulated coefficient copies its grid and values and checks them
-    here, but builds its cubic spline on first evaluation: code that
-    only reports the table never imports scipy.
+    here, but solves for its not-a-knot spline's slopes (`_knot_slopes`)
+    on first evaluation: code that only reports the table pays nothing.
     """
 
     kind: str  # "symbolic" | "tabulated"
@@ -391,7 +439,7 @@ class CoefficientFn:
                 raise ValueError("grid and values must be 1-d and aligned")
             if not np.all(np.diff(self.xs) > 0):
                 raise ValueError("grid must be strictly increasing")
-            # the checks CubicSpline would make, with its messages
+            # a spline needs two finite knots and finite values
             if self.xs.size < 2:
                 raise ValueError("`x` must contain at least 2 elements.")
             if not np.all(np.isfinite(self.xs)):
@@ -400,10 +448,8 @@ class CoefficientFn:
                 raise ValueError("`y` must contain only finite values.")
 
     @functools.cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.xs, self.values)
+    def _slopes(self):
+        return _knot_slopes(self.xs, self.values)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -435,10 +481,7 @@ class CoefficientFn:
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, t):
-        if self.kind == "symbolic":
-            return self._sample((0,), t)[0]
-        out = self._spline(t)
-        return float(out) if out.ndim == 0 else out
+        return self._sample((0,), t)[0]
 
     @functools.cached_property
     def derivative_expr(self) -> Expr:
@@ -446,21 +489,20 @@ class CoefficientFn:
         return simplify(differentiate(self.expr, self.var))
 
     def derivative(self, t):
-        if self.kind == "symbolic":
-            return self._sample((1,), t)[0]
-        out = self._spline(t, 1)
-        return float(out) if out.ndim == 0 else out
+        return self._sample((1,), t)[0]
 
     def with_derivative(self, t) -> tuple:
-        """(self(t), self.derivative(t)), of a symbolic coefficient from
-        one loop over t; a domain error is the first one in t's order."""
-        if self.kind == "symbolic":
-            return tuple(self._sample((0, 1), t))
-        return self(t), self.derivative(t)
+        """(self(t), self.derivative(t)) from one pass over t; a symbolic
+        coefficient's domain error is the first one in t's order."""
+        return tuple(self._sample((0, 1), t))
 
     def _sample(self, orders: tuple, t) -> list:
         """The coefficient (order 0) and its derivative (order 1) at t, in
-        the order of `orders`: floats at a scalar t, else 1-d arrays."""
+        the order of `orders`: floats at a scalar t, else arrays (a table
+        keeps t's shape, a closed form flattens it)."""
+        if self.kind == "tabulated":
+            both = _spline(self.xs, self.values, self._slopes, t)
+            return [both[k] for k in orders]
         rows = self._rows.get(orders)
         if rows is None:
             exprs = [self.derivative_expr if k else self.expr for k in orders]
@@ -585,20 +627,12 @@ def _forwards(interval: tuple) -> None:
 
 
 def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
-    """RK4 with step doubling over a forwards reduction interval, at a step
-    of at most h: (ts, ys, err, step), as `rk4_checked` returns them."""
-    _forwards((t0, t1))
+    """RK4 with step doubling over a reduction interval, at a step of at
+    most h: (ts, ys, err, step), as `rk4_checked` returns them."""
     try:
         return rk4_checked(rhs, t0, y0, t1, h)
     except DomainError as exc:
         raise PoleInInterval(str(exc)) from exc
-
-
-def _closed_form_grid(interval: tuple, h: float):
-    """The grid rk4_checked would integrate a forwards reduction interval
-    on, for a rescaling that has a closed form."""
-    _forwards(interval)
-    return checked_grid(*interval, h)
 
 
 def _finite_constant(e: Expr) -> float | None:
@@ -695,10 +729,11 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
     factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
     """
+    _forwards(interval)
     t0, t1 = interval
     k = None if a is None else _finite_constant(a)
     if k:
-        ts = _closed_form_grid(interval, h)
+        ts = checked_grid(t0, t1, h)
         rho, xs, (rho_src, x_src) = _constant_rho(k, a_label, ts)
         err, route = 0.0, "closed-form"
     else:
@@ -846,12 +881,11 @@ def _spline_errors(c: CoefficientFn, ts, values, slopes) -> tuple:
     if c.kind == "symbolic":
         return 0.0, 0.0
     import numpy as np
-    from scipy.interpolate import CubicSpline
 
-    n = len(c.xs)
-    keep = np.r_[0:n - 1:2, n - 1]
-    coarse = CubicSpline(c.xs[keep], c.values[keep])
-    return np.abs(values - coarse(ts)), np.abs(slopes - coarse(ts, 1))
+    keep = np.r_[0:len(c.xs) - 1:2, len(c.xs) - 1]
+    xs, ys = c.xs[keep], c.values[keep]
+    value, slope = _spline(xs, ys, _knot_slopes(xs, ys), ts)
+    return np.abs(values - value), np.abs(slopes - slope)
 
 
 def reduce_24_to_25(lf: LinearForm, interval: tuple,
@@ -873,11 +907,12 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
     _check_tables(lf, interval)
+    _forwards(interval)
     t0, t1 = interval
     a1, a2 = lf["a1"], lf["a2"]
     c1, c2 = _polynomial(a1), _polynomial(a2)
     if c1 is not None and c2 is not None:
-        ts = _closed_form_grid(interval, h)
+        ts = checked_grid(t0, t1, h)
         m1, m2 = _exp_half_integral(c1, c2, ts)
         err, route = 0.0, "closed-form"
         src = "M1 + i M2 = exp((A + i B)/2), A and B the integrals of a1 " \

@@ -1,6 +1,7 @@
 """Deterministic random expression trees for kernel tests, the
-numpy-array RK4 loop that tests use as a reference integrator, and the
-step-doubling error of csalin's RK4 at one fixed step."""
+numpy-array RK4 loop that tests use as a reference integrator, the
+step-doubling error of csalin's RK4 at one fixed step, and the round-trip
+residual of one reduction to the reduced form."""
 
 from __future__ import annotations
 
@@ -85,3 +86,27 @@ def fixed_step_error(f, t0, y0, t1, h) -> float:
     from the run of 2h on every second grid point."""
     ys = rk4(f, t0, y0, t1, h)[1]
     return float(np.max(np.abs(ys[::2] - rk4(f, t0, y0, t1, 2 * h)[1])))
+
+
+def roundtrip_residual(res) -> float:
+    """The largest residual on [1.05, 1.95] of y'' = a3 y - z, z'' = y +
+    a3 z, a3 = 2/t^2, which res reduces on [1, 2], by a solution of the
+    reduced form mapped back as y = rho(t) Y(X(t)), quintic-interpolated."""
+    from scipy.interpolate import make_interp_spline
+
+    beta = res.form["beta"]
+    lo, hi = beta.domain
+
+    def reduced_rhs(x, s):
+        b = beta(x)
+        return np.array([s[2], s[3], -b * s[1], b * s[0]])
+
+    xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
+                           np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
+    ts = np.linspace(1.05, 1.95, 300)
+    rho, x_of_t, a3 = res.rho(ts), res.new_var(ts), 2.0 / ts ** 2
+    y, z = (rho * make_interp_spline(xs, ys[:, k], k=5)(x_of_t)
+            for k in (0, 1))
+    r1 = make_interp_spline(ts, y, k=5).derivative(2)(ts) - (a3 * y - z)
+    r2 = make_interp_spline(ts, z, k=5).derivative(2)(ts) - (y + a3 * z)
+    return float(np.max(np.abs(r1[3:-3]) + np.abs(r2[3:-3])))

@@ -9,7 +9,6 @@ import random
 import time
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from csalin.canon import (
     LinearForm, attempt_linear_equivalence, reduce_25_to_28,
@@ -26,7 +25,6 @@ from csalin.cubic import OdeSystem2
 from csalin.verify import run_example
 
 import exprgen
-from exprgen import rk4_reference
 from beta_corpus import CLASSIFICATION_TABLE, RANDOM_RATIONAL_BETAS
 
 CTX = VarContext()
@@ -113,37 +111,12 @@ def test_6_constant_form_inequivalence():
 def test_7_reduction_roundtrip():
     lf = LinearForm("zero_order", {"a3": "2/x^2", "a4": 1})
     res = reduce_25_to_28(lf, (1.0, 2.0), h=1e-3)
-    # rho against a half-step reference integration
-    def rho_rhs(t, s):
-        return np.array([s[1], (2.0 / t ** 2) * s[0]])
-    ts_ref, ys_ref = rk4_reference(rho_rhs, 1.0, np.array([1.0, 0.0]), 2.0,
-                                   5e-4)
-    ref = make_interp_spline(ts_ref, ys_ref[:, 0], k=5)
-    rho_err = float(np.max(np.abs(res.rho.values - ref(res.rho.xs))))
+    # rho against its closed form (t^3 + 2)/(3t)
+    ts = res.rho.xs
+    rho_err = float(np.max(np.abs(res.rho.values - (ts ** 3 + 2) / (3 * ts))))
 
     # integrate the reduced output and map its solutions back
-    beta = res.form["beta"]
-    lo, hi = beta.domain
-
-    def reduced_rhs(x, s):
-        b = beta(x)
-        return np.array([s[2], s[3], -b * s[1], b * s[0]])
-
-    xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
-                           np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
-    sy = make_interp_spline(xs, ys[:, 0], k=5)
-    sz = make_interp_spline(xs, ys[:, 1], k=5)
-    ts = np.linspace(1.05, 1.95, 300)
-    rr = res.rho(ts)
-    xx = res.new_var(ts)
-    yv = rr * sy(xx)
-    zv = rr * sz(xx)
-    spl_y = make_interp_spline(ts, yv, k=5)
-    spl_z = make_interp_spline(ts, zv, k=5)
-    a3 = 2.0 / ts ** 2
-    r1 = spl_y.derivative(2)(ts) - (a3 * yv - zv)
-    r2 = spl_z.derivative(2)(ts) - (yv + a3 * zv)
-    resid = float(np.max(np.abs(r1[3:-3]) + np.abs(r2[3:-3])))
+    resid = exprgen.roundtrip_residual(res)
     _report("criterion 7: reduction round-trip residual and rho accuracy",
             resid <= 1e-6 and rho_err <= 1e-8,
             f"residual={resid:.2e}, rho_err={rho_err:.2e}")

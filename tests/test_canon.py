@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from csalin import canon
 from csalin.canon import (
@@ -31,7 +30,7 @@ from csalin.numerics import (
 )
 from csalin.symmetry import classify_beta
 from csalin.verify import example_case, integrate, residual_on_trajectory
-from exprgen import fixed_step_error, rk4_reference
+from exprgen import fixed_step_error, roundtrip_residual
 
 CTX = VarContext()
 
@@ -411,9 +410,13 @@ def test_coefficient_interpolation_accuracy():
      "`y` must contain only finite values."),
 ], ids=["one-point", "infinite-grid", "nan-value"])
 def test_coefficient_table_checked_at_construction(xs, values, message):
-    # the spline is built later; its input errors are not
+    # the knot slopes are solved later; input errors are not
     with pytest.raises(ValueError, match=re.escape(message)):
         CoefficientFn.tabulated(xs, values)
+
+
+def _eager_spline(xs, values, t) -> tuple:
+    return canon._spline(xs, values, canon._knot_slopes(xs, values), t)
 
 
 def test_coefficient_copies_its_table():
@@ -422,22 +425,56 @@ def test_coefficient_copies_its_table():
     c = CoefficientFn.tabulated(xs, values)
     xs[:] = np.linspace(5.0, 9.0, 21)
     values[:] = 0.0
-    ref = CubicSpline(np.linspace(0.0, 2.0, 21),
-                      np.sin(np.linspace(0.0, 2.0, 21)))
-    assert c(0.73) == float(ref(0.73))
-    assert c.derivative(0.73) == float(ref(0.73, 1))
+    grid = np.linspace(0.0, 2.0, 21)
+    want = _eager_spline(grid, np.sin(grid), 0.73)
+    assert (c(0.73), c.derivative(0.73)) == want
 
 
 def test_lazy_spline_matches_eager_spline_bit_for_bit():
     xs = np.linspace(0.5, 2.0, 31)
     values = np.exp(-xs) * np.cos(3.0 * xs)
     c = CoefficientFn.tabulated(xs, values)
-    ref = CubicSpline(xs, values)
+    assert "_slopes" not in c.__dict__  # solved on first evaluation
     probe = np.linspace(0.5, 2.0, 97)
     for t in (0.8137, np.float64(1.2251), probe):
-        assert np.array_equal(c(t), ref(t))
-        assert np.array_equal(c.derivative(t), ref(t, 1))
+        value, slope = _eager_spline(xs, values, t)
+        assert np.array_equal(c(t), value)
+        assert np.array_equal(c.derivative(t), slope)
     assert type(c(0.8137)) is float and type(c.derivative(probe[3])) is float
+    assert "_slopes" in c.__dict__
+
+
+@pytest.mark.parametrize("table", [f"{n}-{grid}" for n in (2, 3, 4, 5, 2001)
+                                   for grid in ("uniform", "jittered")]
+                         + ["rescaled-X"])
+def test_spline_matches_scipy_not_a_knot(table):
+    # scipy's default CubicSpline is the same spline.  An error is relative
+    # to the largest value or slope it is the error of, as slopes cross 0
+    from scipy.interpolate import CubicSpline
+
+    n, grid = table.split("-")
+    if grid == "X":  # a rescaling's beta over X, whose grid is not uniform
+        beta = reduce_25_to_28(_zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
+        xs, values = beta.xs, beta.values
+    else:
+        rng = np.random.default_rng(int(n))
+        xs = np.linspace(0.5, 2.0, int(n))
+        if grid == "jittered":
+            xs[1:-1] += rng.uniform(-0.3, 0.3, int(n) - 2) * (xs[1] - xs[0])
+        a, b, c, d = rng.uniform(0.5, 2.0, 4)
+        values = a * np.sin(3.0 * b * xs + c) + d * np.exp(-xs)
+    probe = np.r_[xs, (xs[1:] + xs[:-1]) / 2,
+                  np.nextafter(xs[[0, -1]], [-np.inf, np.inf])]
+    table = CoefficientFn.tabulated(xs, values)
+    got = table.with_derivative(probe)
+    errors = canon._spline_errors(table, probe, *got)
+    keep = np.r_[0:len(xs) - 1:2, len(xs) - 1]
+    ref, coarse = CubicSpline(xs, values), CubicSpline(xs[keep], values[keep])
+    for k in (0, 1):  # values, then slopes
+        bound = 1e-13 * np.max(np.abs(got[k]))
+        assert np.max(np.abs(got[k] - ref(probe, k))) <= bound
+        assert np.max(np.abs(errors[k] - np.abs(got[k] - coarse(probe, k)))) \
+            <= bound
 
 
 def test_symbolic_coefficient_in_another_variable():
@@ -550,34 +587,7 @@ def test_reduce_25_to_28_roundtrip_residual():
     # map Reduced solutions back through the rescaling and check they solve
     # the original undifferentiated-coupling system
     lf = LinearForm("zero_order", {"a3": "2/x^2", "a4": 1})
-    res = reduce_25_to_28(lf, (1.0, 2.0))
-    beta = res.form["beta"]
-    rho_of_t = res.rho
-    x_of_t = res.new_var
-
-    def reduced_rhs(x, s):
-        b = beta(x)
-        return np.array([s[2], s[3], -b * s[1], b * s[0]])
-
-    lo, hi = beta.domain
-    xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
-                           np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
-    # back-map: y(t) = rho(t) * Y(x(t)); check the original system on a grid
-    from scipy.interpolate import make_interp_spline
-    sy = make_interp_spline(xs, ys[:, 0], k=5)
-    sz = make_interp_spline(xs, ys[:, 1], k=5)
-    ts = np.linspace(1.05, 1.95, 300)
-    rr = rho_of_t(ts)
-    xx = x_of_t(ts)
-    yv = rr * sy(xx)
-    zv = rr * sz(xx)
-    spl_y = make_interp_spline(ts, yv, k=5)
-    spl_z = make_interp_spline(ts, zv, k=5)
-    a3 = 2.0 / ts ** 2
-    res1 = spl_y.derivative(2)(ts) - (a3 * yv - 1.0 * zv)
-    res2 = spl_z.derivative(2)(ts) - (1.0 * yv + a3 * zv)
-    inner = slice(3, -3)
-    assert np.max(np.abs(res1[inner]) + np.abs(res2[inner])) <= 1e-6
+    assert roundtrip_residual(reduce_25_to_28(lf, (1.0, 2.0))) <= 1e-6
 
 
 def test_reduce_24_to_25_trivial():

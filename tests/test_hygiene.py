@@ -2,10 +2,9 @@
 generated code is run in two places only, writes sums without a call, is
 generated a pinned number of times per worked example and compiled once
 per source; `import csalin` loads no submodule; importing the CLI pays
-neither for scipy nor for the symmetry proofs; the symbolic subcommands,
-classify of a rational beta included, never load numpy; and scipy is
-imported only by the table splines and loads only when one is evaluated,
-which no worked example does."""
+nothing for the symmetry proofs; the symbolic subcommands, classify of a
+rational beta included, never load numpy; and no module imports scipy,
+so tables evaluate, reduce and classify without it."""
 
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -178,10 +178,10 @@ def test_a_repeated_worked_example_compiles_nothing(monkeypatch, case_id):
 
 
 def _run_fresh(code: str) -> None:
-    """Run `code` in a new interpreter that imports this source tree."""
+    """Run `code`, dedented, in a new interpreter on this source tree."""
     path = os.pathsep.join(filter(None, (str(SRC.parent),
                                          os.environ.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c", code],
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
                    env={**os.environ, "PYTHONPATH": path}, check=True)
 
 
@@ -250,58 +250,30 @@ def test_symbolic_subcommands_leave_numpy_unloaded(tmp_path, args, doc):
                "assert 'numpy' not in sys.modules")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where a spline is evaluated
-    _run_fresh("import csalin.cli, sys; assert 'scipy' not in sys.modules")
-
-
-@pytest.mark.parametrize("form", [
-    {"kind": "general", "d11": "2 + x", "d12": "3", "d21": "-1",
-     "d22": "1/3"},
-    {"kind": "zero_order", "a3": "3/2", "a4": "2"},
-], ids=["general", "zero_order"])
-def test_canonicalize_leaves_scipy_unloaded(tmp_path, form):
-    # the reductions tabulate their outputs; canonicalize never evaluates them
-    path = tmp_path / "form.json"
-    path.write_text(json.dumps({"form": form, "interval": [0.5, 2.0]}))
-    _run_fresh("import contextlib, io, sys; from csalin.cli import main\n"
-               "with contextlib.redirect_stdout(io.StringIO()):\n"
-               f"    assert main(['--json', 'canonicalize', {str(path)!r}]) "
-               "== 0\n"
-               "assert 'scipy' not in sys.modules")
-
-
-def test_worked_examples_leave_scipy_unloaded():
-    # the residual differentiates along the trajectory and each worked
-    # example's beta is a closed form: nothing builds a spline
-    _run_fresh("import sys; from csalin.verify import run_example\n"
-               "for i in (1, 2, 3, 4):\n"
-               "    assert run_example(i).passed\n"
-               "assert 'scipy' not in sys.modules")
-
-
-def test_scipy_is_imported_only_by_the_table_splines():
-    # the cubic spline of a tabulated coefficient, and the coarse one of
-    # its step-doubling error estimate
-    sites = []
+def test_no_module_imports_scipy():
+    # a table's cubic spline is the package's own
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                sites += [(path.stem, fn.name) for node in ast.walk(fn)
-                          if isinstance(node, ast.ImportFrom)
-                          and (node.module or "").split(".")[0] == "scipy"]
-        assert "import scipy" not in path.read_text()
-    assert sorted(sites) == [("canon", "_spline"), ("canon", "_spline_errors")]
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(
+                node, ast.Import) else [getattr(node, "module", None) or ""]
+            assert not any(n.split(".")[0] == "scipy" for n in names), \
+                f"{path.name} imports scipy (line {node.lineno})"
 
 
-@pytest.mark.parametrize("evaluate", ["c(0.5)", "c.derivative(0.5)"])
-def test_first_evaluation_of_a_table_loads_scipy(evaluate):
-    _run_fresh("import sys; from csalin.canon import CoefficientFn\n"
-               "c = CoefficientFn.tabulated([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])\n"
-               "assert 'scipy' not in sys.modules\n"
-               f"{evaluate}\n"
-               "assert 'scipy.interpolate' in sys.modules")
+def test_a_table_reduces_and_classifies_with_scipy_blocked():
+    # a table's value and slope; rho from RK4, and beta a table over X that
+    # collocation classifies
+    _run_fresh("""
+        import sys; sys.modules["scipy"] = None
+        from csalin.canon import CoefficientFn, LinearForm, reduce_25_to_28
+        from csalin.symmetry import classify_beta
+        c = CoefficientFn.tabulated([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
+        assert c.with_derivative(0.5) == (0.125, -1.0)
+        lf = LinearForm("zero_order", {"a3": "x/4", "a4": 1})
+        beta = reduce_25_to_28(lf, (0.5, 2.0)).form["beta"]
+        lo, hi = beta.domain
+        assert beta.kind == "tabulated"
+        assert classify_beta(beta, (lo + 0.03, hi - 0.03)).dimension == 6""")
 
 
 def test_cli_import_runs_no_symmetry_proof():
