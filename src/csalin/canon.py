@@ -113,7 +113,7 @@ class PointTransformation:
             chi_prime=chi_prime, jacobian=jacobian, det=det,
             x_partials=tuple(simplify(differentiate(e, x, ctx))
                              for e in (self.Y, self.Z)))
-        if simplify_verdict(mul(chi_prime, det))[1].is_zero:
+        if zero_verdict(mul(chi_prime, det)).is_zero:
             warnings.warn("transformation Jacobian is singular",
                           stacklevel=3)
 
@@ -203,8 +203,8 @@ def _is_exp_polar(T: PointTransformation) -> bool:
     y, z = T.ctx.dependents
     want_y = mul(exp(sym(y)), cos(sym(z)))
     want_z = mul(exp(sym(y)), sin(sym(z)))
-    return simplify_verdict(T.Y - want_y)[1].is_zero is True and \
-        simplify_verdict(T.Z - want_z)[1].is_zero is True
+    return zero_verdict(T.Y - want_y).is_zero is True and \
+        zero_verdict(T.Z - want_z).is_zero is True
 
 
 # the imaginary unit and the complex dependent variable u = y + i z with its
@@ -525,8 +525,6 @@ class CoefficientFn:
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return True
-            if "derivative_expr" in self.__dict__:
-                return bool(zero_verdict(self.derivative_expr).is_zero)
             # one canonical pass gives the derivative and its verdict
             d, verdict = simplify_verdict(differentiate(self.expr, self.var))
             self.__dict__["derivative_expr"] = d

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .expr import (
     Expr, VarContext, ExprError, add, differentiate, mul, neg, simplify,
-    simplify_verdict, to_string, C, Symbol,
+    simplify_verdict, to_string, zero_verdict, C, Symbol,
 )
 from .cubic import OdeSystem2
 from .reports import ConditionCheck, ConditionReport
@@ -67,9 +67,9 @@ def _check_pair_cr(name: str, re_part: Expr, im_part: Expr,
     y, z = ctx.dependents
     c1 = differentiate(re_part, y) - differentiate(im_part, z)
     c2 = differentiate(re_part, z) + differentiate(im_part, y)
-    if not simplify_verdict(c1, seed=seed)[1].is_zero:
+    if not zero_verdict(c1, seed=seed).is_zero:
         raise CrViolated(f"d(Re {name})/d{y} = d(Im {name})/d{z}")
-    if not simplify_verdict(c2, seed=seed)[1].is_zero:
+    if not zero_verdict(c2, seed=seed).is_zero:
         raise CrViolated(f"d(Re {name})/d{z} = -d(Im {name})/d{y}")
 
 

@@ -1158,35 +1158,9 @@ class ZeroVerdict:
         return self.is_zero
 
 
-def _clear_denominators(p: dict, st: _Canon) -> dict:
-    for _ in range(16):
-        mins = {}
-        for m in p:
-            for k, q in m:
-                base = st.bases[k]
-                if isinstance(base, (_SumBase, _SymBase)) \
-                        and type(q) is int and q < 0:
-                    mins[k] = min(mins.get(k, 0), q)
-        if not mins:
-            return p
-        # shift exponents monomial-wise so inverse factors cancel exactly;
-        # _normalize_factors then expands any resulting positive sum powers
-        newp = {}
-        for m, c in p.items():
-            fac = dict(m)
-            for k, q in mins.items():
-                fac[k] = fac.get(k, 0) - q
-            _poly_iadd(newp, _normalize_factors(fac, c, st))
-        p = newp
-    return p
-
-
 def _exact_zero(p: dict, st: _Canon) -> bool | None:
-    """Whether the canonical polynomial p is 0: True/False when decidable
-    symbolically, None when inconclusive."""
-    if not p:
-        return True
-    p = _clear_denominators(p, st)
+    """Whether the fraction-reduced polynomial p is 0: True/False when
+    decidable symbolically, None when inconclusive."""
     if not p:
         return True
     for m in p:
@@ -1230,44 +1204,43 @@ def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
     return True
 
 
-def zero_verdict(e: Expr, seed: int = 0) -> ZeroVerdict:
-    """Symbolic-first zero test with sampled fallback.
+def _decide(e: Expr, seed: int, printed: bool) -> tuple:
+    """(simplify(e) or None, the zero verdict on it): the one zero decision.
 
-    One canonical polynomial of e serves both: the symbolic test reads it
-    as it stands, and the sampled test (on the free symbols of e) reads it
-    after fraction reduction, which is simplify(e)'s.  To test a
-    difference that the caller also wants simplified, `simplify_verdict`
-    gives both from one pass.  A tree too deep to walk raises TooDeep.
-    """
-    st = _Canon()
-    try:
-        p = _canon(e, st)
-        exact = _exact_zero(p, st)
-        if exact is not None:
-            return ZeroVerdict(exact, "symbolic")
-        reduced = _poly_to_expr(_reduce_fractions(p, st), st)
-        return ZeroVerdict(
-            _sampled_zero(reduced, sorted(free_symbols(e)), seed), "numeric")
-    except RecursionError:
-        raise TooDeep("expression nests too deeply to decide") from None
-
-
-def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
-    """(simplify(e), zero_verdict(simplify(e), seed)) from one canonical
-    pass: the reduced polynomial behind simplify(e) (`_reduced`) is
-    exactly the canonical polynomial of simplify(e), which the symbolic
-    test reads."""
+    The symbolic test reads the fraction-reduced polynomial of e
+    (`_reduced`), which is exactly the canonical polynomial of
+    simplify(e).  When it is inconclusive, the sampled test evaluates
+    simplify(e) at points drawn for its own symbols.  simplify(e) is
+    built only when `printed` asks for it or sampling needs it."""
     st = _Canon()
     p = _reduced(e, st)
-    s = _poly_to_expr(p, st)
     exact = _exact_zero(p, st)
     if exact is not None:
-        return s, ZeroVerdict(exact, "symbolic")
+        return _poly_to_expr(p, st) if printed else None, \
+            ZeroVerdict(exact, "symbolic")
+    s = _poly_to_expr(p, st)
     try:
         sampled = _sampled_zero(s, sorted(free_symbols(s)), seed)
     except RecursionError:
         raise TooDeep("expression nests too deeply to decide") from None
     return s, ZeroVerdict(sampled, "numeric")
+
+
+def zero_verdict(e: Expr, seed: int = 0) -> ZeroVerdict:
+    """Whether e is identically 0, symbolically where the kernel can tell
+    and else at 40 sample points (see `_decide`).  To test a difference
+    that the caller also wants simplified, `simplify_verdict` gives both
+    from the same decision.  A tree too deep to walk raises TooDeep."""
+    try:
+        return _decide(e, seed, printed=False)[1]
+    except TooDeep:
+        raise TooDeep("expression nests too deeply to decide") from None
+
+
+def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
+    """(simplify(e), zero_verdict(e, seed)) from one decision (`_decide`):
+    the verdict is made on the polynomial that simplify(e) prints."""
+    return _decide(e, seed, printed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -858,11 +858,10 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     cf = CoefficientFn.of(beta)
 
     if cf.kind == "symbolic":
-        b = cf.expr
-        if zero_verdict(b, seed=seed).is_zero:
-            return _zero_case(ctx)
         if cf.is_constant():
-            return _constant_case(simplify(b))
+            if zero_verdict(cf.expr, seed=seed).is_zero:
+                return _zero_case(ctx)
+            return _constant_case(cf.expr)
         wit = _proved_universal_witnesses(ctx)
     else:
         if cf.is_constant(rtol=1e-6):

@@ -24,8 +24,8 @@ from .csa import check_cr
 from .cubic import OdeSystem2, extract_cubic, check_theorem2
 from .expr import (
     C, ExprError, EvalDomainError, NotPolynomial, VarContext, ZERO,
-    coefficients_in, compile_rows, parse, simplify, simplify_verdict,
-    substitute, to_string, zero_verdict,
+    coefficients_in, compile_rows, parse, simplify, substitute, to_string,
+    zero_verdict,
 )
 from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
     rk4_checked
@@ -390,7 +390,7 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
         "" if t2.overall else t2.failing()[0].name))
 
     out = transform_system(case.system, case.transformation, seed=seed)
-    verdicts = [simplify_verdict(got - want, seed=seed)[1] for got, want in
+    verdicts = [zero_verdict(got - want, seed=seed) for got, want in
                 ((out.omega1, case.expected_target.omega1),
                  (out.omega2, case.expected_target.omega2))]
     match = all(v.is_zero for v in verdicts)

@@ -378,8 +378,10 @@ def test_zero_verdict_symbolic_and_numeric():
 
 # identities the kernel cannot decide, so the sampled test decides them
 _SAMPLED_ZEROS = ["exp(2*x)-exp(x)^2", "sin(2*x)-2*sin(x)*cos(x)"]
-# an identity of the kernel's normal form, decided without sampling
+# identities of the kernel's normal form, decided without sampling: the
+# second only once its sum denominator is cancelled
 _PYTHAGORAS = "sin(x)^2+cos(x)^2-1"
+_ROOT_QUOTIENT = "(1 + x^2)/sqrt(1 + x^2) - sqrt(1 + x^2)"
 
 
 def _verdict_case(text, want, method):
@@ -396,10 +398,39 @@ def _verdict_case(text, want, method):
     # the normal form leaves x/10^8 of the perturbed identity
     _verdict_case(_PYTHAGORAS, True, "symbolic"),
     _verdict_case(_PYTHAGORAS + "+x/100000000", False, "symbolic"),
+    _verdict_case(_ROOT_QUOTIENT, True, "symbolic"),
 ])
 def test_sampled_zero_verdicts(text, want, method, seed):
     v = zero_verdict(parse(text, CTX), seed=seed)
     assert (v.is_zero, v.method) == (want, method)
+
+
+def _zero_verdict_corpus() -> list:
+    """A quotient by a square root that only fraction reduction cancels,
+    then differences of exprgen trees: unrelated pairs, which are nonzero
+    or sampled, and a tree against itself over a sum denominator, which
+    the reduced polynomial proves zero."""
+    out = [parse(_ROOT_QUOTIENT, CTX)]
+    for a, b in zip(corpus(60, seed=21), corpus(60, seed=22)):
+        den = add(C(2), pow_(b, 2))
+        out += [a - b, div(mul(a, den), den) - a]
+    return out
+
+
+def test_zero_verdict_is_the_verdict_of_simplify_verdict():
+    # one decision on the reduced polynomial serves both entry points
+    methods = set()
+    for e in _zero_verdict_corpus():
+        try:
+            v = zero_verdict(e, seed=5)
+        except (AllSamplesFailed, EvalDomainError) as exc:
+            with pytest.raises(type(exc)):
+                simplify_verdict(e, seed=5)
+            continue
+        assert v == simplify_verdict(e, seed=5)[1], to_string(e)
+        methods.add((v.is_zero, v.method))
+    assert methods == {(True, "symbolic"), (False, "symbolic"),
+                       (False, "numeric")}
 
 
 # ---------------------------------------------------------------------------

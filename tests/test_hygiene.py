@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses;
 generated code is run in two places only, writes sums without a call, is
 generated a pinned number of times per worked example and compiled once
-per source; `import csalin` loads no submodule; importing the CLI pays
+per source; the symbolic and the sampled zero test each have one
+caller; `import csalin` loads no submodule; importing the CLI pays
 nothing for the symmetry proofs; the symbolic subcommands, classify of a
 rational beta included, never load numpy; and no module imports scipy,
 so tables evaluate, reduce and classify without it."""
@@ -80,8 +81,8 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports unused names: {unused}"
 
 
-def _exec_sites() -> list:
-    """(module, function) of every call of ``exec`` in the package."""
+def _call_sites(name: str) -> list:
+    """(module, function) of every call of the bare name in the package."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -91,18 +92,28 @@ def _exec_sites() -> list:
             sites += [(path.stem, fn.name) for node in ast.walk(fn)
                       if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name)
-                      and node.func.id == "exec"]
+                      and node.func.id == name]
     return sites
 
 
 def test_generated_code_runs_in_two_places_only():
     # the generated RK4 loop and the generated row loop; a third code
     # path would be a second copy of what emit_code already describes
-    assert _exec_sites() == [("expr", "compile_rows"),
-                             ("numerics", "_fuse")]
+    assert _call_sites("exec") == [("expr", "compile_rows"),
+                                   ("numerics", "_fuse")]
     calls = sum(path.read_text().count("exec(")
                 for path in SRC.glob("*.py"))
     assert calls == 2  # no exec hidden outside a function
+
+
+@pytest.mark.parametrize("name", ["_exact_zero", "_sampled_zero"])
+def test_the_zero_tests_have_one_caller(name):
+    # zero_verdict and simplify_verdict decide through one function, so
+    # they cannot decide on different polynomials
+    assert _call_sites(name) == [("expr", "_decide")]
+    calls = sum(path.read_text().count(f"{name}(")
+                for path in SRC.glob("*.py"))
+    assert calls == 2  # the definition and the one call
 
 
 def test_emitted_sums_are_plain_additions():

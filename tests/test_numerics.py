@@ -20,7 +20,7 @@ import pytest
 
 from csalin import canon, numerics, verify
 from csalin.canon import (
-    CoefficientFn, LinearForm, RhoVanishes, reduce_24_to_25,
+    CoefficientFn, LinearForm, PoleInInterval, RhoVanishes, reduce_24_to_25,
     reduce_25_to_28, reduce_optimal,
 )
 from csalin.cubic import OdeSystem2
@@ -407,6 +407,22 @@ def test_generated_loop_keeps_the_rho_crossing():
                                "0.764; safe sub-interval is [0, 0.763)")
     assert info.value.crossing == 0.764
     assert info.value.safe_interval == (0.0, 0.763)
+
+
+def test_the_stage_fallback_reads_a_table_at_the_stage_time(monkeypatch):
+    # log(x - 1) fails in the generated stage; the fallback evaluates the
+    # stage again with the tabulated d22 read at t, and locates the error
+    calls = _stage_fallbacks(monkeypatch)
+    xs = np.linspace(0.5, 2.0, 31)
+    lf = LinearForm("general", {
+        "d11": "log(x - 1)", "d22": CoefficientFn.tabulated(xs, np.cos(xs)),
+        "d12": 0, "d21": 1})
+    with pytest.raises(PoleInInterval) as info:
+        reduce_optimal(lf, (0.5, 2.0))
+    assert str(info.value) == (
+        "right-hand side undefined near x = 0.5: log of non-positive value "
+        "in subterm 'log(x - 1)'")
+    assert calls == [0.5]
 
 
 # the last float whose ** -2 overflows, and the first that does not

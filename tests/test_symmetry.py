@@ -411,6 +411,44 @@ def test_a_high_degree_rational_beta_keeps_collocation(monkeypatch):
     assert cls.dimension == 6 and cls.rank_report is not None
 
 
+@pytest.mark.parametrize("beta,dim,num,den", [
+    ("(x^2-1)/((x-1)*(x+1)^3)", 7, "1", "x^2 + 2*x + 1"),
+    ("(x^2-1)/(x-1)", 6, "x + 1", "1")])
+def test_the_exact_route_cancels_a_common_factor(beta, dim, num, den):
+    # N and D share the factor x - 1 (and x + 1 in the first), which
+    # _lowest_terms divides out before the degree and square tests
+    cls = classify_beta(beta, interval=(1.5, 3.0))
+    assert cls.dimension == dim and cls.rank_report is None
+    assert f"with N = {num} and D = {den};" in cls.notes[0]
+
+
+_ZERO_XS = np.linspace(0.5, 3.0, 51)
+
+
+@pytest.mark.parametrize("beta,witnesses", [
+    ("sin(x)^2 + cos(x)^2 - 1", 15),  # proved zero by the kernel
+    ("exp(x)*exp(-x) - 1", 15),       # zero at every sample point
+    (CoefficientFn.tabulated(_ZERO_XS, np.zeros_like(_ZERO_XS)), 0),
+], ids=["proved", "sampled", "table"])
+def test_a_zero_beta_off_the_exact_route_reads_15(beta, witnesses):
+    cls = classify_beta(beta)
+    assert (cls.dimension, cls.case_label) == (
+        15, "coefficient identically zero")
+    assert len(cls.witness or ()) == witnesses
+
+
+def test_a_variable_non_rational_beta_is_not_zero_tested(monkeypatch):
+    # beta' != 0 already rules out beta = 0, so only a constant beta pays
+    # for a zero verdict on beta itself
+    calls = []
+    monkeypatch.setattr(symmetry, "zero_verdict", lambda *a, **k: (
+        calls.append(a) or zero_verdict(*a, **k)))
+    assert classify_beta("exp(x)").dimension == 6
+    assert calls == []
+    assert classify_beta("2^(1/2)").dimension == 7
+    assert len(calls) == 1
+
+
 def test_classification_of_a_wide_interval_builds_no_grid():
     # a grid of step 1e-3 on this interval would hold 1e12 points
     assert classify_beta("x^(-2)", interval=(0.5, 1e9)).dimension == 7
