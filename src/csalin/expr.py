@@ -1160,15 +1160,36 @@ class ZeroVerdict:
 
 def _exact_zero(p: dict, st: _Canon) -> bool | None:
     """Whether the fraction-reduced polynomial p is 0: True/False when
-    decidable symbolically, None when inconclusive."""
+    decidable symbolically, None when inconclusive.
+
+    Fraction reduction cancels one sum denominator at a time, so a
+    reduced p may still be 0 over a common denominator.  p is first
+    multiplied by each sum to minus its lowest integer power, and the
+    positive powers this leaves are expanded.  That may bring in powers
+    of sums nested inside those, so it repeats; it ends because each new
+    denominator is a sum nested inside one it replaces."""
+    while True:
+        mins = {}
+        for m in p:
+            for k, q in m:
+                if isinstance(st.bases[k], _SumBase) \
+                        and type(q) is int and q < 0:
+                    mins[k] = min(mins.get(k, 0), q)
+        if not mins:
+            break
+        cleared = {}
+        for m, c in p.items():
+            fac = dict(m)
+            for k, q in mins.items():
+                fac[k] = fac.get(k, 0) - q
+            _poly_iadd(cleared, _normalize_factors(fac, c, st))
+        p = cleared
     if not p:
         return True
     for m in p:
         for k, q in m:
             base = st.bases[k]
             if isinstance(base, _FuncBase):
-                return None
-            if isinstance(base, _SumBase) and q.denominator != 1:
                 return None
             if q.denominator != 1 and not isinstance(base, _CpowBase):
                 return None
@@ -1204,43 +1225,35 @@ def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
     return True
 
 
-def _decide(e: Expr, seed: int, printed: bool) -> tuple:
-    """(simplify(e) or None, the zero verdict on it): the one zero decision.
+def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
+    """(simplify(e), whether e is identically 0): the one zero decision.
 
     The symbolic test reads the fraction-reduced polynomial of e
     (`_reduced`), which is exactly the canonical polynomial of
     simplify(e).  When it is inconclusive, the sampled test evaluates
-    simplify(e) at points drawn for its own symbols.  simplify(e) is
-    built only when `printed` asks for it or sampling needs it."""
+    simplify(e) at points drawn for its own symbols.  A tree too deep to
+    walk raises TooDeep."""
     st = _Canon()
     p = _reduced(e, st)
-    exact = _exact_zero(p, st)
-    if exact is not None:
-        return _poly_to_expr(p, st) if printed else None, \
-            ZeroVerdict(exact, "symbolic")
-    s = _poly_to_expr(p, st)
     try:
-        sampled = _sampled_zero(s, sorted(free_symbols(s)), seed)
+        s = _poly_to_expr(p, st)
+        exact = _exact_zero(p, st)
+        if exact is not None:
+            return s, ZeroVerdict(exact, "symbolic")
+        return s, ZeroVerdict(
+            _sampled_zero(s, sorted(free_symbols(s)), seed), "numeric")
     except RecursionError:
         raise TooDeep("expression nests too deeply to decide") from None
-    return s, ZeroVerdict(sampled, "numeric")
 
 
 def zero_verdict(e: Expr, seed: int = 0) -> ZeroVerdict:
-    """Whether e is identically 0, symbolically where the kernel can tell
-    and else at 40 sample points (see `_decide`).  To test a difference
-    that the caller also wants simplified, `simplify_verdict` gives both
-    from the same decision.  A tree too deep to walk raises TooDeep."""
+    """Whether e is identically 0: the verdict of `simplify_verdict`,
+    symbolic where the kernel can tell and else at 40 sample points.  A
+    tree too deep to walk raises TooDeep."""
     try:
-        return _decide(e, seed, printed=False)[1]
+        return simplify_verdict(e, seed)[1]
     except TooDeep:
         raise TooDeep("expression nests too deeply to decide") from None
-
-
-def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
-    """(simplify(e), zero_verdict(e, seed)) from one decision (`_decide`):
-    the verdict is made on the polynomial that simplify(e) prints."""
-    return _decide(e, seed, printed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .expr import (
     Add, C, Constant, Div, Expr, ExprError, EvalDomainError, Mul, Neg, Pow,
     Symbol, VarContext, ZERO, _rational_value,
     add, coefficients_in, differentiate, div, enclose, eval_expr,
-    free_symbols, mul, neg, parse, pow_, simplify, sym, to_string,
-    zero_verdict,
+    free_symbols, mul, neg, parse, pow_, simplify, simplify_verdict, sym,
+    to_string, zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
 from .reports import ConditionCheck, ConditionReport
@@ -859,9 +859,11 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
 
     if cf.kind == "symbolic":
         if cf.is_constant():
-            if zero_verdict(cf.expr, seed=seed).is_zero:
+            # a CoefficientFn built directly holds beta unsimplified
+            b, verdict = simplify_verdict(cf.expr, seed=seed)
+            if verdict.is_zero:
                 return _zero_case(ctx)
-            return _constant_case(cf.expr)
+            return _constant_case(b)
         wit = _proved_universal_witnesses(ctx)
     else:
         if cf.is_constant(rtol=1e-6):

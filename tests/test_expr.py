@@ -379,9 +379,13 @@ def test_zero_verdict_symbolic_and_numeric():
 # identities the kernel cannot decide, so the sampled test decides them
 _SAMPLED_ZEROS = ["exp(2*x)-exp(x)^2", "sin(2*x)-2*sin(x)*cos(x)"]
 # identities of the kernel's normal form, decided without sampling: the
-# second only once its sum denominator is cancelled
+# second only once its sum denominator is cancelled; the third only over
+# the common denominator (x + 1)*(x^2 + sqrt(x + 1)), since reducing
+# by x^2 + sqrt(x + 1) brings back powers of x + 1 already reduced
 _PYTHAGORAS = "sin(x)^2+cos(x)^2-1"
 _ROOT_QUOTIENT = "(1 + x^2)/sqrt(1 + x^2) - sqrt(1 + x^2)"
+_NESTED_DENOMINATORS = ("(-x^2/(x+1) - 1 - (1+x^2)/sqrt(x+1))"
+                        "/(x^2 + sqrt(x+1)) + 1/(x+1) + 1/sqrt(x+1)")
 
 
 def _verdict_case(text, want, method):
@@ -399,6 +403,9 @@ def _verdict_case(text, want, method):
     _verdict_case(_PYTHAGORAS, True, "symbolic"),
     _verdict_case(_PYTHAGORAS + "+x/100000000", False, "symbolic"),
     _verdict_case(_ROOT_QUOTIENT, True, "symbolic"),
+    # over the common denominator, the perturbation keeps a sqrt(x + 1)
+    _verdict_case(_NESTED_DENOMINATORS, True, "symbolic"),
+    _verdict_case(_NESTED_DENOMINATORS + "+1/100000000", False, "numeric"),
 ])
 def test_sampled_zero_verdicts(text, want, method, seed):
     v = zero_verdict(parse(text, CTX), seed=seed)
@@ -406,11 +413,12 @@ def test_sampled_zero_verdicts(text, want, method, seed):
 
 
 def _zero_verdict_corpus() -> list:
-    """A quotient by a square root that only fraction reduction cancels,
-    then differences of exprgen trees: unrelated pairs, which are nonzero
-    or sampled, and a tree against itself over a sum denominator, which
-    the reduced polynomial proves zero."""
-    out = [parse(_ROOT_QUOTIENT, CTX)]
+    """A quotient by a square root that only fraction reduction cancels
+    and a sum that is 0 only over a common denominator, then differences
+    of exprgen trees: unrelated pairs, which are nonzero or sampled, and a
+    tree against itself over a sum denominator, which the reduced
+    polynomial proves zero."""
+    out = [parse(_ROOT_QUOTIENT, CTX), parse(_NESTED_DENOMINATORS, CTX)]
     for a, b in zip(corpus(60, seed=21), corpus(60, seed=22)):
         den = add(C(2), pow_(b, 2))
         out += [a - b, div(mul(a, den), den) - a]

@@ -108,9 +108,9 @@ def test_generated_code_runs_in_two_places_only():
 
 @pytest.mark.parametrize("name", ["_exact_zero", "_sampled_zero"])
 def test_the_zero_tests_have_one_caller(name):
-    # zero_verdict and simplify_verdict decide through one function, so
-    # they cannot decide on different polynomials
-    assert _call_sites(name) == [("expr", "_decide")]
+    # zero_verdict reads simplify_verdict's verdict, so the two cannot
+    # decide on different polynomials
+    assert _call_sites(name) == [("expr", "simplify_verdict")]
     calls = sum(path.read_text().count(f"{name}(")
                 for path in SRC.glob("*.py"))
     assert calls == 2  # the definition and the one call

@@ -14,7 +14,8 @@ from csalin import symmetry
 from csalin.canon import CoefficientFn, PoleInInterval
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    C, VarContext, ZERO, eval_expr, parse, simplify, sym, zero_verdict,
+    C, VarContext, ZERO, eval_expr, parse, simplify, simplify_verdict, sym,
+    zero_verdict,
 )
 from csalin.symmetry import (
     Classification, IntervalTooSmall, VectorField, check_symmetry,
@@ -441,12 +442,24 @@ def test_a_variable_non_rational_beta_is_not_zero_tested(monkeypatch):
     # beta' != 0 already rules out beta = 0, so only a constant beta pays
     # for a zero verdict on beta itself
     calls = []
-    monkeypatch.setattr(symmetry, "zero_verdict", lambda *a, **k: (
-        calls.append(a) or zero_verdict(*a, **k)))
+    monkeypatch.setattr(symmetry, "simplify_verdict", lambda *a, **k: (
+        calls.append(a) or simplify_verdict(*a, **k)))
     assert classify_beta("exp(x)").dimension == 6
     assert calls == []
     assert classify_beta("2^(1/2)").dimension == 7
     assert len(calls) == 1
+
+
+def test_a_constant_beta_built_directly_is_simplified():
+    # the dataclass constructor keeps beta as written; classify_beta
+    # reads the constant 2 of its simplified form, as from a string
+    beta = CoefficientFn("symbolic", expr=parse("sin(x)^2 + cos(x)^2 + 1",
+                                                VarContext()))
+    cls = classify_beta(beta)
+    want = classify_beta("2")
+    assert (cls.dimension, cls.case_label, cls.notes) == (
+        7, want.case_label, want.notes)
+    assert len(cls.witness) == len(want.witness) == 7
 
 
 def test_classification_of_a_wide_interval_builds_no_grid():
