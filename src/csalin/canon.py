@@ -9,6 +9,7 @@ constant forms u'' = A u, v'' = B v under u = P v as similarity of A, B.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -391,13 +392,28 @@ def _spline(xs, ys, slopes, t) -> tuple:
     import numpy as np
 
     i = np.searchsorted(xs[1:-1], t, side="right")  # the piece holding t
+    value, slope = _piece(xs, ys, slopes, i, np.asarray(t, float))
+    return (value, slope) if np.ndim(t) else (float(value), float(slope))
+
+
+def _spline_at(knots: tuple, t: float) -> tuple:
+    """`_spline` at a float t, on knots (xs, ys, slopes) held as lists of
+    floats: the same float operations, so the same floats, without numpy's
+    per-scalar overhead."""
+    xs, ys, slopes = knots
+    i = bisect.bisect_right(xs, t, 1, len(xs) - 1) - 1
+    return _piece(xs, ys, slopes, i, t)
+
+
+def _piece(xs, ys, slopes, i, t) -> tuple:
+    """(value, slope) at t of the cubic piece i: floats or arrays alike."""
     h, y0, s0 = xs[i + 1] - xs[i], ys[i], slopes[i]
     m = (ys[i + 1] - y0) / h
     bend = (s0 + slopes[i + 1] - 2.0 * m) / h
-    c3, c2, d = bend / h, (m - s0) / h - bend, np.asarray(t, float) - xs[i]
+    c3, c2, d = bend / h, (m - s0) / h - bend, t - xs[i]
     value = ((c3 * d + c2) * d + s0) * d + y0
     slope = (3.0 * c3 * d + 2.0 * c2) * d + s0
-    return (value, slope) if np.ndim(t) else (float(value), float(slope))
+    return value, slope
 
 
 @dataclass(eq=False)
@@ -451,6 +467,11 @@ class CoefficientFn:
     def _slopes(self):
         return _knot_slopes(self.xs, self.values)
 
+    @functools.cached_property
+    def _knots(self) -> tuple:
+        """The table as lists of floats, which a read at a float takes."""
+        return self.xs.tolist(), self.values.tolist(), self._slopes.tolist()
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def symbolic(cls, expr: Expr | str, var: str = "x") -> "CoefficientFn":
@@ -501,7 +522,9 @@ class CoefficientFn:
         the order of `orders`: floats at a scalar t, else arrays (a table
         keeps t's shape, a closed form flattens it)."""
         if self.kind == "tabulated":
-            both = _spline(self.xs, self.values, self._slopes, t)
+            both = _spline_at(self._knots, float(t)) \
+                if isinstance(t, (int, float)) else \
+                _spline(self.xs, self.values, self._slopes, t)
             return [both[k] for k in orders]
         rows = self._rows.get(orders)
         if rows is None:

@@ -159,6 +159,7 @@ def cmd_classify(args) -> int:
         "dimension": cls.dimension,
         "case": cls.case_label,
         "witness_count": len(cls.witness) if cls.witness else 0,
+        "notes": list(cls.notes),
     }
     if cls.rank_report:
         payload["rank"] = cls.rank_report.rank

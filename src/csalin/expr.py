@@ -40,7 +40,7 @@ __all__ = [
     "C", "sym", "add", "mul", "pow_", "neg", "div", "exp", "log", "sin",
     "cos", "sqrt", "atan",
     "parse", "to_string", "normalize", "simplify", "differentiate",
-    "substitute", "rewrite_subterms", "eval_expr", "enclose",
+    "substitute", "rewrite_subterms", "eval_expr", "enclose", "jet",
     "compile_rows",
     "emit_code", "EMIT_NAMESPACE", "compile_source",
     "free_symbols",
@@ -1473,6 +1473,39 @@ def _out(lo: float, hi: float) -> tuple:
     return lo, hi
 
 
+# An exact zero coefficient.  It adds and multiplies without rounding, so
+# the higher coefficients of a constant or of the jet variable stay exact.
+_NIL = (0.0, 0.0)
+
+
+def _iadd(a: tuple, b: tuple) -> tuple:
+    if b == _NIL:
+        return a
+    if a == _NIL:
+        return b
+    return _out(a[0] + b[0], a[1] + b[1])
+
+
+def _isub(a: tuple, b: tuple) -> tuple:
+    return _iadd(a, (-b[1], -b[0]))
+
+
+def _imul(a: tuple, b: tuple) -> tuple:
+    if a == _NIL or b == _NIL:
+        return _NIL
+    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _out(min(corners), max(corners))
+
+
+def _idiv(a: tuple, b: tuple) -> tuple:
+    if b[0] <= 0.0 <= b[1]:
+        raise _Uncertified
+    if a == _NIL:
+        return _NIL
+    corners = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _out(min(corners), max(corners))
+
+
 def _trig(fn, peak: float, lo: float, hi: float) -> tuple:
     """Enclosure of fn (sin or cos) on [lo, hi]; fn is 1 at peak + 2 k pi
     and -1 half a period later, and monotone in between.  An extremum
@@ -1492,104 +1525,200 @@ def _trig(fn, peak: float, lo: float, hi: float) -> tuple:
             1.0 if reaches(peak) else min(b, 1.0))
 
 
-def _enclose(e: Expr, box: Mapping[str, tuple]) -> tuple:
-    kind = type(e)
-    if kind is Add:
-        terms = iter(e.terms)
-        lo, hi = _enclose(next(terms), box)
-        for t in terms:
-            a, b = _enclose(t, box)
-            lo, hi = _out(lo + a, hi + b)
-        return lo, hi
-    if kind is Mul:
-        factors = iter(e.factors)
-        lo, hi = _enclose(next(factors), box)
-        for f in factors:
-            a, b = _enclose(f, box)
-            corners = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = _out(min(corners), max(corners))
-        return lo, hi
-    if kind is Symbol:
-        if e.name not in box:
-            raise UnboundSymbol(f"symbol {e.name!r} is not bound")
-        lo, hi = box[e.name]
-        return float(lo), float(hi)
-    if kind is Constant:
-        num, den = e.value.numerator, e.value.denominator
-        if den == 1 and -2 ** 53 <= num <= 2 ** 53:
-            return float(num), float(num)
-        v = float(e.value)
-        return _out(v, v)
-    if kind is Pow:
-        a, b = _enclose(e.base, box)
-        q = e.exponent
-        num, den, qf = q.numerator, q.denominator, float(q)
-        if den == 1:
-            if num < 0 and a <= 0.0 <= b:
-                raise _Uncertified
-            # x^n is monotone on any interval without 0 inside it
-            pa, pb = a ** qf, b ** qf
-            lo, hi = _out(min(pa, pb), max(pa, pb))
-            if num % 2 == 0:
-                lo = 0.0 if a < 0.0 < b else max(lo, 0.0)
-            return lo, hi
+def _rational(v: Fraction) -> tuple:
+    """The interval of floats around a rational v: its float, exact or
+    widened by an ulp each way."""
+    num, den = v.numerator, v.denominator
+    if den == 1 and -2 ** 53 <= num <= 2 ** 53:
+        return float(num), float(num)
+    f = float(v)
+    return _out(f, f)
+
+
+@functools.lru_cache(maxsize=1024)
+def _weights(k: int, q: Fraction | None) -> tuple:
+    """Intervals around the weights of the k-th Taylor coefficient: j/k
+    for j = 1..k (q None), else (j (q + 1) - k)/k, those of u^q."""
+    return tuple(_rational(Fraction(j, k) if q is None
+                           else (j * (q + 1) - k) / k)
+                 for j in range(1, k + 1))
+
+
+def _weighted(weights: tuple, u: list, w: list, k: int) -> tuple:
+    """The sum over j = 1..len(weights) of weights[j-1] u_j w_(k-j)."""
+    acc = _NIL
+    for j, c in enumerate(weights, 1):
+        acc = _iadd(acc, _imul(c, _imul(u[j], w[k - j])))
+    return acc
+
+
+def _cauchy(u: list, v: list, n: int) -> list:
+    """The coefficients of the product of jets u and v."""
+    out = []
+    for k in range(n + 1):
+        acc = _NIL
+        for j in range(k + 1):
+            acc = _iadd(acc, _imul(u[j], v[k - j]))
+        out.append(acc)
+    return out
+
+
+def _pow_jet(u: list, q: Fraction, n: int) -> list:
+    """The jet of u^q.  Its value is monotone in u, and in the exponent
+    between float(q) and its neighbour past q where float(q) != q."""
+    a, b = u[0]
+    num, den, qf = q.numerator, q.denominator, float(q)
+    if den == 1:
+        if num < 0 and a <= 0.0 <= b:
+            raise _Uncertified
+        # x^n is monotone on any interval without 0 inside it
+        pa, pb = a ** qf, b ** qf
+        lo, hi = _out(min(pa, pb), max(pa, pb))
+        if num % 2 == 0:
+            lo = 0.0 if a < 0.0 < b else max(lo, 0.0)
+    else:
         if a < 0.0 or (num < 0 and a == 0.0):
             raise _Uncertified
-        # x^p is monotone in x and in p, so its extremes over [a, b] and
-        # p between float(q) and its neighbour past q lie at corners
         qs = (qf,) if qf == q else \
             (qf, math.nextafter(qf, math.inf if q > qf else -math.inf))
         corners = [x ** p for x in (a, b) for p in qs]
         lo, hi = _out(min(corners), max(corners))
-        return max(lo, 0.0), hi
-    if kind is Neg:
-        a, b = _enclose(e.arg, box)
-        return -b, -a
-    if kind is Div:
-        c, d = _enclose(e.den, box)
-        if c <= 0.0 <= d:
+        lo = max(lo, 0.0)
+    w = [(lo, hi)]
+    if n and den == 1 and num >= 0:
+        # 0 may lie in u's range: square and multiply, no division by u_0
+        power, base = None, u
+        while num:
+            if num & 1:
+                power = base if power is None else _cauchy(power, base, n)
+            num >>= 1
+            if num:
+                base = _cauchy(base, base, n)
+        return w + (power[1:] if power else [_NIL] * n)
+    for k in range(1, n + 1):  # u w' = q u' w
+        w.append(_idiv(_weighted(_weights(k, q), u, w, k), u[0]))
+    return w
+
+
+def _quotient_tail(u: list, v: list, w: list, n: int) -> list:
+    """w_1..w_n appended to w = [w_0], where v w' = u'."""
+    for k in range(1, n + 1):
+        acc = _isub(u[k], _weighted(_weights(k, None)[:-1], w, v, k))
+        w.append(_idiv(acc, v[0]))
+    return w
+
+
+def _func_jet(kind: str, u: list, n: int) -> list:
+    a, b = u[0]
+    if kind == "exp":  # w' = u' w
+        lo, hi = _out(math.exp(a), math.exp(b))
+        w = [(max(lo, 0.0), hi)]
+        for k in range(1, n + 1):
+            w.append(_weighted(_weights(k, None), u, w, k))
+        return w
+    if kind == "log":  # u w' = u'
+        if a <= 0.0:
             raise _Uncertified
-        a, b = _enclose(e.num, box)
-        corners = (a / c, a / d, b / c, b / d)
-        return _out(min(corners), max(corners))
+        return _quotient_tail(u, u, [_out(math.log(a), math.log(b))], n)
+    if kind == "sqrt":
+        return _pow_jet(u, Fraction(1, 2), n)
+    if kind in ("sin", "cos"):  # s' = u' c, c' = -u' s
+        s = [_trig(math.sin, math.pi / 2, a, b)]
+        c = [_trig(math.cos, 0.0, a, b)]
+        for k in range(1, n + 1):
+            s.append(_weighted(_weights(k, None), u, c, k))
+            lo, hi = _weighted(_weights(k, None), u, s, k)
+            c.append((-hi, -lo))
+        return s if kind == "sin" else c
+    if kind == "atan":  # increasing, and (1 + u^2) w' = u'
+        w = [_out(math.atan(a), math.atan(b))]
+        if not n:
+            return w
+        v = _cauchy(u, u, n)
+        lo, hi = _iadd(v[0], (1.0, 1.0))
+        v[0] = (max(lo, 1.0), hi)
+        return _quotient_tail(u, v, w, n)
+    raise TypeError(f"unknown function {kind!r}")
+
+
+def _jet(e: Expr, box: Mapping[str, tuple], var, n: int) -> list:
+    kind = type(e)
+    if kind is Add:
+        terms = iter(e.terms)
+        u = _jet(next(terms), box, var, n)
+        for t in terms:
+            u = list(map(_iadd, u, _jet(t, box, var, n)))
+        return u
+    if kind is Mul:
+        factors = iter(e.factors)
+        u = _jet(next(factors), box, var, n)
+        for f in factors:
+            u = _cauchy(u, _jet(f, box, var, n), n)
+        return u
+    if kind is Symbol:
+        if e.name not in box:
+            raise UnboundSymbol(f"symbol {e.name!r} is not bound")
+        lo, hi = box[e.name]
+        u = [(float(lo), float(hi))] + [_NIL] * n
+        if n and e.name == var:
+            u[1] = (1.0, 1.0)
+        return u
+    if kind is Constant:
+        return [_rational(e.value)] + [_NIL] * n
+    if kind is Pow:
+        return _pow_jet(_jet(e.base, box, var, n), e.exponent, n)
+    if kind is Neg:
+        return [(-b, -a) for a, b in _jet(e.arg, box, var, n)]
+    if kind is Div:
+        u, v = _jet(e.num, box, var, n), _jet(e.den, box, var, n)
+        w = []
+        for k in range(n + 1):  # u = v w
+            acc = u[k]
+            for j in range(1, k + 1):
+                acc = _isub(acc, _imul(v[j], w[k - j]))
+            w.append(_idiv(acc, v[0]))
+        return w
     if kind is Func:
-        a, b = _enclose(e.arg, box)
-        if e.kind == "exp":
-            lo, hi = _out(math.exp(a), math.exp(b))
-            return max(lo, 0.0), hi
-        if e.kind == "log":
-            if a <= 0.0:
-                raise _Uncertified
-            return _out(math.log(a), math.log(b))
-        if e.kind == "sqrt":
-            if a < 0.0:
-                raise _Uncertified
-            lo, hi = _out(math.sqrt(a), math.sqrt(b))
-            return max(lo, 0.0), hi
-        if e.kind == "sin":
-            return _trig(math.sin, math.pi / 2, a, b)
-        if e.kind == "cos":
-            return _trig(math.cos, 0.0, a, b)
-        if e.kind == "atan":  # increasing
-            return _out(math.atan(a), math.atan(b))
+        return _func_jet(e.kind, _jet(e.arg, box, var, n), n)
     raise TypeError(f"unknown node {e!r}")
 
 
-def enclose(e: Expr, box: Mapping[str, tuple]) -> tuple | None:
-    """Outward-rounded interval enclosure of e over a box, or None.
+def jet(e: Expr, box: Mapping[str, tuple], var: str | None,
+        order: int) -> list | None:
+    """Outward-rounded interval Taylor coefficients of e in var, or None.
 
     `box` maps each symbol of e to a pair of floats (lo, hi).  The result
-    (lo, hi) contains the exact value of e at every point of the box, and
-    every value ``eval_expr`` returns there.  None means "cannot certify",
-    never "holds": a divisor that may vanish, a fractional power of a
-    possibly negative base, log or sqrt possibly outside its domain, an
-    overflow or a NaN anywhere in the tree.  A symbol outside `box`
-    raises UnboundSymbol.
+    is [u_0, ..., u_order], and each u_k = (lo, hi) contains the exact
+    k-th derivative of e in var over k! at every point of the box; every
+    other symbol (all of them when var is None) enters as a constant
+    interval.  One walk of the tree propagates the coefficients by the
+    standard recurrences of automatic differentiation (Griewank and
+    Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13): the
+    Cauchy product for * and integer powers, u = v w for /, and, for
+    exp, log, sin, cos, atan and a rational power, the linear ODE the
+    function satisfies (w' = u' w for exp, (1 + u^2) w' = u' for atan,
+    u w' = q u' w for u^q).  Every interval operation rounds outwards
+    with `_out`, and a rational exponent that is not a float is bracketed
+    between two.  None means "cannot certify", never "holds": a divisor
+    that may vanish, a fractional power of a possibly negative base (or,
+    beyond order 0, of a base that may be 0), log or sqrt possibly outside
+    its domain, an overflow or a NaN anywhere in the tree.  A symbol
+    outside `box` raises UnboundSymbol.
     """
     try:
-        return _enclose(e, box)
+        return _jet(e, box, var, order)
     except (_Uncertified, ArithmeticError):
         return None
+
+
+def enclose(e: Expr, box: Mapping[str, tuple]) -> tuple | None:
+    """Outward-rounded interval enclosure of e over a box, or None: the
+    order-0 `jet`, in which every symbol of `box` is an interval.  The
+    result (lo, hi) contains the exact value of e at every point of the
+    box, and every value ``eval_expr`` returns there.
+    """
+    u = jet(e, box, None, 0)
+    return None if u is None else u[0]
 
 
 def _fpow(base: float, q: float) -> float:

@@ -17,9 +17,9 @@ from .cubic import OdeSystem2
 from .expr import (
     Add, C, Constant, Div, Expr, ExprError, EvalDomainError, Mul, Neg, Pow,
     Symbol, VarContext, ZERO, _rational_value,
-    add, coefficients_in, differentiate, div, enclose, eval_expr,
-    free_symbols, mul, neg, parse, pow_, simplify, simplify_verdict, sym,
-    to_string, zero_verdict,
+    add, coefficients_in, differentiate, div, eval_expr, free_symbols, jet,
+    mul, neg, parse, pow_, simplify, simplify_verdict, sym, to_string,
+    zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
 from .reports import ConditionCheck, ConditionReport
@@ -353,17 +353,19 @@ def _refusal(cf: CoefficientFn, a: float, b: float) -> str:
     return f"could not certify beta (or beta') finite on [{a:.9g}, {b:.9g}]"
 
 
-def _certify_finite(cf: CoefficientFn, lo: float, hi: float) -> None:
-    """Raise PoleInInterval unless every piece of a depth-first bisection
-    of [lo, hi] has finite enclosures (`expr.enclose`) of beta and beta'."""
-    exprs = (cf.expr, cf.derivative_expr)
-    pieces = [(lo, hi)]
+def _certify_finite(cf: CoefficientFn, lo: float, hi: float) -> int:
+    """The number of pieces of a depth-first bisection of [lo, hi] on each
+    of which the order-1 `expr.jet` of beta, its enclosures of beta and
+    beta', is finite; PoleInInterval where a failing piece is narrower
+    than `_WIDTH_FLOOR` or the bisection needs more than `_PIECE_BUDGET`
+    pieces."""
+    pieces, certified = [(lo, hi)], 0
     for _ in range(_PIECE_BUDGET):
         a, b = pieces.pop()
-        box = {cf.var: (a, b)}
-        if all(enclose(e, box) is not None for e in exprs):
+        if jet(cf.expr, {cf.var: (a, b)}, cf.var, 1) is not None:
+            certified += 1
             if not pieces:
-                return
+                return certified
             continue
         mid = 0.5 * (a + b)
         if b - a < _WIDTH_FLOOR or not a < mid < b:  # or no float between
@@ -372,6 +374,40 @@ def _certify_finite(cf: CoefficientFn, lo: float, hi: float) -> None:
     raise PoleInInterval(
         f"could not certify beta (or beta') finite on [{a:.9g}, {b:.9g}] "
         f"within {_PIECE_BUDGET} pieces")
+
+
+# The opening of `_q3_certificate`'s note, by which a report tells a
+# dimension that interval jets proved.
+Q3_CERTIFICATE = "q = |beta|^(-1/2) is no quadratic"
+
+# Where q''' = 0 is ruled out: points at these fractions of the interval,
+# the midpoint first.  q is even about the midpoint for a beta that is,
+# and then q''' vanishes there.
+_Q3_POINTS = (0.5, 0.25, 0.75)
+
+
+def _q3_certificate(cf: CoefficientFn, lo: float, hi: float,
+                    pieces: int) -> str | None:
+    """A note proving that q = |beta|^(-1/2) is no quadratic, or None: at
+    the first point x0 of `_Q3_POINTS` where the enclosures of beta and
+    of q'''/3! on the box [x0, x0] both exclude 0 (`expr.jet`)."""
+    x = cf.var
+    for f in _Q3_POINTS:
+        x0 = lo + f * (hi - lo)
+        box = {x: (x0, x0)}
+        b = jet(cf.expr, box, x, 0)
+        if b is None or b[0][0] <= 0.0 <= b[0][1]:
+            continue
+        q = jet(pow_(cf.expr if b[0][0] > 0.0 else neg(cf.expr),
+                     Fraction(-1, 2)), box, x, 3)
+        if q is None or q[3][0] <= 0.0 <= q[3][1]:
+            continue
+        return (f"{Q3_CERTIFICATE}: on the box [{x0!r}, "
+                f"{x0!r}], beta lies in [{b[0][0]!r}, {b[0][1]!r}] and "
+                f"q'''/3! in [{q[3][0]!r}, {q[3][1]!r}]; beta and beta' "
+                f"are certified finite on [{lo!r}, {hi!r}] in {pieces} "
+                "piece" + "s" * (pieces > 1))
+    return None
 
 
 def _collocation_rank(cf: CoefficientFn, interval,
@@ -391,23 +427,17 @@ def _collocation_rank(cf: CoefficientFn, interval,
 
     The collocation points are those of a grid of step at most 1e-3 and
     at least 200 steps, computed without building the grid, and they are
-    the only points where beta and beta' are sampled.  A closed-form beta
-    is first certified finite on the whole interval: interval enclosures
-    of beta and beta' must be finite on every piece of a bisection of it.
-    A failing piece narrower than `_WIDTH_FLOOR`, or a bisection longer
-    than `_PIECE_BUDGET` pieces, raises PoleInInterval.  It names a sample
-    of the piece that is not finite or, for a finite but steep beta, says
-    only that beta could not be certified.  A tabulated beta is a cubic
-    spline on finite data, finite on its domain.  A collocation sample
-    that is not finite raises PoleInInterval too.
+    the only points where beta and beta' are sampled.  `classify_beta`
+    certifies a closed-form beta finite on the whole interval before it
+    gets here (`_certify_finite`); a tabulated beta is a cubic spline on
+    finite data, finite on its domain.  A collocation sample that is not
+    finite raises PoleInInterval.
     """
     import numpy as np
 
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     _require_span(lo, hi)
-    if cf.kind == "symbolic":
-        _certify_finite(cf, lo, hi)
     n = int(np.ceil(span / min(1e-3, span / 199.5)))
     idx = np.unique(np.round(np.linspace(0, n, 40)).astype(int))
     h = span / n
@@ -772,6 +802,14 @@ def _constant_case(k: Expr) -> Classification:
                           notes=notes)
 
 
+def _constant_beta(cf: CoefficientFn, seed: int,
+                   ctx: VarContext) -> Classification:
+    """The zero or constant case of a closed-form beta with beta' = 0."""
+    # a CoefficientFn built directly holds beta unsimplified
+    b, verdict = simplify_verdict(cf.expr, seed=seed)
+    return _zero_case(ctx) if verdict.is_zero else _constant_case(b)
+
+
 def _require_span(lo: float, hi: float) -> None:
     """Collocation's shortest interval, which the exact route keeps, so a
     beta classifies on the same intervals whichever route decides it."""
@@ -830,13 +868,37 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     seventh witness is X = p d/dx + (p'/2)(y d/dy + z d/dz).  A tree
     whose N or D would exceed degree `_MAX_DEGREE` takes the next route.
 
-    Any other closed-form beta is decided symbolically when it is zero or
-    constant (a constant that is not rational gets a note instead of
-    witnesses), and otherwise by the collocation rank count of
-    `_collocation_rank`, after interval enclosures of beta and beta' on a
-    bisection of the interval certify it finite; one that cannot be
-    certified raises PoleInInterval.  A tabulated beta goes through
-    collocation too.
+    Any other closed-form beta is first certified finite on the whole
+    interval: the order-1 `expr.jet` of beta, its enclosures of beta and
+    beta', must be finite on every piece of a bisection of it
+    (`_certify_finite`).  A failing piece narrower than `_WIDTH_FLOOR`, or
+    a bisection longer than `_PIECE_BUDGET` pieces, raises PoleInInterval.
+    It names a sample of the piece that is not finite or, for a finite but
+    steep beta, says only that beta could not be certified.
+
+    Then the paper's criterion decides it where an order-3 jet can:
+    `_q3_certificate` looks for a point x0 of `_Q3_POINTS` where the
+    enclosures of beta and of q''' on the box [x0, x0] both exclude 0,
+    with q = |beta|^(-1/2).  Such a box proves 6, and a note records it.
+    The reduced determining equations (see `_collocation_rank`) hold
+    r3 = beta (c1 + c2) and r1 + r2 = 2 (2 beta g3' + beta' g3).  Since
+    beta(x0) != 0, r3 forces c1 + c2 = 0, so g3''' = -2 beta (c1 + c2) = 0
+    and g3 is a quadratic on the whole interval.  Times g3, r1 + r2 = 0
+    reads (beta g3^2)' = 0, so beta g3^2 is a constant K there.  K != 0
+    would keep g3 off 0 on the interval and make q = |g3| / sqrt|K| a
+    quadratic, with q'''(x0) = 0.  So K = 0; beta is continuous and not 0
+    at x0, so g3 vanishes near x0 and, being a quadratic, everywhere.
+    Then r1 = beta (c4 - c3) forces c3 = c4, and what is left is c1, c3
+    and the four initial values of g6'' = -beta g9, g9'' = beta g6: 6
+    dimensions, spanned by the scaling and rotation witnesses and g6, g9.
+    Nothing here needs beta to keep one sign on the interval.
+
+    A closed-form beta that no box decides is decided symbolically when
+    it is zero or constant (a constant that is not rational gets a note
+    instead of witnesses, and one that cannot be certified finite is
+    still a constant), and else by the collocation rank count of
+    `_collocation_rank`.  That covers a beta with q''' = 0, such as
+    `sqrt(2)*x^(-2)`.  A tabulated beta goes through collocation too.
 
     Witnesses are not proved per call.  The scaling and rotation fields
     are proved once per process, symbolically, for an opaque beta = b(x);
@@ -858,13 +920,21 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     cf = CoefficientFn.of(beta)
 
     if cf.kind == "symbolic":
-        if cf.is_constant():
-            # a CoefficientFn built directly holds beta unsimplified
-            b, verdict = simplify_verdict(cf.expr, seed=seed)
-            if verdict.is_zero:
-                return _zero_case(ctx)
-            return _constant_case(b)
+        lo, hi = float(interval[0]), float(interval[1])
+        try:
+            _require_span(lo, hi)
+            pieces = _certify_finite(cf, lo, hi)
+        except (IntervalTooSmall, PoleInInterval):
+            if not cf.is_constant():
+                raise
+            return _constant_beta(cf, seed, ctx)
         wit = _proved_universal_witnesses(ctx)
+        note = _q3_certificate(cf, lo, hi, pieces)
+        if note is not None:
+            return Classification(6, "variable coefficient, 6-dimensional",
+                                  witness=wit or None, notes=(note,))
+        if cf.is_constant():
+            return _constant_beta(cf, seed, ctx)
     else:
         if cf.is_constant(rtol=1e-6):
             if abs(cf.constant_value()) <= 1e-12:

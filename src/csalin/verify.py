@@ -32,7 +32,7 @@ from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
 # re-exported: integrate raises it
 from .numerics import InaccurateIntegration as InaccurateIntegration
 from .reports import ConditionCheck, ConditionReport
-from .symmetry import classify_beta
+from .symmetry import Q3_CERTIFICATE, classify_beta
 
 
 class NonMonotone(ExprError):
@@ -332,7 +332,8 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     vanishes before x = 2, the chain reruns on the first 95% of its safe
     sub-interval and a note names it.  beta is classified on the image of
     the reduction interval under the last rescaling, 2% in from each end:
-    the interval itself where the rescaling is the identity."""
+    the interval itself where the rescaling is the identity.  A dimension
+    that interval jets decided adds their q''' certificate as a note."""
     verdicts = []
     try:
         lf = _target_form(out, case.param_values, seed, verdicts)
@@ -358,6 +359,8 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     pad = 0.02 * (hi - lo)
     cls = classify_beta(beta, (lo + pad, hi - pad), seed=seed)
     notes.append(f"reduced-form coefficient classified as: {cls.case_label}")
+    # a q''' certificate is the whole evidence of a dimension it decides
+    notes += [n for n in cls.notes if n.startswith(Q3_CERTIFICATE)]
     exact = beta.kind == "symbolic" and cls.rank_report is None \
         and _method(verdicts) == "symbolic"
     dim, expected = cls.dimension, case.expected_dimension

@@ -444,6 +444,28 @@ def test_lazy_spline_matches_eager_spline_bit_for_bit():
     assert "_slopes" in c.__dict__
 
 
+def test_scalar_reads_match_array_reads_bit_for_bit():
+    # a float t reads the table's lists with bisect, an array reads numpy:
+    # the same floats, on the 1,601-point a3 of the chain test below, at
+    # knots, midpoints, the ends' neighbours, beyond the ends and between
+    xs = np.linspace(0.0, 2.0, 201)
+    lf = LinearForm("first_order", {
+        "a1": CoefficientFn.tabulated(xs, np.cos(xs) + 1), "a2": "x"})
+    a3 = reduce_24_to_25(lf, (0.3, 1.9)).form["a3"]
+    grid = a3.xs
+    assert a3.kind == "tabulated" and len(grid) == 1601
+    rng = np.random.default_rng(5)
+    probe = np.r_[grid, (grid[1:] + grid[:-1]) / 2,
+                  np.nextafter(grid[[0, -1]], [-np.inf, np.inf]),
+                  grid[0] - 0.25, grid[-1] + 0.25, rng.uniform(0.3, 1.9, 500)]
+    values, slopes = a3.with_derivative(probe)
+    for t, v, s in zip(probe.tolist(), values.tolist(), slopes.tolist()):
+        got = a3.with_derivative(t)
+        assert [type(x) for x in got] == [float, float]
+        assert (got[0].hex(), got[1].hex()) == (v.hex(), s.hex()), t
+    assert a3(1) == a3(1.0)
+
+
 @pytest.mark.parametrize("table", [f"{n}-{grid}" for n in (2, 3, 4, 5, 2001)
                                    for grid in ("uniform", "jittered")]
                          + ["rescaled-X"])

@@ -103,7 +103,7 @@ def test_classify_requires_beta():
 
 
 def test_classify_json_deterministic(capsys):
-    # exp(x) is not rational, so collocation decides it
+    # exp(x) is not rational: a jet proves q''' != 0, and a note says where
     assert main(["--json", "classify", "--beta", "exp(x)"]) == 0
     first = capsys.readouterr().out
     assert main(["--json", "classify", "--beta", "exp(x)"]) == 0
@@ -112,8 +112,19 @@ def test_classify_json_deterministic(capsys):
     doc = json.loads(first)
     assert doc["schema_version"] == 2
     assert doc["dimension"] == 6
+    assert "rank" not in doc and "svd_cutoff" not in doc
+    assert doc["notes"][0].startswith("q = |beta|^(-1/2) is no quadratic: "
+                                      "on the box [1.75, 1.75], beta lies in")
+
+
+def test_classify_json_of_a_collocation_rank(capsys):
+    # q = 2^(-1/4) x has q''' = 0, so collocation decides this beta
+    assert main(["--json", "classify", "--beta", "sqrt(2)*x^(-2)"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dimension"] == 7
     assert doc["rank"] == 11 - doc["dimension"]
     assert doc["svd_cutoff"] == 1e-8
+    assert doc["notes"] == []
 
 
 def test_classify_json_of_a_rational_beta_is_exact(capsys):
@@ -126,6 +137,7 @@ def test_classify_json_of_a_rational_beta_is_exact(capsys):
     assert doc["dimension"] == 7
     assert doc["witness_count"] == 3
     assert "rank" not in doc and "svd_cutoff" not in doc
+    assert doc["notes"][0].startswith("decided exactly over Q[x]: ")
 
 
 def test_json_output_round_trips_byte_stable(tmp_path, capsys):
@@ -319,7 +331,7 @@ def test_tol_outside_the_unit_interval_exit_two(tol, capsys):
 
 def test_tol_reaches_the_svd_cutoff(capsys):
     assert main(["--json", "--tol", "1e-6", "classify", "--beta",
-                 "exp(x)"]) == 0
+                 "sqrt(2)*x^(-2)"]) == 0
     assert json.loads(capsys.readouterr().out)["svd_cutoff"] == 1e-6
 
 

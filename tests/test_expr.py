@@ -19,7 +19,8 @@ from csalin.expr import (
     Expr, ExprError, Func, Mul, Neg, NotPolynomial, ParseError, Pow, Symbol,
     UnboundSymbol, UndeclaredSymbol, VarContext, ZERO, add, coefficients_in,
     collect, compile_rows, cos, differentiate, div, emit_code, enclose,
-    eval_expr, exp, free_symbols, log, mul, neg, normalize, parse, pow_,
+    eval_expr, exp, free_symbols, jet, log, mul, neg, normalize, parse,
+    pow_,
     TooDeep, complex_parts, rewrite_subterms, simplify, simplify_verdict,
     atan, sin, sqrt, substitute, sym, to_string, zero_verdict,
 )
@@ -1088,6 +1089,110 @@ def test_atan_enclosure_contains_the_samples(lo, hi):
     for _ in range(200):
         pt = {v: rng.uniform(*box[v]) for v in VARS}
         assert a <= eval_expr(e, pt) <= b
+
+
+# ---------------------------------------------------------------------------
+# interval Taylor jets
+
+
+def _mp(e, point):
+    """e at a point, in mpmath at its working precision."""
+    import mpmath
+
+    kind = type(e)
+    if kind is Constant:
+        return mpmath.mpf(e.value.numerator) / e.value.denominator
+    if kind is Symbol:
+        return mpmath.mpf(point[e.name])
+    if kind is Add:
+        return mpmath.fsum(_mp(t, point) for t in e.terms)
+    if kind is Mul:
+        return mpmath.fprod(_mp(f, point) for f in e.factors)
+    if kind is Neg:
+        return -_mp(e.arg, point)
+    if kind is Div:
+        return _mp(e.num, point) / _mp(e.den, point)
+    if kind is Pow:
+        q = e.exponent
+        base = _mp(e.base, point)
+        return base ** q.numerator if q.denominator == 1 else \
+            mpmath.power(base, mpmath.mpf(q.numerator) / q.denominator)
+    return getattr(mpmath, e.kind)(_mp(e.arg, point))
+
+
+_JET_CORPUS = corpus(60, seed=7) + [parse(t, CTX) for t in _ATAN_TEXTS] + [
+    parse(t, CTX) for t in ("x^(1/3)*y", "(x + y)^(-3/7)", "x^(-2)*z",
+                            "sqrt(x)*log(x)", "(x - 1)^2", "x^0*y",
+                            "sin(x)*cos(2*x - y)", "cos(x^2)/(2 + sin(z*x))")]
+
+
+@pytest.mark.parametrize("i", range(len(_JET_CORPUS)))
+def test_jet_contains_the_50_digit_taylor_coefficients(i):
+    # order k encloses differentiate^k / k! at each corner of the box, in
+    # each variable in turn, the others constant intervals; mpmath
+    # evaluates the exact derivative at those floats to 50 digits
+    import mpmath
+
+    e = _JET_CORPUS[i]
+    rng = random.Random(i)
+    ends = [sorted((rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)))
+            for _ in VARS]
+    boxes = ({v: (lo, lo + 1e-3) for v, (lo, _) in zip(VARS, ends)},
+             {v: (lo, hi) for v, (lo, hi) in zip(VARS, ends)})
+    for var in VARS:
+        derivs = [e]
+        for _ in range(3):
+            derivs.append(differentiate(derivs[-1], var))
+        for box in boxes:
+            got = jet(e, box, var, 3)
+            assert got is not None, (to_string(e), box)
+            with mpmath.workdps(50):
+                for corner in range(8):
+                    point = {v: box[v][corner >> k & 1]
+                             for k, v in enumerate(VARS)}
+                    for k, d in enumerate(derivs):
+                        want = _mp(d, point) / math.factorial(k)
+                        lo, hi = got[k]
+                        assert lo <= want <= hi, (to_string(e), var, k)
+
+
+def test_jet_order_0_is_enclose_and_the_variable_is_exact():
+    # the higher coefficients of a constant and of x stay exact zeros and
+    # ones, and every other symbol of the box is a constant interval
+    box = {"x": (0.5, 2.0), "y": (1.0, 3.0)}
+    for e in _JET_CORPUS[:20]:
+        b3 = {**box, "z": (0.2, 0.3)}
+        got = jet(e, b3, "x", 3)
+        assert got is None or got[0] == enclose(e, b3)
+    assert jet(parse("x", CTX), box, "x", 3) == [
+        (0.5, 2.0), (1.0, 1.0), (0.0, 0.0), (0.0, 0.0)]
+    assert jet(parse("y", CTX), box, "x", 2) == [
+        (1.0, 3.0), (0.0, 0.0), (0.0, 0.0)]
+    assert jet(parse("x", CTX), box, None, 1) == [(0.5, 2.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("text,lo,hi", [
+    ("sqrt(x)", 0.0, 1.0),          # sqrt' is unbounded at 0
+    ("x^(1/3)", 0.0, 1.0),
+    ("log(x - 1)", 0.5, 2.0),
+    ("1/(x - 1)", 0.5, 1.5),
+    ("exp(x^2)", 20.0, 27.0),       # exp(x^2) overflows near x = 26.6
+])
+def test_jet_cannot_certify(text, lo, hi):
+    assert jet(parse(text, CTX), {"x": (lo, hi)}, "x", 3) is None
+    # order 0 of a fractional power at 0 is fine; its derivative is not
+    assert (jet(parse(text, CTX), {"x": (lo, hi)}, "x", 0) is None) == \
+        (text not in ("sqrt(x)", "x^(1/3)"))
+
+
+def test_jet_of_an_integer_power_spans_zero():
+    # powers multiply out, so 0 in the base's range is fine: each
+    # coefficient's range over the box (x^3, 3 x^2, 3 x, 1) lies inside
+    got = jet(parse("x^3", CTX), {"x": (-1.0, 2.0)}, "x", 3)
+    want = [(-1.0, 8.0), (0.0, 12.0), (-3.0, 6.0), (1.0, 1.0)]
+    for (a, b), (c, d) in zip(got, want):
+        assert a <= c and d <= b
+    assert got[0] == enclose(parse("x^3", CTX), {"x": (-1.0, 2.0)})
 
 
 def test_coefficients_in_and_degree():

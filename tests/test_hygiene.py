@@ -132,7 +132,7 @@ def test_emitted_sums_are_plain_additions():
 @pytest.mark.parametrize("case_id,compiles", [
     (1, {"_fuse": 1, "compile_rows": 2}),
     (2, {"_fuse": 1, "compile_rows": 2}),
-    (3, {"_fuse": 1, "compile_rows": 3}),
+    (3, {"_fuse": 1, "compile_rows": 2}),
     (4, {"_fuse": 1, "compile_rows": 2}),
 ])
 def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
@@ -142,8 +142,8 @@ def test_generated_code_compiles_per_worked_example(monkeypatch, case_id,
     # nothing: its polynomial a1, a2 take the closed-form M, and a3, a4
     # are closed-form expressions.  The constant a3 of reduce_25_to_28
     # takes a closed form too, no RK4 loop, and so does beta: example 4's
-    # is rational and decided exactly, and only example 3's collocation
-    # samples its beta, with one row loop.
+    # is rational and decided exactly, and example 3's by interval jets,
+    # so no beta is sampled.
     import builtins
     from collections import Counter
 
@@ -248,8 +248,9 @@ _GEODESIC = {"omega1": "-dy^2 + dz^2 - (2/x)*dy",
     (["classify", "--beta", "2/3"], None),
     (["classify", "--beta", "3*x^(-2)"], None),
     (["classify", "--beta", "(x+2)/(x^2+1)"], None),
+    (["classify", "--beta", "exp(x)"], None),
 ], ids=["check", "transform", "verify-symmetry", "classify-constant",
-        "classify-inverse-square", "classify-rational"])
+        "classify-inverse-square", "classify-rational", "classify-jet"])
 def test_symbolic_subcommands_leave_numpy_unloaded(tmp_path, args, doc):
     if doc is not None:
         path = tmp_path / "problem.json"

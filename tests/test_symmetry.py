@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -384,6 +386,75 @@ def test_the_exact_route_agrees_with_collocation(beta, dim):
     assert cls.dimension == 11 - oracle.rank == dim
 
 
+def _beta_fixed() -> list:
+    """The fixed betas of the benchmark's beta_corpus workload."""
+    path = HERE.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BETA_FIXED
+
+
+_CLOSED_FORMS = list(dict.fromkeys(
+    (b, d) for b, d in BETA_CORPUS + _beta_fixed() + _SEEDED if d != 15))
+
+
+@pytest.mark.parametrize("beta,dim", _CLOSED_FORMS)
+def test_the_jet_route_agrees_with_collocation(beta, dim):
+    # forced collocation is the oracle of the q''' certificate, on every
+    # closed-form beta of the corpus, the benchmark and seeds 0-19: a
+    # certificate for exactly the sixes, whatever route classify_beta takes
+    cf = CoefficientFn.of(beta)
+    pieces = symmetry._certify_finite(cf, 0.5, 3.0)
+    note = symmetry._q3_certificate(cf, 0.5, 3.0, pieces)
+    oracle = symmetry._collocation_rank(cf, (0.5, 3.0), 1e-8)
+    assert 11 - oracle.rank == dim
+    assert (note is not None) == (dim == 6)
+    assert classify_beta(beta).dimension == dim
+
+
+@pytest.mark.parametrize("beta", ["exp(x)", "sin(x)", "exp(-x^2)",
+                                  "sqrt(4-x)"])
+def test_a_closed_form_six_is_decided_by_its_jet(beta, monkeypatch):
+    # no derivative expression, no constancy test and no collocation
+    monkeypatch.setattr(symmetry, "_collocation_rank", None)
+    monkeypatch.setattr(CoefficientFn, "is_constant", None)
+    cls = classify_beta(beta)
+    assert (cls.dimension, cls.rank_report) == (6, None)
+    assert len(cls.witness) == 2
+    assert cls.notes[0].startswith(
+        "q = |beta|^(-1/2) is no quadratic: on the box [1.75, 1.75], beta "
+        "lies in [")
+    assert cls.notes[0].endswith(
+        "beta and beta' are certified finite on [0.5, 3.0] in 1 piece")
+
+
+def test_sin_on_an_interval_where_it_changes_sign_reads_6():
+    # sin(x) is 0 at pi: the proof needs beta != 0 at the box only
+    cls = classify_beta("sin(x)", interval=(0.5, 5.0))
+    assert (cls.dimension, cls.rank_report) == (6, None)
+    assert "on the box [2.75, 2.75]" in cls.notes[0]
+
+
+@pytest.mark.parametrize("beta", ["sqrt(2)*x^(-2)", "exp(-2*log(x))"])
+def test_a_seven_that_is_not_rational_falls_back_to_collocation(beta):
+    # q = 2^(-1/4) x and q = x: q''' = 0, so no box certifies anything
+    cls = classify_beta(beta)
+    assert cls.dimension == 7 and cls.rank_report is not None
+    assert cls.notes == ()
+
+
+def test_a_constant_that_cannot_be_certified_finite_reads_7():
+    # exp(1000) overflows, so the bisection fails; beta' = 0 still decides
+    beta = CoefficientFn("symbolic", expr=parse("sqrt(2)*exp(x)/exp(x)",
+                                                CTX))
+    cls = classify_beta(beta, interval=(0.5, 1000.0))
+    assert (cls.dimension, cls.case_label) == (
+        7, "nonzero constant coefficient")
+    with pytest.raises(PoleInInterval, match="not finite"):
+        classify_beta("sqrt(2)*exp(x)", interval=(0.5, 1000.0))
+
+
 @pytest.mark.parametrize("beta", [
     b for b, d in BETA_CORPUS if d == 7 and _rational(b) and "x" in b])
 def test_a_rational_seven_has_three_symbolic_witnesses(beta):
@@ -396,9 +467,10 @@ def test_a_rational_seven_has_three_symbolic_witnesses(beta):
         assert all(c.method == "symbolic" for c in rep.checks)
 
 
-def test_a_high_degree_rational_beta_keeps_collocation(monkeypatch):
+def test_a_high_degree_rational_beta_takes_the_next_route(monkeypatch):
     # (x+1)^(-400) would build a degree-400 denominator: the exact route
-    # refuses it before any polynomial product, and collocation decides
+    # refuses it before any polynomial product, and the jet route proves
+    # q''' != 0 for q = (x+1)^200
     products = []
     real = symmetry._pmul
 
@@ -409,7 +481,8 @@ def test_a_high_degree_rational_beta_keeps_collocation(monkeypatch):
     monkeypatch.setattr(symmetry, "_pmul", counting)
     cls = classify_beta("(x+1)^(-400)")
     assert products == []
-    assert cls.dimension == 6 and cls.rank_report is not None
+    assert cls.dimension == 6 and cls.rank_report is None
+    assert "q'''/3! in [" in cls.notes[0]
 
 
 @pytest.mark.parametrize("beta,dim,num,den", [

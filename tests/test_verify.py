@@ -556,20 +556,24 @@ def test_example_dimension_under_each_variant(case_id, values, label):
     # a constant a3 (examples 2 and 4, and 3 at unit values) ends in a
     # closed-form beta, classified on the image of the reduction interval:
     # 2 and 4 are rational and decided exactly (with c1 = c2, example 2's
-    # a3 is 0 and beta the constant c1^2/2); example 3's beta holds atan or
-    # is a table, and takes collocation.  A retry note names where rho
-    # crosses zero and the safe sub-interval the chain reran on
+    # a3 is 0 and beta the constant c1^2/2); example 3's beta holds atan,
+    # and a jet of |beta|^(-1/2) decides it, or is a table, and takes
+    # collocation.  A retry note names where rho crosses zero and the safe
+    # sub-interval the chain reran on
     case = example_case(case_id)
     case.param_values = values
     dim, check, notes = _dimension(case)
     want = 6 if case_id == 3 else 7
     assert (dim, check.holds) == (want, True)
-    assert check.method == ("numeric" if case_id == 3 else "symbolic")
+    table = case_id == 3 and label != "unit"
+    assert check.method == ("numeric" if table else "symbolic")
     retry = _RETRIES.get((case_id, label))
     classified = "reduced-form coefficient classified as: nonzero " \
         "constant coefficient" if (case_id, label) == (2, "unit") \
         else f"{_CLASSIFIED}{want}-dimensional"
-    assert notes == [retry] * (retry is not None) + [classified]
+    proof = [n for n in notes if n.startswith("q = |beta|^(-1/2) is no ")]
+    assert len(proof) == (case_id == 3 and not table)
+    assert notes == [retry] * (retry is not None) + [classified] + proof
 
 
 def test_example_4_is_decided_exactly():
