@@ -9,21 +9,25 @@ with its own source tree, is then the identity check:
 
     PYTHONPATH=src python scripts/record_outputs.py > outputs.txt
 
-The records are run_example(1..4).to_dict(); the trajectories of the four
-worked examples (``integrate`` and ``map_trajectory`` at the step from the
-error budget, and ``integrate`` at a fixed h = 1e-3); the forms and
-tables of reduce_24_to_25 and reduce_25_to_28 along hand-written chains
-from the examples' linear forms, a reference independent of run_example,
-which reads its forms off the transformed targets; of reduce_optimal on
-a general form, of two reductions that fail and of three that take a
-closed form (a constant a3, one crossing zero, a polynomial a1);
-classify_beta over
-`tests/beta_corpus.py`; the transform_system right-hand sides of the four
+The records are run_example(1..4).to_dict(); the trajectories of the
+four worked examples (``integrate`` and ``map_trajectory`` at the step
+from the error budget, and ``integrate`` at a fixed h = 1e-3); the forms
+and tables of reduce_24_to_25 and reduce_25_to_28 along hand-written
+chains from the examples' linear forms, a reference independent of
+run_example, which reads its forms off the transformed targets; of
+reduce_optimal on a general form, of two reductions that fail and of
+three that take a closed form (a constant a3, one crossing zero, a
+polynomial a1); classify_beta over `tests/beta_corpus.py`; the tabulated
+beta over X of a3 = x/4, a4 = 1 on [0.5, 2], classified by collocation
+and read at a float and at an array; the dimension of example 3's
+transformed target at (c1, c2) = (2, 1), where beta is a table, and at
+(1, 2), where rho crosses zero and the chain reruns on the safe
+sub-interval; the transform_system right-hand sides of the four
 examples, and of the four systems (one not CR) under the twelve maps of
-`tests/transform_corpus.py`, four of which are refused; simplify of a few sin and cos
-powers, so that a change of the kernel's normal form shows in the diff;
-and attempt_linear_equivalence over a fixed list of constant optimal /
-zero_order or reduced pairs.
+`tests/transform_corpus.py`, four of which are refused; simplify of a
+few sin and cos powers, so that a change of the kernel's normal form
+shows in the diff; and attempt_linear_equivalence over a fixed list of
+constant optimal / zero_order or reduced pairs.
 """
 
 import hashlib
@@ -40,7 +44,9 @@ from csalin.canon import (
 )
 from csalin.expr import ExprError, VarContext, parse, simplify, to_string
 from csalin.symmetry import classify_beta
-from csalin.verify import example_case, integrate, map_trajectory, run_example
+from csalin.verify import (
+    _example_dimension, example_case, integrate, map_trajectory, run_example,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from beta_corpus import BETA_CORPUS  # noqa: E402
@@ -116,8 +122,8 @@ def zero_order(a3, a4) -> LinearForm:
     return LinearForm("zero_order", {"a3": a3, "a4": a4})
 
 
-def classification(beta: str) -> dict:
-    cls = classify_beta(beta)
+def classification(beta, *interval) -> dict:
+    cls = classify_beta(beta, *interval)
     r = cls.rank_report
     out = {"dimension": cls.dimension, "label": cls.case_label,
            "notes": cls.notes, "witness_count": len(cls.witness or ()),
@@ -126,6 +132,11 @@ def classification(beta: str) -> dict:
         out.update(shape=r.shape, singular_values=r.singular_values,
                    rank=r.rank, cutoff=r.cutoff)
     return out
+
+
+def _dimension_record(case, out) -> dict:
+    dim, check, notes = _example_dimension(case, out, 0)
+    return {"dimension": dim, "check": check.to_dict(), "notes": notes}
 
 
 def transformed(system: tuple, xyz: tuple, inverse: dict | None) -> dict:
@@ -207,6 +218,22 @@ def main() -> int:
 
     for beta, _ in BETA_CORPUS:
         record(f"classify_beta {beta}", lambda: classification(beta))
+    # a table is an output of the chain: beta over X, and its spline read
+    # at a float and at an array
+    table = reduce_25_to_28(zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
+    lo, hi = table.domain
+    record("classify_beta of the table of a3 = x/4",
+           lambda: classification(table, (lo + 0.03, hi - 0.03)))
+    record("table of a3 = x/4 at a float",
+           lambda: table.with_derivative(0.5 * (lo + hi)))
+    record("table of a3 = x/4 at an array",
+           lambda: table.with_derivative(np.linspace(lo, hi, 37)))
+    for c1, c2 in ((2.0, 1.0), (1.0, 2.0)):
+        case = example_case(3)
+        case.param_values = {"c1": c1, "c2": c2}
+        out = transform_system(case.system, case.transformation)
+        record(f"_example_dimension 3 at c1 = {c1}, c2 = {c2}",
+               lambda: _dimension_record(case, out))
 
     for i in (1, 2, 3, 4):
         case = example_case(i)

@@ -9,7 +9,6 @@ constant forms u'' = A u, v'' = B v under u = P v as similarity of A, B.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -20,7 +19,7 @@ from typing import TYPE_CHECKING
 from .csa import check_cr
 from .cubic import OdeSystem2
 from .expr import (
-    C, Expr, ExprError, NotPolynomial, VarContext, ZERO,
+    C, Expr, ExprError, NotPolynomial, VarContext, ZERO, ZeroVerdict,
     add, atan, coefficients_in, complex_parts, compile_rows, cos,
     differentiate, div, eval_expr, exp, _rational_value, free_symbols, log,
     mul, parse, pow_, sin, simplify, simplify_verdict, substitute,
@@ -392,28 +391,14 @@ def _spline(xs, ys, slopes, t) -> tuple:
     import numpy as np
 
     i = np.searchsorted(xs[1:-1], t, side="right")  # the piece holding t
-    value, slope = _piece(xs, ys, slopes, i, np.asarray(t, float))
-    return (value, slope) if np.ndim(t) else (float(value), float(slope))
-
-
-def _spline_at(knots: tuple, t: float) -> tuple:
-    """`_spline` at a float t, on knots (xs, ys, slopes) held as lists of
-    floats: the same float operations, so the same floats, without numpy's
-    per-scalar overhead."""
-    xs, ys, slopes = knots
-    i = bisect.bisect_right(xs, t, 1, len(xs) - 1) - 1
-    return _piece(xs, ys, slopes, i, t)
-
-
-def _piece(xs, ys, slopes, i, t) -> tuple:
-    """(value, slope) at t of the cubic piece i: floats or arrays alike."""
     h, y0, s0 = xs[i + 1] - xs[i], ys[i], slopes[i]
     m = (ys[i + 1] - y0) / h
     bend = (s0 + slopes[i + 1] - 2.0 * m) / h
-    c3, c2, d = bend / h, (m - s0) / h - bend, t - xs[i]
+    c3, c2 = bend / h, (m - s0) / h - bend
+    d = np.asarray(t, float) - xs[i]
     value = ((c3 * d + c2) * d + s0) * d + y0
     slope = (3.0 * c3 * d + 2.0 * c2) * d + s0
-    return value, slope
+    return (value, slope) if np.ndim(t) else (float(value), float(slope))
 
 
 @dataclass(eq=False)
@@ -421,9 +406,10 @@ class CoefficientFn:
     """A scalar coefficient, either a closed-form expression in the
     independent variable or a tabulated grid with cubic interpolation.
 
-    A tabulated coefficient copies its grid and values and checks them
-    here, but solves for its not-a-knot spline's slopes (`_knot_slopes`)
-    on first evaluation: code that only reports the table pays nothing.
+    Tables are outputs of the reduction chain, never its inputs.  A table
+    copies its grid and values and checks them here, but solves for its
+    not-a-knot spline's slopes (`_knot_slopes`) on first evaluation: code
+    that only reports the table pays nothing.
     """
 
     kind: str  # "symbolic" | "tabulated"
@@ -466,11 +452,6 @@ class CoefficientFn:
     @functools.cached_property
     def _slopes(self):
         return _knot_slopes(self.xs, self.values)
-
-    @functools.cached_property
-    def _knots(self) -> tuple:
-        """The table as lists of floats, which a read at a float takes."""
-        return self.xs.tolist(), self.values.tolist(), self._slopes.tolist()
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -522,9 +503,7 @@ class CoefficientFn:
         the order of `orders`: floats at a scalar t, else arrays (a table
         keeps t's shape, a closed form flattens it)."""
         if self.kind == "tabulated":
-            both = _spline_at(self._knots, float(t)) \
-                if isinstance(t, (int, float)) else \
-                _spline(self.xs, self.values, self._slopes, t)
+            both = _spline(self.xs, self.values, self._slopes, t)
             return [both[k] for k in orders]
         rows = self._rows.get(orders)
         if rows is None:
@@ -539,21 +518,23 @@ class CoefficientFn:
         return [col[0] for col in rows([float(t)])]
 
     @property
-    def domain(self) -> tuple | None:
-        if self.kind == "tabulated":
-            return (float(self.xs[0]), float(self.xs[-1]))
-        return None
+    def domain(self) -> tuple:
+        """The ends of a table's grid."""
+        return (float(self.xs[0]), float(self.xs[-1]))
 
-    def is_constant(self, rtol: float = 1e-8) -> bool:
+    def is_constant(self, rtol: float = 1e-8) -> ZeroVerdict:
+        """Whether the coefficient is constant, as a ZeroVerdict of its
+        derivative; a table's spread within rtol is a "numeric" one."""
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
-                return True
+                return ZeroVerdict(True, "symbolic")
             # one canonical pass gives the derivative and its verdict
             d, verdict = simplify_verdict(differentiate(self.expr, self.var))
             self.__dict__["derivative_expr"] = d
-            return bool(verdict.is_zero)
+            return verdict
         spread = float(self.values.max() - self.values.min())
-        return spread <= rtol * (1.0 + float(abs(self.values).max()))
+        return ZeroVerdict(
+            spread <= rtol * (1.0 + float(abs(self.values).max())), "numeric")
 
     def constant_value(self) -> float:
         if self.kind == "symbolic":
@@ -610,34 +591,25 @@ class LinearForm:
 # reductions
 
 
-def _check_tables(lf: LinearForm, interval: tuple):
-    """Raise PoleInInterval where the interval leaves the table of a
-    tabulated coefficient, which a spline would silently extrapolate.  One
-    ulp of slack at each end admits a table built on an RK4 grid, whose
-    last point can miss the interval's end by an ulp."""
-    t0, t1 = interval
+# the largest RK4 step a reduction takes; rk4_checked refines it to meet
+# its error budget
+REDUCTION_STEP = 1e-3
+
+
+def _refuse_tables(lf: LinearForm) -> None:
+    """Refuse a tabulated coefficient: tables are what the chain outputs
+    (rho, X, M and the rescaled coefficients), never what it reduces."""
     for name, c in lf.coeffs.items():
-        lo, hi = c.domain or (-math.inf, math.inf)
-        if t0 < math.nextafter(lo, -math.inf) or \
-                t1 > math.nextafter(hi, math.inf):
-            raise PoleInInterval(
-                f"coefficient {name} is tabulated on [{lo:.6g}, {hi:.6g}] "
-                f"only, not on [{t0:.6g}, {t1:.6g}]")
+        if c.kind != "symbolic":
+            raise ValueError(f"coefficient {name} is tabulated; a reduction "
+                             "takes closed-form coefficients only")
 
 
 def _field_inputs(*coeffs) -> tuple:
     """(symbols, values) of a Field whose value v<i> is coeffs[i] at the
-    stage time: a symbolic coefficient's expression in its variable bound
-    to the stage time, or a symbol bound to a tabulated coefficient."""
-    symbols, values = {}, []
-    for i, c in enumerate(coeffs):
-        if c.kind == "symbolic":
-            symbols[c.var] = "t"
-            values.append(c.expr)
-        else:
-            symbols[f"table {i}"] = c
-            values.append(sym(f"table {i}"))
-    return symbols, tuple(values)
+    stage time: each expression with its variable bound to the stage
+    time."""
+    return {c.var: "t" for c in coeffs}, tuple(c.expr for c in coeffs)
 
 
 def _forwards(interval: tuple) -> None:
@@ -734,17 +706,16 @@ def _closed_form_coefficient(c: CoefficientFn, a: Expr, k: float,
 
 
 def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
-             a: Expr | None, coeffs: dict, interval: tuple,
-             h: float) -> RescaledForm:
+             a: Expr, coeffs: dict, interval: tuple) -> RescaledForm:
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and rewrite each rho^4 * coeffs[name](t) over X as a `kind` form.
     Where a is a constant k != 0, rho and X take their closed form on
-    rk4_checked's grid of h, and so does each symbolic coefficient (see
-    `_closed_form_coefficient`); else RK4 integrates them at a step of at
-    most h, with a_code computing a(t) from the values v0, v1, ... of the
-    coefficients a_inputs.  Every other coefficient is tabulated over X,
-    and the tables carry the step of the run kept.
+    rk4_checked's grid of REDUCTION_STEP, and so does each coefficient
+    (see `_closed_form_coefficient`); else RK4 integrates them at a step
+    of at most REDUCTION_STEP, with a_code computing a(t) from the values
+    v0, v1, ... of the coefficients a_inputs, and each coefficient is
+    tabulated over X.  The tables carry the step of the run kept.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
@@ -752,7 +723,8 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     """
     _forwards(interval)
     t0, t1 = interval
-    k = None if a is None else _finite_constant(a)
+    k = _finite_constant(a)
+    h = REDUCTION_STEP
     if k:
         ts = checked_grid(t0, t1, h)
         rho, xs, (rho_src, x_src) = _constant_rho(k, a_label, ts)
@@ -780,8 +752,7 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     quart = rho ** 4
     src = f"{rho_src}; coefficients times rho^4 on {x_src}"
     form = LinearForm(kind, {
-        name: _closed_form_coefficient(c, a, k, t0)
-        if k and c.kind == "symbolic" else
+        name: _closed_form_coefficient(c, a, k, t0) if k else
         CoefficientFn.tabulated(xs, quart * c(ts), src, h, err)
         for name, c in coeffs.items()})
     rho_fn = CoefficientFn.tabulated(ts, rho, rho_src, h, err)
@@ -789,58 +760,53 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     return RescaledForm(form, rho_fn, new_var, err, route)
 
 
-def reduce_optimal(lf: LinearForm, interval: tuple,
-                   h: float = 1e-3) -> RescaledForm:
+def reduce_optimal(lf: LinearForm, interval: tuple) -> RescaledForm:
     """Rescale a general linear system to its trace-free optimal form.
 
     The rescaling function solves rho'' = ((d11+d22)/2) rho with
     rho(x0) = 1, rho'(x0) = 0, and the new independent variable is the
-    integral of rho^-2 pinned to agree with the old one at x0.
+    integral of rho^-2 pinned to agree with the old one at x0.  Every
+    coefficient must be closed-form (ValueError otherwise).
     """
     if lf.kind != "general":
         raise ValueError("reduce_optimal expects a general-kind form")
-    _check_tables(lf, interval)
+    _refuse_tables(lf)
     d11, d12 = lf["d11"], lf["d12"]
     d21, d22 = lf["d21"], lf["d22"]
 
     half = C(Fraction(1, 2))
     # the coefficient a = (d11 + d22)/2 of rho'' = a rho
-    a = dt11 = None
-    if d11.kind == d22.kind == "symbolic":
-        a = simplify(mul(half, d11.expr + d22.expr))
-        dt11 = CoefficientFn.symbolic(
-            simplify(mul(half, d11.expr - d22.expr)), var=d11.var)
+    a = simplify(mul(half, d11.expr + d22.expr))
+    dt11 = CoefficientFn.symbolic(
+        simplify(mul(half, d11.expr - d22.expr)), var=d11.var)
     coeffs = {"dt11": dt11, "dt12": d12, "dt21": d21}
-    if a is not None and zero_verdict(a).is_zero:
-        # rho stays at 1 and the off-diagonal coefficients pass through,
-        # tabulated or not
+    if zero_verdict(a).is_zero:
+        # rho stays at 1 and the off-diagonal coefficients pass through
         return _identity_rescaling(LinearForm("optimal", coeffs))
-    if a is None or not _finite_constant(a):
+    if not _finite_constant(a):
         # RK4's table of dt11 comes from the values of d11 and d22
         coeffs["dt11"] = lambda t: 0.5 * (d11(t) - d22(t))
     return _rescale("optimal", (d11, d22), "0.5 * (v0 + v1)",
-                    "((d11+d22)/2)", a, coeffs, interval, h)
+                    "((d11+d22)/2)", a, coeffs, interval)
 
 
-def reduce_25_to_28(lf: LinearForm, interval: tuple,
-                    h: float = 1e-3) -> RescaledForm:
+def reduce_25_to_28(lf: LinearForm, interval: tuple) -> RescaledForm:
     """Reduce the undifferentiated-coupling form to the single-coefficient
     reduced form: rho'' = a3 rho, beta = rho^4 a4 on the rescaled variable.
+    a3 and a4 must be closed-form (ValueError otherwise).
     """
     if lf.kind != "zero_order":
         raise ValueError("reduce_25_to_28 expects a zero_order-kind form")
-    _check_tables(lf, interval)
+    _refuse_tables(lf)
     a3, a4 = lf["a3"], lf["a4"]
 
-    if a3.kind == "symbolic" and zero_verdict(a3.expr).is_zero:
+    if zero_verdict(a3.expr).is_zero:
         # rho stays at 1 and the variable change is the identity
-        beta = CoefficientFn.symbolic(a4.expr, var=a4.var) \
-            if a4.kind == "symbolic" else a4
+        beta = CoefficientFn.symbolic(a4.expr, var=a4.var)
         return _identity_rescaling(LinearForm("reduced", {"beta": beta}))
 
-    return _rescale("reduced", (a3,), "v0", "a3",
-                    a3.expr if a3.kind == "symbolic" else None,
-                    {"beta": a4}, interval, h)
+    return _rescale("reduced", (a3,), "v0", "a3", a3.expr, {"beta": a4},
+                    interval)
 
 
 @dataclass(eq=False)
@@ -854,10 +820,8 @@ class FirstOrderReduction:
 
 
 def _polynomial(c: CoefficientFn) -> list | None:
-    """[c0, c1, ...] of a symbolic coefficient c0 + c1 x + ... with finite
-    numeric c_k, else None."""
-    if c.kind != "symbolic":
-        return None
+    """[c0, c1, ...] of a coefficient c0 + c1 x + ... with finite numeric
+    c_k, else None."""
     try:
         groups = coefficients_in(c.expr, [c.var])
     except NotPolynomial:
@@ -894,44 +858,26 @@ def _exp_half_integral(c1: list, c2: list, ts) -> tuple:
         return scale * np.cos(half_b), scale * np.sin(half_b)
 
 
-def _spline_errors(c: CoefficientFn, ts, values, slopes) -> tuple:
-    """Step-doubling estimates of the errors of `values` and `slopes`, a
-    tabulated c's spline values and slopes on ts: their pointwise
-    differences from those of the spline through every second table point
-    (the last point kept); (0.0, 0.0) for a closed form."""
-    if c.kind == "symbolic":
-        return 0.0, 0.0
-    import numpy as np
-
-    keep = np.r_[0:len(c.xs) - 1:2, len(c.xs) - 1]
-    xs, ys = c.xs[keep], c.values[keep]
-    value, slope = _spline(xs, ys, _knot_slopes(xs, ys), ts)
-    return np.abs(values - value), np.abs(slopes - slope)
-
-
-def reduce_24_to_25(lf: LinearForm, interval: tuple,
-                    h: float = 1e-3) -> FirstOrderReduction:
+def reduce_24_to_25(lf: LinearForm, interval: tuple) -> FirstOrderReduction:
     """Trade first-derivative coupling for undifferentiated coupling.
 
     The rescaling u = M v with M' = zeta M / 2, zeta = a1 + i a2 and
     M(x0) = 1, turns u'' = zeta u' into v'' = (zeta^2/4 - zeta'/2) v
-    whatever M is, so a3 + i a4 is computed once from a1 and a2: in
-    closed form when both are closed-form, else on M's grid from their
-    values and derivatives.  A table's error estimate is the larger of
-    a1's and a2's, plus the `_spline_errors` of their values and slopes
-    carried through zeta^2/4 - zeta'/2 to first order.  Where a1 and a2
-    are polynomials with numeric coefficients, M1 + i M2 =
+    whatever M is, so a3 + i a4 is computed once from a1 and a2, in
+    closed form: a1 and a2 must be closed-form (ValueError otherwise).
+    Where they are polynomials with numeric coefficients, M1 + i M2 =
     exp((A + i B)/2) with A, B their exact integrals from x0, on
-    rk4_checked's grid of h; else RK4 integrates the pair at a step of at
-    most h.
+    rk4_checked's grid of REDUCTION_STEP; else RK4 integrates the pair
+    at a step of at most REDUCTION_STEP.
     """
     if lf.kind != "first_order":
         raise ValueError("reduce_24_to_25 expects a first_order-kind form")
-    _check_tables(lf, interval)
+    _refuse_tables(lf)
     _forwards(interval)
     t0, t1 = interval
     a1, a2 = lf["a1"], lf["a2"]
     c1, c2 = _polynomial(a1), _polynomial(a2)
+    h = REDUCTION_STEP
     if c1 is not None and c2 is not None:
         ts = checked_grid(t0, t1, h)
         m1, m2 = _exp_half_integral(c1, c2, ts)
@@ -956,33 +902,15 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple,
     m1_fn = CoefficientFn.tabulated(ts, m1, src, h, err)
     m2_fn = CoefficientFn.tabulated(ts, m2, src, h, err)
 
-    if a1.kind == "symbolic" and a2.kind == "symbolic":
-        e1, e2 = a1.expr, a2.expr
-        quarter, half = C(Fraction(1, 4)), C(Fraction(1, 2))
-        coeffs = {
-            "a3": CoefficientFn.symbolic(
-                quarter * (e1 * e1 - e2 * e2)
-                - half * differentiate(e1, a1.var), var=a1.var),
-            "a4": CoefficientFn.symbolic(
-                half * e1 * e2 - half * differentiate(e2, a2.var),
-                var=a2.var),
-        }
-    else:
-        v1, dv1 = a1.with_derivative(ts)
-        v2, dv2 = a2.with_derivative(ts)
-        e1, s1 = _spline_errors(a1, ts, v1, dv1)
-        e2, s2 = _spline_errors(a2, ts, v2, dv2)
-        how = "zeta^2/4 - zeta'/2 with zeta = a1 + i a2, on M's grid"
-        error = max(a1.error_estimate, a2.error_estimate)
-        # to first order, zeta^2/4 - zeta'/2 moves by zeta dzeta/2 - dzeta'/2
-        coeffs = {
-            "a3": CoefficientFn.tabulated(
-                ts, 0.25 * (v1 * v1 - v2 * v2) - 0.5 * dv1, how, h, error
-                + 0.5 * float(np.max(np.abs(v1) * e1 + np.abs(v2) * e2 + s1))),
-            "a4": CoefficientFn.tabulated(
-                ts, 0.5 * (v1 * v2 - dv2), how, h, error
-                + 0.5 * float(np.max(np.abs(v2) * e1 + np.abs(v1) * e2 + s2))),
-        }
+    e1, e2 = a1.expr, a2.expr
+    quarter, half = C(Fraction(1, 4)), C(Fraction(1, 2))
+    coeffs = {
+        "a3": CoefficientFn.symbolic(
+            quarter * (e1 * e1 - e2 * e2)
+            - half * differentiate(e1, a1.var), var=a1.var),
+        "a4": CoefficientFn.symbolic(
+            half * e1 * e2 - half * differentiate(e2, a2.var), var=a2.var),
+    }
     return FirstOrderReduction(LinearForm("zero_order", coeffs), m1_fn,
                                m2_fn, err, route)
 

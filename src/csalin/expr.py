@@ -1197,11 +1197,15 @@ def _exact_zero(p: dict, st: _Canon) -> bool | None:
     return False
 
 
-def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
-    """Sampled zero test of an expression that `simplify` returned, at 40
-    pseudo-random points, each coordinate drawn from [-2,-0.1] U [0.1,2];
-    deterministic given the seed."""
-    terms = list(e.terms) if isinstance(e, Add) else [e]
+def _sampled_zero(e: Expr, s: Expr, seed: int) -> bool:
+    """Sampled zero test of e through s = simplify(e), at 40 pseudo-random
+    points, each coordinate drawn from [-2,-0.1] U [0.1,2]; deterministic
+    given the seed.  The symbols of s are drawn first, then those of e
+    that cancelled out of s.  s can be defined where e is not, so a point
+    is skipped where either raises or is not finite."""
+    terms = list(s.terms) if isinstance(s, Add) else [s]
+    free = sorted(free_symbols(s))
+    free += sorted(free_symbols(e) - set(free))
     rng = random.Random(seed)
     usable = 0
     for _ in range(40):
@@ -1209,9 +1213,11 @@ def _sampled_zero(e: Expr, free: list, seed: int) -> bool:
                    for name in free}
         try:
             vals = [eval_expr(t, binding) for t in terms]
+            defined = all(map(math.isfinite, vals)) \
+                and math.isfinite(eval_expr(e, binding))
         except EvalDomainError:
             continue
-        if any(not math.isfinite(v) for v in vals):
+        if not defined:
             continue
         usable += 1
         total = sum(vals)
@@ -1231,8 +1237,8 @@ def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
     The symbolic test reads the fraction-reduced polynomial of e
     (`_reduced`), which is exactly the canonical polynomial of
     simplify(e).  When it is inconclusive, the sampled test evaluates
-    simplify(e) at points drawn for its own symbols.  A tree too deep to
-    walk raises TooDeep."""
+    simplify(e) at points where e is defined and finite.  A tree too deep
+    to walk raises TooDeep."""
     st = _Canon()
     p = _reduced(e, st)
     try:
@@ -1240,8 +1246,7 @@ def simplify_verdict(e: Expr, seed: int = 0) -> tuple:
         exact = _exact_zero(p, st)
         if exact is not None:
             return s, ZeroVerdict(exact, "symbolic")
-        return s, ZeroVerdict(
-            _sampled_zero(s, sorted(free_symbols(s)), seed), "numeric")
+        return s, ZeroVerdict(_sampled_zero(e, s, seed), "numeric")
     except RecursionError:
         raise TooDeep("expression nests too deeply to decide") from None
 

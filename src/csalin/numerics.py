@@ -19,7 +19,7 @@ as Python source for the call, with its expressions (through
 arithmetic inlined.  The source is compiled once per process
 (`expr.compile_source`): integrating the same system again, from another
 initial state say, runs the compiled loop in a fresh namespace that
-binds this call's tables.  A stage whose expressions raise is evaluated
+binds this call's Field.  A stage whose expressions raise is evaluated
 again with `eval_expr`, which returns the reference value (inf for an
 overflowing exp) or names the undefined subterm in a `DomainError`.  The
 loop returns one tuple per grid point, and their floats reach numpy in
@@ -75,9 +75,8 @@ class Field:
     """A right-hand side y' = f(t, y), described for the generated loop.
 
     * `symbols` binds each symbol of `values` to ``"t"`` (the stage time),
-      to ``"s<i>"`` (component i of the stage state), to a float, which is
-      inlined as a constant, or to a function of one float, which the loop
-      calls at the stage time (a tabulated coefficient);
+      to ``"s<i>"`` (component i of the stage state) or to a float, which
+      is inlined as a constant;
     * `values` are expressions evaluated once per stage into ``v0, v1,
       ...``; a subtree they share is evaluated once;
     * `derivs` holds, per state component, the Python expression of its
@@ -95,12 +94,8 @@ class Field:
 def _stage_values(f: Field, t: float, state: tuple) -> list:
     """f's values at one stage by ``eval_expr``: the value a raising
     generated stage stands for, or a DomainError located at t."""
-    bindings = {}
-    for name, code in f.symbols.items():
-        if isinstance(code, str):
-            bindings[name] = t if code == "t" else state[int(code[1:])]
-        else:
-            bindings[name] = code(t) if callable(code) else code
+    at = {"t": t, **{f"s{i}": v for i, v in enumerate(state)}}
+    bindings = {name: at.get(code, code) for name, code in f.symbols.items()}
     try:
         return [eval_expr(e, bindings) for e in f.values]
     except EvalDomainError as exc:
@@ -115,15 +110,8 @@ def _fuse(f: Field):
     state = "".join(f"s{i}, " for i in range(d))
     ns = {**EMIT_NAMESPACE, "inf": math.inf, "Blowup": Blowup,
           "_values": lambda t, s: _stage_values(f, t, s)}
-    symbols = {}
-    for name, code in f.symbols.items():
-        if isinstance(code, str):
-            symbols[name] = code
-        elif callable(code):
-            fn = f"_c{len(symbols)}"
-            symbols[name], ns[fn] = f"{fn}(t)", code
-        else:
-            symbols[name] = f"({code!r})"
+    symbols = {name: code if isinstance(code, str) else f"({code!r})"
+               for name, code in f.symbols.items()}
     check = [] if f.bound is None else [
         "if not (" + " and ".join(
             f"{-f.bound!r} <= s{i} <= {f.bound!r}" for i in range(d)) + "):",

@@ -16,7 +16,7 @@ from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
     Add, C, Constant, Div, Expr, ExprError, EvalDomainError, Mul, Neg, Pow,
-    Symbol, VarContext, ZERO, _rational_value,
+    Symbol, VarContext, ZERO, ZeroVerdict, _rational_value,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, jet,
     mul, neg, parse, pow_, simplify, simplify_verdict, sym, to_string,
     zero_verdict,
@@ -314,6 +314,9 @@ class RankReport:
 class Classification:
     dimension: int
     case_label: str
+    # "symbolic" where exact algebra or interval jets decided, "numeric"
+    # where a sampled zero verdict, collocation or a table did
+    method: str
     witness: tuple | None = None
     rank_report: RankReport | None = None
     notes: tuple = ()
@@ -779,12 +782,12 @@ def _inverse_square_proof() -> tuple:
     return check_symmetry(sysr, _inverse_square_field(ctx, p, half_dp))
 
 
-def _zero_case(ctx: VarContext) -> Classification:
-    return Classification(15, "coefficient identically zero",
+def _zero_case(ctx: VarContext, method: str) -> Classification:
+    return Classification(15, "coefficient identically zero", method,
                           witness=tuple(free_particle_algebra(ctx)))
 
 
-def _constant_case(k: Expr) -> Classification:
+def _constant_case(k: Expr, method: str) -> Classification:
     """The 7 of a nonzero constant k, with the seven constant-case fields
     when k is rational and their parametric proof holds."""
     notes = ()
@@ -798,16 +801,20 @@ def _constant_case(k: Expr) -> Classification:
     else:
         notes = ("closed-form constant-case witnesses failed "
                  "verification and were dropped",)
-    return Classification(7, "nonzero constant coefficient", witness=wit,
-                          notes=notes)
+    return Classification(7, "nonzero constant coefficient", method,
+                          witness=wit, notes=notes)
 
 
-def _constant_beta(cf: CoefficientFn, seed: int,
-                   ctx: VarContext) -> Classification:
-    """The zero or constant case of a closed-form beta with beta' = 0."""
+def _constant_beta(cf: CoefficientFn, seed: int, ctx: VarContext,
+                   flat: ZeroVerdict) -> Classification:
+    """The zero or constant case of a closed-form beta whose beta' = 0 by
+    the verdict `flat`: numeric where either verdict was sampled."""
     # a CoefficientFn built directly holds beta unsimplified
     b, verdict = simplify_verdict(cf.expr, seed=seed)
-    return _zero_case(ctx) if verdict.is_zero else _constant_case(b)
+    method = "symbolic" if flat.method == verdict.method == "symbolic" \
+        else "numeric"
+    return _zero_case(ctx, method) if verdict.is_zero \
+        else _constant_case(b, method)
 
 
 def _require_span(lo: float, hi: float) -> None:
@@ -822,9 +829,9 @@ def _classify_rational(num: list, den: list, interval,
                        ctx: VarContext) -> Classification:
     """The exact route for beta = num/den in lowest terms."""
     if not num:
-        return _zero_case(ctx)
+        return _zero_case(ctx, "symbolic")
     if len(num) == len(den) == 1:
-        return _constant_case(C(Fraction(num[0], den[0])))
+        return _constant_case(C(Fraction(num[0], den[0])), "symbolic")
     lo, hi = float(interval[0]), float(interval[1])
     _require_span(lo, hi)
     if len(den) > 1:
@@ -848,7 +855,7 @@ def _classify_rational(num: list, den: list, interval,
             f"D = {to_string(_poly_expr(den, x))}; Sturm count of the real "
             f"roots of D on [{lo:g}, {hi:g}]: 0")
     return Classification(dim, f"variable coefficient, {dim}-dimensional",
-                          witness=wit or None, notes=(note,))
+                          "symbolic", witness=wit or None, notes=(note,))
 
 
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
@@ -893,12 +900,15 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     dimensions, spanned by the scaling and rotation witnesses and g6, g9.
     Nothing here needs beta to keep one sign on the interval.
 
-    A closed-form beta that no box decides is decided symbolically when
-    it is zero or constant (a constant that is not rational gets a note
-    instead of witnesses, and one that cannot be certified finite is
+    A closed-form beta that no box decides is decided as zero or
+    constant where its beta' = 0 (a constant that is not rational gets a
+    note instead of witnesses, and one that cannot be certified finite is
     still a constant), and else by the collocation rank count of
     `_collocation_rank`.  That covers a beta with q''' = 0, such as
     `sqrt(2)*x^(-2)`.  A tabulated beta goes through collocation too.
+    The classification's method is "numeric" where collocation, a table
+    or a sampled zero verdict on beta or beta' decided it, and else
+    "symbolic".
 
     Witnesses are not proved per call.  The scaling and rotation fields
     are proved once per process, symbolically, for an opaque beta = b(x);
@@ -925,21 +935,26 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
             _require_span(lo, hi)
             pieces = _certify_finite(cf, lo, hi)
         except (IntervalTooSmall, PoleInInterval):
-            if not cf.is_constant():
+            flat = cf.is_constant()
+            if not flat:
                 raise
-            return _constant_beta(cf, seed, ctx)
+            return _constant_beta(cf, seed, ctx, flat)
         wit = _proved_universal_witnesses(ctx)
         note = _q3_certificate(cf, lo, hi, pieces)
         if note is not None:
             return Classification(6, "variable coefficient, 6-dimensional",
-                                  witness=wit or None, notes=(note,))
-        if cf.is_constant():
-            return _constant_beta(cf, seed, ctx)
+                                  "symbolic", witness=wit or None,
+                                  notes=(note,))
+        flat = cf.is_constant()
+        if flat:
+            return _constant_beta(cf, seed, ctx, flat)
     else:
         if cf.is_constant(rtol=1e-6):
             if abs(cf.constant_value()) <= 1e-12:
-                return Classification(15, "coefficient identically zero")
+                return Classification(15, "coefficient identically zero",
+                                      "numeric")
             return Classification(7, "nonzero constant coefficient",
+                                  "numeric",
                                   notes=("constancy detected numerically "
                                          "from the tabulated grid",))
         lo, hi = cf.domain
@@ -954,5 +969,5 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
         label = "variable coefficient, 6-dimensional"
     else:
         label = "numeric"
-    return Classification(dim, label, witness=wit or None,
+    return Classification(dim, label, "numeric", witness=wit or None,
                           rank_report=report)

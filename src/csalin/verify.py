@@ -333,7 +333,9 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     sub-interval and a note names it.  beta is classified on the image of
     the reduction interval under the last rescaling, 2% in from each end:
     the interval itself where the rescaling is the identity.  A dimension
-    that interval jets decided adds their q''' certificate as a note."""
+    that interval jets decided adds their q''' certificate as a note.  The
+    check is numeric where a verdict on the form or the classification
+    is."""
     verdicts = []
     try:
         lf = _target_form(out, case.param_values, seed, verdicts)
@@ -361,12 +363,10 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     notes.append(f"reduced-form coefficient classified as: {cls.case_label}")
     # a q''' certificate is the whole evidence of a dimension it decides
     notes += [n for n in cls.notes if n.startswith(Q3_CERTIFICATE)]
-    exact = beta.kind == "symbolic" and cls.rank_report is None \
-        and _method(verdicts) == "symbolic"
     dim, expected = cls.dimension, case.expected_dimension
     return dim, ConditionCheck(
         "symmetry dimension", expected is None or dim == expected,
-        "symbolic" if exact else "numeric",
+        _method([*verdicts, cls]),
         f"{dim}" + ("" if expected is None else f" (expected {expected})")
     ), notes
 

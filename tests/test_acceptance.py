@@ -110,7 +110,7 @@ def test_6_constant_form_inequivalence():
 
 def test_7_reduction_roundtrip():
     lf = LinearForm("zero_order", {"a3": "2/x^2", "a4": 1})
-    res = reduce_25_to_28(lf, (1.0, 2.0), h=1e-3)
+    res = reduce_25_to_28(lf, (1.0, 2.0))
     # rho against its closed form (t^3 + 2)/(3t)
     ts = res.rho.xs
     rho_err = float(np.max(np.abs(res.rho.values - (ts ** 3 + 2) / (3 * ts))))

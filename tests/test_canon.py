@@ -445,25 +445,23 @@ def test_lazy_spline_matches_eager_spline_bit_for_bit():
 
 
 def test_scalar_reads_match_array_reads_bit_for_bit():
-    # a float t reads the table's lists with bisect, an array reads numpy:
-    # the same floats, on the 1,601-point a3 of the chain test below, at
-    # knots, midpoints, the ends' neighbours, beyond the ends and between
-    xs = np.linspace(0.0, 2.0, 201)
-    lf = LinearForm("first_order", {
-        "a1": CoefficientFn.tabulated(xs, np.cos(xs) + 1), "a2": "x"})
-    a3 = reduce_24_to_25(lf, (0.3, 1.9)).form["a3"]
-    grid = a3.xs
-    assert a3.kind == "tabulated" and len(grid) == 1601
+    # a float t and an array read the same floats, on the 1,501-point beta
+    # over X of a3 = x/4, a4 = 1 on [0.5, 2], at knots, midpoints, the
+    # ends' neighbours, beyond the ends and between
+    beta = reduce_25_to_28(_zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
+    grid = beta.xs
+    assert beta.kind == "tabulated" and len(grid) == 1501
     rng = np.random.default_rng(5)
     probe = np.r_[grid, (grid[1:] + grid[:-1]) / 2,
                   np.nextafter(grid[[0, -1]], [-np.inf, np.inf]),
-                  grid[0] - 0.25, grid[-1] + 0.25, rng.uniform(0.3, 1.9, 500)]
-    values, slopes = a3.with_derivative(probe)
+                  grid[0] - 0.25, grid[-1] + 0.25,
+                  rng.uniform(grid[0], grid[-1], 500)]
+    values, slopes = beta.with_derivative(probe)
     for t, v, s in zip(probe.tolist(), values.tolist(), slopes.tolist()):
-        got = a3.with_derivative(t)
+        got = beta.with_derivative(t)
         assert [type(x) for x in got] == [float, float]
         assert (got[0].hex(), got[1].hex()) == (v.hex(), s.hex()), t
-    assert a3(1) == a3(1.0)
+    assert beta(1) == beta(1.0)
 
 
 @pytest.mark.parametrize("table", [f"{n}-{grid}" for n in (2, 3, 4, 5, 2001)
@@ -487,16 +485,11 @@ def test_spline_matches_scipy_not_a_knot(table):
         values = a * np.sin(3.0 * b * xs + c) + d * np.exp(-xs)
     probe = np.r_[xs, (xs[1:] + xs[:-1]) / 2,
                   np.nextafter(xs[[0, -1]], [-np.inf, np.inf])]
-    table = CoefficientFn.tabulated(xs, values)
-    got = table.with_derivative(probe)
-    errors = canon._spline_errors(table, probe, *got)
-    keep = np.r_[0:len(xs) - 1:2, len(xs) - 1]
-    ref, coarse = CubicSpline(xs, values), CubicSpline(xs[keep], values[keep])
+    got = CoefficientFn.tabulated(xs, values).with_derivative(probe)
+    ref = CubicSpline(xs, values)
     for k in (0, 1):  # values, then slopes
         bound = 1e-13 * np.max(np.abs(got[k]))
         assert np.max(np.abs(got[k] - ref(probe, k))) <= bound
-        assert np.max(np.abs(errors[k] - np.abs(got[k] - coarse(probe, k)))) \
-            <= bound
 
 
 def test_symbolic_coefficient_in_another_variable():
@@ -524,26 +517,6 @@ def test_reduce_optimal_traceless_nondiagonal_unchanged():
     res = reduce_optimal(lf, (0.0, 1.0))
     assert to_string(res.form["dt11"].expr) == "1"
     assert to_string(res.rho.expr) == "1"
-
-
-def test_reduce_optimal_trace_free_with_a_table_off_the_diagonal(
-        monkeypatch):
-    # (d11 + d22)/2 = 0 decides the identity rescaling; the tabulated d12
-    # passes through, and no rho'' = 0 rho is integrated
-    def refuse(*args, **kwargs):
-        raise AssertionError("rk4_checked called")
-
-    monkeypatch.setattr(canon, "rk4_checked", refuse)
-    xs = np.linspace(0.4, 2.1, 50)
-    d12 = CoefficientFn.tabulated(xs, np.cos(xs))
-    lf = LinearForm("general", {"d11": 1, "d22": -1, "d12": d12, "d21": 2})
-    res = reduce_optimal(lf, (0.5, 2.0))
-    assert res.rescaling == "closed-form"
-    assert to_string(res.rho.expr) == "1"
-    assert to_string(res.new_var.expr) == "x"
-    assert to_string(res.form["dt11"].expr) == "1"
-    assert res.form["dt12"] is d12
-    assert to_string(res.form["dt21"].expr) == "2"
 
 
 def test_reduce_optimal_trace_free_in_another_variable():
@@ -735,109 +708,34 @@ def test_zero_order_form_is_the_first_order_system_rescaled(c1, c2):
                                      - a3 * Z)).is_zero
 
 
-def test_tabulated_first_order_coefficients_follow_zeta():
-    # a3 + i a4 = zeta^2/4 - zeta'/2 from the table's spline, within the
-    # spline's own error on M's grid, carrying the table's error estimate
-    xs = np.linspace(0.0, 2.0, 201)
-    table = CoefficientFn.tabulated(xs, np.cos(xs) + 1, error_estimate=1e-9)
-    res = reduce_24_to_25(LinearForm("first_order", {"a1": table, "a2": "x"}),
-                          (0.3, 1.9))
-    assert res.rescaling == "rk4" and 0.0 < res.error_estimate < 1e-9
-    ts = res.m1.xs
-    f, df = np.cos(ts) + 1, -np.sin(ts)
-    value_err = np.max(np.abs(table(ts) - f))
-    slope_err = np.max(np.abs(table.derivative(ts) - df))
-    assert value_err < 1e-7 and slope_err < 1e-5
-    a3, a4 = res.form["a3"], res.form["a4"]
-    assert np.array_equal(a3.xs, ts) and np.array_equal(a4.xs, ts)
-    want3 = (f * f - ts * ts) / 4 - df / 2
-    want4 = (f * ts - 1) / 2
-    bound3 = (2 * np.max(np.abs(f)) + value_err) * value_err / 4 \
-        + slope_err / 2
-    assert np.max(np.abs(a3.values - want3)) <= bound3 + 1e-15
-    assert np.max(np.abs(a4.values - want4)) <= \
-        np.max(ts) * value_err / 2 + 1e-15
-    # each carries the table's estimate and its own spline error: a3 from
-    # -a1'/2 and a1^2/4, a4 from a1 x/2 only
-    assert a3.error_estimate > 1e-9 + np.max(np.abs(a3.values - want3))
-    assert 1e-9 + np.max(np.abs(a4.values - want4)) <= a4.error_estimate \
-        < 1.2e-9
-
-
-def test_tabulated_a3_error_estimate_counts_the_spline_slope():
-    # a3's error against zeta^2/4 - zeta'/2 is 3.8e-9, all of it from the
-    # spline's slope; the doubling estimate must cover it, not by 100x more
-    xs = np.linspace(0.0, 2.0, 201)
-    table = CoefficientFn.tabulated(xs, np.cos(xs) + 1)
-    a3 = reduce_24_to_25(LinearForm("first_order", {"a1": table, "a2": "x"}),
-                         (0.3, 1.9)).form["a3"]
-    ts = a3.xs
-    f = np.cos(ts) + 1
-    true = np.max(np.abs(a3.values - ((f * f - ts * ts) / 4
-                                      + np.sin(ts) / 2)))
-    assert 3.7e-9 < true < 3.9e-9
-    assert true <= a3.error_estimate <= 100 * true
-
-
-@pytest.mark.parametrize("table_slot,name,bounds", [
-    ("a1", "a4", (7.8e-12, 7.9e-12)), ("a2", "a3", (2.4e-11, 2.5e-11))])
-def test_tabulated_error_estimate_counts_the_spline_values(table_slot, name,
-                                                          bounds):
-    # with the table cos(x) + 1 in one slot and x in the other, a4 = (a1 x
-    # - 1)/2 and a3 = (x^2 - a2^2)/4 - 1/2 hold no slope of the table, only
-    # its values: their error is a multiple of the spline's value error,
-    # and the doubling estimate of those values must cover it, not by 100x
-    # more
-    xs = np.linspace(0.0, 2.0, 201)
-    table = CoefficientFn.tabulated(xs, np.cos(xs) + 1)
-    slots = {"a1": "x", "a2": "x", table_slot: table}
-    got = reduce_24_to_25(LinearForm("first_order", slots),
-                          (0.3, 1.9)).form[name]
-    ts = got.xs
-    f = np.cos(ts) + 1
-    want = (f * ts - 1) / 2 if name == "a4" else (ts * ts - f * f) / 4 - 0.5
-    true = np.max(np.abs(got.values - want))
-    assert bounds[0] < true < bounds[1]
-    assert true <= got.error_estimate <= 100 * true
-
-
 _TABLE = CoefficientFn.tabulated(np.linspace(1.0, 3.0, 201),
                                  np.cos(np.linspace(1.0, 3.0, 201)))
 
 
-@pytest.mark.parametrize("reduce,lf,interval,name", [
+@pytest.mark.parametrize("reduce,lf,name", [
     (reduce_24_to_25, LinearForm("first_order", {"a1": _TABLE, "a2": "x"}),
-     (0.0, 5.0), "a1"),
+     "a1"),
     (reduce_25_to_28, LinearForm("zero_order", {"a3": _TABLE, "a4": 1}),
-     (0.0, 2.0), "a3"),
+     "a3"),
     (reduce_25_to_28, LinearForm("zero_order", {"a3": 0, "a4": _TABLE}),
-     (1.0, 3.5), "a4"),
+     "a4"),
     (reduce_optimal, LinearForm("general", {
-        "d11": "x", "d22": 1, "d12": _TABLE, "d21": 2}), (1.5, 3.0001),
-     "d12"),
-], ids=["24_to_25", "25_to_28", "25_to_28-identity", "optimal"])
-def test_reductions_refuse_an_interval_beyond_a_table(reduce, lf, interval,
-                                                      name):
-    # a cubic spline would extrapolate silently
-    with pytest.raises(PoleInInterval, match=re.escape(
-            f"coefficient {name} is tabulated on [1, 3] only")):
-        reduce(lf, interval)
+        "d11": "x", "d22": 1, "d12": _TABLE, "d21": 2}), "d12"),
+    (reduce_chain, LinearForm("general", {
+        "d11": _TABLE, "d22": 1, "d12": 0, "d21": 2}), "d11"),
+], ids=["24_to_25", "25_to_28", "25_to_28-identity", "optimal", "chain"])
+def test_reductions_refuse_a_tabulated_input(monkeypatch, reduce, lf, name):
+    # tables are outputs of the chain: a tabulated input is refused with
+    # one line that names it, before anything is integrated
+    def refuse(*args):
+        raise AssertionError("rk4_checked called")
 
-
-def test_tabulated_reduction_chains_on_the_same_interval():
-    # the grid on (0.3, 1.9) ends at 1.9000000000000001: one ulp is allowed
-    xs = np.linspace(0.0, 2.0, 201)
-    lf = LinearForm("first_order", {
-        "a1": CoefficientFn.tabulated(xs, np.cos(xs) + 1), "a2": "x"})
-    zo = reduce_24_to_25(lf, (0.3, 1.9)).form
-    assert zo["a3"].domain == (0.3, 1.9000000000000001)
-    beta = reduce_25_to_28(zo, (0.3, 1.9)).form["beta"]
-    assert beta.kind == "tabulated" and beta.domain[0] == 0.3
-    hi = zo["a3"].domain[1]
-    reduce_25_to_28(zo, (0.3, math.nextafter(hi, 2.0)))
-    for end in (math.nextafter(math.nextafter(hi, 2.0), 2.0), 1.90001):
-        with pytest.raises(PoleInInterval, match="coefficient a3"):
-            reduce_25_to_28(zo, (0.3, end))
+    monkeypatch.setattr(canon, "rk4_checked", refuse)
+    with pytest.raises(ValueError) as info:
+        reduce(lf, (1.5, 2.5))
+    assert str(info.value) == (f"coefficient {name} is tabulated; a "
+                               "reduction takes closed-form coefficients "
+                               "only")
 
 
 def test_reduction_pole_is_located_by_the_loop():
@@ -1077,19 +975,6 @@ def test_constant_trace_gives_closed_form_optimal_coefficients(seed):
         _close(c(res.new_var.values), want, 1e-12)
 
 
-def test_a_tabulated_coefficient_stays_tabulated_under_a_constant_trace():
-    ts = np.linspace(0.0, 2.0, 41)
-    lf = LinearForm("general", {
-        "d11": 1, "d22": 1, "d21": "x",
-        "d12": CoefficientFn.tabulated(ts, 1.0 + ts ** 2)})
-    res = reduce_optimal(lf, (0.5, 1.5))
-    assert res.form["dt21"].kind == "symbolic"
-    dt12 = res.form["dt12"]
-    assert dt12.kind == "tabulated"
-    assert np.array_equal(dt12.xs, res.new_var.values)
-    _close(dt12.values, res.rho.values ** 4 * lf["d12"](res.rho.xs), 1e-15)
-
-
 @pytest.mark.parametrize("a1,a2", [(1, 1), ("1+x", "1+x"), ("1+x", 2)],
                          ids=["1,1", "1+x,1+x", "1+x,2"])
 def test_polynomial_m_pair_matches_the_rk4_route(monkeypatch, a1, a2):
@@ -1205,8 +1090,9 @@ def test_reduction_refines_its_step_where_1e_3_misses_the_gate(
         assert table.step == step and table.error_estimate == \
             red.error_estimate
         assert len(table.xs) == len(checked_grid(0.0, 2.0, step))
-    # an independent grid: the explicit 1.25e-4 runs on another step
-    fine = reduce_25_to_28(lf, (0.0, 2.0), h=1.25e-4)
+    # an independent grid: a largest step of 1.25e-4 runs on another step
+    monkeypatch.setattr(canon, "REDUCTION_STEP", 1.25e-4)
+    fine = reduce_25_to_28(lf, (0.0, 2.0))
     assert fine.rho.step != step
     assert dimension(red) == dimension(fine) == 6
 

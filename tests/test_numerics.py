@@ -10,7 +10,6 @@ from the fields they check.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -20,8 +19,7 @@ import pytest
 
 from csalin import canon, numerics, verify
 from csalin.canon import (
-    CoefficientFn, LinearForm, PoleInInterval, RhoVanishes, reduce_24_to_25,
-    reduce_25_to_28, reduce_optimal,
+    LinearForm, RhoVanishes, reduce_24_to_25, reduce_25_to_28, reduce_optimal,
 )
 from csalin.cubic import OdeSystem2
 from csalin.expr import VarContext, compile_rows, parse
@@ -124,21 +122,14 @@ def test_four_state_trajectory_matches_reference(case_id, backwards):
         f, _trajectory_ref(case.system, case.param_values), x0, state0, x1)
 
 
-_XS = np.linspace(0.0, 2.0, 201)
 _OPTIMAL = LinearForm("general", {"d11": "x", "d22": "sin(x)", "d12": "1+x",
                                   "d21": 2})
 
 
 @pytest.mark.parametrize("reduce,lf", [
     (reduce_25_to_28, LinearForm("zero_order", {"a3": "2/x^2", "a4": 1})),
-    (reduce_25_to_28, LinearForm("zero_order", {
-        "a3": CoefficientFn.tabulated(_XS + 1.0, 0.5 + _XS ** 2),
-        "a4": 1})),
     (reduce_optimal, _OPTIMAL),
-    (reduce_optimal, LinearForm("general", {
-        "d11": CoefficientFn.tabulated(_XS + 1.0, np.cos(_XS)), "d22": "x",
-        "d12": 1, "d21": 2})),
-], ids=["symbolic-a", "tabulated-a", "optimal", "optimal-tabulated"])
+], ids=["symbolic-a", "optimal"])
 def test_rho_system_matches_reference(monkeypatch, reduce, lf):
     rhs, t0, y0, t1 = _reduction_rhs(monkeypatch, reduce, lf, (1.0, 2.0))
     assert len(y0) == 3
@@ -148,9 +139,7 @@ def test_rho_system_matches_reference(monkeypatch, reduce, lf):
 # a polynomial a1 and a2 take their closed form, not RK4
 @pytest.mark.parametrize("lf", [
     LinearForm("first_order", {"a1": "1+sin(x)", "a2": "2"}),
-    LinearForm("first_order", {
-        "a1": CoefficientFn.tabulated(_XS, np.cos(_XS) + 1), "a2": "x"}),
-], ids=["symbolic", "tabulated"])
+], ids=["symbolic"])
 def test_m_pair_matches_reference(monkeypatch, lf):
     rhs, t0, y0, t1 = _reduction_rhs(monkeypatch, reduce_24_to_25, lf,
                                      (0.0, 2.0))
@@ -362,19 +351,6 @@ def test_closed_form_fields_never_take_the_stage_fallback(monkeypatch):
     assert calls == [0.0, 0.0]
 
 
-def test_tabulated_coefficients_are_called_at_the_stage_time(monkeypatch):
-    table = CoefficientFn.tabulated(_XS, np.cos(_XS) + 1)
-    lf = LinearForm("first_order", {"a1": table, "a2": "x"})
-    rhs = _reduction_rhs(monkeypatch, reduce_24_to_25, lf, (0.0, 2.0))[0]
-    times = []
-    symbols = {name: (lambda t: times.append(t) or table(t))
-               if code is table else code
-               for name, code in rhs.symbols.items()}
-    assert len(symbols) == 2 and times == []
-    rk4(dataclasses.replace(rhs, symbols=symbols), 0.0, (1.0, 0.0), 0.5, 0.25)
-    assert times == [0.0, 0.125, 0.125, 0.25, 0.25, 0.375, 0.375, 0.5]
-
-
 def _message(call):
     with pytest.raises(Exception) as info:
         call()
@@ -407,22 +383,6 @@ def test_generated_loop_keeps_the_rho_crossing():
                                "0.764; safe sub-interval is [0, 0.763)")
     assert info.value.crossing == 0.764
     assert info.value.safe_interval == (0.0, 0.763)
-
-
-def test_the_stage_fallback_reads_a_table_at_the_stage_time(monkeypatch):
-    # log(x - 1) fails in the generated stage; the fallback evaluates the
-    # stage again with the tabulated d22 read at t, and locates the error
-    calls = _stage_fallbacks(monkeypatch)
-    xs = np.linspace(0.5, 2.0, 31)
-    lf = LinearForm("general", {
-        "d11": "log(x - 1)", "d22": CoefficientFn.tabulated(xs, np.cos(xs)),
-        "d12": 0, "d21": 1})
-    with pytest.raises(PoleInInterval) as info:
-        reduce_optimal(lf, (0.5, 2.0))
-    assert str(info.value) == (
-        "right-hand side undefined near x = 0.5: log of non-positive value "
-        "in subterm 'log(x - 1)'")
-    assert calls == [0.5]
 
 
 # the last float whose ** -2 overflows, and the first that does not

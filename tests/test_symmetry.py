@@ -511,6 +511,29 @@ def test_a_zero_beta_off_the_exact_route_reads_15(beta, witnesses):
     assert len(cls.witness or ()) == witnesses
 
 
+_TABLE_XS = np.linspace(0.5, 3.0, 2501)
+
+
+@pytest.mark.parametrize("beta,dim,method", [
+    ("x^(-2)", 7, "symbolic"),                   # exact over Q[x]
+    ("exp(x)", 6, "symbolic"),                   # a q''' certificate
+    ("sin(x)^2 + cos(x)^2 + 1", 7, "symbolic"),  # the kernel proves beta' = 0
+    ("sin(x)^2 + cos(x)^2 - 1", 15, "symbolic"),
+    ("sin(2*x) - 2*sin(x)*cos(x) + 3", 7, "numeric"),  # beta' = 0 sampled
+    ("exp(x)*exp(-x) - 1", 15, "numeric"),
+    ("sqrt(2)*x^(-2)", 7, "numeric"),            # collocation
+    (CoefficientFn.tabulated(_TABLE_XS, _TABLE_XS ** -2.0), 7, "numeric"),
+    (CoefficientFn.tabulated(_TABLE_XS, np.full_like(_TABLE_XS, 2.0)), 7,
+     "numeric"),
+], ids=["rational", "jet", "proved-constant", "proved-zero",
+        "sampled-constant", "sampled-zero", "collocation", "table",
+        "constant-table"])
+def test_a_classification_names_the_method_that_decided_it(beta, dim,
+                                                           method):
+    cls = classify_beta(beta)
+    assert (cls.dimension, cls.method) == (dim, method)
+
+
 def test_a_variable_non_rational_beta_is_not_zero_tested(monkeypatch):
     # beta' != 0 already rules out beta = 0, so only a constant beta pays
     # for a zero verdict on beta itself

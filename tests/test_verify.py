@@ -636,6 +636,24 @@ def _target(case, omega1: str, omega2: str) -> OdeSystem2:
     return OdeSystem2(nctx, parse(omega1, nctx), parse(omega2, nctx))
 
 
+def test_a_dimension_decided_by_a_sampled_verdict_is_numeric(monkeypatch):
+    # example 4's form and its rational beta are decided symbolically; a
+    # closed-form beta whose beta' = 0 was sampled makes the check
+    # numeric, though it took no collocation
+    from csalin import verify
+    from csalin.symmetry import classify_beta
+
+    case = example_case(4)
+    assert _dimension(case)[1].method == "symbolic"
+    sampled = classify_beta("sin(2*x) - 2*sin(x)*cos(x) + 3")
+    assert (sampled.method, sampled.rank_report) == ("numeric", None)
+    monkeypatch.setattr(verify, "classify_beta", lambda *a, **k: sampled)
+    dim, check, notes = _dimension(case)
+    assert (dim, check.holds, check.method) == (7, True, "numeric")
+    assert notes == ["reduced-form coefficient classified as: nonzero "
+                     "constant coefficient"]
+
+
 @pytest.mark.parametrize("target,detail", [
     # the free particle under e^u: (Y^2 + Z^2)^-1 in every term
     (None, "target omega1 is not polynomial in Y, Z, Y', Z': variable "
