@@ -22,7 +22,10 @@ beta over X of a3 = x/4, a4 = 1 on [0.5, 2], classified by collocation
 and read at a float and at an array; the dimension of example 3's
 transformed target at (c1, c2) = (2, 1), where beta is a table, and at
 (1, 2), where rho crosses zero and the chain reruns on the safe
-sub-interval; the transform_system right-hand sides of the four
+sub-interval, with the collocation of each beta on the interval that
+`_example_dimension` classifies it on; the collocation of the tabulated
+beta of a3 = 2/x^2, a4 = 1 on [1, 2], and of 1,501-knot uniform tables
+of x^(-2) and exp(x) on [0.5, 3]; the transform_system right-hand sides of the four
 examples, and of the four systems (one not CR) under the twelve maps of
 `tests/transform_corpus.py`, four of which are refused; simplify of a
 few sin and cos powers, so that a change of the kernel's normal form
@@ -38,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+import csalin.verify
 from csalin.canon import (
     CoefficientFn, LinearForm, RhoVanishes, attempt_linear_equivalence,
     reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
@@ -132,6 +136,25 @@ def classification(beta, *interval) -> dict:
         out.update(shape=r.shape, singular_values=r.singular_values,
                    rank=r.rank, cutoff=r.cutoff)
     return out
+
+
+def example_beta(case, out) -> tuple:
+    """(beta, interval) as `_example_dimension` classifies them."""
+    seen, real = [], csalin.verify.classify_beta
+    csalin.verify.classify_beta = lambda beta, interval, seed: (
+        seen.append((beta, interval)) or real(beta, interval, seed=seed))
+    try:
+        _example_dimension(case, out, 0)
+    finally:
+        csalin.verify.classify_beta = real
+    return seen[0]
+
+
+def padded(c: CoefficientFn) -> tuple:
+    """A table's domain 2% in from each end."""
+    lo, hi = c.domain
+    pad = 0.02 * (hi - lo)
+    return (lo + pad, hi - pad)
 
 
 def _dimension_record(case, out) -> dict:
@@ -234,6 +257,18 @@ def main() -> int:
         out = transform_system(case.system, case.transformation)
         record(f"_example_dimension 3 at c1 = {c1}, c2 = {c2}",
                lambda: _dimension_record(case, out))
+        record(f"classify_beta of example 3's beta at c1 = {c1}, c2 = {c2}",
+               lambda: classification(*example_beta(case, out)))
+    table = reduce_25_to_28(zero_order("2/x^2", 1), (1.0, 2.0)).form["beta"]
+    record("classify_beta of the table of a3 = 2/x^2",
+           lambda: classification(table, padded(table)))
+    # exact knots of closed forms: the x^(-2) table reads 6 through a cubic
+    # spline, whose slope error between knots leaves a spurious singular
+    # value above the cutoff; its dimension is 7
+    xs = np.linspace(0.5, 3.0, 1501)
+    for name, values in (("x^(-2)", xs ** -2.0), ("exp(x)", np.exp(xs))):
+        record(f"classify_beta of the 1,501-knot table of {name}",
+               lambda: classification(CoefficientFn.tabulated(xs, values)))
 
     for i in (1, 2, 3, 4):
         case = example_case(i)
