@@ -18,19 +18,20 @@ run_example, which reads its forms off the transformed targets; of
 reduce_optimal on a general form, of two reductions that fail and of
 three that take a closed form (a constant a3, one crossing zero, a
 polynomial a1); classify_beta over `tests/beta_corpus.py`; the tabulated
-beta over X of a3 = x/4, a4 = 1 on [0.5, 2], classified by collocation
-and read at a float and at an array; the dimension of example 3's
-transformed target at (c1, c2) = (2, 1), where beta is a table, and at
-(1, 2), where rho crosses zero and the chain reruns on the safe
-sub-interval, with the collocation of each beta on the interval that
-`_example_dimension` classifies it on; the collocation of the tabulated
-beta of a3 = 2/x^2, a4 = 1 on [1, 2], and of 1,501-knot uniform tables
-of x^(-2) and exp(x) on [0.5, 3]; the transform_system right-hand sides of the four
-examples, and of the four systems (one not CR) under the twelve maps of
-`tests/transform_corpus.py`, four of which are refused; simplify of a
-few sin and cos powers, so that a change of the kernel's normal form
-shows in the diff; and attempt_linear_equivalence over a fixed list of
-constant optimal / zero_order or reduced pairs.
+beta over X of a3 = x/4, a4 = 1 on [0.5, 2], classified by collocation,
+and the knots, beta and beta' that collocation reads; the dimension of
+example 3's transformed target at (c1, c2) = (2, 1), where beta is a
+table, and at (1, 2), where rho crosses zero and the chain reruns on the
+safe sub-interval, with the collocation of each beta on the interval
+that `_example_dimension` classifies it on; the collocation of the
+tabulated beta of a3 = 2/x^2, a4 = 1 on [1, 2], and of 1,501-knot
+uniform tables of x^(-2) and exp(x) on [0.5, 3]; the transform_system
+right-hand sides of the four examples, and of the four systems (one not
+CR) under the twelve maps of `tests/transform_corpus.py`, four of which
+are refused; simplify of a few sin and cos powers, so that a change of
+the kernel's normal form shows in the diff; and
+attempt_linear_equivalence over a fixed list of constant optimal /
+zero_order or reduced pairs.
 """
 
 import hashlib
@@ -47,7 +48,7 @@ from csalin.canon import (
     reduce_24_to_25, reduce_25_to_28, reduce_optimal, transform_system,
 )
 from csalin.expr import ExprError, VarContext, parse, simplify, to_string
-from csalin.symmetry import classify_beta
+from csalin.symmetry import _collocation_samples, classify_beta
 from csalin.verify import (
     _example_dimension, example_case, integrate, map_trajectory, run_example,
 )
@@ -241,16 +242,14 @@ def main() -> int:
 
     for beta, _ in BETA_CORPUS:
         record(f"classify_beta {beta}", lambda: classification(beta))
-    # a table is an output of the chain: beta over X, and its spline read
-    # at a float and at an array
+    # a table is an output of the chain: beta over X, and the knots that
+    # collocation reads it at
     table = reduce_25_to_28(zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
     lo, hi = table.domain
     record("classify_beta of the table of a3 = x/4",
            lambda: classification(table, (lo + 0.03, hi - 0.03)))
-    record("table of a3 = x/4 at a float",
-           lambda: table.with_derivative(0.5 * (lo + hi)))
-    record("table of a3 = x/4 at an array",
-           lambda: table.with_derivative(np.linspace(lo, hi, 37)))
+    record("collocation knots of the table of a3 = x/4",
+           lambda: _collocation_samples(table, lo + 0.03, hi - 0.03))
     for c1, c2 in ((2.0, 1.0), (1.0, 2.0)):
         case = example_case(3)
         case.param_values = {"c1": c1, "c2": c2}
@@ -262,9 +261,9 @@ def main() -> int:
     table = reduce_25_to_28(zero_order("2/x^2", 1), (1.0, 2.0)).form["beta"]
     record("classify_beta of the table of a3 = 2/x^2",
            lambda: classification(table, padded(table)))
-    # exact knots of closed forms: the x^(-2) table reads 6 through a cubic
-    # spline, whose slope error between knots leaves a spurious singular
-    # value above the cutoff; its dimension is 7
+    # exact knots of closed forms: read between its knots through a cubic
+    # spline, the x^(-2) table kept a spurious singular value above the
+    # cutoff and read 6; its dimension is 7
     xs = np.linspace(0.5, 3.0, 1501)
     for name, values in (("x^(-2)", xs ** -2.0), ("exp(x)", np.exp(xs))):
         record(f"classify_beta of the 1,501-knot table of {name}",

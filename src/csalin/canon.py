@@ -352,64 +352,15 @@ def _real_route(sys: OdeSystem2, T: PointTransformation,
 # coefficient functions
 
 
-def _knot_slopes(xs, ys) -> np.ndarray:
-    """The knot slopes of the not-a-knot cubic spline through (xs, ys),
-    xs increasing, by one elimination of its tridiagonal system (de Boor,
-    A Practical Guide to Splines, rev. ed., Springer 2001, ch. IV).  Two
-    points give the line and three the parabola through them."""
-    import numpy as np
-
-    dx, n = np.diff(xs), len(xs)
-    dx, m = dx.tolist(), (np.diff(ys) / dx).tolist()
-    if n < 4:  # q is the second divided difference, 0 for a line
-        q = (m[-1] - m[0]) / (xs[-1] - xs[0])
-        return np.array([m[0] - q * dx[0], m[0] + q * dx[0],
-                         m[-1] + q * dx[-1]][:n])
-    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]; the end
-    # rows make the third derivative continuous at knots 1 and n - 2
-    d0, d1 = dx[0] + dx[1], dx[-1] + dx[-2]
-    sub, sup = [0.0, *dx[1:], d1], [d0, *dx[:-1]]
-    diag = [dx[1], *(2.0 * (a + b) for a, b in zip(dx, dx[1:])), dx[-2]]
-    rhs = [((dx[0] + 2.0 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0,
-           *(3.0 * (b * p + a * q)
-             for a, b, p, q in zip(dx, dx[1:], m, m[1:])),
-           (dx[-1] ** 2 * m[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1]
-    for i in range(1, n):
-        w = sub[i] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    s = [0.0] * (n - 1) + [rhs[-1] / diag[-1]]
-    for i in range(n - 2, -1, -1):
-        s[i] = (rhs[i] - sup[i] * s[i + 1]) / diag[i]
-    return np.array(s)
-
-
-def _spline(xs, ys, slopes, t) -> tuple:
-    """(value, slope) at t of the cubic with knots xs, values ys and knot
-    slopes `slopes`: floats at a scalar t, else arrays of t's shape.
-    Beyond the grid the end pieces continue."""
-    import numpy as np
-
-    i = np.searchsorted(xs[1:-1], t, side="right")  # the piece holding t
-    h, y0, s0 = xs[i + 1] - xs[i], ys[i], slopes[i]
-    m = (ys[i + 1] - y0) / h
-    bend = (s0 + slopes[i + 1] - 2.0 * m) / h
-    c3, c2 = bend / h, (m - s0) / h - bend
-    d = np.asarray(t, float) - xs[i]
-    value = ((c3 * d + c2) * d + s0) * d + y0
-    slope = (3.0 * c3 * d + 2.0 * c2) * d + s0
-    return (value, slope) if np.ndim(t) else (float(value), float(slope))
-
-
 @dataclass(eq=False)
 class CoefficientFn:
     """A scalar coefficient, either a closed-form expression in the
-    independent variable or a tabulated grid with cubic interpolation.
+    independent variable or a table of its values on a grid.
 
-    Tables are outputs of the reduction chain, never its inputs.  A table
-    copies its grid and values and checks them here, but solves for its
-    not-a-knot spline's slopes (`_knot_slopes`) on first evaluation: code
-    that only reports the table pays nothing.
+    Tables are outputs of the reduction chain, never its inputs, and
+    nothing interpolates them: a table copies its grid `xs` and `values`
+    and checks them here, and is read at those knots only.  Calling a
+    table, or asking it for a derivative, raises TypeError.
     """
 
     kind: str  # "symbolic" | "tabulated"
@@ -441,17 +392,12 @@ class CoefficientFn:
                 raise ValueError("grid and values must be 1-d and aligned")
             if not np.all(np.diff(self.xs) > 0):
                 raise ValueError("grid must be strictly increasing")
-            # a spline needs two finite knots and finite values
             if self.xs.size < 2:
                 raise ValueError("`x` must contain at least 2 elements.")
             if not np.all(np.isfinite(self.xs)):
                 raise ValueError("`x` must contain only finite values.")
             if not np.all(np.isfinite(self.values)):
                 raise ValueError("`y` must contain only finite values.")
-
-    @functools.cached_property
-    def _slopes(self):
-        return _knot_slopes(self.xs, self.values)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -499,12 +445,11 @@ class CoefficientFn:
         return tuple(self._sample((0, 1), t))
 
     def _sample(self, orders: tuple, t) -> list:
-        """The coefficient (order 0) and its derivative (order 1) at t, in
-        the order of `orders`: floats at a scalar t, else arrays (a table
-        keeps t's shape, a closed form flattens it)."""
+        """The closed form (order 0) and its derivative (order 1) at t, in
+        the order of `orders`: floats at a scalar t, else flat arrays."""
         if self.kind == "tabulated":
-            both = _spline(self.xs, self.values, self._slopes, t)
-            return [both[k] for k in orders]
+            raise TypeError(f"the table ({self.source or 'no source'}) has "
+                            "no value between its knots; read xs and values")
         rows = self._rows.get(orders)
         if rows is None:
             exprs = [self.derivative_expr if k else self.expr for k in orders]
@@ -522,9 +467,10 @@ class CoefficientFn:
         """The ends of a table's grid."""
         return (float(self.xs[0]), float(self.xs[-1]))
 
-    def is_constant(self, rtol: float = 1e-8) -> ZeroVerdict:
+    def is_constant(self) -> ZeroVerdict:
         """Whether the coefficient is constant, as a ZeroVerdict of its
-        derivative; a table's spread within rtol is a "numeric" one."""
+        derivative; a table whose spread is within 1e-6 of its scale,
+        1 + max |value|, is a "numeric" one."""
         if self.kind == "symbolic":
             if not free_symbols(self.expr):
                 return ZeroVerdict(True, "symbolic")
@@ -534,7 +480,7 @@ class CoefficientFn:
             return verdict
         spread = float(self.values.max() - self.values.min())
         return ZeroVerdict(
-            spread <= rtol * (1.0 + float(abs(self.values).max())), "numeric")
+            spread <= 1e-6 * (1.0 + float(abs(self.values).max())), "numeric")
 
     def constant_value(self) -> float:
         if self.kind == "symbolic":

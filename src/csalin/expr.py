@@ -1078,6 +1078,12 @@ def _free_divide(n_poly: dict, b_poly: dict):
 
 
 def _reduce_fractions(p: dict, st: _Canon) -> dict:
+    """p with its sum denominators cancelled where they divide, pass after
+    pass until one changes nothing, so `simplify` is a projection.  A pass
+    multiplies terms only by the bases of the sums it reduces, so the
+    powers it brings back are of sums nested inside those: each further
+    pass works deeper, and sums nest finitely deep."""
+    old = p
     sum_keys = sorted({k for m in p for k, q in m
                        if isinstance(st.bases.get(k), _SumBase) and q < 0})
     for key in sum_keys:
@@ -1119,7 +1125,7 @@ def _reduce_fractions(p: dict, st: _Canon) -> dict:
                     fac[key] = fac.get(key, 0) + shift
                 _poly_iadd(newp, _normalize_factors(fac, c, st))
         p = newp
-    return p
+    return p if p == old else _reduce_fractions(p, st)
 
 
 def _reduced(e: Expr, st: _Canon) -> dict:

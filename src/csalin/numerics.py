@@ -24,6 +24,10 @@ again with `eval_expr`, which returns the reference value (inf for an
 overflowing exp) or names the undefined subterm in a `DomainError`.  The
 loop returns one tuple per grid point, and their floats reach numpy in
 one pass into a preallocated (n + 1) x d float64 block.
+
+`row_derivative` differentiates a table over its row index, for the
+trajectory residual and a tabulated beta's collocation: nothing reads a
+table between its rows.  numpy is imported only where arrays are built.
 """
 
 from __future__ import annotations
@@ -167,6 +171,16 @@ def checked_grid(t0: float, t1: float, h: float = 1e-3):
     length and abscissae bit for bit."""
     n = _steps(t0, t1, h)
     return _grid(t0, t1, n + n % 2)
+
+
+def row_derivative(f):
+    """The derivative of the array f over its row index, from the 7-point
+    sixth-order central difference (B. Fornberg, Math. Comp. 51 (1988)
+    699-706), on rows 3 to len(f) - 4.  The ratio D(f)/D(x) of two columns
+    on one grid is then df/dx there, with no step size in it."""
+    def step(k):  # f[i + k] - f[i - k]
+        return f[3 + k:len(f) - 3 + k] - f[3 - k:len(f) - 3 - k]
+    return (45.0 * step(1) - 9.0 * step(2) + step(3)) / 60.0
 
 
 def _rk4(loop, t0: float, y0, t1: float, ts):

@@ -22,6 +22,7 @@ from .expr import (
     zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
+from .numerics import row_derivative
 from .reports import ConditionCheck, ConditionReport
 
 
@@ -413,6 +414,31 @@ def _q3_certificate(cf: CoefficientFn, lo: float, hi: float,
     return None
 
 
+def _collocation_samples(cf: CoefficientFn, lo: float, hi: float) -> tuple:
+    """(xs, beta, beta') at the collocation points of [lo, hi]: 40 evenly
+    spaced points of a grid of step at most 1e-3 and at least 200 steps,
+    or a table's own knots, min(40, m) of the m in [lo, hi] at least 3
+    rows from its ends, evenly spaced by index, with beta' = D(values) /
+    D(xs) by the row stencil D = `numerics.row_derivative`."""
+    import numpy as np
+
+    if cf.kind == "tabulated":
+        rows = np.flatnonzero((cf.xs >= lo) & (cf.xs <= hi))
+        rows = rows[(rows >= 3) & (rows < len(cf.xs) - 3)]
+        m = len(rows)
+        if m < 3:  # the fewest points that pin the quadratic g3
+            raise IntervalTooSmall(
+                f"interval [{lo}, {hi}] holds {m} knots of the table at "
+                "least 3 rows from its ends; collocation needs 3")
+        rows = rows[np.round(np.linspace(0, m - 1, min(40, m))).astype(int)]
+        slope = row_derivative(cf.values) / row_derivative(cf.xs)
+        return cf.xs[rows], cf.values[rows], slope[rows - 3]
+    span = hi - lo
+    n = int(np.ceil(span / min(1e-3, span / 199.5)))
+    xs = lo + span / n * np.unique(np.round(np.linspace(0, n, 40)))
+    return (xs, *cf.with_derivative(xs))
+
+
 def _collocation_rank(cf: CoefficientFn, interval,
                       svd_cut: float) -> RankReport:
     """Count independent constraints on the 11 symmetry parameters.
@@ -424,28 +450,18 @@ def _collocation_rank(cf: CoefficientFn, interval,
     g3''' = 0 and g3 = a0 + a1 s + a2 s^2 / 2 (s = x - lo) is a quadratic.
     g6 and g9 enter no row, so their four initial values are free
     parameters.  Each row is thus an exact linear form in
-    (a0, a1, a2, c1, c2, c3, c4), taken at 40 evenly spaced collocation
-    points; no ODE is solved, and the rank counts the constraints on all
-    11 parameters.
-
-    The collocation points are those of a grid of step at most 1e-3 and
-    at least 200 steps, computed without building the grid, and they are
-    the only points where beta and beta' are sampled.  `classify_beta`
-    certifies a closed-form beta finite on the whole interval before it
-    gets here (`_certify_finite`); a tabulated beta is a cubic spline on
-    finite data, finite on its domain.  A collocation sample that is not
-    finite raises PoleInInterval.
+    (a0, a1, a2, c1, c2, c3, c4), taken at the points of
+    `_collocation_samples`, the only points where beta and beta' are
+    read; no ODE is solved, and the rank counts the constraints on all
+    11 parameters.  `classify_beta` certifies a closed-form beta finite
+    before it gets here (`_certify_finite`); a collocation sample that is
+    not finite raises PoleInInterval.
     """
     import numpy as np
 
     lo, hi = float(interval[0]), float(interval[1])
-    span = hi - lo
     _require_span(lo, hi)
-    n = int(np.ceil(span / min(1e-3, span / 199.5)))
-    idx = np.unique(np.round(np.linspace(0, n, 40)).astype(int))
-    h = span / n
-    xs = lo + h * idx
-    bvals, dbvals = cf.with_derivative(xs)
+    xs, bvals, dbvals = _collocation_samples(cf, lo, hi)
     bad = ~(np.isfinite(bvals) & np.isfinite(dbvals))
     if bad.any():  # an inf or NaN row would reach the SVD
         where = xs[bad].min()
@@ -470,7 +486,7 @@ def _collocation_rank(cf: CoefficientFn, interval,
         rank = int(np.sum(svals > svd_cut * svals[0]))
     return RankReport(shape=mat.shape, singular_values=tuple(svals),
                       rank=rank, cutoff=svd_cut,
-                      collocation_points=len(idx))
+                      collocation_points=len(xs))
 
 
 def _universal_witnesses(ctx: VarContext) -> tuple:
@@ -905,7 +921,8 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     note instead of witnesses, and one that cannot be certified finite is
     still a constant), and else by the collocation rank count of
     `_collocation_rank`.  That covers a beta with q''' = 0, such as
-    `sqrt(2)*x^(-2)`.  A tabulated beta goes through collocation too.
+    `sqrt(2)*x^(-2)`.  A tabulated beta is constant where its spread is
+    (`CoefficientFn.is_constant`), and else collocated at its own knots.
     The classification's method is "numeric" where collocation, a table
     or a sampled zero verdict on beta or beta' decided it, and else
     "symbolic".
@@ -949,7 +966,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
         if flat:
             return _constant_beta(cf, seed, ctx, flat)
     else:
-        if cf.is_constant(rtol=1e-6):
+        if cf.is_constant():
             if abs(cf.constant_value()) <= 1e-12:
                 return Classification(15, "coefficient identically zero",
                                       "numeric")

@@ -5,8 +5,8 @@ measures how well the transformed trajectory satisfies a target system,
 and reproduces the four nonlinear geodesic-type applications end to end.
 A trajectory's step comes from the error budget of `rk4_checked`, at most
 the step that leaves `DEFAULT_STEPS` steps.  The residual differentiates
-along the trajectory's rows with a finite-difference stencil, so the
-worked examples build no spline.
+along the trajectory's rows with a finite-difference stencil, so nothing
+interpolates the trajectory.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .expr import (
     zero_verdict,
 )
 from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
-    rk4_checked
+    rk4_checked, row_derivative
 # re-exported: integrate raises it
 from .numerics import InaccurateIntegration as InaccurateIntegration
 from .reports import ConditionCheck, ConditionReport
@@ -128,21 +128,13 @@ def map_trajectory(traj: Trajectory, T: PointTransformation,
     return tuple(np.array(cols))
 
 
-def _row_derivative(f):
-    """The derivative of f over its row index, from the 7-point sixth-order
-    central difference, on rows 3 to len(f) - 4."""
-    def step(k):  # f[i + k] - f[i - k]
-        return f[3 + k:len(f) - 3 + k] - f[3 - k:len(f) - 3 - k]
-    return (45.0 * step(1) - 9.0 * step(2) + step(3)) / 60.0
-
-
 def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
                            T: PointTransformation,
                            params: dict | None = None) -> float:
     """Max defect of the mapped trajectory against the target system.
 
     Second derivatives are Y'' = D(Y')/D(X) and Z'' = D(Z')/D(X), with D
-    the 7-point sixth-order central difference over the trajectory's row
+    the row stencil `numerics.row_derivative` over the trajectory's row
     index: the ratio is the derivative in X, so no step size enters.  The
     stencil leaves out three rows at each end, and a trajectory of fewer
     than 7 rows raises ShortTrajectory.
@@ -156,8 +148,8 @@ def residual_on_trajectory(traj: Trajectory, target: OdeSystem2,
     if not (np.all(d > 0) or np.all(d < 0)):
         raise NonMonotone("transformed independent variable is not "
                           "strictly monotone along the trajectory")
-    dX = _row_derivative(X)
-    ypp, zpp = _row_derivative(Yp) / dX, _row_derivative(Zp) / dX
+    dX = row_derivative(X)
+    ypp, zpp = row_derivative(Yp) / dX, row_derivative(Zp) / dX
     sl = slice(3, len(X) - 3)
     rows = compile_rows((target.omega1, target.omega2), _names(target.ctx),
                         params)

@@ -91,11 +91,14 @@ def fixed_step_error(f, t0, y0, t1, h) -> float:
 def roundtrip_residual(res) -> float:
     """The largest residual on [1.05, 1.95] of y'' = a3 y - z, z'' = y +
     a3 z, a3 = 2/t^2, which res reduces on [1, 2], by a solution of the
-    reduced form mapped back as y = rho(t) Y(X(t)), quintic-interpolated."""
-    from scipy.interpolate import make_interp_spline
+    reduced form mapped back as y = rho(t) Y(X(t)), quintic-interpolated.
+    The package reads its tables at their knots only; here beta, rho and
+    X are read between knots through scipy's not-a-knot cubic spline."""
+    from scipy.interpolate import CubicSpline, make_interp_spline
 
-    beta = res.form["beta"]
-    lo, hi = beta.domain
+    beta, rho, new_var = (CubicSpline(c.xs, c.values) for c in
+                          (res.form["beta"], res.rho, res.new_var))
+    lo, hi = res.form["beta"].domain
 
     def reduced_rhs(x, s):
         b = beta(x)
@@ -104,7 +107,7 @@ def roundtrip_residual(res) -> float:
     xs, ys = rk4_reference(reduced_rhs, lo + 1e-6,
                            np.array([0.3, -0.2, 0.1, 0.4]), hi - 1e-6, 1e-3)
     ts = np.linspace(1.05, 1.95, 300)
-    rho, x_of_t, a3 = res.rho(ts), res.new_var(ts), 2.0 / ts ** 2
+    rho, x_of_t, a3 = rho(ts), new_var(ts), 2.0 / ts ** 2
     y, z = (rho * make_interp_spline(xs, ys[:, k], k=5)(x_of_t)
             for k in (0, 1))
     r1 = make_interp_spline(ts, y, k=5).derivative(2)(ts) - (a3 * y - z)

@@ -21,8 +21,8 @@ from csalin.canon import (
 from csalin.csa import check_cr, realify
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    C, VarContext, ZERO, free_symbols, neg, parse, simplify, substitute, sym,
-    to_string, zero_verdict,
+    C, VarContext, ZERO, ZeroVerdict, free_symbols, neg, parse, simplify,
+    substitute, sym, to_string, zero_verdict,
 )
 from csalin.numerics import (
     ERROR_BUDGET, Blowup, Field, InaccurateIntegration, checked_grid,
@@ -394,14 +394,6 @@ def test_coefficient_of_keeps_variable_expressions():
         assert (got.kind, got.var, got.expr) == ("symbolic", "x", want.expr)
 
 
-def test_coefficient_interpolation_accuracy():
-    xs = np.linspace(0.0, 2.0, 2001)
-    c = CoefficientFn.tabulated(xs, np.sin(xs))
-    probe = np.linspace(0.05, 1.95, 57)
-    assert np.max(np.abs(c(probe) - np.sin(probe))) < 1e-10
-    assert np.max(np.abs(c.derivative(probe) - np.cos(probe))) < 1e-7
-
-
 @pytest.mark.parametrize("xs, values, message", [
     ([1.0], [2.0], "`x` must contain at least 2 elements."),
     ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0],
@@ -410,13 +402,8 @@ def test_coefficient_interpolation_accuracy():
      "`y` must contain only finite values."),
 ], ids=["one-point", "infinite-grid", "nan-value"])
 def test_coefficient_table_checked_at_construction(xs, values, message):
-    # the knot slopes are solved later; input errors are not
     with pytest.raises(ValueError, match=re.escape(message)):
         CoefficientFn.tabulated(xs, values)
-
-
-def _eager_spline(xs, values, t) -> tuple:
-    return canon._spline(xs, values, canon._knot_slopes(xs, values), t)
 
 
 def test_coefficient_copies_its_table():
@@ -426,70 +413,45 @@ def test_coefficient_copies_its_table():
     xs[:] = np.linspace(5.0, 9.0, 21)
     values[:] = 0.0
     grid = np.linspace(0.0, 2.0, 21)
-    want = _eager_spline(grid, np.sin(grid), 0.73)
-    assert (c(0.73), c.derivative(0.73)) == want
+    assert np.array_equal(c.xs, grid) and np.array_equal(c.values,
+                                                         np.sin(grid))
 
 
-def test_lazy_spline_matches_eager_spline_bit_for_bit():
-    xs = np.linspace(0.5, 2.0, 31)
-    values = np.exp(-xs) * np.cos(3.0 * xs)
-    c = CoefficientFn.tabulated(xs, values)
-    assert "_slopes" not in c.__dict__  # solved on first evaluation
-    probe = np.linspace(0.5, 2.0, 97)
-    for t in (0.8137, np.float64(1.2251), probe):
-        value, slope = _eager_spline(xs, values, t)
-        assert np.array_equal(c(t), value)
-        assert np.array_equal(c.derivative(t), slope)
-    assert type(c(0.8137)) is float and type(c.derivative(probe[3])) is float
-    assert "_slopes" in c.__dict__
-
-
-def test_scalar_reads_match_array_reads_bit_for_bit():
-    # a float t and an array read the same floats, on the 1,501-point beta
-    # over X of a3 = x/4, a4 = 1 on [0.5, 2], at knots, midpoints, the
-    # ends' neighbours, beyond the ends and between
+def test_a_table_is_never_read_between_its_knots():
+    # a table is read at its knots, xs and values, and nowhere else
     beta = reduce_25_to_28(_zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
-    grid = beta.xs
-    assert beta.kind == "tabulated" and len(grid) == 1501
-    rng = np.random.default_rng(5)
-    probe = np.r_[grid, (grid[1:] + grid[:-1]) / 2,
-                  np.nextafter(grid[[0, -1]], [-np.inf, np.inf]),
-                  grid[0] - 0.25, grid[-1] + 0.25,
-                  rng.uniform(grid[0], grid[-1], 500)]
-    values, slopes = beta.with_derivative(probe)
-    for t, v, s in zip(probe.tolist(), values.tolist(), slopes.tolist()):
-        got = beta.with_derivative(t)
-        assert [type(x) for x in got] == [float, float]
-        assert (got[0].hex(), got[1].hex()) == (v.hex(), s.hex()), t
-    assert beta(1) == beta(1.0)
+    for read in (beta, beta.derivative, beta.with_derivative):
+        for t in (0.73, np.linspace(0.5, 2.0, 5)):
+            with pytest.raises(TypeError) as info:
+                read(t)
+            assert str(info.value) == (
+                f"the table ({beta.source}) has no value between its "
+                "knots; read xs and values")
+    with pytest.raises(TypeError, match=r"^the table \(no source\) has no "):
+        CoefficientFn.tabulated([0.0, 1.0], [1.0, 2.0])(0.5)
 
 
-@pytest.mark.parametrize("table", [f"{n}-{grid}" for n in (2, 3, 4, 5, 2001)
-                                   for grid in ("uniform", "jittered")]
-                         + ["rescaled-X"])
-def test_spline_matches_scipy_not_a_knot(table):
-    # scipy's default CubicSpline is the same spline.  An error is relative
-    # to the largest value or slope it is the error of, as slopes cross 0
-    from scipy.interpolate import CubicSpline
-
-    n, grid = table.split("-")
-    if grid == "X":  # a rescaling's beta over X, whose grid is not uniform
-        beta = reduce_25_to_28(_zero_order("x/4", 1), (0.5, 2.0)).form["beta"]
-        xs, values = beta.xs, beta.values
+@pytest.mark.parametrize("spread, constant", [(1e-7, True), (1e-5, False)])
+def test_a_table_is_constant_within_1e_6_of_its_scale(spread, constant):
+    # one constant for both callers: a flat beta classifies as such, and
+    # a flat a3, a4 pair is read as the constants it tabulates
+    xs = np.linspace(0.5, 2.0, 1501)
+    flat = 2.0 + 1.5 * spread * np.sin(7.0 * xs)  # scale 1 + max = 3
+    table = CoefficientFn.tabulated(xs, flat)
+    assert np.ptp(flat) / (1.0 + flat.max()) == pytest.approx(spread,
+                                                               rel=0.01)
+    assert table.is_constant() == ZeroVerdict(constant, "numeric")
+    cls = classify_beta(table)
+    assert (cls.rank_report is None) == constant
+    if constant:
+        assert cls.case_label == "nonzero constant coefficient"
+    opt = LinearForm("optimal", {"dt11": 0, "dt12": -2, "dt21": 2})
+    target = LinearForm("zero_order", {"a3": 0, "a4": table})
+    if constant:
+        assert attempt_linear_equivalence(opt, target).method == "numeric"
     else:
-        rng = np.random.default_rng(int(n))
-        xs = np.linspace(0.5, 2.0, int(n))
-        if grid == "jittered":
-            xs[1:-1] += rng.uniform(-0.3, 0.3, int(n) - 2) * (xs[1] - xs[0])
-        a, b, c, d = rng.uniform(0.5, 2.0, 4)
-        values = a * np.sin(3.0 * b * xs + c) + d * np.exp(-xs)
-    probe = np.r_[xs, (xs[1:] + xs[:-1]) / 2,
-                  np.nextafter(xs[[0, -1]], [-np.inf, np.inf])]
-    got = CoefficientFn.tabulated(xs, values).with_derivative(probe)
-    ref = CubicSpline(xs, values)
-    for k in (0, 1):  # values, then slopes
-        bound = 1e-13 * np.max(np.abs(got[k]))
-        assert np.max(np.abs(got[k] - ref(probe, k))) <= bound
+        with pytest.raises(ValueError, match="a4 is not constant"):
+            attempt_linear_equivalence(opt, target)
 
 
 def test_symbolic_coefficient_in_another_variable():

@@ -151,9 +151,13 @@ def test_simplify_radicals():
 
 
 def test_simplify_is_projection():
-    for e in corpus(40, seed=5):
+    # reducing the nested sum's x^2 + sqrt(x + 1) brings back integer
+    # powers of x + 1, which one more pass cancels
+    nested = parse(_NESTED_DENOMINATORS, CTX)
+    for e in [*corpus(40, seed=5), nested]:
         s1 = simplify(e)
         assert to_string(simplify(s1)) == to_string(s1)
+    assert to_string(simplify(nested)) == "0"
 
 
 def _assert_one_pass(e):
@@ -380,9 +384,9 @@ def test_zero_verdict_symbolic_and_numeric():
 # identities the kernel cannot decide, so the sampled test decides them
 _SAMPLED_ZEROS = ["exp(2*x)-exp(x)^2", "sin(2*x)-2*sin(x)*cos(x)"]
 # identities of the kernel's normal form, decided without sampling: the
-# second only once its sum denominator is cancelled; the third only over
-# the common denominator (x + 1)*(x^2 + sqrt(x + 1)), since reducing
-# by x^2 + sqrt(x + 1) brings back powers of x + 1 already reduced
+# second only once its sum denominator is cancelled; the third only once
+# a second pass cancels the powers of x + 1 that reducing by
+# x^2 + sqrt(x + 1) brings back
 _PYTHAGORAS = "sin(x)^2+cos(x)^2-1"
 _ROOT_QUOTIENT = "(1 + x^2)/sqrt(1 + x^2) - sqrt(1 + x^2)"
 _NESTED_DENOMINATORS = ("(-x^2/(x+1) - 1 - (1+x^2)/sqrt(x+1))"
@@ -410,9 +414,9 @@ def _verdict_case(text, want, method):
     _verdict_case(_PYTHAGORAS, True, "symbolic"),
     _verdict_case(_PYTHAGORAS + "+x/100000000", False, "symbolic"),
     _verdict_case(_ROOT_QUOTIENT, True, "symbolic"),
-    # over the common denominator, the perturbation keeps a sqrt(x + 1)
+    # the normal form leaves 1/10^8 of the perturbed identity
     _verdict_case(_NESTED_DENOMINATORS, True, "symbolic"),
-    _verdict_case(_NESTED_DENOMINATORS + "+1/100000000", False, "numeric"),
+    _verdict_case(_NESTED_DENOMINATORS + "+1/100000000", False, "symbolic"),
     _verdict_case(_ZERO_WHERE_DEFINED, True, "numeric"),
     _verdict_case(_ZERO_WHERE_DEFINED + "+1/100000000", False, "numeric"),
 ])

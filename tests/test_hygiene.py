@@ -263,7 +263,6 @@ def test_symbolic_subcommands_leave_numpy_unloaded(tmp_path, args, doc):
 
 
 def test_no_module_imports_scipy():
-    # a table's cubic spline is the package's own
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [a.name for a in node.names] if isinstance(
@@ -273,14 +272,11 @@ def test_no_module_imports_scipy():
 
 
 def test_a_table_reduces_and_classifies_with_scipy_blocked():
-    # a table's value and slope; rho from RK4, and beta a table over X that
-    # collocation classifies
+    # rho from RK4, and beta a table over X that collocation classifies
     _run_fresh("""
         import sys; sys.modules["scipy"] = None
-        from csalin.canon import CoefficientFn, LinearForm, reduce_25_to_28
+        from csalin.canon import LinearForm, reduce_25_to_28
         from csalin.symmetry import classify_beta
-        c = CoefficientFn.tabulated([0.0, 1.0, 2.0], [1.0, 0.0, 2.0])
-        assert c.with_derivative(0.5) == (0.125, -1.0)
         lf = LinearForm("zero_order", {"a3": "x/4", "a4": 1})
         beta = reduce_25_to_28(lf, (0.5, 2.0)).form["beta"]
         lo, hi = beta.domain

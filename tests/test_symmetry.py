@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from csalin import symmetry
-from csalin.canon import CoefficientFn, PoleInInterval
+from csalin.canon import (
+    CoefficientFn, LinearForm, PoleInInterval, reduce_25_to_28,
+)
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
     C, VarContext, ZERO, eval_expr, parse, simplify, simplify_verdict, sym,
@@ -290,12 +292,72 @@ def test_classification_raises_no_numpy_warning():
         assert classify_beta("1000000*x^(-2)").dimension == 7
 
 
-def test_classification_accepts_tabulated_coefficients():
-    xs = np.linspace(0.5, 3.0, 2501)
+@pytest.mark.parametrize("knots", [2501, 1501])
+def test_classification_accepts_tabulated_coefficients(knots):
+    # through a cubic spline read between knots, the 1,501-knot x^(-2)
+    # kept a singular value of 2.8e-8 above the cutoff and read 6
+    xs = np.linspace(0.5, 3.0, knots)
     c = CoefficientFn.tabulated(xs, xs ** -2.0)
     assert classify_beta(c).dimension == 7
     const = CoefficientFn.tabulated(xs, np.full_like(xs, 2.0))
     assert classify_beta(const).dimension == 7
+
+
+def _x_over_4(interval):
+    """The reduction of a3 = x/4, a4 = 1 on interval."""
+    return reduce_25_to_28(LinearForm("zero_order", {"a3": "x/4", "a4": 1}),
+                           interval)
+
+
+def test_a_table_is_collocated_at_its_knots_with_the_row_stencil():
+    # rho'' = (t/4) rho with rho(0.5) = 1, rho'(0.5) = 0 is a combination
+    # of Ai and Bi of k t, k = 4^(-1/3), and beta = rho^4 over
+    # X = integral of rho^-2 has dbeta/dX = 4 rho^5 rho' exactly.  beta'
+    # is 0 at t = 0.5, so the bound is absolute
+    from scipy.special import airy
+
+    res = _x_over_4((0.5, 2.0))
+    beta = res.form["beta"]
+    lo, hi = beta.domain
+    xs, values, slopes = symmetry._collocation_samples(beta, lo + 0.03,
+                                                       hi - 0.03)
+    rows = np.searchsorted(beta.xs, xs)
+    assert len(xs) == 40 and np.array_equal(beta.xs[rows], xs)
+    assert np.array_equal(values, beta.values[rows])
+    k = 4.0 ** (-1.0 / 3.0)
+    ai, dai, bi, dbi = airy(k * 0.5)
+    a, b = np.linalg.solve([[ai, bi], [k * dai, k * dbi]], [1.0, 0.0])
+    ai, dai, bi, dbi = airy(k * res.rho.xs[rows])
+    rho, drho = a * ai + b * bi, k * (a * dai + b * dbi)
+    want = 4.0 * rho ** 5 * drho
+    assert np.max(np.abs(slopes - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("beta,dim", [
+    (b, d) for b, d in dict.fromkeys(
+        BETA_CORPUS + [b for seed in range(5) for b in seeded_betas(seed)])])
+def test_a_table_of_a_closed_form_classifies_as_the_closed_form(beta, dim):
+    # exact values on 1,501 uniform knots over [0.5, 3]
+    xs = np.linspace(0.5, 3.0, 1501)
+    values = CoefficientFn.of(beta)(xs)
+    assert classify_beta(CoefficientFn.tabulated(xs, values)).dimension == dim
+
+
+def test_a_short_chain_table_classifies_at_fewer_than_40_knots():
+    # a3 = x/4 reduced on [0.5, 0.52], as an example's dimension check
+    # reads it, 2% in from each end
+    beta = _x_over_4((0.5, 0.52)).form["beta"]
+    lo, hi = beta.domain
+    pad = 0.02 * (hi - lo)
+    cls = classify_beta(beta, (lo + pad, hi - pad))
+    assert (cls.dimension, cls.rank_report.collocation_points) == (6, 17)
+
+
+def test_a_table_with_fewer_than_3_inner_knots_is_too_short():
+    # 8 knots leave rows 3 and 4 for the row stencil
+    xs = np.linspace(0.5, 0.6, 8)
+    with pytest.raises(IntervalTooSmall, match="holds 2 knots of the table"):
+        classify_beta(CoefficientFn.tabulated(xs, xs ** -2.0))
 
 
 def test_classification_interval_too_small():
