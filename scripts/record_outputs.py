@@ -261,9 +261,9 @@ def main() -> int:
     table = reduce_25_to_28(zero_order("2/x^2", 1), (1.0, 2.0)).form["beta"]
     record("classify_beta of the table of a3 = 2/x^2",
            lambda: classification(table, padded(table)))
-    # exact knots of closed forms: read between its knots through a cubic
-    # spline, the x^(-2) table kept a spurious singular value above the
-    # cutoff and read 6; its dimension is 7
+    # exact knots of closed forms.  x^(-2) has dimension 7; a cubic
+    # spline's slope error between its knots leaves a spurious singular
+    # value above the cutoff and reads 6
     xs = np.linspace(0.5, 3.0, 1501)
     for name, values in (("x^(-2)", xs ** -2.0), ("exp(x)", np.exp(xs))):
         record(f"classify_beta of the 1,501-knot table of {name}",

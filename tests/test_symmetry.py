@@ -294,8 +294,8 @@ def test_classification_raises_no_numpy_warning():
 
 @pytest.mark.parametrize("knots", [2501, 1501])
 def test_classification_accepts_tabulated_coefficients(knots):
-    # through a cubic spline read between knots, the 1,501-knot x^(-2)
-    # kept a singular value of 2.8e-8 above the cutoff and read 6
+    # at 1,501 knots, a cubic spline's slope error between knots leaves a
+    # singular value of 2.8e-8 above the 1e-8 cutoff; the knots read 7
     xs = np.linspace(0.5, 3.0, knots)
     c = CoefficientFn.tabulated(xs, xs ** -2.0)
     assert classify_beta(c).dimension == 7
