@@ -206,7 +206,8 @@ def main() -> int:
                          params=case.param_values)
         record(f"integrate {i}",
                lambda: {"xs": traj.xs, "states": traj.states,
-                        "error": traj.error, "step": traj.step})
+                        "error": traj.error, "step": traj.step,
+                        "pilots": traj.pilots})
         record(f"map_trajectory {i}", lambda: map_trajectory(
             traj, case.transformation, case.param_values))
         fixed = integrate(case.system, case.init, case.interval[1], h=1e-3,

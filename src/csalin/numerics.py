@@ -3,8 +3,10 @@
 RK4 with Richardson step-doubling validation, on a uniform grid whose step
 comes from the error budget: the caller's h is the largest step accepted,
 a run whose state escapes is rerun once at a quarter of the step, and
-a run whose step-doubling error misses `ERROR_BUDGET` is rerun once at
-the step the RK4 error law (error ~ h^4) predicts.  Coefficients on
+a run whose step-doubling error misses `ERROR_BUDGET` is rerun at the
+step the RK4 error law (error ~ h^4) predicts, at most `REFINEMENTS`
+times.  A coarse pilot is therefore cheap: the trajectory verifier starts
+from 24 steps of its span and lets the law pick the step.  Coefficients on
 the working intervals are smooth, so one uniform grid per run is enough.
 Callers: the trajectory verifier (`verify.integrate`) and the rho / M
 rescalings of the reduction chain (`canon`) that have no closed form; a
@@ -73,6 +75,13 @@ SAFETY = 0.9
 # a pilot whose state escapes reruns once at a step this many times finer
 ESCAPE_REFINE = 4
 
+# the most reruns at the step the h^4 law predicts: one is not always
+# enough, since the law only predicts the error.  From integrate's 24-step
+# pilot, two seeded geodesic-type trajectories with (1+x)-growing
+# coefficients end at 1.1e-9 and 1.2e-9 after one rerun, and within the
+# budget after a second
+REFINEMENTS = 2
+
 
 @dataclass(frozen=True, eq=False)
 class Field:
@@ -120,6 +129,17 @@ def _fuse(f: Field):
         "if not (" + " and ".join(
             f"{-f.bound!r} <= s{i} <= {f.bound!r}" for i in range(d)) + "):",
         "    raise Blowup(f'state escaped near x = {t:.6g}')"]
+    # the stage values, from t and s<i> alike in all four stages, so their
+    # code is emitted once
+    values = []
+    if f.values:
+        temps = []
+        codes = emit_code(f.values, symbols, temps)
+        temps += [f"v{j} = {code}" for j, code in enumerate(codes)]
+        values = ["try:", *("    " + line for line in temps),
+                  "except (ArithmeticError, ValueError):",
+                  f"    {''.join(f'v{j}, ' for j in range(len(codes)))}"
+                  f"= _values(t, ({state}))"]
     lines = [f"{''.join(f'y{i}, ' for i in range(d))}= y", "rows = [y]",
              "for x, x_next in zip(grid, grid[1:]):"]
     # (stage time, stage state); the third stage keeps the second's time
@@ -128,15 +148,7 @@ def _fuse(f: Field):
     for n, (time, update) in enumerate(stages, 1):
         body = [] if time is None else [f"t = {time}"]
         body += [f"s{i} = " + update.format(i=i) for i in range(d)]
-        body += check
-        if f.values:
-            values = []
-            codes = emit_code(f.values, symbols, values)
-            values += [f"v{j} = {code}" for j, code in enumerate(codes)]
-            body += ["try:", *("    " + line for line in values),
-                     "except (ArithmeticError, ValueError):",
-                     f"    {''.join(f'v{j}, ' for j in range(len(codes)))}"
-                     f"= _values(t, ({state}))"]
+        body += check + values
         body += [f"k{n}_{i} = {code}" for i, code in enumerate(f.derivs)]
         lines += ["    " + line for line in body]
     lines += [f"    y{i} = y{i} + h6 * (((k1_{i} + 2.0 * k2_{i}) + "
@@ -228,7 +240,8 @@ def _checked_run(loop, t0: float, y0, t1: float, h: float) -> tuple:
     return ts, ys, float(abs(ys[::2] - ys2).max())
 
 
-def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
+def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3,
+                discarded: list | None = None):
     """RK4 plus a step-doubling Richardson error estimate, at a step of at
     most h chosen from the error budget.
 
@@ -236,12 +249,15 @@ def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
     run of half as many steps of twice the size lands on ts[::2]; err is
     the max-norm difference between the two runs there, for RK4 about 15
     times the error of ys.  Where err exceeds ERROR_BUDGET, the run at h
-    is the pilot of one rerun at SAFETY * h * (ERROR_BUDGET / err)^(1/4),
-    the step the h^4 law puts at SAFETY^4 of the budget; the pilot is kept
-    where that step would take more than MAX_STEPS steps, so no larger
-    grid is ever built.  The caller applies `require_accuracy` to the
-    returned err.  Returns (ts, ys, err, step) with step the h of the run
-    kept.
+    is the pilot of a rerun at SAFETY * h * (ERROR_BUDGET / err)^(1/4),
+    the step the h^4 law puts at SAFETY^4 of the budget, and a rerun that
+    still misses the budget is the pilot of one more, REFINEMENTS reruns
+    in all.  A pilot is kept where its predicted step would take more
+    than MAX_STEPS steps, so no larger grid is ever built.  The caller
+    applies `require_accuracy` to the returned err.  Returns (ts, ys, err,
+    step) with step the h of the run kept; where `discarded` is a list,
+    the (step, err) of each run not kept is appended to it in order, err
+    None for a run that escaped, also where rk4_checked then raises.
 
     The run at h goes first, so an error it raises comes before any of
     the 2h run; a state that is not finite in either run raises Blowup at
@@ -252,22 +268,35 @@ def rk4_checked(f: Field, t0: float, y0, t1: float, h: float = 1e-3):
     finer pilot escapes too, the pilot's Blowup is raised.
     """
     loop = _fuse(f)
+    runs = [] if discarded is None else discarded
+
+    def run(step: float) -> tuple:
+        try:
+            return _checked_run(loop, t0, y0, t1, step)
+        except Blowup:
+            runs.append((step, None))
+            raise
+
     try:
-        ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+        ts, ys, err = run(h)
     except Blowup as escaped:
         fine = h / ESCAPE_REFINE
         if abs(t1 - t0) / fine > MAX_STEPS:
             raise
         try:
-            ts, ys, err = _checked_run(loop, t0, y0, t1, fine)
+            ts, ys, err = run(fine)
         except Blowup:
             raise escaped from None
         h = fine
-    if err > ERROR_BUDGET:
+    for _ in range(REFINEMENTS):
+        if err <= ERROR_BUDGET:
+            break
         fine = SAFETY * h * (ERROR_BUDGET / err) ** 0.25
-        if abs(t1 - t0) / fine <= MAX_STEPS:
-            h = fine
-            ts, ys, err = _checked_run(loop, t0, y0, t1, h)
+        if abs(t1 - t0) / fine > MAX_STEPS:
+            break
+        runs.append((h, err))
+        h = fine
+        ts, ys, err = run(h)
     return ts, ys, err, h
 
 

@@ -3,14 +3,15 @@
 Integrates systems, pushes trajectories through point transformations,
 measures how well the transformed trajectory satisfies a target system,
 and reproduces the four nonlinear geodesic-type applications end to end.
-A trajectory's step comes from the error budget of `rk4_checked`, at most
-the step that leaves `DEFAULT_STEPS` steps.  The residual differentiates
-along the trajectory's rows with a finite-difference stencil, so nothing
-interpolates the trajectory.
+A trajectory's step comes from the error budget of `rk4_checked`, which
+refines a coarse pilot of `PILOT_STEPS` steps of the span.  The residual
+differentiates along the trajectory's rows with a finite-difference
+stencil, so nothing interpolates the trajectory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,10 @@ from .expr import (
     coefficients_in, compile_rows, parse, simplify, substitute, to_string,
     zero_verdict,
 )
-from .numerics import Blowup, DomainError, Field, require_accuracy, rk4, \
-    rk4_checked, row_derivative
+from .numerics import (
+    ERROR_BUDGET, ESCAPE_REFINE, MAX_STEPS, Blowup, DomainError, Field,
+    require_accuracy, rk4, rk4_checked, row_derivative,
+)
 # re-exported: integrate raises it
 from .numerics import InaccurateIntegration as InaccurateIntegration
 from .reports import ConditionCheck, ConditionReport
@@ -51,16 +54,20 @@ class Trajectory:
     states: np.ndarray  # columns: y, z, y', z'
     step: float  # the h of the run kept
     error: float | None = None  # h vs 2h max-norm difference, if checked
+    # (step, error) of each checked run discarded for the one kept, in
+    # order; error None where the run escaped
+    pilots: tuple = ()
 
 
 _BOUND = 1e8  # the trusted range of a state component
 
-# integrate's default step is the span over DEFAULT_STEPS, and at most
-# MAX_DEFAULT_STEP: a step of span/200 on a long span can leave RK4's
-# stability region, so that the run escapes where a finer one does not.
-# Both give h = 5e-3 on the worked examples' unit intervals
-DEFAULT_STEPS = 200
-MAX_DEFAULT_STEP = 5e-3
+# integrate's pilot step: the span over PILOT_STEPS, an even count that
+# checked_grid keeps, which rk4_checked refines to the step the error
+# budget asks for (the worked examples keep 108 to 250 steps), and at most
+# MAX_PILOT_STEP: for y'' = -y on [0, 1000], span/24 = 41.7 leaves RK4's
+# stability region, and so does the escape rerun at a quarter of it
+PILOT_STEPS = 24
+MAX_PILOT_STEP = 0.05
 
 
 def _names(ctx: VarContext) -> tuple:
@@ -86,27 +93,56 @@ def integrate(sys: OdeSystem2, init, x_end: float, h: float | None = None,
               params: dict | None = None, sanity: bool = True) -> Trajectory:
     """RK4 trajectory from init = (x0, y0, z0, y0', z0') to x_end.
 
-    x_end may lie before x0.  h defaults to the span over DEFAULT_STEPS, at
-    most MAX_DEFAULT_STEP.  With sanity, h is the largest step that
+    x_end may lie before x0.  With sanity, h is the largest step that
     `rk4_checked` takes, a re-integration at twice the step must agree to
     1e-7 in max norm on the shared grid points, and the disagreement is
-    kept as the trajectory's error; without, RK4 runs at h unchecked.
+    kept as the trajectory's error; without, RK4 runs at h unchecked, and
+    h must be given.
+
+    h defaults to a coarse pilot, the span over PILOT_STEPS and at most
+    MAX_PILOT_STEP, whose step rk4_checked refines to the error budget.
+    Where that pilot and its escape rerun both escape, the run starts
+    again from a pilot ESCAPE_REFINE^2 finer; where the run kept still
+    misses ERROR_BUDGET (on a long span, the predicted step would take
+    more than MAX_STEPS steps), it reruns once on MAX_STEPS steps, the
+    finest grid allowed.  The (step, error) of each run discarded is kept
+    as the trajectory's pilots.
     """
     x0, *state0 = init
-    if h is None:
-        h = min(abs(x_end - x0) / DEFAULT_STEPS, MAX_DEFAULT_STEP) \
-            or MAX_DEFAULT_STEP
+    span = abs(x_end - x0)
+    default = h is None
+    if default:
+        if not sanity:
+            raise ValueError("integrate with sanity=False needs a step h")
+        h = min(span / PILOT_STEPS, MAX_PILOT_STEP) or MAX_PILOT_STEP
     f = _numeric_rhs(sys, params)
-    args = (f, float(x0), np.array(state0, dtype=float), float(x_end), h)
+    args = (f, float(x0), np.array(state0, dtype=float), float(x_end))
+    pilots = []
     if sanity:
-        xs, states, err, h = rk4_checked(*args)
+        try:
+            xs, states, err, h = rk4_checked(*args, h, pilots)
+        except Blowup:
+            # the pilot and its escape rerun both escaped: once more from a
+            # pilot ESCAPE_REFINE^2 finer, which rk4_checked quarters again
+            # where it escapes
+            fine = h / ESCAPE_REFINE ** 2
+            if not default or span / fine > MAX_STEPS:
+                raise
+            xs, states, err, h = rk4_checked(*args, fine, pilots)
+        if default and err > ERROR_BUDGET:
+            finest = span / MAX_STEPS
+            while span / finest > MAX_STEPS:  # span / MAX_STEPS rounded down
+                finest = math.nextafter(finest, math.inf)
+            if finest < h:
+                pilots.append((h, err))
+                xs, states, err, h = rk4_checked(*args, finest, pilots)
     else:
-        (xs, states), err = rk4(*args), None
+        (xs, states), err = rk4(*args, h), None
     if not np.all(np.abs(states[-1]) <= _BOUND):  # the loop checks stages
         raise Blowup(f"state escaped near x = {xs[-1]:.6g}")
     if err is not None:
         require_accuracy(err)
-    return Trajectory(xs, states, h, err)
+    return Trajectory(xs, states, h, err, tuple(pilots))
 
 
 def map_trajectory(traj: Trajectory, T: PointTransformation,
@@ -230,7 +266,8 @@ def example_case(case_id: int) -> ExampleCase:
 class CaseReport(ConditionReport):
     """Verdicts of one worked example; the symmetry dimension is its last
     check.  `integration_error` is the trajectory's step-doubling
-    (Richardson) error behind `residual`, at the step `trajectory_step`."""
+    (Richardson) error behind `residual`, at the step `trajectory_step`;
+    `pilots` holds the trajectory's discarded runs as (step, error)."""
 
     example_id: int = 0
     dimension: int | None = None
@@ -238,6 +275,7 @@ class CaseReport(ConditionReport):
     residual: float = 0.0
     integration_error: float = 0.0
     trajectory_step: float = 0.0
+    pilots: tuple = ()
 
     passed = ConditionReport.overall
 
@@ -251,11 +289,18 @@ class CaseReport(ConditionReport):
             "trajectory_residual": self.residual,
             "integration_error": self.integration_error,
             "trajectory_step": self.trajectory_step,
+            "trajectory_pilots": [{"step": step, "error": err}
+                                  for step, err in self.pilots],
         }
 
     def render(self) -> str:
-        return super().render() + "\n  trajectory step-doubling error: " \
+        line = "trajectory step-doubling error: " \
             f"{self.integration_error:.3e} at step {self.trajectory_step:.3g}"
+        if self.pilots:
+            line += " (discarded: " + ", ".join(
+                ("escaped" if err is None else f"{err:.3e}")
+                + f" at step {step:.3g}" for step, err in self.pilots) + ")"
+        return super().render() + "\n  " + line
 
 
 def _method(verdicts) -> str:
@@ -414,4 +459,4 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
                       notes=tuple(notes), example_id=case_id, dimension=dim,
                       expected_dimension=expected, residual=res,
                       integration_error=traj.error,
-                      trajectory_step=traj.step)
+                      trajectory_step=traj.step, pilots=traj.pilots)

@@ -306,15 +306,19 @@ def test_demo_json_reports_the_richardson_error(capsys):
 
 
 def test_demo_json_reports_the_trajectory_step(capsys):
-    # example 3's run at 5e-3 misses the error budget and reruns finer
+    # example 3's pilot of 1/24 misses the error budget and reruns at the
+    # step it predicts; the pilot is reported beside the run kept
     assert main(["--json", "demo", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert 1e-3 < doc["trajectory_step"] < 5e-3
     assert doc["integration_error"] <= 1e-9
+    (pilot,) = doc["trajectory_pilots"]
+    assert pilot["step"] == 1 / 24 and pilot["error"] > 1e-9
     assert main(["demo", "3"]) == 0
     assert f"{doc['integration_error']:.3e} at step " \
-        f"{doc['trajectory_step']:.3g}" in capsys.readouterr().out
+        f"{doc['trajectory_step']:.3g} (discarded: {pilot['error']:.3e} " \
+        "at step 0.0417)" in capsys.readouterr().out
 
 
 def test_demo_bad_id(capsys):

@@ -11,6 +11,7 @@ from the fields they check.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import warnings
 
@@ -23,7 +24,9 @@ from csalin.canon import (
 )
 from csalin.cubic import OdeSystem2
 from csalin.expr import VarContext, compile_rows, parse
-from csalin.numerics import Field, IntervalTooLong, rk4, rk4_checked
+from csalin.numerics import (
+    Field, InaccurateIntegration, IntervalTooLong, rk4, rk4_checked,
+)
 from csalin.verify import (
     Blowup, DomainError, _numeric_rhs, example_case, integrate, run_example,
 )
@@ -202,15 +205,19 @@ def test_integrate_caps_the_number_of_steps(x_end):
 @pytest.mark.parametrize("x_end", [1e9, -1e9])
 def test_integrate_default_step_builds_no_grid_over_max_steps(monkeypatch,
                                                               x_end):
-    # the default step is at most MAX_DEFAULT_STEP, so this span is refused
-    # before any grid is built
-    sys = OdeSystem2(_CTX, parse("0", _CTX), parse("0", _CTX))
-    steps = _rk4_steps(monkeypatch)
+    # the default pilot step is at most MAX_PILOT_STEP, so this span is
+    # refused in one typed line before any grid is built
+    sys = OdeSystem2(_CTX, parse("-y", _CTX), parse("-z", _CTX))
+    grids = []
+    real = numerics._grid
+    monkeypatch.setattr(numerics, "_grid", lambda t0, t1, n:
+                        grids.append(n) or real(t0, t1, n))
     with pytest.raises(IntervalTooLong) as info:
-        integrate(sys, (0.0, 0.0, 0.0, 1.0, 1.0), x_end)
+        integrate(sys, (0.0, 1.0, 0.0, 0.0, 1.0), x_end)
+    assert verify.MAX_PILOT_STEP == 0.05
     assert str(info.value) == (f"interval [0, {x_end:g}] needs more than "
-                               "200000 RK4 steps of h = 0.005")
-    assert steps == []
+                               "200000 RK4 steps of h = 0.05")
+    assert grids == []
 
 
 @pytest.mark.parametrize("x_end,steps", [(1.3, 302), (1.0125, 14)],
@@ -227,12 +234,51 @@ def test_step_halving_on_a_span_that_is_no_multiple_of_h(x_end, steps):
 
 @pytest.mark.parametrize("x_end", [1.3, 1.0125], ids=["1.3", "1.0125"])
 def test_default_step_on_a_span_that_is_no_multiple_of_h(x_end):
-    # the default step is 1/200 of the span, within the budget here
+    # the default pilot, PILOT_STEPS steps of the span, is within the
+    # budget here and kept
     traj = integrate(OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX)),
                      (1.0, 1.0, 0.0, 0.0, 0.0), x_end)
-    assert len(traj.xs) == verify.DEFAULT_STEPS + 1
-    assert traj.step == (x_end - 1.0) / verify.DEFAULT_STEPS
+    assert len(traj.xs) == verify.PILOT_STEPS + 1 == 25
+    assert traj.step == (x_end - 1.0) / verify.PILOT_STEPS
+    assert traj.pilots == ()
     assert traj.xs[-1] == x_end and traj.error <= numerics.ERROR_BUDGET
+
+
+def test_the_oscillator_over_0_1000_integrates_as_on_the_finest_grid():
+    # y'' = -y, z'' = -z: the pilot of MAX_PILOT_STEP misses the budget,
+    # its predicted step would take more than MAX_STEPS steps, and the run
+    # on MAX_STEPS steps, of 5e-3, is kept within the 1e-7 gate
+    sys = OdeSystem2(_CTX, parse("-y", _CTX), parse("-z", _CTX))
+    traj = integrate(sys, (0.0, 1.0, 0.0, 0.0, 1.0), 1000.0)
+    assert len(traj.xs) == numerics.MAX_STEPS + 1 and traj.step == 5e-3
+    assert traj.xs[-1] == 1000.0 and traj.error <= 1e-7
+    assert traj.error.hex() == "0x1.4f37c50b80000p-24"
+    states = np.ascontiguousarray(traj.states, dtype=float).tobytes()
+    assert hashlib.sha256(states).hexdigest()[:16] == "346cebd660ccbdea"
+    (pilot, pilot_err), = traj.pilots
+    assert pilot == verify.MAX_PILOT_STEP and pilot_err > 1e-4
+
+
+def test_the_finest_rerun_takes_max_steps_where_the_division_rounds_down(
+        monkeypatch):
+    # with MAX_STEPS = 2000, 51 / (51 / 2000) exceeds 2000 by one rounding:
+    # the pilot of 0.05 misses the budget, and the rerun on the finest grid
+    # takes its step a float up, so it builds 2000 steps, not refused
+    monkeypatch.setattr(numerics, "MAX_STEPS", 2000)
+    monkeypatch.setattr(verify, "MAX_STEPS", 2000)
+    assert 51.0 / (51.0 / 2000) > 2000
+    steps = _rk4_steps(monkeypatch)
+    sys = OdeSystem2(_CTX, parse("-y", _CTX), parse("-z", _CTX))
+    with pytest.raises(InaccurateIntegration):
+        integrate(sys, (0.0, 1.0, 0.0, 0.0, 1.0), 51.0)
+    assert steps == [1020, 510, 2000, 1000]
+
+
+def test_integrate_without_sanity_needs_a_step():
+    sys = OdeSystem2(_CTX, parse("-y", _CTX), parse("0", _CTX))
+    with pytest.raises(ValueError) as info:
+        integrate(sys, (0.0, 1.0, 0.0, 0.0, 0.0), 1.0, sanity=False)
+    assert str(info.value) == "integrate with sanity=False needs a step h"
 
 
 @pytest.mark.parametrize("omega1,init", [
@@ -296,9 +342,9 @@ def _worked_example_fields(monkeypatch):
             return real(*args, **kwargs)
         m.setattr(module, name, call)
 
-    def recording(f, t0, y0, t1, h=1e-3):
+    def recording(f, t0, y0, t1, h=1e-3, *discarded):
         seen.append((f, refs[-1], t0, y0, t1, h))
-        return real_rk4(f, t0, y0, t1, h)
+        return real_rk4(f, t0, y0, t1, h, *discarded)
 
     real_rk4 = numerics.rk4_checked
     with monkeypatch.context() as m:
@@ -327,6 +373,33 @@ def test_worked_example_fields_are_closed_form_and_bit_identical(
         _assert_same_as_reference(f, ref, t0, y0, t1, h)
 
 
+# sha256 of the source of each worked example's generated RK4 loop
+_LOOP_SOURCES = {
+    1: "b70ad817beb625b403bea03e83154f576fa31583d920a5e202b30709e1e71af4",
+    2: "aab21a8590089324b02df091358ca354b189c71774b25cbc4509c3cd1dab1a48",
+    3: "3ecbdf4d3ae780793fc0fee7bf5c60a0571af60a81ca98bd436c8fa08909bc20",
+    4: "bc0c9f992af7fbd422ff95120da98f2c71b1ab32b46a0fbd9f79b8d5ff011bea",
+}
+
+
+@pytest.mark.parametrize("case_id", [1, 2, 3, 4])
+def test_fuse_emits_the_stage_values_once_per_field(monkeypatch, case_id):
+    # the four stages share one emitted block of stage-value code, and
+    # the loop's source is pinned by hash
+    emits, sources = [], []
+    real_emit, real_compile = numerics.emit_code, numerics.compile_source
+    monkeypatch.setattr(numerics, "emit_code", lambda *args:
+                        emits.append(args) or real_emit(*args))
+    monkeypatch.setattr(numerics, "compile_source", lambda src:
+                        sources.append(src) or real_compile(src))
+    case = example_case(case_id)
+    numerics._fuse(_numeric_rhs(case.system, case.param_values))
+    assert len(emits) == 1 and len(sources) == 1
+    assert sources[0].count("    try:\n") == 4
+    assert hashlib.sha256(sources[0].encode()).hexdigest() == \
+        _LOOP_SOURCES[case_id]
+
+
 def _stage_fallbacks(monkeypatch) -> list:
     """Record the time of every stage that falls back to eval_expr."""
     calls = []
@@ -346,9 +419,9 @@ def test_closed_form_fields_never_take_the_stage_fallback(monkeypatch):
     sys = OdeSystem2(_CTX, parse("exp(1000*dy)", _CTX), parse("0", _CTX))
     with pytest.raises(Blowup):
         integrate(sys, (0.0, 0.0, 0.0, 1.0, 0.0), 1.0)
-    # the overflowing exp is inf, as in eval_expr, in the pilot and in its
-    # rerun at a finer step
-    assert calls == [0.0, 0.0]
+    # the overflowing exp is inf, as in eval_expr, in the pilot, its rerun
+    # at a finer step, and integrate's second pilot and its rerun
+    assert calls == [0.0, 0.0, 0.0, 0.0]
 
 
 def _message(call):
@@ -421,13 +494,17 @@ def test_worked_examples_take_one_and_a_half_runs_of_rk4(monkeypatch):
 
 
 def test_worked_examples_take_their_step_from_the_error_budget(monkeypatch):
-    # each trajectory's pilot takes 200 steps of 5e-3 and 100 of 1e-2;
-    # example 3's misses the budget and reruns once at the predicted step
+    # each trajectory's pilot takes 24 steps of 1/24 and 12 of 1/12, misses
+    # the budget and reruns once at the predicted step, which meets it
     steps = _rk4_steps(monkeypatch)
-    for case_id in (1, 2, 3, 4):
-        run_example(case_id)
-    assert steps == [200, 100] * 3 + [256, 128, 200, 100]
-    assert sum(steps) == 1_584
+    reports = [run_example(case_id) for case_id in (1, 2, 3, 4)]
+    assert steps == [24, 12, 108, 54, 24, 12, 110, 55,
+                     24, 12, 250, 125, 24, 12, 180, 90]
+    assert sum(steps) == 1_116
+    for rep in reports:
+        assert rep.integration_error <= numerics.ERROR_BUDGET
+        (pilot, err), = rep.pilots
+        assert pilot == 1 / 24 and err > numerics.ERROR_BUDGET
 
 
 # y' = -12 y with |y| <= 1.1: at h = 0.1 every stage state stays in

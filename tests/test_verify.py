@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from csalin.canon import DxXZero, PointTransformation, transform_system
-from csalin import expr, numerics
+from csalin import expr, numerics, verify
 from csalin.csa import check_cr
 from csalin.cubic import OdeSystem2, check_theorem2, extract_cubic
 from csalin.expr import (
@@ -328,12 +328,16 @@ def test_an_explicit_step_of_1e_3_is_bit_identical(case_id):
 
 
 @pytest.mark.parametrize("case_id,step", [
-    (1, 5e-3), (2, 5e-3), (3, 0.0039137382711572286), (4, 5e-3)])
+    (1, 0.009374631382664743), (2, 0.009223643789462749),
+    (3, 0.0040263452883240345), (4, 0.00560534763376037)])
 def test_chosen_step_agrees_with_1e_3_at_the_end(case_id, step):
-    # two routes to x_end: the step from the budget and a fixed 1e-3
+    # two routes to x_end: the step from the budget, refined once from the
+    # pilot of 1/24, and a fixed 1e-3
     chosen = _example_trajectory(case_id)
     fixed = _example_trajectory(case_id, 1e-3)
     assert chosen.step == step and chosen.error <= numerics.ERROR_BUDGET
+    (pilot, err), = chosen.pilots
+    assert pilot == 1 / 24 and err > numerics.ERROR_BUDGET
     assert chosen.xs[-1] == fixed.xs[-1]
     assert np.max(np.abs(chosen.states[-1] - fixed.states[-1])) <= \
         numerics.ERROR_BUDGET
@@ -357,9 +361,42 @@ def test_geodesic_type_trajectories_end_within_the_budget_or_raise():
         except expr.ExprError:
             continue
         assert traj.error <= numerics.ERROR_BUDGET, (sys, init)
-        assert traj.step <= 5e-3
+        # the pilot, at most MAX_PILOT_STEP, is discarded only for an escape
+        # or a miss of the budget
+        assert traj.step <= verify.MAX_PILOT_STEP
+        assert all(err is None or err > numerics.ERROR_BUDGET
+                   for _, err in traj.pilots), traj.pilots
         kept += 1
-    assert kept >= 24
+    assert kept == 32
+
+
+def test_a_refined_run_that_misses_the_budget_is_refined_again():
+    # one rerun at the step the h^4 law predicts ends at 1.1e-9
+    sys = _sys("-dy^2 + dz^2 + (1+x)*(0.67*dy - 2.75*dz)",
+               "-2*dy*dz + (1+x)*(2.75*dy + 0.67*dz)")
+    traj = integrate(sys, (1.0, 0.32, -0.73, -0.8, -0.23), 2.0)
+    (pilot, pilot_err), (refined, refined_err) = traj.pilots
+    assert pilot == 1 / 24 and pilot_err > 1e-3
+    assert 1e-9 < refined_err < 1.2e-9
+    assert traj.step == numerics.SAFETY * refined * (
+        numerics.ERROR_BUDGET / refined_err) ** 0.25
+    assert traj.error <= numerics.ERROR_BUDGET and traj.xs[-1] == 2.0
+
+
+def test_a_default_pilot_whose_rerun_escapes_too_starts_finer():
+    # the solution grows to near the 1e8 bound: the pilot of 0.05 and its
+    # rerun at 0.0125 overshoot it near x = 2.05, a pilot of 0.05/16 stays
+    # inside, misses the budget and predicts the step kept
+    sys = _sys("-dy^2 + dz^2 + (1+x)*(0.91*dy + 2.65*dz)",
+               "-2*dy*dz + (1+x)*(-2.65*dy + 0.91*dz)")
+    init = (1.0, 0.78, 0.85, -0.74, 0.85)
+    traj = integrate(sys, init, 3.0)
+    (p1, e1), (p2, e2), (p3, e3) = traj.pilots
+    assert (p1, e1, p2, e2, p3) == (0.05, None, 0.0125, None, 0.003125)
+    assert e3 > numerics.ERROR_BUDGET and traj.step < 1e-4
+    assert traj.error <= numerics.ERROR_BUDGET and traj.xs[-1] == 3.0
+    with pytest.raises(Blowup, match="near x = 2.05"):
+        integrate(sys, init, 3.0, h=0.05)
 
 
 def test_a_pilot_that_escapes_at_the_callers_step_is_rerun_finer():
@@ -686,3 +723,15 @@ def test_example_case_metadata():
     assert c.expected_dimension == 7
     with pytest.raises(ValueError):
         example_case(5)
+
+
+def test_a_case_report_lists_its_discarded_pilots():
+    rep = CaseReport(title="example 0", integration_error=5e-10,
+                     trajectory_step=0.003,
+                     pilots=((0.05, None), (0.0125, 2e-6)))
+    assert rep.to_dict()["trajectory_pilots"] == [
+        {"step": 0.05, "error": None}, {"step": 0.0125, "error": 2e-6}]
+    assert rep.render().endswith(
+        "trajectory step-doubling error: 5.000e-10 at step 0.003 "
+        "(discarded: escaped at step 0.05, 2.000e-06 at step 0.0125)")
+    assert "discarded" not in CaseReport(title="example 0").render()
