@@ -281,20 +281,28 @@ class VarContext:
         if len(set(names)) != len(names):
             raise ValueError(f"variable names must be distinct: {names}")
 
-    @property
+    @functools.cached_property
     def aliases(self) -> dict:
         # dy, dz are aliases for the first-derivative symbols
         return {f"d{dep}": d1
                 for dep, d1 in zip(self.dependents, self.first_derivatives)}
 
+    @functools.cached_property
+    def _names(self) -> frozenset:
+        return frozenset((self.independent, *self.dependents,
+                          *self.first_derivatives, *self.second_derivatives,
+                          *self.parameters, *self.functions_of_x))
+
+    @functools.cached_property
+    def _symbols(self) -> dict:
+        """The Symbol the parser reads for each declared name and alias;
+        a primed opaque function such as g1' is looked up by name."""
+        table = {name: Symbol(name) for name in self._names}
+        table.update((a, table[name]) for a, name in self.aliases.items())
+        return table
+
     def is_declared(self, name: str) -> bool:
-        if name == self.independent or name in self.dependents \
-                or name in self.first_derivatives \
-                or name in self.second_derivatives \
-                or name in self.parameters:
-            return True
-        base = name.rstrip("'")
-        return base in self.functions_of_x
+        return name in self._names or name.rstrip("'") in self.functions_of_x
 
     def function_derivative(self, name: str) -> str | None:
         """If `name` is an opaque function of x (possibly primed), the symbol
@@ -318,126 +326,97 @@ class VarContext:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# light normalization (flatten + constant folding, no reordering)
+#
+# One rule per node kind, each applied to children that are already
+# normalized.  The parser applies them as it closes each node, and
+# `normalize` walks a tree through them, so the two share one rule set.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    text = text.rstrip()
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
+def _sum(terms) -> Expr:
+    """Nested sums flatten; a sum of constants folds to its value; else
+    zero terms drop, and a single term left stands alone."""
+    flat = []
+    for t in terms:
+        if isinstance(t, Add):
+            flat.extend(t.terms)
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+            flat.append(t)
+    consts = [t.value for t in flat if isinstance(t, Constant)]
+    if len(consts) == len(flat):
+        return Constant(sum(consts, Fraction(0)))
+    if 0 in consts:
+        flat = [t for t in flat
+                if not (isinstance(t, Constant) and t.value == 0)]
+    return flat[0] if len(flat) == 1 else Add(tuple(flat))
 
 
-class _Parser:
-    """Pratt parser for the infix expression grammar."""
+def _product(factors) -> Expr:
+    """Nested products flatten; a product of constants folds to its
+    value; else a zero factor makes 0, unit factors drop, and a single
+    factor left stands alone."""
+    flat = []
+    for f in factors:
+        if isinstance(f, Mul):
+            flat.extend(f.factors)
+        else:
+            flat.append(f)
+    consts = [f.value for f in flat if isinstance(f, Constant)]
+    if len(consts) == len(flat):
+        out = Fraction(1)
+        for c in consts:
+            out *= c
+        return Constant(out)
+    if 0 in consts:
+        return ZERO
+    if 1 in consts:
+        flat = [f for f in flat
+                if not (isinstance(f, Constant) and f.value == 1)]
+    return flat[0] if len(flat) == 1 else Mul(tuple(flat))
 
-    _INFIX_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
-    def __init__(self, tokens, ctx: VarContext):
-        self.tokens = tokens
-        self.pos = 0
-        self.ctx = ctx
+def _negated(a: Expr) -> Expr:
+    return Constant(-a.value) if isinstance(a, Constant) else Neg(a)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _quotient(a: Expr, b: Expr) -> Expr:
+    """a/b folds for constants, except over 0."""
+    if isinstance(a, Constant) and isinstance(b, Constant) and b.value != 0:
+        return Constant(a.value / b.value)
+    return Div(a, b)
 
-    def expect_op(self, op: str):
-        kind, val, at = self.advance()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}", at)
 
-    def parse(self) -> Expr:
-        e = self.expression(0)
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", at)
+def _power(b: Expr, q: Fraction) -> Expr:
+    """b^1 is b; an integer power of a constant folds, except 0 to a
+    negative power."""
+    if q == 1:
+        return b
+    if isinstance(b, Constant) and q.denominator == 1 and \
+            not (b.value == 0 and q < 0):
+        n = q.numerator
+        return Constant(b.value ** n if n >= 0 else 1 / (b.value ** (-n)))
+    return Pow(b, q)
+
+
+def normalize(e: Expr) -> Expr:
+    """e rebuilt bottom up by the light normalization rules: nested sums
+    and products flattened, constant subtrees folded to exact rationals,
+    zero terms and unit factors dropped; nothing is reordered.  `parse`
+    returns its trees in this form."""
+    if isinstance(e, (Constant, Symbol)):
         return e
-
-    def expression(self, min_bp: int) -> Expr:
-        e = self.prefix()
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in self._INFIX_BP:
-                break
-            bp = self._INFIX_BP[val]
-            if bp < min_bp:
-                break
-            self.advance()
-            # ^ is right-associative
-            rhs = self.expression(bp if val == "^" else bp + 1)
-            if val == "+":
-                e = Add((e, rhs)) if not isinstance(e, Add) \
-                    else Add(e.terms + (rhs,))
-            elif val == "-":
-                r = Neg(rhs)
-                e = Add((e, r)) if not isinstance(e, Add) \
-                    else Add(e.terms + (r,))
-            elif val == "*":
-                e = Mul((e, rhs)) if not isinstance(e, Mul) \
-                    else Mul(e.factors + (rhs,))
-            elif val == "/":
-                e = Div(e, rhs)
-            else:
-                e = _make_pow(e, rhs)
-        return e
-
-    def prefix(self) -> Expr:
-        kind, val, at = self.advance()
-        if kind == "num":
-            return Constant(Fraction(val))
-        if kind == "op" and val == "(":
-            e = self.expression(0)
-            self.expect_op(")")
-            return e
-        if kind == "op" and val == "-":
-            return Neg(self.expression(25))
-        if kind == "op" and val == "+":
-            return self.expression(25)
-        if kind == "name":
-            if val in FUNC_NAMES:
-                k, v, a = self.peek()
-                if k != "op" or v != "(":
-                    raise ArityMismatch(
-                        f"function {val!r} requires parenthesized argument")
-                self.advance()
-                arg = self.expression(0)
-                self.expect_op(")")
-                return Func(val, arg)
-            name = self.ctx.aliases.get(val, val)
-            if not self.ctx.is_declared(name):
-                raise UndeclaredSymbol(f"symbol {val!r} is not declared")
-            return Symbol(name)
-        raise ParseError(f"unexpected token {val!r}", at)
-
-
-def _make_pow(base: Expr, exponent: Expr) -> Expr:
-    q = _rational_value(exponent)
-    if q is None:
-        raise NonRationalExponent(
-            f"exponent {to_string(exponent)!r} is not a rational constant")
-    return Pow(base, q)
+    if isinstance(e, Add):
+        return _sum(normalize(t) for t in e.terms)
+    if isinstance(e, Mul):
+        return _product(normalize(f) for f in e.factors)
+    if isinstance(e, Neg):
+        return _negated(normalize(e.arg))
+    if isinstance(e, Div):
+        return _quotient(normalize(e.num), normalize(e.den))
+    if isinstance(e, Pow):
+        return _power(normalize(e.base), e.exponent)
+    if isinstance(e, Func):
+        return Func(e.kind, normalize(e.arg))
+    raise TypeError(f"unknown node {e!r}")
 
 
 def _rational_value(e: Expr) -> Fraction | None:
@@ -446,89 +425,155 @@ def _rational_value(e: Expr) -> Fraction | None:
     return v.value if isinstance(v, Constant) else None
 
 
+# ---------------------------------------------------------------------------
+# parsing
+
+# Whitespace, then one token; any other character is "bad".
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>.))", re.DOTALL)
+
+
+def _tokenize(text: str) -> list:
+    """(kind, text, position) tokens, ending in an "end" token.  A
+    character that starts no token raises ParseError at the start of the
+    whitespace before it."""
+    text = text.rstrip()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            at = m.start()
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+_INFIX_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+
+
+def _close(e: Expr) -> Expr:
+    """Fold a sum or product that the parser has left open.  A closed
+    one folds to itself, so closing twice does no harm."""
+    if isinstance(e, Add):
+        return _sum(e.terms)
+    if isinstance(e, Mul):
+        return _product(e.factors)
+    return e
+
+
+class _Parser:
+    """Pratt parser for the infix expression grammar, normalizing as it
+    goes: each node is built by its normalization rule from children
+    that are already closed.
+
+    A sum or product is closed only where nothing can extend it.
+    `expression` returns one open, as a bare Add or Mul of closed terms,
+    because the infix loop extends a sum or product that a parenthesis
+    returned: (2+3)+x has the terms (2, 3, x), where x+(2+3) has (x, 5).
+    Interval jets, `_ratio` and the printed forms all read that shape.
+    """
+
+    def __init__(self, tokens: list, ctx: VarContext):
+        self.tokens = tokens
+        self.pos = 0
+        self.ctx = ctx
+        self.symbols = ctx._symbols
+
+    def expect_op(self, op: str):
+        kind, val, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val!r}", at)
+
+    def parse(self) -> Expr:
+        e = _close(self.expression(0))
+        kind, val, at = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", at)
+        return e
+
+    def expression(self, min_bp: int) -> Expr:
+        e = self.prefix()
+        tokens = self.tokens
+        while True:
+            kind, val, _ = tokens[self.pos]
+            if kind != "op" or val not in _INFIX_BP:
+                break
+            bp = _INFIX_BP[val]
+            if bp < min_bp:
+                break
+            self.pos += 1
+            # ^ is right-associative
+            rhs = _close(self.expression(bp if val == "^" else bp + 1))
+            if val == "*":
+                e = Mul(e.factors + (rhs,)) if isinstance(e, Mul) \
+                    else Mul((_close(e), rhs))
+            elif val == "/":
+                e = _quotient(_close(e), rhs)
+            elif val == "^":
+                if not isinstance(rhs, Constant):
+                    raise NonRationalExponent(
+                        f"exponent {to_string(rhs)!r} is not a rational "
+                        "constant")
+                e = _power(_close(e), rhs.value)
+            else:
+                if val == "-":
+                    rhs = _negated(rhs)
+                e = Add(e.terms + (rhs,)) if isinstance(e, Add) \
+                    else Add((_close(e), rhs))
+        return e
+
+    def prefix(self) -> Expr:
+        kind, val, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "num":
+            # Fraction's string parser only where it is needed
+            return Constant(Fraction(val) if "." in val
+                            else Fraction(int(val)))
+        if kind == "op":
+            if val == "(":
+                e = self.expression(0)  # left open: see the class doc
+                self.expect_op(")")
+                return e
+            if val == "-":
+                return _negated(_close(self.expression(25)))
+            if val == "+":
+                return self.expression(25)
+        elif kind == "name":
+            if val in FUNC_NAMES:
+                k, v, _ = self.tokens[self.pos]
+                if k != "op" or v != "(":
+                    raise ArityMismatch(
+                        f"function {val!r} requires parenthesized argument")
+                self.pos += 1
+                arg = _close(self.expression(0))
+                self.expect_op(")")
+                return Func(val, arg)
+            s = self.symbols.get(val)
+            if s is not None:
+                return s
+            if not self.ctx.is_declared(val):
+                raise UndeclaredSymbol(f"symbol {val!r} is not declared")
+            return Symbol(val)
+        raise ParseError(f"unexpected token {val!r}", at)
+
+
 def parse(text: str, ctx: VarContext) -> Expr:
     """Parse an infix expression over the declared variables.
 
     Derivative symbols are written y', z' (dy, dz are accepted aliases).
-    The result is lightly normalized: nested sums/products are flattened and
-    constant subtrees are folded to exact rationals.  Text nested too
-    deeply for the recursive parser raises TooDeep.
+    The tree is built in one pass, already in `normalize`'s form: nested
+    sums and products are flattened and constant subtrees folded to exact
+    rationals as each node closes.  Text nested too deeply for the
+    recursive parser raises TooDeep.
     """
     tokens = _tokenize(text)
     try:
-        return normalize(_Parser(tokens, ctx).parse())
+        return _Parser(tokens, ctx).parse()
     except RecursionError:
         raise TooDeep("expression nests too deeply to parse") from None
-
-
-# ---------------------------------------------------------------------------
-# light normalization (flatten + constant folding, no reordering)
-
-def normalize(e: Expr) -> Expr:
-    if isinstance(e, (Constant, Symbol)):
-        return e
-    if isinstance(e, Add):
-        terms = []
-        for t in e.terms:
-            t = normalize(t)
-            if isinstance(t, Add):
-                terms.extend(t.terms)
-            else:
-                terms.append(t)
-        consts = [t for t in terms if isinstance(t, Constant)]
-        if len(consts) == len(terms):
-            return Constant(sum((c.value for c in consts), Fraction(0)))
-        terms = [t for t in terms if not (isinstance(t, Constant)
-                                          and t.value == 0)] or [ZERO]
-        if len(terms) == 1:
-            return terms[0]
-        return Add(tuple(terms))
-    if isinstance(e, Mul):
-        factors = []
-        for f in e.factors:
-            f = normalize(f)
-            if isinstance(f, Mul):
-                factors.extend(f.factors)
-            else:
-                factors.append(f)
-        consts = [f for f in factors if isinstance(f, Constant)]
-        if len(consts) == len(factors):
-            out = Fraction(1)
-            for c in consts:
-                out *= c.value
-            return Constant(out)
-        if any(isinstance(f, Constant) and f.value == 0 for f in factors):
-            return ZERO
-        factors = [f for f in factors if not (isinstance(f, Constant)
-                                              and f.value == 1)] or [ONE]
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
-    if isinstance(e, Neg):
-        a = normalize(e.arg)
-        if isinstance(a, Constant):
-            return Constant(-a.value)
-        return Neg(a)
-    if isinstance(e, Div):
-        a, b = normalize(e.num), normalize(e.den)
-        if isinstance(a, Constant) and isinstance(b, Constant) \
-                and b.value != 0:
-            return Constant(a.value / b.value)
-        return Div(a, b)
-    if isinstance(e, Pow):
-        b = normalize(e.base)
-        q = e.exponent
-        if q == 1:
-            return b
-        if isinstance(b, Constant) and q.denominator == 1 and \
-                not (b.value == 0 and q < 0):
-            n = q.numerator
-            return Constant(b.value ** n if n >= 0
-                            else 1 / (b.value ** (-n)))
-        return Pow(b, q)
-    if isinstance(e, Func):
-        return Func(e.kind, normalize(e.arg))
-    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------

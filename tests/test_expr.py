@@ -122,6 +122,268 @@ def test_roundtrip_corpus_200():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass parse against the two-pass reference: a raw Pratt tree,
+# then the normalization walk, as the parser was before it folded nodes
+# while closing them
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*'*)"
+    r"|(?P<op>[-+*/^()]))")
+
+
+def _reference_tokens(text):
+    tokens, pos, text = [], 0, text.rstrip()
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens + [("end", "", len(text))]
+
+
+def _reference_normalize(e):
+    """The normalization walk, one fold per node kind, inline."""
+    if isinstance(e, (Constant, Symbol)):
+        return e
+    if isinstance(e, (Add, Mul)):
+        kind = type(e)
+        parts = []
+        for t in (e.terms if kind is Add else e.factors):
+            t = _reference_normalize(t)
+            parts.extend(t.terms if kind is Add and isinstance(t, Add)
+                         else t.factors if kind is Mul
+                         and isinstance(t, Mul) else (t,))
+        consts = [t.value for t in parts if isinstance(t, Constant)]
+        if len(consts) == len(parts):
+            return Constant(sum(consts, Fraction(0)) if kind is Add
+                            else math.prod(consts, start=Fraction(1)))
+        if kind is Mul and 0 in consts:
+            return ZERO
+        unit = 0 if kind is Add else 1
+        parts = [t for t in parts
+                 if not (isinstance(t, Constant) and t.value == unit)]
+        return parts[0] if len(parts) == 1 else kind(tuple(parts))
+    if isinstance(e, Neg):
+        a = _reference_normalize(e.arg)
+        return Constant(-a.value) if isinstance(a, Constant) else Neg(a)
+    if isinstance(e, Div):
+        a, b = _reference_normalize(e.num), _reference_normalize(e.den)
+        if isinstance(a, Constant) and isinstance(b, Constant) \
+                and b.value != 0:
+            return Constant(a.value / b.value)
+        return Div(a, b)
+    if isinstance(e, Pow):
+        b, q = _reference_normalize(e.base), e.exponent
+        if q == 1:
+            return b
+        if isinstance(b, Constant) and q.denominator == 1 \
+                and not (b.value == 0 and q < 0):
+            n = q.numerator
+            return Constant(b.value ** n if n >= 0 else 1 / b.value ** -n)
+        return Pow(b, q)
+    return Func(e.kind, _reference_normalize(e.arg))
+
+
+class _ReferenceParser:
+    """The raw Pratt tree: no node is folded while it is built."""
+
+    BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+
+    def __init__(self, text, ctx):
+        self.tokens, self.pos, self.ctx = _reference_tokens(text), 0, ctx
+
+    def next(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def close(self, op):
+        kind, val, at = self.next()
+        if kind != "op" or val != op:
+            raise ParseError(f"expected {op!r}, found {val!r}", at)
+
+    def parse(self):
+        e = self.expression(0)
+        kind, val, at = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", at)
+        return e
+
+    def expression(self, min_bp):
+        e = self.prefix()
+        while True:
+            kind, val, _ = self.tokens[self.pos]
+            if kind != "op" or val not in self.BP or self.BP[val] < min_bp:
+                return e
+            self.pos += 1
+            bp = self.BP[val]
+            rhs = self.expression(bp if val == "^" else bp + 1)
+            if val in "+-":
+                rhs = rhs if val == "+" else Neg(rhs)
+                e = Add((e.terms if isinstance(e, Add) else (e,)) + (rhs,))
+            elif val == "*":
+                e = Mul((e.factors if isinstance(e, Mul) else (e,))
+                        + (rhs,))
+            elif val == "/":
+                e = Div(e, rhs)
+            else:
+                q = _reference_normalize(rhs)
+                if not isinstance(q, Constant):
+                    raise expr.NonRationalExponent(
+                        f"exponent {to_string(rhs)!r} is not a rational "
+                        "constant")
+                e = Pow(e, q.value)
+
+    def prefix(self):
+        kind, val, at = self.next()
+        if kind == "num":
+            return Constant(Fraction(val))
+        if (kind, val) == ("op", "("):
+            e = self.expression(0)
+            self.close(")")
+            return e
+        if (kind, val) == ("op", "-"):
+            return Neg(self.expression(25))
+        if (kind, val) == ("op", "+"):
+            return self.expression(25)
+        if kind == "name":
+            if val in expr.FUNC_NAMES:
+                if self.tokens[self.pos][:2] != ("op", "("):
+                    raise expr.ArityMismatch(
+                        f"function {val!r} requires parenthesized argument")
+                self.pos += 1
+                arg = self.expression(0)
+                self.close(")")
+                return Func(val, arg)
+            ctx = self.ctx
+            aliases = {f"d{dep}": d1 for dep, d1 in
+                       zip(ctx.dependents, ctx.first_derivatives)}
+            name = aliases.get(val, val)
+            declared = {ctx.independent, *ctx.dependents,
+                        *ctx.first_derivatives, *ctx.second_derivatives,
+                        *ctx.parameters}
+            if name not in declared \
+                    and name.rstrip("'") not in ctx.functions_of_x:
+                raise UndeclaredSymbol(f"symbol {val!r} is not declared")
+            return Symbol(name)
+        raise ParseError(f"unexpected token {val!r}", at)
+
+
+def _reference_parse(text, ctx):
+    return _reference_normalize(_ReferenceParser(text, ctx).parse())
+
+
+def _worked_example_texts():
+    """(text, ctx) of every parse that builds the four worked examples."""
+    import csalin.verify as verify
+    seen = []
+
+    def recording(text, ctx):
+        seen.append((text, ctx))
+        return parse(text, ctx)
+
+    real, verify.parse = verify.parse, recording
+    try:
+        for case_id in (1, 2, 3, 4):
+            example_case(case_id)
+    finally:
+        verify.parse = real
+    return seen
+
+
+def _parse_texts():
+    from beta_corpus import seeded_betas
+    plain = VarContext()
+    texts = [(beta, plain) for beta, _ in BETA_CORPUS]
+    texts += [(beta, plain) for seed in range(20)
+              for beta, _ in seeded_betas(seed)]
+    texts += [(to_string(e), CTX) for e in corpus(500)]
+    return texts + _worked_example_texts()
+
+
+def test_parse_is_the_two_pass_reference_node_for_node():
+    # repr tells a Fraction value from an int one, and every node class
+    texts = _parse_texts()
+    assert len(texts) > 700
+    for text, ctx in texts:
+        want = _reference_parse(text, ctx)
+        assert repr(parse(text, ctx)) == repr(want), text
+        raw = _ReferenceParser(text, ctx).parse()
+        assert repr(normalize(raw)) == repr(want), text
+
+
+@pytest.mark.parametrize("text,want", [
+    # a parenthesized sum or product that the infix loop extends is not
+    # folded first
+    ("(2+3)+x", Add((C(2), C(3), sym("x")))),
+    ("x+(2+3)", Add((sym("x"), C(5)))),
+    ("(2*3)*x", Mul((C(2), C(3), sym("x")))),
+    ("x*(2*3)", Mul((sym("x"), C(6)))),
+    ("+(2+3)-x", Add((C(2), C(3), Neg(sym("x"))))),
+    ("(2+3)*x", Mul((C(5), sym("x")))),
+    ("(x+y)^1+z", Add((sym("x"), sym("y"), sym("z")))),
+    ("--x", Neg(Neg(sym("x")))),
+    ("x^2^-1", Pow(sym("x"), Fraction(1, 2))),
+    ("0^0", C(1)),
+    ("-0", C(0)),
+    ("(1/0)^2", Pow(Div(C(1), C(0)), Fraction(2))),
+    ("x^-(1/2)", Pow(sym("x"), Fraction(-1, 2))),
+    ("0*x + 1*y", sym("y")),
+    ("1.50*dy", Mul((C(Fraction(3, 2)), sym("y'")))),
+])
+def test_parse_pins_the_shape_of_folded_trees(text, want):
+    assert parse(text, CTX) == want == _reference_parse(text, CTX)
+    assert repr(parse(text, CTX)) == repr(want)
+
+
+@pytest.mark.parametrize("text", [
+    "", "x +", "sqrt()", "3 x", "x^(y)", "1e-9*x", "x $", "(x", "sqrt x",
+    "q + 1", "x + )", "2^(1/2)^x",
+])
+def test_malformed_text_raises_as_the_reference_does(text):
+    with pytest.raises(ExprError) as got:
+        parse(text, CTX)
+    with pytest.raises(ExprError) as want:
+        _reference_parse(text, CTX)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    if isinstance(want.value, ParseError):
+        assert got.value.position == want.value.position
+
+
+def test_random_token_strings_parse_or_fail_as_the_reference_does():
+    # short strings over the grammar's tokens, most of them malformed; an
+    # exponent's message quotes it folded, so only its type is compared
+    rng = random.Random(37)
+    alphabet = ["x", "y", "dz", "0", "1", "2", "1.5", "+", "-", "*", "/",
+                "^", "(", ")", " ", "sqrt", "exp("]
+    outcomes = set()
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+        try:
+            want = repr(_reference_parse(text, CTX))
+        except ExprError as exc:
+            want = exc
+        try:
+            got = repr(parse(text, CTX))
+        except ExprError as exc:
+            got = exc
+        if isinstance(want, str):
+            assert got == want, text
+            outcomes.add("tree")
+            continue
+        assert type(got) is type(want), text
+        if isinstance(want, ParseError):
+            assert got.position == want.position, text
+        if not isinstance(want, expr.NonRationalExponent):
+            assert str(got) == str(want), text
+        outcomes.add(type(want).__name__)
+    assert {"tree", "ParseError", "NonRationalExponent"} <= outcomes
+
+
+# ---------------------------------------------------------------------------
 # simplification
 
 
