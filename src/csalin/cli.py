@@ -162,8 +162,15 @@ def cmd_classify(args) -> int:
         "notes": list(cls.notes),
     }
     if cls.rank_report:
-        payload["rank"] = cls.rank_report.rank
-        payload["svd_cutoff"] = cls.rank_report.cutoff
+        r = cls.rank_report
+        payload["rank"] = r.rank
+        payload["svd_cutoff"] = r.cutoff
+        # the last singular value kept and the first one cut, relative to
+        # the largest, so they bracket the cutoff; null where none is
+        sv = [float(v / r.singular_values[0]) for v in r.singular_values]
+        payload["singular_values_at_cutoff"] = [
+            sv[r.rank - 1] if r.rank else None,
+            sv[r.rank] if r.rank < len(sv) else None]
     _emit(args, payload, cls.render())
     return 0
 

@@ -19,7 +19,6 @@ from .expr import (
     Symbol, VarContext, ZERO, ZeroVerdict, _rational_value,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, jet,
     mul, neg, parse, pow_, simplify, simplify_verdict, sym, to_string,
-    zero_verdict,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
 from .numerics import row_derivative
@@ -53,13 +52,9 @@ class VectorField:
         return (self.xi, self.eta1, self.eta2)
 
 
-def prolong2_residuals(sys: OdeSystem2, V: VectorField) -> tuple:
-    """Residuals of the infinitesimal symmetry condition.
-
-    Prolongs V to second order along solutions of the system and returns
-    the pair (R1, R2) that must vanish identically in (x, y, z, y', z')
-    for V to generate a point symmetry.
-    """
+def _prolong2(sys: OdeSystem2, V: VectorField) -> tuple:
+    """The two residuals of `prolong2_residuals`, each before its final
+    `simplify`."""
     ctx = sys.ctx
     y, z = ctx.dependents
     yp, zp = ctx.first_derivatives
@@ -78,18 +73,31 @@ def prolong2_residuals(sys: OdeSystem2, V: VectorField) -> tuple:
             eta2_1 * differentiate(omega, zp),
         ))
 
-    r1 = simplify(eta1_2 - applied(sys.omega1))
-    r2 = simplify(eta2_2 - applied(sys.omega2))
-    return r1, r2
+    return eta1_2 - applied(sys.omega1), eta2_2 - applied(sys.omega2)
+
+
+def prolong2_residuals(sys: OdeSystem2, V: VectorField) -> tuple:
+    """Residuals of the infinitesimal symmetry condition.
+
+    Prolongs V to second order along solutions of the system and returns
+    the pair (R1, R2) that must vanish identically in (x, y, z, y', z')
+    for V to generate a point symmetry.
+    """
+    r1, r2 = _prolong2(sys, V)
+    return simplify(r1), simplify(r2)
 
 
 def check_symmetry(sys: OdeSystem2, V: VectorField,
                    seed: int = 0) -> tuple:
-    """(verdict, report): does V generate a point symmetry of the system?"""
-    r1, r2 = prolong2_residuals(sys, V)
+    """(verdict, report): does V generate a point symmetry of the system?
+
+    Each residual is simplified and decided in one canonical pass
+    (`simplify_verdict`); a failing check prints the simplified residual.
+    """
     checks = []
-    for label, r in (("first residual", r1), ("second residual", r2)):
-        v = zero_verdict(r, seed=seed)
+    for label, d in zip(("first residual", "second residual"),
+                        _prolong2(sys, V)):
+        r, v = simplify_verdict(d, seed=seed)
         detail = "" if v.is_zero else f"residual = {to_string(r)}"
         checks.append(ConditionCheck(label, bool(v.is_zero), v.method,
                                      detail))
@@ -509,7 +517,10 @@ def _universal_proof() -> tuple:
     return tuple(check_symmetry(sysr, w) for w in _universal_witnesses(ctx))
 
 
+@functools.lru_cache(maxsize=64)
 def _proved_universal_witnesses(ctx: VarContext) -> tuple:
+    """The proved `_universal_witnesses` fields, built once per context;
+    they are frozen, so classifications share the tuple."""
     return tuple(w for w, (ok, _) in zip(_universal_witnesses(ctx),
                                          _universal_proof()) if ok)
 
@@ -761,16 +772,19 @@ def _square_root(den: list):
 
 
 def _poly_expr(coeffs, x: Expr) -> Expr:
-    """sum(c_i x^i), highest power first; a negative c_i enters as a Neg."""
+    """sum(c_i x^i), highest power first; a negative c_i enters as a Neg.
+    Each c_i is an int or a Fraction, so the nodes are built directly."""
     terms = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if c:
-            mono = x if i == 1 else pow_(x, i)
-            term = C(abs(c)) if i == 0 else mono if abs(c) == 1 \
-                else mul(C(abs(c)), mono)
-            terms.append(term if c > 0 else neg(term))
-    return add(*terms) if terms else ZERO
+            mag = abs(c)
+            mono = x if i == 1 else Pow(x, Fraction(i))
+            term = Constant(Fraction(mag)) if i == 0 else mono if mag == 1 \
+                else Mul((Constant(Fraction(mag)), mono))
+            terms.append(term if c > 0 else Neg(term))
+    return ZERO if not terms else terms[0] if len(terms) == 1 \
+        else Add(tuple(terms))
 
 
 def _inverse_square_field(ctx: VarContext, p: Expr,
@@ -798,9 +812,15 @@ def _inverse_square_proof() -> tuple:
     return check_symmetry(sysr, _inverse_square_field(ctx, p, half_dp))
 
 
+@functools.lru_cache(maxsize=64)
+def _free_particle_witnesses(ctx: VarContext) -> tuple:
+    """`free_particle_algebra(ctx)` as a tuple, built once per context."""
+    return tuple(free_particle_algebra(ctx))
+
+
 def _zero_case(ctx: VarContext, method: str) -> Classification:
     return Classification(15, "coefficient identically zero", method,
-                          witness=tuple(free_particle_algebra(ctx)))
+                          witness=_free_particle_witnesses(ctx))
 
 
 def _constant_case(k: Expr, method: str) -> Classification:
@@ -874,6 +894,10 @@ def _classify_rational(num: list, den: list, interval,
                           "symbolic", witness=wit or None, notes=(note,))
 
 
+# The context every classification reads beta in and builds its fields for.
+_CTX = VarContext()
+
+
 def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
                   svd_cut: float = 1e-8) -> Classification:
     """Symmetry-dimension classification of y'' = -beta z, z'' = beta y.
@@ -935,7 +959,7 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     instance of these.  The seven fields of a rational constant are built
     once per value.
     """
-    ctx = VarContext()
+    ctx = _CTX
     if isinstance(beta, str):
         beta = parse(beta, ctx)
     tree, var = beta, ctx.independent

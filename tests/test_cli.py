@@ -125,6 +125,12 @@ def test_classify_json_of_a_collocation_rank(capsys):
     assert doc["rank"] == 11 - doc["dimension"]
     assert doc["svd_cutoff"] == 1e-8
     assert doc["notes"] == []
+    # the singular values on either side of the rank cutoff, relative to
+    # the largest: a gap of orders of magnitude on both sides of it
+    kept, cut = doc["singular_values_at_cutoff"]
+    assert 1e-3 < kept <= 1.0 and 0.0 <= cut < 1e-12
+    assert kept > doc["svd_cutoff"] >= cut
+    assert doc["schema_version"] == 2
 
 
 def test_classify_json_of_a_rational_beta_is_exact(capsys):
@@ -137,6 +143,7 @@ def test_classify_json_of_a_rational_beta_is_exact(capsys):
     assert doc["dimension"] == 7
     assert doc["witness_count"] == 3
     assert "rank" not in doc and "svd_cutoff" not in doc
+    assert "singular_values_at_cutoff" not in doc
     assert doc["notes"][0].startswith("decided exactly over Q[x]: ")
 
 

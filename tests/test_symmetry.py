@@ -132,14 +132,15 @@ def test_scaling_and_rotation_pass_the_per_beta_route(beta):
 
 def test_classification_proves_witnesses_once_per_process(monkeypatch):
     calls = []
-    real = symmetry.prolong2_residuals
+    real = symmetry._prolong2
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(symmetry, "prolong2_residuals", counting)
+    monkeypatch.setattr(symmetry, "_prolong2", counting)
     symmetry._universal_proof.cache_clear()
+    symmetry._proved_universal_witnesses.cache_clear()
     symmetry._constant_case_proof.cache_clear()
     symmetry._inverse_square_proof.cache_clear()
     betas = ["0", "1", "-3/2", "7/3", "2^(1/2)", "x^(-2)", "-x^(-2)",
@@ -170,6 +171,39 @@ def test_constant_witnesses_built_once_per_value(monkeypatch):
     assert first[3] == first[4]  # 2 and 6/3 are one value
     assert first == [tuple(constant_beta_witnesses(k))
                      for k in (1, -1.5, Fraction(7, 3), 2, 2)]
+
+
+def test_witnesses_are_shared_within_a_context():
+    # the proved scaling and rotation fields, and the free-particle
+    # algebra, are built once per context: two classifications hold the
+    # same objects
+    seven, six = classify_beta("x^(-2)"), classify_beta("(x+2)/(x^2+1)")
+    assert len(seven.witness) == 3 and len(six.witness) == 2
+    assert all(u is v for u, v in zip(seven.witness, six.witness))
+    assert classify_beta("exp(x)").witness is six.witness
+    assert classify_beta("0").witness is classify_beta("0*x").witness
+
+
+def _rebuilt(beta):
+    """classify_beta(beta) with every witness cache emptied first."""
+    for cached in (symmetry._proved_universal_witnesses,
+                   symmetry._free_particle_witnesses,
+                   symmetry._constant_witnesses):
+        cached.cache_clear()
+    return classify_beta(beta)
+
+
+def test_shared_witnesses_leave_the_classifications_unchanged():
+    # a constant gets the seven constant-case fields, a variable 7 the
+    # scaling and rotation fields and X, a 6 the first two
+    for beta, dim in BETA_CORPUS:
+        fresh = _rebuilt(beta)
+        cls = classify_beta(beta)
+        assert cls == fresh, beta
+        constant = "x" not in beta
+        want = {15: 15, 7: 7 if constant else 3, 6: 2}[dim]
+        assert len(cls.witness) == want, beta
+        assert len(cls.notes) == (not constant), beta
 
 
 @pytest.mark.parametrize("beta", ["-3/2", "-1"])
