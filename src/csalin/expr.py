@@ -453,6 +453,13 @@ def _tokenize(text: str) -> list:
 _INFIX_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 
 
+@functools.lru_cache(maxsize=1024)
+def _literal(text: str) -> Constant:
+    """The constant of a number token, shared between parses since nodes
+    are immutable; Fraction's string parser only for a decimal point."""
+    return Constant(Fraction(text) if "." in text else Fraction(int(text)))
+
+
 def _close(e: Expr) -> Expr:
     """Fold a sum or product that the parser has left open.  A closed
     one folds to itself, so closing twice does no harm."""
@@ -529,9 +536,7 @@ class _Parser:
         kind, val, at = self.tokens[self.pos]
         self.pos += 1
         if kind == "num":
-            # Fraction's string parser only where it is needed
-            return Constant(Fraction(val) if "." in val
-                            else Fraction(int(val)))
+            return _literal(val)
         if kind == "op":
             if val == "(":
                 e = self.expression(0)  # left open: see the class doc

@@ -771,6 +771,16 @@ def _square_root(den: list):
     return root if _pmul(root, root) == q else None
 
 
+@functools.lru_cache(maxsize=512)
+def _monomial(mag, i: int, x: Expr) -> Expr:
+    """The node of mag x^i for a positive int or Fraction mag, built once
+    per (mag, i, x): nodes are immutable, and the same small terms recur
+    in every N, D and p."""
+    mono = x if i == 1 else Pow(x, Fraction(i))
+    return Constant(Fraction(mag)) if i == 0 else mono if mag == 1 \
+        else Mul((Constant(Fraction(mag)), mono))
+
+
 def _poly_expr(coeffs, x: Expr) -> Expr:
     """sum(c_i x^i), highest power first; a negative c_i enters as a Neg.
     Each c_i is an int or a Fraction, so the nodes are built directly."""
@@ -778,10 +788,7 @@ def _poly_expr(coeffs, x: Expr) -> Expr:
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
         if c:
-            mag = abs(c)
-            mono = x if i == 1 else Pow(x, Fraction(i))
-            term = Constant(Fraction(mag)) if i == 0 else mono if mag == 1 \
-                else Mul((Constant(Fraction(mag)), mono))
+            term = _monomial(abs(c), i, x)
             terms.append(term if c > 0 else Neg(term))
     return ZERO if not terms else terms[0] if len(terms) == 1 \
         else Add(tuple(terms))
