@@ -353,15 +353,34 @@ def test_malformed_text_raises_as_the_reference_does(text):
         assert got.value.position == want.value.position
 
 
-def test_random_token_strings_parse_or_fail_as_the_reference_does():
-    # short strings over the grammar's tokens, most of them malformed; an
-    # exponent's message quotes it folded, so only its type is compared
+def _random_text(rng, depth):
+    """Well-formed text with constant subterms and redundant parentheses,
+    where folding while parsing and folding afterwards could part."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["x", "dy", "0", "1", "2", "3", "1.5", "(2+3)",
+                           "(2*3)", "(1/0)"])
+    op = rng.choice(["+", "-", "*", "/", "^"])
+    left = _random_text(rng, depth - 1)
+    right = rng.choice(["2", "-1", "(1/2)", "0", "-(1/2)", "(2*0)"]) \
+        if op == "^" else _random_text(rng, depth - 1)
+    text = f"{left}{op}{right}"
+    wrap = rng.random()
+    return f"({text})" if wrap < 0.4 else f"-{text}" if wrap < 0.5 \
+        else f"sqrt({text})" if wrap < 0.55 else text
+
+
+def test_random_text_parses_or_fails_as_the_reference_does():
+    # short strings over the grammar's tokens, most of them malformed,
+    # then well-formed ones with constant subterms; an exponent's message
+    # quotes it folded, so only its type is compared
     rng = random.Random(37)
     alphabet = ["x", "y", "dz", "0", "1", "2", "1.5", "+", "-", "*", "/",
                 "^", "(", ")", " ", "sqrt", "exp("]
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+             for _ in range(3000)]
+    texts += [_random_text(rng, 4) for _ in range(1000)]
     outcomes = set()
-    for _ in range(3000):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+    for text in texts:
         try:
             want = repr(_reference_parse(text, CTX))
         except ExprError as exc:
