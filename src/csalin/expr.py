@@ -3,7 +3,10 @@
 Immutable expression trees over a declared variable set, with parsing,
 differentiation, substitution, canonical simplification, numeric evaluation
 (the tree-walking reference `eval_expr` and the generated row loop
-`compile_rows`) and polynomial coefficient collection.  Constants are
+`compile_rows`) and polynomial coefficient collection.  One set of light
+normalization rules (flatten, fold constants, drop 0 and 1) builds each
+node: `parse` applies them as it closes each node, in one pass over the
+text, and `normalize` walks an existing tree through them.  Constants are
 exact rationals during symbolic work; floats appear only at the eval
 boundary.  Every `Constant.value` and `Pow.exponent` is a Fraction.  Inside
 the canonical-polynomial kernel behind `simplify`, an integral exponent or
@@ -282,12 +285,6 @@ class VarContext:
             raise ValueError(f"variable names must be distinct: {names}")
 
     @functools.cached_property
-    def aliases(self) -> dict:
-        # dy, dz are aliases for the first-derivative symbols
-        return {f"d{dep}": d1
-                for dep, d1 in zip(self.dependents, self.first_derivatives)}
-
-    @functools.cached_property
     def _names(self) -> frozenset:
         return frozenset((self.independent, *self.dependents,
                           *self.first_derivatives, *self.second_derivatives,
@@ -295,10 +292,12 @@ class VarContext:
 
     @functools.cached_property
     def _symbols(self) -> dict:
-        """The Symbol the parser reads for each declared name and alias;
-        a primed opaque function such as g1' is looked up by name."""
+        """The Symbol the parser reads for each declared name, and for
+        dy, dz, the aliases of the first-derivative symbols; a primed
+        opaque function such as g1' is not in the table."""
         table = {name: Symbol(name) for name in self._names}
-        table.update((a, table[name]) for a, name in self.aliases.items())
+        table.update((f"d{dep}", table[d1]) for dep, d1
+                     in zip(self.dependents, self.first_derivatives))
         return table
 
     def is_declared(self, name: str) -> bool:

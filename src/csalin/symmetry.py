@@ -776,9 +776,10 @@ def _monomial(mag, i: int, x: Expr) -> Expr:
     """The node of mag x^i for a positive int or Fraction mag, built once
     per (mag, i, x): nodes are immutable, and the same small terms recur
     in every N, D and p."""
+    if i == 0:
+        return Constant(Fraction(mag))
     mono = x if i == 1 else Pow(x, Fraction(i))
-    return Constant(Fraction(mag)) if i == 0 else mono if mag == 1 \
-        else Mul((Constant(Fraction(mag)), mono))
+    return mono if mag == 1 else Mul((Constant(Fraction(mag)), mono))
 
 
 def _poly_expr(coeffs, x: Expr) -> Expr:
@@ -964,7 +965,9 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     k = +-2 a^2; and X once for beta = k/(a0 + a1 x + a2 x^2)^2 with
     parameters k, a0, a1, a2.  Every beta that gets witnesses is an
     instance of these.  The seven fields of a rational constant are built
-    once per value.
+    once per value, and the proved scaling and rotation fields and the
+    free-particle algebra once per process, so classifications share
+    them.
     """
     ctx = _CTX
     if isinstance(beta, str):

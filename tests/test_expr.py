@@ -300,6 +300,11 @@ def _parse_texts():
     texts += [(beta, plain) for seed in range(20)
               for beta, _ in seeded_betas(seed)]
     texts += [(to_string(e), CTX) for e in corpus(500)]
+    # primed opaque functions, and an alias that shadows a parameter
+    funcs = VarContext(parameters=frozenset({"dy", "k"})) \
+        .with_functions(["g1", "g3"])
+    texts += [(t, funcs) for t in ("g1'' - 2*g1' + g3*dy", "k*g3''' + dz",
+                                   "(g1 + 0)*(1*g3')")]
     return texts + _worked_example_texts()
 
 
