@@ -588,16 +588,14 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 2, 3, 4
 
 def _print(e: Expr) -> tuple:
     """Return (text, precedence)."""
+    # signs are read off numerators: a Fraction comparison is far slower
     if isinstance(e, Constant):
-        v = e.value
-        if v.denominator == 1:
-            if v >= 0:
-                return str(v.numerator), _PREC_ATOM
-            return f"-{-v.numerator}", _PREC_NEG
-        text = f"{v.numerator}/{v.denominator}"
-        if v < 0:
-            return text, _PREC_NEG
-        return text, _PREC_MUL
+        n, d = e.value.numerator, e.value.denominator
+        if d == 1:
+            if n >= 0:
+                return str(n), _PREC_ATOM
+            return f"-{-n}", _PREC_NEG
+        return f"{n}/{d}", _PREC_NEG if n < 0 else _PREC_MUL
     if isinstance(e, Symbol):
         return e.name, _PREC_ATOM
     if isinstance(e, Add):
@@ -641,14 +639,13 @@ def _print(e: Expr) -> tuple:
         btext, bp = _print(e.base)
         if bp < _PREC_ATOM:
             btext = f"({btext})"
-        q = e.exponent
-        if q.denominator == 1 and q >= 0:
-            return f"{btext}^{q.numerator}", _PREC_POW
-        if q.denominator == 1:
-            return f"{btext}^(-{-q.numerator})", _PREC_POW
-        sign = "-" if q < 0 else ""
-        return (f"{btext}^({sign}{abs(q.numerator)}/{q.denominator})",
-                _PREC_POW)
+        n, d = e.exponent.numerator, e.exponent.denominator
+        if d == 1 and n >= 0:
+            return f"{btext}^{n}", _PREC_POW
+        if d == 1:
+            return f"{btext}^(-{-n})", _PREC_POW
+        sign = "-" if n < 0 else ""
+        return f"{btext}^({sign}{abs(n)}/{d})", _PREC_POW
     if isinstance(e, Func):
         return f"{e.kind}({_print(e.arg)[0]})", _PREC_ATOM
     raise TypeError(f"unknown node {e!r}")
