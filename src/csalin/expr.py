@@ -285,23 +285,21 @@ class VarContext:
             raise ValueError(f"variable names must be distinct: {names}")
 
     @functools.cached_property
-    def _names(self) -> frozenset:
-        return frozenset((self.independent, *self.dependents,
-                          *self.first_derivatives, *self.second_derivatives,
-                          *self.parameters, *self.functions_of_x))
-
-    @functools.cached_property
     def _symbols(self) -> dict:
-        """The Symbol the parser reads for each declared name, and for
-        dy, dz, the aliases of the first-derivative symbols; a primed
-        opaque function such as g1' is not in the table."""
-        table = {name: Symbol(name) for name in self._names}
-        table.update((f"d{dep}", table[d1]) for dep, d1
-                     in zip(self.dependents, self.first_derivatives))
-        return table
+        """The parser's memo of the Symbol it reads for each declared
+        name, filled as names are first read; it starts with dy, dz, the
+        aliases of the first-derivative symbols."""
+        return {f"d{dep}": Symbol(d1)
+                for dep, d1 in zip(self.dependents, self.first_derivatives)}
 
     def is_declared(self, name: str) -> bool:
-        return name in self._names or name.rstrip("'") in self.functions_of_x
+        if name == self.independent or name in self.dependents \
+                or name in self.first_derivatives \
+                or name in self.second_derivatives \
+                or name in self.parameters:
+            return True
+        base = name.rstrip("'")
+        return base in self.functions_of_x
 
     def function_derivative(self, name: str) -> str | None:
         """If `name` is an opaque function of x (possibly primed), the symbol
@@ -556,11 +554,11 @@ class _Parser:
                 self.expect_op(")")
                 return Func(val, arg)
             s = self.symbols.get(val)
-            if s is not None:
-                return s
-            if not self.ctx.is_declared(val):
-                raise UndeclaredSymbol(f"symbol {val!r} is not declared")
-            return Symbol(val)
+            if s is None:
+                if not self.ctx.is_declared(val):
+                    raise UndeclaredSymbol(f"symbol {val!r} is not declared")
+                s = self.symbols[val] = Symbol(val)
+            return s
         raise ParseError(f"unexpected token {val!r}", at)
 
 

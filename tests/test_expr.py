@@ -122,9 +122,8 @@ def test_roundtrip_corpus_200():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass parse against the two-pass reference: a raw Pratt tree,
-# then the normalization walk, as the parser was before it folded nodes
-# while closing them
+# the one-pass parse against a two-pass reference: the raw Pratt tree,
+# with no node folded while it is built, then a normalization walk
 
 
 _REFERENCE_TOKEN_RE = re.compile(

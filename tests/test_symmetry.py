@@ -194,12 +194,13 @@ def _rebuilt(beta):
 
 
 def test_shared_witnesses_leave_the_classifications_unchanged():
-    # a constant gets the seven constant-case fields, a variable 7 the
-    # scaling and rotation fields and X, a 6 the first two
-    for beta, dim in BETA_CORPUS:
-        fresh = _rebuilt(beta)
-        cls = classify_beta(beta)
-        assert cls == fresh, beta
+    # each classification, whose fields earlier ones built, equals one
+    # built from empty caches; a constant gets the seven constant-case
+    # fields, a variable 7 the scaling and rotation fields and X, a 6 the
+    # first two
+    shared = [classify_beta(beta) for beta, _ in BETA_CORPUS]
+    for (beta, dim), cls in zip(BETA_CORPUS, shared):
+        assert cls == _rebuilt(beta), beta
         constant = "x" not in beta
         want = {15: 15, 7: 7 if constant else 3, 6: 2}[dim]
         assert len(cls.witness) == want, beta
