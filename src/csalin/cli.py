@@ -167,10 +167,10 @@ def cmd_classify(args) -> int:
         payload["svd_cutoff"] = r.cutoff
         # the last singular value kept and the first one cut, relative to
         # the largest, so they bracket the cutoff; null where none is
-        sv = [float(v / r.singular_values[0]) for v in r.singular_values]
+        sv, k = r.singular_values, r.rank
         payload["singular_values_at_cutoff"] = [
-            sv[r.rank - 1] if r.rank else None,
-            sv[r.rank] if r.rank < len(sv) else None]
+            float(sv[k - 1] / sv[0]) if k else None,
+            float(sv[k] / sv[0]) if k < len(sv) else None]
     _emit(args, payload, cls.render())
     return 0
 
