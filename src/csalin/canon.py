@@ -151,33 +151,23 @@ def total_derivative(e: Expr, sys: OdeSystem2) -> Expr:
 
 
 def _invert_chi(chi: Expr, old_x: str, new_x: str) -> Expr:
-    """Solve X = chi(x) for x when chi is degree-one rational in x."""
-    Xs = sym(new_x)
-    try:
-        groups = coefficients_in(chi, [old_x])
+    """Solve X = chi(x) for x when chi is degree-one rational in x: chi =
+    a1 x + a0 gives x = (X - a0)/a1, and chi = a1 + a0/x, read off chi x =
+    a1 x + a0 where chi is no polynomial in x, gives x = a0/(X - a1)."""
+    for flipped in (False, True):
+        try:
+            groups = coefficients_in(
+                simplify(mul(chi, sym(old_x))) if flipped else chi, [old_x])
+        except NotPolynomial:
+            continue
         if any(sig[0] > 1 for sig in groups):
-            raise NonInvertible(
-                f"cannot invert {to_string(chi)} for {old_x}")
-        a1 = groups.get((1,), ZERO)
-        a0 = groups.get((0,), ZERO)
-        if zero_verdict(a1).is_zero:
+            break
+        a1, a0 = (groups.get((n,), ZERO) for n in (1, 0))
+        if zero_verdict(a0 if flipped else a1).is_zero:
             raise NonInvertible(f"{to_string(chi)} does not depend on {old_x}")
-        return simplify(div(Xs - a0, a1))
-    except NotPolynomial:
-        pass
-    # chi = a1 + a0/x  =>  x = a0 / (X - a1)
-    flipped = simplify(mul(chi, sym(old_x)))
-    try:
-        groups = coefficients_in(flipped, [old_x])
-    except NotPolynomial:
-        raise NonInvertible(f"cannot invert {to_string(chi)} for {old_x}")
-    if any(sig[0] > 1 for sig in groups):
-        raise NonInvertible(f"cannot invert {to_string(chi)} for {old_x}")
-    a1 = groups.get((1,), ZERO)
-    a0 = groups.get((0,), ZERO)
-    if zero_verdict(a0).is_zero:
-        raise NonInvertible(f"{to_string(chi)} does not depend on {old_x}")
-    return simplify(div(a0, Xs - a1))
+        X = sym(new_x)
+        return simplify(div(a0, X - a1) if flipped else div(X - a0, a1))
+    raise NonInvertible(f"cannot invert {to_string(chi)} for {old_x}")
 
 
 def _affine_inverse(T: PointTransformation, inv_x: Expr) -> dict | None:
@@ -402,8 +392,13 @@ class CoefficientFn:
     # -- constructors ------------------------------------------------------
     @classmethod
     def symbolic(cls, expr: Expr | str, var: str = "x") -> "CoefficientFn":
+        """A closed-form coefficient in var.  Text is parsed where var is
+        the independent variable, or in the default alphabet, which
+        declares y and z already."""
         if isinstance(expr, str):
-            expr = parse(expr, VarContext())
+            ctx = VarContext()
+            expr = parse(expr, ctx if ctx.is_declared(var) else
+                         VarContext(var))
         return cls("symbolic", expr=simplify(expr), var=var)
 
     @classmethod
@@ -542,36 +537,42 @@ class LinearForm:
 REDUCTION_STEP = 1e-3
 
 
-def _refuse_tables(lf: LinearForm) -> None:
-    """Refuse a tabulated coefficient: tables are what the chain outputs
-    (rho, X, M and the rescaled coefficients), never what it reduces."""
+def _closed_form_input(lf: LinearForm, kind: str, reducer: str) -> None:
+    """Refuse lf unless it is a `kind` form with closed-form coefficients:
+    tables are what the chain outputs (rho, X, M and the rescaled
+    coefficients), never what it reduces."""
+    if lf.kind != kind:
+        raise ValueError(f"{reducer} expects a {kind}-kind form")
     for name, c in lf.coeffs.items():
         if c.kind != "symbolic":
             raise ValueError(f"coefficient {name} is tabulated; a reduction "
                              "takes closed-form coefficients only")
 
 
-def _field_inputs(*coeffs) -> tuple:
-    """(symbols, values) of a Field whose value v<i> is coeffs[i] at the
-    stage time: each expression with its variable bound to the stage
-    time."""
-    return {c.var: "t" for c in coeffs}, tuple(c.expr for c in coeffs)
-
-
-def _forwards(interval: tuple) -> None:
-    """A reduction interval must run forwards: the tabulated outputs need
-    an increasing grid."""
+def _tabulate(interval: tuple, closed, inputs: tuple, derivs: tuple,
+              y0: tuple) -> tuple:
+    """The columns of a rescaling on interval, which must run forwards:
+    the tables need an increasing grid.  Where closed is not None they are
+    closed(ts) on ts = checked_grid(t0, t1, REDUCTION_STEP); else checked
+    RK4 integrates them from y0 at t0, at a step of at most
+    REDUCTION_STEP, with derivs over the values v0, v1, ... of the
+    coefficients `inputs` at the stage time, and a coefficient undefined
+    on the way raises PoleInInterval.  Returns (ts, columns, err, step,
+    route): step the h of the run kept, route "closed-form" or "rk4"."""
     if interval[1] <= interval[0]:
         raise ValueError("t1 must exceed t0")
-
-
-def _integrate_coeffs(rhs: Field, t0, y0, t1, h):
-    """RK4 with step doubling over a reduction interval, at a step of at
-    most h: (ts, ys, err, step), as `rk4_checked` returns them."""
+    t0, t1 = interval
+    h = REDUCTION_STEP
+    if closed is not None:
+        ts = checked_grid(t0, t1, h)
+        return ts, closed(ts), 0.0, h, "closed-form"
+    rhs = Field({c.var: "t" for c in inputs}, tuple(c.expr for c in inputs),
+                derivs)
     try:
-        return rk4_checked(rhs, t0, y0, t1, h)
+        ts, ys, err, h = rk4_checked(rhs, t0, y0, t1, h)
     except DomainError as exc:
         raise PoleInInterval(str(exc)) from exc
+    return ts, ys.T, err, h, "rk4"
 
 
 def _finite_constant(e: Expr) -> float | None:
@@ -592,28 +593,21 @@ def _escaped(ts, finite) -> None:
         raise Blowup(f"state escaped near x = {ts[finite.argmin()]:.6g}")
 
 
-def _constant_rho(k: float, label: str, ts) -> tuple:
+def _constant_rho(k: float, ts) -> tuple:
     """rho and X = t0 + integral of rho^-2 from t0 = ts[0] on ts for
     rho'' = k rho with rho(t0) = 1, rho'(t0) = 0 and constant k != 0, in
-    closed form, with the sources of the two tables.  With w = sqrt(|k|)
-    they are cosh(w (t - t0)) and tanh(w (t - t0)) / w for k > 0, cos and
-    tan for k < 0."""
+    closed form.  With w = sqrt(|k|) they are cosh(w (t - t0)) and
+    tanh(w (t - t0)) / w for k > 0, cos and tan for k < 0."""
     import numpy as np
 
     w = math.sqrt(abs(k))
     wt = w * (ts - ts[0])
-    if k > 0:
-        names, root = ("cosh", "tanh"), label
-        with np.errstate(over="ignore"):
-            rho = np.cosh(wt)
-        _escaped(ts, np.isfinite(rho))
-        xs = ts[0] + np.tanh(wt) / w
-    else:
-        names, root = ("cos", "tan"), f"-{label}"
-        rho, xs = np.cos(wt), ts[0] + np.tan(wt) / w
-    return rho, xs, (
-        f"rho = {names[0]}(w (t - t0)), w = sqrt({root}) = {w:.6g}",
-        f"X = t0 + {names[1]}(w (t - t0)) / w")
+    if k < 0:
+        return np.cos(wt), ts[0] + np.tan(wt) / w
+    with np.errstate(over="ignore"):
+        rho = np.cosh(wt)
+    _escaped(ts, np.isfinite(rho))
+    return rho, ts[0] + np.tanh(wt) / w
 
 
 @dataclass(eq=False)
@@ -656,34 +650,35 @@ def _rescale(kind: str, a_inputs: tuple, a_code: str, a_label: str,
     """Solve rho'' = a(t) rho with rho(t0) = 1, rho'(t0) = 0 together with
     the new variable X = integral of rho^-2 pinned to agree with t at t0,
     and rewrite each rho^4 * coeffs[name](t) over X as a `kind` form.
-    Where a is a constant k != 0, rho and X take their closed form on
-    rk4_checked's grid of REDUCTION_STEP, and so does each coefficient
-    (see `_closed_form_coefficient`); else RK4 integrates them at a step
-    of at most REDUCTION_STEP, with a_code computing a(t) from the values
-    v0, v1, ... of the coefficients a_inputs, and each coefficient is
-    tabulated over X.  The tables carry the step of the run kept.
+    Where a is a constant k != 0, rho and X take their closed form
+    (`_constant_rho`), and so does each coefficient (see
+    `_closed_form_coefficient`); else RK4 integrates them, with a_code
+    computing a(t) from the values v0, v1, ... of the coefficients
+    a_inputs, and each coefficient is tabulated over X.  `_tabulate`
+    picks the grid and the step, which the tables carry.
 
     With Y = y/rho and dX/dt = rho^-2 one gets d2Y/dX2 = rho^3 y'' -
     rho^2 rho'' y, so each coefficient of the rescaled system carries a
     factor rho^4 (rho^3 from the variable change times rho from y = rho Y).
     """
-    _forwards(interval)
-    t0, t1 = interval
+    t0 = interval[0]
     k = _finite_constant(a)
-    h = REDUCTION_STEP
+    # the state is (rho, rho', X); s0 ** -2 raises below the least float
+    # whose ** -2 is finite: rho is then 0 or tiny, and RhoVanishes follows
+    ts, columns, err, h, route = _tabulate(
+        interval, functools.partial(_constant_rho, k) if k else None,
+        a_inputs, ("s1", f"({a_code}) * s0",
+                   "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"),
+        (1.0, 0.0, t0))
+    rho, xs = columns[0], columns[-1]
     if k:
-        ts = checked_grid(t0, t1, h)
-        rho, xs, (rho_src, x_src) = _constant_rho(k, a_label, ts)
-        err, route = 0.0, "closed-form"
+        (f, g), root = (("cosh", "tanh"), a_label) if k > 0 else \
+            (("cos", "tan"), f"-{a_label}")
+        rho_src = f"rho = {f}(w (t - t0)), w = sqrt({root}) = " \
+            f"{math.sqrt(abs(k)):.6g}"
+        x_src = f"X = t0 + {g}(w (t - t0)) / w"
     else:
-        # s0 ** -2 raises below the least float whose ** -2 is finite: rho
-        # is then 0 or tiny, and RhoVanishes follows
-        rhs = Field(*_field_inputs(*a_inputs), ("s1", f"({a_code}) * s0",
-                    "inf if abs(s0) < 7.458340731200208e-155 else s0 ** -2"))
-        ts, ys, err, h = _integrate_coeffs(rhs, t0, (1.0, 0.0, t0), t1, h)
-        rho, xs = ys[:, 0], ys[:, 2]
         rho_src, x_src = f"rho'' = {a_label} rho", "integral of rho^-2"
-        route = "rk4"
     below = (rho <= 1e-9).nonzero()[0]
     if below.size:
         hit = int(below[0])
@@ -714,9 +709,7 @@ def reduce_optimal(lf: LinearForm, interval: tuple) -> RescaledForm:
     integral of rho^-2 pinned to agree with the old one at x0.  Every
     coefficient must be closed-form (ValueError otherwise).
     """
-    if lf.kind != "general":
-        raise ValueError("reduce_optimal expects a general-kind form")
-    _refuse_tables(lf)
+    _closed_form_input(lf, "general", "reduce_optimal")
     d11, d12 = lf["d11"], lf["d12"]
     d21, d22 = lf["d21"], lf["d22"]
 
@@ -741,9 +734,7 @@ def reduce_25_to_28(lf: LinearForm, interval: tuple) -> RescaledForm:
     reduced form: rho'' = a3 rho, beta = rho^4 a4 on the rescaled variable.
     a3 and a4 must be closed-form (ValueError otherwise).
     """
-    if lf.kind != "zero_order":
-        raise ValueError("reduce_25_to_28 expects a zero_order-kind form")
-    _refuse_tables(lf)
+    _closed_form_input(lf, "zero_order", "reduce_25_to_28")
     a3, a4 = lf["a3"], lf["a4"]
 
     if zero_verdict(a3.expr).is_zero:
@@ -816,27 +807,16 @@ def reduce_24_to_25(lf: LinearForm, interval: tuple) -> FirstOrderReduction:
     rk4_checked's grid of REDUCTION_STEP; else RK4 integrates the pair
     at a step of at most REDUCTION_STEP.
     """
-    if lf.kind != "first_order":
-        raise ValueError("reduce_24_to_25 expects a first_order-kind form")
-    _refuse_tables(lf)
-    _forwards(interval)
-    t0, t1 = interval
+    _closed_form_input(lf, "first_order", "reduce_24_to_25")
     a1, a2 = lf["a1"], lf["a2"]
     c1, c2 = _polynomial(a1), _polynomial(a2)
-    h = REDUCTION_STEP
-    if c1 is not None and c2 is not None:
-        ts = checked_grid(t0, t1, h)
-        m1, m2 = _exp_half_integral(c1, c2, ts)
-        err, route = 0.0, "closed-form"
-        src = "M1 + i M2 = exp((A + i B)/2), A and B the integrals of a1 " \
-            "and a2 from t0"
-    else:
-        rhs = Field(*_field_inputs(a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
-                                             "0.5 * (v0 * s1 + v1 * s0)"))
-        ts, ys, err, h = _integrate_coeffs(rhs, t0, (1.0, 0.0), t1, h)
-        m1, m2 = ys[:, 0], ys[:, 1]
-        route = "rk4"
-        src = "2M1' = a1 M1 - a2 M2, 2M2' = a1 M2 + a2 M1"
+    closed = None if c1 is None or c2 is None else \
+        functools.partial(_exp_half_integral, c1, c2)
+    ts, (m1, m2), err, h, route = _tabulate(
+        interval, closed, (a1, a2), ("0.5 * (v0 * s0 - v1 * s1)",
+                                     "0.5 * (v0 * s1 + v1 * s0)"), (1.0, 0.0))
+    src = "M1 + i M2 = exp((A + i B)/2), A and B the integrals of a1 and " \
+        "a2 from t0" if closed else "2M1' = a1 M1 - a2 M2, 2M2' = a1 M2 + a2 M1"
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -129,26 +129,16 @@ class DeterminingSystem:
     raw: tuple = ()
 
 
-def _beta_expr(beta) -> Expr:
-    if isinstance(beta, CoefficientFn):
-        if beta.kind != "symbolic":
-            raise ValueError("a closed-form coefficient is required here")
-        return beta.expr
-    if isinstance(beta, str):
-        return parse(beta, VarContext())
-    return beta
-
-
-def determining_system_reduced(beta, ansatz: str = "full"
+def determining_system_reduced(beta: Expr, ansatz: str = "full"
                                ) -> DeterminingSystem:
-    """Determining equations of the reduced canonical system.
+    """Determining equations of the reduced canonical system of beta, an
+    expression in x.
 
     Generated by substituting the point-symmetry ansatz into the second
     prolongation and splitting by monomials in the first derivatives (and,
     for the reduced ansatz, in the dependents as well); every residual
     must vanish identically in x.
     """
-    b = _beta_expr(beta)
     if ansatz == "full":
         funcs = [f"g{i}" for i in range(1, 10)]
         ctx = VarContext().with_functions(funcs)
@@ -171,7 +161,7 @@ def determining_system_reduced(beta, ansatz: str = "full"
     else:
         raise ValueError(f"unknown ansatz {ansatz!r}")
 
-    sysr = reduced_system(b, ctx)
+    sysr = reduced_system(beta, ctx)
     V = VectorField(ctx, simplify(xi), simplify(eta1), simplify(eta2))
     r1, r2 = prolong2_residuals(sysr, V)
     residuals = []

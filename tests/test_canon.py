@@ -21,8 +21,8 @@ from csalin.canon import (
 from csalin.csa import check_cr, realify
 from csalin.cubic import OdeSystem2
 from csalin.expr import (
-    C, VarContext, ZERO, ZeroVerdict, free_symbols, neg, parse, simplify,
-    substitute, sym, to_string, zero_verdict,
+    C, UndeclaredSymbol, VarContext, ZERO, ZeroVerdict, free_symbols, neg,
+    parse, simplify, substitute, sym, to_string, zero_verdict,
 )
 from csalin.numerics import (
     ERROR_BUDGET, Blowup, Field, InaccurateIntegration, checked_grid,
@@ -460,6 +460,22 @@ def test_symbolic_coefficient_in_another_variable():
     for var in ("t", "y", "z", "X"):
         c = CoefficientFn("symbolic", expr=sym(var) ** 2, var=var)
         assert c(3.0) == 9.0 and c.derivative(3.0) == 6.0
+
+
+@pytest.mark.parametrize("var", ["x", "t", "y", "X"])
+def test_symbolic_coefficient_text_is_read_in_its_variable(var):
+    c = CoefficientFn.symbolic(f"{var}^2 + 1", var=var)
+    assert c.expr == simplify(sym(var) ** 2 + 1)
+    assert c(3.0) == 10.0 and c.derivative(3.0) == 6.0
+
+
+def test_symbolic_coefficient_text_in_another_variable_is_refused():
+    # where t is the variable, x is no declared name
+    with pytest.raises(UndeclaredSymbol):
+        CoefficientFn.symbolic("x*t", var="t")
+    # y is declared in the default alphabet, and the coefficient refuses it
+    with pytest.raises(ValueError, match="undeclared symbols"):
+        CoefficientFn.symbolic("x*y")
 
 
 # ---------------------------------------------------------------------------

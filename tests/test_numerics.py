@@ -105,7 +105,7 @@ def _reduction_rhs(monkeypatch, reduce, lf, interval):
         raise _Captured
 
     with monkeypatch.context() as m:
-        m.setattr(canon, "_integrate_coeffs", capture)
+        m.setattr(canon, "rk4_checked", capture)
         with pytest.raises(_Captured):
             reduce(lf, interval)
     return seen[0]
