@@ -845,14 +845,27 @@ def reduce_chain(lf: LinearForm, interval: tuple) -> list:
     """The reductions that carry lf down its chain on interval, in order:
     general -> optimal, or first_order -> zero_order -> reduced.  Each is
     the RescaledForm or FirstOrderReduction whose form the next one
-    reduces; the list is empty for an optimal or reduced form."""
+    reduces; the list is empty for an optimal or reduced form.  A step
+    that evaluates a constant beyond float range raises ExprError, naming
+    the coefficient of its form that holds it."""
     # looked up per call: a tracer that rebinds the steps in this module
     # times each of them
     step = {"general": reduce_optimal, "first_order": reduce_24_to_25,
             "zero_order": reduce_25_to_28}
     chain = []
     while lf.kind in step:
-        chain.append(step[lf.kind](lf, interval))
+        try:
+            chain.append(step[lf.kind](lf, interval))
+        except OverflowError:
+            # a float evaluation met a constant beyond float range: name
+            # the first coefficient whose rows cannot be compiled for one
+            for name, c in lf.coeffs.items():
+                try:
+                    compile_rows((c.expr,), (c.var,))
+                except OverflowError:
+                    raise ExprError(f"coefficient {name} holds a constant "
+                                    "beyond float range") from None
+            raise
         lf = chain[-1].form
     return chain
 

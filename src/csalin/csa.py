@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .expr import (
     Expr, VarContext, ExprError, add, differentiate, mul, neg, simplify,
-    simplify_verdict, to_string, zero_verdict, C, Symbol,
+    zero_verdict, C, Symbol,
 )
 from .cubic import OdeSystem2
-from .reports import ConditionCheck, ConditionReport
+from .reports import ConditionReport, zero_check
 
 
 class CrViolated(ExprError):
@@ -53,13 +53,9 @@ def _cr_report(sys: OdeSystem2, seed: int) -> ConditionReport:
         (f"d(omega1)/d{zp} = -d(omega2)/d{yp}",
          differentiate(w1, zp), differentiate(w2, yp), -1),
     ]
-    checks = []
-    for label, lhs, rhs, sign in pairs:
-        diff, v = simplify_verdict(lhs - mul(C(sign), rhs), seed=seed)
-        detail = "" if v.is_zero else f"difference = {to_string(diff)}"
-        checks.append(ConditionCheck(label, v.is_zero, v.method, detail))
-    return ConditionReport(title="Cauchy-Riemann conditions",
-                           checks=tuple(checks))
+    return ConditionReport(title="Cauchy-Riemann conditions", checks=tuple(
+        zero_check(label, lhs - mul(C(sign), rhs), "difference", seed)
+        for label, lhs, rhs, sign in pairs))
 
 
 def _check_pair_cr(name: str, re_part: Expr, im_part: Expr,

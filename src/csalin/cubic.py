@@ -9,10 +9,9 @@ from fractions import Fraction
 
 from .expr import (
     Expr, VarContext, ZERO, ExprError, Pow, Symbol,
-    coefficients_in, free_symbols, mul, neg, add, simplify,
-    simplify_verdict, to_string, C,
+    coefficients_in, free_symbols, mul, neg, add, simplify, C,
 )
-from .reports import ConditionCheck, ConditionReport
+from .reports import ConditionReport, zero_check
 
 
 class DegreeTooHigh(ExprError):
@@ -172,16 +171,12 @@ def check_theorem2(cf: CubicForm, seed: int = 0) -> CubicConditionReport:
     fallback flagged as "numeric".  On success the report carries the
     complex coefficient pairs E3..E0 of the scalar cubic equation.
     """
-    checks = []
-    for label, (fa, ra, ja), (fb, rb, jb), scale in _CONDITIONS:
-        lhs = cf.slot(fa, ra, ja)
-        rhs = cf.slot(fb, rb, jb)
-        diff, v = simplify_verdict(lhs - mul(C(scale), rhs), seed=seed)
-        detail = "" if v.is_zero else f"difference = {to_string(diff)}"
-        checks.append(ConditionCheck(label, v.is_zero, v.method, detail))
-    report_checks = tuple(checks)
+    checks = tuple(
+        zero_check(label, cf.slot(*a) - mul(C(scale), cf.slot(*b)),
+                   "difference", seed)
+        for label, a, b, scale in _CONDITIONS)
     complex_coefficients = None
-    if all(c.holds for c in report_checks):
+    if all(c.holds for c in checks):
         complex_coefficients = {
             "E3": (cf.alpha[(1, 1)],
                    simplify(mul(C(Fraction(-1, 3)), cf.alpha[(1, 2)]))),
@@ -192,6 +187,6 @@ def check_theorem2(cf: CubicForm, seed: int = 0) -> CubicConditionReport:
         }
     return CubicConditionReport(
         title="cubic complex-correspondence conditions",
-        checks=report_checks,
+        checks=checks,
         complex_coefficients=complex_coefficients,
     )

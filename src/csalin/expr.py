@@ -708,9 +708,8 @@ class _Canon:
         self.bases: dict = {}
 
     def key_for(self, base) -> str:
-        if isinstance(base, _SymBase):
-            key = base.name
-        elif isinstance(base, _FuncBase):
+        """The key of a function, cpow or sum base."""
+        if isinstance(base, _FuncBase):
             key = f"{base.kind}({to_string(base.arg)})"
         elif isinstance(base, _CpowBase):
             key = f"#{base.prime}"

@@ -16,13 +16,13 @@ from .canon import CoefficientFn, PoleInInterval, total_derivative
 from .cubic import OdeSystem2
 from .expr import (
     Add, C, Constant, Div, Expr, ExprError, EvalDomainError, Mul, Neg, Pow,
-    Symbol, VarContext, ZERO, ZeroVerdict, _rational_value,
+    Symbol, VarContext, ZERO, _rational_value,
     add, coefficients_in, differentiate, div, eval_expr, free_symbols, jet,
     mul, neg, parse, pow_, simplify, simplify_verdict, sym, to_string,
     exp as e_exp, sin as e_sin, cos as e_cos,
 )
 from .numerics import row_derivative
-from .reports import ConditionCheck, ConditionReport
+from .reports import ConditionReport, method_of, zero_check
 
 
 class IntervalTooSmall(ExprError):
@@ -94,15 +94,10 @@ def check_symmetry(sys: OdeSystem2, V: VectorField,
     Each residual is simplified and decided in one canonical pass
     (`simplify_verdict`); a failing check prints the simplified residual.
     """
-    checks = []
-    for label, d in zip(("first residual", "second residual"),
-                        _prolong2(sys, V)):
-        r, v = simplify_verdict(d, seed=seed)
-        detail = "" if v.is_zero else f"residual = {to_string(r)}"
-        checks.append(ConditionCheck(label, bool(v.is_zero), v.method,
-                                     detail))
-    report = ConditionReport(title="point-symmetry residuals",
-                             checks=tuple(checks))
+    report = ConditionReport(title="point-symmetry residuals", checks=tuple(
+        zero_check(label, d, "residual", seed)
+        for label, d in zip(("first residual", "second residual"),
+                            _prolong2(sys, V))))
     return report.overall, report
 
 
@@ -839,18 +834,6 @@ def _constant_case(k: Expr, method: str) -> Classification:
                           witness=wit, notes=notes)
 
 
-def _constant_beta(cf: CoefficientFn, seed: int, ctx: VarContext,
-                   flat: ZeroVerdict) -> Classification:
-    """The zero or constant case of a closed-form beta whose beta' = 0 by
-    the verdict `flat`: numeric where either verdict was sampled."""
-    # a CoefficientFn built directly holds beta unsimplified
-    b, verdict = simplify_verdict(cf.expr, seed=seed)
-    method = "symbolic" if flat.method == verdict.method == "symbolic" \
-        else "numeric"
-    return _zero_case(ctx, method) if verdict.is_zero \
-        else _constant_case(b, method)
-
-
 def _require_span(lo: float, hi: float) -> None:
     """Collocation's shortest interval, which the exact route keeps, so a
     beta classifies on the same intervals whichever route decides it."""
@@ -969,46 +952,45 @@ def classify_beta(beta, interval: tuple = (0.5, 3.0), seed: int = 0,
     if ratio is not None:
         return _classify_rational(*ratio, interval, ctx)
     cf = CoefficientFn.of(beta)
-
-    if cf.kind == "symbolic":
+    refusal = None
+    if cf.kind == "tabulated":
+        lo, hi = cf.domain
+        interval = (max(interval[0], lo), min(interval[1], hi))
+    else:
         lo, hi = float(interval[0]), float(interval[1])
         try:
             _require_span(lo, hi)
             pieces = _certify_finite(cf, lo, hi)
-        except (IntervalTooSmall, PoleInInterval):
-            flat = cf.is_constant()
-            if not flat:
-                raise
-            return _constant_beta(cf, seed, ctx, flat)
-        wit = _proved_universal_witnesses(ctx)
-        note = _q3_certificate(cf, lo, hi, pieces)
-        if note is not None:
-            return Classification(6, "variable coefficient, 6-dimensional",
-                                  "symbolic", witness=wit or None,
-                                  notes=(note,))
-        flat = cf.is_constant()
-        if flat:
-            return _constant_beta(cf, seed, ctx, flat)
-    else:
-        if cf.is_constant():
-            if abs(cf.constant_value()) <= 1e-12:
-                return Classification(15, "coefficient identically zero",
-                                      "numeric")
-            return Classification(7, "nonzero constant coefficient",
-                                  "numeric",
-                                  notes=("constancy detected numerically "
-                                         "from the tabulated grid",))
-        lo, hi = cf.domain
-        interval = (max(interval[0], lo), min(interval[1], hi))
-        wit = None
+        except (IntervalTooSmall, PoleInInterval) as exc:
+            refusal = exc  # kept: a constant beta needs no certificate
+        else:
+            note = _q3_certificate(cf, lo, hi, pieces)
+            if note is not None:
+                return Classification(
+                    6, "variable coefficient, 6-dimensional", "symbolic",
+                    witness=_proved_universal_witnesses(ctx) or None,
+                    notes=(note,))
+    flat = cf.is_constant()
+    if flat and cf.kind == "tabulated":
+        if abs(cf.constant_value()) <= 1e-12:
+            return Classification(15, "coefficient identically zero",
+                                  "numeric")
+        return Classification(7, "nonzero constant coefficient", "numeric",
+                              notes=("constancy detected numerically from "
+                                     "the tabulated grid",))
+    if flat:
+        # a CoefficientFn built directly holds beta unsimplified
+        b, verdict = simplify_verdict(cf.expr, seed=seed)
+        method = method_of((flat, verdict))
+        return _zero_case(ctx, method) if verdict.is_zero \
+            else _constant_case(b, method)
+    if refusal is not None:
+        raise refusal
 
     report = _collocation_rank(cf, interval, svd_cut)
     dim = 11 - report.rank
-    if dim == 7:
-        label = "variable coefficient, 7-dimensional"
-    elif dim == 6:
-        label = "variable coefficient, 6-dimensional"
-    else:
-        label = "numeric"
+    label = f"variable coefficient, {dim}-dimensional" if dim in (6, 7) \
+        else "numeric"
+    wit = _proved_universal_witnesses(ctx) if cf.kind == "symbolic" else None
     return Classification(dim, label, "numeric", witness=wit or None,
                           rank_report=report)

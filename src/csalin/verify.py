@@ -34,7 +34,7 @@ from .numerics import (
 )
 # re-exported: integrate raises it
 from .numerics import InaccurateIntegration as InaccurateIntegration
-from .reports import ConditionCheck, ConditionReport
+from .reports import ConditionCheck, ConditionReport, method_of
 from .symmetry import Q3_CERTIFICATE, classify_beta
 
 
@@ -303,13 +303,6 @@ class CaseReport(ConditionReport):
         return super().render() + "\n  " + line
 
 
-def _method(verdicts) -> str:
-    """Method of a check decided by several verdicts: numeric as soon as
-    any one of them fell back to sampling."""
-    return "numeric" if any(v.method == "numeric" for v in verdicts) \
-        else "symbolic"
-
-
 class _NoLinearForm(ExprError):
     """A transformed target that is no linear form the chain reduces."""
 
@@ -378,7 +371,7 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
         lf = _target_form(out, case.param_values, seed, verdicts)
     except _NoLinearForm as exc:
         return None, ConditionCheck("symmetry dimension", False,
-                                    _method(verdicts), str(exc)), []
+                                    method_of(verdicts), str(exc)), []
     notes = []
     lo, hi = 0.0, 2.0
     try:
@@ -403,7 +396,7 @@ def _example_dimension(case: ExampleCase, out: OdeSystem2, seed: int):
     dim, expected = cls.dimension, case.expected_dimension
     return dim, ConditionCheck(
         "symmetry dimension", expected is None or dim == expected,
-        _method([*verdicts, cls]),
+        method_of([*verdicts, cls]),
         f"{dim}" + ("" if expected is None else f" (expected {expected})")
     ), notes
 
@@ -416,18 +409,13 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
     symmetry dimension of the reduced form.
     """
     case = example_case(case_id)
-    checks = []
+    checks = [
+        check_cr(case.system, seed=seed).summary(
+            "complex-correspondence (Cauchy-Riemann) conditions"),
+        check_theorem2(extract_cubic(case.system), seed=seed).summary(
+            "cubic coefficient conditions"),
+    ]
     notes = []
-
-    cr = check_cr(case.system, seed=seed)
-    checks.append(ConditionCheck(
-        "complex-correspondence (Cauchy-Riemann) conditions", cr.overall,
-        _method(cr.checks), "" if cr.overall else cr.failing()[0].name))
-
-    t2 = check_theorem2(extract_cubic(case.system), seed=seed)
-    checks.append(ConditionCheck(
-        "cubic coefficient conditions", t2.overall, _method(t2.checks),
-        "" if t2.overall else t2.failing()[0].name))
 
     out = transform_system(case.system, case.transformation, seed=seed)
     verdicts = [zero_verdict(got - want, seed=seed) for got, want in
@@ -437,7 +425,7 @@ def run_example(case_id: int, seed: int = 0) -> CaseReport:
     detail = "" if match else (
         f"got ({to_string(out.omega1)}, {to_string(out.omega2)})")
     checks.append(ConditionCheck("symbolic target match", match,
-                                 _method(verdicts), detail))
+                                 method_of(verdicts), detail))
 
     traj = integrate(case.system, case.init, case.interval[1],
                      params=case.param_values)

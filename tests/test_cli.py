@@ -98,6 +98,42 @@ def test_canonicalize_refuses_an_untrustworthy_reduction(tmp_path, capsys,
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("form,name", [
+    ({"kind": "zero_order", "a3": "10^400", "a4": "1"}, "a3"),
+    ({"kind": "zero_order", "a3": "-10^400", "a4": "1"}, "a3"),
+    ({"kind": "zero_order", "a3": "x", "a4": "10^400"}, "a4"),
+    ({"kind": "first_order", "a1": "1", "a2": "10^400"}, "a2"),
+    ({"kind": "general", "d11": "1", "d12": "0", "d21": "0",
+      "d22": "10^400*x"}, "d22"),
+    ({"kind": "general", "d11": "x", "d12": "10^400", "d21": "0",
+      "d22": "0"}, "d12"),
+], ids=["a3", "negative-a3", "a4", "a2", "d22", "d12"])
+def test_canonicalize_refuses_a_constant_beyond_float_range(tmp_path, capsys,
+                                                            form, name):
+    # each form evaluates the big constant in floats: a closed-form rho
+    # reads a3, M's polynomial reads a2, and RK4 or a table reads the rest
+    path = _write(tmp_path, "f.json", {"form": form, "interval": [0.5, 2]})
+    assert main(["canonicalize", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: coefficient {name} holds a constant beyond float range\n")
+
+
+@pytest.mark.parametrize("form,slot", [
+    ({"kind": "zero_order", "a3": "1", "a4": "10^400"}, "beta"),
+    ({"kind": "general", "d11": "1", "d12": "10^400", "d21": "0",
+      "d22": "1"}, "dt12"),
+], ids=["a4", "d12"])
+def test_canonicalize_keeps_a_big_constant_symbolic(tmp_path, capsys, form,
+                                                    slot):
+    # a constant rho'' coefficient rescales in closed form, so the big
+    # constant is never evaluated in floats
+    path = _write(tmp_path, "f.json", {"form": form, "interval": [0.5, 2]})
+    assert main(["--json", "canonicalize", path]) == 0
+    coefficient = json.loads(capsys.readouterr().out)["coefficients"][slot]
+    assert coefficient == {"kind": "symbolic",
+                           "expr": f"{16 * 10 ** 400}*(4*x^2 - 4*x - 3)^(-2)"}
+
+
 def test_classify_requires_beta():
     assert main(["classify"]) == 2
 

@@ -643,6 +643,52 @@ def test_a_variable_non_rational_beta_is_not_zero_tested(monkeypatch):
     assert len(calls) == 1
 
 
+# a CoefficientFn built directly keeps its removable pole at x = 1, so its
+# beta is refused certification on (0.5, 3) before it reads as a constant
+_UNCERTIFIED_CONSTANT = CoefficientFn(
+    "symbolic", expr=parse("1/(x-1) + 2^(1/2) - 1/(x-1)", CTX))
+_IRRATIONAL_NOTE = ("no witnesses built: the constant 2^(1/2) is not "
+                    "rational",)
+
+
+@pytest.mark.parametrize("beta,interval,dim,method,notes", [
+    ("2^(1/2)", (0.5, 3.0), 7, "symbolic", _IRRATIONAL_NOTE),
+    ("2^(1/2)", (1.0, 1.005), 7, "symbolic", _IRRATIONAL_NOTE),
+    ("exp(2*x)-exp(x)^2", (1.0, 1.005), 15, "numeric", ()),
+    (_UNCERTIFIED_CONSTANT, (0.5, 3.0), 7, "symbolic", _IRRATIONAL_NOTE),
+], ids=["constant", "short-constant", "short-zero", "uncertified-constant"])
+def test_each_constant_exit_of_the_closed_form_route(beta, interval, dim,
+                                                     method, notes):
+    # the certificate and collocation exits are pinned by
+    # test_a_classification_names_the_method_that_decided_it
+    cls = classify_beta(beta, interval)
+    assert (cls.dimension, cls.method, cls.notes) == (dim, method, notes)
+
+
+def test_the_uncertified_constant_is_refused_certification():
+    with pytest.raises(PoleInInterval):
+        symmetry._certify_finite(_UNCERTIFIED_CONSTANT, 0.5, 3.0)
+
+
+def test_a_variable_closed_form_beta_keeps_its_refusal():
+    # only a constant beta gets past a refusal to certify it
+    with pytest.raises(IntervalTooSmall):
+        classify_beta("exp(x)", interval=(1.0, 1.005))
+
+
+def test_classifying_only_constants_proves_no_universal_witness():
+    # the scaling and rotation fields are reached after the constant check
+    symmetry._universal_proof.cache_clear()
+    symmetry._proved_universal_witnesses.cache_clear()
+    for beta, interval in (("2^(1/2)", (0.5, 3.0)), ("2^(1/2)", (1.0, 1.005)),
+                           ("exp(2*x)-exp(x)^2", (1.0, 1.005)),
+                           (_UNCERTIFIED_CONSTANT, (0.5, 3.0)),
+                           ("sin(x)^2 + cos(x)^2", (0.5, 3.0)),
+                           ("3/2", (0.5, 3.0)), ("0", (0.5, 3.0))):
+        assert classify_beta(beta, interval).dimension in (7, 15)
+    assert symmetry._universal_proof.cache_info().currsize == 0
+
+
 def test_a_constant_beta_built_directly_is_simplified():
     # the dataclass constructor keeps beta as written; classify_beta
     # reads the constant 2 of its simplified form, as from a string
